@@ -9,7 +9,6 @@ package tcam
 // ordering is visible next to the timing.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -17,10 +16,9 @@ import (
 	"tcam/internal/cuboid"
 	"tcam/internal/datagen"
 	"tcam/internal/dataset"
-	"tcam/internal/distem"
 	"tcam/internal/eval"
 	"tcam/internal/experiments"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 	"tcam/internal/topk"
 	"tcam/internal/weighting"
 )
@@ -222,9 +220,9 @@ func BenchmarkAblationParallelEM(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := ttcam.DefaultConfig()
+				cfg := tcam.DefaultConfig()
 				cfg.K1, cfg.K2, cfg.MaxIters, cfg.Workers = 20, 12, 10, workers
-				if _, _, err := ttcam.Train(data, cfg); err != nil {
+				if _, _, err := tcam.Train(data, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -236,9 +234,9 @@ func BenchmarkAblationParallelEM(b *testing.B) {
 // the same trained model and query stream.
 func BenchmarkAblationTAvsBF(b *testing.B) {
 	data := benchWorld(b)
-	cfg := ttcam.DefaultConfig()
+	cfg := tcam.DefaultConfig()
 	cfg.K1, cfg.K2, cfg.MaxIters = 20, 12, 10
-	m, _, err := ttcam.Train(data, cfg)
+	m, _, err := tcam.Train(data, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -269,9 +267,9 @@ func BenchmarkAblationWeighting(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				weighted := weighting.New(split.Train, mode).Apply(split.Train)
-				cfg := ttcam.DefaultConfig()
+				cfg := tcam.DefaultConfig()
 				cfg.K1, cfg.K2, cfg.MaxIters = 20, 12, 10
-				m, _, err := ttcam.Train(weighted, cfg)
+				m, _, err := tcam.Train(weighted, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -293,9 +291,9 @@ func BenchmarkAblationBackgroundTopic(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := ttcam.DefaultConfig()
+				cfg := tcam.DefaultConfig()
 				cfg.K1, cfg.K2, cfg.MaxIters, cfg.Background = 20, 12, 10, bg
-				if _, _, err := ttcam.Train(data, cfg); err != nil {
+				if _, _, err := tcam.Train(data, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -307,12 +305,12 @@ func BenchmarkAblationBackgroundTopic(b *testing.B) {
 
 func BenchmarkEMIterationTTCAM(b *testing.B) {
 	data := benchWorld(b)
-	cfg := ttcam.DefaultConfig()
+	cfg := tcam.DefaultConfig()
 	cfg.K1, cfg.K2 = 20, 12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.MaxIters = 1
-		if _, _, err := ttcam.Train(data, cfg); err != nil {
+		if _, _, err := tcam.Train(data, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,9 +319,9 @@ func BenchmarkEMIterationTTCAM(b *testing.B) {
 
 func BenchmarkTAQueryTop10(b *testing.B) {
 	data := benchWorld(b)
-	cfg := ttcam.DefaultConfig()
+	cfg := tcam.DefaultConfig()
 	cfg.K1, cfg.K2, cfg.MaxIters = 20, 12, 10
-	m, _, err := ttcam.Train(data, cfg)
+	m, _, err := tcam.Train(data, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -336,9 +334,9 @@ func BenchmarkTAQueryTop10(b *testing.B) {
 
 func BenchmarkBruteForceQueryTop10(b *testing.B) {
 	data := benchWorld(b)
-	cfg := ttcam.DefaultConfig()
+	cfg := tcam.DefaultConfig()
 	cfg.K1, cfg.K2, cfg.MaxIters = 20, 12, 10
-	m, _, err := ttcam.Train(data, cfg)
+	m, _, err := tcam.Train(data, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,24 +361,6 @@ func BenchmarkTrainAllMethodsSmall(b *testing.B) {
 		b.Run(string(m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Train(m, data, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDistributedEM compares the MapReduce-decomposed
-// trainer (Section 3.2.3) at different shard counts against the
-// in-process trainer on the same data.
-func BenchmarkAblationDistributedEM(b *testing.B) {
-	data := benchWorld(b)
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := distem.DefaultConfig()
-				cfg.K1, cfg.K2, cfg.MaxIters, cfg.Shards = 20, 12, 10, shards
-				if _, _, err := distem.Train(data, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -162,7 +162,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	cfg.logf("serving %s bundle (%d users, %d items) on %s", b.Kind, len(b.Users), len(b.Items), ln.Addr())
+	cfg.logf("serving %s bundle (%d users, %d items) on %s", b.Kind(), len(b.Users), len(b.Items), ln.Addr())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	if cfg.onReady != nil {

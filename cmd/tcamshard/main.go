@@ -103,7 +103,7 @@ func run(cfg config) error {
 			return err
 		}
 		lo, hi, _ := parseWindow(cfg.items)
-		cfg.logf("shard mode: %s bundle, items [%d,%d) of %d", b.Kind, lo, hi, len(b.Items))
+		cfg.logf("shard mode: %s bundle, items [%d,%d) of %d", b.Kind(), lo, hi, len(b.Items))
 		handler, srv = s, s
 	case "coordinator":
 		c, err := buildCoordinator(cfg)

@@ -20,7 +20,7 @@ import (
 	"log"
 
 	"tcam/internal/datagen"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 	"tcam/internal/stats"
 	"tcam/internal/topk"
 	"tcam/internal/weighting"
@@ -40,11 +40,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tcfg := ttcam.DefaultConfig()
+	tcfg := tcam.DefaultConfig()
 	tcfg.K1, tcfg.K2 = 24, 16
 	tcfg.MaxIters = 30
 	tcfg.Label = "W-TTCAM"
-	model, tstats, err := ttcam.Train(weighting.WeightCuboid(data), tcfg)
+	model, tstats, err := tcam.Train(weighting.WeightCuboid(data), tcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func main() {
 
 // mostTemporalUser returns the user with the lowest λu — the strongest
 // trend-follower.
-func mostTemporalUser(m *ttcam.Model) int {
+func mostTemporalUser(m *tcam.Model) int {
 	best, arg := 2.0, 0
 	for u := 0; u < m.NumUsers(); u++ {
 		if l := m.Lambda(u); l < best {

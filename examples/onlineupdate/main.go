@@ -23,7 +23,7 @@ import (
 
 	"tcam/internal/datagen"
 	"tcam/internal/dataset"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 	"tcam/internal/weighting"
 )
 
@@ -54,10 +54,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tcfg := ttcam.DefaultConfig()
+	tcfg := tcam.DefaultConfig()
 	tcfg.K1, tcfg.K2, tcfg.MaxIters = 24, 20, 30
 	tcfg.Label = "W-TTCAM"
-	model, _, err := ttcam.Train(weighting.WeightCuboid(data), tcfg)
+	model, _, err := tcam.Train(weighting.WeightCuboid(data), tcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func main() {
 		for ; i < len(futureEvents) && futureEvents[i].day < horizon; i++ {
 			newRatings[futureEvents[i].item]++
 		}
-		theta := model.FitNewInterval(newRatings, 25)
+		theta := model.FitNewInterval(newRatings, model.NumItems(), 25)
 		top := topTopics(theta, 3)
 		fmt.Printf("after streaming days [%d,%d): %d distinct new items\n", batchEnd, horizon, len(newRatings))
 		fmt.Printf("  fitted temporal context: top time-topics %v\n", top)
@@ -111,7 +111,7 @@ func topTopics(theta []float64, n int) []int {
 }
 
 // contextTopItems ranks items by the fitted temporal context alone.
-func contextTopItems(world *datagen.World, m *ttcam.Model, theta []float64, n int) []string {
+func contextTopItems(world *datagen.World, m *tcam.Model, theta []float64, n int) []string {
 	scores := make([]float64, m.NumItems())
 	for x, w := range theta {
 		if w <= 0 {

@@ -21,8 +21,8 @@ import (
 	"tcam/internal/core"
 	"tcam/internal/cuboid"
 	"tcam/internal/datagen"
+	"tcam/internal/model/tcam"
 	"tcam/internal/model/tt"
-	"tcam/internal/model/ttcam"
 	"tcam/internal/weighting"
 )
 
@@ -73,7 +73,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tm := res.Model.(*ttcam.Model)
+		tm := res.Model.(*tcam.Model)
 		show(string(m), world, event, matchTopic(world, event, tm.TimeTopic, tm.K2()), tm.TimeTopic)
 	}
 
@@ -82,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wm := wres.Model.(*ttcam.Model)
+	wm := wres.Model.(*tcam.Model)
 	fmt.Println("\ntemporal signatures (normalized per-interval activity of each topic's top tags):")
 	tSeries := activity(data, wm.TimeTopic(matchTopic(world, event, wm.TimeTopic, wm.K2())))
 	uSeries := activity(data, wm.UserTopic(0))

@@ -14,10 +14,9 @@ import (
 	"tcam/internal/model"
 	"tcam/internal/model/bprmf"
 	"tcam/internal/model/bptf"
-	"tcam/internal/model/itcam"
+	"tcam/internal/model/tcam"
 	"tcam/internal/model/timesvd"
 	"tcam/internal/model/tt"
-	"tcam/internal/model/ttcam"
 	"tcam/internal/model/ut"
 	"tcam/internal/train"
 	"tcam/internal/weighting"
@@ -69,6 +68,14 @@ func ParseMethod(s string) (Method, error) {
 // Weighted reports whether the method trains on the item-weighted
 // cuboid of Equation (20).
 func (m Method) Weighted() bool { return m == WITCAM || m == WTTCAM }
+
+// mixture reports whether the method is one of the four TCAM mixtures,
+// the family internal/model/tcam trains and folds in.
+func (m Method) mixture() bool { return m == ITCAM || m == WITCAM || m.timeTopics() }
+
+// timeTopics reports whether the method's temporal context is the
+// TTCAM topic mixture (and so reads K2 and Background).
+func (m Method) timeTopics() bool { return m == TTCAM || m == WTTCAM }
 
 // Temporal reports whether the method uses the time dimension at all.
 func (m Method) Temporal() bool { return m != UT && m != BPRMF }
@@ -156,8 +163,7 @@ func (r Result) TopicScorer() model.TopicScorer {
 // raw cuboid.
 func Train(method Method, data *cuboid.Cuboid, opts Options) (Result, error) {
 	res := Result{Method: method}
-	if (opts.CheckpointDir != "" || opts.Resume) && method != ITCAM && method != WITCAM &&
-		method != TTCAM && method != WTTCAM {
+	if (opts.CheckpointDir != "" || opts.Resume) && !method.mixture() {
 		return res, fmt.Errorf("core: method %s does not support checkpointing", method)
 	}
 	tdata := data
@@ -189,8 +195,15 @@ func Train(method Method, data *cuboid.Cuboid, opts Options) (Result, error) {
 		cfg.Tol = tolOf(opts, cfg.Tol)
 		cfg.Seed, cfg.Workers = seedOf(opts), opts.Workers
 		res.Model, res.Stats, err = tt.Train(tdata, cfg)
-	case ITCAM, WITCAM:
-		cfg := itcam.DefaultConfig()
+	case ITCAM, WITCAM, TTCAM, WTTCAM:
+		cfg := tcam.DefaultITCAMConfig()
+		if method.timeTopics() {
+			cfg = tcam.DefaultConfig()
+			if opts.K2 > 0 {
+				cfg.K2 = opts.K2
+			}
+			cfg.Background = opts.Background
+		}
 		if opts.K1 > 0 {
 			cfg.K1 = opts.K1
 		}
@@ -202,25 +215,7 @@ func Train(method Method, data *cuboid.Cuboid, opts Options) (Result, error) {
 		cfg.Checkpoint, cfg.Hook = checkpointOf(opts), opts.Hook
 		cfg.Seed, cfg.Workers = seedOf(opts), opts.Workers
 		cfg.Label = string(method)
-		res.Model, res.Stats, err = itcam.Train(tdata, cfg)
-	case TTCAM, WTTCAM:
-		cfg := ttcam.DefaultConfig()
-		if opts.K1 > 0 {
-			cfg.K1 = opts.K1
-		}
-		if opts.K2 > 0 {
-			cfg.K2 = opts.K2
-		}
-		if opts.MaxIters > 0 {
-			cfg.MaxIters = opts.MaxIters
-		}
-		cfg.Tol = tolOf(opts, cfg.Tol)
-		cfg.MaxWall, cfg.Shards = opts.MaxWall, opts.Shards
-		cfg.Checkpoint, cfg.Hook = checkpointOf(opts), opts.Hook
-		cfg.Background = opts.Background
-		cfg.Seed, cfg.Workers = seedOf(opts), opts.Workers
-		cfg.Label = string(method)
-		res.Model, res.Stats, err = ttcam.Train(tdata, cfg)
+		res.Model, res.Stats, err = tcam.Train(tdata, cfg)
 	case BPRMF:
 		cfg := bprmf.DefaultConfig()
 		if opts.Factors > 0 {

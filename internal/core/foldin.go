@@ -12,8 +12,7 @@ import (
 
 	"tcam/internal/cuboid"
 	"tcam/internal/model"
-	"tcam/internal/model/itcam"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 	"tcam/internal/weighting"
 )
 
@@ -25,34 +24,21 @@ import (
 // the partial-EM rounds (0 keeps the fold-in default), Shards/Workers
 // thread through unchanged. The input model is not mutated.
 func FoldIn(method Method, rec model.Recommender, data *cuboid.Cuboid, opts Options) (model.Recommender, error) {
+	if !method.mixture() {
+		return nil, fmt.Errorf("core: method %s does not support fold-in", method)
+	}
+	m, ok := rec.(*tcam.Model)
+	if !ok || (m.K2() > 0) != method.timeTopics() {
+		return nil, fmt.Errorf("core: fold-in %s got a %T named %q", method, rec, rec.Name())
+	}
 	tdata := data
 	if method.Weighted() {
 		tdata = weighting.WeightCuboid(data)
 	}
-	switch method {
-	case ITCAM, WITCAM:
-		m, ok := rec.(*itcam.Model)
-		if !ok {
-			return nil, fmt.Errorf("core: fold-in %s wants *itcam.Model, got %T", method, rec)
-		}
-		cfg := itcam.DefaultFoldInConfig()
-		if opts.MaxIters > 0 {
-			cfg.Iters = opts.MaxIters
-		}
-		cfg.Shards, cfg.Workers = opts.Shards, opts.Workers
-		return m.FoldInUsers(tdata, cfg)
-	case TTCAM, WTTCAM:
-		m, ok := rec.(*ttcam.Model)
-		if !ok {
-			return nil, fmt.Errorf("core: fold-in %s wants *ttcam.Model, got %T", method, rec)
-		}
-		cfg := ttcam.DefaultFoldInConfig()
-		if opts.MaxIters > 0 {
-			cfg.Iters = opts.MaxIters
-		}
-		cfg.Shards, cfg.Workers = opts.Shards, opts.Workers
-		return m.FoldInUsers(tdata, cfg)
-	default:
-		return nil, fmt.Errorf("core: method %s does not support fold-in", method)
+	cfg := tcam.DefaultFoldInConfig()
+	if opts.MaxIters > 0 {
+		cfg.Iters = opts.MaxIters
 	}
+	cfg.Shards, cfg.Workers = opts.Shards, opts.Workers
+	return m.FoldInUsers(tdata, cfg)
 }

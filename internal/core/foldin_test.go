@@ -5,8 +5,7 @@ import (
 
 	"tcam/internal/cuboid"
 	"tcam/internal/model"
-	"tcam/internal/model/itcam"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 )
 
 // numUsers reads the user count off the concrete TCAM models (the
@@ -14,14 +13,11 @@ import (
 // family grows).
 func numUsers(tb testing.TB, rec model.Recommender) int {
 	tb.Helper()
-	switch v := rec.(type) {
-	case *itcam.Model:
-		return v.NumUsers()
-	case *ttcam.Model:
-		return v.NumUsers()
+	m, ok := rec.(*tcam.Model)
+	if !ok {
+		tb.Fatalf("not a TCAM model: %T", rec)
 	}
-	tb.Fatalf("not a TCAM model: %T", rec)
-	return 0
+	return m.NumUsers()
 }
 
 // grownWorld is smallWorld plus 5 new users (rows 20..24) with their
@@ -99,6 +95,6 @@ func TestFoldInTypeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := FoldIn(ITCAM, res.Model, grown, fastOpts()); err == nil {
-		t.Error("FoldIn(ITCAM) accepted a *ttcam.Model")
+		t.Error("FoldIn(ITCAM) accepted a TTCAM model")
 	}
 }

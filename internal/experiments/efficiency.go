@@ -8,8 +8,7 @@ import (
 
 	"tcam/internal/core"
 	"tcam/internal/datagen"
-	"tcam/internal/model"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 	"tcam/internal/topk"
 )
 
@@ -57,7 +56,7 @@ func (r *Runner) latencyOn(p datagen.Profile) (*LatencyResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: figure8 BPTF on %s: %w", p, err)
 	}
-	tm := tcamRes.Model.(*ttcam.Model)
+	tm := tcamRes.Model.(*tcam.Model)
 	ix := topk.BuildIndex(tm)
 
 	// Deterministic query workload spread across users and intervals.
@@ -207,6 +206,3 @@ func (t *TrainTimeResult) Render(w io.Writer) {
 	}
 	flush(tw)
 }
-
-// compile-time check that ttcam exposes the interfaces Figure 8 needs.
-var _ model.TopicScorer = (*ttcam.Model)(nil)

@@ -8,7 +8,7 @@ import (
 
 	"tcam/internal/core"
 	"tcam/internal/datagen"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 	"tcam/internal/stats"
 )
 
@@ -52,7 +52,7 @@ func (r *Runner) lambdaOn(p datagen.Profile) (*LambdaCDFResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: lambda on %s: %w", p, err)
 	}
-	m := res.Model.(*ttcam.Model)
+	m := res.Model.(*tcam.Model)
 	w := r.World(p)
 	lambdas := make([]float64, m.NumUsers())
 	for u := range lambdas {

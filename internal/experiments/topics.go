@@ -9,8 +9,8 @@ import (
 	"tcam/internal/core"
 	"tcam/internal/cuboid"
 	"tcam/internal/datagen"
+	"tcam/internal/model/tcam"
 	"tcam/internal/model/tt"
-	"tcam/internal/model/ttcam"
 )
 
 // TopicSignatureResult is the payload of Figure 2: the temporal
@@ -41,7 +41,7 @@ func (r *Runner) Figure2() (*TopicSignatureResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: figure2: %w", err)
 	}
-	m := res.Model.(*ttcam.Model)
+	m := res.Model.(*tcam.Model)
 	w := r.World(p)
 
 	bestTime, bestTimeSeries, bestTimePeak := -1, []float64(nil), -1.0
@@ -392,7 +392,7 @@ func (r *Runner) topicQualityOn(p datagen.Profile) (*TopicQualityResult, error) 
 		if err != nil {
 			return nil, fmt.Errorf("experiments: topic quality %s: %w", m, err)
 		}
-		tm := res.Model.(*ttcam.Model)
+		tm := res.Model.(*tcam.Model)
 		appraise(string(m), tm.TimeTopic, tm.K2())
 	}
 	return out, nil
@@ -445,7 +445,7 @@ func (r *Runner) Table7() (*SeparationResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table7: %w", err)
 	}
-	m := res.Model.(*ttcam.Model)
+	m := res.Model.(*tcam.Model)
 	const topN = 20
 
 	genreOf := func(v int) int { return w.Truth.Genre[v] }

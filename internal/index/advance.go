@@ -22,8 +22,7 @@ import (
 
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
-	"tcam/internal/model/itcam"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 )
 
 // AdvanceConfig parameterizes Bundle.Advance.
@@ -79,43 +78,22 @@ func (b *Bundle) Advance(stream *cuboid.Cuboid, grid dataset.TimeGrid, users, it
 		}
 	}
 
-	out := &Bundle{Kind: b.Kind, Grid: grid, Users: users, Items: items}
-	switch b.Kind {
-	case KindITCAM:
-		m := b.ITCAM
-		contexts := make([][]float64, 0, grid.Num-m.NumIntervals())
-		for t := m.NumIntervals(); t < grid.Num; t++ {
-			contexts = append(contexts, m.FitNewInterval(intervalRatings(stream, t), len(items)))
-		}
-		grown, err := m.Grow(grid.Num, len(items), contexts)
-		if err != nil {
-			return nil, err
-		}
-		out.ITCAM, err = grown.FoldInUsers(stream, itcam.FoldInConfig{
-			Iters: cfg.FoldIters, Smoothing: cfg.Smoothing, Shards: cfg.Shards, Workers: cfg.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-	case KindTTCAM:
-		m := b.TTCAM
-		contexts := make([][]float64, 0, grid.Num-m.NumIntervals())
-		for t := m.NumIntervals(); t < grid.Num; t++ {
-			contexts = append(contexts, m.FitNewInterval(intervalRatings(stream, t), cfg.FitIters))
-		}
-		grown, err := m.Grow(grid.Num, len(items), contexts)
-		if err != nil {
-			return nil, err
-		}
-		out.TTCAM, err = grown.FoldInUsers(stream, ttcam.FoldInConfig{
-			Iters: cfg.FoldIters, Smoothing: cfg.Smoothing, Shards: cfg.Shards, Workers: cfg.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("index: bundle kind %q cannot advance", b.Kind)
+	m := b.Model
+	contexts := make([][]float64, 0, grid.Num-m.NumIntervals())
+	for t := m.NumIntervals(); t < grid.Num; t++ {
+		contexts = append(contexts, m.FitNewInterval(intervalRatings(stream, t), len(items), cfg.FitIters))
 	}
+	grown, err := m.Grow(grid.Num, len(items), contexts)
+	if err != nil {
+		return nil, err
+	}
+	folded, err := grown.FoldInUsers(stream, tcam.FoldInConfig{
+		Iters: cfg.FoldIters, Smoothing: cfg.Smoothing, Shards: cfg.Shards, Workers: cfg.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := New(folded, grid, users, items)
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -18,12 +19,12 @@ import (
 	"tcam/internal/atomicfile"
 	"tcam/internal/dataset"
 	"tcam/internal/model"
-	"tcam/internal/model/itcam"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 	"tcam/internal/topk"
 )
 
-// Kind names the model family inside a bundle.
+// Kind names the model family inside a bundle; it is what /healthz
+// reports and what bundle files record.
 type Kind string
 
 // The model kinds a bundle can carry.
@@ -34,64 +35,55 @@ const (
 
 // Bundle is a self-contained deployment artifact.
 type Bundle struct {
-	Kind  Kind
-	ITCAM *itcam.Model
-	TTCAM *ttcam.Model
+	Model *tcam.Model
 
 	Grid  dataset.TimeGrid
 	Users []string
 	Items []string
 }
 
-// NewTTCAM assembles a bundle around a trained TTCAM.
-func NewTTCAM(m *ttcam.Model, grid dataset.TimeGrid, users, items []string) *Bundle {
-	return &Bundle{Kind: KindTTCAM, TTCAM: m, Grid: grid, Users: users, Items: items}
+// New assembles a bundle around a trained model of either kind.
+func New(m *tcam.Model, grid dataset.TimeGrid, users, items []string) *Bundle {
+	return &Bundle{Model: m, Grid: grid, Users: users, Items: items}
 }
 
-// NewITCAM assembles a bundle around a trained ITCAM.
-func NewITCAM(m *itcam.Model, grid dataset.TimeGrid, users, items []string) *Bundle {
-	return &Bundle{Kind: KindITCAM, ITCAM: m, Grid: grid, Users: users, Items: items}
+// NewTTCAM is New under the name the bench/ module calls.
+func NewTTCAM(m *tcam.Model, grid dataset.TimeGrid, users, items []string) *Bundle {
+	return New(m, grid, users, items)
+}
+
+// Kind reports which variant the bundle's model is, read off the model's
+// own dimensions.
+func (b *Bundle) Kind() Kind {
+	if b.Model.K2() == 0 {
+		return KindITCAM
+	}
+	return KindTTCAM
 }
 
 // Scorer returns the bundle's model behind the TopicScorer interface.
-func (b *Bundle) Scorer() model.TopicScorer {
-	switch b.Kind {
-	case KindITCAM:
-		return b.ITCAM
-	case KindTTCAM:
-		return b.TTCAM
-	default:
-		return nil
-	}
-}
+func (b *Bundle) Scorer() model.TopicScorer { return b.Model }
 
 // BuildIndex precomputes the TA sorted lists for the bundle's model.
 func (b *Bundle) BuildIndex() *topk.Index {
-	return topk.BuildIndex(b.Scorer())
+	return topk.BuildIndex(b.Model)
 }
 
 // Validate reports the first inconsistency between the model and the
 // bundle metadata, or nil.
 func (b *Bundle) Validate() error {
-	s := b.Scorer()
-	if s == nil {
-		return fmt.Errorf("index: bundle kind %q has no model", b.Kind)
+	m := b.Model
+	if m == nil {
+		return errors.New("index: bundle has no model")
 	}
-	if len(b.Items) != s.NumItems() {
-		return fmt.Errorf("index: %d item names for a %d-item model", len(b.Items), s.NumItems())
+	if len(b.Items) != m.NumItems() {
+		return fmt.Errorf("index: %d item names for a %d-item model", len(b.Items), m.NumItems())
 	}
-	var users, intervals int
-	switch b.Kind {
-	case KindITCAM:
-		users, intervals = b.ITCAM.NumUsers(), b.ITCAM.NumIntervals()
-	case KindTTCAM:
-		users, intervals = b.TTCAM.NumUsers(), b.TTCAM.NumIntervals()
+	if len(b.Users) != m.NumUsers() {
+		return fmt.Errorf("index: %d user names for a %d-user model", len(b.Users), m.NumUsers())
 	}
-	if len(b.Users) != users {
-		return fmt.Errorf("index: %d user names for a %d-user model", len(b.Users), users)
-	}
-	if b.Grid.Num != intervals {
-		return fmt.Errorf("index: grid has %d intervals, model %d", b.Grid.Num, intervals)
+	if b.Grid.Num != m.NumIntervals() {
+		return fmt.Errorf("index: grid has %d intervals, model %d", b.Grid.Num, m.NumIntervals())
 	}
 	return nil
 }
@@ -113,20 +105,13 @@ func (b *Bundle) Write(w io.Writer) error {
 		return err
 	}
 	var payload bytes.Buffer
-	var err error
-	switch b.Kind {
-	case KindITCAM:
-		err = b.ITCAM.Write(&payload)
-	case KindTTCAM:
-		err = b.TTCAM.Write(&payload)
-	}
-	if err != nil {
+	if err := b.Model.Write(&payload); err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(w)
 	enc := gob.NewEncoder(bw)
 	if err := enc.Encode(&fileWire{
-		Kind: b.Kind, Grid: b.Grid, Users: b.Users, Items: b.Items, Model: payload.Bytes(),
+		Kind: b.Kind(), Grid: b.Grid, Users: b.Users, Items: b.Items, Model: payload.Bytes(),
 	}); err != nil {
 		return fmt.Errorf("index: encode: %w", err)
 	}
@@ -139,18 +124,13 @@ func Read(r io.Reader) (*Bundle, error) {
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("index: decode: %w", err)
 	}
-	b := &Bundle{Kind: w.Kind, Grid: w.Grid, Users: w.Users, Items: w.Items}
-	var err error
-	switch w.Kind {
-	case KindITCAM:
-		b.ITCAM, err = itcam.Read(bytes.NewReader(w.Model))
-	case KindTTCAM:
-		b.TTCAM, err = ttcam.Read(bytes.NewReader(w.Model))
-	default:
-		return nil, fmt.Errorf("index: unknown bundle kind %q", w.Kind)
-	}
+	m, err := tcam.Read(bytes.NewReader(w.Model))
 	if err != nil {
 		return nil, err
+	}
+	b := &Bundle{Model: m, Grid: w.Grid, Users: w.Users, Items: w.Items}
+	if w.Kind != b.Kind() {
+		return nil, fmt.Errorf("index: bundle says kind %q but carries a %q model", w.Kind, b.Kind())
 	}
 	if err := b.Validate(); err != nil {
 		return nil, err

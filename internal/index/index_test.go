@@ -9,12 +9,11 @@ import (
 
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
-	"tcam/internal/model/itcam"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 	"tcam/internal/topk"
 )
 
-func trainedModels(tb testing.TB) (*itcam.Model, *ttcam.Model, dataset.TimeGrid, []string, []string) {
+func trainedModels(tb testing.TB) (itcam, ttcam *tcam.Model, _ dataset.TimeGrid, _, _ []string) {
 	tb.Helper()
 	b := cuboid.NewBuilder(6, 3, 12)
 	for u := 0; u < 6; u++ {
@@ -24,15 +23,15 @@ func trainedModels(tb testing.TB) (*itcam.Model, *ttcam.Model, dataset.TimeGrid,
 		}
 	}
 	data := b.Build()
-	icfg := itcam.DefaultConfig()
+	icfg := tcam.DefaultITCAMConfig()
 	icfg.K1, icfg.MaxIters = 4, 10
-	im, _, err := itcam.Train(data, icfg)
+	im, _, err := tcam.Train(data, icfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tcfg := ttcam.DefaultConfig()
+	tcfg := tcam.DefaultConfig()
 	tcfg.K1, tcfg.K2, tcfg.MaxIters = 4, 3, 10
-	tm, _, err := ttcam.Train(data, tcfg)
+	tm, _, err := tcam.Train(data, tcfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func trainedModels(tb testing.TB) (*itcam.Model, *ttcam.Model, dataset.TimeGrid,
 
 func TestBundleRoundtripTTCAM(t *testing.T) {
 	_, tm, grid, users, items := trainedModels(t)
-	b := NewTTCAM(tm, grid, users, items)
+	b := New(tm, grid, users, items)
 	var buf bytes.Buffer
 	if err := b.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -59,13 +58,13 @@ func TestBundleRoundtripTTCAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindTTCAM || got.TTCAM == nil {
-		t.Fatalf("roundtrip kind = %v", got.Kind)
+	if got.Kind() != KindTTCAM {
+		t.Fatalf("roundtrip kind = %v", got.Kind())
 	}
 	// Scores must survive the roundtrip bit-for-bit.
 	for u := 0; u < 6; u++ {
 		for v := 0; v < 12; v += 3 {
-			if a, bb := tm.Score(u, 1, v), got.TTCAM.Score(u, 1, v); a != bb {
+			if a, bb := tm.Score(u, 1, v), got.Model.Score(u, 1, v); a != bb {
 				t.Fatalf("score drift after roundtrip at (%d,%d): %v vs %v", u, v, a, bb)
 			}
 		}
@@ -77,7 +76,7 @@ func TestBundleRoundtripTTCAM(t *testing.T) {
 
 func TestBundleRoundtripITCAM(t *testing.T) {
 	im, _, grid, users, items := trainedModels(t)
-	b := NewITCAM(im, grid, users, items)
+	b := New(im, grid, users, items)
 	path := filepath.Join(t.TempDir(), "bundle.gob")
 	if err := b.Save(path); err != nil {
 		t.Fatal(err)
@@ -86,17 +85,17 @@ func TestBundleRoundtripITCAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindITCAM || got.ITCAM == nil {
-		t.Fatalf("roundtrip kind = %v", got.Kind)
+	if got.Kind() != KindITCAM {
+		t.Fatalf("roundtrip kind = %v", got.Kind())
 	}
-	if a, bb := im.Score(2, 2, 7), got.ITCAM.Score(2, 2, 7); math.Abs(a-bb) > 0 {
+	if a, bb := im.Score(2, 2, 7), got.Model.Score(2, 2, 7); math.Abs(a-bb) > 0 {
 		t.Errorf("score drift: %v vs %v", a, bb)
 	}
 }
 
 func TestBundleIndexMatchesBruteForce(t *testing.T) {
 	_, tm, grid, users, items := trainedModels(t)
-	b := NewTTCAM(tm, grid, users, items)
+	b := New(tm, grid, users, items)
 	ix := b.BuildIndex()
 	ta, _ := ix.Query(tm, 1, 1, 5, nil)
 	bf, _ := topk.BruteForce(tm, 1, 1, 5, nil)
@@ -113,14 +112,14 @@ func TestValidateCatchesMismatches(t *testing.T) {
 		name string
 		mod  func(*Bundle)
 	}{
-		{"missing model", func(b *Bundle) { b.TTCAM = nil; b.Kind = "bogus" }},
+		{"missing model", func(b *Bundle) { b.Model = nil }},
 		{"item count", func(b *Bundle) { b.Items = b.Items[:3] }},
 		{"user count", func(b *Bundle) { b.Users = append(b.Users, "extra") }},
 		{"grid intervals", func(b *Bundle) { b.Grid.Num = 99 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			b := NewTTCAM(tm, grid, append([]string(nil), users...), append([]string(nil), items...))
+			b := New(tm, grid, append([]string(nil), users...), append([]string(nil), items...))
 			tt.mod(b)
 			if err := b.Validate(); err == nil {
 				t.Error("Validate accepted a broken bundle")
@@ -145,18 +144,13 @@ func TestReadRejectsGarbage(t *testing.T) {
 func TestModelIOValidation(t *testing.T) {
 	// Truncated model payloads must fail cleanly.
 	im, tm, _, _, _ := trainedModels(t)
-	var buf bytes.Buffer
-	if err := im.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := itcam.Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-		t.Error("itcam.Read accepted a truncated stream")
-	}
-	buf.Reset()
-	if err := tm.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ttcam.Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-		t.Error("ttcam.Read accepted a truncated stream")
+	for _, m := range []*tcam.Model{im, tm} {
+		var buf bytes.Buffer
+		if err := m.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tcam.Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
+			t.Errorf("tcam.Read accepted a truncated %s stream", m.Name())
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package itcam
+package tcam
 
 import (
 	"math/rand"
@@ -11,7 +11,7 @@ import (
 
 // benchCuboid builds the deterministic training cuboid behind the EM
 // benchmarks: 2 000 users × 12 intervals × 2 000 items with ~40 ratings
-// per user (≈78k nonzero cells after merging), sized so the φ slabs
+// per user (≈78k nonzero cells after merging), sized so the φ/φ' slabs
 // dwarf L2 and the benchmark actually exercises the memory layout.
 func benchCuboid(tb testing.TB) *cuboid.Cuboid {
 	tb.Helper()
@@ -48,15 +48,14 @@ func benchAccums(tb testing.TB, tr *trainer) []train.Accum {
 	return accums
 }
 
-// BenchmarkEMIteration measures one full EM iteration — shard resets,
-// E-step scans, the ordered accumulator merge and the M-step — on the
-// ITCAM trainer. Steady state must be allocation-free; the headline
-// metric is cells/s (nonzero cuboid cells processed per second).
-func BenchmarkEMIteration(b *testing.B) {
+// benchIteration times full EM iterations — shard resets, E-step scans
+// (through eStep, so the parallel benchmark can fan them out), the
+// ordered accumulator merge and the M-step — for one variant at K1=40,
+// K2=32. The headline metric is cells/s (nonzero cuboid cells processed
+// per second).
+func benchIteration(b *testing.B, v variant, eStep func(tr *trainer, accums []train.Accum)) {
 	data := benchCuboid(b)
-	cfg := DefaultConfig()
-	cfg.K1 = 40
-	tr, err := newTrainer(data, cfg)
+	tr, err := prepare(data, v.config(40, 32))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,9 +66,7 @@ func BenchmarkEMIteration(b *testing.B) {
 		for _, a := range accums {
 			a.Reset()
 		}
-		for _, a := range accums {
-			tr.EStep(a)
-		}
+		eStep(tr, accums)
 		for j := 1; j < len(accums); j++ {
 			accums[0].Merge(accums[j])
 		}
@@ -79,37 +76,36 @@ func BenchmarkEMIteration(b *testing.B) {
 	b.ReportMetric(float64(data.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
+// BenchmarkEMIteration measures one serial EM iteration per variant.
+// Steady state must be allocation-free (scripts/bench_train.sh -smoke).
+func BenchmarkEMIteration(b *testing.B) {
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			benchIteration(b, v, func(tr *trainer, accums []train.Accum) {
+				for _, a := range accums {
+					tr.EStep(a)
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkEMIterationParallel is BenchmarkEMIteration with the E-step
 // shards fanned across GOMAXPROCS workers, exactly as the training
 // engine's shard runner does. Run with -cpu 1,2,4,8 for the scaling
 // curve recorded in BENCH_train.json; the merge and M-step stay serial,
 // so the curve exposes the Amdahl ceiling of the current split.
 func BenchmarkEMIterationParallel(b *testing.B) {
-	data := benchCuboid(b)
-	cfg := DefaultConfig()
-	cfg.K1 = 40
-	tr, err := newTrainer(data, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	accums := benchAccums(b, tr)
-	workers := model.Workers(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, a := range accums {
-			a.Reset()
-		}
-		model.ParallelRanges(len(accums), workers, func(_, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				tr.EStep(accums[s])
-			}
+	for _, v := range variants[:2] {
+		b.Run(v.name, func(b *testing.B) {
+			workers := model.Workers(0) // read here: each -cpu setting re-runs this func
+			benchIteration(b, v, func(tr *trainer, accums []train.Accum) {
+				model.ParallelRanges(len(accums), workers, func(_, lo, hi int) {
+					for s := lo; s < hi; s++ {
+						tr.EStep(accums[s])
+					}
+				})
+			})
 		})
-		for j := 1; j < len(accums); j++ {
-			accums[0].Merge(accums[j])
-		}
-		tr.MStep(accums[0])
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(data.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }

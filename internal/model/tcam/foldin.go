@@ -1,0 +1,206 @@
+package tcam
+
+// Incremental model evolution for the streaming ingest loop:
+// FitNewInterval estimates a fresh interval's temporal context from its
+// ratings alone, Grow widens the interval/item dimensions against
+// frozen parameters, and FoldInUsers fits new users' θu/λu by partial
+// EM with every global parameter frozen. None of the three mutates the
+// receiver — each returns a new Model (sharing the slabs it did not
+// change), so the boot model stays a frozen base the updater can
+// re-derive every snapshot from.
+
+import (
+	"fmt"
+	"sort"
+
+	"tcam/internal/cuboid"
+	"tcam/internal/model"
+	"tcam/internal/train"
+)
+
+// FoldInConfig parameterizes FoldInUsers.
+type FoldInConfig struct {
+	// Iters is the number of partial-EM rounds for the new users'
+	// interests and mixing weights.
+	Iters int
+	// Smoothing is the additive epsilon for the θ row normalization,
+	// matching the batch trainer's Config.Smoothing.
+	Smoothing float64
+	// Shards/Workers mirror the batch trainer's knobs; neither affects
+	// the folded parameters (per-user statistics live in private rows).
+	Shards  int
+	Workers int
+}
+
+// DefaultFoldInConfig mirrors DefaultConfig's smoothing with a short
+// partial-EM budget — new users have few events, so θu converges in a
+// handful of rounds.
+func DefaultFoldInConfig() FoldInConfig {
+	return FoldInConfig{Iters: 5, Smoothing: 1e-9}
+}
+
+// FitNewInterval estimates the temporal context θ't of a previously
+// unseen interval from its ratings alone, holding every other parameter
+// frozen — the partial-EM update an online deployment runs when a new
+// interval opens (with the user unknown or mixed, the user path is
+// dropped and only the temporal context is fit). ratings maps dense
+// item index to accumulated score; out-of-range or non-positive entries
+// are dropped. The result is a row Grow accepts.
+//
+// For ITCAM the context is a multinomial directly over items, so the
+// update is closed-form: the smoothed empirical item distribution of
+// the interval — exactly the estimator initialize seeds training
+// intervals with — over a catalog of numItems (≥ the trained size, to
+// admit items newer than the model); iters is unused. For TTCAM it is
+// iters rounds of EM on the K2-vector P(x|θ't) against the frozen time
+// topics, which cannot see items beyond the trained catalog.
+func (m *Model) FitNewInterval(ratings map[int]float64, numItems, iters int) []float64 {
+	if numItems < m.numItems || m.k2 > 0 {
+		numItems = m.numItems
+	}
+	// Accumulate in ascending item order, not map order: float addition
+	// is not associative, so iterating the map directly would make the
+	// fitted θ' bits depend on the runtime's randomized iteration and
+	// break fold-in bit-identity across runs.
+	items := make([]int, 0, len(ratings))
+	for v, w := range ratings {
+		if v >= 0 && v < numItems && w > 0 {
+			items = append(items, v)
+		}
+	}
+	sort.Ints(items)
+	if m.k2 == 0 {
+		row := make([]float64, numItems)
+		for _, v := range items {
+			row[v] = ratings[v]
+		}
+		model.NormalizeRows(row, numItems, 1e-6)
+		return row
+	}
+
+	k2, V := m.k2, m.numItems
+	thetaNew := make([]float64, k2)
+	for x := range thetaNew {
+		thetaNew[x] = 1 / float64(k2)
+	}
+	if len(ratings) == 0 {
+		return thetaNew
+	}
+	acc := make([]float64, k2)
+	px := make([]float64, k2)
+	for it := 0; it < iters; it++ {
+		train.Zero(acc)
+		for _, v := range items {
+			var pt float64
+			for x := 0; x < k2; x++ {
+				p := thetaNew[x] * m.phiX[x*V+v]
+				px[x] = p
+				pt += p
+			}
+			if pt <= 0 {
+				continue
+			}
+			w := ratings[v]
+			for x := 0; x < k2; x++ {
+				acc[x] += w * px[x] / pt
+			}
+		}
+		copy(thetaNew, acc)
+		model.NormalizeRows(thetaNew, k2, 1e-12)
+	}
+	return thetaNew
+}
+
+// Grow returns the model widened to numIntervals intervals and numItems
+// items. The item-indexed tables (φ, φ', an item context, the
+// background) are re-laid out with zero probability on the new items:
+// under ITCAM a new item is reachable only through the temporal contexts
+// that observed it, under TTCAM's frozen time topics not at all, until a
+// full retrain. newContexts supplies the θ't row of each appended
+// interval in order, from FitNewInterval, so numIntervals must equal
+// NumIntervals()+len(newContexts).
+func (m *Model) Grow(numIntervals, numItems int, newContexts [][]float64) (*Model, error) {
+	if numItems < m.numItems {
+		return nil, fmt.Errorf("tcam: cannot shrink items %d -> %d", m.numItems, numItems)
+	}
+	if numIntervals != m.numIntervals+len(newContexts) {
+		return nil, fmt.Errorf("tcam: %d intervals need %d new contexts, got %d",
+			numIntervals, numIntervals-m.numIntervals, len(newContexts))
+	}
+	if m.k2 == 0 {
+		if err := checkDense(numIntervals, numItems); err != nil {
+			return nil, err
+		}
+	}
+	width := m.ctxWidth(numItems)
+	for i, ctx := range newContexts {
+		if len(ctx) != width {
+			return nil, fmt.Errorf("tcam: new context %d has %d entries, want %d", i, len(ctx), width)
+		}
+	}
+	V := m.numItems
+	out := *m // θ and λ are unchanged, so shared
+	out.numIntervals, out.numItems = numIntervals, numItems
+	out.phi = widenRows(m.phi, V, numItems, m.k1)
+	out.phiX = widenRows(m.phiX, V, numItems, m.k2)
+	if m.background != nil {
+		out.background = widenRows(m.background, V, numItems, 1)
+	}
+	out.ctx = widenRows(m.ctx, m.ctxWidth(V), width, numIntervals)
+	for i, ctx := range newContexts {
+		copy(out.ctx[(m.numIntervals+i)*width:], ctx)
+	}
+	return &out, nil
+}
+
+// widenRows copies the oldCols-wide rows of src into a zeroed
+// rows×newCols table; rows beyond src's stay zero.
+func widenRows(src []float64, oldCols, newCols, rows int) []float64 {
+	dst := make([]float64, rows*newCols)
+	for r := 0; r*oldCols < len(src); r++ {
+		copy(dst[r*newCols:], src[r*oldCols:(r+1)*oldCols])
+	}
+	return dst
+}
+
+// FoldInUsers returns the model extended to data.NumUsers() users. Users
+// [NumUsers(), data.NumUsers()) start from the uniform interest and
+// λ=1/2, then run cfg.Iters rounds of partial EM over their own cells
+// with φ, θ' and φ' frozen — through the same accumulator and shard
+// machinery as batch training, so folding in user u is bit-identical to
+// batch EM restricted to u against the same frozen globals. data's
+// interval/item dimensions must match the model (Grow first when the
+// stream widened them); its cells for already-trained users are ignored.
+func (m *Model) FoldInUsers(data *cuboid.Cuboid, cfg FoldInConfig) (*Model, error) {
+	if data.NumIntervals() != m.numIntervals || data.NumItems() != m.numItems {
+		return nil, fmt.Errorf("tcam: fold-in cuboid is %d intervals × %d items, model has %d × %d",
+			data.NumIntervals(), data.NumItems(), m.numIntervals, m.numItems)
+	}
+	oldN, n := m.numUsers, data.NumUsers()
+	if n < oldN {
+		return nil, fmt.Errorf("tcam: fold-in cuboid has %d users, model already has %d", n, oldN)
+	}
+	out := *m // fold-in never writes the globals, so they are shared
+	out.numUsers = n
+	out.theta = make([]float64, n*m.k1)
+	copy(out.theta, m.theta)
+	for i := oldN * m.k1; i < len(out.theta); i++ {
+		out.theta[i] = 1 / float64(m.k1)
+	}
+	out.lambda = make([]float64, n)
+	copy(out.lambda, m.lambda)
+	for u := oldN; u < n; u++ {
+		out.lambda[u] = 0.5
+	}
+	if n == oldN {
+		return &out, nil
+	}
+	if _, err := train.FoldIn(newTrainer(&out, data, cfg.Smoothing), oldN, n, train.FoldInConfig{
+		Iters:   cfg.Iters,
+		Shards:  cfg.Shards,
+		Workers: cfg.Workers,
+	}); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}

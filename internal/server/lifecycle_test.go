@@ -24,7 +24,7 @@ import (
 	"tcam/internal/dataset"
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 )
 
 // makeBundle trains a tiny TTCAM bundle with the given catalog shape.
@@ -37,9 +37,9 @@ func makeBundle(tb testing.TB, users, items int) *index.Bundle {
 			b.MustAdd(u, t, (t*4)%items, 1)
 		}
 	}
-	cfg := ttcam.DefaultConfig()
+	cfg := tcam.DefaultConfig()
 	cfg.K1, cfg.K2, cfg.MaxIters = 4, 3, 15
-	m, _, err := ttcam.Train(b.Build(), cfg)
+	m, _, err := tcam.Train(b.Build(), cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func makeBundle(tb testing.TB, users, items int) *index.Bundle {
 		}
 		return out
 	}
-	return index.NewTTCAM(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3},
+	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3},
 		names("user", users), names("item", items))
 }
 

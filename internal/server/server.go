@@ -145,7 +145,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	sn := s.snapshot()
 	resp := healthResponse{
 		Status:    "ok",
-		ModelKind: string(sn.bundle.Kind),
+		ModelKind: string(sn.bundle.Kind()),
 		Users:     len(sn.bundle.Users),
 		Items:     len(sn.bundle.Items),
 		Intervals: sn.bundle.Grid.Num,
@@ -484,20 +484,16 @@ func (s *Server) handleTopic(w http.ResponseWriter, r *http.Request) {
 
 // topicKind labels an expanded-topic index as user- or time-oriented.
 func (sn *snapshot) topicKind(z int) string {
-	switch sn.bundle.Kind {
-	case index.KindTTCAM:
-		if z < sn.bundle.TTCAM.K1() {
-			return "user-oriented"
-		}
-		if z < sn.bundle.TTCAM.K1()+sn.bundle.TTCAM.K2() {
-			return "time-oriented"
-		}
-		return "background"
-	default:
-		if z < sn.bundle.ITCAM.K1() {
-			return "user-oriented"
-		}
+	m := sn.bundle.Model
+	switch {
+	case z < m.K1():
+		return "user-oriented"
+	case m.K2() == 0:
 		return "interval-context"
+	case z < m.K1()+m.K2():
+		return "time-oriented"
+	default:
+		return "background"
 	}
 }
 
@@ -526,14 +522,7 @@ func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown user %q", parts[0]))
 		return
 	}
-	var lambda float64
-	switch sn.bundle.Kind {
-	case index.KindTTCAM:
-		lambda = sn.bundle.TTCAM.Lambda(u)
-	default:
-		lambda = sn.bundle.ITCAM.Lambda(u)
-	}
-	writeJSON(w, http.StatusOK, lambdaResponse{User: parts[0], Lambda: lambda})
+	writeJSON(w, http.StatusOK, lambdaResponse{User: parts[0], Lambda: sn.bundle.Model.Lambda(u)})
 }
 
 // excludeSet is a reusable catalog-sized exclusion filter. Membership is

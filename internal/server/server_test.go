@@ -11,7 +11,7 @@ import (
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
 	"tcam/internal/index"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 )
 
 func testServer(tb testing.TB) (*Server, *index.Bundle) {
@@ -23,9 +23,9 @@ func testServer(tb testing.TB) (*Server, *index.Bundle) {
 			b.MustAdd(u, t, (t*4)%12, 1)
 		}
 	}
-	cfg := ttcam.DefaultConfig()
+	cfg := tcam.DefaultConfig()
 	cfg.K1, cfg.K2, cfg.MaxIters = 4, 3, 15
-	m, _, err := ttcam.Train(b.Build(), cfg)
+	m, _, err := tcam.Train(b.Build(), cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func testServer(tb testing.TB) (*Server, *index.Bundle) {
 	for i := range items {
 		items[i] = fmt.Sprintf("item-%d", i)
 	}
-	bundle := index.NewTTCAM(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
+	bundle := index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
 	srv, err := New(bundle)
 	if err != nil {
 		tb.Fatal(err)
@@ -320,8 +320,8 @@ func TestUserLambda(t *testing.T) {
 	if err := json.Unmarshal(body, &lr); err != nil {
 		t.Fatal(err)
 	}
-	if lr.Lambda != bundle.TTCAM.Lambda(3) {
-		t.Errorf("lambda = %v, want %v", lr.Lambda, bundle.TTCAM.Lambda(3))
+	if lr.Lambda != bundle.Model.Lambda(3) {
+		t.Errorf("lambda = %v, want %v", lr.Lambda, bundle.Model.Lambda(3))
 	}
 	if resp, _ := get(t, srv, "/users/nobody/lambda"); resp.StatusCode != http.StatusNotFound {
 		t.Error("unknown user accepted")

@@ -14,7 +14,7 @@ import (
 	"tcam/internal/dataset"
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 )
 
 // altBundle trains a second model over the same 6×12 vocabulary as
@@ -29,9 +29,9 @@ func altBundle(tb testing.TB) *index.Bundle {
 			b.MustAdd(u, t, (t*5+1)%12, 1)
 		}
 	}
-	cfg := ttcam.DefaultConfig()
+	cfg := tcam.DefaultConfig()
 	cfg.K1, cfg.K2, cfg.MaxIters = 4, 3, 15
-	m, _, err := ttcam.Train(b.Build(), cfg)
+	m, _, err := tcam.Train(b.Build(), cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func altBundle(tb testing.TB) *index.Bundle {
 	for i := range items {
 		items[i] = fmt.Sprintf("item-%d", i)
 	}
-	return index.NewTTCAM(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
+	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
 }
 
 func coordHealthCache(t *testing.T, c *Coordinator) *coordCacheBody {

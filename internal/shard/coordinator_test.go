@@ -19,7 +19,7 @@ import (
 	"tcam/internal/faultinject"
 	"tcam/internal/faultinject/httpfault"
 	"tcam/internal/index"
-	"tcam/internal/model/ttcam"
+	"tcam/internal/model/tcam"
 	"tcam/internal/server"
 )
 
@@ -34,9 +34,9 @@ func testBundle(tb testing.TB) *index.Bundle {
 			b.MustAdd(u, t, (t*4)%12, 1)
 		}
 	}
-	cfg := ttcam.DefaultConfig()
+	cfg := tcam.DefaultConfig()
 	cfg.K1, cfg.K2, cfg.MaxIters = 4, 3, 15
-	m, _, err := ttcam.Train(b.Build(), cfg)
+	m, _, err := tcam.Train(b.Build(), cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func testBundle(tb testing.TB) *index.Bundle {
 	for i := range items {
 		items[i] = fmt.Sprintf("item-%d", i)
 	}
-	return index.NewTTCAM(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
+	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
 }
 
 // fleet is a coordinator in front of n live shard servers, with

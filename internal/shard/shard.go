@@ -26,7 +26,7 @@ type Range struct {
 }
 
 // Partition splits a catalog of n items into at most shards contiguous
-// ceil-chunk ranges, the same split distem.Partition applies to users.
+// ceil-chunk ranges, the same split the EM engine applies to users.
 // Every item lands in exactly one range; when shards > n the trailing
 // empty ranges are omitted.
 func Partition(n, shards int) []Range {

@@ -54,20 +54,6 @@ func BenchmarkTAQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkTAQueryApprox measures the eps-budgeted early stop at a gap
-// budget of 1% of the typical top score — the SLO-serving configuration
-// DESIGN.md §12 describes. Must also stay allocation-free.
-func BenchmarkTAQueryApprox(b *testing.B) {
-	_, ix, q := benchSetup(b, 32, 8192)
-	s := ix.AcquireSearcher()
-	defer s.Release()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.QueryWeightsApprox(q, 10, 1e-5, nil)
-	}
-}
-
 func BenchmarkTAQueryParallel(b *testing.B) {
 	_, ix, q := benchSetup(b, 32, 8192)
 	b.ReportAllocs()

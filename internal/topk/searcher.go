@@ -75,46 +75,10 @@ func (s *Searcher) Query(ts model.TopicScorer, u, t, k int, exclude Exclude) ([]
 	return s.QueryWeights(ts.QueryWeights(u, t), k, exclude)
 }
 
-// QueryApprox is Query with an eps score-gap budget; see
-// Index.QueryApprox for the contract.
-//
-//tcam:hotpath
-func (s *Searcher) QueryApprox(ts model.TopicScorer, u, t, k int, eps float64, exclude Exclude) ([]Result, Stats) {
-	if qw, ok := ts.(model.QueryWeighter); ok {
-		//tcamvet:ignore hotpathstrict one dispatch per query, outside the item loop; scorer is polymorphic by design
-		qw.QueryWeightsInto(u, t, s.query)
-		return s.QueryWeightsApprox(s.query, k, eps, exclude)
-	}
-	//tcamvet:ignore hotpathstrict cold fallback for scorers without the Into fast path
-	return s.QueryWeightsApprox(ts.QueryWeights(u, t), k, eps, exclude)
-}
-
 // QueryWeights runs Algorithm 1 for an explicit ϑq vector. The result
 // set and scores match BruteForce exactly (ties broken by ascending
 // item index); the returned slice is valid until the searcher's next
 // query or Release.
-//
-//tcam:hotpath
-func (s *Searcher) QueryWeights(query []float64, k int, exclude Exclude) ([]Result, Stats) {
-	return s.run(query, k, 0, exclude)
-}
-
-// QueryWeightsApprox runs the eps-budgeted variant of Algorithm 1 for
-// an explicit ϑq vector: the loop may stop while unseen items could
-// still beat the k-th returned score by up to eps, reporting the actual
-// residual gap in Stats.Bound. eps == 0 is bit-identical to
-// QueryWeights; eps must not be negative.
-//
-//tcam:hotpath
-func (s *Searcher) QueryWeightsApprox(query []float64, k int, eps float64, exclude Exclude) ([]Result, Stats) {
-	if eps < 0 {
-		panic("topk: negative epsilon for approximate query")
-	}
-	return s.run(query, k, eps, exclude)
-}
-
-// run is the shared TA core behind the exact and approximate entry
-// points; eps == 0 is the exact algorithm.
 //
 // Scratch tricks keeping the loop allocation- and rescan-free without
 // changing results:
@@ -140,7 +104,7 @@ func (s *Searcher) QueryWeightsApprox(query []float64, k int, eps float64, exclu
 // f32 error, so results stay bit-identical to the pure float64 path.
 //
 //tcam:hotpath
-func (s *Searcher) run(query []float64, k int, eps float64, exclude Exclude) ([]Result, Stats) {
+func (s *Searcher) QueryWeights(query []float64, k int, exclude Exclude) ([]Result, Stats) {
 	ix := s.ix
 	st := Stats{}
 	if k <= 0 {
@@ -184,16 +148,12 @@ func (s *Searcher) run(query []float64, k int, eps float64, exclude Exclude) ([]
 
 	for len(s.pq) > 0 {
 		// Early termination (Lines 18–21 of Algorithm 1): the k-th
-		// result beats every unseen item's best possible score (minus
-		// the eps budget in approximate mode). Strict inequality keeps
-		// ties exact: an unseen item could equal the threshold, and the
-		// deterministic tie-break might prefer it.
-		if results.Len() == k && results.min().Score > threshold-eps {
+		// result beats every unseen item's best possible score. Strict
+		// inequality keeps ties exact: an unseen item could equal the
+		// threshold, and the deterministic tie-break might prefer it.
+		if results.Len() == k && results.min().Score > threshold {
 			threshold = ix.threshold(query, pos) // exact confirm (see above)
-			if results.min().Score > threshold-eps {
-				if gap := threshold - results.min().Score; gap > 0 {
-					st.Bound = gap // approximate stop: residual gap < eps
-				}
+			if results.min().Score > threshold {
 				break
 			}
 		}

@@ -43,11 +43,6 @@ type Stats struct {
 	// are provably below the k-th best at rejection time, so they never
 	// affect results.
 	ScreenedOut int
-	// Bound is only set by the approximate query path: the maximum
-	// amount by which any unreturned item's true score can exceed the
-	// k-th returned score. Exact queries always report 0; an ε-budgeted
-	// QueryApprox reports a value < ε.
-	Bound float64
 }
 
 // Exclude filters candidate items; a nil Exclude admits everything. The
@@ -256,21 +251,6 @@ func (ix *Index) Query(ts model.TopicScorer, u, t, k int, exclude Exclude) ([]Re
 func (ix *Index) QueryWeights(query []float64, k int, exclude Exclude) ([]Result, Stats) {
 	s := ix.AcquireSearcher()
 	res, st := s.QueryWeights(query, k, exclude)
-	out := cloneResults(res)
-	s.Release()
-	return out, st
-}
-
-// QueryApprox is Query with a latency budget expressed as a score gap:
-// the TA loop stops as soon as no unseen item can beat the current k-th
-// best by eps or more, and Stats.Bound reports the actual residual gap
-// (always < eps). eps == 0 degenerates to the exact algorithm — results
-// and stats are bit-identical to Query. Returned scores are always
-// exact float64 scores; only the guarantee of having found the true
-// top-k is relaxed. Opt-in: nothing on the exact serving path calls it.
-func (ix *Index) QueryApprox(ts model.TopicScorer, u, t, k int, eps float64, exclude Exclude) ([]Result, Stats) {
-	s := ix.AcquireSearcher()
-	res, st := s.QueryApprox(ts, u, t, k, eps, exclude)
 	out := cloneResults(res)
 	s.Release()
 	return out, st

@@ -1,6 +1,6 @@
 package train
 
-// Unrolled EM slab kernels. The itcam/ttcam E-steps spend nearly all
+// Unrolled EM slab kernels. The tcam E-step kernels spend nearly all
 // their time in two K-length loops per rated cell: the posterior dot
 // product (Equations 4/5/13) and the paired sufficient-statistic
 // accumulation (Equations 8/9/15/16). Both are extracted here as

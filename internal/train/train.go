@@ -1,8 +1,9 @@
-// Package train is the unified EM training engine behind every TCAM
-// trainer: the in-process ITCAM and TTCAM fitters and the distem
-// MapReduce coordinator all run their iteration loop through Run. The
-// engine owns everything the model variants used to hand-roll
-// separately:
+// Package train is the EM training engine behind internal/model/tcam:
+// ITCAM and TTCAM training and user fold-in run their iteration loop
+// through Run and FoldIn. The loop has the MapReduce shape the paper
+// notes in Section 3.2.3 — user-sharded E-steps (map), an ordered
+// accumulator merge (reduce), one M-step — and the engine owns
+// everything about it that is not model math:
 //
 //   - the iteration driver — deterministic user-range sharding, a worker
 //     pool executing shards, and an ordered accumulator merge, so the
@@ -42,10 +43,7 @@ import (
 const DefaultShards = 8
 
 // LambdaClamp keeps learned mixing weights away from the degenerate
-// endpoints, where one mixture component could never recover mass. It
-// is the single shared bound: the in-process trainers and the distem
-// MapReduce reducer all clamp through ClampLambda, so the bound cannot
-// drift between them.
+// endpoints, where one mixture component could never recover mass.
 const LambdaClamp = 0.01
 
 // ClampLambda bounds a mixing weight to [LambdaClamp, 1-LambdaClamp].
@@ -61,9 +59,7 @@ func ClampLambda(x float64) float64 {
 
 // MergeInto folds one accumulator slab into another by element-wise
 // addition. It is the engine's single merge primitive: every ordered
-// accumulator merge — the in-process trainers' and distem's reducer —
-// goes through it, so the summation arithmetic cannot drift between
-// trainers. dst and src must have equal length.
+// accumulator merge goes through it. dst and src must have equal length.
 //
 //tcam:hotpath
 func MergeInto(dst, src []float64) {

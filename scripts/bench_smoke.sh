@@ -2,11 +2,10 @@
 # Benchmark allocation smoke gates, shared by scripts/check.sh and the
 # CI workflow:
 #
-#   1. the pooled TA searcher must report 0 allocs/op at steady state on
-#      the exact path, the eps-budgeted approximate path and under
-#      parallel pool churn;
+#   1. the pooled TA searcher must report 0 allocs/op at steady state,
+#      single-threaded and under parallel pool churn;
 #   2. the serial EM iteration benchmarks must stay allocation-free for
-#      both TCAM variants (scripts/bench_train.sh -smoke);
+#      every TCAM variant (scripts/bench_train.sh -smoke);
 #   3. the sharded-parallel EM benchmark must still run, so a refactor
 #      cannot silently break the GOMAXPROCS sweep between full bench
 #      runs;
@@ -21,7 +20,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 bench_out=$(go test ./internal/topk -run - \
-    -bench 'BenchmarkTAQuery$|BenchmarkTAQueryApprox$|BenchmarkTAQueryParallel$' \
+    -bench 'BenchmarkTAQuery$|BenchmarkTAQueryParallel$' \
     -benchmem -benchtime 200x -count=1)
 echo "$bench_out"
 if ! echo "$bench_out" | awk '
@@ -45,7 +44,7 @@ fi
 scripts/bench_train.sh -smoke
 
 go test -run '^$' -bench 'BenchmarkEMIterationParallel$' -benchtime 1x \
-    ./internal/model/itcam/ ./internal/model/ttcam/ >/dev/null
+    ./internal/model/tcam/ >/dev/null
 
 # The streaming-ingestion benchmarks must still run (full numbers come
 # from scripts/bench_ingest.sh, which also snapshots BENCH_ingest.json;

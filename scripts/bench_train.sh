@@ -1,6 +1,7 @@
 #!/bin/sh
-# Runs the training benchmarks (one full EM iteration for both TCAM
-# variants, serial and sharded-parallel, plus cuboid construction) and
+# Runs the training benchmarks (one full EM iteration per TCAM variant —
+# ITCAM, TTCAM, TTCAM+background — serial and sharded-parallel, plus
+# cuboid construction) and
 # snapshots the numbers into BENCH_train.json at the repo root, in the
 # same schema bench_query.sh uses for BENCH_query.json. The headline
 # metric is cells/s: rated cuboid cells processed per second of EM
@@ -51,17 +52,17 @@ run_bench() {
     rm -f "$step"
 }
 
-run_bench 'BenchmarkEMIteration(Background)?$' \
-    ./internal/model/itcam/ ./internal/model/ttcam/
+run_bench 'BenchmarkEMIteration$' ./internal/model/tcam/
 if [ "$smoke" = 0 ]; then
     run_bench 'BenchmarkEMIterationParallel$' -cpu 1,2,4,8 \
-        ./internal/model/itcam/ ./internal/model/ttcam/
+        ./internal/model/tcam/
     run_bench 'BenchmarkCuboidBuild|BenchmarkScaled|BenchmarkSubset' \
         ./internal/cuboid/
 fi
 
-# Both model packages define BenchmarkEMIteration, so qualify each
-# benchmark name with the package the preceding "pkg:" line names. The
+# Qualify each benchmark name with the package the preceding "pkg:" line
+# names (the variant is the sub-benchmark suffix, e.g.
+# BenchmarkEMIteration/ITCAM). The
 # -N suffix on a benchmark name is the GOMAXPROCS the run used (absent
 # for 1); strip it into the record's "gomaxprocs" field.
 awk -v ncpu="$(nproc 2>/dev/null || echo 1)" '

@@ -20,6 +20,9 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+# bench/ is its own module outside `./...`; vet it too, so an internal
+# rename that breaks the benchmark is found here and not by its driver.
+go vet -C bench ./...
 
 # Repo-specific invariants: hot-path allocation rules, float equality,
 # seeded randomness, panic message hygiene and dropped errors. Findings

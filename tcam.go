@@ -29,8 +29,7 @@ import (
 	"tcam/internal/dataset"
 	"tcam/internal/index"
 	"tcam/internal/model"
-	"tcam/internal/model/itcam"
-	"tcam/internal/model/ttcam"
+	tcammodel "tcam/internal/model/tcam"
 	"tcam/internal/topk"
 	"tcam/internal/train"
 	"tcam/internal/weighting"
@@ -180,42 +179,40 @@ func Train(log *Dataset, opts Options) (*Recommender, error) {
 		items[v] = log.ItemID(v)
 	}
 
-	var bundle *index.Bundle
+	cfg := tcammodel.DefaultConfig()
+	label := "TTCAM"
 	switch opts.Variant {
 	case VariantTTCAM:
-		cfg := ttcam.DefaultConfig()
-		applyCommon(&cfg.K1, &cfg.K2, &cfg.MaxIters, &cfg.Seed, &cfg.Workers, opts)
-		cfg.Tol = resolveTol(cfg.Tol, opts.Tol)
-		cfg.Checkpoint = checkpointOf(opts)
-		cfg.Hook = opts.Progress
+		if opts.K2 > 0 {
+			cfg.K2 = opts.K2
+		}
 		cfg.Background = opts.Background
-		if opts.Weighted {
-			cfg.Label = "W-TTCAM"
-		}
-		m, _, err := ttcam.Train(data, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("tcam: %w", err)
-		}
-		bundle = index.NewTTCAM(m, grid, users, items)
 	case VariantITCAM:
-		cfg := itcam.DefaultConfig()
-		k2 := 0
-		applyCommon(&cfg.K1, &k2, &cfg.MaxIters, &cfg.Seed, &cfg.Workers, opts)
-		cfg.Tol = resolveTol(cfg.Tol, opts.Tol)
-		cfg.Checkpoint = checkpointOf(opts)
-		cfg.Hook = opts.Progress
-		if opts.Weighted {
-			cfg.Label = "W-ITCAM"
-		}
-		m, _, err := itcam.Train(data, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("tcam: %w", err)
-		}
-		bundle = index.NewITCAM(m, grid, users, items)
+		cfg, label = tcammodel.DefaultITCAMConfig(), "ITCAM"
 	default:
 		return nil, fmt.Errorf("tcam: unknown variant %q", opts.Variant)
 	}
-	return newRecommender(bundle), nil
+	if opts.K1 > 0 {
+		cfg.K1 = opts.K1
+	}
+	if opts.MaxIters > 0 {
+		cfg.MaxIters = opts.MaxIters
+	}
+	if opts.Seed != 0 {
+		cfg.Seed = opts.Seed
+	}
+	cfg.Workers = opts.Workers
+	cfg.Tol = resolveTol(cfg.Tol, opts.Tol)
+	cfg.Checkpoint = train.CheckpointConfig{Dir: opts.CheckpointDir, Every: opts.CheckpointEvery, Resume: opts.Resume}
+	cfg.Hook = opts.Progress
+	if opts.Weighted {
+		cfg.Label = "W-" + label
+	}
+	m, _, err := tcammodel.Train(data, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("tcam: %w", err)
+	}
+	return newRecommender(index.New(m, grid, users, items)), nil
 }
 
 // resolveTol applies the Options.Tol override semantics to a model
@@ -229,28 +226,6 @@ func resolveTol(def, override float64) float64 {
 	default:
 		return def
 	}
-}
-
-// checkpointOf translates the flat facade options into the engine's
-// checkpoint config.
-func checkpointOf(opts Options) train.CheckpointConfig {
-	return train.CheckpointConfig{Dir: opts.CheckpointDir, Every: opts.CheckpointEvery, Resume: opts.Resume}
-}
-
-func applyCommon(k1, k2, maxIters *int, seed *int64, workers *int, opts Options) {
-	if opts.K1 > 0 {
-		*k1 = opts.K1
-	}
-	if opts.K2 > 0 {
-		*k2 = opts.K2
-	}
-	if opts.MaxIters > 0 {
-		*maxIters = opts.MaxIters
-	}
-	if opts.Seed != 0 {
-		*seed = opts.Seed
-	}
-	*workers = opts.Workers
 }
 
 // Recommend returns the top-k items for userID at the given absolute
@@ -356,12 +331,7 @@ func (r *Recommender) Lambda(userID string) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("tcam: unknown user %q", userID)
 	}
-	switch r.bundle.Kind {
-	case index.KindTTCAM:
-		return r.bundle.TTCAM.Lambda(u), nil
-	default:
-		return r.bundle.ITCAM.Lambda(u), nil
-	}
+	return r.bundle.Model.Lambda(u), nil
 }
 
 // Grid returns the time grid the recommender was trained on.
