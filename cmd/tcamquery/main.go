@@ -41,6 +41,7 @@ import (
 	"strings"
 
 	"tcam"
+	"tcam/internal/api"
 	"tcam/internal/client"
 )
 
@@ -169,16 +170,16 @@ func runRemote(w io.Writer, baseURL, user, users string, when int64, k int, excl
 		printRemote(w, res, when, k)
 		return nil
 	}
-	var queries []client.BatchQuery
+	var queries []api.Query
 	if path, ok := workloadRef(users); ok {
 		if queries, err = loadWorkload(path, when, k, banned); err != nil {
 			return err
 		}
 	} else {
 		ids := strings.Split(users, ",")
-		queries = make([]client.BatchQuery, len(ids))
+		queries = make([]api.Query, len(ids))
 		for i, id := range ids {
-			queries[i] = client.BatchQuery{User: id, Time: when, K: k, Exclude: banned}
+			queries[i] = api.Query{User: id, Time: when, K: k, Exclude: banned}
 		}
 	}
 	batch, err := c.RecommendBatch(ctx, queries)
@@ -254,7 +255,7 @@ func emitJSON(w io.Writer, v interface{}) error {
 	return enc.Encode(v)
 }
 
-func printRemote(w io.Writer, res *client.RecommendResult, when int64, k int) {
+func printRemote(w io.Writer, res *api.RecommendResponse, when int64, k int) {
 	if res.Error != "" {
 		_, _ = fmt.Fprintf(w, "top-%d for %s at t=%d: error: %s\n", k, res.User, when, res.Error)
 		return

@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"tcam"
-	"tcam/internal/client"
+	"tcam/internal/api"
 	"tcam/internal/index"
 	"tcam/internal/ingest"
 	"tcam/internal/server"
@@ -111,9 +111,9 @@ func TestQueryRunRemote(t *testing.T) {
 	if err := runRemote(&buf, ts.URL, "user3", "", 2, 3, "", true); err != nil {
 		t.Fatal(err)
 	}
-	var res client.RecommendResult
+	var res api.RecommendResponse
 	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
-		t.Fatalf("-json output is not a RecommendResult: %v\n%s", err, buf.String())
+		t.Fatalf("-json output is not a RecommendResponse: %v\n%s", err, buf.String())
 	}
 	if res.User != "user3" || len(res.Recommendations) == 0 || res.Degraded {
 		t.Errorf("-json result: %+v", res)
@@ -161,14 +161,14 @@ func TestQueryRunRemoteDegraded(t *testing.T) {
 	if err := runRemote(&raw, front.URL, "user3", "", 2, 3, "", true); err != nil {
 		t.Fatal(err)
 	}
-	var res client.RecommendResult
+	var res api.RecommendResponse
 	if err := json.Unmarshal(raw.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded {
 		t.Error("-json output lost the degraded marker")
 	}
-	if len(res.MissingItemRanges) != 1 || res.MissingItemRanges[0] != (client.ItemRange{Lo: ranges[1].Lo, Hi: ranges[1].Hi}) {
+	if len(res.MissingItemRanges) != 1 || res.MissingItemRanges[0] != (api.Range{Lo: ranges[1].Lo, Hi: ranges[1].Hi}) {
 		t.Errorf("-json missing_item_ranges = %+v, want [%s]", res.MissingItemRanges, want)
 	}
 }
@@ -238,7 +238,7 @@ func TestQueryRunHealth(t *testing.T) {
 	if err := runHealth(&out, ts.URL, true); err != nil {
 		t.Fatal(err)
 	}
-	var h client.Health
+	var h api.Health
 	if err := json.Unmarshal(out.Bytes(), &h); err != nil {
 		t.Fatalf("-json output is not a Health: %v\n%s", err, out.String())
 	}

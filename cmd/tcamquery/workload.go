@@ -14,7 +14,7 @@ import (
 	"os"
 	"strings"
 
-	"tcam/internal/client"
+	"tcam/internal/api"
 )
 
 // workloadRef reports whether a -users value names a workload file
@@ -26,13 +26,13 @@ func workloadRef(users string) (string, bool) {
 
 // loadWorkload decodes a JSONL workload file into batch queries,
 // defaulting each record's missing time/k/exclude from the flags.
-func loadWorkload(path string, when int64, k int, exclude []string) ([]client.BatchQuery, error) {
+func loadWorkload(path string, when int64, k int, exclude []string) ([]api.Query, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = f.Close() }() // read-only; close error carries no signal
-	var out []client.BatchQuery
+	var out []api.Query
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line := 0
@@ -42,7 +42,7 @@ func loadWorkload(path string, when int64, k int, exclude []string) ([]client.Ba
 		if raw == "" {
 			continue
 		}
-		var q client.BatchQuery
+		var q api.Query
 		if err := json.Unmarshal([]byte(raw), &q); err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
 		}

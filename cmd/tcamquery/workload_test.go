@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"tcam/internal/client"
+	"tcam/internal/api"
 	"tcam/internal/index"
 	"tcam/internal/server"
 )
@@ -90,7 +90,7 @@ func TestRunBatchAndRemoteFromWorkloadFile(t *testing.T) {
 	if err := runRemote(&buf, ts.URL, "", "@"+path, 0, 10, "", true); err != nil {
 		t.Fatal(err)
 	}
-	var batch client.BatchResult
+	var batch api.BatchResponse
 	if err := json.Unmarshal(buf.Bytes(), &batch); err != nil {
 		t.Fatalf("-json output is not a BatchResult: %v\n%s", err, buf.String())
 	}

@@ -30,15 +30,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"tcam/internal/index"
@@ -110,9 +106,7 @@ func run(cfg config) error {
 	}
 
 	// Continuous ingestion: tail the log on a background goroutine,
-	// joined via updaterDone before run returns.
-	var updaterDone chan struct{}
-	var updaterStop context.CancelFunc
+	// stopped and joined before run returns.
 	if cfg.ingestLog != "" {
 		lg, err := ingest.Open(cfg.ingestLog)
 		if err != nil {
@@ -129,17 +123,16 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		var upCtx context.Context
-		upCtx, updaterStop = context.WithCancel(context.Background())
-		updaterDone = make(chan struct{})
+		upCtx, stop := context.WithCancel(context.Background())
+		done := make(chan struct{})
 		go func() {
-			defer close(updaterDone)
+			defer close(done)
 			up.Run(upCtx)
 		}()
 		cfg.logf("tailing ingest log %s every %s", cfg.ingestLog, cfg.ingestInterval)
 		defer func() {
-			updaterStop()
-			<-updaterDone
+			stop()
+			<-done
 		}()
 	}
 
@@ -152,51 +145,8 @@ func run(cfg config) error {
 		ErrorLog:          cfg.logger,
 	}
 
-	// Signals are wired before the listener accepts anything, so a
-	// supervisor can never fire one into the default handler.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
-	defer signal.Stop(sigs)
-
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	cfg.logf("serving %s bundle (%d users, %d items) on %s", b.Kind(), len(b.Users), len(b.Items), ln.Addr())
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	if cfg.onReady != nil {
-		cfg.onReady(ln.Addr().String())
-	}
-
-	for {
-		select {
-		case err := <-serveErr:
-			return err // listener died without a shutdown signal
-		case sig := <-sigs:
-			if sig == syscall.SIGHUP {
-				if v, err := srv.ReloadFromSource(); err != nil {
-					cfg.logf("SIGHUP reload failed: %v", err)
-				} else {
-					cfg.logf("SIGHUP reload ok: bundle version %d", v)
-				}
-				continue
-			}
-			cfg.logf("%s: draining (deadline %s)", sig, cfg.drainTimeout)
-			srv.StartDrain()
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-			err := httpSrv.Shutdown(ctx)
-			cancel()
-			if serveResult := <-serveErr; !errors.Is(serveResult, http.ErrServerClosed) {
-				return serveResult
-			}
-			if err != nil {
-				return fmt.Errorf("drain deadline exceeded: %w", err)
-			}
-			cfg.logf("drained cleanly")
-			return nil
-		}
-	}
+	cfg.logf("serving %s bundle (%d users, %d items)", b.Kind(), len(b.Users), len(b.Items))
+	return server.Run(httpSrv, cfg.addr, srv, cfg.drainTimeout, cfg.onReady)
 }
 
 func (cfg config) logf(format string, args ...interface{}) {
@@ -213,26 +163,9 @@ func buildServer(cfg config) (*server.Server, *index.Bundle, error) {
 	if cfg.bundlePath == "" {
 		return nil, nil, fmt.Errorf("-bundle is required")
 	}
-	b, err := index.Load(cfg.bundlePath)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts := []server.Option{
+	// WithCache ignores a non-positive size and WithHotPrecompute is
+	// inert without a cache, so the flags pass straight through.
+	return server.Open(cfg.bundlePath, cfg.logger,
 		server.WithLimits(cfg.maxInflight, cfg.maxInflightBatch),
-		server.WithReloader(func() (*index.Bundle, error) { return index.Load(cfg.bundlePath) }),
-	}
-	if cfg.cacheEntries > 0 {
-		opts = append(opts, server.WithCache(cfg.cacheEntries))
-		if cfg.precomputeHot > 0 {
-			opts = append(opts, server.WithHotPrecompute(cfg.precomputeHot))
-		}
-	}
-	if cfg.logger != nil {
-		opts = append(opts, server.WithLogger(cfg.logger))
-	}
-	srv, err := server.New(b, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, b, nil
+		server.WithCache(cfg.cacheEntries), server.WithHotPrecompute(cfg.precomputeHot))
 }

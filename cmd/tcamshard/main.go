@@ -21,18 +21,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"tcam/internal/client"
@@ -102,8 +97,7 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		lo, hi, _ := parseWindow(cfg.items)
-		cfg.logf("shard mode: %s bundle, items [%d,%d) of %d", b.Kind(), lo, hi, len(b.Items))
+		cfg.logf("shard mode: %s bundle, items %s of %d", b.Kind(), cfg.items, len(b.Items))
 		handler, srv = s, s
 	case "coordinator":
 		c, err := buildCoordinator(cfg)
@@ -124,55 +118,7 @@ func run(cfg config) error {
 		IdleTimeout:       2 * time.Minute,
 		ErrorLog:          cfg.logger,
 	}
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
-	defer signal.Stop(sigs)
-
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	cfg.logf("listening on %s", ln.Addr())
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	if cfg.onReady != nil {
-		cfg.onReady(ln.Addr().String())
-	}
-
-	for {
-		select {
-		case err := <-serveErr:
-			return err // listener died without a shutdown signal
-		case sig := <-sigs:
-			if sig == syscall.SIGHUP {
-				if srv == nil {
-					cfg.logf("SIGHUP ignored: coordinator has no bundle to reload")
-					continue
-				}
-				if v, err := srv.ReloadFromSource(); err != nil {
-					cfg.logf("SIGHUP reload failed: %v", err)
-				} else {
-					cfg.logf("SIGHUP reload ok: bundle version %d", v)
-				}
-				continue
-			}
-			cfg.logf("%s: draining (deadline %s)", sig, cfg.drainTimeout)
-			if srv != nil {
-				srv.StartDrain()
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-			err := httpSrv.Shutdown(ctx)
-			cancel()
-			if serveResult := <-serveErr; !errors.Is(serveResult, http.ErrServerClosed) {
-				return serveResult
-			}
-			if err != nil {
-				return fmt.Errorf("drain deadline exceeded: %w", err)
-			}
-			cfg.logf("drained cleanly")
-			return nil
-		}
-	}
+	return server.Run(httpSrv, cfg.addr, srv, cfg.drainTimeout, cfg.onReady)
 }
 
 func (cfg config) logf(format string, args ...interface{}) {
@@ -191,22 +137,7 @@ func buildShard(cfg config) (*server.Server, *index.Bundle, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := index.Load(cfg.bundlePath)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts := []server.Option{
-		server.WithItemRange(lo, hi),
-		server.WithReloader(func() (*index.Bundle, error) { return index.Load(cfg.bundlePath) }),
-	}
-	if cfg.logger != nil {
-		opts = append(opts, server.WithLogger(cfg.logger))
-	}
-	srv, err := server.New(b, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, b, nil
+	return server.Open(cfg.bundlePath, cfg.logger, server.WithItemRange(lo, hi))
 }
 
 // buildCoordinator assembles the fleet from -shards (and -catalog for

@@ -1,0 +1,128 @@
+package tcam
+
+import (
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"tcam/internal/client"
+	"tcam/internal/cuboid"
+	"tcam/internal/dataset"
+	"tcam/internal/index"
+	tcammodel "tcam/internal/model/tcam"
+	"tcam/internal/server"
+	"tcam/internal/shard"
+)
+
+// servingBundle trains a 6-user / 3-interval / 12-item TTCAM (the
+// fixture the server and shard tests serve). Two items carry names
+// that only survive exactly one percent-decode.
+func servingBundle(tb testing.TB) *index.Bundle {
+	tb.Helper()
+	b := cuboid.NewBuilder(6, 3, 12)
+	for u := 0; u < 6; u++ {
+		for t := 0; t < 3; t++ {
+			b.MustAdd(u, t, (u*2+t)%12, 1)
+			b.MustAdd(u, t, (t*4)%12, 1)
+		}
+	}
+	cfg := tcammodel.DefaultConfig()
+	cfg.K1, cfg.K2, cfg.MaxIters = 4, 3, 15
+	m, _, err := tcammodel.Train(b.Build(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	users := make([]string, 6)
+	for i := range users {
+		users[i] = fmt.Sprintf("user-%d", i)
+	}
+	items := make([]string, 12)
+	for i := range items {
+		items[i] = fmt.Sprintf("item-%d", i)
+	}
+	items[4], items[9] = "c++", "100%41"
+	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
+}
+
+// startDoors serves b behind a monolithic server and behind a
+// coordinator over two half-catalog shards, all with result caches of
+// cacheEntries entries (0 disables them), and returns the two base URLs.
+func startDoors(tb testing.TB, b *index.Bundle, cacheEntries int) (mono, coord string) {
+	tb.Helper()
+	serve := func(h http.Handler) string {
+		ts := httptest.NewServer(h)
+		tb.Cleanup(ts.Close)
+		return ts.URL
+	}
+	m, err := server.New(b, server.WithCache(cacheEntries))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := shard.Config{
+		ShardTimeout: 5 * time.Second,
+		Hedger:       client.HedgerConfig{Default: 10 * time.Second},
+		CacheEntries: cacheEntries,
+	}
+	for _, r := range shard.Partition(len(b.Items), 2) {
+		s, err := server.New(b, server.WithItemRange(r.Lo, r.Hi), server.WithCache(cacheEntries))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cfg.Shards = append(cfg.Shards, shard.ShardConfig{BaseURL: serve(s), Items: r})
+	}
+	c, err := shard.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return serve(m), serve(c)
+}
+
+// fetch runs one request (POST when body is non-empty) and returns the
+// status and the body minus its trailing newline.
+func fetch(tb testing.TB, url, body string) (int, string) {
+	tb.Helper()
+	var resp *http.Response
+	var err error
+	if body == "" {
+		resp, err = http.Get(url)
+	} else {
+		resp, err = http.Post(url, "application/json", strings.NewReader(body))
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return resp.StatusCode, strings.TrimSuffix(string(raw), "\n")
+}
+
+// TestGoldenWireBytes pins the exact JSON of one healthy response per
+// query door. It uses nothing but exported constructors and raw HTTP,
+// so the same file passes on the commit before the doors were unified:
+// the proof that the wire did not move.
+func TestGoldenWireBytes(t *testing.T) {
+	mono, coord := startDoors(t, servingBundle(t), 0)
+	for _, tc := range []struct{ name, url, body, want string }{
+		{"recommend", mono + "/recommend?user=user-2&time=115&k=3&exclude=item-6,bogus", "",
+			`{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-5","score":0.10288519397770296},{"item":"100%41","score":0.06759050852527754}],"items_examined":4}`},
+		{"batch", mono + "/recommend/batch",
+			`{"queries":[{"user":"user-2","time":115,"k":2},{"user":"nobody","time":1},{"user":"user-2","time":125,"k":2,"exclude":["c++","item-6","c++"]}]}`,
+			`{"results":[{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-6","score":0.13313798186467088}],"items_examined":2},{"user":"nobody","interval":0,"recommendations":null,"items_examined":0,"error":"unknown user \"nobody\""},{"user":"user-2","interval":2,"recommendations":[{"item":"item-8","score":0.4079490654414979},{"item":"item-5","score":0.07187577856315724}],"items_examined":2}]}`},
+		{"shard", mono + "/shard/query", `{"user":"user-2","time":115,"k":3,"exclude":["c++"]}`,
+			`{"user":"user-2","interval":1,"item_lo":0,"item_hi":12,"version":1,"results":[{"item":6,"name":"item-6","score":0.13313798186467088},{"item":5,"name":"item-5","score":0.10288519397770296},{"item":9,"name":"100%41","score":0.06759050852527754}],"items_examined":4}`},
+		{"coordinator", coord + "/recommend?user=user-2&time=115&k=3&exclude=item-6,bogus", "",
+			`{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-5","score":0.10288519397770296},{"item":"100%41","score":0.06759050852527754}],"items_examined":6}`},
+	} {
+		code, got := fetch(t, tc.url, tc.body)
+		if code != http.StatusOK || got != tc.want {
+			t.Errorf("%s: status %d, body\n%s\nwant\n%s", tc.name, code, got, tc.want)
+		}
+	}
+}

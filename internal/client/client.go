@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -22,6 +23,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"tcam/internal/api"
 )
 
 // Config parameterizes a Client; zero fields take defaults.
@@ -92,108 +95,11 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// APIError is a non-success server response that was not retried away.
-type APIError struct {
-	Status  int
-	Message string
-}
-
-func (e *APIError) Error() string {
-	return fmt.Sprintf("client: server returned %d: %s", e.Status, e.Message)
-}
-
-// Recommendation is one ranked item.
-type Recommendation struct {
-	Item  string  `json:"item"`
-	Score float64 `json:"score"`
-}
-
-// ItemRange is a contiguous [Lo, Hi) window of the item catalog — the
-// unit a sharded serving tier partitions by and reports missing when
-// degraded.
-type ItemRange struct {
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-}
-
-// RecommendResult mirrors the server's /recommend payload (and one
-// entry of a batch response, where a per-query failure sets Error).
-// Degraded and MissingItemRanges are only set by a shard coordinator:
-// the results are correct over the surviving shards, but items in the
-// missing ranges were not considered.
-type RecommendResult struct {
-	User              string           `json:"user"`
-	Interval          int              `json:"interval"`
-	Recommendations   []Recommendation `json:"recommendations"`
-	ItemsExamined     int              `json:"items_examined"`
-	Degraded          bool             `json:"degraded,omitempty"`
-	MissingItemRanges []ItemRange      `json:"missing_item_ranges,omitempty"`
-	Error             string           `json:"error,omitempty"`
-}
-
-// BatchQuery is one entry of a batch request.
-type BatchQuery struct {
-	User    string   `json:"user"`
-	Time    int64    `json:"time"`
-	K       int      `json:"k,omitempty"`
-	Exclude []string `json:"exclude,omitempty"`
-}
-
-// BatchResult mirrors the server's /recommend/batch payload. Truncated
-// reports a batch cut short by the server's request deadline; Results
-// then holds only the completed prefix.
-type BatchResult struct {
-	Results   []RecommendResult `json:"results"`
-	Truncated bool              `json:"truncated,omitempty"`
-}
-
-// Health mirrors /healthz. ItemRange is present only when the target
-// is a shard serving a window of the catalog.
-type Health struct {
-	Status    string     `json:"status"`
-	ModelKind string     `json:"model_kind"`
-	Users     int        `json:"users"`
-	Items     int        `json:"items"`
-	Intervals int        `json:"intervals"`
-	Topics    int        `json:"topics"`
-	Version   uint64     `json:"version"`
-	Draining  bool       `json:"draining,omitempty"`
-	ItemRange *ItemRange `json:"item_range,omitempty"`
-	// Ingest is present only when the server tails an ingest log
-	// (tcamserver -ingest-log): how far the serving snapshot lags the
-	// durable event stream.
-	Ingest *IngestHealth `json:"ingest,omitempty"`
-	// Cache is present only when the target runs a result cache
-	// (-cache-entries on tcamserver or the coordinator).
-	Cache *CacheHealth `json:"cache,omitempty"`
-}
-
-// CacheHealth mirrors the "cache" sub-object of /healthz (DESIGN.md
-// §16): lifetime hit/miss/stale-eviction counters, the live entry
-// count, the epoch current lookups are keyed by, and — on servers with
-// -precompute-hot — how many hot users the last publish warmed.
-type CacheHealth struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Stale   uint64 `json:"stale"`
-	Entries int64  `json:"entries"`
-	Epoch   uint64 `json:"epoch"`
-	// HotPrecomputed is absent on coordinators, which never precompute.
-	HotPrecomputed uint64 `json:"hot_precomputed,omitempty"`
-}
-
-// IngestHealth mirrors the "ingest" sub-object of /healthz.
-type IngestHealth struct {
-	LogOffset int64 `json:"log_offset"`
-	LogEnd    int64 `json:"log_end"`
-	Lag       int64 `json:"lag"`
-	// StalenessSeconds is the age of the serving snapshot's derivation;
-	// with Lag zero the snapshot is current regardless of its age.
-	StalenessSeconds float64 `json:"staleness_seconds"`
-}
-
-// Recommend fetches the temporal top-k for one user at a timestamp.
-func (c *Client) Recommend(ctx context.Context, user string, when int64, k int, exclude []string) (*RecommendResult, error) {
+// Recommend fetches the temporal top-k for one user at a timestamp from
+// a server or a shard coordinator (the only producer of a degraded
+// response). An exclude id containing "," cannot travel on the GET form
+// (see api.Query.ParseForm); use RecommendBatch for those.
+func (c *Client) Recommend(ctx context.Context, user string, when int64, k int, exclude []string) (*api.RecommendResponse, error) {
 	path := "/recommend?user=" + url.QueryEscape(user) + "&time=" + strconv.FormatInt(when, 10)
 	if k > 0 {
 		path += "&k=" + strconv.Itoa(k)
@@ -205,22 +111,21 @@ func (c *Client) Recommend(ctx context.Context, user string, when int64, k int, 
 		}
 		path += "&exclude=" + strings.Join(escaped, ",")
 	}
-	var out RecommendResult
+	var out api.RecommendResponse
 	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// RecommendBatch answers many queries in one round trip.
-func (c *Client) RecommendBatch(ctx context.Context, queries []BatchQuery) (*BatchResult, error) {
-	body, err := json.Marshal(struct {
-		Queries []BatchQuery `json:"queries"`
-	}{queries})
+// RecommendBatch answers many queries in one round trip. The result is
+// Truncated when the server's request deadline cut the batch short.
+func (c *Client) RecommendBatch(ctx context.Context, queries []api.Query) (*api.BatchResponse, error) {
+	body, err := json.Marshal(api.BatchRequest{Queries: queries})
 	if err != nil {
 		return nil, fmt.Errorf("client: encode batch: %w", err)
 	}
-	var out BatchResult
+	var out api.BatchResponse
 	if err := c.do(ctx, http.MethodPost, "/recommend/batch", body, &out); err != nil {
 		return nil, err
 	}
@@ -228,8 +133,8 @@ func (c *Client) RecommendBatch(ctx context.Context, queries []BatchQuery) (*Bat
 }
 
 // Health fetches /healthz.
-func (c *Client) Health(ctx context.Context) (*Health, error) {
-	var out Health
+func (c *Client) Health(ctx context.Context) (*api.Health, error) {
+	var out api.Health
 	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
 		return nil, err
 	}
@@ -265,31 +170,24 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out i
 			req.Header.Set("Content-Type", "application/json")
 		}
 		retryAfter := time.Duration(-1)
-		resp, err := c.hc.Do(req)
+		hdr, err := Attempt(c.hc, req, out)
+		var apiErr *api.Error
 		switch {
-		case err != nil:
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			lastErr = err // transport error: retryable (conn refused, reset, …)
-		case resp.StatusCode == http.StatusOK:
-			err := json.NewDecoder(resp.Body).Decode(out)
-			drainClose(resp)
-			if err != nil {
-				return fmt.Errorf("client: decode %s: %w", path, err)
-			}
+		case err == nil:
 			return nil
-		default:
-			apiErr := &APIError{Status: resp.StatusCode, Message: errorMessage(resp)}
-			drainClose(resp)
-			if !retryable(resp.StatusCode) {
-				return apiErr
+		case errors.As(err, &apiErr):
+			if !retryable(apiErr.Status) {
+				return err
 			}
-			if ra, ok := parseRetryAfter(resp.Header.Get("Retry-After")); ok {
+			if ra, ok := parseRetryAfter(hdr.Get("Retry-After")); ok {
 				retryAfter = ra
 			}
-			lastErr = apiErr
+		case hdr != nil:
+			return err // a 200 that did not decode: retrying cannot help
+		case ctx.Err() != nil:
+			return ctx.Err()
 		}
+		lastErr = err // a retryable status or a transport error (conn refused, reset, …)
 		if attempt >= c.maxRetries {
 			return fmt.Errorf("client: giving up after %d attempts: %w", attempt+1, lastErr)
 		}
@@ -351,30 +249,34 @@ func parseRetryAfter(h string) (time.Duration, bool) {
 	return time.Duration(secs) * time.Second, true
 }
 
-// errorMessage extracts the server's {"error": "..."} payload, falling
-// back to the raw body.
-func errorMessage(resp *http.Response) string {
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4096))
+// Attempt runs one HTTP exchange and decodes a 200 into out. Any other
+// status comes back as an *api.Error carrying it and the server's
+// {"error": ...} message (the raw body when there is none). The
+// response headers are returned whenever a response arrived.
+func Attempt(hc *http.Client, req *http.Request, out interface{}) (http.Header, error) {
+	resp, err := hc.Do(req)
 	if err != nil {
-		return resp.Status
+		return nil, err
 	}
-	var e struct {
-		Error string `json:"error"`
+	defer func() {
+		// Discard any unread body so the connection can be reused.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
+		_ = resp.Body.Close()
+	}()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		var e api.ErrorResponse
+		if json.Unmarshal(raw, &e) != nil || e.Error == "" {
+			if e.Error = strings.TrimSpace(string(raw)); e.Error == "" {
+				e.Error = resp.Status
+			}
+		}
+		return resp.Header, &api.Error{Status: resp.StatusCode, Msg: e.Error}
 	}
-	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-		return e.Error
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return resp.Header, fmt.Errorf("client: decode %s: %w", req.URL.Path, err)
 	}
-	if len(raw) > 0 {
-		return string(raw)
-	}
-	return resp.Status
-}
-
-// drainClose discards any unread body so the connection can be reused.
-func drainClose(resp *http.Response) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
-	//tcamvet:ignore errcheck close error on a fully-drained response carries no signal
-	resp.Body.Close()
+	return resp.Header, nil
 }
 
 // sleepCtx waits for d or the context, whichever ends first.

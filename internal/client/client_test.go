@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tcam/internal/api"
 )
 
 // recordingSleeper replaces the client's wait with a recorder so retry
@@ -104,7 +106,7 @@ func TestRetryBackoffJitteredAndCapped(t *testing.T) {
 	if err == nil {
 		t.Fatal("succeeded against an always-503 server")
 	}
-	var apiErr *APIError
+	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 		t.Errorf("err = %v, want wrapped 503 APIError", err)
 	}
@@ -153,12 +155,12 @@ func TestNoRetryOn404(t *testing.T) {
 	defer ts.Close()
 	c, _ := newTestClient(t, ts.URL, Config{})
 	_, err := c.Recommend(context.Background(), "ghost", 1, 5, nil)
-	var apiErr *APIError
+	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("err = %v, want 404 APIError", err)
 	}
-	if !strings.Contains(apiErr.Message, "ghost") {
-		t.Errorf("message = %q, want the server's error text", apiErr.Message)
+	if !strings.Contains(apiErr.Msg, "ghost") {
+		t.Errorf("message = %q, want the server's error text", apiErr.Msg)
 	}
 	if calls.Load() != 1 {
 		t.Errorf("attempts = %d, want 1 (no retry on 404)", calls.Load())
@@ -209,7 +211,7 @@ func TestRecommendBatchRoundTrip(t *testing.T) {
 	}))
 	defer ts.Close()
 	c, _ := newTestClient(t, ts.URL, Config{})
-	res, err := c.RecommendBatch(context.Background(), []BatchQuery{{User: "u1", Time: 5, K: 3}})
+	res, err := c.RecommendBatch(context.Background(), []api.Query{{User: "u1", Time: 5, K: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestHealthDecodesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := CacheHealth{Hits: 40, Misses: 8, Stale: 3, Entries: 12, Epoch: 2, HotPrecomputed: 5}
+	want := api.CacheHealth{Hits: 40, Misses: 8, Stale: 3, Entries: 12, Epoch: 2, HotPrecomputed: 5}
 	if h.Cache == nil || *h.Cache != want {
 		t.Fatalf("cache = %+v, want %+v", h.Cache, want)
 	}

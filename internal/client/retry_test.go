@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tcam/internal/api"
 )
 
 // Satellite fix 1: once the context dies mid-backoff, the loop must
@@ -96,7 +98,7 @@ func TestRetryAfterClampedToRemainingDeadline(t *testing.T) {
 	if err == nil {
 		t.Fatal("call succeeded against a permanently shedding server")
 	}
-	var apiErr *APIError
+	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want the wrapped 429", err)
 	}

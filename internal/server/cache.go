@@ -1,47 +1,23 @@
 package server
 
 // Result-cache layer (DESIGN.md §16): an epoch-versioned rescache in
-// front of the TA search, plus hot-user precomputation at publish
-// time. The cache key is the query identity (dense user index,
-// interval, k, deduplicated exclude-set hash); the epoch is the
-// snapshot version, so Reload's atomic pointer swap is also the whole
-// cache invalidation — stale entries die by epoch compare, never by
-// scanning. Cached values are deep copies of the searcher's results,
-// so a hit renders the byte-identical response the TA would have
-// produced without touching the index.
+// front of the TA search. The epoch is the generation version, so
+// Reload's atomic pointer swap is also the whole cache invalidation.
+// The probe and the insert live in generation.go; this file holds the
+// options, publish-time precompute and the /healthz view.
 
 import (
 	"time"
 
+	"tcam/internal/api"
 	"tcam/internal/faultinject"
 	"tcam/internal/rescache"
-	"tcam/internal/topk"
 )
-
-// PrecomputeK is the k precomputed for hot users at publish time —
-// the serving default, so default-shaped traffic hits immediately on
-// a fresh epoch.
-const PrecomputeK = 10
 
 // hotTrackerWidth is the per-row counter count of the hot-user
 // sketch: 16K counters ≈ 128KB for both rows, comfortably above any
 // realistic hot set.
 const hotTrackerWidth = 1 << 14
-
-// cachedTopK is one cached answer: the ranked items and the stats the
-// response surfaces, frozen at insert time.
-type cachedTopK struct {
-	results       []topk.Result
-	itemsExamined int
-}
-
-// newCachedTopK deep-copies a searcher-owned result slice into an
-// immutable cache value (the searcher recycles its slice on Release).
-func newCachedTopK(results []topk.Result, st topk.Stats) cachedTopK {
-	cp := make([]topk.Result, len(results))
-	copy(cp, results)
-	return cachedTopK{results: cp, itemsExamined: st.ItemsExamined}
-}
 
 // WithCache enables the epoch-versioned result cache with capacity
 // for roughly `entries` answers (rounded up; see rescache.New). A
@@ -49,14 +25,14 @@ func newCachedTopK(results []topk.Result, st topk.Stats) cachedTopK {
 func WithCache(entries int) Option {
 	return func(s *Server) {
 		if entries > 0 {
-			s.cache = rescache.New[cachedTopK](entries)
+			s.cache = rescache.New[Answer](entries)
 			s.hot = rescache.NewHotTracker(hotTrackerWidth)
 		}
 	}
 }
 
-// WithHotPrecompute asks each publish to precompute top-PrecomputeK
-// for the n hottest users (serve-path traffic ranked by the
+// WithHotPrecompute asks each publish to precompute the default-k
+// answer of the n hottest users (serve-path traffic ranked by the
 // frequency sketch, seeded from the ingest log when an updater is
 // attached) before the snapshot goes live, so hot users never miss
 // even on a fresh epoch. Requires WithCache; without it the option is
@@ -65,77 +41,50 @@ func WithHotPrecompute(n int) Option {
 	return func(s *Server) { s.precomputeHot = n }
 }
 
-// topkKey builds the cache identity of one /recommend-shaped query.
-// u is the dense user index (exact, no hash collisions); exh must
-// have been fed the deduplicated resolved exclude item indices.
-//
-//tcam:hotpath
-func topkKey(u int, t int, k int, exh *rescache.SetHash) rescache.Key {
-	return rescache.Key{
-		User:        uint64(u),
-		Time:        int64(t),
-		K:           int32(k),
-		NumExclude:  exh.Len(),
-		ExcludeHash: exh.Sum(),
-	}
-}
-
-// precompute warms a not-yet-published snapshot's epoch with the top
-// answers of the hottest users. Called between newSnapshot and the
-// atomic store, so by the time any request can reference the new
-// epoch its hot entries already exist. A faultinject abort leaves a
-// partial warm set — harmless, the remainder simply miss into the TA
-// — and never blocks the publish itself.
-func (s *Server) precompute(sn *snapshot) {
+// precompute warms a not-yet-published generation's epoch with the
+// default-shaped answers (k absent, no excludes, the live interval —
+// where read traffic lands) of the hottest users, so by the time any
+// request can name the new epoch its hot entries exist. A faultinject
+// abort leaves a partial warm set — the rest simply miss into the TA —
+// and never blocks the publish itself.
+func (s *Server) precompute(sn *Generation) {
 	if s.cache == nil || s.precomputeHot <= 0 {
 		return
 	}
 	start := time.Now()
 	hot := s.hot.Top(sn.bundle.Users, s.precomputeHot)
-	t := sn.bundle.Grid.Num - 1 // the live interval: where read traffic lands
+	grid := sn.bundle.Grid
 	done := 0
-	if len(hot) > 0 {
-		var exh rescache.SetHash
-		sr := sn.idx.AcquireSearcher()
-		for _, u := range hot {
-			if err := faultinject.FireErr("server.precompute"); err != nil {
-				s.logf("precompute aborted after %d of %d hot users: %v", done, len(hot), err)
-				break
-			}
-			results, st := sr.Query(sn.bundle.Scorer(), u, t, PrecomputeK, nil)
-			s.cache.Put(sn.version, topkKey(u, t, PrecomputeK, &exh), newCachedTopK(results, st))
+	sc := sn.Acquire()
+	for _, u := range hot {
+		if err := faultinject.FireErr("server.precompute"); err != nil {
+			s.logf("precompute aborted after %d of %d hot users: %v", done, len(hot), err)
+			break
+		}
+		q := api.Query{User: sn.bundle.Users[u], Time: grid.Origin + int64(grid.Num-1)*grid.Length}
+		// resolve + search, not Answer: warming must neither count as a
+		// miss nor feed the sketch it ranks by.
+		if err := sc.resolve(&q); err == nil {
+			sc.search()
 			done++
 		}
-		sr.Release()
 	}
+	sc.Release()
 	s.hotPrecomputed.Store(uint64(done))
 	s.hot.Decay() // publish cadence turns the sketch into a sliding window
 	if done > 0 {
 		s.logf("precomputed top-%d for %d hot users in %s (epoch %d)",
-			PrecomputeK, done, time.Since(start), sn.version)
+			api.DefaultK, done, time.Since(start), sn.version)
 	}
 }
 
-// cacheHealthBody is the "cache" sub-object of the /healthz payload.
-type cacheHealthBody struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Stale   uint64 `json:"stale"`
-	Entries int64  `json:"entries"`
-	// Epoch is the live snapshot version — the only epoch a lookup can
-	// hit; everything older is logically invalidated.
-	Epoch uint64 `json:"epoch"`
-	// HotPrecomputed counts the hot users warmed by the latest publish.
-	HotPrecomputed uint64 `json:"hot_precomputed"`
-}
-
 // cacheHealth renders the cache view, or nil when caching is off.
-func (s *Server) cacheHealth(sn *snapshot) *cacheHealthBody {
+func (s *Server) cacheHealth(sn *Generation) *api.CacheHealth {
 	if s.cache == nil {
 		return nil
 	}
 	ctr := s.cache.Counters()
-	return &cacheHealthBody{
+	return &api.CacheHealth{
 		Hits:           ctr.Hits,
 		Misses:         ctr.Misses,
 		Stale:          ctr.Stale,
@@ -143,12 +92,4 @@ func (s *Server) cacheHealth(sn *snapshot) *cacheHealthBody {
 		Epoch:          sn.version,
 		HotPrecomputed: s.hotPrecomputed.Load(),
 	}
-}
-
-// batchCacheState carries one batch entry's cache bookkeeping between
-// the parse pass (lookup) and the render pass (insert on miss).
-type batchCacheState struct {
-	key rescache.Key
-	val cachedTopK
-	hit bool
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"tcam/internal/api"
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
 	"tcam/internal/ingest"
@@ -29,13 +30,13 @@ func cachedPair(tb testing.TB, b *index.Bundle, opts ...Option) (cached, plain *
 	return cached, plain
 }
 
-func healthCache(t *testing.T, srv *Server) *cacheHealthBody {
+func healthCache(t *testing.T, srv *Server) *api.CacheHealth {
 	t.Helper()
 	w := serveHTTP(srv, http.MethodGet, "/healthz", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("healthz = %d: %s", w.Code, w.Body.String())
 	}
-	var resp healthResponse
+	var resp api.Health
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestPrecomputeWarmsFreshEpoch(t *testing.T) {
 	}
 	misses := hc.Misses
 	// The live interval is Grid.Num-1 = 2, i.e. times in [120, 130);
-	// k defaults to 10 = PrecomputeK. Both hot users must hit cold.
+	// an absent k is the precomputed default. Both hot users must hit cold.
 	for _, u := range []int{1, 4} {
 		w := serveHTTP(srv, http.MethodGet, fmt.Sprintf("/recommend?user=user-%d&time=125", u), "")
 		if w.Code != http.StatusOK {

@@ -1,0 +1,306 @@
+package server
+
+// The one query path (DESIGN.md §9): every door — /recommend, each
+// /recommend/batch entry, /shard/query, publish-time precompute and the
+// tcam.Recommender facade — hands an api.Query to a Generation, which
+// resolves it (names → dense indices, bounded k, deduplicated exclusion
+// set, interval, cache key) and answers it (cache probe → Threshold
+// Algorithm → cache insert). The doors only parse and render.
+
+import (
+	"context"
+	"net/http"
+	"sync"
+
+	"tcam/internal/api"
+	"tcam/internal/index"
+	"tcam/internal/rescache"
+	"tcam/internal/topk"
+)
+
+// Generation is one immutable generation of serving state: a bundle,
+// the TA index built over it and the name → dense-index vocabularies.
+// Handlers load it once per request and Reload publishes a fresh one
+// atomically, so no request sees a half-swapped mix. Safe for
+// concurrent use.
+type Generation struct {
+	bundle  *index.Bundle
+	idx     *topk.Index
+	userIdx map[string]int
+	itemIdx map[string]int
+	scratch sync.Pool // *Scratch; per generation because it is sized to the catalog
+	version uint64    // the cache epoch: 1 for the boot bundle, +1 per reload
+
+	// The Server's cache and hot-user sketch; nil when caching is off.
+	cache *rescache.Cache[Answer]
+	hot   *rescache.HotTracker
+}
+
+// NewGeneration builds an uncached generation over b's full catalog.
+func NewGeneration(b *index.Bundle) *Generation {
+	return newGeneration(b, b.BuildIndex())
+}
+
+func newGeneration(b *index.Bundle, idx *topk.Index) *Generation {
+	g := &Generation{
+		bundle:  b,
+		idx:     idx,
+		userIdx: make(map[string]int, len(b.Users)),
+		itemIdx: make(map[string]int, len(b.Items)),
+		version: 1,
+	}
+	for u, name := range b.Users {
+		g.userIdx[name] = u
+	}
+	for v, name := range b.Items {
+		g.itemIdx[name] = v
+	}
+	return g
+}
+
+// User resolves a user name to its dense index; an unknown one is a
+// 404 *api.Error.
+func (g *Generation) User(name string) (int, error) {
+	u, ok := g.userIdx[name]
+	if !ok {
+		return 0, api.Errorf(http.StatusNotFound, "unknown user %q", name)
+	}
+	return u, nil
+}
+
+// Answer is one ranked result, the interval the query's time fell in
+// and the work the TA did. A cached Answer is immutable.
+type Answer struct {
+	Results       []topk.Result
+	Interval      int
+	ItemsExamined int
+}
+
+// Scratch is the pooled working set of one query against one
+// Generation. An Answer is valid until the Scratch that produced it is
+// released or answers again: the searcher it holds owns the results.
+type Scratch struct {
+	// Query is a parse target for the door's use; its Exclude backing
+	// array survives pooling, so steady-state parsing does not allocate.
+	Query api.Query
+
+	gen    *Generation
+	ex     excludeSet
+	filter topk.Exclude          // ex.has, bound once so a query does not allocate it
+	items  []int                 // the deduplicated exclusion set, for detached
+	sr     *topk.Searcher        // held from the first search until Release
+	resp   api.RecommendResponse // render buffer of the /recommend door
+	misses []topk.BatchQuery     // fan-out buffer of AnswerBatch
+
+	// The resolved query.
+	u, t, k int
+	exclude topk.Exclude // nil or filter
+	key     rescache.Key
+}
+
+// Acquire takes a Scratch from the generation's pool; pair with Release.
+func (g *Generation) Acquire() *Scratch {
+	if sc, ok := g.scratch.Get().(*Scratch); ok {
+		return sc
+	}
+	sc := &Scratch{gen: g}
+	sc.filter = sc.ex.has
+	return sc
+}
+
+// Release returns the scratch and its searcher to their pools, dropping
+// the request's strings so the pool does not pin them.
+func (sc *Scratch) Release() {
+	if sc.sr != nil {
+		sc.sr.Release()
+		sc.sr = nil
+	}
+	clear(sc.Query.Exclude)
+	sc.Query, sc.resp.User = api.Query{Exclude: sc.Query.Exclude[:0]}, ""
+	sc.gen.scratch.Put(sc)
+}
+
+// Answer resolves q and answers it from the cache or the index.
+// Failures are *api.Error.
+func (sc *Scratch) Answer(q *api.Query) (Answer, error) {
+	if err := sc.resolve(q); err != nil {
+		return Answer{}, err
+	}
+	if a, ok := sc.probe(q.User); ok {
+		return a, nil
+	}
+	return sc.search(), nil
+}
+
+// resolve validates q and turns its names into the dense query the
+// index and the cache speak. Excludes are deduplicated while resolving
+// (unknown names dropped), so the set hash is canonical: exclude=a,a,b
+// and exclude=b,a share one cache entry.
+func (sc *Scratch) resolve(q *api.Query) error {
+	if err := q.Normalize(); err != nil {
+		return err
+	}
+	g := sc.gen
+	u, err := g.User(q.User)
+	if err != nil {
+		return err
+	}
+	var exh rescache.SetHash
+	sc.exclude, sc.items = nil, sc.items[:0]
+	if len(q.Exclude) > 0 {
+		sc.ex.reset(len(g.bundle.Items))
+		for _, id := range q.Exclude {
+			if v, ok := g.itemIdx[id]; ok && !sc.ex.has(v) {
+				sc.ex.add(v)
+				exh.Add(uint64(v))
+				sc.items = append(sc.items, v)
+			}
+		}
+		sc.exclude = sc.filter
+	}
+	sc.u, sc.t, sc.k = u, g.bundle.Grid.IntervalOf(q.Time), q.K
+	sc.key = topkKey(u, sc.t, sc.k, &exh)
+	return nil
+}
+
+// topkKey builds the cache identity of a resolved query. u is the
+// dense user index (exact, no hash collisions); exh must have been fed
+// the deduplicated resolved exclude item indices.
+//
+//tcam:hotpath
+func topkKey(u int, t int, k int, exh *rescache.SetHash) rescache.Key {
+	return rescache.Key{
+		User:        uint64(u),
+		Time:        int64(t),
+		K:           int32(k),
+		NumExclude:  exh.Len(),
+		ExcludeHash: exh.Sum(),
+	}
+}
+
+// probe counts the user in the hot-user sketch and looks the resolved
+// query up in the generation's epoch; a plain miss when caching is off.
+func (sc *Scratch) probe(user string) (Answer, bool) {
+	g := sc.gen
+	if g.cache == nil {
+		return Answer{}, false
+	}
+	g.hot.Observe(rescache.HashString(user))
+	return g.cache.Get(g.version, sc.key)
+}
+
+// search runs the Threshold Algorithm for the resolved query and caches
+// a deep copy of the answer (the searcher recycles its slice).
+func (sc *Scratch) search() Answer {
+	g := sc.gen
+	if sc.sr == nil {
+		sc.sr = g.idx.AcquireSearcher()
+	}
+	results, st := sc.sr.Query(g.bundle.Scorer(), sc.u, sc.t, sc.k, sc.exclude)
+	a := Answer{Results: results, Interval: sc.t, ItemsExamined: st.ItemsExamined}
+	if g.cache != nil {
+		cached := a
+		cached.Results = append([]topk.Result(nil), results...)
+		g.cache.Put(g.version, sc.key, cached)
+	}
+	return a
+}
+
+// detached copies the resolved exclusion filter so it outlives the
+// scratch — a batch's queries all wait for one fan-out.
+func (sc *Scratch) detached() topk.Exclude {
+	if sc.exclude == nil {
+		return nil
+	}
+	banned := make(map[int]struct{}, len(sc.items))
+	for _, v := range sc.items {
+		banned[v] = struct{}{}
+	}
+	return func(v int) bool { _, ok := banned[v]; return ok }
+}
+
+// BatchAnswer is one AnswerBatch entry. Err is the entry's own failure;
+// Done is false when the batch was cancelled before the entry ran.
+type BatchAnswer struct {
+	Answer
+	Err  error
+	Done bool
+
+	key rescache.Key
+	hit bool
+}
+
+// AnswerBatch answers queries by position: each is resolved and probed
+// like a single query, then the misses fan out across CPUs through
+// Index.QueryBatchContext (cooperative cancellation between queries)
+// and their answers are cached.
+func (g *Generation) AnswerBatch(ctx context.Context, queries []api.Query) []BatchAnswer {
+	out := make([]BatchAnswer, len(queries))
+	sc := g.Acquire()
+	defer sc.Release()
+	if cap(sc.misses) < len(queries) {
+		sc.misses = make([]topk.BatchQuery, len(queries))
+	}
+	misses := sc.misses[:len(queries)]
+	defer clear(misses) // drop the exclusion closures before pooling
+	for i := range queries {
+		a := &out[i]
+		if a.Err = sc.resolve(&queries[i]); a.Err != nil {
+			continue // zero-value BatchQuery: K=0 ranks nothing
+		}
+		a.key = sc.key
+		if a.Answer, a.hit = sc.probe(queries[i].User); !a.hit {
+			a.Interval = sc.t
+			misses[i] = topk.BatchQuery{U: sc.u, T: sc.t, K: sc.k, Exclude: sc.detached()}
+		}
+	}
+	for i, br := range g.idx.QueryBatchContext(ctx, g.bundle.Scorer(), misses, 0) {
+		a := &out[i]
+		a.Done = br.Done
+		if a.Err != nil || a.hit {
+			continue
+		}
+		a.Results, a.ItemsExamined = br.Results, br.Stats.ItemsExamined
+		// Never cache the empty answer of a query the cancelled batch
+		// did not run. br.Results is caller-owned: no copy needed.
+		if br.Done && g.cache != nil {
+			g.cache.Put(g.version, a.key, a.Answer)
+		}
+	}
+	return out
+}
+
+// AppendRecs renders ranked results as public recommendations.
+func (g *Generation) AppendRecs(dst []api.Recommendation, results []topk.Result) []api.Recommendation {
+	for _, res := range results {
+		dst = append(dst, api.Recommendation{Item: g.bundle.Items[res.Item], Score: res.Score})
+	}
+	return dst
+}
+
+// excludeSet is a reusable catalog-sized exclusion filter. Membership is
+// an epoch stamp, so recycling it is an O(1) epoch bump instead of an
+// O(V) clear or a fresh per-request map.
+type excludeSet struct {
+	stamp []uint32
+	epoch uint32
+}
+
+//tcam:hotpath
+func (e *excludeSet) add(v int) { e.stamp[v] = e.epoch }
+
+//tcam:hotpath
+func (e *excludeSet) has(v int) bool { return e.stamp[v] == e.epoch }
+
+// reset empties the set for a catalog of n items. The stamps are
+// allocated on first use: exclude-free traffic never pays for them.
+func (e *excludeSet) reset(n int) {
+	if e.stamp == nil {
+		e.stamp = make([]uint32, n)
+	}
+	e.epoch++
+	if e.epoch == 0 { // stamp wraparound: reset once per 2^32 uses
+		clear(e.stamp)
+		e.epoch = 1
+	}
+}

@@ -5,13 +5,20 @@ package server
 // atomic hot reload of the serving snapshot.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
-	"runtime/debug"
+	"os"
+	"os/signal"
 	"sync"
 	"sync/atomic"
+	"syscall"
+	"time"
 
+	"tcam/internal/api"
 	"tcam/internal/index"
 	"tcam/internal/rescache"
 )
@@ -28,7 +35,7 @@ const (
 // snapshot. It is safe for concurrent use, including concurrent
 // Reload.
 type Server struct {
-	snap       atomic.Pointer[snapshot]
+	snap       atomic.Pointer[Generation]
 	draining   atomic.Bool
 	recLimit   inflightLimiter
 	batchLimit inflightLimiter
@@ -45,7 +52,7 @@ type Server struct {
 	// cache is the epoch-versioned result cache (cache.go); nil unless
 	// WithCache enabled it. hot tracks request frequency per user for
 	// publish-time precomputation; it is non-nil exactly when cache is.
-	cache          *rescache.Cache[cachedTopK]
+	cache          *rescache.Cache[Answer]
 	hot            *rescache.HotTracker
 	precomputeHot  int           // hottest users warmed per publish
 	hotPrecomputed atomic.Uint64 // users actually warmed by the latest publish
@@ -60,10 +67,10 @@ type Server struct {
 // Option configures the lifecycle layer at construction.
 type Option func(*Server)
 
-// WithLimits bounds concurrent in-flight requests per endpoint:
-// recommend for /recommend, batch for /recommend/batch. Requests over
-// budget are shed with 429 + Retry-After instead of queueing. A
-// non-positive value means unlimited.
+// WithLimits bounds concurrent in-flight requests: recommend for
+// /recommend and /shard/query together, batch for /recommend/batch.
+// Requests over budget are shed with 429 + Retry-After instead of
+// queueing. A non-positive value means unlimited.
 func WithLimits(recommend, batch int) Option {
 	return func(s *Server) {
 		s.recLimit.max = int64(recommend)
@@ -116,37 +123,10 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-// ServeHTTP implements http.Handler: panic containment around the
-// routed handler. A panicking handler produces one logged 500 (when
-// nothing has been written yet) and never takes the process down.
+// ServeHTTP implements http.Handler: the routed handler under panic
+// containment.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	cw := &containedWriter{ResponseWriter: w}
-	defer func() {
-		if v := recover(); v != nil {
-			s.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
-			if !cw.wrote {
-				httpError(cw, http.StatusInternalServerError, "internal error")
-			}
-		}
-	}()
-	s.mux.ServeHTTP(cw, r)
-}
-
-// containedWriter tracks whether a handler wrote anything, so panic
-// recovery knows if a 500 can still be delivered on the connection.
-type containedWriter struct {
-	http.ResponseWriter
-	wrote bool
-}
-
-func (w *containedWriter) WriteHeader(code int) {
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *containedWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
+	api.Contain(w, r, s.mux, s.logger)
 }
 
 // inflightLimiter bounds concurrent requests with a plain counter — no
@@ -193,8 +173,8 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // Draining reports whether StartDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// readyResponse is the /readyz payload.
-type readyResponse struct {
+// statusResponse is the /readyz and /admin/reload payload.
+type statusResponse struct {
 	Status  string `json:"status"`
 	Version uint64 `json:"version"`
 }
@@ -203,17 +183,24 @@ type readyResponse struct {
 // draining. Liveness (/healthz) deliberately stays 200 during drain —
 // the process is healthy, it just no longer wants new traffic.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	resp := readyResponse{Status: "ready", Version: s.snapshot().version}
+	resp, code := statusResponse{Status: "ready", Version: s.snapshot().version}, http.StatusOK
 	if s.draining.Load() {
-		resp.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-		return
+		resp.Status, code = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, code, resp)
+}
+
+// Open loads the bundle at path and builds a Server over it whose
+// reload source re-reads the same path — how both binaries boot.
+func Open(path string, logger *log.Logger, opts ...Option) (*Server, *index.Bundle, error) {
+	b, err := index.Load(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts = append(opts, WithLogger(logger),
+		WithReloader(func() (*index.Bundle, error) { return index.Load(path) }))
+	s, err := New(b, opts...)
+	return s, b, err
 }
 
 // Reload atomically swaps in a new bundle: the TA index and
@@ -230,7 +217,7 @@ func (s *Server) Reload(b *index.Bundle) (uint64, error) {
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	sn := newSnapshot(b, s.snap.Load().version+1, s.itemLo, s.itemHi)
+	sn := s.generation(b, s.snap.Load().version+1)
 	// Warm the new epoch before it goes live: a request can only name
 	// this version once the store below publishes it, so hot users find
 	// their answers already cached on their first post-publish hit.
@@ -256,36 +243,79 @@ func (s *Server) ReloadFromSource() (uint64, error) {
 	return s.Reload(b)
 }
 
+// Run is the serve loop of tcamserver and tcamshard: it serves hs on
+// addr until SIGINT/SIGTERM, then flips readiness, stops the listener
+// and drains in-flight requests for up to drain. SIGHUP in between
+// hot-reloads the bundle. srv is the Server behind hs.Handler — it gets
+// StartDrain and the reloads — or nil for a coordinator, which has no
+// bundle. onReady, when non-nil, fires once the listener is bound.
+func Run(hs *http.Server, addr string, srv *Server, drain time.Duration, onReady func(addr string)) error {
+	logf := log.Printf
+	if hs.ErrorLog != nil {
+		logf = hs.ErrorLog.Printf
+	}
+	// Signals are wired before the listener accepts anything, so a
+	// supervisor can never fire one into the default handler.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+	defer signal.Stop(sigs)
+
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	logf("listening on %s", ln.Addr())
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
+	if onReady != nil {
+		onReady(ln.Addr().String())
+	}
+	for {
+		select {
+		case err := <-serveErr:
+			return err // listener died without a shutdown signal
+		case sig := <-sigs:
+			if sig == syscall.SIGHUP {
+				if srv == nil {
+					logf("SIGHUP ignored: no bundle to reload")
+				} else if v, err := srv.ReloadFromSource(); err != nil {
+					logf("SIGHUP reload failed: %v", err)
+				} else {
+					logf("SIGHUP reload ok: bundle version %d", v)
+				}
+				continue
+			}
+			logf("%s: draining (deadline %s)", sig, drain)
+			if srv != nil {
+				srv.StartDrain()
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), drain)
+			err := hs.Shutdown(ctx)
+			cancel()
+			if serveResult := <-serveErr; !errors.Is(serveResult, http.ErrServerClosed) {
+				return serveResult
+			}
+			if err != nil {
+				return fmt.Errorf("drain deadline exceeded: %w", err)
+			}
+			logf("drained cleanly")
+			return nil
+		}
+	}
+}
+
 // errNoReloader distinguishes "reload unsupported" (501) from a failed
 // reload (500).
-var errNoReloader = errNoReloaderType{}
-
-type errNoReloaderType struct{}
-
-func (errNoReloaderType) Error() string { return "server: no reload source configured" }
-
-// reloadResponse is the /admin/reload payload.
-type reloadResponse struct {
-	Status  string `json:"status"`
-	Version uint64 `json:"version"`
-}
+var errNoReloader = api.Errorf(http.StatusNotImplemented, "server: no reload source configured")
 
 // handleAdminReload hot-swaps the bundle from the configured source.
 // POST-only: reloading is a mutation. Failures keep the old bundle and
 // report 500 (or 501 when no source is configured).
 func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	version, err := s.ReloadFromSource()
-	if err == errNoReloader {
-		httpError(w, http.StatusNotImplemented, err.Error())
-		return
-	}
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		api.Fail(w, err, http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, reloadResponse{Status: "reloaded", Version: version})
+	api.WriteJSON(w, http.StatusOK, statusResponse{Status: "reloaded", Version: version})
 }

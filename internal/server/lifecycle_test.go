@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"tcam/internal/api"
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
 	"tcam/internal/faultinject"
@@ -115,7 +116,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h healthResponse
+	var h api.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestReloadWhileQuerying(t *testing.T) {
 	}
 	// 1 boot + 20 reloads, visible in /healthz.
 	w := serveHTTP(srv, http.MethodGet, "/healthz", "")
-	var h healthResponse
+	var h api.Health
 	if err := json.Unmarshal(w.Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestBatchCancelledMidwayTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := serveHTTP(srv, http.MethodGet, "/recommend?user=user-1&time=115&k=3", "")
-	var single recommendResponse
+	var single api.RecommendResponse
 	if err := json.Unmarshal(want.Body.Bytes(), &single); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestBatchCancelledMidwayTruncates(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
-	var resp batchResponse
+	var resp api.BatchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestAdminReload(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("reload: status %d: %s", w.Code, w.Body.String())
 	}
-	var rr reloadResponse
+	var rr statusResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +486,7 @@ func TestReadyz(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
 	}
-	var rr readyResponse
+	var rr statusResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
 		t.Fatal(err)
 	}

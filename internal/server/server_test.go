@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcam/internal/api"
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
 	"tcam/internal/index"
@@ -65,7 +66,7 @@ func TestHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var h healthResponse
+	var h api.Health
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestRecommend(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var r recommendResponse
+	var r api.RecommendResponse
 	if err := json.Unmarshal(body, &r); err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +104,13 @@ func TestRecommend(t *testing.T) {
 func TestRecommendExclude(t *testing.T) {
 	srv, _ := testServer(t)
 	_, body := get(t, srv, "/recommend?user=user-2&time=115&k=3")
-	var base recommendResponse
+	var base api.RecommendResponse
 	if err := json.Unmarshal(body, &base); err != nil {
 		t.Fatal(err)
 	}
 	first := base.Recommendations[0].Item
 	_, body = get(t, srv, "/recommend?user=user-2&time=115&k=3&exclude="+first+",bogus")
-	var filtered recommendResponse
+	var filtered api.RecommendResponse
 	if err := json.Unmarshal(body, &filtered); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestRecommendExclude(t *testing.T) {
 func TestRecommendExcludeReusedScratch(t *testing.T) {
 	srv, _ := testServer(t)
 	_, body := get(t, srv, "/recommend?user=user-2&time=115&k=3")
-	var base recommendResponse
+	var base api.RecommendResponse
 	if err := json.Unmarshal(body, &base); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestRecommendExcludeReusedScratch(t *testing.T) {
 		// Alternate exclusion sets: a stale stamp from the previous
 		// request must never leak into the next one.
 		_, body = get(t, srv, "/recommend?user=user-2&time=115&k=3&exclude="+first)
-		var r1 recommendResponse
+		var r1 api.RecommendResponse
 		if err := json.Unmarshal(body, &r1); err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func TestRecommendExcludeReusedScratch(t *testing.T) {
 				i, first, second, r1.Recommendations[0].Item)
 		}
 		_, body = get(t, srv, "/recommend?user=user-2&time=115&k=3&exclude="+second)
-		var r2 recommendResponse
+		var r2 api.RecommendResponse
 		if err := json.Unmarshal(body, &r2); err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestRecommendBatch(t *testing.T) {
 	srv, _ := testServer(t)
 	// Single-endpoint answers are the ground truth for the batch path.
 	_, body := get(t, srv, "/recommend?user=user-2&time=115&k=4")
-	var single recommendResponse
+	var single api.RecommendResponse
 	if err := json.Unmarshal(body, &single); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestRecommendBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var batch batchResponse
+	var batch api.BatchResponse
 	if err := json.Unmarshal(body, &batch); err != nil {
 		t.Fatal(err)
 	}
@@ -253,31 +254,12 @@ func TestRecommendBatchErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var batch batchResponse
+	var batch api.BatchResponse
 	if err := json.Unmarshal(body, &batch); err != nil {
 		t.Fatal(err)
 	}
 	if batch.Results[0].Error == "" {
 		t.Error("negative k accepted")
-	}
-}
-
-func TestRecommendErrors(t *testing.T) {
-	srv, _ := testServer(t)
-	tests := []struct {
-		path string
-		code int
-	}{
-		{"/recommend?user=nobody&time=1", http.StatusNotFound},
-		{"/recommend?user=user-1&time=abc", http.StatusBadRequest},
-		{"/recommend?user=user-1&time=1&k=0", http.StatusBadRequest},
-		{"/recommend?user=user-1&time=1&k=99999", http.StatusBadRequest},
-	}
-	for _, tt := range tests {
-		resp, _ := get(t, srv, tt.path)
-		if resp.StatusCode != tt.code {
-			t.Errorf("%s: status %d, want %d", tt.path, resp.StatusCode, tt.code)
-		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"tcam/internal/api"
 )
 
 // shardServer builds a testServer bundle served over the [lo, hi) item
@@ -58,12 +60,12 @@ func TestShardQueryMatchesMonolithicWindow(t *testing.T) {
 	sn := mono.snapshot()
 	_, post := shardServer(t, 4, 12)
 
-	req := shardQueryRequest{User: "user-3", Time: 115, K: 6}
+	req := api.Query{User: "user-3", Time: 115, K: 6}
 	resp, body := post("/shard/query", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var got shardQueryResponse
+	var got api.ShardPartial
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +92,9 @@ func TestShardQueryMatchesMonolithicWindow(t *testing.T) {
 
 func TestShardQueryHonorsExcludes(t *testing.T) {
 	_, post := shardServer(t, 0, 6)
-	req := shardQueryRequest{User: "user-1", Time: 105, K: 10}
+	req := api.Query{User: "user-1", Time: 105, K: 10}
 	_, body := post("/shard/query", req)
-	var full shardQueryResponse
+	var full api.ShardPartial
 	if err := json.Unmarshal(body, &full); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestShardQueryHonorsExcludes(t *testing.T) {
 	banned := full.Results[0].Name
 	req.Exclude = []string{banned}
 	_, body = post("/shard/query", req)
-	var filtered shardQueryResponse
+	var filtered api.ShardPartial
 	if err := json.Unmarshal(body, &filtered); err != nil {
 		t.Fatal(err)
 	}
@@ -113,25 +115,15 @@ func TestShardQueryHonorsExcludes(t *testing.T) {
 	}
 }
 
-func TestShardQueryErrors(t *testing.T) {
-	_, post := shardServer(t, 0, 6)
-	if resp, _ := post("/shard/query", shardQueryRequest{User: "nobody", Time: 100}); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown user: status %d, want 404", resp.StatusCode)
-	}
-	if resp, _ := post("/shard/query", shardQueryRequest{User: "user-0", Time: 100, K: 5000}); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized k: status %d, want 400", resp.StatusCode)
-	}
-}
-
 func TestShardHealthReportsWindowAndReloadKeepsIt(t *testing.T) {
 	srv, post := shardServer(t, 4, 12)
-	resp, body := post("/shard/query", shardQueryRequest{User: "user-0", Time: 100})
+	resp, body := post("/shard/query", api.Query{User: "user-0", Time: 100})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("shard query: status %d: %s", resp.StatusCode, body)
 	}
 
 	_, hbody := get(t, srv, "/healthz")
-	var h healthResponse
+	var h api.Health
 	if err := json.Unmarshal(hbody, &h); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +143,7 @@ func TestShardHealthReportsWindowAndReloadKeepsIt(t *testing.T) {
 	// Monolithic mode reports no window at all.
 	mono, _ := testServer(t)
 	_, mbody := get(t, mono, "/healthz")
-	var mh healthResponse
+	var mh api.Health
 	if err := json.Unmarshal(mbody, &mh); err != nil {
 		t.Fatal(err)
 	}

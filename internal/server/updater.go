@@ -22,6 +22,7 @@ import (
 	"context"
 	"time"
 
+	"tcam/internal/api"
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
 	"tcam/internal/faultinject"
@@ -238,25 +239,14 @@ type ingestStatus struct {
 	publishedAt time.Time // when the serving snapshot was derived
 }
 
-// ingestHealthBody is the "ingest" sub-object of the /healthz payload.
-type ingestHealthBody struct {
-	LogOffset int64 `json:"log_offset"`
-	LogEnd    int64 `json:"log_end"`
-	// Lag is how many durable records the serving snapshot is behind.
-	Lag int64 `json:"lag"`
-	// StalenessSeconds is the age of the serving snapshot's derivation;
-	// with Lag zero the snapshot is current regardless of its age.
-	StalenessSeconds float64 `json:"staleness_seconds"`
-}
-
 // ingestHealth renders the current status, or nil when no updater is
 // attached.
-func (s *Server) ingestHealth(now time.Time) *ingestHealthBody {
+func (s *Server) ingestHealth(now time.Time) *api.IngestHealth {
 	st := s.ingestStat.Load()
 	if st == nil {
 		return nil
 	}
-	return &ingestHealthBody{
+	return &api.IngestHealth{
 		LogOffset:        st.offset,
 		LogEnd:           st.end,
 		Lag:              st.end - st.offset,

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"testing"
 
+	"tcam/internal/api"
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
 	"tcam/internal/ingest"
@@ -49,13 +50,13 @@ func appendEvents(tb testing.TB, dir string, recs ...ingest.Record) {
 	}
 }
 
-func healthOf(t *testing.T, srv *Server) healthResponse {
+func healthOf(t *testing.T, srv *Server) api.Health {
 	t.Helper()
 	w := serveHTTP(srv, http.MethodGet, "/healthz", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("/healthz = %d", w.Code)
 	}
-	var h healthResponse
+	var h api.Health
 	if err := json.Unmarshal(w.Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}

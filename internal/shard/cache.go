@@ -18,6 +18,7 @@ package shard
 // can go unnoticed under a 100% hit rate.
 
 import (
+	"tcam/internal/api"
 	"tcam/internal/client"
 	"tcam/internal/rescache"
 )
@@ -29,18 +30,18 @@ const cachePassthroughEvery = 64
 
 // cacheKey builds the lookup identity of one coordinator query. The
 // user is hashed (the coordinator has no vocabulary); a hit therefore
-// re-checks Response.User before serving. Scope carries the expected
+// re-checks the response's User before serving. Scope carries the expected
 // missing-shard set — the breaker-open shards — so degraded periods
 // read their own entries.
-func (c *Coordinator) cacheKey(user string, when int64, k int, exclude []string) rescache.Key {
+func (c *Coordinator) cacheKey(q *api.Query) rescache.Key {
 	var exh rescache.SetHash
-	for _, id := range exclude {
+	for _, id := range q.Exclude {
 		exh.Add(rescache.HashString(id))
 	}
 	return rescache.Key{
-		User:        rescache.HashString(user),
-		Time:        when,
-		K:           int32(k),
+		User:        rescache.HashString(q.User),
+		Time:        q.Time,
+		K:           int32(q.K),
 		NumExclude:  exh.Len(),
 		ExcludeHash: exh.Sum(),
 		Scope:       c.expectedMissingScope(),
@@ -63,7 +64,7 @@ func (c *Coordinator) expectedMissingScope() uint64 {
 // pairs into the cache epoch. Dead shards contribute nothing here —
 // their absence is the Scope's business — so a shard bouncing back at
 // a new version lands in a fresh epoch.
-func fleetEpochOf(parts []*partialResponse) uint64 {
+func fleetEpochOf(parts []*api.ShardPartial) uint64 {
 	ep := uint64(0x9e3779b97f4a7c15)
 	for i, p := range parts {
 		if p == nil {
@@ -76,7 +77,7 @@ func fleetEpochOf(parts []*partialResponse) uint64 {
 
 // missingScopeOf hashes the shard indices that actually failed this
 // scatter — the Scope a degraded merge is cached under.
-func missingScopeOf(parts []*partialResponse) uint64 {
+func missingScopeOf(parts []*api.ShardPartial) uint64 {
 	var s rescache.SetHash
 	for i, p := range parts {
 		if p == nil {
@@ -86,24 +87,14 @@ func missingScopeOf(parts []*partialResponse) uint64 {
 	return s.Sum()
 }
 
-// coordCacheBody is the "cache" sub-object of the coordinator's
-// /healthz payload, mirroring the server's.
-type coordCacheBody struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Stale   uint64 `json:"stale"`
-	Entries int64  `json:"entries"`
-	// Epoch is the fleet state hash the latest scatter observed.
-	Epoch uint64 `json:"epoch"`
-}
-
-// cacheHealth renders the cache view, or nil when caching is off.
-func (c *Coordinator) cacheHealth() *coordCacheBody {
+// cacheHealth renders the cache view, or nil when caching is off; the
+// epoch is the fleet state hash the latest scatter observed.
+func (c *Coordinator) cacheHealth() *api.CacheHealth {
 	if c.cache == nil {
 		return nil
 	}
 	ctr := c.cache.Counters()
-	return &coordCacheBody{
+	return &api.CacheHealth{
 		Hits:    ctr.Hits,
 		Misses:  ctr.Misses,
 		Stale:   ctr.Stale,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tcam/internal/api"
 	"tcam/internal/client"
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
@@ -46,7 +47,7 @@ func altBundle(tb testing.TB) *index.Bundle {
 	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
 }
 
-func coordHealthCache(t *testing.T, c *Coordinator) *coordCacheBody {
+func coordHealthCache(t *testing.T, c *Coordinator) *api.CacheHealth {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))

@@ -6,19 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
-	"net/url"
-	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"sync/atomic"
-
+	"tcam/internal/api"
 	"tcam/internal/client"
 	"tcam/internal/faultinject"
 	"tcam/internal/rescache"
@@ -74,7 +70,7 @@ type Coordinator struct {
 
 	// cache holds merged Responses (treated as immutable once cached),
 	// epoch-versioned by the observed fleet state; nil when disabled.
-	cache      *rescache.Cache[*Response]
+	cache      *rescache.Cache[*api.RecommendResponse]
 	fleetEpoch atomic.Uint64 // fleetEpochOf the latest scatter
 	reqSeq     atomic.Uint64 // Recommend calls, for the passthrough cadence
 }
@@ -105,7 +101,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.timeout = 2 * time.Second
 	}
 	if cfg.CacheEntries > 0 {
-		c.cache = rescache.New[*Response](cfg.CacheEntries)
+		c.cache = rescache.New[*api.RecommendResponse](cfg.CacheEntries)
 	}
 	shared := &http.Client{Timeout: 30 * time.Second}
 	ordered := make([]ShardConfig, len(cfg.Shards))
@@ -140,9 +136,9 @@ func New(cfg Config) (*Coordinator, error) {
 			hedger:  client.NewHedger(cfg.Hedger),
 		})
 	}
-	c.mux.HandleFunc("/healthz", c.handleHealth)
-	c.mux.HandleFunc("/readyz", c.handleReady)
-	c.mux.HandleFunc("/recommend", c.handleRecommend)
+	c.mux.HandleFunc("/healthz", api.Only(http.MethodGet, c.handleHealth))
+	c.mux.HandleFunc("/readyz", api.Only(http.MethodGet, c.handleReady))
+	c.mux.HandleFunc("/recommend", api.Only(http.MethodGet, c.handleRecommend))
 	return c, nil
 }
 
@@ -158,75 +154,43 @@ func FleetConfigs(n int, baseURLs []string) []ShardConfig {
 	return out
 }
 
-func (c *Coordinator) logf(format string, args ...interface{}) {
-	if c.logger != nil {
-		c.logger.Printf(format, args...)
-	}
-}
-
-// ServeHTTP implements http.Handler with panic containment, mirroring
-// the server's lifecycle discipline.
+// ServeHTTP implements http.Handler: the routed handler under panic
+// containment.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		if v := recover(); v != nil {
-			c.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "internal error"})
-		}
-	}()
-	c.mux.ServeHTTP(w, r)
+	api.Contain(w, r, c.mux, c.logger)
 }
-
-// shardRequest is the body the coordinator POSTs to /shard/query.
-type shardRequest struct {
-	User    string   `json:"user"`
-	Time    int64    `json:"time"`
-	K       int      `json:"k"`
-	Exclude []string `json:"exclude,omitempty"`
-}
-
-// userError is a shard's 404: the fleet is healthy, the user does not
-// exist. It propagates as the coordinator's own 404 and never counts
-// against a breaker.
-type userError struct{ msg string }
-
-func (e *userError) Error() string { return e.msg }
 
 // errBreakerOpen marks a shard skipped without a request because its
 // breaker is open.
 var errBreakerOpen = errors.New("shard: circuit breaker open")
 
 // post runs one POST /shard/query attempt against the shard.
-func (sc *shardConn) post(ctx context.Context, req *shardRequest) (*partialResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("shard: encode query: %w", err)
-	}
+func (sc *shardConn) post(ctx context.Context, body []byte) (*api.ShardPartial, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, sc.base+"/shard/query", bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := sc.hc.Do(hreq)
-	if err != nil {
+	var out api.ShardPartial
+	if _, err := client.Attempt(sc.hc, hreq, &out); err != nil {
 		return nil, err
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		msg := strings.TrimSpace(string(raw))
-		if resp.StatusCode == http.StatusNotFound {
-			return nil, &userError{msg: msg}
-		}
-		return nil, fmt.Errorf("shard %s: status %d: %s", sc.base, resp.StatusCode, msg)
-	}
-	var out partialResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("shard %s: decode: %w", sc.base, err)
-	}
 	return &out, nil
+}
+
+// rejection returns err as the shard's refusal of the caller's request
+// (400, 404, 413: bad k, unknown user, oversized body), or nil when the
+// failure is the shard's or the network's own. A rejection means the
+// shard answered: it never counts against a breaker and propagates.
+func rejection(err error) *api.Error {
+	var e *api.Error
+	if errors.As(err, &e) {
+		switch e.Status {
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			return e
+		}
+	}
+	return nil
 }
 
 // query runs one shard's scatter leg: breaker admission, a deadline
@@ -234,7 +198,7 @@ func (sc *shardConn) post(ctx context.Context, req *shardRequest) (*partialRespo
 // the shard's observed latency quantile, the first success wins, and
 // the loser's context is cancelled. A half-open breaker admits exactly
 // one un-hedged probe.
-func (c *Coordinator) query(ctx context.Context, sc *shardConn, req *shardRequest) (*partialResponse, error) {
+func (c *Coordinator) query(ctx context.Context, sc *shardConn, body []byte) (*api.ShardPartial, error) {
 	if !sc.breaker.Allow() {
 		return nil, errBreakerOpen
 	}
@@ -245,16 +209,15 @@ func (c *Coordinator) query(ctx context.Context, sc *shardConn, req *shardReques
 		delay = -1 // the recovery probe is a single request, never doubled
 	}
 	start := time.Now()
-	resp, _, err := client.Hedge(sctx, delay, func(actx context.Context) (*partialResponse, error) {
-		return sc.post(actx, req)
+	resp, _, err := client.Hedge(sctx, delay, func(actx context.Context) (*api.ShardPartial, error) {
+		return sc.post(actx, body)
 	})
 	if err != nil {
-		var ue *userError
-		if errors.As(err, &ue) {
-			sc.breaker.Success() // the shard answered; the user is the problem
-			return nil, err
+		if rejection(err) != nil {
+			sc.breaker.Success()
+		} else {
+			sc.breaker.Failure()
 		}
-		sc.breaker.Failure()
 		return nil, err
 	}
 	sc.hedger.Observe(time.Since(start))
@@ -262,34 +225,21 @@ func (c *Coordinator) query(ctx context.Context, sc *shardConn, req *shardReques
 	return resp, nil
 }
 
-// Recommendation is one entry of the merged payload.
-type Recommendation struct {
-	Item  string  `json:"item"`
-	Score float64 `json:"score"`
-}
-
-// Response is the coordinator's /recommend payload — the monolithic
-// server's schema plus the degradation marker. When Degraded is true
-// the recommendations are exact over the surviving shards, but items
-// in MissingItemRanges were not considered.
-type Response struct {
-	User              string           `json:"user"`
-	Interval          int              `json:"interval"`
-	Recommendations   []Recommendation `json:"recommendations"`
-	ItemsExamined     int              `json:"items_examined"`
-	Degraded          bool             `json:"degraded,omitempty"`
-	MissingItemRanges []Range          `json:"missing_item_ranges,omitempty"`
-}
-
 // Recommend scatter-gathers one query across the fleet and merges the
-// partial top-k lists. The returned Response is exact when every shard
-// answered; degraded (with the missing ranges named) when some did;
-// and the error is ErrAllShardsDown when none did. A userError-backed
-// 404 from any shard propagates as-is.
-func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k int, exclude []string) (*Response, error) {
+// partial top-k lists. The response is exact when every shard answered,
+// degraded (with the missing ranges named) when some did, and the error
+// is ErrAllShardsDown when none did. A request the fleet rejects — k out
+// of bounds here, or a shard's own 400/404/413 — fails with an
+// *api.Error and is never cached. Treat the response as immutable: it
+// may be shared with the cache.
+func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k int, exclude []string) (*api.RecommendResponse, error) {
+	req := &api.Query{User: user, Time: when, K: k, Exclude: exclude}
+	if err := req.Normalize(); err != nil {
+		return nil, err
+	}
 	var key rescache.Key
 	if c.cache != nil {
-		key = c.cacheKey(user, when, k, exclude)
+		key = c.cacheKey(req)
 		// Every cachePassthroughEvery-th request scatters regardless, so
 		// the observed fleet epoch can't go stale under a 100% hit rate.
 		if c.reqSeq.Add(1)%cachePassthroughEvery != 0 {
@@ -301,30 +251,34 @@ func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k 
 		}
 	}
 	faultinject.Fire("coordinator.scatter")
-	req := &shardRequest{User: user, Time: when, K: k, Exclude: exclude}
-	parts := make([]*partialResponse, len(c.shards))
+	body, err := json.Marshal(req) // once, shared by every leg and hedge
+	if err != nil {
+		return nil, fmt.Errorf("shard: encode query: %w", err)
+	}
+	parts := make([]*api.ShardPartial, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for i, sc := range c.shards {
 		wg.Add(1)
 		go func(i int, sc *shardConn) {
 			defer wg.Done()
-			parts[i], errs[i] = c.query(ctx, sc, req)
+			parts[i], errs[i] = c.query(ctx, sc, body)
 		}(i, sc)
 	}
 	wg.Wait()
-	alive := make([]*partialResponse, 0, len(parts))
+	alive := make([]*api.ShardPartial, 0, len(parts))
 	var missing []Range
 	for i, p := range parts {
 		if p != nil {
 			alive = append(alive, p)
 			continue
 		}
-		var ue *userError
-		if errors.As(errs[i], &ue) {
-			return nil, ue
+		if rejected := rejection(errs[i]); rejected != nil {
+			return nil, rejected
 		}
-		c.logf("shard %s unavailable: %v", c.shards[i].base, errs[i])
+		if c.logger != nil {
+			c.logger.Printf("shard %s unavailable: %v", c.shards[i].base, errs[i])
+		}
 		missing = append(missing, c.shards[i].items)
 	}
 	if len(alive) == 0 {
@@ -333,11 +287,11 @@ func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k 
 		}
 		return nil, ErrAllShardsDown
 	}
-	merged := mergeTopK(alive, req.k())
-	resp := &Response{
+	merged := mergeTopK(alive, req.K)
+	resp := &api.RecommendResponse{
 		User:              user,
 		Interval:          alive[0].Interval,
-		Recommendations:   make([]Recommendation, 0, len(merged)),
+		Recommendations:   make([]api.Recommendation, 0, len(merged)),
 		Degraded:          len(missing) > 0,
 		MissingItemRanges: missing,
 	}
@@ -345,7 +299,7 @@ func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k 
 		resp.ItemsExamined += p.ItemsExamined
 	}
 	for _, res := range merged {
-		resp.Recommendations = append(resp.Recommendations, Recommendation{Item: res.Name, Score: res.Score})
+		resp.Recommendations = append(resp.Recommendations, api.Recommendation{Item: res.Name, Score: res.Score})
 	}
 	if c.cache != nil {
 		// Advance the observed epoch, then cache the merge under the
@@ -360,64 +314,24 @@ func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k 
 	return resp, nil
 }
 
-// k resolves the effective result size the same way the shards do.
-func (r *shardRequest) k() int {
-	if r.K == 0 {
-		return 10
-	}
-	return r.K
-}
-
 // ErrAllShardsDown is returned when no shard produced a partial result:
 // there is nothing to serve, degraded or otherwise.
 var ErrAllShardsDown = errors.New("shard: all shards unavailable")
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
+// handleRecommend is the monolith's GET /recommend door in front of
+// the fleet: parse, scatter-gather, write.
 func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
-		return
+	var q api.Query
+	err := q.ParseForm(r.URL.Query())
+	var resp *api.RecommendResponse
+	if err == nil {
+		resp, err = c.Recommend(r.Context(), q.User, q.Time, q.K, q.Exclude)
 	}
-	q := r.URL.Query()
-	user := q.Get("user")
-	if user == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "user is required"})
-		return
-	}
-	when, err := strconv.ParseInt(q.Get("time"), 10, 64)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "time must be an integer timestamp in dataset ticks"})
+		api.Fail(w, err, http.StatusServiceUnavailable)
 		return
 	}
-	k := 0
-	if raw := q.Get("k"); raw != "" {
-		k, err = strconv.Atoi(raw)
-		if err != nil || k <= 0 || k > 1000 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "k must be in [1,1000]"})
-			return
-		}
-	}
-	var exclude []string
-	if raw := q.Get("exclude"); raw != "" {
-		for _, id := range strings.Split(raw, ",") {
-			if dec, err := url.QueryUnescape(id); err == nil {
-				id = dec
-			}
-			exclude = append(exclude, id)
-		}
-	}
-	resp, err := c.Recommend(r.Context(), user, when, k, exclude)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, resp)
-	case errors.As(err, new(*userError)):
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-	}
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // shardHealth is one fleet entry of the coordinator's /healthz payload.
@@ -429,22 +343,17 @@ type shardHealth struct {
 
 // healthResponse is the coordinator's /healthz payload.
 type healthResponse struct {
-	Status string          `json:"status"`
-	Shards []shardHealth   `json:"shards"`
-	Cache  *coordCacheBody `json:"cache,omitempty"`
+	Status string           `json:"status"`
+	Shards []shardHealth    `json:"shards"`
+	Cache  *api.CacheHealth `json:"cache,omitempty"`
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
-		return
-	}
-	resp := healthResponse{Status: "ok", Shards: make([]shardHealth, len(c.shards))}
+	resp := healthResponse{Status: "ok", Shards: make([]shardHealth, len(c.shards)), Cache: c.cacheHealth()}
 	for i, sc := range c.shards {
 		resp.Shards[i] = shardHealth{BaseURL: sc.base, Items: sc.items, Breaker: sc.breaker.State().String()}
 	}
-	resp.Cache = c.cacheHealth()
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // readyResponse is the coordinator's /readyz payload.
@@ -458,35 +367,15 @@ type readyResponse struct {
 // ranges once any breaker is open (degraded — partial answers only),
 // with status "unavailable" when the whole fleet is down.
 func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
-		return
-	}
-	var open []Range
+	resp, code := readyResponse{Status: "ready"}, http.StatusOK
 	for _, sc := range c.shards {
 		if sc.breaker.State() == client.BreakerOpen {
-			open = append(open, sc.items)
+			resp.MissingItemRanges = append(resp.MissingItemRanges, sc.items)
+			resp.Status, code = "degraded", http.StatusServiceUnavailable
 		}
 	}
-	switch {
-	case len(open) == 0:
-		writeJSON(w, http.StatusOK, readyResponse{Status: "ready"})
-	case len(open) < len(c.shards):
-		writeJSON(w, http.StatusServiceUnavailable, readyResponse{Status: "degraded", MissingItemRanges: open})
-	default:
-		writeJSON(w, http.StatusServiceUnavailable, readyResponse{Status: "unavailable", MissingItemRanges: open})
+	if len(resp.MissingItemRanges) == len(c.shards) {
+		resp.Status = "unavailable"
 	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, payload interface{}) {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = fmt.Fprintf(w, `{"error":%q}`, "response encoding failed: "+err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(raw)
+	api.WriteJSON(w, code, resp)
 }

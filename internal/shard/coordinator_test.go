@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tcam/internal/api"
 	"tcam/internal/client"
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
@@ -24,7 +26,8 @@ import (
 )
 
 // testBundle trains the same 6-user / 3-interval / 12-item TTCAM the
-// server tests serve.
+// server tests serve; two items carry names that change under a second
+// percent-decode ("c++" → "c  ", "100%41" → "100A").
 func testBundle(tb testing.TB) *index.Bundle {
 	tb.Helper()
 	b := cuboid.NewBuilder(6, 3, 12)
@@ -48,6 +51,7 @@ func testBundle(tb testing.TB) *index.Bundle {
 	for i := range items {
 		items[i] = fmt.Sprintf("item-%d", i)
 	}
+	items[4], items[9] = "c++", "100%41"
 	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
 }
 
@@ -118,7 +122,7 @@ func newFleet(tb testing.TB, n int, mut func(*Config), wrap func(i int, h http.H
 
 // expect computes the reference answer on a monolithic index: the top-k
 // over the full catalog minus excluded names and dead shard windows.
-func expect(bundle *index.Bundle, user string, when int64, k int, excludeNames []string, dead []Range) []Recommendation {
+func expect(bundle *index.Bundle, user string, when int64, k int, excludeNames []string, dead []Range) []api.Recommendation {
 	itemIdx := make(map[string]int, len(bundle.Items))
 	for v, name := range bundle.Items {
 		itemIdx[name] = v
@@ -152,14 +156,14 @@ func expect(bundle *index.Bundle, user string, when int64, k int, excludeNames [
 	ix := bundle.BuildIndex()
 	t := bundle.Grid.IntervalOf(when)
 	results, _ := ix.Query(bundle.Scorer(), u, t, k, exclude)
-	out := make([]Recommendation, 0, len(results))
+	out := make([]api.Recommendation, 0, len(results))
 	for _, res := range results {
-		out = append(out, Recommendation{Item: bundle.Items[res.Item], Score: res.Score})
+		out = append(out, api.Recommendation{Item: bundle.Items[res.Item], Score: res.Score})
 	}
 	return out
 }
 
-func sameRecs(a, b []Recommendation) bool {
+func sameRecs(a, b []api.Recommendation) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -183,14 +187,14 @@ func TestCoordinatorBitIdenticalToMonolith(t *testing.T) {
 	monoTS := httptest.NewServer(mono)
 	defer monoTS.Close()
 
-	fetch := func(base, path string) (int, Response) {
+	fetch := func(base, path string) (int, api.RecommendResponse) {
 		t.Helper()
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var out Response
+		var out api.RecommendResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
@@ -208,6 +212,8 @@ func TestCoordinatorBitIdenticalToMonolith(t *testing.T) {
 						fmt.Sprintf("/recommend?user=user-%d&time=%d&k=5", u, when),
 						fmt.Sprintf("/recommend?user=user-%d&time=%d", u, when),
 						fmt.Sprintf("/recommend?user=user-%d&time=%d&k=12&exclude=item-0,item-7", u, when),
+						// Escaped once by the caller, decoded once by the door.
+						fmt.Sprintf("/recommend?user=user-%d&time=%d&k=12&exclude=c%%2B%%2B,100%%2541", u, when),
 					} {
 						wantCode, want := fetch(monoTS.URL, path)
 						gotCode, got := fetch(coordTS.URL, path)
@@ -289,25 +295,51 @@ func TestCoordinatorTornResponseDegrades(t *testing.T) {
 	}
 }
 
-// An unknown user is a 404 from every shard — the coordinator must
-// propagate it, not degrade or trip breakers.
-func TestCoordinatorUnknownUser(t *testing.T) {
-	f := newFleet(t, 2, nil, nil)
-	ts := httptest.NewServer(f.c)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/recommend?user=nobody&time=100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d, want 404", resp.StatusCode)
+// A request the shards reject is the caller's fault, not the fleet's:
+// an unknown user (404), an out-of-range k from a Go caller (caught
+// before the scatter) and an exclude list whose JSON re-encoding
+// overflows the shards' body cap (413) all propagate with their own
+// status, and however many arrive, no breaker counts them and /readyz
+// stays 200.
+func TestCoordinatorCallerErrorsNeverTripBreakers(t *testing.T) {
+	f := newFleet(t, 2, func(cfg *Config) {
+		cfg.Breaker = client.BreakerConfig{FailureThreshold: 3}
+	}, nil)
+	huge := "&exclude=" + strings.Repeat("item-0,", 200_000) // > 1 MiB as a JSON array
+	for i := 0; i < 10; i++ {
+		if _, err := f.c.Recommend(context.Background(), "user-0", 100, 5000, nil); !isStatus(err, http.StatusBadRequest) {
+			t.Fatalf("k=5000 from Go: err = %v, want a 400 api.Error", err)
+		}
+		for path, want := range map[string]int{
+			"/recommend?user=nobody&time=100":        http.StatusNotFound,
+			"/recommend?user=user-0&time=100&k=1001": http.StatusBadRequest,
+			"/recommend?user=user-0&time=100" + huge: http.StatusRequestEntityTooLarge,
+		} {
+			rec := httptest.NewRecorder()
+			f.c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != want {
+				t.Fatalf("%.60s: status %d, want %d: %.200s", path, rec.Code, want, rec.Body.String())
+			}
+		}
 	}
 	for i, sc := range f.c.shards {
 		if sc.breaker.State() != client.BreakerClosed {
-			t.Errorf("shard %d breaker = %v after a 404, want closed", i, sc.breaker.State())
+			t.Errorf("shard %d breaker = %v after caller errors, want closed", i, sc.breaker.State())
 		}
 	}
+	if code, ready := readyStatus(t, f.c); code != http.StatusOK || ready.Status != "ready" {
+		t.Fatalf("/readyz = %d %+v, want 200 ready", code, ready)
+	}
+	// The fleet still answers.
+	if resp, err := f.c.Recommend(context.Background(), "user-0", 100, 5, nil); err != nil || resp.Degraded {
+		t.Fatalf("healthy query after caller errors: %+v, %v", resp, err)
+	}
+}
+
+// isStatus reports whether err is an *api.Error with the given status.
+func isStatus(err error, status int) bool {
+	var e *api.Error
+	return errors.As(err, &e) && e.Status == status
 }
 
 // fakeClock drives breaker time by hand.
@@ -355,7 +387,7 @@ func TestCoordinatorBreakerTripAndRecover(t *testing.T) {
 	}, nil)
 	faultinject.SetErr("shard0.conn", faultinject.ErrorAlways(faultinject.ErrInjectedConn))
 
-	ask := func() *Response {
+	ask := func() *api.RecommendResponse {
 		t.Helper()
 		resp, err := f.c.Recommend(context.Background(), "user-3", 115, 5, nil)
 		if err != nil {
@@ -527,13 +559,13 @@ func TestPartition(t *testing.T) {
 		n, shards int
 		want      []Range
 	}{
-		{12, 1, []Range{{0, 12}}},
-		{12, 2, []Range{{0, 6}, {6, 12}}},
-		{12, 4, []Range{{0, 3}, {3, 6}, {6, 9}, {9, 12}}},
-		{10, 4, []Range{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
-		{3, 5, []Range{{0, 1}, {1, 2}, {2, 3}}},
+		{12, 1, []Range{{Lo: 0, Hi: 12}}},
+		{12, 2, []Range{{Lo: 0, Hi: 6}, {Lo: 6, Hi: 12}}},
+		{12, 4, []Range{{Lo: 0, Hi: 3}, {Lo: 3, Hi: 6}, {Lo: 6, Hi: 9}, {Lo: 9, Hi: 12}}},
+		{10, 4, []Range{{Lo: 0, Hi: 3}, {Lo: 3, Hi: 6}, {Lo: 6, Hi: 9}, {Lo: 9, Hi: 10}}},
+		{3, 5, []Range{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}, {Lo: 2, Hi: 3}}},
 		{0, 3, nil},
-		{5, 0, []Range{{0, 5}}},
+		{5, 0, []Range{{Lo: 0, Hi: 5}}},
 	}
 	for _, tc := range cases {
 		got := Partition(tc.n, tc.shards)
@@ -569,15 +601,15 @@ func TestNewRejectsBadFleets(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted an empty fleet")
 	}
-	if _, err := New(Config{Shards: []ShardConfig{{BaseURL: "", Items: Range{0, 5}}}}); err == nil {
+	if _, err := New(Config{Shards: []ShardConfig{{BaseURL: "", Items: Range{Lo: 0, Hi: 5}}}}); err == nil {
 		t.Error("New accepted a shard without a BaseURL")
 	}
-	if _, err := New(Config{Shards: []ShardConfig{{BaseURL: "http://a", Items: Range{3, 3}}}}); err == nil {
+	if _, err := New(Config{Shards: []ShardConfig{{BaseURL: "http://a", Items: Range{Lo: 3, Hi: 3}}}}); err == nil {
 		t.Error("New accepted an empty item range")
 	}
 	if _, err := New(Config{Shards: []ShardConfig{
-		{BaseURL: "http://a", Items: Range{0, 6}},
-		{BaseURL: "http://b", Items: Range{4, 10}},
+		{BaseURL: "http://a", Items: Range{Lo: 0, Hi: 6}},
+		{BaseURL: "http://b", Items: Range{Lo: 4, Hi: 10}},
 	}}); err == nil {
 		t.Error("New accepted overlapping item ranges")
 	}

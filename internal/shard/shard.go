@@ -17,13 +17,14 @@
 // coordinator answer 503.
 package shard
 
-import "sort"
+import (
+	"sort"
+
+	"tcam/internal/api"
+)
 
 // Range is a contiguous [Lo, Hi) window of the item catalog.
-type Range struct {
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-}
+type Range = api.Range
 
 // Partition splits a catalog of n items into at most shards contiguous
 // ceil-chunk ranges, the same split the EM engine applies to users.
@@ -51,40 +52,18 @@ func Partition(n, shards int) []Range {
 	return out
 }
 
-// partialResult is one entry of a shard's partial top-k, mirroring the
-// server's /shard/query result schema: the global item index is the
-// merge tie-break key, the name spares the coordinator a vocabulary,
-// and the score is the shard's exact float64 (Go's JSON shortest-form
-// encoding round-trips it bit-for-bit).
-type partialResult struct {
-	Item  int     `json:"item"`
-	Name  string  `json:"name"`
-	Score float64 `json:"score"`
-}
-
-// partialResponse mirrors the server's /shard/query payload.
-type partialResponse struct {
-	User          string          `json:"user"`
-	Interval      int             `json:"interval"`
-	ItemLo        int             `json:"item_lo"`
-	ItemHi        int             `json:"item_hi"`
-	Version       uint64          `json:"version"`
-	Results       []partialResult `json:"results"`
-	ItemsExamined int             `json:"items_examined"`
-}
-
 // mergeTopK merges per-shard partial top-k lists into the global top-k.
 // Shard windows are disjoint, so the global top-k is a subset of the
 // concatenation; sorting by (score desc, item asc) — the exact order
 // topk's result heap emits — and truncating to k therefore reproduces
 // the monolithic answer bit-for-bit. Scores are compared with < and >
 // only: equal scores fall through to the ascending-item tie-break.
-func mergeTopK(partials []*partialResponse, k int) []partialResult {
+func mergeTopK(partials []*api.ShardPartial, k int) []api.PartialResult {
 	total := 0
 	for _, p := range partials {
 		total += len(p.Results)
 	}
-	merged := make([]partialResult, 0, total)
+	merged := make([]api.PartialResult, 0, total)
 	for _, p := range partials {
 		merged = append(merged, p.Results...)
 	}

@@ -20,9 +20,12 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
-# bench/ is its own module outside `./...`; vet it too, so an internal
-# rename that breaks the benchmark is found here and not by its driver.
+# bench/ is its own module outside `./...`; vet it and run its unit
+# tests too, so an internal rename or behaviour change that breaks the
+# benchmark is found here and not by its driver (-short skips the
+# minute-long TestSmoke, which CI's gates job runs).
 go vet -C bench ./...
+go test -C bench -short ./...
 
 # Repo-specific invariants: hot-path allocation rules, float equality,
 # seeded randomness, panic message hygiene and dropped errors. Findings
@@ -36,12 +39,13 @@ scripts/check_bce.sh
 # The packages where scratch reuse, pooling, snapshot swaps, limiter
 # counters or fault hooks could race, plus the ingest log (single
 # writer, concurrent readers), the signal-driven lifecycle,
-# the sharded EM training engine and the scatter-gather serving tier
-# (coordinator fan-out, hedged requests, circuit breakers).
+# the sharded EM training engine, the scatter-gather serving tier
+# (coordinator fan-out, hedged requests, circuit breakers) and the wire
+# package that owns the pooled response encoder.
 go test -race -count=1 ./internal/topk/ ./internal/server/ ./internal/eval/ \
     ./internal/faultinject/... ./internal/client/ ./internal/atomicfile/ \
     ./internal/ingest/ ./internal/train/ ./internal/shard/ \
-    ./internal/rescache/ ./cmd/tcamserver/ ./cmd/tcamshard/
+    ./internal/rescache/ ./internal/api/ ./cmd/tcamserver/ ./cmd/tcamshard/
 
 if [ "${1:-}" != "-short" ]; then
     go test ./...

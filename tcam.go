@@ -23,13 +23,16 @@
 package tcam
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
+	"tcam/internal/api"
 	"tcam/internal/dataset"
 	"tcam/internal/index"
 	"tcam/internal/model"
 	tcammodel "tcam/internal/model/tcam"
+	"tcam/internal/server"
 	"tcam/internal/topk"
 	"tcam/internal/train"
 	"tcam/internal/weighting"
@@ -126,29 +129,16 @@ type Recommendation struct {
 }
 
 // Recommender answers temporal top-k queries over a trained TCAM using
-// the Threshold Algorithm of Section 4.2. It is safe for concurrent
+// the Threshold Algorithm of Section 4.2, through the same query path
+// the HTTP server runs (server.Generation). It is safe for concurrent
 // use.
 type Recommender struct {
-	bundle  *index.Bundle
-	index   *topk.Index
-	userIdx map[string]int
-	itemIdx map[string]int
+	gen    *server.Generation
+	bundle *index.Bundle
 }
 
 func newRecommender(b *index.Bundle) *Recommender {
-	r := &Recommender{
-		bundle:  b,
-		index:   b.BuildIndex(),
-		userIdx: make(map[string]int, len(b.Users)),
-		itemIdx: make(map[string]int, len(b.Items)),
-	}
-	for u, name := range b.Users {
-		r.userIdx[name] = u
-	}
-	for v, name := range b.Items {
-		r.itemIdx[name] = v
-	}
-	return r
+	return &Recommender{gen: server.NewGeneration(b), bundle: b}
 }
 
 // Train fits a TCAM on the interaction log and returns a ready-to-query
@@ -230,25 +220,23 @@ func resolveTol(def, override float64) float64 {
 
 // Recommend returns the top-k items for userID at the given absolute
 // time, ranked by the Section 4.1 score and computed with the Threshold
-// Algorithm. Unknown users are an error; times outside the training
-// span clamp to the nearest interval.
+// Algorithm. k defaults to 10 when zero and may not exceed 1000.
+// Unknown users are an error; times outside the training span clamp to
+// the nearest interval.
 func (r *Recommender) Recommend(userID string, when int64, k int) ([]Recommendation, error) {
-	return r.recommend(userID, when, k, nil)
+	return r.RecommendExcluding(userID, when, k, nil)
 }
 
 // RecommendExcluding is Recommend with an item-ID exclusion set (e.g.
-// items the user already consumed).
+// items the user already consumed); unknown IDs are ignored.
 func (r *Recommender) RecommendExcluding(userID string, when int64, k int, excludeIDs []string) ([]Recommendation, error) {
-	if len(excludeIDs) == 0 {
-		return r.recommend(userID, when, k, nil)
+	sc := r.gen.Acquire()
+	defer sc.Release()
+	a, err := sc.Answer(&api.Query{User: userID, Time: when, K: k, Exclude: excludeIDs})
+	if err != nil {
+		return nil, fmt.Errorf("tcam: %w", err)
 	}
-	banned := make(map[int]bool, len(excludeIDs))
-	for _, id := range excludeIDs {
-		if v, ok := r.lookupItem(id); ok {
-			banned[v] = true
-		}
-	}
-	return r.recommend(userID, when, k, func(v int) bool { return banned[v] })
+	return r.render(a.Results), nil
 }
 
 // BatchQuery is one entry of RecommendBatch: a temporal top-k query
@@ -263,73 +251,38 @@ type BatchQuery struct {
 // RecommendBatch answers many temporal top-k queries in one call,
 // fanning them across CPUs with pooled Threshold-Algorithm scratch per
 // worker — the serving path for bulk workloads (eval sweeps, feed
-// precomputation). Results align with queries by position; any unknown
-// user fails the whole batch.
+// precomputation). Results align with queries by position; any invalid
+// query (unknown user, k out of range) fails the whole batch.
 func (r *Recommender) RecommendBatch(queries []BatchQuery) ([][]Recommendation, error) {
-	batch := make([]topk.BatchQuery, len(queries))
+	batch := make([]api.Query, len(queries))
 	for i, q := range queries {
-		u, ok := r.lookupUser(q.UserID)
-		if !ok {
-			return nil, fmt.Errorf("tcam: unknown user %q", q.UserID)
-		}
-		k := q.K
-		if k <= 0 {
-			k = 10
-		}
-		var exclude topk.Exclude
-		if len(q.ExcludeIDs) > 0 {
-			banned := make(map[int]bool, len(q.ExcludeIDs))
-			for _, id := range q.ExcludeIDs {
-				if v, ok := r.lookupItem(id); ok {
-					banned[v] = true
-				}
-			}
-			exclude = func(v int) bool { return banned[v] }
-		}
-		batch[i] = topk.BatchQuery{U: u, T: r.bundle.Grid.IntervalOf(q.When), K: k, Exclude: exclude}
+		batch[i] = api.Query{User: q.UserID, Time: q.When, K: q.K, Exclude: q.ExcludeIDs}
 	}
-	results := r.index.QueryBatch(r.bundle.Scorer(), batch, 0)
-	out := make([][]Recommendation, len(results))
-	for i, br := range results {
-		recs := make([]Recommendation, len(br.Results))
-		for j, res := range br.Results {
-			recs[j] = Recommendation{ItemID: r.bundle.Items[res.Item], Score: res.Score}
+	out := make([][]Recommendation, len(queries))
+	for i, a := range r.gen.AnswerBatch(context.Background(), batch) {
+		if a.Err != nil {
+			return nil, fmt.Errorf("tcam: %w", a.Err)
 		}
-		out[i] = recs
+		out[i] = r.render(a.Results)
 	}
 	return out, nil
 }
 
-func (r *Recommender) recommend(userID string, when int64, k int, exclude topk.Exclude) ([]Recommendation, error) {
-	u, ok := r.lookupUser(userID)
-	if !ok {
-		return nil, fmt.Errorf("tcam: unknown user %q", userID)
-	}
-	t := r.bundle.Grid.IntervalOf(when)
-	results, _ := r.index.Query(r.bundle.Scorer(), u, t, k, exclude)
+// render names the ranked items.
+func (r *Recommender) render(results []topk.Result) []Recommendation {
 	out := make([]Recommendation, len(results))
 	for i, res := range results {
 		out[i] = Recommendation{ItemID: r.bundle.Items[res.Item], Score: res.Score}
 	}
-	return out, nil
-}
-
-func (r *Recommender) lookupUser(id string) (int, bool) {
-	u, ok := r.userIdx[id]
-	return u, ok
-}
-
-func (r *Recommender) lookupItem(id string) (int, bool) {
-	v, ok := r.itemIdx[id]
-	return v, ok
+	return out
 }
 
 // Lambda returns the learned personal-interest influence probability λu
 // of a user — the quantity Figures 10–11 analyze.
 func (r *Recommender) Lambda(userID string) (float64, error) {
-	u, ok := r.lookupUser(userID)
-	if !ok {
-		return 0, fmt.Errorf("tcam: unknown user %q", userID)
+	u, err := r.gen.User(userID)
+	if err != nil {
+		return 0, fmt.Errorf("tcam: %w", err)
 	}
 	return r.bundle.Model.Lambda(u), nil
 }
@@ -343,21 +296,8 @@ func (r *Recommender) NumTopics() int { return r.bundle.Scorer().NumTopics() }
 // TopicTopItems returns the n highest-probability item IDs of expanded
 // topic z — how Tables 5–7 inspect what a topic means.
 func (r *Recommender) TopicTopItems(z, n int) []Recommendation {
-	weights := r.bundle.Scorer().TopicItems(z)
-	res, _ := topk.BruteForce(topicAsModel{weights: weights}, 0, 0, n, nil)
-	out := make([]Recommendation, len(res))
-	for i, x := range res {
-		out[i] = Recommendation{ItemID: r.bundle.Items[x.Item], Score: x.Score}
-	}
-	return out
+	return r.render(r.gen.TopicItems(z, n))
 }
-
-// topicAsModel ranks a single weight vector through the topk machinery.
-type topicAsModel struct{ weights []float64 }
-
-func (t topicAsModel) Name() string              { return "topic" }
-func (t topicAsModel) NumItems() int             { return len(t.weights) }
-func (t topicAsModel) Score(_, _, v int) float64 { return t.weights[v] }
 
 // Save persists the recommender (model + grid + vocabularies) to path.
 func (r *Recommender) Save(path string) error { return r.bundle.Save(path) }
