@@ -93,7 +93,14 @@ type Log struct {
 	segBase  int64  // offset of the active segment's first record
 	segBytes int64  // bytes currently in the active segment
 	buf      []byte // frame staging buffer, reused across Appends
+	tail     cursor // where the last Replay stopped
 }
+
+// cursor states one fact about the on-disk log: record off starts at
+// byte pos of segment base. The log is append-only, so a cursor stays
+// true forever; a Replay that starts at off reads from pos instead of
+// walking the segment from its first frame.
+type cursor struct{ off, base, pos int64 }
 
 // Open opens (creating if needed) the log directory with the default
 // segment size.
@@ -193,14 +200,16 @@ func (l *Log) Append(recs ...Record) (int64, error) {
 // Replay invokes fn for every record with offset >= from, in offset
 // order, stopping early when fn returns an error. It reads the
 // immutable prefix present when Replay starts; records appended
-// concurrently may or may not be seen.
+// concurrently may or may not be seen. A Replay that starts where the
+// handle's previous one stopped — a tailing consumer's next cycle —
+// reads only the bytes appended since.
 func (l *Log) Replay(from int64, fn func(off int64, rec Record) error) error {
 	bases, err := segmentBases(l.dir)
 	if err != nil {
 		return err
 	}
 	l.mu.Lock()
-	end := l.end
+	end, tail := l.end, l.tail
 	l.mu.Unlock()
 	next := int64(0)
 	for i, base := range bases {
@@ -214,56 +223,64 @@ func (l *Log) Replay(from int64, fn func(off int64, rec Record) error) error {
 			next = bases[i+1]
 			continue
 		}
-		n, err := l.replaySegment(base, end, from, fn)
-		if err != nil {
+		at := cursor{off: base, base: base}
+		if tail.base == base && tail.off == from {
+			at = tail
+		}
+		if at, err = l.replaySegment(at, end, from, fn); err != nil {
 			return err
 		}
-		next = base + n
+		next, tail = at.off, at
 	}
+	l.mu.Lock()
+	l.tail = tail
+	l.mu.Unlock()
 	return nil
 }
 
-// replaySegment scans one segment, calling fn for records at or past
-// from, bounded by end (records beyond the opened end are a concurrent
-// append's tail and are ignored). It returns the record count scanned.
-func (l *Log) replaySegment(base, end, from int64, fn func(off int64, rec Record) error) (int64, error) {
-	data, err := os.ReadFile(filepath.Join(l.dir, segName(base)))
+// replaySegment scans one segment from the cursor at, calling fn for
+// records at or past from, bounded by end (records beyond the opened
+// end are a concurrent append's tail and are ignored). It returns the
+// cursor of the first record it did not scan.
+func (l *Log) replaySegment(at cursor, end, from int64, fn func(off int64, rec Record) error) (cursor, error) {
+	data, err := readSegment(l.dir, at.base, at.pos)
 	if err != nil {
-		return 0, fmt.Errorf("ingest: %w", err)
+		return at, err
 	}
-	var n int64
 	pos := 0
-	for pos < len(data) {
-		off := base + n
-		if off >= end {
-			break
-		}
+	for pos < len(data) && at.off < end {
 		payload, nextPos, ok := readFrame(data, pos)
 		if !ok {
-			return 0, fmt.Errorf("ingest: %s: invalid frame at byte %d (offset %d)", segName(base), pos, off)
+			return at, fmt.Errorf("ingest: %s: invalid frame at byte %d (offset %d)", segName(at.base), at.pos, at.off)
 		}
-		if off >= from {
+		if at.off >= from {
 			var rec Record
 			if err := json.Unmarshal(payload, &rec); err != nil {
-				return 0, fmt.Errorf("ingest: %s: decode record at offset %d: %w", segName(base), off, err)
+				return at, fmt.Errorf("ingest: %s: decode record at offset %d: %w", segName(at.base), at.off, err)
 			}
-			if err := fn(off, rec); err != nil {
-				return 0, err
+			if err := fn(at.off, rec); err != nil {
+				return at, err
 			}
 		}
-		n++
+		at.off++
+		at.pos += int64(nextPos - pos)
 		pos = nextPos
 	}
-	return n, nil
+	return at, nil
 }
 
-// Refresh re-scans the directory for records appended through other
-// handles — typically another process: a producer appends while the
-// serving process tails — and advances End past every complete frame
-// found, returning the new end. Unlike Open it never truncates: an
-// incomplete trailing frame on the last segment may be a live writer's
-// in-flight append, so it is simply not visible until a later Refresh.
-// An invalid frame anywhere else is corruption, as in Open.
+// Refresh picks up records appended through other handles — typically
+// another process: a producer appends while the serving process tails —
+// and advances End past every complete frame found, returning the new
+// end. It resumes from the end this handle already knows: segments
+// below the active one are sealed (appends only ever go to the
+// highest-named segment, and every frame below the known end was
+// CRC-checked when the handle first passed it), so only the active
+// segment's bytes past the known end, and any segment opened since, are
+// read. Unlike Open it never truncates: an incomplete trailing frame on
+// the last segment may be a live writer's in-flight append, so it is
+// simply not visible until a later Refresh. An invalid frame anywhere
+// else, or an active segment shorter than the known end, is corruption.
 func (l *Log) Refresh() (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -271,24 +288,25 @@ func (l *Log) Refresh() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var end, segBase, segBytes int64
-	for i, base := range bases {
-		if base != end {
+	end, segBase, segBytes := l.end, l.segBase, l.segBytes
+	active := sort.Search(len(bases), func(i int) bool { return bases[i] >= segBase })
+	if segBytes > 0 && (active == len(bases) || bases[active] != segBase) {
+		return 0, fmt.Errorf("ingest: refresh found no segment %s, which held the known end %d (log rewritten underneath us?)",
+			segName(segBase), end)
+	}
+	for i := active; i < len(bases); i++ {
+		base, from := bases[i], int64(0)
+		if base == segBase {
+			from = segBytes
+		} else if base != end {
 			return 0, fmt.Errorf("ingest: segment %s starts at offset %d but the preceding segments end at %d",
 				segName(base), base, end)
 		}
-		last := i == len(bases)-1
-		n, size, _, err := scanSegment(l.dir, base, last)
+		n, size, _, err := scanSegment(l.dir, base, from, i == len(bases)-1)
 		if err != nil {
 			return 0, err
 		}
-		end = base + n
-		if last {
-			segBase, segBytes = base, size
-		}
-	}
-	if end < l.end {
-		return 0, fmt.Errorf("ingest: refresh found end %d below the known end %d (log rewritten underneath us?)", end, l.end)
+		end, segBase, segBytes = end+n, base, size
 	}
 	l.end, l.segBase, l.segBytes = end, segBase, segBytes
 	return end, nil
@@ -299,7 +317,7 @@ func (l *Log) Refresh() (int64, error) {
 // tail — any suffix that does not parse as complete, CRC-valid frames —
 // is truncated away; anywhere else it is corruption.
 func (l *Log) recoverSegment(base int64, last bool) (records, size int64, err error) {
-	n, size, torn, err := scanSegment(l.dir, base, last)
+	n, size, torn, err := scanSegment(l.dir, base, 0, last)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -313,14 +331,15 @@ func (l *Log) recoverSegment(base int64, last bool) (records, size int64, err er
 	return n, size, nil
 }
 
-// scanSegment counts the complete, CRC-valid frames of one segment
-// without modifying it. torn reports a trailing non-frame suffix on the
-// last segment (size excludes it); the same suffix on any earlier
-// segment is corruption.
-func scanSegment(dir string, base int64, last bool) (records, size int64, torn bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, segName(base)))
+// scanSegment counts the complete, CRC-valid frames of one segment from
+// byte from on (a frame boundary), without modifying it. size is the
+// byte just past the last of them. torn reports a trailing non-frame
+// suffix on the last segment (size excludes it); the same suffix on any
+// earlier segment is corruption.
+func scanSegment(dir string, base, from int64, last bool) (records, size int64, torn bool, err error) {
+	data, err := readSegment(dir, base, from)
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("ingest: %w", err)
+		return 0, 0, false, err
 	}
 	var n int64
 	pos := 0
@@ -329,14 +348,45 @@ func scanSegment(dir string, base int64, last bool) (records, size int64, torn b
 		if !ok {
 			if !last {
 				return 0, 0, false, fmt.Errorf("ingest: %s: corrupt frame at byte %d (mid-log corruption, refusing to open)",
-					segName(base), pos)
+					segName(base), from+int64(pos))
 			}
-			return n, int64(pos), true, nil
+			return n, from + int64(pos), true, nil
 		}
 		n++
 		pos = next
 	}
-	return n, int64(pos), false, nil
+	return n, from + int64(pos), false, nil
+}
+
+// readSegment returns the bytes of one segment from byte from to its
+// end. A segment shorter than from has lost bytes this handle already
+// read — the file shrank — which an append-only log never does.
+func readSegment(dir string, base, from int64) ([]byte, error) {
+	f, err := os.Open(filepath.Join(dir, segName(base)))
+	if err != nil {
+		return nil, fmt.Errorf("ingest: %w", err)
+	}
+	data, err := readFrom(f, from)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ingest: %s: %w", segName(base), err)
+	}
+	return data, nil
+}
+
+func readFrom(f *os.File, from int64) ([]byte, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if st.Size() < from {
+		return nil, fmt.Errorf("%d bytes, below the known end at byte %d (file shrank: log rewritten underneath us?)", st.Size(), from)
+	}
+	data := make([]byte, st.Size()-from)
+	_, err = io.ReadFull(io.NewSectionReader(f, from, int64(len(data))), data)
+	return data, err
 }
 
 // appendFrame encodes one payload frame onto buf.

@@ -400,3 +400,124 @@ func TestRefreshRejectsRewrittenLog(t *testing.T) {
 		t.Fatal("Refresh accepted a log whose records vanished")
 	}
 }
+
+// TestRefreshResumesAcrossSegmentRoll: a tailing handle that refreshes
+// after every append of a writer handle — through two segment rolls —
+// sees exactly the writer's end each time, replays exactly the new
+// records from where its previous Replay stopped, and ends in the state
+// a fresh Open of the directory computes.
+func TestRefreshResumesAcrossSegmentRoll(t *testing.T) {
+	dir := t.TempDir()
+	const segBytes = 600 // a handful of records per segment
+	writer, err := OpenLimit(dir, segBytes)
+	if err != nil {
+		t.Fatalf("Open writer: %v", err)
+	}
+	reader, err := OpenLimit(dir, segBytes)
+	if err != nil {
+		t.Fatalf("Open reader: %v", err)
+	}
+	var seen []Record
+	for i := 0; i < 40; i += 2 {
+		wend, err := writer.Append(rec(i), rec(i+1))
+		if err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		rend, err := reader.Refresh()
+		if err != nil || rend != wend {
+			t.Fatalf("Refresh after %d records = (%d, %v), want (%d, nil)", i+2, rend, err, wend)
+		}
+		fresh := collect(t, reader, int64(i))
+		if len(fresh) != 2 || fresh[0] != rec(i) || fresh[1] != rec(i+1) {
+			t.Fatalf("resumed replay from %d saw %+v", i, fresh)
+		}
+		seen = append(seen, fresh...)
+	}
+	bases, err := segmentBases(dir)
+	if err != nil || len(bases) < 3 {
+		t.Fatalf("the log never rolled: segments %v (%v)", bases, err)
+	}
+	reopened, err := OpenLimit(dir, segBytes)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if reader.end != reopened.end || reader.segBase != reopened.segBase || reader.segBytes != reopened.segBytes {
+		t.Fatalf("refreshed handle at (end %d, seg %d, %d bytes), a fresh Open at (end %d, seg %d, %d bytes)",
+			reader.end, reader.segBase, reader.segBytes, reopened.end, reopened.segBase, reopened.segBytes)
+	}
+	// A replay that does not start at the cursor — a retried cycle —
+	// still reads from the segment's first frame.
+	if all := collect(t, reader, 0); len(all) != len(seen) {
+		t.Fatalf("full replay saw %d records, the resumed ones %d", len(all), len(seen))
+	}
+	if again := collect(t, reader, 36); len(again) != 4 || again[0] != rec(36) {
+		t.Fatalf("replay from an earlier offset saw %+v", again)
+	}
+	// The refreshed handle can take over as the writer.
+	if end, err := reader.Append(rec(40)); err != nil || end != 41 {
+		t.Fatalf("Append through the refreshed handle = (%d, %v), want (41, nil)", end, err)
+	}
+}
+
+// TestRefreshRejectsShrunkenSegment: the active segment losing bytes
+// this handle already counted is corruption, not an empty refresh.
+func TestRefreshRejectsShrunkenSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := l.Append(rec(0), rec(1), rec(2)); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := os.Truncate(filepath.Join(dir, segName(0)), l.segBytes-5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Refresh(); err == nil {
+		t.Fatal("Refresh accepted an active segment shorter than its known end")
+	}
+	if l.End() != 3 {
+		t.Fatalf("failed Refresh moved End to %d", l.End())
+	}
+}
+
+// TestRefreshRejectsCorruptionPastKnownEnd: bytes appended since the
+// last Refresh are CRC-checked like any other — a bad frame in a
+// segment that has since been rolled over cannot be a torn tail.
+func TestRefreshRejectsCorruptionPastKnownEnd(t *testing.T) {
+	dir := t.TempDir()
+	const segBytes = 600
+	writer, err := OpenLimit(dir, segBytes)
+	if err != nil {
+		t.Fatalf("Open writer: %v", err)
+	}
+	reader, err := OpenLimit(dir, segBytes)
+	if err != nil {
+		t.Fatalf("Open reader: %v", err)
+	}
+	if _, err := writer.Append(rec(0), rec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reader.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	known := reader.segBytes
+	for i := 2; i < 30; i++ { // rolls past segment 0
+		if _, err := writer.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Flip a payload byte of the first frame the reader has not seen.
+	path := filepath.Join(dir, segName(0))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[known+frameHdr+1] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reader.Refresh(); err == nil {
+		t.Fatal("Refresh accepted a corrupt frame in a sealed segment")
+	}
+}

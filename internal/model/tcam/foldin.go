@@ -55,24 +55,37 @@ func DefaultFoldInConfig() FoldInConfig {
 // iters rounds of EM on the K2-vector P(x|θ't) against the frozen time
 // topics, which cannot see items beyond the trained catalog.
 func (m *Model) FitNewInterval(ratings map[int]float64, numItems, iters int) []float64 {
+	// Ascending item order, not map order: float addition is not
+	// associative, so iterating the map directly would make the fitted θ'
+	// bits depend on the runtime's randomized iteration and break fold-in
+	// bit-identity across runs.
+	items := make([]int, 0, len(ratings))
+	for v := range ratings {
+		items = append(items, v)
+	}
+	sort.Ints(items)
+	weights := make([]float64, len(items))
+	for i, v := range items {
+		weights[i] = ratings[v]
+	}
+	return m.FitNewIntervalSorted(items, weights, numItems, iters)
+}
+
+// FitNewIntervalSorted is FitNewInterval over the ratings as parallel
+// (item, accumulated score) columns in ascending item order, each item
+// at most once — the form a cuboid's by-interval view yields without
+// building a map.
+func (m *Model) FitNewIntervalSorted(items []int, weights []float64, numItems, iters int) []float64 {
 	if numItems < m.numItems || m.k2 > 0 {
 		numItems = m.numItems
 	}
-	// Accumulate in ascending item order, not map order: float addition
-	// is not associative, so iterating the map directly would make the
-	// fitted θ' bits depend on the runtime's randomized iteration and
-	// break fold-in bit-identity across runs.
-	items := make([]int, 0, len(ratings))
-	for v, w := range ratings {
-		if v >= 0 && v < numItems && w > 0 {
-			items = append(items, v)
-		}
-	}
-	sort.Ints(items)
+	valid := func(i int) bool { return items[i] >= 0 && items[i] < numItems && weights[i] > 0 }
 	if m.k2 == 0 {
 		row := make([]float64, numItems)
-		for _, v := range items {
-			row[v] = ratings[v]
+		for i, v := range items {
+			if valid(i) {
+				row[v] = weights[i]
+			}
 		}
 		model.NormalizeRows(row, numItems, 1e-6)
 		return row
@@ -83,26 +96,33 @@ func (m *Model) FitNewInterval(ratings map[int]float64, numItems, iters int) []f
 	for x := range thetaNew {
 		thetaNew[x] = 1 / float64(k2)
 	}
-	if len(ratings) == 0 {
+	if len(items) == 0 {
 		return thetaNew
+	}
+	// Each rated item's P(v|φ'x) column, gathered once: the rounds below
+	// then read one contiguous K2-row per item instead of striding φ'.
+	w := make([]float64, 0, len(items))
+	cols := make([]float64, 0, len(items)*k2)
+	for i, v := range items {
+		if !valid(i) {
+			continue
+		}
+		w = append(w, weights[i])
+		for x := 0; x < k2; x++ {
+			cols = append(cols, m.phiX[x*V+v])
+		}
 	}
 	acc := make([]float64, k2)
 	px := make([]float64, k2)
 	for it := 0; it < iters; it++ {
 		train.Zero(acc)
-		for _, v := range items {
-			var pt float64
-			for x := 0; x < k2; x++ {
-				p := thetaNew[x] * m.phiX[x*V+v]
-				px[x] = p
-				pt += p
-			}
+		for j, wj := range w {
+			pt := train.DotInto(px, thetaNew, cols[j*k2:(j+1)*k2])
 			if pt <= 0 {
 				continue
 			}
-			w := ratings[v]
-			for x := 0; x < k2; x++ {
-				acc[x] += w * px[x] / pt
+			for x, p := range px {
+				acc[x] += wj * p / pt
 			}
 		}
 		copy(thetaNew, acc)
@@ -118,7 +138,8 @@ func (m *Model) FitNewInterval(ratings map[int]float64, numItems, iters int) []f
 // that observed it, under TTCAM's frozen time topics not at all, until a
 // full retrain. newContexts supplies the θ't row of each appended
 // interval in order, from FitNewInterval, so numIntervals must equal
-// NumIntervals()+len(newContexts).
+// NumIntervals()+len(newContexts). Every table whose shape the growth
+// leaves alone is shared with the receiver, not copied.
 func (m *Model) Grow(numIntervals, numItems int, newContexts [][]float64) (*Model, error) {
 	if numItems < m.numItems {
 		return nil, fmt.Errorf("tcam: cannot shrink items %d -> %d", m.numItems, numItems)
@@ -154,8 +175,13 @@ func (m *Model) Grow(numIntervals, numItems int, newContexts [][]float64) (*Mode
 }
 
 // widenRows copies the oldCols-wide rows of src into a zeroed
-// rows×newCols table; rows beyond src's stay zero.
+// rows×newCols table; rows beyond src's stay zero. A table whose shape
+// does not change is returned as is — parameter slabs are immutable, so
+// the grown model shares it.
 func widenRows(src []float64, oldCols, newCols, rows int) []float64 {
+	if oldCols == newCols && len(src) == rows*newCols {
+		return src
+	}
 	dst := make([]float64, rows*newCols)
 	for r := 0; r*oldCols < len(src); r++ {
 		copy(dst[r*newCols:], src[r*oldCols:(r+1)*oldCols])
@@ -172,6 +198,19 @@ func widenRows(src []float64, oldCols, newCols, rows int) []float64 {
 // interval/item dimensions must match the model (Grow first when the
 // stream widened them); its cells for already-trained users are ignored.
 func (m *Model) FoldInUsers(data *cuboid.Cuboid, cfg FoldInConfig) (*Model, error) {
+	return m.FoldInUsersFrom(nil, nil, data, cfg)
+}
+
+// FoldInUsersFrom is FoldInUsers given prev, the result of an earlier
+// fold-in from the same trained model: a new user u with kept[u] set
+// takes (θu, λu) from prev instead of being folded again. The caller
+// vouches that what u's rounds read — u's cells in data, and the φ, θ'
+// and φ' entries those cells address — is what prev's fold read, which
+// makes the copy an equality: the rounds are deterministic and a user's
+// statistics live in rows no other user or shard touches. kept is
+// indexed by user and may be shorter than the user range (missing
+// entries fold); a kept user must exist in prev.
+func (m *Model) FoldInUsersFrom(prev *Model, kept []bool, data *cuboid.Cuboid, cfg FoldInConfig) (*Model, error) {
 	if data.NumIntervals() != m.numIntervals || data.NumItems() != m.numItems {
 		return nil, fmt.Errorf("tcam: fold-in cuboid is %d intervals × %d items, model has %d × %d",
 			data.NumIntervals(), data.NumItems(), m.numIntervals, m.numItems)
@@ -180,27 +219,46 @@ func (m *Model) FoldInUsers(data *cuboid.Cuboid, cfg FoldInConfig) (*Model, erro
 	if n < oldN {
 		return nil, fmt.Errorf("tcam: fold-in cuboid has %d users, model already has %d", n, oldN)
 	}
+	k1 := m.k1
 	out := *m // fold-in never writes the globals, so they are shared
 	out.numUsers = n
-	out.theta = make([]float64, n*m.k1)
+	out.theta = make([]float64, n*k1)
 	copy(out.theta, m.theta)
-	for i := oldN * m.k1; i < len(out.theta); i++ {
-		out.theta[i] = 1 / float64(m.k1)
+	for i := oldN * k1; i < len(out.theta); i++ {
+		out.theta[i] = 1 / float64(k1)
 	}
 	out.lambda = make([]float64, n)
 	copy(out.lambda, m.lambda)
 	for u := oldN; u < n; u++ {
 		out.lambda[u] = 0.5
 	}
-	if n == oldN {
-		return &out, nil
-	}
-	if _, err := train.FoldIn(newTrainer(&out, data, cfg.Smoothing), oldN, n, train.FoldInConfig{
-		Iters:   cfg.Iters,
-		Shards:  cfg.Shards,
-		Workers: cfg.Workers,
-	}); err != nil {
-		return nil, err
+	var tr *trainer // sized on the first user that needs folding
+	for lo := oldN; lo < n; {
+		if lo < len(kept) && kept[lo] {
+			if prev == nil || prev.k1 != k1 || lo >= prev.numUsers {
+				return nil, fmt.Errorf("tcam: fold-in asked to keep user %d, which the previous model does not have", lo)
+			}
+			copy(out.theta[lo*k1:(lo+1)*k1], prev.theta[lo*k1:(lo+1)*k1])
+			out.lambda[lo] = prev.lambda[lo]
+			lo++
+			continue
+		}
+		hi := lo + 1
+		for hi < n && !(hi < len(kept) && kept[hi]) {
+			hi++
+		}
+		if tr == nil {
+			tr = newTrainer(&out, data, cfg.Smoothing)
+			tr.frozen = true
+		}
+		if _, err := train.FoldIn(tr, lo, hi, train.FoldInConfig{
+			Iters:   cfg.Iters,
+			Shards:  cfg.Shards,
+			Workers: cfg.Workers,
+		}); err != nil {
+			return nil, err
+		}
+		lo = hi
 	}
 	return &out, nil
 }

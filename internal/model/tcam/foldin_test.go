@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 
 	"tcam/internal/cuboid"
 	"tcam/internal/ingest"
+	"tcam/internal/model"
 )
 
 // foldVariants is the fold-in table: the committed fold-in fixtures
@@ -408,4 +412,224 @@ func TestFitNewIntervalClosedForm(t *testing.T) {
 	if !bitsEqual(ctx, want) {
 		t.Error("out-of-range ratings leaked into the fitted context")
 	}
+}
+
+// referenceFitNewInterval is the estimator as first written — a map
+// lookup and a stride-V read of φ' inside the rounds — kept test-side so
+// the gathered-column implementation is pinned to its bits.
+func referenceFitNewInterval(m *Model, ratings map[int]float64, numItems, iters int) []float64 {
+	if numItems < m.numItems || m.k2 > 0 {
+		numItems = m.numItems
+	}
+	var items []int
+	for v, w := range ratings {
+		if v >= 0 && v < numItems && w > 0 {
+			items = append(items, v)
+		}
+	}
+	sort.Ints(items)
+	if m.k2 == 0 {
+		row := make([]float64, numItems)
+		for _, v := range items {
+			row[v] = ratings[v]
+		}
+		model.NormalizeRows(row, numItems, 1e-6)
+		return row
+	}
+	k2, V := m.k2, m.numItems
+	thetaNew := make([]float64, k2)
+	for x := range thetaNew {
+		thetaNew[x] = 1 / float64(k2)
+	}
+	if len(ratings) == 0 {
+		return thetaNew
+	}
+	acc := make([]float64, k2)
+	px := make([]float64, k2)
+	for it := 0; it < iters; it++ {
+		for x := range acc {
+			acc[x] = 0
+		}
+		for _, v := range items {
+			var pt float64
+			for x := 0; x < k2; x++ {
+				p := thetaNew[x] * m.phiX[x*V+v]
+				px[x] = p
+				pt += p
+			}
+			if pt <= 0 {
+				continue
+			}
+			w := ratings[v]
+			for x := 0; x < k2; x++ {
+				acc[x] += w * px[x] / pt
+			}
+		}
+		copy(thetaNew, acc)
+		model.NormalizeRows(thetaNew, k2, 1e-12)
+	}
+	return thetaNew
+}
+
+// TestFitNewIntervalBitIdenticalToReference: gathering the rated
+// items' φ' columns once per call changes no bit of the fitted context,
+// for either context kind, any round count, and ratings that include
+// keys the estimator must drop.
+func TestFitNewIntervalBitIdenticalToReference(t *testing.T) {
+	forFoldVariants(t, func(t *testing.T, v variant) {
+		boot := foldBootModel(t, v)
+		rng := rand.New(rand.NewSource(17))
+		for trial := 0; trial < 40; trial++ {
+			ratings := map[int]float64{}
+			for i := rng.Intn(12); i > 0; i-- {
+				ratings[rng.Intn(34)-3] = float64(rng.Intn(5)) - 0.5 // keys in [-3,31), some weights ≤ 0
+			}
+			numItems, iters := 20+rng.Intn(12), rng.Intn(8)
+			got := boot.FitNewInterval(ratings, numItems, iters)
+			if want := referenceFitNewInterval(boot, ratings, numItems, iters); !bitsEqual(got, want) {
+				t.Fatalf("trial %d (%d ratings, numItems=%d, iters=%d): fitted context differs from the reference estimator",
+					trial, len(ratings), numItems, iters)
+			}
+		}
+	})
+}
+
+// TestFoldInUsersFromKeepsVouchedUsers: a kept user's (θu, λu) is
+// prev's, every other new user is folded by the same rounds as ever —
+// so keeping users whose inputs did not change reproduces the full
+// fold-in bit for bit, whichever users are kept.
+func TestFoldInUsersFromKeepsVouchedUsers(t *testing.T) {
+	forFoldVariants(t, func(t *testing.T, v variant) {
+		boot := foldBootModel(t, v)
+		grown := foldGrownWorld(t)
+		full, err := boot.FoldInUsers(grown, foldConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kept := range [][]bool{
+			nil,
+			make([]bool, 30),
+			keepUsers(30, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29),
+			keepUsers(30, 20, 29),
+			keepUsers(27, 22, 23, 26), // shorter than the user range: the rest fold
+		} {
+			got, err := boot.FoldInUsersFrom(full, kept, grown, foldConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameModel(t, fmt.Sprintf("kept=%v", kept), got, full)
+		}
+		// The kept rows are copies of prev's, not a second fold.
+		marked := cloneModel(full)
+		marked.lambda[24] = 0.123
+		got, err := boot.FoldInUsersFrom(marked, keepUsers(30, 24), grown, foldConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.lambda[24] != 0.123 || got.lambda[25] != full.lambda[25] {
+			t.Error("kept user did not take prev's λ, or a folded one did")
+		}
+		// A user prev never had cannot be kept.
+		if _, err := boot.FoldInUsersFrom(boot, keepUsers(30, 24), grown, foldConfig()); err == nil {
+			t.Error("kept a user the previous model does not have")
+		}
+		if _, err := boot.FoldInUsersFrom(nil, keepUsers(30, 24), grown, foldConfig()); err == nil {
+			t.Error("kept a user with no previous model")
+		}
+	})
+}
+
+func keepUsers(n int, users ...int) []bool {
+	kept := make([]bool, n)
+	for _, u := range users {
+		kept[u] = true
+	}
+	return kept
+}
+
+// TestGrowSharesUnchangedSlabs: growth copies a table only when its
+// shape changes.
+func TestGrowSharesUnchangedSlabs(t *testing.T) {
+	forFoldVariants(t, func(t *testing.T, v variant) {
+		boot := foldBootModel(t, v)
+		same, err := boot.Grow(6, 25, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &same.phi[0] != &boot.phi[0] || &same.ctx[0] != &boot.ctx[0] {
+			t.Error("Grow to the same shape copied φ or θ'")
+		}
+		ctx := boot.FitNewInterval(map[int]float64{3: 2}, 25, 5)
+		taller, err := boot.Grow(7, 25, [][]float64{ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &taller.phi[0] != &boot.phi[0] {
+			t.Error("Grow by an interval copied φ")
+		}
+		if &taller.ctx[0] == &boot.ctx[0] {
+			t.Error("Grow by an interval wrote the new context into the receiver's θ'")
+		}
+		wider, err := boot.Grow(6, 26, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &wider.phi[0] == &boot.phi[0] {
+			t.Error("Grow by an item shares a φ of the old width")
+		}
+	})
+}
+
+// TestFoldInAllocationIndependentOfShards pins what fold-in allocates:
+// every global is frozen, so no shard may carry a (K1+K2)×V statistics
+// slab, and bytes per FoldInUsers must not grow with the shard count.
+func TestFoldInAllocationIndependentOfShards(t *testing.T) {
+	const users, newUsers, intervals, items = 16, 16, 4, 4000
+	b := cuboid.NewBuilder(users, intervals, items)
+	d := cuboid.NewDelta(users+newUsers, intervals, items)
+	for u := 0; u < users+newUsers; u++ {
+		for i := 0; i < 12; i++ {
+			tt, v := (u+i)%intervals, (u*131+i*977)%items
+			if u < users {
+				b.MustAdd(u, tt, v, 1)
+			} else {
+				d.MustAdd(u, tt, v, 1)
+			}
+		}
+	}
+	bootData := b.Build()
+	grown, err := bootData.ApplyDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forFoldVariants(t, func(t *testing.T, v variant) {
+		cfg := v.config(6, 4)
+		cfg.MaxIters = 2
+		boot, _, err := Train(bootData, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytesPerFold := func(shards int) uint64 {
+			const runs = 4
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := boot.FoldInUsers(grown, FoldInConfig{Iters: 2, Smoothing: 1e-9, Shards: shards, Workers: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / runs
+		}
+		slab := uint64(8 * len(boot.phi)) // the smallest of the per-shard slabs fold-in used to carry
+		one, eight := bytesPerFold(1), bytesPerFold(8)
+		if eight > one+slab/2 {
+			t.Errorf("FoldInUsers allocates %d B with 8 shards, %d B with 1: grows by more than half a %d B φ slab", eight, one, slab)
+		}
+		// Read-side transposes of φ and φ' plus the user rows: about the
+		// model's own size, once.
+		if limit := 3 * uint64(8*(len(boot.phi)+len(boot.phiX)+len(boot.theta))); eight > limit {
+			t.Errorf("FoldInUsers allocates %d B per call, want under %d B", eight, limit)
+		}
+	})
 }

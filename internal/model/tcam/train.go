@@ -116,10 +116,18 @@ func fillJitteredRows(rng *rand.Rand, data []float64, cols int) {
 // instead of a stride-V column, and the shard accumulators store their
 // φ/φ' statistics in the same item-major layout so the loops' writes
 // are contiguous too. For ITCAM the φ' slabs are empty.
+//
+// A frozen trainer is fold-in's: φ, θ' and φ' are held fixed and only
+// FoldStep consumes its accumulators, so they carry no global slab —
+// nothing item- or interval-sized is allocated, cleared or merged per
+// shard — and the E-step leaves those statistics out. The per-cell
+// user statistics (θ, λ) are computed by the same operations in the
+// same order either way.
 type trainer struct {
 	m         *Model
 	data      *cuboid.Cuboid
 	smoothing float64
+	frozen    bool
 
 	theta  []float64 // N×K1, shard s owns rows [lo, hi)
 	lamNum []float64 // N
@@ -156,7 +164,8 @@ func (tr *trainer) refreshTransposes() {
 // accum is one shard's sufficient-statistic set: private global slabs
 // plus the shard's slice of the shared user-dimension statistics. The φ
 // and φ' slabs are item-major, mirroring trainer.phiT/phiXT; ctx has
-// the layout of Model.ctx.
+// the layout of Model.ctx. Under a frozen trainer the three global
+// slabs are nil.
 type accum struct {
 	tr     *trainer
 	lo, hi int
@@ -173,16 +182,19 @@ func (tr *trainer) NumUsers() int { return tr.m.numUsers }
 
 func (tr *trainer) NewAccum(_, lo, hi int) train.Accum {
 	m := tr.m
-	return &accum{
-		tr:    tr,
-		lo:    lo,
-		hi:    hi,
-		phiT:  make([]float64, len(m.phi)),
-		ctx:   make([]float64, len(m.ctx)),
-		phiXT: make([]float64, len(m.phiX)),
-		pz:    make([]float64, m.k1),
-		px:    make([]float64, m.k2),
+	a := &accum{
+		tr: tr,
+		lo: lo,
+		hi: hi,
+		pz: make([]float64, m.k1),
+		px: make([]float64, m.k2),
 	}
+	if !tr.frozen {
+		a.phiT = make([]float64, len(m.phi))
+		a.ctx = make([]float64, len(m.ctx))
+		a.phiXT = make([]float64, len(m.phiX))
+	}
+	return a
 }
 
 // Reset clears the shard's slabs and its disjoint range of the shared
@@ -247,6 +259,7 @@ func (tr *trainer) eStepItems(a *accum) {
 	data := tr.data
 	ts, vs, scores := data.CSR()
 	phiT := tr.phiT
+	frozen := tr.frozen
 	pz := a.pz
 	var ll float64
 	for u := a.lo; u < a.hi; u++ {
@@ -266,10 +279,16 @@ func (tr *trainer) eStepItems(a *accum) {
 			ps1 := lam * pu / denom
 			ll += w * math.Log(denom)
 
-			if pu > 0 {
-				train.AddScaledPair(thetaAcc, a.phiT[v*k1:(v+1)*k1], w*ps1/pu, pz)
+			if frozen {
+				if pu > 0 {
+					train.AddScaled(thetaAcc, w*ps1/pu, pz)
+				}
+			} else {
+				if pu > 0 {
+					train.AddScaledPair(thetaAcc, a.phiT[v*k1:(v+1)*k1], w*ps1/pu, pz)
+				}
+				a.ctx[t*V+v] += w * (1 - ps1)
 			}
-			a.ctx[t*V+v] += w * (1 - ps1)
 			tr.lamNum[u] += w * ps1
 			tr.lamDen[u] += w
 		}
@@ -289,6 +308,7 @@ func (tr *trainer) eStepTopics(a *accum) {
 	ts, vs, scores := data.CSR()
 	phiT := tr.phiT
 	phiXT := tr.phiXT
+	frozen := tr.frozen
 	bw := m.backgroundW
 	pz := a.pz
 	px := a.px
@@ -323,11 +343,17 @@ func (tr *trainer) eStepTopics(a *accum) {
 			}
 			ps0 := (1 - pbg) - ps1
 
-			if pu > 0 && ps1 > 0 {
-				train.AddScaledPair(thetaAcc, a.phiT[v*k1:(v+1)*k1], w*ps1/pu, pz)
-			}
-			if pt > 0 && ps0 > 0 {
-				train.AddScaledPair(a.ctx[t*k2:(t+1)*k2], a.phiXT[v*k2:(v+1)*k2], w*ps0/pt, px)
+			if frozen {
+				if pu > 0 && ps1 > 0 {
+					train.AddScaled(thetaAcc, w*ps1/pu, pz)
+				}
+			} else {
+				if pu > 0 && ps1 > 0 {
+					train.AddScaledPair(thetaAcc, a.phiT[v*k1:(v+1)*k1], w*ps1/pu, pz)
+				}
+				if pt > 0 && ps0 > 0 {
+					train.AddScaledPair(a.ctx[t*k2:(t+1)*k2], a.phiXT[v*k2:(v+1)*k2], w*ps0/pt, px)
+				}
 			}
 			tr.lamNum[u] += w * ps1
 			tr.lamDen[u] += w * (ps1 + ps0)

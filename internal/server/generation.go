@@ -28,8 +28,7 @@ type Generation struct {
 	idx     *topk.Index
 	userIdx map[string]int
 	itemIdx map[string]int
-	scratch sync.Pool // *Scratch; per generation because it is sized to the catalog
-	version uint64    // the cache epoch: 1 for the boot bundle, +1 per reload
+	version uint64 // the cache epoch: 1 for the boot bundle, +1 per reload
 
 	// The Server's cache and hot-user sketch; nil when caching is off.
 	cache *rescache.Cache[Answer]
@@ -98,18 +97,26 @@ type Scratch struct {
 	key     rescache.Key
 }
 
-// Acquire takes a Scratch from the generation's pool; pair with Release.
+// scratches recycles Scratch across requests and generations. A pooled
+// Scratch points at no generation, so the pool never keeps a replaced
+// generation — bundle, index, vocabularies — reachable after a reload.
+var scratches sync.Pool
+
+// Acquire takes a Scratch from the pool and binds it to the generation;
+// pair with Release.
 func (g *Generation) Acquire() *Scratch {
-	if sc, ok := g.scratch.Get().(*Scratch); ok {
-		return sc
+	sc, ok := scratches.Get().(*Scratch)
+	if !ok {
+		sc = &Scratch{}
+		sc.filter = sc.ex.has
 	}
-	sc := &Scratch{gen: g}
-	sc.filter = sc.ex.has
+	sc.gen = g
 	return sc
 }
 
 // Release returns the scratch and its searcher to their pools, dropping
-// the request's strings so the pool does not pin them.
+// the generation and the request's strings so the pool does not pin
+// them.
 func (sc *Scratch) Release() {
 	if sc.sr != nil {
 		sc.sr.Release()
@@ -117,7 +124,8 @@ func (sc *Scratch) Release() {
 	}
 	clear(sc.Query.Exclude)
 	sc.Query, sc.resp.User = api.Query{Exclude: sc.Query.Exclude[:0]}, ""
-	sc.gen.scratch.Put(sc)
+	sc.gen = nil
+	scratches.Put(sc)
 }
 
 // Answer resolves q and answers it from the cache or the index.
@@ -293,9 +301,11 @@ func (e *excludeSet) add(v int) { e.stamp[v] = e.epoch }
 func (e *excludeSet) has(v int) bool { return e.stamp[v] == e.epoch }
 
 // reset empties the set for a catalog of n items. The stamps are
-// allocated on first use: exclude-free traffic never pays for them.
+// allocated on first use — exclude-free traffic never pays for them —
+// and again when a reload has grown the catalog past them; a fresh
+// table is all zeros, below every epoch still to come.
 func (e *excludeSet) reset(n int) {
-	if e.stamp == nil {
+	if len(e.stamp) < n {
 		e.stamp = make([]uint32, n)
 	}
 	e.epoch++

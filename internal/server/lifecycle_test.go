@@ -30,6 +30,12 @@ import (
 
 // makeBundle trains a tiny TTCAM bundle with the given catalog shape.
 func makeBundle(tb testing.TB, users, items int) *index.Bundle {
+	return makeBundleKind(tb, users, items, 3, 0)
+}
+
+// makeBundleKind is makeBundle for a chosen variant: k2 == 0 trains an
+// ITCAM, background > 0 adds TTCAM's background pseudo-topic.
+func makeBundleKind(tb testing.TB, users, items, k2 int, background float64) *index.Bundle {
 	tb.Helper()
 	b := cuboid.NewBuilder(users, 3, items)
 	for u := 0; u < users; u++ {
@@ -39,20 +45,22 @@ func makeBundle(tb testing.TB, users, items int) *index.Bundle {
 		}
 	}
 	cfg := tcam.DefaultConfig()
-	cfg.K1, cfg.K2, cfg.MaxIters = 4, 3, 15
+	cfg.K1, cfg.K2, cfg.MaxIters, cfg.Background = 4, k2, 15, background
 	m, _, err := tcam.Train(b.Build(), cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	names := func(prefix string, n int) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = fmt.Sprintf("%s-%d", prefix, i)
-		}
-		return out
-	}
 	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3},
-		names("user", users), names("item", items))
+		numbered("user", users), numbered("item", items))
+}
+
+// numbered returns prefix-0 … prefix-(n-1).
+func numbered(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s-%d", prefix, i)
+	}
+	return out
 }
 
 func serveHTTP(srv *Server, method, target string, body string) *httptest.ResponseRecorder {

@@ -75,13 +75,19 @@ func New(b *index.Bundle, opts ...Option) (*Server, error) {
 // generation builds one serving generation of b for this server. A
 // non-empty item window builds the TA index over just that slice of
 // the catalog — shard mode — while vocabularies stay global so queries
-// speak global item names; the zero window means the full catalog.
+// speak global item names; the zero window means the full catalog. The
+// serving generation's index, when there is one, is the hint the new
+// index inherits unchanged lists from (DESIGN.md §9).
 func (s *Server) generation(b *index.Bundle, version uint64) *Generation {
 	lo, hi := s.itemLo, s.itemHi
 	if lo == 0 && hi == 0 {
 		hi = len(b.Items)
 	}
-	g := newGeneration(b, topk.BuildIndexRange(b.Scorer(), lo, hi))
+	var serving *topk.Index
+	if sn := s.snap.Load(); sn != nil {
+		serving = sn.idx
+	}
+	g := newGeneration(b, topk.BuildIndexFrom(serving, b.Scorer(), lo, hi))
 	g.version, g.cache, g.hot = version, s.cache, s.hot
 	return g
 }

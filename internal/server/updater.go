@@ -2,21 +2,27 @@ package server
 
 // Updater is the fold-in end of the streaming ingest loop (DESIGN.md
 // §15): it tails an append-only ingest log, grows the vocabularies and
-// time grid as unseen users/items/intervals arrive, re-derives a grown
-// bundle from the frozen boot bundle via index.Advance, and publishes
-// it through the server's atomic snapshot swap — so the server keeps
-// answering queries on a consistent generation while the next one is
-// built off to the side.
+// time grid as unseen users/items/intervals arrive, derives a grown
+// bundle from the frozen boot bundle via index.AdvanceFrom, and
+// publishes it through the server's atomic snapshot swap — so the
+// server keeps answering queries on a consistent generation while the
+// next one is built off to the side.
 //
 // Determinism and crash safety come from one invariant: the published
 // bundle is a pure function of (boot bundle, log prefix). The updater
 // keeps no authoritative state of its own — vocabularies are interned
-// in log order, the stream cuboid is rebuilt from replayed records,
-// and every cycle re-derives the model from the immutable boot bundle
-// rather than mutating the previous generation. A process that crashes
-// and reopens the same log replays from offset zero and republishes a
-// bit-identical artifact (only the snapshot version counter, which
-// counts in-process reloads, can differ).
+// in log order, the stream cuboid is rebuilt from replayed records, and
+// the model is always the boot bundle advanced over the whole stream,
+// never the previous generation mutated. What a cycle carries over from
+// the one before — the previous derivation, and through Reload the
+// serving TA index — is a cache: each θ′ row, folded user and sorted
+// list is taken over only where its inputs are, by comparison, the
+// ones it was computed from, and is otherwise recomputed, so a cycle
+// costs what its batch changed while publishing exactly what a
+// derivation from nothing would. A process that crashes and reopens
+// the same log replays from offset zero and republishes a bit-identical
+// artifact (only the snapshot version counter, which counts in-process
+// reloads, can differ).
 
 import (
 	"context"
@@ -63,11 +69,23 @@ type Updater struct {
 	grid   dataset.TimeGrid // boot grid, Num grown as intervals open
 	stream *cuboid.Cuboid   // events since boot (never boot cells)
 	offset int64            // next log record to consume
+
+	// observed is the next log record to feed the hot-user sketch. It
+	// runs ahead of offset while a cycle is failing: the sketch sees a
+	// record the first time a cycle reads it — so the publish that
+	// consumes a user's events already ranks them — and never again on
+	// the retries.
+	observed int64
+
+	// carry is the derivation behind the serving generation, from which
+	// the next one inherits. It moves only together with offset, so a
+	// failed cycle leaves it describing exactly the consumed prefix.
+	carry *index.Advanced
 }
 
 // NewUpdater attaches an updater for lg to srv. boot must be the
 // bundle srv was built from: it is the frozen base every published
-// generation is re-derived from. The log is consumed from offset zero
+// generation is derived from. The log is consumed from offset zero
 // on every attach — restart recovery is a full deterministic replay.
 func NewUpdater(srv *Server, lg *ingest.Log, boot *index.Bundle, cfg UpdaterConfig) (*Updater, error) {
 	if err := boot.Validate(); err != nil {
@@ -114,13 +132,15 @@ func (u *Updater) intervalOf(when int64) int {
 }
 
 // Step runs one ingest cycle: consume every record appended since the
-// last cycle, extend the stream cuboid, re-derive a grown bundle from
-// the boot bundle, and publish it. It reports whether a new generation
+// last cycle, extend the stream cuboid, derive a grown bundle from the
+// boot bundle, and publish it. It reports whether a new generation
 // was published. A failed cycle publishes nothing and leaves the
-// consumed offset where it was — the next Step retries the same
-// records (vocabulary interning is idempotent, so a half-failed cycle
-// cannot skew indices).
+// consumed offset — and the stream cuboid and carried derivation tied to
+// it — where it was; the next Step retries the same records
+// (vocabulary interning is idempotent and the hot-user sketch counts a
+// record once, so a half-failed cycle cannot skew indices or rankings).
 func (u *Updater) Step() (bool, error) {
+	start := time.Now()
 	end, err := u.log.Refresh() // pick up records appended by the producer process
 	if err != nil {
 		return false, err
@@ -138,7 +158,7 @@ func (u *Updater) Step() (bool, error) {
 	}
 	var evs []event
 	numT := u.grid.Num
-	if err := u.log.Replay(u.offset, func(_ int64, r ingest.Record) error {
+	if err := u.log.Replay(u.offset, func(off int64, r ingest.Record) error {
 		ui, ok := u.userIdx[r.User]
 		if !ok {
 			ui = len(u.users)
@@ -155,11 +175,12 @@ func (u *Updater) Step() (bool, error) {
 		if t >= numT {
 			numT = t + 1
 		}
-		if u.srv.hot != nil {
+		if u.srv.hot != nil && off >= u.observed {
 			// Seed the hot-user sketch from the event stream: users who
 			// act also read, so publish-time precompute has a ranking
 			// even before serve traffic arrives.
 			u.srv.hot.Observe(rescache.HashString(r.User))
+			u.observed = off + 1
 		}
 		evs = append(evs, event{u: ui, t: t, v: vi, score: r.Score})
 		return nil
@@ -178,18 +199,23 @@ func (u *Updater) Step() (bool, error) {
 	}
 	grid := u.grid
 	grid.Num = numT
-	bundle, err := u.boot.Advance(stream, grid, u.users, u.items, u.cfg.Advance)
+	adv, err := u.boot.AdvanceFrom(u.carry, stream, grid, u.users, u.items, u.cfg.Advance)
 	if err != nil {
 		return false, err
 	}
 	if err := faultinject.FireErr("updater.publish"); err != nil {
 		return false, err
 	}
-	if _, err := u.srv.Reload(bundle); err != nil {
+	if _, err := u.srv.Reload(adv.Bundle); err != nil {
 		return false, err
 	}
-	u.stream, u.grid, u.offset = stream, grid, end
+	u.stream, u.grid, u.offset, u.carry = stream, grid, end, adv
 	u.refreshStatus(u.log.End(), time.Now())
+	idx := u.srv.snapshot().idx
+	u.srv.logf("ingest: published snapshot at log offset %d (%d users, %d items, %d intervals) in %s; "+
+		"lists %d kept / %d sorted, contexts %d kept / %d fit, users %d kept / %d folded",
+		u.offset, len(u.users), len(u.items), u.grid.Num, time.Since(start).Round(time.Microsecond),
+		idx.ListsKept(), idx.NumTopics()-idx.ListsKept(), adv.ContextsKept, adv.ContextsFit, adv.UsersKept, adv.UsersFolded)
 	return true, nil
 }
 
@@ -221,11 +247,8 @@ func (u *Updater) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			if published, err := u.Step(); err != nil {
+			if _, err := u.Step(); err != nil {
 				u.srv.logf("ingest: step failed (will retry): %v", err)
-			} else if published {
-				u.srv.logf("ingest: published snapshot at log offset %d (%d users, %d items, %d intervals)",
-					u.offset, len(u.users), len(u.items), u.grid.Num)
 			}
 		}
 	}

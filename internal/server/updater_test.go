@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"testing"
 
@@ -16,6 +18,7 @@ import (
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
 	"tcam/internal/ingest"
+	"tcam/internal/rescache"
 )
 
 // updaterFixture is one server + updater pair over a shared log dir.
@@ -275,5 +278,245 @@ func TestUpdaterValidation(t *testing.T) {
 	}
 	if up.cfg.Interval != DefaultUpdaterInterval || up.cfg.Advance.FoldIters == 0 {
 		t.Fatalf("zero config not defaulted: %+v", up.cfg)
+	}
+}
+
+// chunkedStream is the log of TestUpdaterChunkingInvariance as the
+// batches it is appended in. Boot intervals cover times [100,130); the
+// stream opens intervals 3 to 7. Hand-placed among seeded filler: an
+// event landing in a stream interval older than the open one, a batch
+// that brings no new user, item or interval, a re-rating of an
+// existing cell, and an interval jump that leaves an interval empty.
+func chunkedStream() [][]ingest.Record {
+	rng := rand.New(rand.NewSource(21))
+	var batches [][]ingest.Record
+	now := int64(104)
+	for b := 0; b < 21; b++ {
+		var batch []ingest.Record
+		for i := 0; i <= rng.Intn(4); i++ {
+			now += int64(rng.Intn(4))
+			r := ingest.Record{
+				User:  fmt.Sprintf("user-%d", rng.Intn(6)),
+				Item:  fmt.Sprintf("item-%d", rng.Intn(12)),
+				Time:  now,
+				Score: float64(1 + rng.Intn(3)),
+			}
+			if rng.Intn(3) == 0 {
+				r.User = fmt.Sprintf("late-%d", rng.Intn(b+1))
+			}
+			if rng.Intn(5) == 0 {
+				r.Item = fmt.Sprintf("fresh-%d", rng.Intn(b/3+1))
+			}
+			batch = append(batch, r)
+		}
+		switch b {
+		case 9: // back in interval 3 while a later one is open
+			batch = append(batch, ingest.Record{User: "late-1", Item: "item-3", Time: 131, Score: 2})
+		case 12: // nothing new: known user, known item, the open interval, twice
+			batch = []ingest.Record{
+				{User: "user-2", Item: "item-5", Time: now, Score: 1},
+				{User: "user-2", Item: "item-5", Time: now, Score: 2},
+			}
+		case 16: // skips an interval entirely
+			now += 21
+			batch = append(batch, ingest.Record{User: "late-16", Item: "fresh-far", Time: now, Score: 1})
+		}
+		batches = append(batches, batch)
+	}
+	return batches
+}
+
+// TestUpdaterChunkingInvariance: however the log is cut into cycles —
+// one cycle for all of it, seven cycles, a cycle per append batch with
+// failed cycles retried in between — the updater ends up serving the
+// same bundle bytes and the same /recommend bytes. The chunked runs
+// inherit θ′ rows, folded users and sorted lists from cycle to cycle;
+// the single cycle derives everything from nothing, so this is the
+// carried-over path checked against the stateless one.
+func TestUpdaterChunkingInvariance(t *testing.T) {
+	defer faultinject.Reset()
+	batches := chunkedStream()
+	stream := map[string]bool{}
+	for _, batch := range batches {
+		for _, r := range batch {
+			stream[r.User] = true
+		}
+	}
+	queries := []string{ // boot users, then stream-born ones, at boot and stream intervals
+		"/recommend?user=user-0&time=105&k=5",
+		"/recommend?user=user-3&time=128&k=12",
+		"/recommend?user=user-2&time=150&k=3",
+		"/recommend?user=late-1&time=131&k=4&exclude=item-3",
+		"/recommend?user=late-16&time=400&k=20",
+	}
+	for b := 0; b < len(batches); b++ {
+		if user := fmt.Sprintf("late-%d", b); stream[user] {
+			queries = append(queries, fmt.Sprintf("/recommend?user=%s&time=%d&k=%d", user, 125+7*b, 3+b))
+		}
+	}
+	for _, kind := range []struct {
+		name       string
+		k2         int
+		background float64
+	}{{"ITCAM", 0, 0}, {"TTCAM", 3, 0}, {"TTCAM+background", 3, 0.1}} {
+		t.Run(kind.name, func(t *testing.T) {
+			boot := makeBundleKind(t, 6, 12, kind.k2, kind.background)
+			type outcome struct {
+				bundle  []byte
+				answers []string
+			}
+			// run consumes the log in cycles of perCycle batches; with
+			// faults, every third cycle first fails at the fold site and
+			// every fourth at the publish site.
+			run := func(perCycle int, faults bool) (outcome, *Updater) {
+				dir := t.TempDir()
+				srv, err := New(boot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lg, err := ingest.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				up, err := NewUpdater(srv, lg, boot, UpdaterConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var inherited index.Advanced
+				lists := 0
+				for lo, cycle := 0, 0; lo < len(batches); lo, cycle = lo+perCycle, cycle+1 {
+					for _, batch := range batches[lo:min(lo+perCycle, len(batches))] {
+						appendEvents(t, dir, batch...)
+					}
+					injected := errors.New("injected")
+					if faults && cycle%3 == 2 {
+						faultinject.SetErr("updater.fold", faultinject.ErrorsN(1, injected))
+					}
+					if faults && cycle%4 == 3 {
+						faultinject.SetErr("updater.publish", faultinject.ErrorsN(2, injected))
+					}
+					for {
+						published, err := up.Step()
+						if errors.Is(err, injected) {
+							continue
+						}
+						if err != nil || !published {
+							t.Fatalf("cycle %d: Step = (%v, %v)", cycle, published, err)
+						}
+						break
+					}
+					inherited.ContextsKept += up.carry.ContextsKept
+					inherited.UsersKept += up.carry.UsersKept
+					lists += srv.snapshot().idx.ListsKept()
+				}
+				if perCycle < len(batches) && (inherited.ContextsKept == 0 || inherited.UsersKept == 0 || lists == 0) {
+					t.Errorf("%d batches per cycle inherited %d contexts, %d users, %d lists: the carried path was not exercised",
+						perCycle, inherited.ContextsKept, inherited.UsersKept, lists)
+				}
+				out := outcome{bundle: snapshotBytes(t, srv)}
+				for _, q := range queries {
+					w := serveHTTP(srv, http.MethodGet, q, "")
+					if w.Code != http.StatusOK {
+						t.Fatalf("%s = %d: %s", q, w.Code, w.Body.String())
+					}
+					out.answers = append(out.answers, w.Body.String())
+				}
+				return out, up
+			}
+			want, _ := run(len(batches), false)
+			for _, tc := range []struct {
+				label    string
+				perCycle int
+				faults   bool
+			}{
+				{"7 cycles", 3, false},
+				{"a cycle per batch", 1, false},
+				{"a cycle per batch, failed cycles retried", 1, true},
+			} {
+				got, up := run(tc.perCycle, tc.faults)
+				if !bytes.Equal(got.bundle, want.bundle) {
+					t.Errorf("%s: published bundle differs from the single-cycle derivation", tc.label)
+				}
+				for i, q := range queries {
+					if got.answers[i] != want.answers[i] {
+						t.Errorf("%s: %s answered\n%s\nthe single-cycle derivation\n%s", tc.label, q, got.answers[i], want.answers[i])
+					}
+				}
+				// The carried derivation is the stateless one, too: advancing
+				// boot over the updater's final stream from nothing.
+				fresh, err := boot.Advance(up.stream, up.grid, up.users, up.items, up.cfg.Advance)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := fresh.Write(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), got.bundle) {
+					t.Errorf("%s: boot.Advance over the final stream differs from what the updater serves", tc.label)
+				}
+			}
+		})
+	}
+}
+
+// TestUpdaterObservesConsumedRecordsOnce: the hot-user sketch counts a
+// log record once, however often the cycle consuming it is retried. A
+// cycle that fails twice before it publishes — at either fault site —
+// must leave the counts a clean run leaves.
+func TestUpdaterObservesConsumedRecordsOnce(t *testing.T) {
+	defer faultinject.Reset()
+	// Enough events per user that counts survive the per-publish halving.
+	var first, second []ingest.Record
+	for i := 0; i < 7; i++ {
+		first = append(first, ingest.Record{User: "user-late", Item: fmt.Sprintf("item-%d", i), Time: 105, Score: 1})
+		second = append(second, ingest.Record{User: "user-later", Item: "item-new", Time: 141 + int64(i), Score: 1})
+	}
+	first = append(first, ingest.Record{User: "user-1", Item: "item-7", Time: 115, Score: 1})
+	second = append(second, ingest.Record{User: "user-1", Item: "item-2", Time: 142, Score: 3})
+	run := func(site string) *Server {
+		dir := t.TempDir()
+		boot := makeBundle(t, 6, 12)
+		srv, err := New(boot, WithCache(64), WithHotPrecompute(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg, err := ingest.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up, err := NewUpdater(srv, lg, boot, UpdaterConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range [][]ingest.Record{first, second} {
+			appendEvents(t, dir, batch...)
+			injected := errors.New("injected")
+			if site != "" {
+				faultinject.SetErr(site, faultinject.ErrorsN(2, injected))
+				for i := 0; i < 2; i++ {
+					if _, err := up.Step(); !errors.Is(err, injected) {
+						t.Fatalf("Step error = %v, want injected", err)
+					}
+				}
+			}
+			if published, err := up.Step(); err != nil || !published {
+				t.Fatalf("Step = (%v, %v), want (true, nil)", published, err)
+			}
+		}
+		return srv
+	}
+	clean := run("")
+	for _, site := range []string{"updater.fold", "updater.publish"} {
+		faulted := run(site)
+		for _, user := range []string{"user-late", "user-later", "user-1", "user-0"} {
+			h := rescache.HashString(user)
+			if got, want := faulted.hot.Count(h), clean.hot.Count(h); got != want {
+				t.Errorf("two failed cycles at %s: sketch counts %q %d times, a clean run %d", site, user, got, want)
+			}
+		}
+	}
+	if clean.hot.Count(rescache.HashString("user-late")) == 0 {
+		t.Error("the event stream never reached the sketch")
 	}
 }

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"fmt"
+	"sync"
 
 	"tcam/internal/model"
 )
@@ -9,9 +10,9 @@ import (
 // Searcher holds the per-query scratch of the extended Threshold
 // Algorithm — topic cursors, an epoch-stamped seen table, the quantized
 // query vector, the list priority queue and the result heap — so
-// steady-state queries allocate nothing. A Searcher is bound to the
-// Index that created it and is NOT safe for concurrent use; concurrent
-// callers take one each from the index pool via AcquireSearcher.
+// steady-state queries allocate nothing. A Searcher is bound to one
+// Index at a time and is NOT safe for concurrent use; concurrent
+// callers take one each from the pool via AcquireSearcher.
 //
 // Result slices returned by a Searcher are owned by it and valid only
 // until its next query or Release; callers that retain results must
@@ -28,35 +29,61 @@ type Searcher struct {
 	out     []Result
 }
 
+// searchers recycles Searcher scratch across queries — and across
+// indexes: a pooled searcher is bound to no index, so the pool never
+// keeps a replaced generation's index reachable (a pool inside the
+// Index would, until the garbage collector has twice cleared pools),
+// and a hot reload does not throw the scratch away.
+var searchers sync.Pool
+
 // NewSearcher returns a fresh reusable searcher bound to the index. Most
 // callers should prefer AcquireSearcher, which recycles scratch through
-// the index pool.
+// the pool.
 func (ix *Index) NewSearcher() *Searcher {
-	return &Searcher{
-		ix:      ix,
-		pos:     make([]int, ix.numTopics),
-		seen:    make([]uint32, ix.numItems),
-		query:   make([]float64, ix.numTopics),
-		query32: make([]float32, ix.numTopics),
+	s := &Searcher{}
+	s.bind(ix)
+	return s
+}
+
+// bind points the searcher at ix, growing its scratch to ix's shape.
+// Stamps left in a reused seen table are older than every epoch the
+// searcher will issue, so they read as unseen.
+func (s *Searcher) bind(ix *Index) {
+	s.ix = ix
+	if k := ix.numTopics; cap(s.pos) < k {
+		s.pos = make([]int, k)
+		s.query = make([]float64, k)
+		s.query32 = make([]float32, k)
+	} else {
+		s.pos, s.query, s.query32 = s.pos[:k], s.query[:k], s.query32[:k]
+	}
+	if v := ix.numItems; cap(s.seen) < v {
+		s.seen = make([]uint32, v)
+	} else {
+		s.seen = s.seen[:v]
 	}
 }
 
-// AcquireSearcher takes a searcher from the index's pool, creating one
-// when the pool is empty. Pair with Release.
+// AcquireSearcher takes a searcher from the pool, creating one when the
+// pool is empty, and binds it to the index. Pair with Release.
 //
 //tcam:hotpath
 func (ix *Index) AcquireSearcher() *Searcher {
-	if s, ok := ix.searchers.Get().(*Searcher); ok {
+	if s, ok := searchers.Get().(*Searcher); ok {
+		s.bind(ix)
 		return s
 	}
 	return ix.NewSearcher()
 }
 
-// Release returns the searcher to its index's pool. The searcher (and
-// any result slice it returned) must not be used afterwards.
+// Release returns the searcher to the pool. The searcher (and any
+// result slice it returned) must not be used afterwards.
 //
 //tcam:hotpath
-func (s *Searcher) Release() { s.ix.searchers.Put(s) }
+func (s *Searcher) Release() {
+	s.ix = nil
+	searchers.Put(s)
+}
 
 // Query answers the temporal top-k query (u, t), writing results into
 // searcher-owned scratch. When ts implements model.QueryWeighter the ϑq
@@ -116,7 +143,7 @@ func (s *Searcher) QueryWeights(query []float64, k int, exclude Exclude) ([]Resu
 
 	s.epoch++
 	if s.epoch == 0 { // stamp wraparound: reset the table once per 2^32 queries
-		clear(s.seen)
+		clear(s.seen[:cap(s.seen)])
 		s.epoch = 1
 	}
 

@@ -13,14 +13,14 @@
 //
 // The serving fast path keeps steady-state queries allocation-free: a
 // Searcher holds all per-query scratch (cursors, an epoch-stamped seen
-// table, both heaps) and is recycled through a per-index sync.Pool, and
+// table, both heaps) and is recycled through a sync.Pool, and
 // QueryBatch fans query slices across workers with one pooled Searcher
 // each. All paths return results bit-identical to BruteForce.
 package topk
 
 import (
+	"math"
 	"slices"
-	"sync"
 
 	"tcam/internal/model"
 )
@@ -83,8 +83,9 @@ func BruteForce(r model.Recommender, u, t, k int, exclude Exclude) ([]Result, St
 // an exact float64 copy (byItem) answers the confirm step and the
 // threshold bound, and a quantized float32 copy (byItem32) feeds the
 // screening scan that filters candidates at half the memory traffic.
-// Building is O(K·V·logV), parallelized across topics; queries are
-// read-only and safe for concurrent use.
+// Building from scratch is O(K·V·logV), parallelized across topics;
+// BuildIndexFrom inherits what a previous generation's index already
+// holds. Queries are read-only and safe for concurrent use.
 type Index struct {
 	numTopics int
 	numItems  int // window size: number of items this index covers
@@ -92,7 +93,13 @@ type Index struct {
 	lists     [][]entry
 	byItem    []float64 // V×K transposed topic weights: ϕ_zv at [v*K+z]
 	byItem32  []float32 // float32 quantization of byItem, same layout
-	searchers sync.Pool // *Searcher scratch, recycled across queries
+
+	// topics[z] is the scorer's whole-catalog weight slab lists[z] was
+	// sorted from; the next generation's BuildIndexFrom compares against
+	// it to decide which lists it may inherit. kept counts the lists this
+	// index itself inherited.
+	topics [][]float64
+	kept   int
 
 	// screenScale and screenEps over-approximate the worst-case error of
 	// the float32 screening dot product: for any item,
@@ -113,12 +120,6 @@ type entry struct {
 // BuildIndex precomputes the sorted lists (and the transposed weight
 // table) for every topic of ts. Zero-weight entries are kept: the lists
 // must cover the catalog for the threshold bound to hold as k grows.
-//
-// Work parallelizes in two passes: list sorting fans out one topic per
-// task, and the ϕ transpose fans out over item ranges so each worker
-// writes a contiguous region of byItem (a topic-major split would
-// interleave writes every K entries and thrash cache lines between
-// workers).
 func BuildIndex(ts model.TopicScorer) *Index {
 	return BuildIndexRange(ts, 0, ts.NumItems())
 }
@@ -134,6 +135,33 @@ func BuildIndex(ts model.TopicScorer) *Index {
 // window, not the catalog: lists and both transposed tables hold hi−lo
 // entries per topic.
 func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
+	return BuildIndexFrom(nil, ts, lo, hi)
+}
+
+// BuildIndexFrom is BuildIndexRange given the index of the previous
+// generation: whatever prev already holds that the new scorer leaves
+// unchanged is inherited instead of re-derived, and the result equals
+// BuildIndexRange(ts, lo, hi) field for field. prev is a hint, never an
+// authority — nil, another window origin or a wider window simply
+// inherit nothing.
+//
+// A topic's sorted list depends on nothing but that topic's weights
+// over the window, and (weight desc, item asc) is a strict total order,
+// so the sorted list of a weight vector is unique. Hence, per topic:
+// when the new weights over prev's window are bit for bit the slab
+// prev's list was sorted from, that list is the sorted order of the
+// window's head, and merging in the sorted tail of items prev did not
+// cover yields the one sorted list of the whole window; otherwise the
+// topic is sorted from scratch. The choice is made from the weights
+// alone — a frozen ϕ keeps every list across publishes, ITCAM's
+// open-interval context re-sorts its one pseudo-topic.
+//
+// Work parallelizes in two passes: the lists fan out one topic per
+// task, and the ϕ transpose fans out over item ranges so each worker
+// writes a contiguous region of byItem (a topic-major split would
+// interleave writes every K entries and thrash cache lines between
+// workers).
+func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	if lo < 0 || hi < lo || hi > ts.NumItems() {
 		panic("topk: item window out of bounds")
 	}
@@ -143,8 +171,7 @@ func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
 		numItems:  v,
 		itemLo:    lo,
 		lists:     make([][]entry, k),
-		byItem:    make([]float64, v*k),
-		byItem32:  make([]float32, v*k),
+		topics:    make([][]float64, k),
 		// 16× the analytic bound on the f32 screening error — relative
 		// term (K+8)·2⁻²⁰ vs the true ≤(K+8)·2⁻²⁴, absolute slack far
 		// above any subnormal underflow — so the screen is sound with
@@ -153,38 +180,48 @@ func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
 		screenScale: 1 + float64(k+8)*0x1p-20,
 		screenEps:   1e-35,
 	}
-	topics := make([][]float64, k)
 	for z := 0; z < k; z++ {
-		topics[z] = ts.TopicItems(z)
+		ix.topics[z] = ts.TopicItems(z)
+	}
+	head := 0 // items of the window prev's lists already order
+	if prev != nil && prev.itemLo == lo && prev.numItems <= v {
+		head = prev.numItems
+	} else {
+		prev = nil
 	}
 	// Entries and table rows are indexed by the local item offset within
 	// the window; ascending local order is ascending global order, so
 	// every tie-break below matches the full index.
 	workers := model.Workers(0)
+	kept := make([]bool, k)
 	model.ParallelRanges(k, workers, func(_, zlo, zhi int) {
 		for z := zlo; z < zhi; z++ {
-			weights := topics[z]
-			list := make([]entry, v)
-			for item := 0; item < v; item++ {
-				list[item] = entry{item: int32(item), weight: weights[lo+item]}
+			window := ix.topics[z][lo:hi]
+			if prev != nil && z < prev.numTopics && sameBits(prev.topics[z][lo:lo+head], window[:head]) {
+				ix.lists[z] = mergeTail(prev.lists[z], window)
+				kept[z] = true
+				continue
 			}
-			slices.SortFunc(list, func(a, b entry) int {
-				if a.weight > b.weight {
-					return -1
-				}
-				if a.weight < b.weight {
-					return 1
-				}
-				return int(a.item) - int(b.item)
-			})
-			ix.lists[z] = list
+			ix.lists[z] = sortedEntries(window, 0)
 		}
 	})
+	for _, ok := range kept {
+		if ok {
+			ix.kept++
+		}
+	}
+	if prev != nil && ix.kept == k && prev.numTopics == k && head == v {
+		// Every column of the transposed tables is a kept topic's.
+		ix.byItem, ix.byItem32 = prev.byItem, prev.byItem32
+		return ix
+	}
+	ix.byItem = make([]float64, v*k)
+	ix.byItem32 = make([]float32, v*k)
 	model.ParallelRanges(v, workers, func(_, vlo, vhi int) {
 		for item := vlo; item < vhi; item++ {
 			row := ix.byItem[item*k : (item+1)*k]
 			row32 := ix.byItem32[item*k : (item+1)*k]
-			for z, weights := range topics {
+			for z, weights := range ix.topics {
 				row[z] = weights[lo+item]
 				row32[z] = float32(weights[lo+item])
 			}
@@ -192,6 +229,70 @@ func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
 	})
 	return ix
 }
+
+// sortedEntries returns the entries of window[from:] — local items
+// from, from+1, … — in list order.
+func sortedEntries(window []float64, from int) []entry {
+	list := make([]entry, len(window)-from)
+	for i := range list {
+		list[i] = entry{item: int32(from + i), weight: window[from+i]}
+	}
+	slices.SortFunc(list, compareEntries)
+	return list
+}
+
+// compareEntries is the list order: weight descending, ties by
+// ascending item.
+func compareEntries(a, b entry) int {
+	if a.weight > b.weight {
+		return -1
+	}
+	if a.weight < b.weight {
+		return 1
+	}
+	return int(a.item) - int(b.item)
+}
+
+// mergeTail extends head — the sorted list of window[:len(head)] — to
+// the sorted list of the whole window. With no tail the list itself is
+// returned: lists are immutable, so generations may share one.
+func mergeTail(head []entry, window []float64) []entry {
+	if len(head) == len(window) {
+		return head
+	}
+	tail := sortedEntries(window, len(head))
+	list := make([]entry, 0, len(window))
+	for len(head) > 0 && len(tail) > 0 {
+		if compareEntries(head[0], tail[0]) < 0 {
+			list, head = append(list, head[0]), head[1:]
+		} else {
+			list, tail = append(list, tail[0]), tail[1:]
+		}
+	}
+	return append(append(list, head...), tail...)
+}
+
+// sameBits reports whether two weight slabs hold identical bits. Shared
+// storage — a model grown without widening the slab — answers without
+// reading it.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// ListsKept returns how many of the index's sorted lists were inherited
+// from the previous generation's index (0 for a BuildIndexRange index).
+func (ix *Index) ListsKept() int { return ix.kept }
 
 // NumTopics returns K, the number of sorted lists.
 func (ix *Index) NumTopics() int { return ix.numTopics }
@@ -236,8 +337,8 @@ func (ix *Index) score32(query []float32, item int) float32 {
 // (only QueryWeights is consulted). The result set and scores match
 // BruteForce exactly (ties broken by ascending item index), but the
 // algorithm stops after examining only as many items as the threshold
-// bound requires. Scratch comes from the index's Searcher pool; the
-// returned slice is freshly allocated and owned by the caller.
+// bound requires. Scratch comes from the Searcher pool; the returned
+// slice is freshly allocated and owned by the caller.
 func (ix *Index) Query(ts model.TopicScorer, u, t, k int, exclude Exclude) ([]Result, Stats) {
 	s := ix.AcquireSearcher()
 	res, st := s.Query(ts, u, t, k, exclude)

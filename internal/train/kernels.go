@@ -17,8 +17,8 @@ package train
 // gob fixtures, so neither kernel may reassociate floating-point sums.
 // DotInto keeps a single accumulator in ascending index order — the
 // exact operation sequence of the scalar loop it replaced — and
-// AddScaledPair is purely elementwise (no cross-iteration dependence at
-// all), so unrolling cannot change either one's results.
+// AddScaled/AddScaledPair are purely elementwise (no cross-iteration
+// dependence at all), so unrolling cannot change any one's results.
 
 // DotInto computes dst[i] = a[i]·b[i] and returns Σ dst[i], accumulated
 // in strictly ascending index order. All three slices must have equal
@@ -55,6 +55,32 @@ func DotInto(dst, a, b []float64) float64 {
 		s += p
 	}
 	return s
+}
+
+// AddScaled adds scale·src[i] into dst[i]: AddScaledPair without the
+// second destination, for fold-in, where the global statistic the pair
+// would feed is frozen. dst receives exactly the values AddScaledPair's
+// dst1 would — the float64 conversions round each product before the
+// add, as the pair's shared product is, on architectures that would
+// otherwise fuse the two. Both slices must have equal length.
+//
+//tcam:hotpath
+func AddScaled(dst []float64, scale float64, src []float64) {
+	if len(dst) != len(src) {
+		panic("train: AddScaled length mismatch")
+	}
+	for len(src) >= 4 && len(dst) >= 4 {
+		dst[0] += float64(scale * src[0])
+		dst[1] += float64(scale * src[1])
+		dst[2] += float64(scale * src[2])
+		dst[3] += float64(scale * src[3])
+		src = src[4:]
+		dst = dst[4:]
+	}
+	dst = dst[:len(src)]
+	for j, x := range src {
+		dst[j] += float64(scale * x)
+	}
 }
 
 // AddScaledPair adds scale·src[i] into both dst1[i] and dst2[i],

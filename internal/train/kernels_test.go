@@ -63,11 +63,16 @@ func TestAddScaledPairMatchesNaive(t *testing.T) {
 		scale := rng.NormFloat64()
 		g1, g2 := randSlice(rng, n), randSlice(rng, n)
 		w1, w2 := append([]float64(nil), g1...), append([]float64(nil), g2...)
+		single := append([]float64(nil), g1...)
 		AddScaledPair(g1, g2, scale, src)
 		naiveAddScaledPair(w1, w2, scale, src)
+		AddScaled(single, scale, src)
 		for i := 0; i < n; i++ {
 			if g1[i] != w1[i] || g2[i] != w2[i] {
 				t.Fatalf("n=%d i=%d: got (%v,%v), naive (%v,%v)", n, i, g1[i], g2[i], w1[i], w2[i])
+			}
+			if single[i] != g1[i] {
+				t.Fatalf("n=%d i=%d: AddScaled %v, the pair's first destination %v", n, i, single[i], g1[i])
 			}
 		}
 	}
@@ -96,6 +101,7 @@ func TestKernelsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		DotInto(dst, a, b)
 		AddScaledPair(dst, a, 0.5, b)
+		AddScaled(dst, 0.5, b)
 	}); n != 0 {
 		t.Fatalf("kernels allocate %v times per run, want 0", n)
 	}

@@ -5,7 +5,12 @@
 #   - internal/ingest append (single-record fsync'd and 128-record
 #     batched) and full-log replay, each reporting events/s;
 #   - internal/server updater cycle (fold-in latency per event at batch
-#     size 1) and the isolated snapshot publish swap.
+#     size 1), the same cycle over 256-event batches behind 1k/8k/32k
+#     events of history, and the isolated snapshot publish swap.
+#
+# The file is stamped with the host's CPU count and Go version, and
+# every record with the GOMAXPROCS it ran under, in the schema of the
+# other BENCH_*.json.
 #
 # Pass a -benchtime value as $1 to trade precision for runtime
 # (default 1s).
@@ -37,14 +42,21 @@ run_bench() {
 }
 
 run_bench ./internal/ingest/ 'BenchmarkAppend$|BenchmarkAppendBatch$|BenchmarkReplay$'
-run_bench ./internal/server/ 'BenchmarkUpdaterStep$|BenchmarkSnapshotPublish$'
+run_bench ./internal/server/ 'BenchmarkUpdaterStep$|BenchmarkUpdaterStepHistory$|BenchmarkSnapshotPublish$'
 
-awk '
-BEGIN { print "{"; print "  \"benchmarks\": [" }
+# The -N suffix of a benchmark name is the GOMAXPROCS the run used
+# (absent for 1); strip it into the record's "gomaxprocs" field, as
+# bench_query.sh and bench_train.sh do.
+awk -v ncpu="$(nproc 2>/dev/null || echo 1)" -v gover="$(go env GOVERSION)" '
+BEGIN { print "{"; printf "  \"cpus\": %d,\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", ncpu, gover }
 /^Benchmark/ {
     name = $1
-    sub(/-[0-9]+$/, "", name)
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, $2, $3)
+    procs = 1
+    if (match(name, /-[0-9]+$/)) {
+        procs = substr(name, RSTART + 1) + 0
+        name = substr(name, 1, RSTART - 1)
+    }
+    line = sprintf("    {\"name\": \"%s\", \"gomaxprocs\": %d, \"iterations\": %s, \"ns_per_op\": %s", name, procs, $2, $3)
     for (i = 4; i < NF; i++) {
         if ($(i+1) == "events/s")  line = line sprintf(", \"events_per_s\": %s", $i)
         if ($(i+1) == "B/op")      line = line sprintf(", \"bytes_per_op\": %s", $i)

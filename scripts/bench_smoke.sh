@@ -13,7 +13,10 @@
 #      must still run;
 #   5. the result cache's hit path must report 0 allocs/op — a cached
 #      answer that allocates is a regression of the DESIGN.md §16
-#      contract.
+#      contract;
+#   6. an updater cycle behind 32k events of history must cost at most
+#      twice one behind 1k — a publish inherits from the previous
+#      generation instead of growing with the log (DESIGN.md §15).
 #
 # Usage: scripts/bench_smoke.sh
 set -eu
@@ -53,4 +56,15 @@ go test -run '^$' -bench 'BenchmarkAppend$|BenchmarkReplay$' -benchtime 1x \
     ./internal/ingest/ >/dev/null
 go test -run '^$' -bench 'BenchmarkUpdaterStep$|BenchmarkSnapshotPublish$' -benchtime 1x \
     ./internal/server/ >/dev/null
+
+history_out=$(go test -run '^$' -bench 'BenchmarkUpdaterStepHistory$' -benchtime 8x -count=1 \
+    ./internal/server/)
+echo "$history_out"
+if ! echo "$history_out" | awk '
+    /^BenchmarkUpdaterStepHistory\/1k/  { short = $3 }
+    /^BenchmarkUpdaterStepHistory\/32k/ { long = $3 }
+    END { exit !(short > 0 && long > 0 && long <= 2 * short) }'; then
+    echo "bench_smoke.sh: updater step behind 32k events costs more than 2x the step behind 1k (or did not run)" >&2
+    exit 1
+fi
 echo "bench_smoke.sh: OK"
