@@ -8,6 +8,7 @@ import (
 
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
+	"tcam/internal/model/tcam"
 )
 
 // streamState is what an updater accumulates since boot: vocabularies
@@ -165,5 +166,101 @@ func TestAdvanceFromInherits(t *testing.T) {
 				t.Error("inheriting from an unrelated stream's derivation changed the bundle")
 			}
 		})
+	}
+}
+
+// depthBoot trains a TTCAM whose boot intervals each have their own
+// trend: 240 users × 6 intervals × 1 200 items, the first 600 items in
+// six interest groups the users split over, the last 600 in six trend
+// groups of which interval t favours group t, popularity inside a group
+// falling off like 1/rank. Every boot θ′ row comes out peaked.
+func depthBoot(tb testing.TB) *Bundle {
+	tb.Helper()
+	const users, intervals, items, group = 240, 6, 1200, 100
+	rng := rand.New(rand.NewSource(7))
+	b := cuboid.NewBuilder(users, intervals, items)
+	for u := 0; u < users; u++ {
+		for t := 0; t < intervals; t++ {
+			for i := 0; i < 4; i++ {
+				b.MustAdd(u, t, (u%6)*group+zipfRank(rng, group), 1)
+				b.MustAdd(u, t, 600+t*group+zipfRank(rng, group), 1)
+			}
+		}
+	}
+	cfg := tcam.DefaultConfig()
+	cfg.K1, cfg.K2, cfg.MaxIters, cfg.Tol = 6, 6, 30, 0
+	m, _, err := tcam.Train(b.Build(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	names := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return out
+	}
+	return New(m, dataset.TimeGrid{Origin: 0, Length: 10, Num: intervals}, names("u", users), names("v", items))
+}
+
+// zipfRank draws a rank in [0, n) with probability ∝ 1/(rank+1).
+func zipfRank(rng *rand.Rand, n int) int {
+	for {
+		if r := rng.Intn(n); rng.Float64() < 1/float64(r+1) {
+			return r
+		}
+	}
+}
+
+// TestLiveIntervalDepth is the count, not the timing, behind "a publish
+// costs what its batch changed": the Threshold Algorithm must not scan
+// deeper at a stream-opened interval than at a trained one. A stream
+// opens three intervals with events from boot users, appended users and
+// appended items, spread over every trend at once, so the few-round
+// partial fit leaves each new θ′ row flat — the shape that made K2
+// separately bounded time-topic lists pop entries by the thousand. With
+// one collapsed context list per interval the live interval's mean
+// Stats.ListPops stays within twice the last boot interval's, for the
+// same users and k.
+func TestLiveIntervalDepth(t *testing.T) {
+	boot := depthBoot(t)
+	rng := rand.New(rand.NewSource(8))
+	s := newStreamState(boot)
+	var adv *Advanced
+	for opened := 0; opened < 3; opened++ {
+		at := boot.Grid.Num + opened
+		for batch := 0; batch < 2; batch++ {
+			var cells [][4]int
+			for i := 0; i < 48; i++ {
+				u, v := rng.Intn(len(boot.Users)), 600+rng.Intn(600)
+				if i%4 == 0 {
+					u = len(boot.Users) + rng.Intn(8*(opened+1)) // stream-born users
+				}
+				if i%12 == 0 {
+					v = len(boot.Items) + rng.Intn(4*(opened+1)) // stream-born items
+				}
+				cells = append(cells, [4]int{u, at, v, 1})
+			}
+			s.apply(t, cells...)
+			adv = s.advanceFrom(t, boot, adv, DefaultAdvanceConfig())
+		}
+	}
+	b := adv.Bundle
+	if b.Grid.Num != boot.Grid.Num+3 || len(b.Users) <= len(boot.Users) || len(b.Items) <= len(boot.Items) {
+		t.Fatalf("stream left %d intervals, %d users, %d items: nothing grew", b.Grid.Num, len(b.Users), len(b.Items))
+	}
+	sr := b.BuildIndex().NewSearcher()
+	meanPops := func(at int) float64 {
+		pops := 0
+		for u := 0; u < 60; u++ {
+			_, st := sr.Query(b.Scorer(), u, at, 10, nil)
+			pops += st.ListPops
+		}
+		return float64(pops) / 60
+	}
+	lastBoot, live := meanPops(boot.Grid.Num-1), meanPops(b.Grid.Num-1)
+	t.Logf("mean list pops: last boot interval %.1f, live interval %.1f", lastBoot, live)
+	if live > 2*lastBoot {
+		t.Errorf("TA pops %.1f list entries a query at the live interval, more than twice the %.1f at the last boot interval", live, lastBoot)
 	}
 }

@@ -50,12 +50,34 @@ type TopicScorer interface {
 	TopicItems(z int) []float64
 }
 
-// QueryWeighter is an optional TopicScorer extension: write ϑq for
-// query (u, t) into dst (length NumTopics()) instead of allocating a
-// fresh vector. The serving fast path uses it to keep steady-state
-// top-k queries allocation-free; both TCAM variants implement it.
-type QueryWeighter interface {
-	QueryWeightsInto(u, t int, dst []float64)
+// ContextScorer is an optional TopicScorer extension for scorers whose
+// query weights split, as TCAM's do (Equation 1), into a half that
+// depends on the user and a half that depends only on the interval:
+// over the expanded topics [lo, hi) of ContextTopics,
+//
+//	ϑq[lo+x] = γ · ContextWeights(t)[x]   (rounded once)
+//
+// with γ ≥ 0 the only trace of the user. The Threshold Algorithm then
+// walks one list per interval sorted by Σ_x ContextWeights(t)[x]·ϕ_x,v
+// in place of hi−lo topic lists, whose summed heads bound that sum
+// loosely. Both TCAM variants implement it; it is also the serving fast
+// path's allocation-free way to ϑq.
+type ContextScorer interface {
+	TopicScorer
+	// NumIntervals returns T, the number of intervals a query may name.
+	NumIntervals() int
+	// ContextTopics returns the range [lo, hi) of expanded topics that
+	// make up the user-independent half. An empty range means there is
+	// nothing to collapse: the expanded topics already hold one topic per
+	// interval (ITCAM).
+	ContextTopics() (lo, hi int)
+	// ContextWeights returns interval t's non-negative weights over the
+	// context topics, of length hi−lo; consulted only for a non-empty
+	// range. Callers must not modify the slice.
+	ContextWeights(t int) []float64
+	// QueryWeightsInto overwrites dst, of length NumTopics(), with ϑq for
+	// query (u, t) and returns γ.
+	QueryWeightsInto(u, t int, dst []float64) (context float64)
 }
 
 // IterStat describes one EM iteration for observability consumers:

@@ -303,28 +303,41 @@ func (m *Model) QueryWeights(u, t int) []float64 {
 // overwrites every entry of out, which must have length NumTopics(),
 // with ϑq = ⟨λu·θu, (1−λu)·θ't⟩ (scaled by 1−λB with a trailing λB
 // background entry when enabled). For ITCAM the temporal half is
-// (1−λu) on interval t's pseudo-topic and zero elsewhere.
+// (1−λu) on interval t's pseudo-topic and zero elsewhere. It returns
+// the temporal half's multiplier, (1−λB)·(1−λu): the one factor of it
+// that depends on the user (model.ContextScorer).
 //
 //tcam:hotpath
-func (m *Model) QueryWeightsInto(u, t int, out []float64) {
+func (m *Model) QueryWeightsInto(u, t int, out []float64) float64 {
 	lam := m.lambda[u]
 	scale := 1 - m.backgroundW
 	for z, th := range m.UserInterest(u) {
 		out[z] = scale * lam * th
 	}
+	context := scale * (1 - lam)
 	tail := out[m.k1:]
 	if m.k2 == 0 {
 		train.Zero(tail)
-		tail[t] = 1 - lam
-		return
+		tail[t] = context // no background without time topics: scale is 1
+		return context
 	}
 	for x, c := range m.TemporalContext(t) {
-		tail[x] = scale * (1 - lam) * c
+		tail[x] = context * c
 	}
 	if m.backgroundW > 0 {
 		tail[m.k2] = m.backgroundW
 	}
+	return context
 }
+
+// ContextTopics returns the expanded topics a query weighs by θ't alone:
+// TTCAM's K2 time-oriented topics. ITCAM's range is empty — each of its
+// interval contexts already is one expanded topic.
+func (m *Model) ContextTopics() (lo, hi int) { return m.k1, m.k1 + m.k2 }
+
+// ContextWeights returns θ't over the context topics: K2 entries, none
+// for ITCAM.
+func (m *Model) ContextWeights(t int) []float64 { return m.ctx[t*m.k2 : (t+1)*m.k2] }
 
 // TopicItems returns ϕ_z̃ of Equation (21): user-oriented topics first,
 // then the interval contexts (ITCAM) or the time-oriented topics and
@@ -346,6 +359,5 @@ func (m *Model) TopicItems(z int) []float64 {
 
 var (
 	_ model.BulkScorer    = (*Model)(nil)
-	_ model.TopicScorer   = (*Model)(nil)
-	_ model.QueryWeighter = (*Model)(nil)
+	_ model.ContextScorer = (*Model)(nil)
 )

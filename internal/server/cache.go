@@ -41,41 +41,61 @@ func WithHotPrecompute(n int) Option {
 	return func(s *Server) { s.precomputeHot = n }
 }
 
+// warmStats is what one publish-time precompute did: how many hot users
+// it warmed, for how long, and how many sorted-list entries the
+// Threshold Algorithm consumed doing it.
+type warmStats struct {
+	users    int
+	took     time.Duration
+	listPops int
+}
+
+// popsPerUser is the mean TA depth of a warmed answer.
+func (w warmStats) popsPerUser() float64 {
+	if w.users == 0 {
+		return 0
+	}
+	return float64(w.listPops) / float64(w.users)
+}
+
 // precompute warms a not-yet-published generation's epoch with the
 // default-shaped answers (k absent, no excludes, the live interval —
 // where read traffic lands) of the hottest users, so by the time any
 // request can name the new epoch its hot entries exist. A faultinject
 // abort leaves a partial warm set — the rest simply miss into the TA —
 // and never blocks the publish itself.
-func (s *Server) precompute(sn *Generation) {
+func (s *Server) precompute(sn *Generation) warmStats {
+	var warm warmStats
 	if s.cache == nil || s.precomputeHot <= 0 {
-		return
+		return warm
 	}
 	start := time.Now()
 	hot := s.hot.Top(sn.bundle.Users, s.precomputeHot)
 	grid := sn.bundle.Grid
-	done := 0
 	sc := sn.Acquire()
 	for _, u := range hot {
 		if err := faultinject.FireErr("server.precompute"); err != nil {
-			s.logf("precompute aborted after %d of %d hot users: %v", done, len(hot), err)
+			s.logf("precompute aborted after %d of %d hot users: %v", warm.users, len(hot), err)
 			break
 		}
 		q := api.Query{User: sn.bundle.Users[u], Time: grid.Origin + int64(grid.Num-1)*grid.Length}
 		// resolve + search, not Answer: warming must neither count as a
 		// miss nor feed the sketch it ranks by.
 		if err := sc.resolve(&q); err == nil {
-			sc.search()
-			done++
+			_, st := sc.search()
+			warm.users++
+			warm.listPops += st.ListPops
 		}
 	}
 	sc.Release()
-	s.hotPrecomputed.Store(uint64(done))
+	warm.took = time.Since(start)
+	s.hotPrecomputed.Store(uint64(warm.users))
 	s.hot.Decay() // publish cadence turns the sketch into a sliding window
-	if done > 0 {
-		s.logf("precomputed top-%d for %d hot users in %s (epoch %d)",
-			api.DefaultK, done, time.Since(start), sn.version)
+	if warm.users > 0 {
+		s.logf("precomputed top-%d for %d hot users in %s, %.0f list pops a user (epoch %d)",
+			api.DefaultK, warm.users, warm.took, warm.popsPerUser(), sn.version)
 	}
+	return warm
 }
 
 // cacheHealth renders the cache view, or nil when caching is off.

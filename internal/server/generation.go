@@ -137,7 +137,8 @@ func (sc *Scratch) Answer(q *api.Query) (Answer, error) {
 	if a, ok := sc.probe(q.User); ok {
 		return a, nil
 	}
-	return sc.search(), nil
+	a, _ := sc.search()
+	return a, nil
 }
 
 // resolve validates q and turns its names into the dense query the
@@ -198,8 +199,9 @@ func (sc *Scratch) probe(user string) (Answer, bool) {
 }
 
 // search runs the Threshold Algorithm for the resolved query and caches
-// a deep copy of the answer (the searcher recycles its slice).
-func (sc *Scratch) search() Answer {
+// a deep copy of the answer (the searcher recycles its slice). It also
+// returns what the search cost.
+func (sc *Scratch) search() (Answer, topk.Stats) {
 	g := sc.gen
 	if sc.sr == nil {
 		sc.sr = g.idx.AcquireSearcher()
@@ -211,7 +213,7 @@ func (sc *Scratch) search() Answer {
 		cached.Results = append([]topk.Result(nil), results...)
 		g.cache.Put(g.version, sc.key, cached)
 	}
-	return a
+	return a, st
 }
 
 // detached copies the resolved exclusion filter so it outlives the

@@ -209,11 +209,21 @@ func Open(path string, logger *log.Logger, opts ...Option) (*Server, *index.Bund
 // the next request sees the new one. Retraining therefore never
 // requires downtime.
 func (s *Server) Reload(b *index.Bundle) (uint64, error) {
-	if err := b.Validate(); err != nil {
+	sn, _, err := s.publish(b)
+	if err != nil {
 		return 0, err
 	}
+	return sn.version, nil
+}
+
+// publish is Reload returning the generation it published and what
+// warming it cost.
+func (s *Server) publish(b *index.Bundle) (*Generation, warmStats, error) {
+	if err := b.Validate(); err != nil {
+		return nil, warmStats{}, err
+	}
 	if err := s.validateWindow(b); err != nil {
-		return 0, err // new catalog no longer covers this shard's window
+		return nil, warmStats{}, err // new catalog no longer covers this shard's window
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -221,10 +231,10 @@ func (s *Server) Reload(b *index.Bundle) (uint64, error) {
 	// Warm the new epoch before it goes live: a request can only name
 	// this version once the store below publishes it, so hot users find
 	// their answers already cached on their first post-publish hit.
-	s.precompute(sn)
+	warm := s.precompute(sn)
 	s.snap.Store(sn)
 	s.logf("reloaded bundle: version %d, %d users, %d items", sn.version, len(b.Users), len(b.Items))
-	return sn.version, nil
+	return sn, warm, nil
 }
 
 // ReloadFromSource pulls a fresh bundle from the WithReloader source

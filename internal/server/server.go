@@ -288,11 +288,11 @@ func (s *Server) handleTopic(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusNotFound, fmt.Sprintf("topic must be in [0,%d)", scorer.NumTopics()))
 		return
 	}
-	n := 10
+	n := api.DefaultK
 	if rawN := r.URL.Query().Get("n"); rawN != "" {
 		n, err = strconv.Atoi(rawN)
-		if err != nil || n <= 0 || n > 1000 {
-			api.WriteError(w, http.StatusBadRequest, "n must be in [1,1000]")
+		if err != nil || n <= 0 || n > api.MaxK {
+			api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", api.MaxK))
 			return
 		}
 	}

@@ -206,16 +206,18 @@ func (u *Updater) Step() (bool, error) {
 	if err := faultinject.FireErr("updater.publish"); err != nil {
 		return false, err
 	}
-	if _, err := u.srv.Reload(adv.Bundle); err != nil {
+	sn, warm, err := u.srv.publish(adv.Bundle)
+	if err != nil {
 		return false, err
 	}
 	u.stream, u.grid, u.offset, u.carry = stream, grid, end, adv
 	u.refreshStatus(u.log.End(), time.Now())
-	idx := u.srv.snapshot().idx
 	u.srv.logf("ingest: published snapshot at log offset %d (%d users, %d items, %d intervals) in %s; "+
-		"lists %d kept / %d sorted, contexts %d kept / %d fit, users %d kept / %d folded",
+		"lists %d kept / %d sorted, contexts %d kept / %d fit, users %d kept / %d folded; "+
+		"warmed %d users in %s at %.0f list pops each",
 		u.offset, len(u.users), len(u.items), u.grid.Num, time.Since(start).Round(time.Microsecond),
-		idx.ListsKept(), idx.NumTopics()-idx.ListsKept(), adv.ContextsKept, adv.ContextsFit, adv.UsersKept, adv.UsersFolded)
+		sn.idx.ListsKept(), sn.idx.NumLists()-sn.idx.ListsKept(), adv.ContextsKept, adv.ContextsFit, adv.UsersKept, adv.UsersFolded,
+		warm.users, warm.took.Round(time.Microsecond), warm.popsPerUser())
 	return true, nil
 }
 

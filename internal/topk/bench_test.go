@@ -31,53 +31,59 @@ func skewedModel(rng *rand.Rand, k, v int) *fakeTopicModel {
 	return f
 }
 
-// benchSetup builds a mid-sized skewed topic model, its index, and one
-// pre-materialized query-weight vector (so the benchmark isolates the
-// TA core from model-side ϑq materialization).
-func benchSetup(b *testing.B, topics, items int) (*fakeTopicModel, *Index, []float64) {
+// benchSetup builds a mid-sized skewed topic model with one
+// pre-materialized query-weight vector for query (0, 0) (so the
+// benchmark isolates the TA core from model-side ϑq materialization)
+// and its index.
+func benchSetup(b *testing.B, topics, items int) (*fakeTopicModel, *Index) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	f := skewedModel(rng, topics, items)
-	q := randomQuery(rng, topics, false)
-	f.queries[[2]int{0, 0}] = q
-	return f, BuildIndex(f), q
+	f.queries[[2]int{0, 0}] = randomQuery(rng, topics, false)
+	return f, BuildIndex(f)
 }
 
 func BenchmarkTAQuery(b *testing.B) {
-	_, ix, q := benchSetup(b, 32, 8192)
+	f, ix := benchSetup(b, 32, 8192)
 	s := ix.AcquireSearcher()
 	defer s.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.QueryWeights(q, 10, nil)
+		s.Query(f, 0, 0, 10, nil)
 	}
 }
 
 func BenchmarkTAQueryParallel(b *testing.B) {
-	_, ix, q := benchSetup(b, 32, 8192)
+	f, ix := benchSetup(b, 32, 8192)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		s := ix.AcquireSearcher()
 		defer s.Release()
 		for pb.Next() {
-			s.QueryWeights(q, 10, nil)
+			s.Query(f, 0, 0, 10, nil)
 		}
 	})
 }
 
+// BenchmarkBuildIndex builds the index of the repo benchmark's serve
+// world: 40 user topics and 24 context topics over 20 000 items, 30
+// intervals — 40 topic lists and 30 collapsed context lists.
 func BenchmarkBuildIndex(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	f := randomModel(rng, 64, 20000)
+	c := &contextModel{fakeTopicModel: randomModel(rng, 64, 20000), lo: 40, hi: 64}
+	for t := 0; t < 30; t++ {
+		c.omega = append(c.omega, randomQuery(rng, 24, false))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildIndex(f)
+		BuildIndex(c)
 	}
 }
 
 func BenchmarkQueryBatch(b *testing.B) {
-	f, ix, _ := benchSetup(b, 32, 8192)
+	f, ix := benchSetup(b, 32, 8192)
 	qs := make([]BatchQuery, 64)
 	for i := range qs {
 		qs[i] = BatchQuery{U: 0, T: 0, K: 10}

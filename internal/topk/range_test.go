@@ -56,8 +56,8 @@ func TestRangeIndexMatchesBruteForce(t *testing.T) {
 					banned := rng.Intn(f.NumItems())
 					exclude = func(v int) bool { return v == banned }
 				}
-				got, _ := ix.QueryWeights(q, k, exclude)
-				want, _ := BruteForce(queryModel{f: f, q: q}, 0, 0, k, windowExclude(r[0], r[1], exclude))
+				got, _ := queryWith(ix, f, q, k, exclude)
+				want, _ := BruteForce(f, 0, 0, k, windowExclude(r[0], r[1], exclude))
 				if len(got) != len(want) {
 					t.Fatalf("shards=%d window=[%d,%d): got %d results, want %d",
 						shards, r[0], r[1], len(got), len(want))
@@ -89,10 +89,10 @@ func TestRangeIndexMergeBitIdentical(t *testing.T) {
 		for trial := 0; trial < 60; trial++ {
 			q := randomQuery(rng, 5, trial%2 == 1)
 			k := 1 + rng.Intn(15)
-			want, _ := mono.QueryWeights(q, k, nil)
+			want, _ := queryWith(mono, f, q, k, nil)
 			var partials [][]Result
 			for _, w := range windows {
-				res, _ := w.QueryWeights(q, k, nil)
+				res, _ := queryWith(w, f, q, k, nil)
 				partials = append(partials, res)
 			}
 			got := mergeTopK(partials, k)
@@ -149,7 +149,7 @@ func TestBuildIndexRangeBounds(t *testing.T) {
 	}
 	// An empty window is legal and answers every query with nothing.
 	empty := BuildIndexRange(f, 4, 4)
-	if res, _ := empty.QueryWeights([]float64{1, 0, 0}, 5, nil); res != nil {
+	if res, _ := queryWith(empty, f, []float64{1, 0, 0}, 5, nil); res != nil {
 		t.Errorf("empty window returned %+v", res)
 	}
 }

@@ -8,25 +8,37 @@ import (
 )
 
 // Searcher holds the per-query scratch of the extended Threshold
-// Algorithm — topic cursors, an epoch-stamped seen table, the quantized
-// query vector, the list priority queue and the result heap — so
-// steady-state queries allocate nothing. A Searcher is bound to one
-// Index at a time and is NOT safe for concurrent use; concurrent
-// callers take one each from the pool via AcquireSearcher.
+// Algorithm — the walked lists with their weights and cursors, an
+// epoch-stamped seen table, the quantized query vector, the list
+// priority queue and the result heap — so steady-state queries allocate
+// nothing. A Searcher is bound to one Index at a time and is NOT safe
+// for concurrent use; concurrent callers take one each from the pool
+// via AcquireSearcher.
 //
 // Result slices returned by a Searcher are owned by it and valid only
 // until its next query or Release; callers that retain results must
 // copy them (Index.Query and Index.QueryBatch do).
 type Searcher struct {
-	ix      *Index
-	pos     []int     // per-topic cursor into the sorted lists
+	ix *Index
+	// The lists the current query walks, in expanded-topic order: every
+	// topic list with a positive weight, the interval's collapsed context
+	// among them where the context topics would be.
+	slots []slot
+
 	seen    []uint32  // epoch stamps: seen[v] == epoch ⇔ v examined
 	epoch   uint32    // current query's stamp; bumping it clears seen in O(1)
-	query   []float64 // scratch for model.QueryWeighter fast path
+	query   []float64 // scratch for the model.ContextScorer fast path
 	query32 []float32 // float32 quantization of the active ϑq vector
 	pq      listHeap
 	results resultHeap
 	out     []Result
+}
+
+// slot is one walked list: its query weight and the cursor into it.
+type slot struct {
+	list
+	w   float64
+	pos int
 }
 
 // searchers recycles Searcher scratch across queries — and across
@@ -50,12 +62,11 @@ func (ix *Index) NewSearcher() *Searcher {
 // searcher will issue, so they read as unseen.
 func (s *Searcher) bind(ix *Index) {
 	s.ix = ix
-	if k := ix.numTopics; cap(s.pos) < k {
-		s.pos = make([]int, k)
+	if k := ix.numTopics; cap(s.query) < k {
 		s.query = make([]float64, k)
 		s.query32 = make([]float32, k)
 	} else {
-		s.pos, s.query, s.query32 = s.pos[:k], s.query[:k], s.query32[:k]
+		s.query, s.query32 = s.query[:k], s.query32[:k]
 	}
 	if v := ix.numItems; cap(s.seen) < v {
 		s.seen = make([]uint32, v)
@@ -82,30 +93,59 @@ func (ix *Index) AcquireSearcher() *Searcher {
 //tcam:hotpath
 func (s *Searcher) Release() {
 	s.ix = nil
+	clear(s.slots[:cap(s.slots)]) // they alias the index's lists
 	searchers.Put(s)
 }
 
 // Query answers the temporal top-k query (u, t), writing results into
-// searcher-owned scratch. When ts implements model.QueryWeighter the ϑq
-// vector is materialized into scratch NewSearcher pre-sized to the
-// index's topic count, making the whole call allocation-free at steady
-// state.
+// searcher-owned scratch. When ts implements model.ContextScorer the ϑq
+// vector is materialized into scratch bind pre-sized to the index's
+// topic count, making the whole call allocation-free at steady state.
+// The result set and scores match BruteForce exactly (ties broken by
+// ascending item index); the returned slice is valid until the
+// searcher's next query or Release.
 //
 //tcam:hotpath
 func (s *Searcher) Query(ts model.TopicScorer, u, t, k int, exclude Exclude) ([]Result, Stats) {
-	if qw, ok := ts.(model.QueryWeighter); ok {
+	if cs, ok := ts.(model.ContextScorer); ok {
 		//tcamvet:ignore hotpathstrict one dispatch per query, outside the item loop; scorer is polymorphic by design
-		qw.QueryWeightsInto(u, t, s.query)
-		return s.QueryWeights(s.query, k, exclude)
+		context := cs.QueryWeightsInto(u, t, s.query)
+		return s.search(s.query, t, context, k, exclude)
 	}
 	//tcamvet:ignore hotpathstrict cold fallback for scorers without the Into fast path
-	return s.QueryWeights(ts.QueryWeights(u, t), k, exclude)
+	return s.search(ts.QueryWeights(u, t), t, 0, k, exclude)
 }
 
-// QueryWeights runs Algorithm 1 for an explicit ϑq vector. The result
-// set and scores match BruteForce exactly (ties broken by ascending
-// item index); the returned slice is valid until the searcher's next
-// query or Release.
+// open gives l a slot in the query when it can contribute: a positive
+// weight and at least one item.
+//
+//tcam:hotpath
+func (s *Searcher) open(l list, w float64) {
+	if w > 0 && len(l.items) > 0 {
+		s.slots = append(s.slots, slot{list: l, w: w})
+	}
+}
+
+// threshold computes S_TA (Equation 23) from scratch: the maximum
+// possible score of any unexamined item, aggregating each walked list's
+// current head weight — inflated by the index's bound margin, because
+// Score adds the context topics one by one where this adds their
+// collapsed sum. The hot path maintains the plain sum incrementally and
+// only calls the exact recompute to confirm termination.
+//
+//tcam:hotpath
+func (s *Searcher) threshold() float64 {
+	var sum float64
+	for i := range s.slots {
+		if l := &s.slots[i]; l.pos < len(l.weights) {
+			sum += l.w * l.weights[l.pos]
+		}
+	}
+	return sum*s.ix.boundScale + boundEps
+}
+
+// search runs Algorithm 1 for the ϑq vector query, whose context half —
+// when the index collapsed one — is context·ω_t.
 //
 // Scratch tricks keeping the loop allocation- and rescan-free without
 // changing results:
@@ -127,11 +167,12 @@ func (s *Searcher) Query(ts model.TopicScorer, u, t, k int, exclude Exclude) ([]
 // bound before paying for the exact float64 score. Priorities only
 // steer pop order (TA is correct under any pop order once the exact
 // threshold bound holds), every score that enters the result heap comes
-// from the exact float64 confirm, and the screen bound over-covers the
-// f32 error, so results stay bit-identical to the pure float64 path.
+// from the exact float64 confirm over the full-width table row, and the
+// screen bound over-covers the f32 error, so results stay bit-identical
+// to the pure float64 path.
 //
 //tcam:hotpath
-func (s *Searcher) QueryWeights(query []float64, k int, exclude Exclude) ([]Result, Stats) {
+func (s *Searcher) search(query []float64, t int, context float64, k int, exclude Exclude) ([]Result, Stats) {
 	ix := s.ix
 	st := Stats{}
 	if k <= 0 {
@@ -152,19 +193,24 @@ func (s *Searcher) QueryWeights(query []float64, k int, exclude Exclude) ([]Resu
 		q32[z] = float32(w)
 	}
 
-	// Cursor position per topic; exhausted or zero-weight lists excluded
-	// from the priority queue and the threshold.
-	pos := s.pos
+	// Exhausted or zero-weight lists get no slot: they are in neither
+	// the priority queue nor the threshold.
+	s.slots = s.slots[:0]
+	for z := 0; z < ix.ctxLo; z++ {
+		s.open(ix.lists[z], query[z])
+	}
+	if len(ix.contexts) > 0 {
+		s.open(ix.contexts[t], context)
+	}
+	for z := ix.ctxHi; z < ix.numTopics; z++ {
+		s.open(ix.lists[z], query[z])
+	}
 	s.pq = s.pq[:0]
 	threshold := 0.0
-	for z, w := range query {
-		if w > 0 && len(ix.lists[z]) > 0 {
-			pos[z] = 0
-			s.pq.push(listRef{topic: z, priority: float64(ix.score32(q32, int(ix.lists[z][0].item)))})
-			threshold += w * ix.lists[z][0].weight
-		} else {
-			pos[z] = len(ix.lists[z])
-		}
+	for i := range s.slots {
+		l := &s.slots[i]
+		s.pq.push(listRef{slot: i, priority: float64(ix.score32(q32, int(l.items[0])))})
+		threshold += l.w * l.weights[0]
 	}
 	if len(s.pq) == 0 {
 		return nil, st
@@ -179,15 +225,14 @@ func (s *Searcher) QueryWeights(query []float64, k int, exclude Exclude) ([]Resu
 		// inequality keeps ties exact: an unseen item could equal the
 		// threshold, and the deterministic tie-break might prefer it.
 		if results.Len() == k && results.min().Score > threshold {
-			threshold = ix.threshold(query, pos) // exact confirm (see above)
+			threshold = s.threshold() // exact confirm (see above)
 			if results.min().Score > threshold {
 				break
 			}
 		}
 		ref := s.pq.pop()
-		z := ref.topic
-		list := ix.lists[z]
-		item := int(list[pos[z]].item) // local window offset
+		l := &s.slots[ref.slot]
+		item := int(l.items[l.pos]) // local window offset
 		st.ListPops++
 		if s.seen[item] != s.epoch {
 			s.seen[item] = s.epoch
@@ -209,12 +254,11 @@ func (s *Searcher) QueryWeights(query []float64, k int, exclude Exclude) ([]Resu
 		}
 		// Advance this list's cursor, fold the head change into the
 		// running threshold, and re-queue it (Lines 28–33).
-		w := query[z]
-		threshold -= w * list[pos[z]].weight
-		pos[z]++
-		if pos[z] < len(list) {
-			threshold += w * list[pos[z]].weight
-			ref.priority = float64(ix.score32(q32, int(list[pos[z]].item)))
+		threshold -= l.w * l.weights[l.pos]
+		l.pos++
+		if l.pos < len(l.items) {
+			threshold += l.w * l.weights[l.pos]
+			ref.priority = float64(ix.score32(q32, int(l.items[l.pos])))
 			s.pq.push(ref)
 		}
 	}

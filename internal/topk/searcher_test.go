@@ -7,23 +7,6 @@ import (
 	"testing/quick"
 )
 
-// queryModel scores items with an explicit ϑq over a fake topic model,
-// so BruteForce can mirror Searcher.QueryWeights exactly.
-type queryModel struct {
-	f *fakeTopicModel
-	q []float64
-}
-
-func (m queryModel) Name() string  { return "query" }
-func (m queryModel) NumItems() int { return m.f.NumItems() }
-func (m queryModel) Score(_, _, v int) float64 {
-	var s float64
-	for z, w := range m.q {
-		s += w * m.f.topics[z][v]
-	}
-	return s
-}
-
 // Property (ISSUE 1 satellite): one pooled Searcher reused across many
 // random queries — random topic scorers, random sparse weights, random
 // excludes — must equal BruteForce exactly (items, scores, order) every
@@ -49,8 +32,9 @@ func TestSearcherReuseEquivalenceProperty(t *testing.T) {
 				}
 				ex = func(item int) bool { return banned[item] }
 			}
-			ta, _ := s.QueryWeights(q, k, ex)
-			bf, _ := BruteForce(queryModel{fm, q}, 0, 0, k, ex)
+			fm.queries[[2]int{0, 0}] = q
+			ta, _ := s.Query(fm, 0, 0, k, ex)
+			bf, _ := BruteForce(fm, 0, 0, k, ex)
 			if len(ta) != len(bf) {
 				return false
 			}
@@ -78,10 +62,9 @@ func TestSearcherEpochWraparound(t *testing.T) {
 	ix := BuildIndex(fm)
 	s := ix.NewSearcher()
 	s.epoch = ^uint32(0) - 2
-	q := fm.QueryWeights(0, 0)
 	want, _ := BruteForce(fm, 0, 0, 7, nil)
 	for round := 0; round < 6; round++ {
-		got, _ := s.QueryWeights(q, 7, nil)
+		got, _ := s.Query(fm, 0, 0, 7, nil)
 		assertSameResults(t, got, want)
 	}
 	if s.epoch == 0 || s.epoch > 4 {
@@ -89,9 +72,9 @@ func TestSearcherEpochWraparound(t *testing.T) {
 	}
 }
 
-// Searcher.Query must use the model.QueryWeighter fast path and still
-// match the allocating Query path (itcam/ttcam both implement it; the
-// fake model here does not, covering the fallback too).
+// Searcher.Query must answer a scorer without the model.ContextScorer
+// fast path (both TCAM variants have it; the fake model here does not)
+// through the allocating QueryWeights fallback.
 func TestSearcherQueryFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	fm := randomModel(rng, 5, 40)

@@ -1,7 +1,8 @@
 // Package topk implements the paper's Section 4 query processing for
 // temporal top-k recommendation: a brute-force ranker that scores every
 // item, and the extended Threshold Algorithm (Algorithm 1, after Fagin
-// et al.) that answers queries from K pre-sorted per-topic item lists,
+// et al.) that answers queries from pre-sorted item lists — one per
+// user-oriented topic and one per interval's temporal context —
 // terminating as soon as the k-th best score provably beats every
 // unseen item.
 //
@@ -21,8 +22,10 @@ package topk
 import (
 	"math"
 	"slices"
+	"sort"
 
 	"tcam/internal/model"
+	"tcam/internal/train"
 )
 
 // Result is one recommended item with its ranking score.
@@ -78,28 +81,41 @@ func BruteForce(r model.Recommender, u, t, k int, exclude Exclude) ([]Result, St
 	return h.appendSorted(make([]Result, 0, h.Len())), st
 }
 
-// Index holds the K sorted per-topic item lists of Section 4.2 plus a
-// transposed ϕ table for O(K) full-score evaluation. The table is dual:
-// an exact float64 copy (byItem) answers the confirm step and the
-// threshold bound, and a quantized float32 copy (byItem32) feeds the
-// screening scan that filters candidates at half the memory traffic.
-// Building from scratch is O(K·V·logV), parallelized across topics;
+// Index holds the sorted item lists of Section 4.2 plus a transposed ϕ
+// table for O(K) full-score evaluation. There is one list per expanded
+// topic, except that the topics a model.ContextScorer weighs by the
+// interval alone are replaced by one collapsed list per interval,
+// sorted by Σ_x ω_t[x]·ϕ_x,v: the sum itself, not the sum of K2 heads,
+// bounds the context half of an unseen item's score. The table is dual:
+// an exact float64 copy (byItem) answers the confirm step, and a
+// quantized float32 copy (byItem32) feeds the screening scan that
+// filters candidates at half the memory traffic; both keep the full
+// expanded-topic width, so a confirmed score is BruteForce's bit for
+// bit. Building from scratch is O(K·V·logV), parallelized across lists;
 // BuildIndexFrom inherits what a previous generation's index already
 // holds. Queries are read-only and safe for concurrent use.
 type Index struct {
-	numTopics int
-	numItems  int // window size: number of items this index covers
-	itemLo    int // global index of the window's first item (0 for a full index)
-	lists     [][]entry
+	numTopics int       // K, the expanded topic space: the width of a table row
+	numItems  int       // window size: number of items this index covers
+	itemLo    int       // global index of the window's first item (0 for a full index)
 	byItem    []float64 // V×K transposed topic weights: ϕ_zv at [v*K+z]
 	byItem32  []float32 // float32 quantization of byItem, same layout
 
-	// topics[z] is the scorer's whole-catalog weight slab lists[z] was
-	// sorted from; the next generation's BuildIndexFrom compares against
-	// it to decide which lists it may inherit. kept counts the lists this
-	// index itself inherited.
-	topics [][]float64
-	kept   int
+	// lists[z] is expanded topic z's list, empty for the context topics
+	// [ctxLo, ctxHi), which contexts[t] — interval t's collapsed list —
+	// stands in for.
+	lists        []list
+	contexts     []list
+	ctxLo, ctxHi int
+
+	// topics[z] is the scorer's whole-catalog weight slab of topic z and
+	// ctxWeights[t] the ω_t contexts[t] was collapsed under; the next
+	// generation's BuildIndexFrom compares against them to decide which
+	// lists it may inherit. kept counts the lists this index itself
+	// inherited.
+	topics     [][]float64
+	ctxWeights [][]float64
+	kept       int
 
 	// screenScale and screenEps over-approximate the worst-case error of
 	// the float32 screening dot product: for any item,
@@ -110,16 +126,28 @@ type Index struct {
 	// DESIGN.md §12 for the derivation.
 	screenScale float64
 	screenEps   float64
+
+	// boundScale inflates the threshold S_TA so that it dominates the
+	// float64 Score of every unseen item although the two add their terms
+	// in different groupings (DESIGN.md §12).
+	boundScale float64
 }
 
-type entry struct {
-	item   int32
-	weight float64
+// boundEps is the absolute slack next to boundScale: it covers products
+// that underflow, where no relative margin holds.
+const boundEps = 0x1p-1000
+
+// list is one sorted list: items[i], a local window offset, carries
+// weights[i], in (weight descending, item ascending) order. Two arrays
+// rather than one of pairs: 12 bytes an entry instead of 16.
+type list struct {
+	items   []int32
+	weights []float64
 }
 
 // BuildIndex precomputes the sorted lists (and the transposed weight
-// table) for every topic of ts. Zero-weight entries are kept: the lists
-// must cover the catalog for the threshold bound to hold as k grows.
+// table) for ts. Zero-weight entries are kept: the lists must cover the
+// catalog for the threshold bound to hold as k grows.
 func BuildIndex(ts model.TopicScorer) *Index {
 	return BuildIndexRange(ts, 0, ts.NumItems())
 }
@@ -133,7 +161,7 @@ func BuildIndex(ts model.TopicScorer) *Index {
 // asc) reproduces the monolithic top-k bit for bit (the global top-k is
 // a subset of the union of per-window top-k's). Memory scales with the
 // window, not the catalog: lists and both transposed tables hold hi−lo
-// entries per topic.
+// entries per list or topic.
 func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
 	return BuildIndexFrom(nil, ts, lo, hi)
 }
@@ -142,25 +170,29 @@ func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
 // generation: whatever prev already holds that the new scorer leaves
 // unchanged is inherited instead of re-derived, and the result equals
 // BuildIndexRange(ts, lo, hi) field for field. prev is a hint, never an
-// authority — nil, another window origin or a wider window simply
-// inherit nothing.
+// authority — nil, another window origin, a wider window or another
+// context range simply inherit nothing.
 //
-// A topic's sorted list depends on nothing but that topic's weights
-// over the window, and (weight desc, item asc) is a strict total order,
-// so the sorted list of a weight vector is unique. Hence, per topic:
-// when the new weights over prev's window are bit for bit the slab
-// prev's list was sorted from, that list is the sorted order of the
-// window's head, and merging in the sorted tail of items prev did not
-// cover yields the one sorted list of the whole window; otherwise the
-// topic is sorted from scratch. The choice is made from the weights
-// alone — a frozen ϕ keeps every list across publishes, ITCAM's
-// open-interval context re-sorts its one pseudo-topic.
+// A sorted list depends on nothing but its weights over the window, and
+// (weight desc, item asc) is a strict total order, so the sorted list
+// of a weight vector is unique. Hence, per list: when the weights over
+// prev's window are bit for bit the ones prev's list was sorted from,
+// that list is the sorted order of the window's head, and merging in
+// the sorted tail of items prev did not cover yields the one sorted
+// list of the whole window; otherwise the list is sorted from scratch.
+// A topic's weights are its slab. A collapsed context's weights are a
+// function of ω_t and the context topics' slabs, each term computed per
+// item, so it is unchanged exactly when those are — which is read off
+// the slab comparison every topic gets anyway, once per build, plus T
+// short rows. The choice is made from the weights alone: a frozen ϕ
+// keeps every topic list and every context whose θ′ row stood still
+// across publishes; the refit open interval re-sorts its one list.
 //
-// Work parallelizes in two passes: the lists fan out one topic per
-// task, and the ϕ transpose fans out over item ranges so each worker
-// writes a contiguous region of byItem (a topic-major split would
-// interleave writes every K entries and thrash cache lines between
-// workers).
+// Work parallelizes in passes: the slab comparisons and then the lists
+// fan out one per task, and the ϕ transpose fans out over item ranges
+// so each worker writes a contiguous region of byItem (a topic-major
+// split would interleave writes every K entries and thrash cache lines
+// between workers).
 func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	if lo < 0 || hi < lo || hi > ts.NumItems() {
 		panic("topk: item window out of bounds")
@@ -170,7 +202,7 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 		numTopics: k,
 		numItems:  v,
 		itemLo:    lo,
-		lists:     make([][]entry, k),
+		lists:     make([]list, k),
 		topics:    make([][]float64, k),
 		// 16× the analytic bound on the f32 screening error — relative
 		// term (K+8)·2⁻²⁰ vs the true ≤(K+8)·2⁻²⁴, absolute slack far
@@ -179,12 +211,25 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 		// exact confirm.
 		screenScale: 1 + float64(k+8)*0x1p-20,
 		screenEps:   1e-35,
+		// More than twice the analytic bound (3K+4)·2⁻⁵³ on how far
+		// rounding can lift an unseen item's Score above a threshold that
+		// sums the context half in another grouping.
+		boundScale: 1 + float64(k+8)*0x1p-50,
 	}
 	for z := 0; z < k; z++ {
 		ix.topics[z] = ts.TopicItems(z)
 	}
+	if cs, ok := ts.(model.ContextScorer); ok {
+		if ix.ctxLo, ix.ctxHi = cs.ContextTopics(); ix.ctxHi > ix.ctxLo {
+			ix.contexts = make([]list, cs.NumIntervals())
+			ix.ctxWeights = make([][]float64, len(ix.contexts))
+			for t := range ix.ctxWeights {
+				ix.ctxWeights[t] = cs.ContextWeights(t)
+			}
+		}
+	}
 	head := 0 // items of the window prev's lists already order
-	if prev != nil && prev.itemLo == lo && prev.numItems <= v {
+	if prev != nil && prev.itemLo == lo && prev.numItems <= v && prev.ctxLo == ix.ctxLo && prev.ctxHi == ix.ctxHi {
 		head = prev.numItems
 	} else {
 		prev = nil
@@ -193,16 +238,35 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	// the window; ascending local order is ascending global order, so
 	// every tie-break below matches the full index.
 	workers := model.Workers(0)
-	kept := make([]bool, k)
+	same := make([]bool, k) // topic z's weights over prev's window are prev's
 	model.ParallelRanges(k, workers, func(_, zlo, zhi int) {
 		for z := zlo; z < zhi; z++ {
-			window := ix.topics[z][lo:hi]
-			if prev != nil && z < prev.numTopics && sameBits(prev.topics[z][lo:lo+head], window[:head]) {
-				ix.lists[z] = mergeTail(prev.lists[z], window)
-				kept[z] = true
-				continue
+			same[z] = prev != nil && z < prev.numTopics && sameBits(prev.topics[z][lo:lo+head], ix.topics[z][lo:lo+head])
+		}
+	})
+	ctxSame := prev != nil // every context topic's weights are prev's
+	for _, ok := range same[ix.ctxLo:ix.ctxHi] {
+		ctxSame = ctxSame && ok
+	}
+	// One task per list: the topics, then the contexts.
+	kept := make([]bool, k+len(ix.contexts))
+	model.ParallelRanges(len(kept), workers, func(_, jlo, jhi int) {
+		for j := jlo; j < jhi; j++ {
+			switch t := j - k; {
+			case j >= ix.ctxLo && j < ix.ctxHi:
+				// Walked only through the contexts.
+			case j < k:
+				if kept[j] = same[j]; kept[j] {
+					ix.lists[j] = mergeTail(prev.lists[j], sortedList(ix.topics[j][lo+head:hi], head))
+				} else {
+					ix.lists[j] = sortedList(ix.topics[j][lo:hi], 0)
+				}
+			case ctxSame && t < len(prev.contexts) && sameBits(prev.ctxWeights[t], ix.ctxWeights[t]):
+				kept[j] = true
+				ix.contexts[t] = mergeTail(prev.contexts[t], sortedList(ix.collapse(t, lo+head, hi), head))
+			default:
+				ix.contexts[t] = sortedList(ix.collapse(t, lo, hi), 0)
 			}
-			ix.lists[z] = sortedEntries(window, 0)
 		}
 	})
 	for _, ok := range kept {
@@ -210,8 +274,12 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 			ix.kept++
 		}
 	}
-	if prev != nil && ix.kept == k && prev.numTopics == k && head == v {
-		// Every column of the transposed tables is a kept topic's.
+	allSame := prev != nil && head == v && prev.numTopics == k
+	for _, ok := range same {
+		allSame = allSame && ok
+	}
+	if allSame {
+		// Every column of the transposed tables is an unchanged topic's.
 		ix.byItem, ix.byItem32 = prev.byItem, prev.byItem32
 		return ix
 	}
@@ -230,46 +298,74 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	return ix
 }
 
-// sortedEntries returns the entries of window[from:] — local items
-// from, from+1, … — in list order.
-func sortedEntries(window []float64, from int) []entry {
-	list := make([]entry, len(window)-from)
-	for i := range list {
-		list[i] = entry{item: int32(from + i), weight: window[from+i]}
-	}
-	slices.SortFunc(list, compareEntries)
-	return list
-}
-
-// compareEntries is the list order: weight descending, ties by
-// ascending item.
-func compareEntries(a, b entry) int {
-	if a.weight > b.weight {
-		return -1
-	}
-	if a.weight < b.weight {
-		return 1
-	}
-	return int(a.item) - int(b.item)
-}
-
-// mergeTail extends head — the sorted list of window[:len(head)] — to
-// the sorted list of the whole window. With no tail the list itself is
-// returned: lists are immutable, so generations may share one.
-func mergeTail(head []entry, window []float64) []entry {
-	if len(head) == len(window) {
-		return head
-	}
-	tail := sortedEntries(window, len(head))
-	list := make([]entry, 0, len(window))
-	for len(head) > 0 && len(tail) > 0 {
-		if compareEntries(head[0], tail[0]) < 0 {
-			list, head = append(list, head[0]), head[1:]
-		} else {
-			list, tail = append(list, tail[0]), tail[1:]
+// collapse returns interval t's context weights Σ_x ω_t[x]·ϕ_x,v of the
+// catalog items [from, to): the context topics accumulated in ascending
+// order, zero-weight ones skipped, each item on its own — so any
+// sub-range of a collapse is the collapse of the sub-range.
+func (ix *Index) collapse(t, from, to int) []float64 {
+	sum := make([]float64, to-from)
+	for x, w := range ix.ctxWeights[t] {
+		if w > 0 {
+			train.AddScaled(sum, w, ix.topics[ix.ctxLo+x][from:to])
 		}
 	}
-	return append(append(list, head...), tail...)
+	return sum
+}
+
+// entry is one list element while it is being sorted.
+type entry struct {
+	item   int32
+	weight float64
+}
+
+// sortedList returns the sorted list of local items base, base+1, …
+// carrying weights[0], weights[1], ….
+func sortedList(weights []float64, base int) list {
+	entries := make([]entry, len(weights))
+	for i, w := range weights {
+		entries[i] = entry{item: int32(base + i), weight: w}
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.weight > b.weight {
+			return -1
+		}
+		if a.weight < b.weight {
+			return 1
+		}
+		return int(a.item) - int(b.item)
+	})
+	l := list{items: make([]int32, len(entries)), weights: make([]float64, len(entries))}
+	for i, e := range entries {
+		l.items[i], l.weights[i] = e.item, e.weight
+	}
+	return l
+}
+
+// mergeTail merges two sorted lists over disjoint items, the tail's all
+// above the head's: the previous window's list and the sorted list of
+// the items appended since. With no tail the head itself is returned:
+// lists are immutable, so generations may share one. The tail is a
+// publish's handful of new items, so the head is copied in the runs
+// between their places, not entry by entry.
+func mergeTail(head, tail list) list {
+	if len(tail.items) == 0 {
+		return head
+	}
+	n := len(head.items) + len(tail.items)
+	l := list{items: make([]int32, 0, n), weights: make([]float64, 0, n)}
+	from := 0
+	for j, w := range tail.weights {
+		// A tail entry goes behind every head entry at least as heavy:
+		// on equal weights the head's item is the smaller.
+		rest := head.weights[from:]
+		to := from + sort.Search(len(rest), func(i int) bool { return rest[i] < w })
+		l.items = append(append(l.items, head.items[from:to]...), tail.items[j])
+		l.weights = append(append(l.weights, head.weights[from:to]...), w)
+		from = to
+	}
+	l.items = append(l.items, head.items[from:]...)
+	l.weights = append(l.weights, head.weights[from:]...)
+	return l
 }
 
 // sameBits reports whether two weight slabs hold identical bits. Shared
@@ -294,8 +390,10 @@ func sameBits(a, b []float64) bool {
 // from the previous generation's index (0 for a BuildIndexRange index).
 func (ix *Index) ListsKept() int { return ix.kept }
 
-// NumTopics returns K, the number of sorted lists.
-func (ix *Index) NumTopics() int { return ix.numTopics }
+// NumLists returns how many sorted lists the index holds: one per
+// expanded topic outside the collapsed range plus one per interval
+// context.
+func (ix *Index) NumLists() int { return ix.numTopics - (ix.ctxHi - ix.ctxLo) + len(ix.contexts) }
 
 // NumItems returns the number of items the index covers: the catalog
 // size for a full index, the window size for a BuildIndexRange index.
@@ -333,25 +431,15 @@ func (ix *Index) score32(query []float32, item int) float32 {
 }
 
 // Query answers the temporal top-k query (u, t) with the extended
-// Threshold Algorithm. ts must be the scorer the index was built from
-// (only QueryWeights is consulted). The result set and scores match
-// BruteForce exactly (ties broken by ascending item index), but the
-// algorithm stops after examining only as many items as the threshold
-// bound requires. Scratch comes from the Searcher pool; the returned
-// slice is freshly allocated and owned by the caller.
+// Threshold Algorithm. ts must be the scorer the index was built from.
+// The result set and scores match BruteForce exactly (ties broken by
+// ascending item index), but the algorithm stops after examining only
+// as many items as the threshold bound requires. Scratch comes from the
+// Searcher pool; the returned slice is freshly allocated and owned by
+// the caller.
 func (ix *Index) Query(ts model.TopicScorer, u, t, k int, exclude Exclude) ([]Result, Stats) {
 	s := ix.AcquireSearcher()
 	res, st := s.Query(ts, u, t, k, exclude)
-	out := cloneResults(res)
-	s.Release()
-	return out, st
-}
-
-// QueryWeights is Query for callers that already hold the ϑq vector
-// (e.g. a server that caches per-user query vectors).
-func (ix *Index) QueryWeights(query []float64, k int, exclude Exclude) ([]Result, Stats) {
-	s := ix.AcquireSearcher()
-	res, st := s.QueryWeights(query, k, exclude)
 	out := cloneResults(res)
 	s.Release()
 	return out, st
@@ -368,31 +456,14 @@ func cloneResults(res []Result) []Result {
 	return out
 }
 
-// threshold computes S_TA (Equation 23) from scratch: the maximum
-// possible score of any unexamined item, aggregating each active list's
-// current head weight. The hot path maintains this value incrementally
-// and only calls the exact recompute to confirm termination.
-//
-//tcam:hotpath
-func (ix *Index) threshold(query []float64, pos []int) float64 {
-	var s float64
-	for z, w := range query {
-		if w <= 0 || pos[z] >= len(ix.lists[z]) {
-			continue
-		}
-		s += w * ix.lists[z][pos[z]].weight
-	}
-	return s
-}
-
-// listRef is one sorted list in the priority queue, keyed by the full
-// ranking score of its head item.
+// listRef is one of the lists a query walks in the priority queue,
+// keyed by the full ranking score of its head item.
 type listRef struct {
-	topic    int
+	slot     int
 	priority float64
 }
 
-// listHeap is a max-heap of listRefs (ties broken by topic index for
+// listHeap is a max-heap of listRefs (ties broken by slot for
 // determinism). Heap operations are hand-rolled on the concrete element
 // type: container/heap would box every listRef into an interface and
 // allocate on each push.
@@ -406,7 +477,7 @@ func (h listHeap) less(a, b int) bool {
 	if h[a].priority < h[b].priority {
 		return false
 	}
-	return h[a].topic < h[b].topic
+	return h[a].slot < h[b].slot
 }
 
 //tcam:hotpath

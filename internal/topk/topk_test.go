@@ -42,6 +42,13 @@ func (f *fakeTopicModel) Score(u, t, v int) float64 {
 
 var _ model.TopicScorer = (*fakeTopicModel)(nil)
 
+// queryWith answers the explicit ϑq vector q through ix, which must
+// have been built from f: the fake returns q for query (0, 0).
+func queryWith(ix *Index, f *fakeTopicModel, q []float64, k int, exclude Exclude) ([]Result, Stats) {
+	f.queries[[2]int{0, 0}] = q
+	return ix.Query(f, 0, 0, k, exclude)
+}
+
 func randomModel(rng *rand.Rand, k, v int) *fakeTopicModel {
 	f := &fakeTopicModel{queries: map[[2]int][]float64{}}
 	for z := 0; z < k; z++ {
@@ -228,7 +235,7 @@ func TestQueryPanicsOnMismatchedIndex(t *testing.T) {
 			t.Fatal("expected panic for mismatched query length")
 		}
 	}()
-	ix.QueryWeights([]float64{1, 0}, 3, nil)
+	queryWith(ix, f, []float64{1, 0}, 3, nil)
 }
 
 // Property: for random models, random (possibly sparse) queries, random

@@ -13,13 +13,17 @@
 # other BENCH_*.json.
 #
 # Pass a -benchtime value as $1 to trade precision for runtime
-# (default 1s).
+# (default 1s). Pass a checkout of the parent commit as $2 to record a
+# before/after: the history benchmark — this tree's benchmark file, so
+# both sides run the same cycle — is also run there, and its records
+# carry "tree": "parent".
 #
-# Usage: scripts/bench_ingest.sh [benchtime]
+# Usage: scripts/bench_ingest.sh [benchtime] [parent-checkout]
 set -eu
 cd "$(dirname "$0")/.."
 
 benchtime=${1:-1s}
+parent=${2:-}
 out=BENCH_ingest.json
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
@@ -43,12 +47,18 @@ run_bench() {
 
 run_bench ./internal/ingest/ 'BenchmarkAppend$|BenchmarkAppendBatch$|BenchmarkReplay$'
 run_bench ./internal/server/ 'BenchmarkUpdaterStep$|BenchmarkUpdaterStepHistory$|BenchmarkSnapshotPublish$'
+if [ -n "$parent" ]; then
+    cp internal/server/updater_bench_test.go "$parent/internal/server/updater_bench_test.go"
+    echo '#tree parent' >> "$raw"
+    (cd "$parent" && run_bench ./internal/server/ 'BenchmarkUpdaterStepHistory$')
+fi
 
 # The -N suffix of a benchmark name is the GOMAXPROCS the run used
 # (absent for 1); strip it into the record's "gomaxprocs" field, as
 # bench_query.sh and bench_train.sh do.
 awk -v ncpu="$(nproc 2>/dev/null || echo 1)" -v gover="$(go env GOVERSION)" '
 BEGIN { print "{"; printf "  \"cpus\": %d,\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", ncpu, gover }
+/^#tree / { tree = $2 }
 /^Benchmark/ {
     name = $1
     procs = 1
@@ -57,6 +67,7 @@ BEGIN { print "{"; printf "  \"cpus\": %d,\n  \"go\": \"%s\",\n  \"benchmarks\":
         name = substr(name, 1, RSTART - 1)
     }
     line = sprintf("    {\"name\": \"%s\", \"gomaxprocs\": %d, \"iterations\": %s, \"ns_per_op\": %s", name, procs, $2, $3)
+    if (tree != "") line = line sprintf(", \"tree\": \"%s\"", tree)
     for (i = 4; i < NF; i++) {
         if ($(i+1) == "events/s")  line = line sprintf(", \"events_per_s\": %s", $i)
         if ($(i+1) == "B/op")      line = line sprintf(", \"bytes_per_op\": %s", $i)

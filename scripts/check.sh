@@ -55,10 +55,12 @@ if [ "${1:-}" != "-short" ]; then
     # finite after each M-step; λ stays in [0,1]).
     go test -tags tcamcheck -count=1 ./internal/model/...
 
-    # Allocation gates: the pooled TA searcher and the serial EM
-    # iteration must stay allocation-free at steady state, and the
-    # sharded-parallel EM benchmark must still run. Shared with the CI
-    # workflow's gates job.
+    # Benchmark gates: the pooled TA searcher and the serial EM
+    # iteration must stay allocation-free at steady state, the
+    # sharded-parallel EM benchmark must still run, a publish with cache
+    # and precompute on must not grow with the log, and TA must not scan
+    # deeper at a stream-opened interval than at a trained one. Shared
+    # with the CI workflow's gates job.
     scripts/bench_smoke.sh
 fi
 echo "check.sh: OK"
