@@ -32,10 +32,11 @@ type HedgerConfig struct {
 // configured quantile into the delay after which a straggler deserves a
 // backup request. Safe for concurrent use.
 type Hedger struct {
-	mu   sync.Mutex
-	ring []time.Duration
-	n    int // observations stored (saturates at len(ring))
-	idx  int // next write position
+	mu     sync.Mutex
+	ring   []time.Duration
+	sorted []time.Duration // Delay's scratch, as large as ring
+	n      int             // observations stored (saturates at len(ring))
+	idx    int             // next write position
 
 	quantile   float64
 	minSamples int
@@ -61,6 +62,7 @@ func NewHedger(cfg HedgerConfig) *Hedger {
 		window = 64
 	}
 	h.ring = make([]time.Duration, window)
+	h.sorted = make([]time.Duration, window)
 	if h.minSamples <= 0 {
 		h.minSamples = 8
 	}
@@ -99,8 +101,8 @@ func (h *Hedger) Delay() time.Duration {
 	if h.n < h.minSamples {
 		return h.def
 	}
-	sorted := make([]time.Duration, h.n)
-	copy(sorted, h.ring[:h.n])
+	sorted := h.sorted[:h.n]
+	copy(sorted, h.ring)
 	slices.Sort(sorted)
 	d := sorted[int(h.quantile*float64(h.n-1)+0.5)]
 	if d < h.minDelay {

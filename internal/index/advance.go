@@ -67,6 +67,10 @@ type Advanced struct {
 	// computed: θ′ rows of stream-opened intervals, and folded users.
 	ContextsKept, ContextsFit int
 	UsersKept, UsersFolded    int
+	// Whether the model's item-indexed slabs (φ, φ′, background) and
+	// fold-in's transposes of them are the previous derivation's own
+	// storage rather than a new layout.
+	SlabsShared, TransposesShared bool
 
 	boot   *Bundle        // the receiver the bundle was derived from
 	stream *cuboid.Cuboid // the stream cuboid it was derived over
@@ -151,15 +155,17 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 		refit[t] = true
 		adv.ContextsFit++
 	}
-	grown, err := m.Grow(grid.Num, len(items), contexts)
+	var before *tcam.Model // the previous derivation's model, grown from m like this one
+	if prev != nil {
+		before = prev.Bundle.Model
+	}
+	grown, err := m.GrowFrom(before, grid.Num, len(items), contexts)
 	if err != nil {
 		return nil, err
 	}
 
-	var before *tcam.Model
 	var kept []bool // by user; true takes (θu, λu) from before
 	if prev != nil {
-		before = prev.Bundle.Model
 		kept = make([]bool, len(users))
 		ts, _, _ := stream.CSR()
 		for u := m.NumUsers(); u < before.NumUsers() && u < len(users); u++ {
@@ -178,6 +184,7 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 	if err != nil {
 		return nil, err
 	}
+	adv.SlabsShared, adv.TransposesShared = folded.SharedWith(before)
 	adv.Bundle = New(folded, grid, users, items)
 	if err := adv.Bundle.Validate(); err != nil {
 		return nil, err

@@ -70,7 +70,15 @@ func bundleBytes(tb testing.TB, b *Bundle) []byte {
 
 func bootBundles(tb testing.TB) map[string]*Bundle {
 	im, tm, grid, users, items := trainedModels(tb)
-	return map[string]*Bundle{"ITCAM": New(im, grid, users, items), "TTCAM": New(tm, grid, users, items)}
+	cfg := tcam.DefaultConfig()
+	cfg.K1, cfg.K2, cfg.MaxIters, cfg.Background = 4, 3, 10, 0.1
+	bm, _, err := tcam.Train(bootData(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return map[string]*Bundle{
+		"ITCAM": New(im, grid, users, items), "TTCAM": New(tm, grid, users, items), "TTCAM+background": New(bm, grid, users, items),
+	}
 }
 
 // TestAdvanceFromEqualsAdvance: over a random stream — new users, new
@@ -104,6 +112,73 @@ func TestAdvanceFromEqualsAdvance(t *testing.T) {
 			}
 			if kept == 0 {
 				t.Error("40 derivations inherited nothing: the test does not reach the carried path")
+			}
+		})
+	}
+}
+
+// TestAdvanceFromAcrossStride: a stream of four new items a step
+// outgrows the room Grow leaves behind φ, φ′ and the background (64
+// items at this size) and has them laid out anew at steps 0, 17 and 34.
+// In between, a derivation shares the previous one's slabs and
+// fold-in's transposes of them, and at every step it writes the bytes
+// of the derivation from nothing. The last bundle is then saved and
+// reloaded — stride back to V — and both copies, as boot bundles of a
+// further stream, derive the same bytes again.
+func TestAdvanceFromAcrossStride(t *testing.T) {
+	for name, boot := range bootBundles(t) {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultAdvanceConfig()
+			rng := rand.New(rand.NewSource(6))
+			s := newStreamState(boot)
+			var prev *Advanced
+			for step := 0; step < 45; step++ {
+				var cells [][4]int
+				for i := 0; i < 4; i++ { // each a new item; every third step a new user, every tenth an interval
+					cells = append(cells, [4]int{rng.Intn(len(s.users) + 1 - min(1, step%3)), s.grid.Num - min(1, step%10), len(s.items) + i, 1 + rng.Intn(3)})
+				}
+				s.apply(t, cells...)
+				adv := s.advanceFrom(t, boot, prev, cfg)
+				if !bytes.Equal(bundleBytes(t, adv.Bundle), bundleBytes(t, s.advanceFrom(t, boot, nil, cfg).Bundle)) {
+					t.Fatalf("step %d: inheriting derivation differs from the derivation from nothing", step)
+				}
+				if relaid := step%17 == 0; adv.SlabsShared == relaid {
+					t.Errorf("step %d (%d items): slabs shared with the previous derivation: %t", step, len(s.items), adv.SlabsShared)
+				}
+				if adv.TransposesShared && !adv.SlabsShared {
+					t.Errorf("step %d: transposes outlived the slabs they were made from", step)
+				}
+				if prev != nil && prev.TransposesShared && adv.SlabsShared && adv.UsersFolded > 0 && !adv.TransposesShared {
+					t.Errorf("step %d: fold-in transposed shared slabs again", step)
+				}
+				prev = adv
+			}
+
+			var buf bytes.Buffer
+			if err := prev.Bundle.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			reloaded, err := Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fromMemory, fromDisk *Advanced
+			sm, sd := newStreamState(prev.Bundle), newStreamState(reloaded)
+			for step := 0; step < 20; step++ {
+				cells := [][4]int{
+					{rng.Intn(len(sm.users) + 1), sm.grid.Num - 1 + step%2, len(sm.items), 2},
+					{rng.Intn(len(sm.users)), sm.grid.Num - 1, len(sm.items) + 4, 1},
+				}
+				sm.apply(t, cells...)
+				sd.apply(t, cells...)
+				fromMemory = sm.advanceFrom(t, prev.Bundle, fromMemory, cfg)
+				fromDisk = sd.advanceFrom(t, reloaded, fromDisk, cfg)
+				if !bytes.Equal(bundleBytes(t, fromMemory.Bundle), bundleBytes(t, fromDisk.Bundle)) {
+					t.Fatalf("step %d after reload: the saved bundle and the one kept in memory derive different bundles", step)
+				}
+				if !bytes.Equal(bundleBytes(t, fromDisk.Bundle), bundleBytes(t, sd.advanceFrom(t, reloaded, nil, cfg).Bundle)) {
+					t.Fatalf("step %d after reload: inheriting derivation differs from the derivation from nothing", step)
+				}
 			}
 		})
 	}

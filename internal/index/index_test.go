@@ -13,8 +13,9 @@ import (
 	"tcam/internal/topk"
 )
 
-func trainedModels(tb testing.TB) (itcam, ttcam *tcam.Model, _ dataset.TimeGrid, _, _ []string) {
-	tb.Helper()
+// bootData is the 6-user × 3-interval × 12-item cuboid the test models
+// are trained on.
+func bootData() *cuboid.Cuboid {
 	b := cuboid.NewBuilder(6, 3, 12)
 	for u := 0; u < 6; u++ {
 		for t := 0; t < 3; t++ {
@@ -22,7 +23,12 @@ func trainedModels(tb testing.TB) (itcam, ttcam *tcam.Model, _ dataset.TimeGrid,
 			b.MustAdd(u, t, (u*2+t+5)%12, 1)
 		}
 	}
-	data := b.Build()
+	return b.Build()
+}
+
+func trainedModels(tb testing.TB) (itcam, ttcam *tcam.Model, _ dataset.TimeGrid, _, _ []string) {
+	tb.Helper()
+	data := bootData()
 	icfg := tcam.DefaultITCAMConfig()
 	icfg.K1, icfg.MaxIters = 4, 10
 	im, _, err := tcam.Train(data, icfg)

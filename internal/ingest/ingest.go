@@ -35,9 +35,11 @@ package ingest
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -277,13 +279,17 @@ func (l *Log) replaySegment(at cursor, end, from int64, fn func(off int64, rec R
 // highest-named segment, and every frame below the known end was
 // CRC-checked when the handle first passed it), so only the active
 // segment's bytes past the known end, and any segment opened since, are
-// read. Unlike Open it never truncates: an incomplete trailing frame on
+// read — and when two stats show neither changed (unchanged), nothing
+// is. Unlike Open it never truncates: an incomplete trailing frame on
 // the last segment may be a live writer's in-flight append, so it is
 // simply not visible until a later Refresh. An invalid frame anywhere
 // else, or an active segment shorter than the known end, is corruption.
 func (l *Log) Refresh() (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.unchanged() {
+		return l.end, nil
+	}
 	bases, err := segmentBases(l.dir)
 	if err != nil {
 		return 0, err
@@ -310,6 +316,32 @@ func (l *Log) Refresh() (int64, error) {
 	}
 	l.end, l.segBase, l.segBytes = end, segBase, segBytes
 	return end, nil
+}
+
+// unchanged reports whether the directory holds nothing this handle has
+// not read, by two stats instead of a listing — a tailing consumer
+// polls far more often than a producer appends. New bytes can only
+// land in the active segment or, once the writer rolls, in the one
+// segment that can follow it, which is named after the known end. An
+// active segment of any other length than the known one (shrunken,
+// missing, or ending in a torn frame included) and any stat failure
+// leave the verdict to Refresh's listing.
+func (l *Log) unchanged() bool {
+	var size int64
+	switch st, err := os.Stat(filepath.Join(l.dir, segName(l.segBase))); {
+	case err == nil:
+		size = st.Size()
+	case !errors.Is(err, fs.ErrNotExist):
+		return false
+	}
+	if size != l.segBytes {
+		return false
+	}
+	if l.end == l.segBase {
+		return true // nothing read from the active segment yet: it is its own successor
+	}
+	_, err := os.Stat(filepath.Join(l.dir, segName(l.end)))
+	return errors.Is(err, fs.ErrNotExist)
 }
 
 // recoverSegment validates one segment at Open time, returning its

@@ -521,3 +521,50 @@ func TestRefreshRejectsCorruptionPastKnownEnd(t *testing.T) {
 		t.Fatal("Refresh accepted a corrupt frame in a sealed segment")
 	}
 }
+
+// TestRefreshIdlePollDoesNotList: a poll that finds the active segment
+// as long as it was, and no successor, reads no directory — shown by a
+// stray name the listing rejects, which idle polls walk past and the
+// first real change trips over. The fresh handle of an empty directory
+// and a handle that has read everything are both idle.
+func TestRefreshIdlePollDoesNotList(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open writer: %v", err)
+	}
+	reader, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open reader: %v", err)
+	}
+	stray := filepath.Join(dir, segPrefix+"stray"+segSuffix)
+	if err := os.WriteFile(stray, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if end, err := reader.Refresh(); err != nil || end != 0 {
+		t.Fatalf("idle Refresh of an empty log = (%d, %v), want (0, nil)", end, err)
+	}
+	if err := os.Remove(stray); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.Append(rec(0), rec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if end, err := reader.Refresh(); err != nil || end != 2 {
+		t.Fatalf("Refresh = (%d, %v), want (2, nil)", end, err)
+	}
+	if err := os.WriteFile(stray, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if end, err := reader.Refresh(); err != nil || end != 2 {
+			t.Fatalf("idle Refresh %d = (%d, %v), want (2, nil)", i, end, err)
+		}
+	}
+	if _, err := writer.Append(rec(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reader.Refresh(); err == nil {
+		t.Fatal("a Refresh with new bytes to read did not list the directory")
+	}
+}

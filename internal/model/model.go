@@ -149,6 +149,12 @@ func Workers(configured int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// SpareItems is the room, in items, that a table indexed by item gets
+// beyond a catalog of v when it has to be laid out anew for a growing
+// catalog: later arrivals that weigh zero in it are then the same
+// storage one reslice longer (DESIGN.md §15).
+func SpareItems(v int) int { return max(64, v/8) }
+
 // ParallelRanges splits [0, n) into contiguous chunks and runs fn once
 // per chunk across the given number of workers, blocking until all
 // complete. fn receives the worker index (for per-worker accumulators)

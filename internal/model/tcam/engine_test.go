@@ -53,11 +53,13 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// params lists every parameter slab of a model by name.
+// params lists every parameter table of a model by name, the
+// item-indexed ones V wide whatever stride the model keeps them at.
 func params(m *Model) map[string][]float64 {
 	return map[string][]float64{
-		"theta": m.theta, "phi": m.phi, "context": m.ctx, "phiX": m.phiX,
-		"lambda": m.lambda, "background": m.background,
+		"theta": m.theta, "phi": compactRows(m.phi, m.stride, m.numItems), "context": m.ctx,
+		"phiX": compactRows(m.phiX, m.stride, m.numItems), "lambda": m.lambda,
+		"background": compactRows(m.background, m.stride, m.numItems),
 	}
 }
 

@@ -91,7 +91,7 @@ func (m *Model) FitNewIntervalSorted(items []int, weights []float64, numItems, i
 		return row
 	}
 
-	k2, V := m.k2, m.numItems
+	k2, S := m.k2, m.stride
 	thetaNew := make([]float64, k2)
 	for x := range thetaNew {
 		thetaNew[x] = 1 / float64(k2)
@@ -109,7 +109,7 @@ func (m *Model) FitNewIntervalSorted(items []int, weights []float64, numItems, i
 		}
 		w = append(w, weights[i])
 		for x := 0; x < k2; x++ {
-			cols = append(cols, m.phiX[x*V+v])
+			cols = append(cols, m.phiX[x*S+v])
 		}
 	}
 	acc := make([]float64, k2)
@@ -132,15 +132,29 @@ func (m *Model) FitNewIntervalSorted(items []int, weights []float64, numItems, i
 }
 
 // Grow returns the model widened to numIntervals intervals and numItems
-// items. The item-indexed tables (φ, φ', an item context, the
-// background) are re-laid out with zero probability on the new items:
-// under ITCAM a new item is reachable only through the temporal contexts
-// that observed it, under TTCAM's frozen time topics not at all, until a
-// full retrain. newContexts supplies the θ't row of each appended
-// interval in order, from FitNewInterval, so numIntervals must equal
+// items. The new items get zero probability in every item-indexed table
+// (φ, φ', an item context, the background): under ITCAM a new item is
+// reachable only through the temporal contexts that observed it, under
+// TTCAM's frozen time topics not at all, until a full retrain.
+// newContexts supplies the θ't row of each appended interval in order,
+// from FitNewInterval, so numIntervals must equal
 // NumIntervals()+len(newContexts). Every table whose shape the growth
 // leaves alone is shared with the receiver, not copied.
 func (m *Model) Grow(numIntervals, numItems int, newContexts [][]float64) (*Model, error) {
+	return m.GrowFrom(nil, numIntervals, numItems, newContexts)
+}
+
+// GrowFrom is Grow given prev, an earlier growth of the same receiver
+// (anything else, nil included, is ignored); the model is Grow's,
+// parameter for parameter. φ, φ' and the background never change under
+// growth — a wider catalog only needs more zeros behind each row — so
+// they are laid out once, rows a stride apart with room behind the
+// catalog (model.SpareItems), and every later growth that still fits
+// the stride shares prev's slabs outright. Nothing is written to them
+// again: the room was zero from the start. Storage that stays put is
+// also what lets the TA index and the fold-in transposes derived from
+// it be inherited by pointer comparison.
+func (m *Model) GrowFrom(prev *Model, numIntervals, numItems int, newContexts [][]float64) (*Model, error) {
 	if numItems < m.numItems {
 		return nil, fmt.Errorf("tcam: cannot shrink items %d -> %d", m.numItems, numItems)
 	}
@@ -161,17 +175,35 @@ func (m *Model) Grow(numIntervals, numItems int, newContexts [][]float64) (*Mode
 	}
 	V := m.numItems
 	out := *m // θ and λ are unchanged, so shared
-	out.numIntervals, out.numItems = numIntervals, numItems
-	out.phi = widenRows(m.phi, V, numItems, m.k1)
-	out.phiX = widenRows(m.phiX, V, numItems, m.k2)
-	if m.background != nil {
-		out.background = widenRows(m.background, V, numItems, 1)
+	out.numIntervals, out.numItems, out.grownFrom = numIntervals, numItems, m
+	switch {
+	case prev != nil && prev.grownFrom == m && numItems <= prev.stride:
+		out.stride, out.itemMajor = prev.stride, prev.itemMajor
+		out.phi, out.phiX, out.background = prev.phi, prev.phiX, prev.background
+	case numItems <= m.stride:
+		// The receiver's own rows already end in the new items' zeros.
+	default:
+		out.stride, out.itemMajor = numItems+model.SpareItems(numItems), nil
+		out.phi = widenRows(m.phi, m.stride, out.stride, m.k1)
+		out.phiX = widenRows(m.phiX, m.stride, out.stride, m.k2)
+		if m.background != nil {
+			out.background = widenRows(m.background, m.stride, out.stride, 1)
+		}
 	}
 	out.ctx = widenRows(m.ctx, m.ctxWidth(V), width, numIntervals)
 	for i, ctx := range newContexts {
 		copy(out.ctx[(m.numIntervals+i)*width:], ctx)
 	}
 	return &out, nil
+}
+
+// SharedWith reports what m holds that is prev's own storage: the φ, φ'
+// and background slabs, and fold-in's transposes of them.
+func (m *Model) SharedWith(prev *Model) (slabs, transposes bool) {
+	if prev == nil {
+		return false, false
+	}
+	return &m.phi[0] == &prev.phi[0], m.itemMajor != nil && m.itemMajor == prev.itemMajor
 }
 
 // widenRows copies the oldCols-wide rows of src into a zeroed
@@ -248,7 +280,13 @@ func (m *Model) FoldInUsersFrom(prev *Model, kept []bool, data *cuboid.Cuboid, c
 			hi++
 		}
 		if tr == nil {
-			tr = newTrainer(&out, data, cfg.Smoothing)
+			// The frozen φ and φ′ are transposed once per slab, not once per
+			// fold: the copy stays with the slabs it was made from, through
+			// GrowFrom, for as long as generations share them.
+			if out.itemMajor == nil {
+				out.itemMajor = newItemMajor(&out)
+			}
+			tr = newTrainer(&out, data, cfg.Smoothing, out.itemMajor)
 			tr.frozen = true
 		}
 		if _, err := train.FoldIn(tr, lo, hi, train.FoldInConfig{

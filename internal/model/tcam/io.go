@@ -27,7 +27,9 @@ type wire struct {
 	Background   []float64
 }
 
-// Write serializes the trained model to w in gob format.
+// Write serializes the trained model to w in gob format. The wire rows
+// are V wide whatever room the model's own slabs leave behind them, so
+// the bytes depend on the parameters alone.
 func (m *Model) Write(w io.Writer) error {
 	out := wire{
 		Label:        m.label,
@@ -37,11 +39,11 @@ func (m *Model) Write(w io.Writer) error {
 		K1:           m.k1,
 		K2:           m.k2,
 		Theta:        m.theta,
-		Phi:          m.phi,
-		PhiX:         m.phiX,
+		Phi:          compactRows(m.phi, m.stride, m.numItems),
+		PhiX:         compactRows(m.phiX, m.stride, m.numItems),
 		Lambda:       m.lambda,
 		BackgroundW:  m.backgroundW,
-		Background:   m.background,
+		Background:   compactRows(m.background, m.stride, m.numItems),
 	}
 	if m.k2 == 0 {
 		out.ThetaT = m.ctx
@@ -53,6 +55,19 @@ func (m *Model) Write(w io.Writer) error {
 		return fmt.Errorf("tcam: encode: %w", err)
 	}
 	return bw.Flush()
+}
+
+// compactRows returns the table's rows, stride apart in src, laid end
+// to end at cols entries each — src itself when they already are.
+func compactRows(src []float64, stride, cols int) []float64 {
+	if stride == cols {
+		return src
+	}
+	dst := make([]float64, 0, len(src)/stride*cols)
+	for r := 0; r < len(src); r += stride {
+		dst = append(dst, src[r:r+cols]...)
+	}
+	return dst
 }
 
 // Read deserializes a model written with Write, validating it: the
@@ -76,6 +91,7 @@ func Read(r io.Reader) (*Model, error) {
 		numUsers:     w.NumUsers,
 		numIntervals: w.NumIntervals,
 		numItems:     w.NumItems,
+		stride:       w.NumItems,
 		k1:           w.K1,
 		k2:           w.K2,
 		theta:        w.Theta,

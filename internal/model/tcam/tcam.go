@@ -142,14 +142,27 @@ type Model struct {
 	numItems     int
 	k1, k2       int // k2 == 0: the temporal context emits items directly (ITCAM)
 
+	// stride is the row stride of φ, φ′ and θB: V for a trained or
+	// decoded model, more where Grow left room for the catalog to grow
+	// into. Whatever lies between V and stride is zero — the probability
+	// a frozen topic gives an item it never saw.
+	stride int
+
 	theta  []float64 // N×K1: P(z|θu)
-	phi    []float64 // K1×V: P(v|φz)
+	phi    []float64 // K1×stride: P(v|φz)
 	ctx    []float64 // T×ctxWidth: P(·|θ't), over items (ITCAM) or time topics (TTCAM)
-	phiX   []float64 // K2×V: P(v|φ'x); empty for ITCAM
+	phiX   []float64 // K2×stride: P(v|φ'x); empty for ITCAM
 	lambda []float64 // N: λu
 
 	backgroundW float64   // λB; 0 when disabled
-	background  []float64 // V: θB, empirical item distribution
+	background  []float64 // 1×stride: θB, empirical item distribution
+
+	// grownFrom is the model Grow derived this one from (through any
+	// number of fold-ins), and itemMajor the fold-in trainer's transposes
+	// of exactly these φ and φ′ slabs. Both exist for the next derivation
+	// to inherit from (GrowFrom, FoldInUsersFrom); scoring reads neither.
+	grownFrom *Model
+	itemMajor *itemMajor
 }
 
 // ctxWidth is the row length of the temporal-context table under the
@@ -188,7 +201,7 @@ func (m *Model) Lambda(u int) float64 { return m.lambda[u] }
 func (m *Model) UserInterest(u int) []float64 { return m.theta[u*m.k1 : (u+1)*m.k1] }
 
 // UserTopic returns P(·|φz), user-oriented topic z's item distribution.
-func (m *Model) UserTopic(z int) []float64 { return m.phi[z*m.numItems : (z+1)*m.numItems] }
+func (m *Model) UserTopic(z int) []float64 { return m.phi[z*m.stride : z*m.stride+m.numItems] }
 
 // TemporalContext returns P(·|θ't): over items for ITCAM, over the K2
 // time-oriented topics for TTCAM.
@@ -198,25 +211,25 @@ func (m *Model) TemporalContext(t int) []float64 {
 }
 
 // TimeTopic returns P(·|φ'x), time-oriented topic x's item distribution.
-func (m *Model) TimeTopic(x int) []float64 { return m.phiX[x*m.numItems : (x+1)*m.numItems] }
+func (m *Model) TimeTopic(x int) []float64 { return m.phiX[x*m.stride : x*m.stride+m.numItems] }
 
 // Score implements the likelihood of Equations (1) and (12), including
 // the optional background mixture.
 //
 //tcam:hotpath
 func (m *Model) Score(u, t, v int) float64 {
-	V := m.numItems
+	S := m.stride
 	var pu float64
 	for z, th := range m.UserInterest(u) {
-		pu += th * m.phi[z*V+v]
+		pu += th * m.phi[z*S+v]
 	}
 	lam := m.lambda[u]
 	if m.k2 == 0 {
-		return lam*pu + (1-lam)*m.ctx[t*V+v]
+		return lam*pu + (1-lam)*m.ctx[t*m.numItems+v]
 	}
 	var pt float64
 	for x, c := range m.TemporalContext(t) {
-		pt += c * m.phiX[x*V+v]
+		pt += c * m.phiX[x*S+v]
 	}
 	mix := lam*pu + (1-lam)*pt
 	if m.backgroundW > 0 {
@@ -248,9 +261,9 @@ func (m *Model) ScoreAll(u, t int, scores []float64) {
 	} else {
 		train.Zero(scores)
 	}
-	addTopics(scores, scale*lam, m.UserInterest(u), m.phi)
+	addTopics(scores, scale*lam, m.UserInterest(u), m.phi, m.stride)
 	if m.k2 > 0 {
-		addTopics(scores, scale*(1-lam), ctx, m.phiX)
+		addTopics(scores, scale*(1-lam), ctx, m.phiX, m.stride)
 	}
 	if wz := m.backgroundW; wz > 0 {
 		for v := range scores {
@@ -260,17 +273,18 @@ func (m *Model) ScoreAll(u, t int, scores []float64) {
 }
 
 // addTopics adds Σ_z scale·mix[z]·topics[z] into scores, skipping
-// zero-weight topics; topics is len(mix)×len(scores) row-major.
+// zero-weight topics; topics is row-major, len(mix) rows of len(scores)
+// entries at the given stride.
 //
 //tcam:hotpath
-func addTopics(scores []float64, scale float64, mix, topics []float64) {
+func addTopics(scores []float64, scale float64, mix, topics []float64, stride int) {
 	V := len(scores)
 	for z, p := range mix {
 		wz := scale * p
 		if wz <= 0 {
 			continue
 		}
-		row := topics[z*V : (z+1)*V]
+		row := topics[z*stride : z*stride+V]
 		for v := range scores {
 			scores[v] += wz * row[v]
 		}
@@ -353,7 +367,7 @@ func (m *Model) TopicItems(z int) []float64 {
 	case z < m.k1+m.k2:
 		return m.TimeTopic(z - m.k1)
 	default:
-		return m.background
+		return m.background[:m.numItems]
 	}
 }
 

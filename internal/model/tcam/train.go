@@ -46,6 +46,7 @@ func prepare(data *cuboid.Cuboid, cfg Config) (*trainer, error) {
 		numUsers:     n,
 		numIntervals: T,
 		numItems:     V,
+		stride:       V,
 		k1:           cfg.K1,
 		k2:           cfg.K2,
 		backgroundW:  cfg.Background,
@@ -62,7 +63,7 @@ func prepare(data *cuboid.Cuboid, cfg Config) (*trainer, error) {
 	m.phiX = make([]float64, m.k2*V)
 	m.lambda = make([]float64, n)
 	m.initialize(data, cfg.Seed)
-	return newTrainer(m, data, cfg.Smoothing), nil
+	return newTrainer(m, data, cfg.Smoothing, newItemMajor(m)), nil
 }
 
 // initialize seeds θ, φ and the topic-mixture context (θ', φ') with
@@ -109,20 +110,21 @@ func fillJitteredRows(rng *rand.Rand, data []float64, cols int) {
 // disjoint row range of one shared slab — so only the global φ, θ' and
 // φ' slabs are duplicated per shard and merged.
 //
-// phiT and phiXT are the E-step's read-side copies of φ and φ' in
-// item-major (V×K1 and V×K2) layout, rebuilt — by bit-exact
-// transposition — after every M-step and on checkpoint restore. The
-// per-cell topic loops then read one contiguous K-length row per matrix
-// instead of a stride-V column, and the shard accumulators store their
-// φ/φ' statistics in the same item-major layout so the loops' writes
-// are contiguous too. For ITCAM the φ' slabs are empty.
+// phiT and phiXT (itemMajor) are the E-step's read-side copies of φ and
+// φ' in item-major layout, rebuilt — by bit-exact transposition — after
+// every M-step and on checkpoint restore. The per-cell topic loops then
+// read one contiguous K-length row per matrix instead of a stride-V
+// column, and the shard accumulators store their φ/φ' statistics in the
+// same item-major layout so the loops' writes are contiguous too. For
+// ITCAM the φ' slabs are empty.
 //
 // A frozen trainer is fold-in's: φ, θ' and φ' are held fixed and only
 // FoldStep consumes its accumulators, so they carry no global slab —
 // nothing item- or interval-sized is allocated, cleared or merged per
-// shard — and the E-step leaves those statistics out. The per-cell
-// user statistics (θ, λ) are computed by the same operations in the
-// same order either way.
+// shard — and the E-step leaves those statistics out. Its transposes
+// are the model's own carried copy, never refreshed. The per-cell user
+// statistics (θ, λ) are computed by the same operations in the same
+// order either way.
 type trainer struct {
 	m         *Model
 	data      *cuboid.Cuboid
@@ -132,33 +134,46 @@ type trainer struct {
 	theta  []float64 // N×K1, shard s owns rows [lo, hi)
 	lamNum []float64 // N
 	lamDen []float64 // N
-	phiT   []float64 // V×K1: transpose of m.phi
-	phiXT  []float64 // V×K2: transpose of m.phiX
+	*itemMajor
 }
 
-// newTrainer sizes the statistics and transposes for running EM rounds
-// over data against m — a fresh model (Train) or a grown one (fold-in).
-func newTrainer(m *Model, data *cuboid.Cuboid, smoothing float64) *trainer {
-	tr := &trainer{
+// itemMajor holds the transposes of a model's φ and φ' slabs, one row
+// of K1 or K2 entries per item — per stride position, so a model that
+// grows within its stride (GrowFrom) finds its new items' rows, all
+// zero, already there.
+type itemMajor struct {
+	phiT  []float64 // stride×K1: transpose of Model.phi
+	phiXT []float64 // stride×K2: transpose of Model.phiX
+}
+
+func newItemMajor(m *Model) *itemMajor {
+	im := &itemMajor{phiT: make([]float64, len(m.phi)), phiXT: make([]float64, len(m.phiX))}
+	im.refresh(m)
+	return im
+}
+
+// refresh rebuilds the transposes from m's current φ and φ'.
+// Transposition is pure data movement, so the E-step reads exactly the
+// values it would have read from m.phi and m.phiX.
+func (im *itemMajor) refresh(m *Model) {
+	train.Transpose(im.phiT, m.phi, m.k1, m.stride)
+	train.Transpose(im.phiXT, m.phiX, m.k2, m.stride)
+}
+
+// newTrainer sizes the statistics for running EM rounds over data
+// against m, reading φ and φ' through im: a fresh model and fresh
+// transposes (Train), or a grown model and the transposes it carries
+// (fold-in).
+func newTrainer(m *Model, data *cuboid.Cuboid, smoothing float64, im *itemMajor) *trainer {
+	return &trainer{
 		m:         m,
 		data:      data,
 		smoothing: smoothing,
 		theta:     make([]float64, len(m.theta)),
 		lamNum:    make([]float64, m.numUsers),
 		lamDen:    make([]float64, m.numUsers),
-		phiT:      make([]float64, len(m.phi)),
-		phiXT:     make([]float64, len(m.phiX)),
+		itemMajor: im,
 	}
-	tr.refreshTransposes()
-	return tr
-}
-
-// refreshTransposes rebuilds the item-major φ/φ' copies from the current
-// model parameters. Transposition is pure data movement, so the E-step
-// reads exactly the values it would have read from m.phi and m.phiX.
-func (tr *trainer) refreshTransposes() {
-	train.Transpose(tr.phiT, tr.m.phi, tr.m.k1, tr.m.numItems)
-	train.Transpose(tr.phiXT, tr.m.phiX, tr.m.k2, tr.m.numItems)
 }
 
 // accum is one shard's sufficient-statistic set: private global slabs
@@ -376,7 +391,7 @@ func (tr *trainer) MStep(merged train.Accum) float64 {
 	model.NormalizeRows(m.ctx, m.ctxWidth(V), tr.smoothing)
 	train.Transpose(m.phiX, a.phiXT, V, m.k2) // item-major stats back to K2×V
 	model.NormalizeRows(m.phiX, V, tr.smoothing)
-	tr.refreshTransposes()
+	tr.refresh(m)
 	if model.AssertionsEnabled {
 		model.AssertRowStochastic("tcam phi", m.phi, V, 1e-9)
 		model.AssertRowStochastic("tcam context", m.ctx, m.ctxWidth(V), 1e-9)
@@ -432,7 +447,7 @@ func (tr *trainer) DecodeParams(r io.Reader) error {
 	}
 	loaded.label = m.label
 	*m = *loaded
-	tr.refreshTransposes()
+	tr.refresh(m)
 	return nil
 }
 

@@ -214,9 +214,11 @@ func (u *Updater) Step() (bool, error) {
 	u.refreshStatus(u.log.End(), time.Now())
 	u.srv.logf("ingest: published snapshot at log offset %d (%d users, %d items, %d intervals) in %s; "+
 		"lists %d kept / %d sorted, contexts %d kept / %d fit, users %d kept / %d folded; "+
+		"storage shared: %d of %d lists, item table %t, topic slabs %t, fold-in transposes %t; "+
 		"warmed %d users in %s at %.0f list pops each",
 		u.offset, len(u.users), len(u.items), u.grid.Num, time.Since(start).Round(time.Microsecond),
 		sn.idx.ListsKept(), sn.idx.NumLists()-sn.idx.ListsKept(), adv.ContextsKept, adv.ContextsFit, adv.UsersKept, adv.UsersFolded,
+		sn.idx.ListsShared(), sn.idx.NumLists(), sn.idx.TablesShared(), adv.SlabsShared, adv.TransposesShared,
 		warm.users, warm.took.Round(time.Microsecond), warm.popsPerUser())
 	return true, nil
 }

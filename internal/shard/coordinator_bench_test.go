@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"tcam/internal/client"
 )
 
 // BenchmarkCoordinator measures one scatter-gather /recommend through
@@ -15,7 +17,9 @@ func BenchmarkCoordinator(b *testing.B) {
 		// "=" rather than "-" before the count: bench_query.sh strips a
 		// trailing -N as the GOMAXPROCS suffix when building the JSON.
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			f := newFleet(b, n, nil, nil)
+			// The hedger tcamshard runs with — newFleet's never-warm one
+			// keeps a 1 024-sample window that every leg would sort.
+			f := newFleet(b, n, func(cfg *Config) { cfg.Hedger = client.HedgerConfig{} }, nil)
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -238,4 +240,252 @@ func TestBuildIndexFromInherits(t *testing.T) {
 			t.Errorf("change to topic %d outside the window: kept %d lists, want 8", z, got)
 		}
 	}
+}
+
+// streamGeneration is the scorer one publish after c under a frozen ϕ:
+// grow stream-born items arrive, weighing +0 in every topic that
+// existed — the rows one reslice longer where their storage has room,
+// like a model grown within its stride, and moved to wider storage
+// where it has not. The live interval is refit; now and then another
+// opens. With itemContexts (ITCAM's shape: the trailing topics are the
+// intervals' item distributions, nothing collapsed) the refit draws the
+// live interval's row anew over the whole catalog, new items included,
+// so that one topic's tail is not zero.
+func streamGeneration(rng *rand.Rand, c *contextModel, grow int, itemContexts, open bool) *contextModel {
+	v := c.NumItems() + grow
+	n := &contextModel{fakeTopicModel: &fakeTopicModel{}, lo: c.lo, hi: c.hi, user: c.user, gamma: c.gamma, omega: c.omega}
+	for _, row := range c.topics {
+		if cap(row) < v {
+			row = append(make([]float64, 0, v+64), row...)
+		}
+		n.topics = append(n.topics, row[:v])
+	}
+	liveRow := func() []float64 {
+		row := tiedRow(rng, v)
+		row[v-1] = 0.5 // the newest item was seen in the live interval
+		return row
+	}
+	if itemContexts {
+		n.topics[len(n.topics)-1] = liveRow()
+		if open {
+			n.topics = append(n.topics, liveRow())
+			n.user = nil
+			for _, row := range c.user {
+				n.user = append(n.user, append(append([]float64(nil), row...), tiedRow(rng, 1)...))
+			}
+		}
+		return n
+	}
+	n.omega = append([][]float64(nil), c.omega...)
+	n.omega[len(n.omega)-1] = tiedRow(rng, c.hi-c.lo)
+	if open {
+		n.omega = append(n.omega, tiedRow(rng, c.hi-c.lo))
+	}
+	return n
+}
+
+// assertBruteForce checks TA over ix against BruteForce on the window.
+func assertBruteForce(t *testing.T, label string, rng *rand.Rand, c *contextModel, ix *Index) {
+	t.Helper()
+	lo, hi := ix.ItemRange()
+	for trial := 0; trial < 6; trial++ {
+		u, at, k := rng.Intn(len(c.user)), rng.Intn(max(1, len(c.omega))), 1+rng.Intn(12)
+		got, _ := ix.Query(c, u, at, k, nil)
+		if want := c.wantTopK(u, at, k, windowExclude(lo, hi, nil)); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("%s: TA answered query (%d,%d) k=%d with %v, BruteForce with %v", label, u, at, k, got, want)
+		}
+	}
+}
+
+// TestBuildIndexFromAcrossSpareRoom chains forty publishes of five
+// stream-born items each, so the room a growing build leaves behind its
+// lists and tables — 64 items at these sizes — runs out and is laid out
+// again every thirteenth link. Every link equals the from-scratch build
+// field for field and answers as BruteForce does. Under collapsed
+// contexts (TTCAM, with and without a background topic, whole catalog
+// and a window that starts inside it) the new items weigh nothing
+// anywhere: between relayouts both tables and every list but the refit
+// interval's are the previous generation's storage. Under item contexts
+// the live interval's topic weighs the new items, so its list and the
+// tables take the copying path every time while the other topics' lists
+// are still shared.
+func TestBuildIndexFromAcrossSpareRoom(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		k2, tail, lo int
+		itemContexts bool
+		wantShared   int // lists shared, at least, in a link where those of the first layout find room
+	}{
+		{name: "TTCAM", k2: 3, wantShared: 3 + 1},
+		{name: "TTCAM+background", k2: 3, tail: 1, wantShared: 3 + 1 + 1},
+		{name: "TTCAM window", k2: 2, tail: 1, lo: 7, wantShared: 3 + 1 + 1},
+		{name: "ITCAM", tail: 2, itemContexts: true, wantShared: 3 + 1},
+		{name: "ITCAM window", tail: 2, lo: 5, itemContexts: true, wantShared: 3 + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			c := tiedContextModel(rng, 3, tc.k2, tc.tail, 2, 20)
+			prev := BuildIndexRange(c, tc.lo, c.NumItems())
+			for gen := 0; gen < 40; gen++ {
+				c = streamGeneration(rng, c, 5, tc.itemContexts, gen%9 == 4)
+				got := BuildIndexFrom(prev, c, tc.lo, c.NumItems())
+				label := fmt.Sprintf("generation %d (%d items)", gen, c.NumItems())
+				assertSameIndex(t, label, rng, c, got, BuildIndexRange(c, tc.lo, c.NumItems()))
+				assertBruteForce(t, label, rng, c, got)
+				room := gen%13 != 0 // a boot index leaves none, a relayout 64 items' worth: 13 links of 5
+				if want := room && !tc.itemContexts; got.TablesShared() != want {
+					t.Errorf("%s: tables shared with the previous generation: %t, want %t", label, got.TablesShared(), want)
+				}
+				if room && got.ListsShared() < tc.wantShared {
+					t.Errorf("%s: %d of %d lists are the previous generation's storage, want at least %d",
+						label, got.ListsShared(), got.NumLists(), tc.wantShared)
+				}
+				prev = got
+			}
+		})
+	}
+}
+
+// TestZeroTailSharesStorage: a generation whose new items weigh +0
+// everywhere is the previous one's lists and tables one reslice longer
+// — the same arrays — once a growing build has left room; an item with
+// weight under one topic costs that topic's list and the tables a copy
+// and the other lists nothing. A boot index has no room to share.
+func TestZeroTailSharesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	c := tiedContextModel(rng, 3, 2, 1, 3, 30)
+	boot := BuildIndex(c)
+	c = streamGeneration(rng, c, 4, false, false)
+	first := BuildIndexFrom(boot, c, 0, c.NumItems())
+	if first.TablesShared() || first.ListsShared() != 0 {
+		t.Fatalf("growing past a boot index shared its tables (%t) or %d lists: a boot index has no room", first.TablesShared(), first.ListsShared())
+	}
+	sameStorage := func(a, b *Index, z int) bool {
+		return &a.lists[z].items[0] == &b.lists[z].items[0] && &a.lists[z].weights[0] == &b.lists[z].weights[0]
+	}
+
+	zero := *c
+	zero.fakeTopicModel = &fakeTopicModel{}
+	for _, row := range c.topics {
+		zero.topics = append(zero.topics, row[:len(row)+6]) // streamGeneration left zeroed room behind each row
+	}
+	next := BuildIndexFrom(first, &zero, 0, zero.NumItems())
+	assertSameIndex(t, "zero tail", rng, &zero, next, BuildIndex(&zero))
+	for _, z := range []int{0, 1, 2, 5} { // the user topics and the background; 3 and 4 are collapsed
+		if !sameStorage(next, first, z) {
+			t.Errorf("zero tail: list of topic %d was copied", z)
+		}
+	}
+	for at := range next.contexts {
+		if &next.contexts[at].items[0] != &first.contexts[at].items[0] {
+			t.Errorf("zero tail: context list of interval %d was copied", at)
+		}
+	}
+	if &next.byItem[0] != &first.byItem[0] || &next.byItem32[0] != &first.byItem32[0] || !next.TablesShared() {
+		t.Error("zero tail: the transposed tables were copied")
+	}
+	if next.ListsShared() != next.NumLists() {
+		t.Errorf("zero tail: %d of %d lists reported shared", next.ListsShared(), next.NumLists())
+	}
+
+	weighed := zero
+	weighed.fakeTopicModel = &fakeTopicModel{topics: append([][]float64(nil), zero.topics...)}
+	weighed.topics[1] = append([]float64(nil), zero.topics[1]...)
+	weighed.topics[1][zero.NumItems()-2] = 0.25
+	next = BuildIndexFrom(first, &weighed, 0, weighed.NumItems())
+	assertSameIndex(t, "weighed tail", rng, &weighed, next, BuildIndex(&weighed))
+	if sameStorage(next, first, 1) || &next.byItem[0] == &first.byItem[0] || &next.byItem32[0] == &first.byItem32[0] || next.TablesShared() {
+		t.Error("weighed tail: a list or table with a new non-zero entry shares the previous generation's storage")
+	}
+	for _, z := range []int{0, 2, 5} {
+		if !sameStorage(next, first, z) {
+			t.Errorf("weighed tail: list of untouched topic %d was copied", z)
+		}
+	}
+	negZero := zero
+	negZero.fakeTopicModel = &fakeTopicModel{topics: append([][]float64(nil), zero.topics...)}
+	negZero.topics[0] = append([]float64(nil), zero.topics[0]...)
+	negZero.topics[0][zero.NumItems()-1] = math.Copysign(0, -1)
+	next = BuildIndexFrom(first, &negZero, 0, negZero.NumItems())
+	assertSameIndex(t, "negative-zero tail", rng, &negZero, next, BuildIndex(&negZero))
+	if sameStorage(next, first, 0) || next.TablesShared() {
+		t.Error("negative-zero tail: −0 is not the +0 the spare room holds, yet storage was shared")
+	}
+}
+
+// TestTwoSuccessorsOfOneGeneration: a cycle retried with more events
+// derives a second successor from the index the first was derived from.
+// Both equal their from-scratch builds, and deriving the second leaves
+// the first — which shares the same spare room — as it was.
+func TestTwoSuccessorsOfOneGeneration(t *testing.T) {
+	for _, itemContexts := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(13))
+		k2, tail := 2, 1
+		if itemContexts {
+			k2, tail = 0, 2
+		}
+		c := tiedContextModel(rng, 3, k2, tail, 3, 24)
+		c = streamGeneration(rng, c, 3, itemContexts, false)
+		prev := BuildIndexFrom(BuildIndex(c), c, 0, c.NumItems()) // unchanged window: still no room
+		c = streamGeneration(rng, c, 3, itemContexts, false)
+		prev = BuildIndexFrom(prev, c, 0, c.NumItems()) // grown: laid out with room
+		a := streamGeneration(rng, c, 2, itemContexts, false)
+		b := streamGeneration(rng, c, 9, itemContexts, true)
+		first := BuildIndexFrom(prev, a, 0, a.NumItems())
+		assertSameIndex(t, "first successor", rng, a, first, BuildIndex(a))
+		second := BuildIndexFrom(prev, b, 0, b.NumItems())
+		assertSameIndex(t, "second successor", rng, b, second, BuildIndex(b))
+		assertSameIndex(t, "first successor after the second", rng, a, first, BuildIndex(a))
+		assertSameIndex(t, "their predecessor", rng, c, prev, BuildIndex(c))
+		if !itemContexts && (!first.TablesShared() || !second.TablesShared()) {
+			t.Error("the successors did not share their predecessor's tables: the test does not reach the reslice path")
+		}
+	}
+}
+
+// TestReadersDuringDerivation: readers query generation N while
+// generations N+1 … N+8 are derived from it, one from the other, and
+// published — under the race detector the proof that a derivation
+// writes nothing a published generation can see, though it shares that
+// generation's arrays.
+func TestReadersDuringDerivation(t *testing.T) {
+	type generation struct {
+		c  *contextModel
+		ix *Index
+	}
+	rng := rand.New(rand.NewSource(14))
+	c := tiedContextModel(rng, 3, 2, 1, 2, 40)
+	c = streamGeneration(rng, c, 4, false, false)
+	var serving atomic.Pointer[generation]
+	serving.Store(&generation{c, BuildIndexFrom(BuildIndex(c), c, 0, c.NumItems())})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				g := serving.Load()
+				u, at, k := rng.Intn(len(g.c.user)), rng.Intn(len(g.c.omega)), 1+rng.Intn(10)
+				got, _ := g.ix.Query(g.c, u, at, k, nil)
+				if want := g.c.wantTopK(u, at, k, nil); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+					t.Errorf("query (%d,%d) k=%d during a derivation answered %v, want %v", u, at, k, got, want)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	for gen := 0; gen < 8; gen++ {
+		g := serving.Load()
+		next := streamGeneration(rng, g.c, 1+rng.Intn(6), false, gen == 5)
+		serving.Store(&generation{next, BuildIndexFrom(g.ix, next, 0, next.NumItems())})
+	}
+	close(stop)
+	wg.Wait()
 }

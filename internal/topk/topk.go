@@ -112,10 +112,13 @@ type Index struct {
 	// ctxWeights[t] the ω_t contexts[t] was collapsed under; the next
 	// generation's BuildIndexFrom compares against them to decide which
 	// lists it may inherit. kept counts the lists this index itself
-	// inherited.
-	topics     [][]float64
-	ctxWeights [][]float64
-	kept       int
+	// inherited, shared those of them that are prev's own storage, and
+	// tableShared says the same of byItem and byItem32.
+	topics      [][]float64
+	ctxWeights  [][]float64
+	kept        int
+	shared      int
+	tableShared bool
 
 	// screenScale and screenEps over-approximate the worst-case error of
 	// the float32 screening dot product: for any item,
@@ -180,6 +183,9 @@ func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
 // that list is the sorted order of the window's head, and merging in
 // the sorted tail of items prev did not cover yields the one sorted
 // list of the whole window; otherwise the list is sorted from scratch.
+// New items that all weigh +0 — a stream-born item under a frozen ϕ —
+// need no merge: extend, and the table step after it, admit them by
+// reslicing prev's storage, moving no byte of it.
 // A topic's weights are its slab. A collapsed context's weights are a
 // function of ω_t and the context topics' slabs, each term computed per
 // item, so it is unchanged exactly when those are — which is read off
@@ -234,6 +240,13 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	} else {
 		prev = nil
 	}
+	// A window that has outgrown prev's will grow again: what has to be
+	// laid out for it gets room behind its end. BuildIndexRange leaves
+	// none — a boot index is exactly as large as its catalog.
+	spare := 0
+	if prev != nil && head < v {
+		spare = model.SpareItems(v)
+	}
 	// Entries and table rows are indexed by the local item offset within
 	// the window; ascending local order is ascending global order, so
 	// every tie-break below matches the full index.
@@ -250,6 +263,7 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	}
 	// One task per list: the topics, then the contexts.
 	kept := make([]bool, k+len(ix.contexts))
+	shared := make([]bool, len(kept))
 	model.ParallelRanges(len(kept), workers, func(_, jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
 			switch t := j - k; {
@@ -257,36 +271,54 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 				// Walked only through the contexts.
 			case j < k:
 				if kept[j] = same[j]; kept[j] {
-					ix.lists[j] = mergeTail(prev.lists[j], sortedList(ix.topics[j][lo+head:hi], head))
+					ix.lists[j], shared[j] = extend(prev.lists[j], ix.topics[j][lo+head:hi], spare)
 				} else {
-					ix.lists[j] = sortedList(ix.topics[j][lo:hi], 0)
+					ix.lists[j] = sortedList(ix.topics[j][lo:hi], 0, spare)
 				}
 			case ctxSame && t < len(prev.contexts) && sameBits(prev.ctxWeights[t], ix.ctxWeights[t]):
 				kept[j] = true
-				ix.contexts[t] = mergeTail(prev.contexts[t], sortedList(ix.collapse(t, lo+head, hi), head))
+				ix.contexts[t], shared[j] = extend(prev.contexts[t], ix.collapse(t, lo+head, hi), spare)
 			default:
-				ix.contexts[t] = sortedList(ix.collapse(t, lo, hi), 0)
+				ix.contexts[t] = sortedList(ix.collapse(t, lo, hi), 0, spare)
 			}
 		}
 	})
-	for _, ok := range kept {
+	for j, ok := range kept {
 		if ok {
 			ix.kept++
 		}
+		if shared[j] {
+			ix.shared++
+		}
 	}
-	allSame := prev != nil && head == v && prev.numTopics == k
+	// The transposed tables. Their head rows are prev's when every column
+	// is an unchanged topic's; the rows behind are zero when the new items
+	// weigh +0 under every topic, which is what the room behind a table
+	// laid out with spare rows holds. Both: the tables are prev's, one
+	// reslice longer (no longer, for an unchanged window).
+	headSame := prev != nil && prev.numTopics == k
 	for _, ok := range same {
-		allSame = allSame && ok
+		headSame = headSame && ok
 	}
-	if allSame {
-		// Every column of the transposed tables is an unchanged topic's.
-		ix.byItem, ix.byItem32 = prev.byItem, prev.byItem32
-		return ix
+	if tailZero := headSame && v*k <= cap(prev.byItem); tailZero {
+		for _, weights := range ix.topics {
+			tailZero = tailZero && allZero(weights[lo+head:hi])
+		}
+		if tailZero {
+			ix.byItem, ix.byItem32, ix.tableShared = prev.byItem[:v*k], prev.byItem32[:v*k], true
+			return ix
+		}
 	}
-	ix.byItem = make([]float64, v*k)
-	ix.byItem32 = make([]float32, v*k)
-	model.ParallelRanges(v, workers, func(_, vlo, vhi int) {
-		for item := vlo; item < vhi; item++ {
+	ix.byItem = make([]float64, v*k, (v+spare)*k)
+	ix.byItem32 = make([]float32, v*k, (v+spare)*k)
+	from := 0 // rows before it are copied, not transposed again
+	if headSame {
+		from = head
+		copy(ix.byItem, prev.byItem)
+		copy(ix.byItem32, prev.byItem32)
+	}
+	model.ParallelRanges(v-from, workers, func(_, vlo, vhi int) {
+		for item := from + vlo; item < from+vhi; item++ {
 			row := ix.byItem[item*k : (item+1)*k]
 			row32 := ix.byItem32[item*k : (item+1)*k]
 			for z, weights := range ix.topics {
@@ -318,9 +350,25 @@ type entry struct {
 	weight float64
 }
 
+// newList returns a list of n entries to be filled in, with room for
+// spare more behind them. The room is spelled out as the entries items
+// n, n+1, … would get if they all weighed +0 — where (weight desc, item
+// asc) puts them behind non-negative weights — so that extend can admit
+// such items by reslicing. A list with room is never built any other
+// way, and the room is never written again.
+func newList(n, spare int) list {
+	l := list{items: make([]int32, n, n+spare), weights: make([]float64, n, n+spare)}
+	room := l.items[n : n+spare]
+	for i := range room {
+		room[i] = int32(n + i)
+	}
+	return l
+}
+
 // sortedList returns the sorted list of local items base, base+1, …
-// carrying weights[0], weights[1], ….
-func sortedList(weights []float64, base int) list {
+// carrying weights[0], weights[1], …. Only a whole window's list
+// (base 0) takes spare room.
+func sortedList(weights []float64, base, spare int) list {
 	entries := make([]entry, len(weights))
 	for i, w := range weights {
 		entries[i] = entry{item: int32(base + i), weight: w}
@@ -334,38 +382,62 @@ func sortedList(weights []float64, base int) list {
 		}
 		return int(a.item) - int(b.item)
 	})
-	l := list{items: make([]int32, len(entries)), weights: make([]float64, len(entries))}
+	l := newList(len(entries), spare)
 	for i, e := range entries {
 		l.items[i], l.weights[i] = e.item, e.weight
 	}
 	return l
 }
 
+// extend returns the sorted list of head's items and the items behind
+// them, which carry tail — mergeTail(head, sortedList(tail)) — and
+// whether that list is head's own storage. New items that all weigh +0
+// sort behind every head entry in ascending order, and that is what the
+// room behind head holds (newList): the list is then head one reslice
+// longer — nothing allocated, copied or written, so any number of
+// generations derived from one head agree on it. No new items at all is
+// the same case: lists are immutable and generations share them.
+// Anything else — a weight that is not +0, room used up, a head that
+// ends below zero — is merged into fresh storage.
+func extend(head list, tail []float64, spare int) (list, bool) {
+	n := len(head.items) + len(tail)
+	if n <= cap(head.items) && allZero(tail) && (n == len(tail) || head.weights[len(head.weights)-1] >= 0) {
+		return list{items: head.items[:n], weights: head.weights[:n]}, true
+	}
+	return mergeTail(head, sortedList(tail, len(head.items), 0), spare), false
+}
+
 // mergeTail merges two sorted lists over disjoint items, the tail's all
 // above the head's: the previous window's list and the sorted list of
-// the items appended since. With no tail the head itself is returned:
-// lists are immutable, so generations may share one. The tail is a
-// publish's handful of new items, so the head is copied in the runs
-// between their places, not entry by entry.
-func mergeTail(head, tail list) list {
-	if len(tail.items) == 0 {
-		return head
-	}
-	n := len(head.items) + len(tail.items)
-	l := list{items: make([]int32, 0, n), weights: make([]float64, 0, n)}
+// the items appended since. The tail is a publish's handful of new
+// items, so the head is copied in the runs between their places, not
+// entry by entry.
+func mergeTail(head, tail list, spare int) list {
+	l := newList(len(head.items)+len(tail.items), spare)
+	items, weights := l.items[:0], l.weights[:0]
 	from := 0
 	for j, w := range tail.weights {
 		// A tail entry goes behind every head entry at least as heavy:
 		// on equal weights the head's item is the smaller.
 		rest := head.weights[from:]
 		to := from + sort.Search(len(rest), func(i int) bool { return rest[i] < w })
-		l.items = append(append(l.items, head.items[from:to]...), tail.items[j])
-		l.weights = append(append(l.weights, head.weights[from:to]...), w)
+		items = append(append(items, head.items[from:to]...), tail.items[j])
+		weights = append(append(weights, head.weights[from:to]...), w)
 		from = to
 	}
-	l.items = append(l.items, head.items[from:]...)
-	l.weights = append(l.weights, head.weights[from:]...)
+	copy(l.items[len(items):], head.items[from:])
+	copy(l.weights[len(weights):], head.weights[from:])
 	return l
+}
+
+// allZero reports whether every weight is +0, bit for bit.
+func allZero(weights []float64) bool {
+	for _, w := range weights {
+		if math.Float64bits(w) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // sameBits reports whether two weight slabs hold identical bits. Shared
@@ -389,6 +461,15 @@ func sameBits(a, b []float64) bool {
 // ListsKept returns how many of the index's sorted lists were inherited
 // from the previous generation's index (0 for a BuildIndexRange index).
 func (ix *Index) ListsKept() int { return ix.kept }
+
+// ListsShared returns how many of the inherited lists are the previous
+// generation's own storage — unchanged, or one reslice longer — rather
+// than a merged copy.
+func (ix *Index) ListsShared() int { return ix.shared }
+
+// TablesShared reports whether the transposed tables are the previous
+// generation's own storage.
+func (ix *Index) TablesShared() bool { return ix.tableShared }
 
 // NumLists returns how many sorted lists the index holds: one per
 // expanded topic outside the collapsed range plus one per interval

@@ -21,7 +21,13 @@
 #      it triggers scan no deeper at a stream-opened interval than at a
 #      trained one (DESIGN.md §6), which
 #   7. TestLiveIntervalDepth asserts in list pops, not nanoseconds, so
-#      the regression cannot hide on a noisy host.
+#      the regression cannot hide on a noisy host;
+#   8. the same 32k step must allocate at most 6 MB — half of the
+#      11.5 MB/op it cost while every item-indexed table was laid out
+#      anew per publish (about 4.6 MB/op over these 8 steps now,
+#      DESIGN.md §15) — and TestPublishBytesAreDelta,
+#      TestZeroTailSharesStorage and TestBuildIndexFromAcrossSpareRoom
+#      assert the same in bytes and shared storage, deterministically.
 #
 # Usage: scripts/bench_smoke.sh
 set -eu
@@ -62,7 +68,7 @@ go test -run '^$' -bench 'BenchmarkAppend$|BenchmarkReplay$' -benchtime 1x \
 go test -run '^$' -bench 'BenchmarkUpdaterStep$|BenchmarkSnapshotPublish$' -benchtime 1x \
     ./internal/server/ >/dev/null
 
-history_out=$(go test -run '^$' -bench 'BenchmarkUpdaterStepHistory$' -benchtime 8x -count=1 \
+history_out=$(go test -run '^$' -bench 'BenchmarkUpdaterStepHistory$' -benchtime 8x -benchmem -count=1 \
     ./internal/server/)
 echo "$history_out"
 if ! echo "$history_out" | awk '
@@ -73,5 +79,15 @@ if ! echo "$history_out" | awk '
     exit 1
 fi
 
+# A -benchmem line ends "<bytes> B/op <n> allocs/op".
+if ! echo "$history_out" | awk '
+    /^BenchmarkUpdaterStepHistory\/32k/ { bytes = $(NF-3) }
+    END { exit !(bytes > 0 && bytes <= 6000000) }'; then
+    echo "bench_smoke.sh: updater step behind 32k events allocates more than 6 MB/op (or did not run)" >&2
+    exit 1
+fi
+
 go test -run 'TestLiveIntervalDepth$' -count=1 ./internal/index/
+go test -run 'TestPublishBytesAreDelta$' -count=1 ./internal/server/
+go test -run 'TestZeroTailSharesStorage$|TestBuildIndexFromAcrossSpareRoom$' -count=1 ./internal/topk/
 echo "bench_smoke.sh: OK"

@@ -58,7 +58,8 @@ if [ "${1:-}" != "-short" ]; then
     # Benchmark gates: the pooled TA searcher and the serial EM
     # iteration must stay allocation-free at steady state, the
     # sharded-parallel EM benchmark must still run, a publish with cache
-    # and precompute on must not grow with the log, and TA must not scan
+    # and precompute on must not grow with the log nor allocate what a
+    # re-layout of the item-indexed tables would, and TA must not scan
     # deeper at a stream-opened interval than at a trained one. Shared
     # with the CI workflow's gates job.
     scripts/bench_smoke.sh
