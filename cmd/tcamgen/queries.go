@@ -1,8 +1,8 @@
 package main
 
 // Query-workload emission (-queries): instead of an event log, tcamgen
-// writes a JSONL stream of serving requests shaped like the batch API's
-// query object — {"user","time","k","exclude"} — so the same file drives
+// writes a JSONL stream of serving requests, one api.Query —
+// {"user","time","k","exclude"} — per line, so the same file drives
 // `tcamquery -users @file`, the server benchmarks, and any external load
 // generator. User and item popularity in the workload follow the
 // activity ranking of a concrete dataset (generated or loaded with
@@ -17,6 +17,7 @@ import (
 	"os"
 	"sort"
 
+	"tcam/internal/api"
 	"tcam/internal/datagen"
 	"tcam/internal/dataset"
 )
@@ -29,15 +30,6 @@ type queryConfig struct {
 	maxExclude int     // per-query exclude-list bound
 	userExp    float64 // Zipf exponent over activity-ranked users
 	itemExp    float64 // Zipf exponent over activity-ranked exclude items
-}
-
-// workloadQuery is one emitted JSONL record. Field names match the
-// serving tier's batch query object (client.BatchQuery).
-type workloadQuery struct {
-	User    string   `json:"user"`
-	Time    int64    `json:"time"`
-	K       int      `json:"k,omitempty"`
-	Exclude []string `json:"exclude,omitempty"`
 }
 
 // writeQueries synthesizes qc.n Zipf-skewed queries against log's
@@ -76,7 +68,7 @@ func writeQueries(log *dataset.Interactions, path string, qc queryConfig) error 
 	w := bufio.NewWriter(f)
 	enc := json.NewEncoder(w)
 	for _, q := range queries {
-		rec := workloadQuery{User: log.UserID(users[q.User]), Time: q.Time, K: q.K}
+		rec := api.Query{User: log.UserID(users[q.User]), Time: q.Time, K: q.K}
 		for _, v := range q.Exclude {
 			rec.Exclude = append(rec.Exclude, log.ItemID(items[v]))
 		}

@@ -7,21 +7,22 @@ import (
 	"path/filepath"
 	"testing"
 
+	"tcam/internal/api"
 	"tcam/internal/dataset"
 )
 
 // readWorkload decodes a JSONL query-workload file.
-func readWorkload(t *testing.T, path string) []workloadQuery {
+func readWorkload(t *testing.T, path string) []api.Query {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var out []workloadQuery
+	var out []api.Query
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		var q workloadQuery
+		var q api.Query
 		if err := json.Unmarshal(sc.Bytes(), &q); err != nil {
 			t.Fatalf("line %d: %v", len(out)+1, err)
 		}

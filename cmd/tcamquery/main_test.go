@@ -10,40 +10,16 @@ import (
 	"strings"
 	"testing"
 
-	"tcam"
 	"tcam/internal/api"
 	"tcam/internal/index"
 	"tcam/internal/ingest"
 	"tcam/internal/server"
 	"tcam/internal/shard"
+	"tcam/internal/testfixture"
 )
 
-func trainedBundle(t *testing.T) string {
-	t.Helper()
-	log := tcam.NewDataset()
-	for day := int64(0); day < 6; day++ {
-		for u := 0; u < 8; u++ {
-			user := fmt.Sprintf("user%d", u)
-			if err := log.Add(user, fmt.Sprintf("item-%d", day), day, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	opts := tcam.DefaultOptions()
-	opts.K1, opts.K2, opts.MaxIters = 3, 3, 10
-	rec, err := tcam.Train(log, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "b.tcam")
-	if err := rec.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 func TestQueryRun(t *testing.T) {
-	bundle := trainedBundle(t)
+	bundle := testfixture.Saved(t, 8, 6)
 	if err := run(bundle, "user3", 2, 3, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +29,7 @@ func TestQueryRun(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
-	bundle := trainedBundle(t)
+	bundle := testfixture.Saved(t, 8, 6)
 	if err := run("", "user3", 0, 3, ""); err == nil {
 		t.Error("run accepted empty bundle path")
 	}
@@ -69,7 +45,7 @@ func TestQueryErrors(t *testing.T) {
 }
 
 func TestQueryRunBatch(t *testing.T) {
-	bundle := trainedBundle(t)
+	bundle := testfixture.Saved(t, 8, 6)
 	if err := runBatch(bundle, "user3,user5,user0", 2, 3, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +57,7 @@ func TestQueryRunBatch(t *testing.T) {
 // Remote mode runs the same queries through a live internal/server
 // instance end to end: CLI → retrying client → HTTP → TA index.
 func TestQueryRunRemote(t *testing.T) {
-	b, err := index.Load(trainedBundle(t))
+	b, err := index.Load(testfixture.Saved(t, 8, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +99,7 @@ func TestQueryRunRemote(t *testing.T) {
 // A degraded coordinator answer must be flagged in the human output and
 // carry the missing item ranges through -json untouched.
 func TestQueryRunRemoteDegraded(t *testing.T) {
-	b, err := index.Load(trainedBundle(t))
+	b, err := index.Load(testfixture.Saved(t, 8, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +150,7 @@ func TestQueryRunRemoteDegraded(t *testing.T) {
 }
 
 func TestQueryRunBatchErrors(t *testing.T) {
-	bundle := trainedBundle(t)
+	bundle := testfixture.Saved(t, 8, 6)
 	if err := runBatch("", "user3", 0, 3, ""); err == nil {
 		t.Error("runBatch accepted empty bundle path")
 	}
@@ -189,7 +165,7 @@ func TestQueryRunBatchErrors(t *testing.T) {
 // -health surfaces the snapshot version and, when the server tails an
 // ingest log, the offset/lag/staleness triple operators watch.
 func TestQueryRunHealth(t *testing.T) {
-	b, err := index.Load(trainedBundle(t))
+	b, err := index.Load(testfixture.Saved(t, 8, 6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,17 @@ import (
 	"io"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"tcam/internal/api"
+	"tcam/internal/dataset"
 	"tcam/internal/index"
 	"tcam/internal/server"
+	"tcam/internal/testfixture"
 )
 
 func writeWorkloadFile(t *testing.T, lines ...string) string {
@@ -64,7 +68,7 @@ func TestLoadWorkloadErrors(t *testing.T) {
 // `-users @file` runs the workload as one batch in both modes; each
 // record keeps its own time and k.
 func TestRunBatchAndRemoteFromWorkloadFile(t *testing.T) {
-	bundlePath := trainedBundle(t)
+	bundlePath := testfixture.Saved(t, 8, 6)
 	path := writeWorkloadFile(t,
 		`{"user":"user3","time":2,"k":3}`,
 		`{"user":"user5","time":4,"k":2,"exclude":["item-0"]}`,
@@ -108,7 +112,7 @@ func TestRunBatchAndRemoteFromWorkloadFile(t *testing.T) {
 // -health against a cache-enabled server prints the hit/miss line and
 // the precompute line once a publish warmed users.
 func TestRunHealthPrintsCache(t *testing.T) {
-	b, err := index.Load(trainedBundle(t))
+	b, err := index.Load(testfixture.Saved(t, 8, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +138,64 @@ func TestRunHealthPrintsCache(t *testing.T) {
 	for _, want := range []string{"cache: 1 hits / 1 misses (50.0% hit rate)", "epoch 2", "precomputed 1 hot users"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("health output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// What `tcamgen -queries` writes, loadWorkload reads back name for name
+// — both sides speak api.Query — including user and item ids that a
+// query string or a comma-separated flag could not carry.
+func TestLoadWorkloadReadsTcamgenOutput(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH to build tcamgen with")
+	}
+	dir := t.TempDir()
+	gen := filepath.Join(dir, "tcamgen")
+	if out, err := exec.Command(goBin, "build", "-o", gen, "tcam/cmd/tcamgen").CombinedOutput(); err != nil {
+		t.Fatalf("go build tcamgen: %v\n%s", err, out)
+	}
+	users := []string{"a,b", "100%41", "c++", `say "hi"`}
+	items := []string{"x,y", "50%25", "q+r", "plain"}
+	log := dataset.New()
+	for i, u := range users {
+		for j, v := range items {
+			if err := log.Add(u, v, int64(1+i+j), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ds, load := filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "load.jsonl")
+	if err := log.SaveJSONLFile(ds); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command(gen, "-dataset", ds, "-out", load,
+		"-queries", "200", "-qseed", "3", "-k", "4", "-max-exclude", "3").CombinedOutput(); err != nil {
+		t.Fatalf("tcamgen -queries: %v\n%s", err, out)
+	}
+	queries, err := loadWorkload(load, 0, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(queries) != 200 {
+		t.Fatalf("read %d queries, want 200", len(queries))
+	}
+	seen := make(map[string]bool)
+	for i, q := range queries {
+		if !slices.Contains(users, q.User) || q.K != 4 || q.Time < 1 || q.Time > 7 {
+			t.Fatalf("query %d came back mangled: %+v", i, q)
+		}
+		seen[q.User] = true
+		for _, id := range q.Exclude {
+			if !slices.Contains(items, id) {
+				t.Fatalf("query %d excludes %q, not an item of the dataset", i, id)
+			}
+			seen[id] = true
+		}
+	}
+	for _, id := range append(users, items...) {
+		if !seen[id] {
+			t.Errorf("id %q never survived the round trip", id)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -13,37 +12,14 @@ import (
 	"testing"
 	"time"
 
-	"tcam"
 	"tcam/internal/ingest"
+	"tcam/internal/testfixture"
 )
-
-func trainedBundle(t *testing.T) string {
-	t.Helper()
-	log := tcam.NewDataset()
-	for day := int64(0); day < 5; day++ {
-		for u := 0; u < 6; u++ {
-			if err := log.Add(fmt.Sprintf("user%d", u), fmt.Sprintf("item-%d", day), day, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	opts := tcam.DefaultOptions()
-	opts.K1, opts.K2, opts.MaxIters = 3, 3, 8
-	rec, err := tcam.Train(log, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "b.tcam")
-	if err := rec.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 func testConfig(t *testing.T) config {
 	t.Helper()
 	return config{
-		bundlePath:        trainedBundle(t),
+		bundlePath:        testfixture.Saved(t, 6, 5),
 		addr:              "127.0.0.1:0",
 		readTimeout:       5 * time.Second,
 		readHeaderTimeout: 5 * time.Second,

@@ -7,41 +7,16 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
-	"tcam"
 	"tcam/internal/index"
 	"tcam/internal/server"
 	"tcam/internal/shard"
+	"tcam/internal/testfixture"
 )
-
-// trainedBundle trains and saves a small bundle: 6 users, 5 items.
-func trainedBundle(t *testing.T) string {
-	t.Helper()
-	ds := tcam.NewDataset()
-	for day := int64(0); day < 5; day++ {
-		for u := 0; u < 6; u++ {
-			if err := ds.Add(fmt.Sprintf("user%d", u), fmt.Sprintf("item-%d", day), day, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	opts := tcam.DefaultOptions()
-	opts.K1, opts.K2, opts.MaxIters = 3, 3, 8
-	rec, err := tcam.Train(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "b.tcam")
-	if err := rec.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 
@@ -90,7 +65,7 @@ func TestParseShards(t *testing.T) {
 
 func TestBuildShardServesWindow(t *testing.T) {
 	srv, b, err := buildShard(config{
-		bundlePath: trainedBundle(t),
+		bundlePath: testfixture.Saved(t, 6, 5),
 		items:      "0-3",
 		logger:     quietLogger(),
 	})
@@ -135,7 +110,7 @@ func TestBuildShardErrors(t *testing.T) {
 	if _, _, err := buildShard(config{items: "0-3"}); err == nil {
 		t.Error("missing -bundle accepted")
 	}
-	if _, _, err := buildShard(config{bundlePath: trainedBundle(t), items: "0-99"}); err == nil {
+	if _, _, err := buildShard(config{bundlePath: testfixture.Saved(t, 6, 5), items: "0-99"}); err == nil {
 		t.Error("window beyond the catalog accepted")
 	}
 }
@@ -143,7 +118,7 @@ func TestBuildShardErrors(t *testing.T) {
 // End to end: a coordinator process (via run) in front of two live
 // shard servers answers /recommend, and degrades when a shard dies.
 func TestRunCoordinatorEndToEnd(t *testing.T) {
-	bundlePath := trainedBundle(t)
+	bundlePath := testfixture.Saved(t, 6, 5)
 	b, err := index.Load(bundlePath)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"tcam/internal/api"
 	"tcam/internal/client"
+	"tcam/internal/testfixture"
 )
 
 // doors asks the same query at every door of the serving tier: GET
@@ -25,7 +26,7 @@ type doors struct {
 
 func openDoors(t *testing.T, cacheEntries int) *doors {
 	t.Helper()
-	b := servingBundle(t)
+	b := testfixture.Serving(t)
 	d := &doors{rec: newRecommender(b)}
 	d.mono, d.coord = startDoors(t, b, cacheEntries)
 	var err error

@@ -21,8 +21,8 @@ import (
 	"tcam/internal/core"
 	"tcam/internal/cuboid"
 	"tcam/internal/datagen"
+	"tcam/internal/model/plsa"
 	"tcam/internal/model/tcam"
-	"tcam/internal/model/tt"
 	"tcam/internal/weighting"
 )
 
@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ttModel := ttRes.Model.(*tt.Model)
+	ttModel := ttRes.Model.(*plsa.Model)
 	show("TT", world, event, matchTopic(world, event, ttModel.Topic, ttModel.K()), ttModel.Topic)
 
 	for _, m := range []core.Method{core.TTCAM, core.WTTCAM} {

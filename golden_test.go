@@ -1,7 +1,6 @@
 package tcam
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,43 +9,11 @@ import (
 	"time"
 
 	"tcam/internal/client"
-	"tcam/internal/cuboid"
-	"tcam/internal/dataset"
 	"tcam/internal/index"
-	tcammodel "tcam/internal/model/tcam"
 	"tcam/internal/server"
 	"tcam/internal/shard"
+	"tcam/internal/testfixture"
 )
-
-// servingBundle trains a 6-user / 3-interval / 12-item TTCAM (the
-// fixture the server and shard tests serve). Two items carry names
-// that only survive exactly one percent-decode.
-func servingBundle(tb testing.TB) *index.Bundle {
-	tb.Helper()
-	b := cuboid.NewBuilder(6, 3, 12)
-	for u := 0; u < 6; u++ {
-		for t := 0; t < 3; t++ {
-			b.MustAdd(u, t, (u*2+t)%12, 1)
-			b.MustAdd(u, t, (t*4)%12, 1)
-		}
-	}
-	cfg := tcammodel.DefaultConfig()
-	cfg.K1, cfg.K2, cfg.MaxIters = 4, 3, 15
-	m, _, err := tcammodel.Train(b.Build(), cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	users := make([]string, 6)
-	for i := range users {
-		users[i] = fmt.Sprintf("user-%d", i)
-	}
-	items := make([]string, 12)
-	for i := range items {
-		items[i] = fmt.Sprintf("item-%d", i)
-	}
-	items[4], items[9] = "c++", "100%41"
-	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
-}
 
 // startDoors serves b behind a monolithic server and behind a
 // coordinator over two half-catalog shards, all with result caches of
@@ -104,11 +71,9 @@ func fetch(tb testing.TB, url, body string) (int, string) {
 }
 
 // TestGoldenWireBytes pins the exact JSON of one healthy response per
-// query door. It uses nothing but exported constructors and raw HTTP,
-// so the same file passes on the commit before the doors were unified:
-// the proof that the wire did not move.
+// query door, over raw HTTP: the proof that the wire does not move.
 func TestGoldenWireBytes(t *testing.T) {
-	mono, coord := startDoors(t, servingBundle(t), 0)
+	mono, coord := startDoors(t, testfixture.Serving(t), 0)
 	for _, tc := range []struct{ name, url, body, want string }{
 		{"recommend", mono + "/recommend?user=user-2&time=115&k=3&exclude=item-6,bogus", "",
 			`{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-5","score":0.10288519397770296},{"item":"100%41","score":0.06759050852527754}],"items_examined":4}`},

@@ -14,10 +14,9 @@ import (
 	"tcam/internal/model"
 	"tcam/internal/model/bprmf"
 	"tcam/internal/model/bptf"
+	"tcam/internal/model/plsa"
 	"tcam/internal/model/tcam"
 	"tcam/internal/model/timesvd"
-	"tcam/internal/model/tt"
-	"tcam/internal/model/ut"
 	"tcam/internal/train"
 	"tcam/internal/weighting"
 )
@@ -39,8 +38,7 @@ const (
 )
 
 // TimeSVD is the timeSVD++ extension (Koren, KDD 2009) — discussed in
-// the paper's related work but not part of its comparison; see
-// ExtensionMethods.
+// the paper's related work but not part of its comparison.
 const TimeSVD Method = "timeSVD++"
 
 // AllMethods lists every method in the paper's comparison order.
@@ -48,37 +46,18 @@ func AllMethods() []Method {
 	return []Method{UT, TT, ITCAM, TTCAM, WITCAM, WTTCAM, BPRMF, BPTF}
 }
 
-// ExtensionMethods lists the additional models implemented beyond the
-// paper's comparison.
-func ExtensionMethods() []Method {
-	return []Method{TimeSVD}
-}
-
-// ParseMethod resolves a method name (case-sensitive, as printed in the
-// paper), including the extension methods.
-func ParseMethod(s string) (Method, error) {
-	for _, m := range append(AllMethods(), ExtensionMethods()...) {
-		if string(m) == s {
-			return m, nil
-		}
-	}
-	return "", fmt.Errorf("core: unknown method %q (want one of %v)", s, AllMethods())
-}
-
 // Weighted reports whether the method trains on the item-weighted
 // cuboid of Equation (20).
 func (m Method) Weighted() bool { return m == WITCAM || m == WTTCAM }
 
 // mixture reports whether the method is one of the four TCAM mixtures,
-// the family internal/model/tcam trains and folds in.
+// the family internal/model/tcam trains (and the only one that
+// checkpoints).
 func (m Method) mixture() bool { return m == ITCAM || m == WITCAM || m.timeTopics() }
 
 // timeTopics reports whether the method's temporal context is the
 // TTCAM topic mixture (and so reads K2 and Background).
 func (m Method) timeTopics() bool { return m == TTCAM || m == WTTCAM }
-
-// Temporal reports whether the method uses the time dimension at all.
-func (m Method) Temporal() bool { return m != UT && m != BPRMF }
 
 // Options is the shared training configuration. Zero values fall back
 // to each model's defaults.
@@ -148,16 +127,6 @@ type Result struct {
 	TrainTime time.Duration
 }
 
-// TopicScorer returns the trained model as a TopicScorer when the
-// method supports the Section 4 decomposition, or nil (BPRMF/BPTF/UT/TT
-// have no non-negative topic decomposition registered for TA).
-func (r Result) TopicScorer() model.TopicScorer {
-	if ts, ok := r.Model.(model.TopicScorer); ok {
-		return ts
-	}
-	return nil
-}
-
 // Train fits the named method on the cuboid. Weighted methods apply the
 // Section 3.3 item-weighting scheme internally; callers always pass the
 // raw cuboid.
@@ -173,28 +142,24 @@ func Train(method Method, data *cuboid.Cuboid, opts Options) (Result, error) {
 	start := time.Now()
 	var err error
 	switch method {
-	case UT:
-		cfg := ut.DefaultConfig()
-		if opts.K1 > 0 {
-			cfg.K = opts.K1
+	case UT, TT:
+		// The two halves of Equation 1 taken alone: K1 user-oriented
+		// topics over user documents, K2 time-oriented topics over
+		// interval documents.
+		axis, k := plsa.Users, opts.K1
+		if method == TT {
+			axis, k = plsa.Intervals, opts.K2
+		}
+		cfg := plsa.DefaultConfig(axis)
+		if k > 0 {
+			cfg.K = k
 		}
 		if opts.MaxIters > 0 {
 			cfg.MaxIters = opts.MaxIters
 		}
 		cfg.Tol = tolOf(opts, cfg.Tol)
 		cfg.Seed, cfg.Workers = seedOf(opts), opts.Workers
-		res.Model, res.Stats, err = ut.Train(tdata, cfg)
-	case TT:
-		cfg := tt.DefaultConfig()
-		if opts.K2 > 0 {
-			cfg.K = opts.K2
-		}
-		if opts.MaxIters > 0 {
-			cfg.MaxIters = opts.MaxIters
-		}
-		cfg.Tol = tolOf(opts, cfg.Tol)
-		cfg.Seed, cfg.Workers = seedOf(opts), opts.Workers
-		res.Model, res.Stats, err = tt.Train(tdata, cfg)
+		res.Model, res.Stats, err = plsa.Train(tdata, axis, cfg)
 	case ITCAM, WITCAM, TTCAM, WTTCAM:
 		cfg := tcam.DefaultITCAMConfig()
 		if method.timeTopics() {

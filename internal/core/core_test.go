@@ -77,59 +77,15 @@ func TestWeightedVariantsDiffer(t *testing.T) {
 	}
 }
 
-func TestTopicScorerAvailability(t *testing.T) {
-	data := smallWorld(t)
-	hasTA := map[Method]bool{ITCAM: true, TTCAM: true, WITCAM: true, WTTCAM: true}
-	for _, m := range AllMethods() {
-		res, err := Train(m, data, fastOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.TopicScorer() != nil; got != hasTA[m] {
-			t.Errorf("%s: TopicScorer available = %v, want %v", m, got, hasTA[m])
-		}
-	}
-}
-
-func TestParseMethod(t *testing.T) {
-	for _, m := range AllMethods() {
-		got, err := ParseMethod(string(m))
-		if err != nil || got != m {
-			t.Errorf("ParseMethod(%q) = %v, %v", m, got, err)
-		}
-	}
-	if _, err := ParseMethod("nope"); err == nil {
-		t.Error("ParseMethod accepted an unknown method")
-	}
-}
-
 func TestMethodPredicates(t *testing.T) {
 	if !WITCAM.Weighted() || !WTTCAM.Weighted() || TTCAM.Weighted() {
 		t.Error("Weighted predicate wrong")
-	}
-	if UT.Temporal() || BPRMF.Temporal() || !TT.Temporal() || !BPTF.Temporal() {
-		t.Error("Temporal predicate wrong")
 	}
 }
 
 func TestTrainUnknownMethod(t *testing.T) {
 	if _, err := Train(Method("bogus"), smallWorld(t), fastOpts()); err == nil {
 		t.Error("Train accepted an unknown method")
-	}
-}
-
-var _ model.Recommender = (*mockRec)(nil)
-
-type mockRec struct{}
-
-func (mockRec) Name() string              { return "mock" }
-func (mockRec) Score(u, t, v int) float64 { return 0 }
-func (mockRec) NumItems() int             { return 0 }
-
-func TestTopicScorerNilForPlainRecommender(t *testing.T) {
-	r := Result{Model: mockRec{}}
-	if r.TopicScorer() != nil {
-		t.Error("plain recommender should not expose a TopicScorer")
 	}
 }
 
@@ -142,13 +98,7 @@ func TestTimeSVDExtension(t *testing.T) {
 	if res.Model.Name() != "timeSVD++" {
 		t.Errorf("name = %q", res.Model.Name())
 	}
-	if res.TopicScorer() != nil {
+	if _, ok := res.Model.(model.TopicScorer); ok {
 		t.Error("timeSVD++ has no topic decomposition; TA must not apply")
-	}
-	if got, err := ParseMethod("timeSVD++"); err != nil || got != TimeSVD {
-		t.Errorf("ParseMethod(timeSVD++) = %v, %v", got, err)
-	}
-	if len(ExtensionMethods()) != 1 {
-		t.Errorf("ExtensionMethods = %v", ExtensionMethods())
 	}
 }

@@ -1,8 +1,8 @@
 // Package cuboid implements the paper's central data structure, the
 // rating cuboid (Definition 3): a sparse N×T×V tensor whose cell
 // (u, t, v) stores the rating score user u assigned to item v during time
-// interval t. It also provides the user-document view (Definition 2),
-// per-interval postings, aggregate statistics and gob serialization.
+// interval t. It also provides per-interval postings, aggregate
+// statistics and gob serialization.
 //
 // The cuboid is stored sparsely, CSR-style, in two structure-of-arrays
 // views so EM inference touches only nonzero cells — O(nnz·K) per
@@ -232,33 +232,6 @@ func (c *Cuboid) IntervalSpan(t int) (lo, hi int) {
 	return int(c.timePtr[t]), int(c.timePtr[t+1])
 }
 
-// UserDocument returns user u's rating behaviors as (item, interval)
-// pairs — the user document of Definition 2.
-func (c *Cuboid) UserDocument(u int) []ItemTime {
-	lo, hi := c.UserSpan(u)
-	doc := make([]ItemTime, hi-lo)
-	for i := range doc {
-		doc[i] = ItemTime{Item: int(c.vs[lo+i]), Interval: int(c.ts[lo+i])}
-	}
-	return doc
-}
-
-// ItemTime is one entry of a user document: item rated during interval.
-type ItemTime struct {
-	Item     int
-	Interval int
-}
-
-// TotalScore returns the sum of all cell scores (the EM normalizing
-// mass).
-func (c *Cuboid) TotalScore() float64 {
-	var s float64
-	for _, x := range c.scores {
-		s += x
-	}
-	return s
-}
-
 // Scaled returns a copy of the cuboid whose cell (u,t,v) carries
 // Score·weight(u,t,v). Weights must be positive; non-positive weights
 // drop the cell. This implements Equation (20)'s weighted cuboid C̄.
@@ -285,42 +258,4 @@ func (c *Cuboid) Subset(keep func(cell Cell) bool) *Cuboid {
 		}
 	}
 	return fromCells(c.numUsers, c.numIntervals, c.numItems, out)
-}
-
-// ItemsOf returns the set of distinct items user u rated during interval
-// t, ascending. Used by the evaluation protocol's per-(u,t) splits. It
-// reads the CSR view directly: the user's rows are (T, V)-sorted, so the
-// interval's items form one contiguous, already-ascending sub-range.
-func (c *Cuboid) ItemsOf(u, t int) []int {
-	lo, hi := c.UserSpan(u)
-	for lo < hi && int(c.ts[lo]) < t {
-		lo++
-	}
-	end := lo
-	for end < hi && int(c.ts[end]) == t {
-		end++
-	}
-	if end == lo {
-		return nil
-	}
-	items := make([]int, end-lo)
-	for i := range items {
-		items[i] = int(c.vs[lo+i])
-	}
-	return items
-}
-
-// ActiveIntervals returns the intervals during which user u has at least
-// one rating, ascending.
-func (c *Cuboid) ActiveIntervals(u int) []int {
-	var out []int
-	lo, hi := c.UserSpan(u)
-	last := int32(-1)
-	for i := lo; i < hi; i++ {
-		if c.ts[i] != last {
-			last = c.ts[i]
-			out = append(out, int(last))
-		}
-	}
-	return out
 }

@@ -93,36 +93,17 @@ func TestSpans(t *testing.T) {
 	}
 }
 
-func TestUserDocument(t *testing.T) {
-	c := buildSample(t)
-	doc := c.UserDocument(0)
-	want := []ItemTime{{Item: 0, Interval: 0}, {Item: 1, Interval: 0}, {Item: 2, Interval: 1}}
-	if !reflect.DeepEqual(doc, want) {
-		t.Errorf("UserDocument = %v, want %v", doc, want)
-	}
-}
-
-func TestItemsOfAndActiveIntervals(t *testing.T) {
-	c := buildSample(t)
-	if got := c.ItemsOf(0, 0); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("ItemsOf(0,0) = %v, want [0 1]", got)
-	}
-	if got := c.ItemsOf(0, 1); !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("ItemsOf(0,1) = %v, want [2]", got)
-	}
-	if got := c.ActiveIntervals(0); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("ActiveIntervals(0) = %v, want [0 1]", got)
-	}
-	if got := c.ActiveIntervals(2); got != nil {
-		t.Errorf("ActiveIntervals(2) = %v, want nil", got)
-	}
-}
-
 func TestScaled(t *testing.T) {
 	c := buildSample(t)
 	doubled := c.Scaled(func(Cell) float64 { return 2 })
-	if doubled.TotalScore() != 2*c.TotalScore() {
-		t.Errorf("Scaled total = %v, want %v", doubled.TotalScore(), 2*c.TotalScore())
+	total := func(c *Cuboid) (s float64) {
+		for _, cell := range c.Cells() {
+			s += cell.Score
+		}
+		return s
+	}
+	if total(doubled) != 2*total(c) {
+		t.Errorf("Scaled total = %v, want %v", total(doubled), 2*total(c))
 	}
 	// Zero weight drops cells.
 	dropped := c.Scaled(func(cell Cell) float64 {

@@ -62,9 +62,6 @@ func (d *Delta) MustAdd(u, t, v int, score float64) {
 	}
 }
 
-// Len returns the number of cells added so far (before merging).
-func (d *Delta) Len() int { return len(d.cells) }
-
 // freeze sorts and dedup-merges the delta's cells in place. Duplicate
 // keys merge in insertion order (stable sort), so the summed score of
 // a key is independent of how the stream was cut into sort runs.
@@ -104,25 +101,6 @@ func (c *Cuboid) ApplyDelta(d *Delta) (*Cuboid, error) {
 	d.freeze()
 	out := mergeCells(c.cells, d.cells)
 	return fromCells(d.numUsers, d.numIntervals, d.numItems, out), nil
-}
-
-// Merge returns the union of two cuboids: dimensions are the
-// element-wise maxima, cells present in both sum their scores (the
-// receiver's score on the left). Both inputs are untouched.
-func (c *Cuboid) Merge(o *Cuboid) *Cuboid {
-	nu := c.numUsers
-	if o.numUsers > nu {
-		nu = o.numUsers
-	}
-	nt := c.numIntervals
-	if o.numIntervals > nt {
-		nt = o.numIntervals
-	}
-	nv := c.numItems
-	if o.numItems > nv {
-		nv = o.numItems
-	}
-	return fromCells(nu, nt, nv, mergeCells(c.cells, o.cells))
 }
 
 // mergeCells merges two (U, T, V)-sorted deduplicated cell slices into

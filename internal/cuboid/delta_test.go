@@ -173,23 +173,6 @@ func TestDeltaFrozenAfterApply(t *testing.T) {
 	}
 }
 
-func TestMergeCuboids(t *testing.T) {
-	a := buildRandom(t, 21, 15, 4, 20, 120)
-	b := buildRandom(t, 22, 18, 6, 16, 130)
-	got := a.Merge(b)
-	if got.NumUsers() != 18 || got.NumIntervals() != 6 || got.NumItems() != 20 {
-		t.Fatalf("merged dims %d×%d×%d, want 18×6×20", got.NumUsers(), got.NumIntervals(), got.NumItems())
-	}
-	full := NewBuilder(18, 6, 20)
-	for _, cell := range a.Cells() {
-		full.MustAdd(int(cell.U), int(cell.T), int(cell.V), cell.Score)
-	}
-	for _, cell := range b.Cells() {
-		full.MustAdd(int(cell.U), int(cell.T), int(cell.V), cell.Score)
-	}
-	assertSameCuboid(t, got, full.Build())
-}
-
 // --- pathological deltas (satellite: Subset/CSR coverage) ---
 
 // An empty delta that widens dimensions: all views must stay coherent,

@@ -9,7 +9,6 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"tcam/internal/cuboid"
 )
@@ -266,12 +265,4 @@ func KFolds(rng *rand.Rand, c *cuboid.Cuboid, k int) []Split {
 		splits[f] = splitByFlag(c, inTest)
 	}
 	return splits
-}
-
-// SortedItemIDs returns all interned item identifiers, sorted — a
-// stable vocabulary listing used by reports and tests.
-func (d *Interactions) SortedItemIDs() []string {
-	out := append([]string(nil), d.itemIDs...)
-	sort.Strings(out)
-	return out
 }

@@ -41,9 +41,6 @@ func TestInterning(t *testing.T) {
 	if _, ok := d.LookupUser("mallory"); ok {
 		t.Error("LookupUser found an unknown user")
 	}
-	if got := d.SortedItemIDs(); !reflect.DeepEqual(got, []string{"flu", "news", "swineflu"}) {
-		t.Errorf("SortedItemIDs = %v", got)
-	}
 }
 
 func TestAddRejectsNonPositiveScore(t *testing.T) {
@@ -80,11 +77,13 @@ func TestGrid(t *testing.T) {
 		t.Fatalf("cuboid dims = %dx%dx%d", c.NumUsers(), c.NumIntervals(), c.NumItems())
 	}
 	// alice/flu: once in interval 0 and once in interval 2 — two cells.
-	if got := c.ItemsOf(0, 0); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("alice interval-0 items = %v, want [0 1]", got)
+	var alice [][2]int32 // (interval, item)
+	lo, hi := c.UserSpan(0)
+	for _, cell := range c.Cells()[lo:hi] {
+		alice = append(alice, [2]int32{cell.T, cell.V})
 	}
-	if got := c.ItemsOf(0, 2); !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("alice interval-2 items = %v, want [0]", got)
+	if want := [][2]int32{{0, 0}, {0, 1}, {2, 0}}; !reflect.DeepEqual(alice, want) {
+		t.Errorf("alice's (interval, item) cells = %v, want %v", alice, want)
 	}
 }
 

@@ -2,12 +2,10 @@ package dataset
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"tcam/internal/atomicfile"
 )
@@ -64,104 +62,11 @@ func ReadJSONL(r io.Reader) (*Interactions, error) {
 	return d, nil
 }
 
-// WriteCSV streams the log to w as "user,item,time,score" rows with a
-// header.
-func (d *Interactions) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"user", "item", "time", "score"}); err != nil {
-		return fmt.Errorf("dataset: write csv header: %w", err)
-	}
-	for _, e := range d.events {
-		row := []string{
-			d.userIDs[e.User],
-			d.itemIDs[e.Item],
-			strconv.FormatInt(e.Time, 10),
-			strconv.FormatFloat(e.Score, 'g', -1, 64),
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("dataset: write csv row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a log produced by WriteCSV. The header row is required.
-func ReadCSV(r io.Reader) (*Interactions, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 4
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: read csv header: %w", err)
-	}
-	if header[0] != "user" || header[1] != "item" || header[2] != "time" || header[3] != "score" {
-		return nil, fmt.Errorf("dataset: unexpected csv header %v", header)
-	}
-	d := New()
-	for {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return d, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: read csv: %w", err)
-		}
-		t, err := strconv.ParseInt(row[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: csv time %q: %w", row[2], err)
-		}
-		score, err := strconv.ParseFloat(row[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: csv score %q: %w", row[3], err)
-		}
-		if err := d.Add(row[0], row[1], t, score); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // SaveJSONLFile writes the log to path crash-safely (temp file in the
 // same directory, sync, rename), so an interrupted save never corrupts
 // an existing log.
 func (d *Interactions) SaveJSONLFile(path string) error {
 	return atomicfile.Write(path, d.WriteJSONL)
-}
-
-// AppendJSONLFile appends events[from:] to path without rewriting the
-// existing contents, so a long-lived producer can emit a growing log
-// incrementally instead of atomically replacing the whole file per
-// flush. It returns the new high-water mark (NumEvents) to pass as from
-// on the next call:
-//
-//	n, _ := d.AppendJSONLFile(path, n) // flush everything added since last flush
-//
-// Each call lands as a single O_APPEND write, so concurrent appenders
-// to one file interleave at line granularity, never mid-record. Unlike
-// SaveJSONLFile this is not crash-atomic — a torn final line is the
-// crash signature — which is the trade for never rewriting; readers
-// needing crash-safe framing should consume an ingest.Log instead.
-func (d *Interactions) AppendJSONLFile(path string, from int) (int, error) {
-	n := len(d.events)
-	if from < 0 || from > n {
-		return from, fmt.Errorf("dataset: append from %d outside [0, %d]", from, n)
-	}
-	if from == n {
-		return n, nil
-	}
-	err := atomicfile.Append(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		for _, e := range d.events[from:n] {
-			rec := jsonlRecord{User: d.userIDs[e.User], Item: d.itemIDs[e.Item], Time: e.Time, Score: e.Score}
-			if err := enc.Encode(&rec); err != nil {
-				return fmt.Errorf("dataset: append jsonl: %w", err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return from, err
-	}
-	return n, nil
 }
 
 // LoadJSONLFile reads a log from path.

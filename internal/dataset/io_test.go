@@ -2,10 +2,8 @@ package dataset
 
 import (
 	"bytes"
-	"fmt"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -16,19 +14,6 @@ func TestJSONLRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameLog(t, d, got)
-}
-
-func TestCSVRoundtrip(t *testing.T) {
-	d := sampleLog(t)
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,26 +59,6 @@ func TestReadJSONLErrors(t *testing.T) {
 	}
 }
 
-func TestReadCSVErrors(t *testing.T) {
-	tests := []struct {
-		name  string
-		input string
-	}{
-		{"wrong header", "a,b,c,d\n"},
-		{"bad time", "user,item,time,score\nu,x,zzz,1\n"},
-		{"bad score", "user,item,time,score\nu,x,1,abc\n"},
-		{"zero score", "user,item,time,score\nu,x,1,0\n"},
-		{"empty", ""},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadCSV(strings.NewReader(tt.input)); err == nil {
-				t.Error("ReadCSV accepted malformed input")
-			}
-		})
-	}
-}
-
 func TestJSONLFileRoundtrip(t *testing.T) {
 	d := sampleLog(t)
 	path := filepath.Join(t.TempDir(), "log.jsonl")
@@ -107,104 +72,5 @@ func TestJSONLFileRoundtrip(t *testing.T) {
 	assertSameLog(t, d, got)
 	if _, err := LoadJSONLFile(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
 		t.Error("LoadJSONLFile accepted a missing file")
-	}
-}
-
-// TestAppendJSONLFile: incremental flushes of a growing log accumulate
-// into the same file SaveJSONLFile would have written whole.
-func TestAppendJSONLFile(t *testing.T) {
-	d := sampleLog(t)
-	path := filepath.Join(t.TempDir(), "log.jsonl")
-
-	mark, err := d.AppendJSONLFile(path, 0)
-	if err != nil || mark != d.NumEvents() {
-		t.Fatalf("AppendJSONLFile = (%d, %v), want (%d, nil)", mark, err, d.NumEvents())
-	}
-	// Nothing new: a no-op, file untouched.
-	if mark, err = d.AppendJSONLFile(path, mark); err != nil || mark != d.NumEvents() {
-		t.Fatalf("no-op append = (%d, %v)", mark, err)
-	}
-	// The producer keeps logging; only the suffix is written.
-	if err := d.Add("late-user", "late-item", 99, 2); err != nil {
-		t.Fatal(err)
-	}
-	if mark, err = d.AppendJSONLFile(path, mark); err != nil || mark != d.NumEvents() {
-		t.Fatalf("suffix append = (%d, %v)", mark, err)
-	}
-
-	got, err := LoadJSONLFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameLog(t, d, got)
-
-	// Out-of-range marks are rejected rather than silently clamped.
-	if _, err := d.AppendJSONLFile(path, -1); err == nil {
-		t.Error("negative from accepted")
-	}
-	if _, err := d.AppendJSONLFile(path, d.NumEvents()+1); err == nil {
-		t.Error("from past the end accepted")
-	}
-}
-
-// TestAppendJSONLFileConcurrent: several producers appending to one
-// file interleave at line granularity — every record survives intact
-// and the merged log parses cleanly.
-func TestAppendJSONLFileConcurrent(t *testing.T) {
-	const producers, perProducer = 8, 25
-	path := filepath.Join(t.TempDir(), "log.jsonl")
-
-	var wg sync.WaitGroup
-	errs := make([]error, producers)
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			d := New()
-			mark := 0
-			for i := 0; i < perProducer; i++ {
-				user := fmt.Sprintf("user-%d", p)
-				item := fmt.Sprintf("item-%d-%d", p, i)
-				if err := d.Add(user, item, int64(i), float64(p+1)); err != nil {
-					errs[p] = err
-					return
-				}
-				// Flush every few events so appends from different
-				// producers genuinely interleave.
-				if i%3 == 2 {
-					var err error
-					if mark, err = d.AppendJSONLFile(path, mark); err != nil {
-						errs[p] = err
-						return
-					}
-				}
-			}
-			if _, err := d.AppendJSONLFile(path, mark); err != nil {
-				errs[p] = err
-			}
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			t.Fatalf("producer %d: %v", p, err)
-		}
-	}
-
-	got, err := LoadJSONLFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumEvents() != producers*perProducer {
-		t.Fatalf("merged log has %d events, want %d", got.NumEvents(), producers*perProducer)
-	}
-	perUser := make(map[string]int)
-	for _, e := range got.Events() {
-		perUser[got.UserID(e.User)]++
-	}
-	for p := 0; p < producers; p++ {
-		if n := perUser[fmt.Sprintf("user-%d", p)]; n != perProducer {
-			t.Errorf("user-%d has %d events, want %d", p, n, perProducer)
-		}
 	}
 }

@@ -90,18 +90,6 @@ func BruteForceRanker(r model.Recommender) Ranker {
 	}
 }
 
-// TARanker ranks with the Threshold Algorithm over a prebuilt index
-// (per-query scratch comes from the index's searcher pool). Prefer
-// EvaluateTA for whole evaluation runs: it batches all queries through
-// Index.QueryBatch instead of paying a pool round-trip and result copy
-// per query.
-func TARanker(ix *topk.Index, ts model.TopicScorer) Ranker {
-	return func(u, t, k int, exclude topk.Exclude) []topk.Result {
-		res, _ := ix.Query(ts, u, t, k, exclude)
-		return res
-	}
-}
-
 // RankMetrics are the paper's three ranking metrics at one cutoff k,
 // plus Recall and MRR (reciprocal rank of the first hit), which the
 // paper does not plot but which make the curves easier to sanity-check.
@@ -155,7 +143,8 @@ func Evaluate(rank Ranker, queries []Query, maxK, workers int) Curve {
 // EvaluateTA is Evaluate specialized to the Threshold Algorithm: the
 // whole query set goes through Index.QueryBatch, so each worker reuses
 // one pooled searcher instead of allocating per-query scratch. The
-// resulting curve is identical to Evaluate(TARanker(ix, ts), ...).
+// resulting curve is identical to Evaluate over a ranker that calls
+// Index.Query once per query.
 func EvaluateTA(ix *topk.Index, ts model.TopicScorer, queries []Query, maxK, workers int) Curve {
 	if maxK <= 0 || len(queries) == 0 {
 		return nil
@@ -243,44 +232,4 @@ func idcg(k, numTest int) float64 {
 		s += 1 / math.Log2(float64(i)+1)
 	}
 	return s
-}
-
-// InterestDrift measures the paper's future-work "time-evolving user
-// interest" diagnostic: given per-user interest distributions estimated
-// on two halves of the timeline, it returns each user's cosine
-// similarity between halves (1 = perfectly stable interest). Users
-// missing from either half are skipped (reported as NaN).
-func InterestDrift(first, second [][]float64) []float64 {
-	n := len(first)
-	if len(second) < n {
-		n = len(second)
-	}
-	out := make([]float64, n)
-	for u := 0; u < n; u++ {
-		out[u] = cosine(first[u], second[u])
-	}
-	return out
-}
-
-func cosine(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return math.NaN()
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na <= 0 || nb <= 0 {
-		return math.NaN()
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
-// HoldoutAccuracy is a convenience wrapper: split the cuboid 80/20 with
-// the given rng-seeded split already applied, evaluate a recommender
-// brute-force, and return the curve. Used by examples.
-func HoldoutAccuracy(r model.Recommender, split dataset.Split, maxK int) Curve {
-	return Evaluate(BruteForceRanker(r), BuildQueries(split), maxK, 0)
 }

@@ -181,21 +181,6 @@ func TestIDCG(t *testing.T) {
 	}
 }
 
-func TestInterestDrift(t *testing.T) {
-	first := [][]float64{{1, 0}, {0.5, 0.5}, {0, 0}}
-	second := [][]float64{{1, 0}, {0, 1}, {1, 0}}
-	drift := InterestDrift(first, second)
-	if math.Abs(drift[0]-1) > 1e-12 {
-		t.Errorf("identical interest cosine = %v, want 1", drift[0])
-	}
-	if math.Abs(drift[1]-math.Sqrt(0.5)) > 1e-9 {
-		t.Errorf("half-overlap cosine = %v, want %v", drift[1], math.Sqrt(0.5))
-	}
-	if !math.IsNaN(drift[2]) {
-		t.Errorf("zero-vector cosine = %v, want NaN", drift[2])
-	}
-}
-
 // miniScorer is a tiny deterministic TopicScorer for exercising the
 // TA evaluation paths without training a model.
 type miniScorer struct {
@@ -219,7 +204,7 @@ func (m *miniScorer) Score(u, t, v int) float64 {
 }
 
 // EvaluateTA (the batch serving path) must produce the exact curve of
-// the per-query TARanker evaluation.
+// evaluating the Threshold Algorithm one Index.Query at a time.
 func TestEvaluateTAMatchesTARanker(t *testing.T) {
 	m := &miniScorer{
 		topics: [][]float64{
@@ -235,9 +220,13 @@ func TestEvaluateTAMatchesTARanker(t *testing.T) {
 	}
 	ix := topk.BuildIndex(m)
 	queries := BuildQueries(makeSplit(t))
+	taRanker := func(u, t, k int, exclude topk.Exclude) []topk.Result {
+		res, _ := ix.Query(m, u, t, k, exclude)
+		return res
+	}
 	for _, workers := range []int{1, 3} {
 		batch := EvaluateTA(ix, m, queries, 5, workers)
-		perQuery := Evaluate(TARanker(ix, m), queries, 5, workers)
+		perQuery := Evaluate(taRanker, queries, 5, workers)
 		if len(batch) != len(perQuery) {
 			t.Fatalf("curve lengths %d vs %d", len(batch), len(perQuery))
 		}

@@ -139,10 +139,6 @@ func (l *LatencyResult) MeanBF() time.Duration { return meanDur(l.BF) }
 // MeanBPTF returns the mean BPTF latency across the sweep.
 func (l *LatencyResult) MeanBPTF() time.Duration { return meanDur(l.BPTF) }
 
-// MeanTABatch returns the mean per-query latency of the batch serving
-// path across the sweep.
-func (l *LatencyResult) MeanTABatch() time.Duration { return meanDur(l.TABatch) }
-
 func meanDur(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
 		return 0

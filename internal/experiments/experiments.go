@@ -91,9 +91,6 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{cfg: cfg, worlds: make(map[datagen.Profile]*datagen.World)}
 }
 
-// Config returns the runner's configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 // World returns the (cached) synthetic world for a profile, scaled by
 // the runner's configuration.
 func (r *Runner) World(p datagen.Profile) *datagen.World {

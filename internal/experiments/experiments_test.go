@@ -196,7 +196,11 @@ func TestFigure10And11LambdaShapes(t *testing.T) {
 		t.Errorf("mean λ MovieLens %.3f must exceed Digg %.3f", ml.MeanLambda, digg.MeanLambda)
 	}
 	// Paper: on Digg the temporal influence of most users exceeds 0.5.
-	if share := digg.ShareAbove(0.5); share > 0.5 {
+	mid := len(digg.Xs) / 2
+	if digg.Xs[mid] != 0.5 {
+		t.Fatalf("CDF grid midpoint is %v, want 0.5", digg.Xs[mid])
+	}
+	if share := 1 - digg.PersonalCDF[mid]; share > 0.5 {
 		t.Errorf("on Digg %.0f%% of users are interest-dominated; expected a minority", share*100)
 	}
 	if ml.TruthCorrelation <= 0 {

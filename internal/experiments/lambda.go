@@ -23,15 +23,12 @@ type LambdaCDFResult struct {
 	Xs          []float64
 	PersonalCDF []float64
 	TemporalCDF []float64
-	// MeanLambda is the mean learned λu; ShareAbove[p] helpers feed the
-	// paper's "more than 76% of users above 0.82"-style claims.
+	// MeanLambda is the mean learned λu.
 	MeanLambda float64
 	// TruthCorrelation is the Pearson correlation between learned and
 	// ground-truth λu (not available to the paper — a bonus the
 	// synthetic worlds make possible).
 	TruthCorrelation float64
-
-	lambdas []float64
 }
 
 // Figure10 reproduces "Temporal Context Influence Result (MovieLens)":
@@ -72,22 +69,7 @@ func (r *Runner) lambdaOn(p datagen.Profile) (*LambdaCDFResult, error) {
 		TemporalCDF:      temporal,
 		MeanLambda:       stats.Mean(lambdas),
 		TruthCorrelation: pearson(lambdas, w.Truth.Lambda),
-		lambdas:          lambdas,
 	}, nil
-}
-
-// ShareAbove returns the fraction of users whose λu exceeds x.
-func (l *LambdaCDFResult) ShareAbove(x float64) float64 {
-	if len(l.lambdas) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range l.lambdas {
-		if v > x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(l.lambdas))
 }
 
 // Render prints both CDFs side by side.

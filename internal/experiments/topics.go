@@ -9,8 +9,8 @@ import (
 	"tcam/internal/core"
 	"tcam/internal/cuboid"
 	"tcam/internal/datagen"
+	"tcam/internal/model/plsa"
 	"tcam/internal/model/tcam"
-	"tcam/internal/model/tt"
 )
 
 // TopicSignatureResult is the payload of Figure 2: the temporal
@@ -384,7 +384,7 @@ func (r *Runner) topicQualityOn(p datagen.Profile) (*TopicQualityResult, error) 
 	if err != nil {
 		return nil, fmt.Errorf("experiments: topic quality TT: %w", err)
 	}
-	ttModel := ttRes.Model.(*tt.Model)
+	ttModel := ttRes.Model.(*plsa.Model)
 	appraise("TT", ttModel.Topic, ttModel.K())
 
 	for _, m := range []core.Method{core.TTCAM, core.WTTCAM} {

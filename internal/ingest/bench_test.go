@@ -2,7 +2,7 @@ package ingest
 
 // Ingest-log benchmarks (ISSUE 9): append throughput (the producer
 // side) and replay throughput (the fold-in side), snapshotted into
-// BENCH_ingest.json by scripts/bench_ingest.sh. Both report events/s
+// BENCH_ingest.json by scripts/bench.sh ingest. Both report events/s
 // via the events metric so the JSON carries rates, not just ns/op.
 
 import (

@@ -143,9 +143,6 @@ func OpenLimit(dir string, maxSegmentBytes int64) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // End returns the offset one past the last appended record — the
 // offset Replay would need to see only future records.
 func (l *Log) End() int64 {

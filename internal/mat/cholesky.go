@@ -98,15 +98,6 @@ func SolveUpperT(l *Matrix, b Vector) Vector {
 	return x
 }
 
-// SolveSPD solves a·x = b for symmetric positive definite a via Cholesky.
-func SolveSPD(a *Matrix, b Vector) (Vector, error) {
-	l, err := CholeskyJittered(a)
-	if err != nil {
-		return nil, err
-	}
-	return SolveUpperT(l, SolveLower(l, b)), nil
-}
-
 // InvertSPD returns the inverse of a symmetric positive definite matrix.
 func InvertSPD(a *Matrix) (*Matrix, error) {
 	l, err := CholeskyJittered(a)

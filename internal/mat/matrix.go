@@ -47,13 +47,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Fill sets every element of m to c.
-func (m *Matrix) Fill(c float64) {
-	for i := range m.Data {
-		m.Data[i] = c
-	}
-}
-
 // Scale multiplies every element of m by alpha.
 func (m *Matrix) Scale(alpha float64) {
 	for i := range m.Data {

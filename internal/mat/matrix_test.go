@@ -156,27 +156,6 @@ func TestCholeskyJitteredRecoversSemidefinite(t *testing.T) {
 	}
 }
 
-func TestSolveSPD(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 4, 9} {
-		a := randSPD(rng, n)
-		want := NewVector(n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b := a.MulVec(want)
-		got, err := SolveSPD(a, b)
-		if err != nil {
-			t.Fatalf("n=%d: SolveSPD: %v", n, err)
-		}
-		for i := range want {
-			if !almostEqual(got[i], want[i], 1e-7) {
-				t.Errorf("n=%d: x[%d] = %v, want %v", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestInvertSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randSPD(rng, 6)

@@ -30,9 +30,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Len returns the number of elements in v.
-func (v Vector) Len() int { return len(v) }
-
 // Fill sets every element of v to c.
 func (v Vector) Fill(c float64) {
 	for i := range v {
@@ -82,24 +79,6 @@ func (v Vector) Sum() float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Max returns the largest element of v and its index. It panics on an
-// empty vector.
-func (v Vector) Max() (float64, int) {
-	if len(v) == 0 {
-		panic("mat: Max of empty vector")
-	}
-	best, arg := v[0], 0
-	for i, x := range v[1:] {
-		if x > best {
-			best, arg = x, i+1
-		}
-	}
-	return best, arg
-}
-
 // Normalize rescales v in place so its elements sum to one. If the sum is
 // not positive, v is set to the uniform distribution. It returns the
 // original sum, which callers can use to detect degenerate inputs.
@@ -117,16 +96,6 @@ func (v Vector) Normalize() float64 {
 		v[i] *= inv
 	}
 	return s
-}
-
-// Cosine returns the cosine similarity of v and w, or 0 when either has
-// zero norm.
-func (v Vector) Cosine(w Vector) float64 {
-	nv, nw := v.Norm2(), w.Norm2()
-	if nv <= 0 || nw <= 0 {
-		return 0
-	}
-	return v.Dot(w) / (nv * nw)
 }
 
 func checkLen(a, b int) {

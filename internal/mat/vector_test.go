@@ -63,14 +63,6 @@ func TestVectorNormalizeDegenerate(t *testing.T) {
 	}
 }
 
-func TestVectorMax(t *testing.T) {
-	v := Vector{3, 9, -1, 9, 2}
-	best, arg := v.Max()
-	if best != 9 || arg != 1 {
-		t.Errorf("Max = (%v,%d), want (9,1) (first max wins)", best, arg)
-	}
-}
-
 func TestVectorAddScaled(t *testing.T) {
 	v := Vector{1, 2}
 	v.AddScaled(2, Vector{10, 20})
@@ -85,20 +77,6 @@ func TestVectorCloneIsIndependent(t *testing.T) {
 	w[0] = 99
 	if v[0] != 1 {
 		t.Error("Clone shares storage with original")
-	}
-}
-
-func TestVectorCosine(t *testing.T) {
-	a := Vector{1, 0}
-	b := Vector{0, 1}
-	if got := a.Cosine(b); !almostEqual(got, 0, 1e-12) {
-		t.Errorf("orthogonal Cosine = %v, want 0", got)
-	}
-	if got := a.Cosine(a); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("self Cosine = %v, want 1", got)
-	}
-	if got := a.Cosine(Vector{0, 0}); got != 0 {
-		t.Errorf("Cosine with zero vector = %v, want 0", got)
 	}
 }
 

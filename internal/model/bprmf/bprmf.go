@@ -175,9 +175,6 @@ func (m *Model) Name() string { return "BPRMF" }
 // NumItems returns the item-catalog size.
 func (m *Model) NumItems() int { return m.numItems }
 
-// Factors returns the latent dimensionality.
-func (m *Model) Factors() int { return m.factors }
-
 // Score returns x̂_uv = p_u·q_v + b_v; the interval argument is ignored
 // by design.
 func (m *Model) Score(u, _, v int) float64 {

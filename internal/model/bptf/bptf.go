@@ -124,13 +124,6 @@ func (m *Model) Name() string { return "BPTF" }
 // NumItems returns the item-catalog size.
 func (m *Model) NumItems() int { return m.numItems }
 
-// Factors returns the latent dimensionality.
-func (m *Model) Factors() int { return m.factors }
-
-// SampleCount returns the number of retained Gibbs samples behind the
-// predictive average.
-func (m *Model) SampleCount() int { return len(m.uSamples) }
-
 // Score returns the posterior predictive mean of ⟨U_u, V_v, T_t⟩.
 func (m *Model) Score(u, t, v int) float64 {
 	d := m.factors

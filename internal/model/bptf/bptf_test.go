@@ -75,8 +75,8 @@ func TestTrainValidation(t *testing.T) {
 
 func TestSampleCount(t *testing.T) {
 	m := trainBPTF(t)
-	if m.SampleCount() != 6 {
-		t.Errorf("SampleCount = %d, want 6", m.SampleCount())
+	if got := len(m.uSamples); got != 6 {
+		t.Errorf("retained %d Gibbs samples, want 6", got)
 	}
 }
 

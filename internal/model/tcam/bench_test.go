@@ -77,7 +77,7 @@ func benchIteration(b *testing.B, v variant, eStep func(tr *trainer, accums []tr
 }
 
 // BenchmarkEMIteration measures one serial EM iteration per variant.
-// Steady state must be allocation-free (scripts/bench_train.sh -smoke).
+// Steady state must be allocation-free (scripts/bench_smoke.sh).
 func BenchmarkEMIteration(b *testing.B) {
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

@@ -32,13 +32,6 @@ type FoldInConfig struct {
 	Workers int
 }
 
-// DefaultFoldInConfig mirrors DefaultConfig's smoothing with a short
-// partial-EM budget — new users have few events, so θu converges in a
-// handful of rounds.
-func DefaultFoldInConfig() FoldInConfig {
-	return FoldInConfig{Iters: 5, Smoothing: 1e-9}
-}
-
 // FitNewInterval estimates the temporal context θ't of a previously
 // unseen interval from its ratings alone, holding every other parameter
 // frozen — the partial-EM update an online deployment runs when a new

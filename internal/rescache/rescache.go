@@ -86,9 +86,6 @@ func New[V any](capacity int) *Cache[V] {
 	}
 }
 
-// Capacity is the fixed slot count; the cache never holds more.
-func (c *Cache[V]) Capacity() int { return len(c.slots) }
-
 // Get returns the value cached for key at exactly the given epoch. An
 // entry from any other epoch is a miss: it is counted as stale,
 // cleared lazily (one CAS, no scans), and never returned — this is the

@@ -73,7 +73,7 @@ func TestSameKeyReplacesInPlace(t *testing.T) {
 
 func TestCapacityBounded(t *testing.T) {
 	c := New[int](64)
-	cap := c.Capacity()
+	cap := len(c.slots)
 	for i := 0; i < 10*cap; i++ {
 		c.Put(1, Key{User: uint64(i)}, i)
 	}

@@ -7,7 +7,7 @@ package server
 // hot-user precompute — plus the publish-time precompute cost itself.
 // The Zipf benchmarks report their observed cache hit rate via
 // b.ReportMetric as "hit_rate" (and the epoch count as "epochs"), which
-// scripts/bench_query.sh folds into BENCH_query.json.
+// scripts/bench.sh query folds into BENCH_query.json.
 
 import (
 	"fmt"
@@ -18,10 +18,11 @@ import (
 
 	"tcam/internal/datagen"
 	"tcam/internal/rescache"
+	"tcam/internal/testfixture"
 )
 
 // zipfRequests synthesizes a skewed query stream over a users×items
-// catalog shaped like makeBundle's, pre-rendered into HTTP requests so
+// catalog shaped like testfixture.Bundle's, pre-rendered into HTTP requests so
 // the benchmark loop measures serving, not workload formatting.
 func zipfRequests(b *testing.B, n, users, items int) []*http.Request {
 	b.Helper()
@@ -30,7 +31,7 @@ func zipfRequests(b *testing.B, n, users, items int) []*http.Request {
 		Users:        users,
 		Items:        items,
 		UserExponent: 1.2,
-		TimeMin:      100, // makeBundle's grid: Origin 100, Length 10, Num 3
+		TimeMin:      100, // testfixture's grid: Origin 100, Length 10, Num 3
 		TimeMax:      129,
 		K:            10,
 		MaxExclude:   2,
@@ -89,7 +90,7 @@ func runZipf(b *testing.B, srv *Server, reqs []*http.Request) {
 // BenchmarkServerRecommendCacheHit is the single-query hit path: the
 // same request served from the epoch-versioned cache every iteration.
 func BenchmarkServerRecommendCacheHit(b *testing.B) {
-	bundle := makeBundle(b, 6, 12)
+	bundle := testfixture.Bundle(b, 6, 12)
 	srv, err := New(bundle, WithCache(1024))
 	if err != nil {
 		b.Fatal(err)
@@ -119,7 +120,7 @@ func BenchmarkServerRecommendCacheHit(b *testing.B) {
 // BenchmarkServerZipfUncached is the cold baseline: the same Zipf
 // stream with no cache, every query paying the full TA scan.
 func BenchmarkServerZipfUncached(b *testing.B) {
-	srv, err := New(makeBundle(b, zipfBenchUsers, zipfBenchItems))
+	srv, err := New(testfixture.Bundle(b, zipfBenchUsers, zipfBenchItems))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func BenchmarkServerZipfUncached(b *testing.B) {
 // pre-warmed by one full pass over the stream, so the timed window
 // sees the long-run hit rate of the skewed workload.
 func BenchmarkServerZipfCacheWarm(b *testing.B) {
-	srv, err := New(makeBundle(b, zipfBenchUsers, zipfBenchItems), WithCache(1<<14))
+	srv, err := New(testfixture.Bundle(b, zipfBenchUsers, zipfBenchItems), WithCache(1<<14))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func BenchmarkServerZipfCacheWarm(b *testing.B) {
 // 16 hottest users), so the measured window includes epoch flips, the
 // refill misses they cause, and the precompute that softens them.
 func BenchmarkServerZipfCacheEpochs(b *testing.B) {
-	bundle := makeBundle(b, zipfBenchUsers, zipfBenchItems)
+	bundle := testfixture.Bundle(b, zipfBenchUsers, zipfBenchItems)
 	srv, err := New(bundle, WithCache(1<<14), WithHotPrecompute(16))
 	if err != nil {
 		b.Fatal(err)
@@ -193,7 +194,7 @@ func BenchmarkServerZipfCacheEpochs(b *testing.B) {
 // hottest users: one Reload per iteration on a server whose hot
 // tracker has seen the Zipf stream.
 func BenchmarkReloadPrecompute(b *testing.B) {
-	bundle := makeBundle(b, zipfBenchUsers, zipfBenchItems)
+	bundle := testfixture.Bundle(b, zipfBenchUsers, zipfBenchItems)
 	srv, err := New(bundle, WithCache(1<<14), WithHotPrecompute(16))
 	if err != nil {
 		b.Fatal(err)

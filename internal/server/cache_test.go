@@ -13,6 +13,7 @@ import (
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
 	"tcam/internal/ingest"
+	"tcam/internal/testfixture"
 )
 
 // cachedPair builds two servers over the same bundle: one with the
@@ -49,7 +50,7 @@ func healthCache(t *testing.T, srv *Server) *api.CacheHealth {
 // response from the cached server must be byte-identical to the
 // uncached server's, whether it came from the TA or the cache.
 func TestCacheHitBitIdentical(t *testing.T) {
-	bundles := []*index.Bundle{makeBundle(t, 6, 12), makeBundle(t, 6, 10)}
+	bundles := []*index.Bundle{testfixture.Bundle(t, 6, 12), testfixture.Bundle(t, 6, 10)}
 	cached, plain := cachedPair(t, bundles[0])
 	rng := rand.New(rand.NewSource(7))
 	items := []string{"item-0", "item-3", "item-7", "item-9", "item-3", "item-404"}
@@ -95,7 +96,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 // endpoint, with intra-batch duplicates so hits and misses share one
 // request, plus cross-traffic from the single-query endpoint.
 func TestBatchCacheBitIdentical(t *testing.T) {
-	cached, plain := cachedPair(t, makeBundle(t, 6, 12))
+	cached, plain := cachedPair(t, testfixture.Bundle(t, 6, 12))
 	body := `{"queries":[
 		{"user":"user-2","time":115,"k":4},
 		{"user":"user-2","time":115,"k":4},
@@ -128,7 +129,7 @@ func TestBatchCacheBitIdentical(t *testing.T) {
 // cache: an answer cached against the old bundle must never surface
 // once a new bundle is live, even for the exact same query.
 func TestCacheEpochInvalidation(t *testing.T) {
-	oldB, newB := makeBundle(t, 6, 12), makeBundle(t, 6, 10)
+	oldB, newB := testfixture.Bundle(t, 6, 12), testfixture.Bundle(t, 6, 10)
 	cached, _ := cachedPair(t, oldB)
 	ref, err := New(newB)
 	if err != nil {
@@ -162,7 +163,7 @@ func TestCacheEpochInvalidation(t *testing.T) {
 // produce a third, mixed answer. Run under -race this also proves the
 // cache wiring is data-race free.
 func TestConcurrentQueryDuringPublish(t *testing.T) {
-	bundleA, bundleB := makeBundle(t, 6, 12), makeBundle(t, 6, 10)
+	bundleA, bundleB := testfixture.Bundle(t, 6, 12), testfixture.Bundle(t, 6, 10)
 	cached, refA := cachedPair(t, bundleA)
 	refB, err := New(bundleB)
 	if err != nil {
@@ -226,7 +227,7 @@ func TestConcurrentQueryDuringPublish(t *testing.T) {
 // two users, a publish precomputes their default-shaped answers, so
 // their first queries on the fresh epoch hit without ever missing.
 func TestPrecomputeWarmsFreshEpoch(t *testing.T) {
-	b := makeBundle(t, 6, 12)
+	b := testfixture.Bundle(t, 6, 12)
 	srv, err := New(b, WithCache(1024), WithHotPrecompute(2))
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +266,7 @@ func TestPrecomputeWarmsFreshEpoch(t *testing.T) {
 // aborts warming but must not corrupt the publish — the new epoch
 // serves bit-identical answers, cold.
 func TestPrecomputeKilledFallsThrough(t *testing.T) {
-	b := makeBundle(t, 6, 12)
+	b := testfixture.Bundle(t, 6, 12)
 	srv, err := New(b, WithCache(1024), WithHotPrecompute(4))
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +309,7 @@ func TestHealthzCacheAbsentWhenDisabled(t *testing.T) {
 // from the replayed log records.
 func TestUpdaterSeedsHotTracker(t *testing.T) {
 	dir := t.TempDir()
-	boot := makeBundle(t, 6, 12)
+	boot := testfixture.Bundle(t, 6, 12)
 	srv, err := New(boot, WithCache(1024), WithHotPrecompute(1))
 	if err != nil {
 		t.Fatal(err)

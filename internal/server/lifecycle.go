@@ -170,9 +170,6 @@ func (l *inflightLimiter) release() {
 // ahead of the listener closing.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // statusResponse is the /readyz and /admin/reload payload.
 type statusResponse struct {
 	Status  string `json:"status"`

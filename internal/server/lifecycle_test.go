@@ -21,38 +21,10 @@ import (
 	"time"
 
 	"tcam/internal/api"
-	"tcam/internal/cuboid"
-	"tcam/internal/dataset"
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
-	"tcam/internal/model/tcam"
+	"tcam/internal/testfixture"
 )
-
-// makeBundle trains a tiny TTCAM bundle with the given catalog shape.
-func makeBundle(tb testing.TB, users, items int) *index.Bundle {
-	return makeBundleKind(tb, users, items, 3, 0)
-}
-
-// makeBundleKind is makeBundle for a chosen variant: k2 == 0 trains an
-// ITCAM, background > 0 adds TTCAM's background pseudo-topic.
-func makeBundleKind(tb testing.TB, users, items, k2 int, background float64) *index.Bundle {
-	tb.Helper()
-	b := cuboid.NewBuilder(users, 3, items)
-	for u := 0; u < users; u++ {
-		for t := 0; t < 3; t++ {
-			b.MustAdd(u, t, (u*2+t)%items, 1)
-			b.MustAdd(u, t, (t*4)%items, 1)
-		}
-	}
-	cfg := tcam.DefaultConfig()
-	cfg.K1, cfg.K2, cfg.MaxIters, cfg.Background = 4, k2, 15, background
-	m, _, err := tcam.Train(b.Build(), cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3},
-		numbered("user", users), numbered("item", items))
-}
 
 // numbered returns prefix-0 … prefix-(n-1).
 func numbered(prefix string, n int) []string {
@@ -81,7 +53,7 @@ func serveHTTP(srv *Server, method, target string, body string) *httptest.Respon
 // request finishes.
 func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	defer faultinject.Reset()
-	srv, err := New(makeBundle(t, 6, 12))
+	srv, err := New(testfixture.Bundle(t, 6, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +127,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 // (a stale pool entry sized to the wrong catalog would panic or
 // misfilter). Run under -race.
 func TestReloadWhileQuerying(t *testing.T) {
-	small, big := makeBundle(t, 6, 12), makeBundle(t, 6, 9)
+	small, big := testfixture.Bundle(t, 6, 12), testfixture.Bundle(t, 6, 9)
 	srv, err := New(small)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +188,7 @@ func TestReloadWhileQuerying(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	defer faultinject.Reset()
 	var logBuf bytes.Buffer
-	srv, err := New(makeBundle(t, 6, 12), WithLogger(log.New(&logBuf, "", 0)))
+	srv, err := New(testfixture.Bundle(t, 6, 12), WithLogger(log.New(&logBuf, "", 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +210,7 @@ func TestPanicContainment(t *testing.T) {
 // Retry-After; freed slots serve again.
 func TestLimiterSaturationSheds(t *testing.T) {
 	defer faultinject.Reset()
-	srv, err := New(makeBundle(t, 6, 12), WithLimits(2, 1))
+	srv, err := New(testfixture.Bundle(t, 6, 12), WithLimits(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +253,7 @@ func TestLimiterSaturationSheds(t *testing.T) {
 // /recommend, and a second batch is shed.
 func TestBatchLimiterIndependent(t *testing.T) {
 	defer faultinject.Reset()
-	srv, err := New(makeBundle(t, 6, 12), WithLimits(8, 1))
+	srv, err := New(testfixture.Bundle(t, 6, 12), WithLimits(8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +284,7 @@ func TestBatchLimiterIndependent(t *testing.T) {
 // A request whose context is cancelled before TA work starts gets 503.
 func TestRecommendCancelledContext(t *testing.T) {
 	defer faultinject.Reset()
-	srv, err := New(makeBundle(t, 6, 12))
+	srv, err := New(testfixture.Bundle(t, 6, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +305,7 @@ func TestBatchCancelledMidwayTruncates(t *testing.T) {
 	defer faultinject.Reset()
 	old := runtime.GOMAXPROCS(1) // one batch worker: deterministic prefix
 	defer runtime.GOMAXPROCS(old)
-	srv, err := New(makeBundle(t, 6, 12))
+	srv, err := New(testfixture.Bundle(t, 6, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +359,7 @@ func TestBatchCancelledMidwayTruncates(t *testing.T) {
 // A batch cancelled before any query completes returns 503.
 func TestBatchCancelledImmediatelyIs503(t *testing.T) {
 	defer faultinject.Reset()
-	srv, err := New(makeBundle(t, 6, 12))
+	srv, err := New(testfixture.Bundle(t, 6, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +378,7 @@ func TestBatchCancelledImmediatelyIs503(t *testing.T) {
 // Oversized batch bodies are rejected with 413 before JSON decoding
 // buffers them.
 func TestBatchBodyTooLarge(t *testing.T) {
-	srv, err := New(makeBundle(t, 6, 12))
+	srv, err := New(testfixture.Bundle(t, 6, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +395,7 @@ func TestBatchBodyTooLarge(t *testing.T) {
 // /admin/reload: 501 without a source, version bump with one, 500 (and
 // the old snapshot kept) when the source fails.
 func TestAdminReload(t *testing.T) {
-	b := makeBundle(t, 6, 12)
+	b := testfixture.Bundle(t, 6, 12)
 	srv, err := New(b)
 	if err != nil {
 		t.Fatal(err)
@@ -470,11 +442,11 @@ func TestAdminReload(t *testing.T) {
 
 // Reload must reject a broken bundle and keep serving the old one.
 func TestReloadRejectsBrokenBundle(t *testing.T) {
-	srv, err := New(makeBundle(t, 6, 12))
+	srv, err := New(testfixture.Bundle(t, 6, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := makeBundle(t, 6, 12)
+	broken := testfixture.Bundle(t, 6, 12)
 	broken.Items = broken.Items[:3]
 	if _, err := srv.Reload(broken); err == nil {
 		t.Error("Reload accepted a broken bundle")
@@ -486,7 +458,7 @@ func TestReloadRejectsBrokenBundle(t *testing.T) {
 
 // /readyz is 200 with the current version before any drain.
 func TestReadyz(t *testing.T) {
-	srv, err := New(makeBundle(t, 6, 12))
+	srv, err := New(testfixture.Bundle(t, 6, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +473,7 @@ func TestReadyz(t *testing.T) {
 	if rr.Status != "ready" || rr.Version != 1 {
 		t.Errorf("readyz = %+v", rr)
 	}
-	if srv.Draining() {
-		t.Error("Draining() true before StartDrain")
+	if srv.draining.Load() {
+		t.Error("draining before StartDrain")
 	}
 }

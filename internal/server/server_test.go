@@ -2,43 +2,19 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"tcam/internal/api"
-	"tcam/internal/cuboid"
-	"tcam/internal/dataset"
 	"tcam/internal/index"
-	"tcam/internal/model/tcam"
+	"tcam/internal/testfixture"
 )
 
 func testServer(tb testing.TB) (*Server, *index.Bundle) {
 	tb.Helper()
-	b := cuboid.NewBuilder(6, 3, 12)
-	for u := 0; u < 6; u++ {
-		for t := 0; t < 3; t++ {
-			b.MustAdd(u, t, (u*2+t)%12, 1)
-			b.MustAdd(u, t, (t*4)%12, 1)
-		}
-	}
-	cfg := tcam.DefaultConfig()
-	cfg.K1, cfg.K2, cfg.MaxIters = 4, 3, 15
-	m, _, err := tcam.Train(b.Build(), cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	users := make([]string, 6)
-	for i := range users {
-		users[i] = fmt.Sprintf("user-%d", i)
-	}
-	items := make([]string, 12)
-	for i := range items {
-		items[i] = fmt.Sprintf("item-%d", i)
-	}
-	bundle := index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
+	bundle := testfixture.Bundle(tb, 6, 12)
 	srv, err := New(bundle)
 	if err != nil {
 		tb.Fatal(err)

@@ -223,9 +223,6 @@ func (u *Updater) Step() (bool, error) {
 	return true, nil
 }
 
-// Offset returns the log offset the serving snapshot reflects.
-func (u *Updater) Offset() int64 { return u.offset }
-
 // refreshStatus publishes the ingest view /healthz reports. A zero
 // publishedAt keeps the previous publish time (the cycle consumed
 // nothing).

@@ -4,7 +4,10 @@ package server
 // freshly appended event, including the Advance derivation), the same
 // cycle at production batch size behind logs of growing length, and
 // snapshot publish latency (the atomic swap alone), snapshotted into
-// BENCH_ingest.json by scripts/bench_ingest.sh.
+// BENCH_ingest.json by scripts/bench.sh ingest — which, given a parent
+// checkout, copies this file there to run the same cycle on both trees,
+// so it leans only on helpers the package's other test files have long
+// defined (updaterFixture, numbered).
 
 import (
 	"fmt"
@@ -153,11 +156,8 @@ func BenchmarkUpdaterStepHistory(b *testing.B) {
 // BenchmarkSnapshotPublish isolates the publish end: validating and
 // atomically swapping an already-built bundle into the serving path.
 func BenchmarkSnapshotPublish(b *testing.B) {
-	boot := makeBundle(b, 6, 12)
-	srv, err := New(boot)
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv, _ := updaterFixture(b, b.TempDir())
+	boot := srv.snapshot().bundle
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

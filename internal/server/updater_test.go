@@ -19,12 +19,13 @@ import (
 	"tcam/internal/index"
 	"tcam/internal/ingest"
 	"tcam/internal/rescache"
+	"tcam/internal/testfixture"
 )
 
 // updaterFixture is one server + updater pair over a shared log dir.
 func updaterFixture(tb testing.TB, dir string) (*Server, *Updater) {
 	tb.Helper()
-	boot := makeBundle(tb, 6, 12)
+	boot := testfixture.Bundle(tb, 6, 12)
 	srv, err := New(boot)
 	if err != nil {
 		tb.Fatal(err)
@@ -215,8 +216,8 @@ func TestUpdaterKillAndResume(t *testing.T) {
 	if published, err := upA.Step(); err != nil || !published {
 		t.Fatalf("survivor Step = (%v, %v), want (true, nil)", published, err)
 	}
-	if upA.Offset() != 3 || upB.Offset() != 3 {
-		t.Fatalf("offsets after resume: survivor %d, restarted %d, want 3", upA.Offset(), upB.Offset())
+	if upA.offset != 3 || upB.offset != 3 {
+		t.Fatalf("offsets after resume: survivor %d, restarted %d, want 3", upA.offset, upB.offset)
 	}
 	a, b := snapshotBytes(t, srvA), snapshotBytes(t, srvB)
 	if !bytes.Equal(a, b) {
@@ -258,7 +259,7 @@ func TestUpdaterDeterministicAcrossBatching(t *testing.T) {
 // TestUpdaterValidation: NewUpdater rejects a bundle that fails
 // validation rather than tailing a log it can never advance from.
 func TestUpdaterValidation(t *testing.T) {
-	boot := makeBundle(t, 4, 8)
+	boot := testfixture.Bundle(t, 4, 8)
 	srv, err := New(boot)
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +361,7 @@ func TestUpdaterChunkingInvariance(t *testing.T) {
 		background float64
 	}{{"ITCAM", 0, 0}, {"TTCAM", 3, 0}, {"TTCAM+background", 3, 0.1}} {
 		t.Run(kind.name, func(t *testing.T) {
-			boot := makeBundleKind(t, 6, 12, kind.k2, kind.background)
+			boot := testfixture.BundleOf(t, testfixture.Data(6, 12), kind.k2, kind.background)
 			type outcome struct {
 				bundle  []byte
 				answers []string
@@ -476,7 +477,7 @@ func TestUpdaterObservesConsumedRecordsOnce(t *testing.T) {
 	second = append(second, ingest.Record{User: "user-1", Item: "item-2", Time: 142, Score: 3})
 	run := func(site string) *Server {
 		dir := t.TempDir()
-		boot := makeBundle(t, 6, 12)
+		boot := testfixture.Bundle(t, 6, 12)
 		srv, err := New(boot, WithCache(64), WithHotPrecompute(4))
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -12,15 +11,14 @@ import (
 	"tcam/internal/api"
 	"tcam/internal/client"
 	"tcam/internal/cuboid"
-	"tcam/internal/dataset"
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
-	"tcam/internal/model/tcam"
+	"tcam/internal/testfixture"
 )
 
 // altBundle trains a second model over the same 6×12 vocabulary as
-// testBundle but different interactions, so reload-driven answer
-// changes are observable.
+// testfixture.Serving but different interactions, so reload-driven
+// answer changes are observable.
 func altBundle(tb testing.TB) *index.Bundle {
 	tb.Helper()
 	b := cuboid.NewBuilder(6, 3, 12)
@@ -30,21 +28,7 @@ func altBundle(tb testing.TB) *index.Bundle {
 			b.MustAdd(u, t, (t*5+1)%12, 1)
 		}
 	}
-	cfg := tcam.DefaultConfig()
-	cfg.K1, cfg.K2, cfg.MaxIters = 4, 3, 15
-	m, _, err := tcam.Train(b.Build(), cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	users := make([]string, 6)
-	for i := range users {
-		users[i] = fmt.Sprintf("user-%d", i)
-	}
-	items := make([]string, 12)
-	for i := range items {
-		items[i] = fmt.Sprintf("item-%d", i)
-	}
-	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
+	return testfixture.BundleOf(tb, b.Build(), 3, 0)
 }
 
 func coordHealthCache(t *testing.T, c *Coordinator) *api.CacheHealth {

@@ -14,7 +14,7 @@ import (
 // in-process topk numbers.
 func BenchmarkCoordinator(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
-		// "=" rather than "-" before the count: bench_query.sh strips a
+		// "=" rather than "-" before the count: scripts/bench.sh strips a
 		// trailing -N as the GOMAXPROCS suffix when building the JSON.
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			// The hedger tcamshard runs with — newFleet's never-warm one

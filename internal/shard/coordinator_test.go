@@ -16,44 +16,12 @@ import (
 
 	"tcam/internal/api"
 	"tcam/internal/client"
-	"tcam/internal/cuboid"
-	"tcam/internal/dataset"
 	"tcam/internal/faultinject"
 	"tcam/internal/faultinject/httpfault"
 	"tcam/internal/index"
-	"tcam/internal/model/tcam"
 	"tcam/internal/server"
+	"tcam/internal/testfixture"
 )
-
-// testBundle trains the same 6-user / 3-interval / 12-item TTCAM the
-// server tests serve; two items carry names that change under a second
-// percent-decode ("c++" → "c  ", "100%41" → "100A").
-func testBundle(tb testing.TB) *index.Bundle {
-	tb.Helper()
-	b := cuboid.NewBuilder(6, 3, 12)
-	for u := 0; u < 6; u++ {
-		for t := 0; t < 3; t++ {
-			b.MustAdd(u, t, (u*2+t)%12, 1)
-			b.MustAdd(u, t, (t*4)%12, 1)
-		}
-	}
-	cfg := tcam.DefaultConfig()
-	cfg.K1, cfg.K2, cfg.MaxIters = 4, 3, 15
-	m, _, err := tcam.Train(b.Build(), cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	users := make([]string, 6)
-	for i := range users {
-		users[i] = fmt.Sprintf("user-%d", i)
-	}
-	items := make([]string, 12)
-	for i := range items {
-		items[i] = fmt.Sprintf("item-%d", i)
-	}
-	items[4], items[9] = "c++", "100%41"
-	return index.New(m, dataset.TimeGrid{Origin: 100, Length: 10, Num: 3}, users, items)
-}
 
 // fleet is a coordinator in front of n live shard servers, with
 // per-shard request counters and faultinject transports on sites
@@ -72,7 +40,7 @@ type fleet struct {
 func newFleet(tb testing.TB, n int, mut func(*Config), wrap func(i int, h http.Handler) http.Handler) *fleet {
 	tb.Helper()
 	tb.Cleanup(faultinject.Reset)
-	bundle := testBundle(tb)
+	bundle := testfixture.Serving(tb)
 	f := &fleet{bundle: bundle, ranges: Partition(len(bundle.Items), n)}
 	cfg := Config{
 		ShardTimeout: 5 * time.Second,
@@ -179,7 +147,7 @@ func sameRecs(a, b []api.Recommendation) bool {
 // /recommend is bit-identical — items, order, and float64 scores —
 // to a monolithic tcamserver's, through real HTTP on both sides.
 func TestCoordinatorBitIdenticalToMonolith(t *testing.T) {
-	bundle := testBundle(t)
+	bundle := testfixture.Serving(t)
 	mono, err := server.New(bundle)
 	if err != nil {
 		t.Fatal(err)

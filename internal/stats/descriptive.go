@@ -17,71 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Entropy returns the Shannon entropy (natural log) of a probability
-// vector. Zero entries contribute zero; the vector need not be exactly
-// normalized — it is renormalized internally.
-func Entropy(p []float64) float64 {
-	var total float64
-	for _, x := range p {
-		if x > 0 {
-			total += x
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	var h float64
-	for _, x := range p {
-		if x <= 0 {
-			continue
-		}
-		q := x / total
-		h -= q * math.Log(q)
-	}
-	return h
-}
-
 // ECDF is an empirical cumulative distribution function over a fixed
 // sample, supporting both evaluation and tabulation.
 type ECDF struct {
@@ -103,9 +38,6 @@ func (e *ECDF) At(x float64) float64 {
 	n := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(n) / float64(len(e.sorted))
 }
-
-// Len returns the sample size behind the ECDF.
-func (e *ECDF) Len() int { return len(e.sorted) }
 
 // Table evaluates the ECDF on a uniform grid of points spanning [lo, hi]
 // and returns (xs, ys), the series form used by the figure drivers.

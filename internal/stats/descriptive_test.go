@@ -6,61 +6,23 @@ import (
 	"testing/quick"
 )
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	tests := []struct {
-		name     string
-		xs       []float64
-		mean, sd float64
+		name string
+		xs   []float64
+		mean float64
 	}{
-		{"empty", nil, 0, 0},
-		{"single", []float64{5}, 5, 0},
-		{"pair", []float64{2, 4}, 3, 1},
-		{"spread", []float64{1, 2, 3, 4, 5}, 3, math.Sqrt(2)},
+		{"empty", nil, 0},
+		{"single", []float64{5}, 5},
+		{"pair", []float64{2, 4}, 3},
+		{"spread", []float64{1, 2, 3, 4, 5}, 3},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := Mean(tt.xs); math.Abs(got-tt.mean) > 1e-12 {
 				t.Errorf("Mean = %v, want %v", got, tt.mean)
 			}
-			if got := StdDev(tt.xs); math.Abs(got-tt.sd) > 1e-12 {
-				t.Errorf("StdDev = %v, want %v", got, tt.sd)
-			}
 		})
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{10, 0, 20, 30, 40} // unsorted on purpose
-	tests := []struct{ q, want float64 }{
-		{0, 0}, {0.25, 10}, {0.5, 20}, {0.75, 30}, {1, 40}, {0.125, 5},
-	}
-	for _, tt := range tests {
-		if got := Quantile(xs, tt.q); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("Quantile of empty slice should be 0")
-	}
-	// Input must not be mutated.
-	if xs[0] != 10 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	if got := Entropy([]float64{1, 0, 0}); got != 0 {
-		t.Errorf("point-mass entropy = %v, want 0", got)
-	}
-	if got := Entropy([]float64{0.5, 0.5}); math.Abs(got-math.Ln2) > 1e-12 {
-		t.Errorf("fair-coin entropy = %v, want ln2", got)
-	}
-	// Unnormalized input is renormalized.
-	if got := Entropy([]float64{2, 2}); math.Abs(got-math.Ln2) > 1e-12 {
-		t.Errorf("unnormalized entropy = %v, want ln2", got)
-	}
-	if got := Entropy([]float64{0, 0}); got != 0 {
-		t.Errorf("zero-mass entropy = %v, want 0", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the probability and statistics substrate for the
 // TCAM reproduction: random samplers (Gamma, Beta, Dirichlet, Poisson,
-// Zipf, categorical, multivariate Gaussian, Wishart), descriptive
-// statistics, empirical CDFs and entropy. Everything is deterministic
+// Zipf, categorical, Wishart), descriptive statistics and empirical
+// CDFs. Everything is deterministic
 // given an explicit *rand.Rand, which the experiment harness seeds so
 // every paper artifact regenerates bit-for-bit.
 package stats
@@ -9,7 +9,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"tcam/internal/mat"
 )
@@ -53,17 +52,6 @@ func Beta(rng *rand.Rand, a, b float64) float64 {
 	x := Gamma(rng, a, 1)
 	y := Gamma(rng, b, 1)
 	return x / (x + y)
-}
-
-// Dirichlet draws one sample from a symmetric-or-not Dirichlet
-// distribution with concentration vector alpha. The result sums to one.
-func Dirichlet(rng *rand.Rand, alpha []float64) mat.Vector {
-	out := mat.NewVector(len(alpha))
-	for i, a := range alpha {
-		out[i] = Gamma(rng, a, 1)
-	}
-	out.Normalize()
-	return out
 }
 
 // SymmetricDirichlet draws a Dirichlet sample of dimension n with every
@@ -141,26 +129,6 @@ func Zipf(n int, s float64) mat.Vector {
 	return p
 }
 
-// MultivariateNormal draws one sample from N(mean, covChol·covCholᵀ)
-// where covChol is the lower Cholesky factor of the covariance matrix.
-func MultivariateNormal(rng *rand.Rand, mean mat.Vector, covChol *mat.Matrix) mat.Vector {
-	n := len(mean)
-	z := mat.NewVector(n)
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	out := mean.Clone()
-	for i := 0; i < n; i++ {
-		row := covChol.Row(i)
-		var s float64
-		for k := 0; k <= i; k++ {
-			s += row[k] * z[k]
-		}
-		out[i] += s
-	}
-	return out
-}
-
 // Wishart draws one sample from a Wishart distribution with the given
 // degrees of freedom and scale matrix, using the Bartlett decomposition.
 // scaleChol is the lower Cholesky factor of the scale matrix. The degrees
@@ -189,28 +157,4 @@ func Wishart(rng *rand.Rand, df float64, scaleChol *mat.Matrix) *mat.Matrix {
 // degrees of freedom (k need not be an integer).
 func ChiSquared(rng *rand.Rand, k float64) float64 {
 	return Gamma(rng, k/2, 0.5)
-}
-
-// Shuffle permutes the first n integers and returns them, a convenience
-// wrapper used by the fold splitters.
-func Shuffle(rng *rand.Rand, n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	return idx
-}
-
-// SampleWithoutReplacement returns k distinct integers drawn uniformly
-// from [0, n). It panics when k > n.
-func SampleWithoutReplacement(rng *rand.Rand, n, k int) []int {
-	if k > n {
-		panic("stats: sample size exceeds population")
-	}
-	idx := Shuffle(rng, n)[:k]
-	out := make([]int, k)
-	copy(out, idx)
-	sort.Ints(out)
-	return out
 }

@@ -2,7 +2,7 @@ package topk
 
 // Serving benchmarks (ISSUE 1): the TA fast path must show 0 allocs/op
 // at steady state, BuildIndex must scale with cores, and the batch path
-// amortizes fan-out. scripts/bench_query.sh snapshots these (plus the
+// amortizes fan-out. scripts/bench.sh query snapshots these (plus the
 // httptest server benches) into BENCH_query.json.
 
 import (

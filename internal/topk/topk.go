@@ -476,10 +476,6 @@ func (ix *Index) TablesShared() bool { return ix.tableShared }
 // context.
 func (ix *Index) NumLists() int { return ix.numTopics - (ix.ctxHi - ix.ctxLo) + len(ix.contexts) }
 
-// NumItems returns the number of items the index covers: the catalog
-// size for a full index, the window size for a BuildIndexRange index.
-func (ix *Index) NumItems() int { return ix.numItems }
-
 // ItemRange returns the global [lo, hi) item window the index covers.
 // A BuildIndex index reports the whole catalog.
 func (ix *Index) ItemRange() (lo, hi int) { return ix.itemLo, ix.itemLo + ix.numItems }

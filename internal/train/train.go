@@ -176,9 +176,10 @@ func (c Config) validate() error {
 	return c.Checkpoint.validate()
 }
 
-// shardCount resolves the configured shard count against n users,
-// mirroring model.ParallelRanges' clamping so a legacy Workers=S run is
-// reproduced exactly by Shards=S.
+// shardCount resolves the configured shard count against n users: the
+// default when unset, never more shards than users, at least one. It
+// reads nothing else, so shard ranges — and with them the summation
+// grouping — depend only on (n, shards), never on Workers.
 func shardCount(configured, n int) int {
 	s := configured
 	if s <= 0 {
@@ -196,10 +197,9 @@ func shardCount(configured, n int) int {
 // shardRange is one contiguous user range [Lo, Hi).
 type shardRange struct{ Lo, Hi int }
 
-// shardRanges cuts [0, n) into at most shards contiguous ranges using
-// ceil(n/shards) chunks — the same arithmetic model.ParallelRanges used
-// for its worker split, so shard boundaries (and therefore summation
-// grouping) depend only on (n, shards).
+// shardRanges cuts [0, n) into at most shards contiguous ranges of
+// ceil(n/shards) users — the arithmetic of model.ParallelRanges, which
+// is the grouping the *_prerefactor_* gob fixtures were summed under.
 func shardRanges(n, shards int) []shardRange {
 	shards = shardCount(shards, n)
 	if n <= 0 {

@@ -107,34 +107,34 @@ func TestShardRanges(t *testing.T) {
 	}
 }
 
-// Shard boundaries must reproduce the legacy per-worker split: for any
-// (n, s), shardRanges(n, s) is exactly the ranges ParallelRanges hands
-// to s workers.
+// Shard boundaries depend only on (n, shards): for any (n, s),
+// shardRanges(n, s) is exactly the ranges ParallelRanges hands to s
+// workers, whatever else the config says.
 func TestShardRangesMatchParallelRanges(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 30, 100, 1000} {
 		for _, s := range []int{1, 2, 3, 4, 8, 16} {
 			var mu sync.Mutex
-			var legacy []shardRange
+			var want []shardRange
 			model.ParallelRanges(n, s, func(_, lo, hi int) {
 				mu.Lock()
-				legacy = append(legacy, shardRange{lo, hi})
+				want = append(want, shardRange{lo, hi})
 				mu.Unlock()
 			})
 			// ParallelRanges runs workers concurrently; order by Lo.
-			for i := 0; i < len(legacy); i++ {
-				for j := i + 1; j < len(legacy); j++ {
-					if legacy[j].Lo < legacy[i].Lo {
-						legacy[i], legacy[j] = legacy[j], legacy[i]
+			for i := 0; i < len(want); i++ {
+				for j := i + 1; j < len(want); j++ {
+					if want[j].Lo < want[i].Lo {
+						want[i], want[j] = want[j], want[i]
 					}
 				}
 			}
 			got := shardRanges(n, s)
-			if len(got) != len(legacy) {
-				t.Fatalf("n=%d s=%d: engine %v vs legacy %v", n, s, got, legacy)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d s=%d: engine %v vs want %v", n, s, got, want)
 			}
 			for i := range got {
-				if got[i] != legacy[i] {
-					t.Fatalf("n=%d s=%d: engine %v vs legacy %v", n, s, got, legacy)
+				if got[i] != want[i] {
+					t.Fatalf("n=%d s=%d: engine %v vs want %v", n, s, got, want)
 				}
 			}
 		}

@@ -1,16 +1,18 @@
 #!/bin/sh
-# Benchmark allocation smoke gates, shared by scripts/check.sh and the
-# CI workflow:
+# Benchmark smoke gates, shared by scripts/check.sh and the CI workflow.
+# Every benchmark goes through the shared runner (scripts/bench.sh run),
+# so a gate whose benchmark was renamed fails instead of passing
+# unmeasured:
 #
 #   1. the pooled TA searcher must report 0 allocs/op at steady state,
 #      single-threaded and under parallel pool churn;
 #   2. the serial EM iteration benchmarks must stay allocation-free for
-#      every TCAM variant (scripts/bench_train.sh -smoke);
+#      every TCAM variant (the Parallel variant is exempt — fanning
+#      shards across workers allocates the closure and goroutines);
 #   3. the sharded-parallel EM benchmark must still run, so a refactor
 #      cannot silently break the GOMAXPROCS sweep between full bench
 #      runs;
-#   4. the streaming-ingestion benchmarks (scripts/bench_ingest.sh)
-#      must still run;
+#   4. the streaming-ingestion benchmarks must still run;
 #   5. the result cache's hit path must report 0 allocs/op — a cached
 #      answer that allocates is a regression of the DESIGN.md §16
 #      contract;
@@ -33,43 +35,31 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-bench_out=$(go test ./internal/topk -run - \
-    -bench 'BenchmarkTAQuery$|BenchmarkTAQueryParallel$' \
-    -benchmem -benchtime 200x -count=1)
-echo "$bench_out"
-if ! echo "$bench_out" | awk '
-    /^Benchmark/ { if ($(NF-1) + 0 != 0) bad = 1 }
-    END { exit bad }'; then
-    echo "bench_smoke.sh: pooled-searcher benchmark allocates (want 0 allocs/op)" >&2
-    exit 1
-fi
+# zero_allocs <what> <benchtime> <pkg> <regex>: run, echo, and fail when
+# any result line's allocs/op (the field before the last) is nonzero.
+zero_allocs() {
+    what=$1
+    shift
+    lines=$(scripts/bench.sh run "$@")
+    echo "$lines"
+    if ! echo "$lines" | awk '
+        /^Benchmark/ { if ($(NF-1) + 0 != 0) bad = 1 }
+        END { exit bad }'; then
+        echo "bench_smoke.sh: $what allocates (want 0 allocs/op)" >&2
+        exit 1
+    fi
+}
 
-cache_out=$(go test ./internal/rescache -run - \
-    -bench 'BenchmarkCacheHit$|BenchmarkHotObserve$' \
-    -benchmem -benchtime 200x -count=1)
-echo "$cache_out"
-if ! echo "$cache_out" | awk '
-    /^Benchmark/ { if ($(NF-1) + 0 != 0) bad = 1 }
-    END { exit bad }'; then
-    echo "bench_smoke.sh: result-cache hit path allocates (want 0 allocs/op)" >&2
-    exit 1
-fi
+zero_allocs "pooled-searcher benchmark" 200x ./internal/topk/ 'BenchmarkTAQuery$|BenchmarkTAQueryParallel$'
+zero_allocs "result-cache hit path" 200x ./internal/rescache/ 'BenchmarkCacheHit$|BenchmarkHotObserve$'
+zero_allocs "serial EM iteration" 3x ./internal/model/tcam/ 'BenchmarkEMIteration$'
 
-scripts/bench_train.sh -smoke
+# Does-it-still-run gates; full numbers come from scripts/bench.sh.
+scripts/bench.sh run 1x ./internal/model/tcam/ 'BenchmarkEMIterationParallel$' >/dev/null
+scripts/bench.sh run 1x ./internal/ingest/ 'BenchmarkAppend$|BenchmarkReplay$' >/dev/null
+scripts/bench.sh run 1x ./internal/server/ 'BenchmarkUpdaterStep$|BenchmarkSnapshotPublish$' >/dev/null
 
-go test -run '^$' -bench 'BenchmarkEMIterationParallel$' -benchtime 1x \
-    ./internal/model/tcam/ >/dev/null
-
-# The streaming-ingestion benchmarks must still run (full numbers come
-# from scripts/bench_ingest.sh, which also snapshots BENCH_ingest.json;
-# this is the does-it-still-build gate, so it writes nothing).
-go test -run '^$' -bench 'BenchmarkAppend$|BenchmarkReplay$' -benchtime 1x \
-    ./internal/ingest/ >/dev/null
-go test -run '^$' -bench 'BenchmarkUpdaterStep$|BenchmarkSnapshotPublish$' -benchtime 1x \
-    ./internal/server/ >/dev/null
-
-history_out=$(go test -run '^$' -bench 'BenchmarkUpdaterStepHistory$' -benchtime 8x -benchmem -count=1 \
-    ./internal/server/)
+history_out=$(scripts/bench.sh run 8x ./internal/server/ 'BenchmarkUpdaterStepHistory$')
 echo "$history_out"
 if ! echo "$history_out" | awk '
     /^BenchmarkUpdaterStepHistory\/1k/  { short = $3 }

@@ -28,14 +28,13 @@ import (
 	"fmt"
 
 	"tcam/internal/api"
+	"tcam/internal/core"
 	"tcam/internal/dataset"
 	"tcam/internal/index"
 	"tcam/internal/model"
 	tcammodel "tcam/internal/model/tcam"
 	"tcam/internal/server"
 	"tcam/internal/topk"
-	"tcam/internal/train"
-	"tcam/internal/weighting"
 )
 
 // Dataset is an interaction log with interned string identifiers. It is
@@ -150,15 +149,25 @@ func Train(log *Dataset, opts Options) (*Recommender, error) {
 	if opts.Variant == "" {
 		opts.Variant = VariantTTCAM
 	}
+	// The method core.Train knows the (Variant, Weighted) pair by; it
+	// applies the Section 3.3 weighting itself.
+	methods, ok := map[Variant][2]core.Method{
+		VariantTTCAM: {core.TTCAM, core.WTTCAM},
+		VariantITCAM: {core.ITCAM, core.WITCAM},
+	}[opts.Variant]
+	if !ok {
+		return nil, fmt.Errorf("tcam: unknown variant %q", opts.Variant)
+	}
+	method := methods[0]
+	if opts.Weighted {
+		method = methods[1]
+	}
 	if opts.IntervalLength <= 0 {
 		opts.IntervalLength = 1
 	}
 	data, grid, err := log.Grid(opts.IntervalLength)
 	if err != nil {
 		return nil, fmt.Errorf("tcam: %w", err)
-	}
-	if opts.Weighted {
-		data = weighting.WeightCuboid(data)
 	}
 	users := make([]string, log.NumUsers())
 	for u := range users {
@@ -168,54 +177,23 @@ func Train(log *Dataset, opts Options) (*Recommender, error) {
 	for v := range items {
 		items[v] = log.ItemID(v)
 	}
-
-	cfg := tcammodel.DefaultConfig()
-	label := "TTCAM"
-	switch opts.Variant {
-	case VariantTTCAM:
-		if opts.K2 > 0 {
-			cfg.K2 = opts.K2
-		}
-		cfg.Background = opts.Background
-	case VariantITCAM:
-		cfg, label = tcammodel.DefaultITCAMConfig(), "ITCAM"
-	default:
-		return nil, fmt.Errorf("tcam: unknown variant %q", opts.Variant)
-	}
-	if opts.K1 > 0 {
-		cfg.K1 = opts.K1
-	}
-	if opts.MaxIters > 0 {
-		cfg.MaxIters = opts.MaxIters
-	}
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
-	}
-	cfg.Workers = opts.Workers
-	cfg.Tol = resolveTol(cfg.Tol, opts.Tol)
-	cfg.Checkpoint = train.CheckpointConfig{Dir: opts.CheckpointDir, Every: opts.CheckpointEvery, Resume: opts.Resume}
-	cfg.Hook = opts.Progress
-	if opts.Weighted {
-		cfg.Label = "W-" + label
-	}
-	m, _, err := tcammodel.Train(data, cfg)
+	res, err := core.Train(method, data, core.Options{
+		K1:              opts.K1,
+		K2:              opts.K2,
+		MaxIters:        opts.MaxIters,
+		Background:      opts.Background,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		Tol:             opts.Tol,
+		CheckpointDir:   opts.CheckpointDir,
+		CheckpointEvery: opts.CheckpointEvery,
+		Resume:          opts.Resume,
+		Hook:            opts.Progress,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("tcam: %w", err)
 	}
-	return newRecommender(index.New(m, grid, users, items)), nil
-}
-
-// resolveTol applies the Options.Tol override semantics to a model
-// default: positive overrides, negative disables, zero keeps it.
-func resolveTol(def, override float64) float64 {
-	switch {
-	case override > 0:
-		return override
-	case override < 0:
-		return 0
-	default:
-		return def
-	}
+	return newRecommender(index.New(res.Model.(*tcammodel.Model), grid, users, items)), nil
 }
 
 // Recommend returns the top-k items for userID at the given absolute

@@ -1,6 +1,8 @@
 package tcam
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"path/filepath"
 	"testing"
@@ -288,5 +290,43 @@ func TestRecommendBatchUnknownUser(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("RecommendBatch accepted an unknown user")
+	}
+}
+
+// TestFacadeTrainBytes pins Train's option → config translation, which
+// core.Train owns: the SHA-256 of Bundle.Write for the five facade
+// configurations, recorded when the facade still built its own model
+// config. Between them the rows take every branch of the Tol and Seed
+// overrides.
+func TestFacadeTrainBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*Options)
+		want string
+	}{
+		{"ttcam/weighted", func(o *Options) {},
+			"91442fe17ec3cb3a6c249b5ded6ca7d372efeff40c5704fc784bc10e0c5d4293"},
+		{"ttcam/raw", func(o *Options) { o.Weighted, o.Seed = false, 7 },
+			"7253c4e5bc06bbc1d902ba5ccb3b53b1384e61325ce9d3700304fa7712752937"},
+		{"itcam/weighted", func(o *Options) { o.Variant, o.Tol = VariantITCAM, -1 },
+			"7f237675d253281e59a038ef91d4cb192072807a0e0f7d11fedc7484cf6ee92b"},
+		{"itcam/raw", func(o *Options) { o.Variant, o.Weighted, o.Tol = VariantITCAM, false, 1e-3 },
+			"f73f523b787873f201da988a79d58810ea705e705223de75e870380e50a8ad9e"},
+		{"ttcam+background", func(o *Options) { o.Background, o.Seed = 0.1, 0 },
+			"5abfdeed8d78788ce0fb1c0418e801f3d636b413eeaa03dd31f5f931136264aa"},
+	} {
+		opts := fastOptions()
+		tc.mod(&opts)
+		rec, err := Train(newsLog(t), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h := sha256.New()
+		if err := rec.bundle.Write(h); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: Bundle.Write sha256 %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
