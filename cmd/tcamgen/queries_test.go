@@ -61,7 +61,7 @@ func TestRunQueriesEmitsWorkload(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i, q := range queries {
-		if _, ok := log.LookupUser(q.User); !ok {
+		if _, ok := log.Users.Lookup(q.User); !ok {
 			t.Fatalf("query %d names unknown user %q", i, q.User)
 		}
 		if q.Time < tmin || q.Time > tmax {
@@ -74,7 +74,7 @@ func TestRunQueriesEmitsWorkload(t *testing.T) {
 			t.Fatalf("query %d exclude list too long: %v", i, q.Exclude)
 		}
 		for _, id := range q.Exclude {
-			if _, ok := log.LookupItem(id); !ok {
+			if _, ok := log.Items.Lookup(id); !ok {
 				t.Fatalf("query %d excludes unknown item %q", i, id)
 			}
 		}

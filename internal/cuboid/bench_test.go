@@ -71,7 +71,7 @@ func BenchmarkSubset(b *testing.B) {
 	b.ResetTimer()
 	var out *Cuboid
 	for i := 0; i < b.N; i++ {
-		out = c.Subset(func(cell Cell) bool { return cell.T%2 == 0 })
+		out = c.Subset(func(_ int, cell Cell) bool { return cell.T%2 == 0 })
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(out.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")

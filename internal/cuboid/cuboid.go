@@ -24,7 +24,6 @@ package cuboid
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Cell is one nonzero entry of the rating cuboid: user U rated item V
@@ -35,7 +34,8 @@ type Cell struct {
 	Score   float64
 }
 
-// Cuboid is an immutable sparse rating cuboid. Build one with a Builder.
+// Cuboid is an immutable sparse rating cuboid. Build one with a Builder
+// or by applying a Delta; the zero value is the empty 0×0×0 cuboid.
 type Cuboid struct {
 	numUsers     int
 	numIntervals int
@@ -59,77 +59,26 @@ type Cuboid struct {
 	timePtr []int32 // len numIntervals+1
 }
 
-// Builder accumulates ratings and produces a Cuboid. Duplicate
-// (u, t, v) triples are merged by summing their scores, matching the
-// paper's use of usage frequency as the rating score.
-type Builder struct {
-	numUsers     int
-	numIntervals int
-	numItems     int
-	cells        []Cell
-}
+// Builder accumulates ratings and produces a Cuboid: a Delta applied to
+// no cells. Add validates exactly as Delta.Add does, and duplicate
+// (u, t, v) triples merge by summing their scores in arrival order,
+// matching the paper's use of usage frequency as the rating score.
+type Builder struct{ Delta }
 
 // NewBuilder returns a Builder for a cuboid with the given fixed
 // dimensions. All of Add's indices must stay below these bounds.
 func NewBuilder(numUsers, numIntervals, numItems int) *Builder {
-	if numUsers < 0 || numIntervals < 0 || numItems < 0 {
-		panic("cuboid: negative dimension")
-	}
-	return &Builder{numUsers: numUsers, numIntervals: numIntervals, numItems: numItems}
-}
-
-// Add records a rating of score by user u on item v during interval t.
-// It returns an error when any index is out of range or the score is not
-// positive.
-func (b *Builder) Add(u, t, v int, score float64) error {
-	if u < 0 || u >= b.numUsers {
-		return fmt.Errorf("cuboid: user %d out of range [0,%d)", u, b.numUsers)
-	}
-	if t < 0 || t >= b.numIntervals {
-		return fmt.Errorf("cuboid: interval %d out of range [0,%d)", t, b.numIntervals)
-	}
-	if v < 0 || v >= b.numItems {
-		return fmt.Errorf("cuboid: item %d out of range [0,%d)", v, b.numItems)
-	}
-	if score <= 0 {
-		return fmt.Errorf("cuboid: non-positive score %v", score)
-	}
-	b.cells = append(b.cells, Cell{U: int32(u), T: int32(t), V: int32(v), Score: score})
-	return nil
-}
-
-// MustAdd is Add for callers with already-validated indices; it panics on
-// error and is used by generators and tests.
-func (b *Builder) MustAdd(u, t, v int, score float64) {
-	if err := b.Add(u, t, v, score); err != nil {
-		//tcamvet:ignore panicfmt re-panics an Add error that already carries the "cuboid:" prefix
-		panic(err)
-	}
+	return &Builder{*NewDelta(numUsers, numIntervals, numItems)}
 }
 
 // Build sorts, merges and freezes the accumulated ratings into a Cuboid.
-// The Builder can be reused afterwards; the built Cuboid is independent.
+// It works on a copy of them: the Builder can be reused afterwards and
+// the built Cuboid is independent.
 func (b *Builder) Build() *Cuboid {
-	cells := append([]Cell(nil), b.cells...)
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].U != cells[j].U {
-			return cells[i].U < cells[j].U
-		}
-		if cells[i].T != cells[j].T {
-			return cells[i].T < cells[j].T
-		}
-		return cells[i].V < cells[j].V
-	})
-	merged := cells[:0]
-	for _, c := range cells {
-		n := len(merged)
-		if n > 0 && merged[n-1].U == c.U && merged[n-1].T == c.T && merged[n-1].V == c.V {
-			merged[n-1].Score += c.Score
-			continue
-		}
-		merged = append(merged, c)
-	}
-	return fromCells(b.numUsers, b.numIntervals, b.numItems, merged)
+	d := b.Delta
+	d.cells = append([]Cell(nil), b.cells...)
+	d.freeze()
+	return fromCells(d.numUsers, d.numIntervals, d.numItems, mergeCells(nil, d.cells))
 }
 
 // fromCells freezes a (U, T, V)-sorted, deduplicated cell slice into a
@@ -249,11 +198,12 @@ func (c *Cuboid) Scaled(weight func(cell Cell) float64) *Cuboid {
 }
 
 // Subset returns a cuboid containing only the cells for which keep
-// returns true. Dimensions are preserved.
-func (c *Cuboid) Subset(keep func(cell Cell) bool) *Cuboid {
+// returns true; keep is given each cell and its index in Cells().
+// Dimensions are preserved.
+func (c *Cuboid) Subset(keep func(i int, cell Cell) bool) *Cuboid {
 	out := make([]Cell, 0, len(c.cells))
-	for _, cell := range c.cells {
-		if keep(cell) {
+	for i, cell := range c.cells {
+		if keep(i, cell) {
 			out = append(out, cell)
 		}
 	}

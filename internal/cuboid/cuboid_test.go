@@ -123,7 +123,7 @@ func TestScaled(t *testing.T) {
 
 func TestSubset(t *testing.T) {
 	c := buildSample(t)
-	onlyT0 := c.Subset(func(cell Cell) bool { return cell.T == 0 })
+	onlyT0 := c.Subset(func(_ int, cell Cell) bool { return cell.T == 0 })
 	if onlyT0.NNZ() != 3 {
 		t.Errorf("Subset NNZ = %d, want 3", onlyT0.NNZ())
 	}

@@ -1,13 +1,14 @@
 package cuboid
 
-// Incremental extension: the streaming ingest loop grows a cuboid by
-// batches of new cells (possibly widening the user/interval/item
-// dimensions) without re-sorting the full cell population. ApplyDelta
-// and Merge both reduce to one two-way merge of already-sorted cell
-// slices — count first, then fill into exact-size allocations — so the
-// rebuild stays within the same small-constant allocation budget as
-// Builder.Build's fromCells path and preserves the CSR↔Cells index
-// alignment every consumer relies on.
+// The one cell accumulator. A Delta collects cells and sorts them stably
+// by (U, T, V); merging sums duplicates in arrival order; applied to a
+// cuboid it extends it (possibly widening the user/interval/item
+// dimensions) without re-sorting the cells already there — the
+// streaming ingest loop — and applied to no cells it is Builder.Build.
+// ApplyDelta reduces to one two-way merge of already-sorted cell slices
+// — count first, then fill into exact-size allocations — so a rebuild
+// stays within fromCells' small-constant allocation budget and
+// preserves the CSR↔Cells index alignment every consumer relies on.
 
 import "fmt"
 
@@ -15,7 +16,7 @@ import "fmt"
 // dimensions are those of the cuboid AFTER application, so a delta may
 // widen any dimension; it must never shrink one. Duplicate (u, t, v)
 // triples — within the delta or against the base cuboid — merge by
-// summing scores, exactly like Builder.
+// summing scores.
 type Delta struct {
 	numUsers     int
 	numIntervals int
@@ -31,6 +32,14 @@ func NewDelta(numUsers, numIntervals, numItems int) *Delta {
 		panic("cuboid: negative dimension")
 	}
 	return &Delta{numUsers: numUsers, numIntervals: numIntervals, numItems: numItems}
+}
+
+// Widen raises the delta's target dimensions to at least the given
+// ones, for an accumulator that learns them as cells arrive.
+func (d *Delta) Widen(numUsers, numIntervals, numItems int) {
+	d.numUsers = max(d.numUsers, numUsers)
+	d.numIntervals = max(d.numIntervals, numIntervals)
+	d.numItems = max(d.numItems, numItems)
 }
 
 // Add records a new rating cell. Indices are validated against the
@@ -62,37 +71,24 @@ func (d *Delta) MustAdd(u, t, v int, score float64) {
 	}
 }
 
-// freeze sorts and dedup-merges the delta's cells in place. Duplicate
-// keys merge in insertion order (stable sort), so the summed score of
-// a key is independent of how the stream was cut into sort runs.
+// freeze sorts the delta's cells in place by (U, T, V). The sort is
+// stable, so the cells of one key stay adjacent in arrival order.
 func (d *Delta) freeze() {
-	if d.frozen {
-		return
+	if !d.frozen {
+		sortCellsStable(d.cells)
+		d.frozen = true
 	}
-	sortCellsStable(d.cells)
-	merged := d.cells[:0]
-	for _, c := range d.cells {
-		n := len(merged)
-		if n > 0 && sameKey(merged[n-1], c) {
-			merged[n-1].Score += c.Score
-			continue
-		}
-		merged = append(merged, c)
-	}
-	d.cells = merged
-	d.frozen = true
 }
 
 // ApplyDelta returns a new cuboid extended by the delta's cells, with
 // the delta's (possibly wider) dimensions. The base cuboid is
-// untouched; the delta is frozen (sorted, deduplicated) by the call
-// and must not be Added to afterwards. Cells present in both merge by
-// adding the delta's score onto the base's.
+// untouched; the delta is frozen (sorted) by the call and must not be
+// Added to afterwards. A cell's score is the base's, if it has the
+// cell, plus the delta's ratings of it in arrival order.
 //
 // Cost: one count pass and one fill pass over base.NNZ()+delta cells
-// into exact-size allocations, then the shared fromCells CSR build —
-// the same ≤14-allocation discipline as Builder.Build, independent of
-// cell count.
+// into exact-size allocations, then the fromCells CSR build — ≤14
+// allocations, independent of cell count.
 func (c *Cuboid) ApplyDelta(d *Delta) (*Cuboid, error) {
 	if d.numUsers < c.numUsers || d.numIntervals < c.numIntervals || d.numItems < c.numItems {
 		return nil, fmt.Errorf("cuboid: delta dimensions %d×%d×%d shrink the cuboid's %d×%d×%d",
@@ -103,42 +99,38 @@ func (c *Cuboid) ApplyDelta(d *Delta) (*Cuboid, error) {
 	return fromCells(d.numUsers, d.numIntervals, d.numItems, out), nil
 }
 
-// mergeCells merges two (U, T, V)-sorted deduplicated cell slices into
-// a freshly allocated sorted deduplicated slice, summing scores of
-// shared keys (a's score on the left). Count-then-fill: the first walk
+// mergeCells merges a — sorted, one cell per key — and b — sorted stably,
+// a key's cells adjacent in arrival order — into a freshly allocated
+// sorted slice with one cell per key. Count-then-fill: the first walk
 // sizes the union exactly, the second writes each cell into its final
 // slot, so the merge costs one allocation regardless of input size.
 func mergeCells(a, b []Cell) []Cell {
 	n := 0
 	for i, j := 0, 0; i < len(a) || j < len(b); n++ {
-		switch {
-		case j == len(b) || (i < len(a) && cellLess(a[i], b[j])):
-			i++
-		case i == len(a) || cellLess(b[j], a[i]):
-			j++
-		default:
-			i++
-			j++
-		}
+		_, i, j = nextCell(a, b, i, j)
 	}
 	out := make([]Cell, n)
-	k := 0
-	for i, j := 0, 0; i < len(a) || j < len(b); k++ {
-		switch {
-		case j == len(b) || (i < len(a) && cellLess(a[i], b[j])):
-			out[k] = a[i]
-			i++
-		case i == len(a) || cellLess(b[j], a[i]):
-			out[k] = b[j]
-			j++
-		default:
-			out[k] = a[i]
-			out[k].Score += b[j].Score
-			i++
-			j++
-		}
+	for k, i, j := 0, 0, 0; k < n; k++ {
+		out[k], i, j = nextCell(a, b, i, j)
 	}
 	return out
+}
+
+// nextCell takes the smallest key off a[i:] and b[j:] and returns its
+// merged cell: a's score, if a has the key, then each of b's added in
+// order. The sum of a key is therefore a left fold over its ratings in
+// arrival order, however the stream was cut into deltas.
+func nextCell(a, b []Cell, i, j int) (Cell, int, int) {
+	var c Cell
+	if j == len(b) || (i < len(a) && !cellLess(b[j], a[i])) {
+		c, i = a[i], i+1
+	} else {
+		c, j = b[j], j+1
+	}
+	for ; j < len(b) && sameKey(b[j], c); j++ {
+		c.Score += b[j].Score
+	}
+	return c, i, j
 }
 
 // cellLess orders cells by (U, T, V), the canonical cuboid order.

@@ -3,6 +3,7 @@ package cuboid
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -148,6 +149,70 @@ func TestApplyDeltaBatchingInvariant(t *testing.T) {
 	assertSameCuboid(t, twoStep, oneStep)
 }
 
+// Builder.Build is the Delta machinery applied to no cells: the same
+// cells through an empty cuboid in any number of deltas — empty and
+// one-cell deltas included — give the same cuboid, bit for bit. The
+// scores are ones no float sum represents exactly, so this holds only
+// because a cell rated more than once carries the left-to-right sum of
+// its ratings in arrival order wherever the stream was cut.
+func TestBuildIsDeltaOnEmpty(t *testing.T) {
+	const nu, nt, nv = 9, 4, 7 // 252 keys for 600 ratings: most cells are rated repeatedly
+	r := rand.New(rand.NewSource(19))
+	type rating struct {
+		u, t, v int
+		s       float64
+	}
+	type key struct{ u, t, v int }
+	ratings := make([]rating, 600)
+	want := map[key]float64{}
+	b := NewBuilder(nu, nt, nv)
+	for i := range ratings {
+		x := rating{r.Intn(nu), r.Intn(nt), r.Intn(nv), 0.1 + r.Float64()}
+		ratings[i] = x
+		want[key{x.u, x.t, x.v}] += x.s
+		b.MustAdd(x.u, x.t, x.v, x.s)
+	}
+	built := b.Build()
+	if built.NNZ() != len(want) {
+		t.Fatalf("Build kept %d cells of %d distinct keys", built.NNZ(), len(want))
+	}
+	for _, cell := range built.Cells() {
+		if w := want[key{int(cell.U), int(cell.T), int(cell.V)}]; math.Float64bits(cell.Score) != math.Float64bits(w) {
+			t.Fatalf("cell (%d,%d,%d) sums to %v, its ratings in arrival order to %v", cell.U, cell.T, cell.V, cell.Score, w)
+		}
+	}
+	chunked := func(cuts []int) *Cuboid {
+		c := new(Cuboid)
+		for i, lo := 0, 0; i <= len(cuts); i++ {
+			hi := len(ratings)
+			if i < len(cuts) {
+				hi = cuts[i]
+			}
+			d := NewDelta(nu, nt, nv)
+			for _, x := range ratings[lo:hi] {
+				d.MustAdd(x.u, x.t, x.v, x.s)
+			}
+			var err error
+			if c, err = c.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
+		}
+		return c
+	}
+	for _, cuts := range [][]int{nil, {0}, {600}, {1, 2, 2, 599}, {100, 350}, {7, 8, 64, 65, 300, 301, 302}} {
+		assertSameCuboid(t, chunked(cuts), built)
+	}
+	for trial := 0; trial < 20; trial++ {
+		cuts := make([]int, r.Intn(12))
+		for i := range cuts {
+			cuts[i] = r.Intn(len(ratings) + 1)
+		}
+		sort.Ints(cuts)
+		assertSameCuboid(t, chunked(cuts), built)
+	}
+}
+
 func TestApplyDeltaRejectsShrink(t *testing.T) {
 	c := buildRandom(t, 3, 10, 4, 12, 50)
 	if _, err := c.ApplyDelta(NewDelta(9, 4, 12)); err == nil {
@@ -198,9 +263,9 @@ func TestApplyDeltaEmpty(t *testing.T) {
 		}
 	}
 	// Subset over the widened cuboid still round-trips every cell.
-	all := got.Subset(func(Cell) bool { return true })
+	all := got.Subset(func(int, Cell) bool { return true })
 	assertSameCuboid(t, all, got)
-	none := got.Subset(func(Cell) bool { return false })
+	none := got.Subset(func(int, Cell) bool { return false })
 	if none.NNZ() != 0 || none.NumUsers() != 20 || none.NumIntervals() != 7 {
 		t.Fatalf("empty subset wrong: nnz=%d dims %d×%d×%d", none.NNZ(),
 			none.NumUsers(), none.NumIntervals(), none.NumItems())
@@ -244,7 +309,7 @@ func TestApplyDeltaNewIntervalOnly(t *testing.T) {
 		}
 	}
 	// Subset to only the new interval matches a direct build.
-	onlyNew := got.Subset(func(cell Cell) bool { return cell.T == nt })
+	onlyNew := got.Subset(func(_ int, cell Cell) bool { return cell.T == nt })
 	if onlyNew.NNZ() != nu {
 		t.Fatalf("subset of new interval has %d cells, want %d", onlyNew.NNZ(), nu)
 	}

@@ -47,11 +47,8 @@ func Read(r io.Reader) (*Cuboid, error) {
 		}
 		// The CSR row pointers require the canonical strict (U, T, V)
 		// order Write always produces; reject streams that lost it.
-		if i > 0 {
-			p := wire.Cells[i-1]
-			if p.U > cell.U || (p.U == cell.U && (p.T > cell.T || (p.T == cell.T && p.V >= cell.V))) {
-				return nil, fmt.Errorf("cuboid: cells out of (U,T,V) order at index %d", i)
-			}
+		if i > 0 && !cellLess(wire.Cells[i-1], cell) {
+			return nil, fmt.Errorf("cuboid: cells out of (U,T,V) order at index %d", i)
 		}
 	}
 	return fromCells(wire.NumUsers, wire.NumIntervals, wire.NumItems, wire.Cells), nil

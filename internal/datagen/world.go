@@ -112,7 +112,7 @@ func ItemName(cfg Config, truth *GroundTruth, v int) string {
 // item indices in the log match ground-truth indices.
 func internItems(cfg Config, log *dataset.Interactions, truth *GroundTruth) {
 	for v := 0; v < cfg.NumItems; v++ {
-		if got := log.InternItem(ItemName(cfg, truth, v)); got != v {
+		if got := log.Items.Intern(ItemName(cfg, truth, v)); got != v {
 			panic(fmt.Sprintf("datagen: item interning drift %d != %d", got, v))
 		}
 	}
@@ -251,7 +251,7 @@ func emitEvents(cfg Config, rng *rand.Rand, w *World,
 	truth := w.Truth
 	for u := 0; u < cfg.NumUsers; u++ {
 		userID := fmt.Sprintf("u%05d", u)
-		if got := w.Log.InternUser(userID); got != u {
+		if got := w.Log.Users.Intern(userID); got != u {
 			panic(fmt.Sprintf("datagen: user interning drift %d != %d", got, u))
 		}
 		for d := 0; d < cfg.NumDays; d++ {

@@ -1,14 +1,16 @@
 // Package dataset provides the ingestion layer between raw social-media
 // interaction logs and the rating cuboid: string-ID interning, time
 // gridding at a configurable interval length (the paper's Section 5.3.3
-// sweeps this), JSONL/CSV persistence, and the evaluation protocol's
+// sweeps this), JSONL persistence, and the evaluation protocol's
 // per-(user, interval) train/test splits and k-fold cross validation
 // (Section 5.3.1).
 package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"tcam/internal/cuboid"
 )
@@ -23,50 +25,65 @@ type Event struct {
 	Score float64 `json:"score"`
 }
 
+// Vocab is an append-only vocabulary: names in arrival order and the
+// name → dense index map over them, so an index, once assigned, never
+// changes. The zero value is empty and usable. Not safe for concurrent
+// use — readers and a writer each keep their own.
+type Vocab struct {
+	names []string
+	index map[string]int
+}
+
+// NewVocab returns a vocabulary holding names in order. It does not
+// copy them: the capacity is clipped, so the first Intern of an unseen
+// name moves the vocabulary to storage of its own.
+func NewVocab(names []string) *Vocab {
+	v := &Vocab{names: names[:len(names):len(names)], index: make(map[string]int, len(names))}
+	for i, name := range names {
+		v.index[name] = i
+	}
+	return v
+}
+
+// Intern returns the dense index of name, assigning the next one on
+// first sight.
+func (v *Vocab) Intern(name string) int {
+	if i, ok := v.index[name]; ok {
+		return i
+	}
+	if v.index == nil {
+		v.index = make(map[string]int)
+	}
+	i := len(v.names)
+	v.names = append(v.names, name)
+	v.index[name] = i
+	return i
+}
+
+// Lookup returns the dense index of name and whether it is known.
+func (v *Vocab) Lookup(name string) (int, bool) {
+	i, ok := v.index[name]
+	return i, ok
+}
+
+// Len returns the number of names.
+func (v *Vocab) Len() int { return len(v.names) }
+
+// Names returns the names by dense index. Callers must not modify the
+// slice; later Interns leave it as it was.
+func (v *Vocab) Names() []string { return v.names }
+
 // Interactions is an interaction log with interned user and item
-// identifiers. The zero value is not usable; construct with New.
+// identifiers. The zero value is an empty log.
 type Interactions struct {
-	userIDs  []string
-	itemIDs  []string
-	userIdx  map[string]int
-	itemIdx  map[string]int
-	events   []Event
-	timeSpan bool
-	minTime  int64
-	maxTime  int64
+	Users, Items Vocab // in order of first appearance
+	events       []Event
+	minTime      int64
+	maxTime      int64
 }
 
 // New returns an empty interaction log.
-func New() *Interactions {
-	return &Interactions{
-		userIdx: make(map[string]int),
-		itemIdx: make(map[string]int),
-	}
-}
-
-// InternUser returns the dense index for userID, assigning one on first
-// sight.
-func (d *Interactions) InternUser(userID string) int {
-	if i, ok := d.userIdx[userID]; ok {
-		return i
-	}
-	i := len(d.userIDs)
-	d.userIDs = append(d.userIDs, userID)
-	d.userIdx[userID] = i
-	return i
-}
-
-// InternItem returns the dense index for itemID, assigning one on first
-// sight.
-func (d *Interactions) InternItem(itemID string) int {
-	if i, ok := d.itemIdx[itemID]; ok {
-		return i
-	}
-	i := len(d.itemIDs)
-	d.itemIDs = append(d.itemIDs, itemID)
-	d.itemIdx[itemID] = i
-	return i
-}
+func New() *Interactions { return &Interactions{} }
 
 // Add records an interaction by string identifiers. Scores must be
 // positive.
@@ -74,29 +91,19 @@ func (d *Interactions) Add(userID, itemID string, time int64, score float64) err
 	if score <= 0 {
 		return fmt.Errorf("dataset: non-positive score %v for %s/%s", score, userID, itemID)
 	}
-	d.addEvent(Event{User: d.InternUser(userID), Item: d.InternItem(itemID), Time: time, Score: score})
+	if len(d.events) == 0 {
+		d.minTime, d.maxTime = time, time
+	}
+	d.minTime, d.maxTime = min(d.minTime, time), max(d.maxTime, time)
+	d.events = append(d.events, Event{User: d.Users.Intern(userID), Item: d.Items.Intern(itemID), Time: time, Score: score})
 	return nil
 }
 
-func (d *Interactions) addEvent(e Event) {
-	if !d.timeSpan {
-		d.minTime, d.maxTime, d.timeSpan = e.Time, e.Time, true
-	} else {
-		if e.Time < d.minTime {
-			d.minTime = e.Time
-		}
-		if e.Time > d.maxTime {
-			d.maxTime = e.Time
-		}
-	}
-	d.events = append(d.events, e)
-}
-
 // NumUsers returns the number of interned users.
-func (d *Interactions) NumUsers() int { return len(d.userIDs) }
+func (d *Interactions) NumUsers() int { return d.Users.Len() }
 
 // NumItems returns the number of interned items.
-func (d *Interactions) NumItems() int { return len(d.itemIDs) }
+func (d *Interactions) NumItems() int { return d.Items.Len() }
 
 // NumEvents returns the number of recorded interactions.
 func (d *Interactions) NumEvents() int { return len(d.events) }
@@ -106,27 +113,15 @@ func (d *Interactions) NumEvents() int { return len(d.events) }
 func (d *Interactions) Events() []Event { return d.events }
 
 // UserID returns the string identifier of dense user index u.
-func (d *Interactions) UserID(u int) string { return d.userIDs[u] }
+func (d *Interactions) UserID(u int) string { return d.Users.names[u] }
 
 // ItemID returns the string identifier of dense item index v.
-func (d *Interactions) ItemID(v int) string { return d.itemIDs[v] }
-
-// LookupItem returns the dense index of itemID and whether it is known.
-func (d *Interactions) LookupItem(itemID string) (int, bool) {
-	i, ok := d.itemIdx[itemID]
-	return i, ok
-}
-
-// LookupUser returns the dense index of userID and whether it is known.
-func (d *Interactions) LookupUser(userID string) (int, bool) {
-	i, ok := d.userIdx[userID]
-	return i, ok
-}
+func (d *Interactions) ItemID(v int) string { return d.Items.names[v] }
 
 // TimeSpan returns the [min, max] event times. ok is false when the log
 // is empty.
 func (d *Interactions) TimeSpan() (min, max int64, ok bool) {
-	return d.minTime, d.maxTime, d.timeSpan
+	return d.minTime, d.maxTime, len(d.events) > 0
 }
 
 // TimeGrid maps absolute event times onto dense interval indices of a
@@ -138,27 +133,94 @@ type TimeGrid struct {
 	Num    int   // number of intervals
 }
 
+// bucket is the one time → interval rule: the index of the interval
+// containing time on the grid continued without end past Num. Times
+// before the origin fall into interval zero. The difference is taken
+// unsigned, so no pair of int64 times can wrap it into the past.
+func (g TimeGrid) bucket(time int64) int {
+	if g.Length <= 0 || time < g.Origin {
+		return 0
+	}
+	return int(min((uint64(time)-uint64(g.Origin))/uint64(g.Length), math.MaxInt))
+}
+
 // IntervalOf returns the interval index containing time, clamped into
 // [0, Num).
 func (g TimeGrid) IntervalOf(time int64) int {
-	if g.Length <= 0 || g.Num <= 0 {
-		return 0
-	}
-	i := int((time - g.Origin) / g.Length)
-	if i < 0 {
-		return 0
-	}
-	if i >= g.Num {
-		return g.Num - 1
-	}
-	return i
+	return max(0, min(g.bucket(time), g.Num-1))
 }
 
+// Start returns the left edge of interval t, the earliest time
+// IntervalOf maps to it.
+func (g TimeGrid) Start(t int) int64 { return g.Origin + int64(t)*g.Length }
+
+// MaxOpenIntervals bounds how many intervals one event may open past
+// the end of the grid as grown so far. Every open interval costs each
+// later generation a catalog-wide context list and a θ′ row (DESIGN.md
+// §15), so without a bound one corrupt timestamp is an allocation no
+// restart survives; a gap this long exceeds the whole span a bundle is
+// trained on, where a retrain, not a fold-in, is the remedy.
+const MaxOpenIntervals = 256
+
+// Gridder turns events into cuboid cells on a grid that grows with
+// them: the single definition of what an event becomes, for a batch
+// gridded from nothing and for a stream extending a trained cuboid.
+type Gridder struct {
+	// Grid is the grid as grown so far: Num covers every event added.
+	Grid TimeGrid
+
+	users, items *Vocab // whose sizes bound the cells' indices
+	delta        *cuboid.Delta
+}
+
+// NewGridder returns a Gridder that continues grid, for events whose
+// dense indices come from users and items (which may keep growing).
+func NewGridder(users, items *Vocab, grid TimeGrid) *Gridder {
+	return &Gridder{Grid: grid, users: users, items: items, delta: cuboid.NewDelta(users.Len(), grid.Num, items.Len())}
+}
+
+// Open opens the intervals up to an event at time and returns the one it
+// falls in, or an error — and no growth — when that would open more than
+// MaxOpenIntervals at once. The verdict depends only on the times opened
+// so far, so whether a record of a log is refused is a function of the
+// log prefix before it. Callers that intern names open first: a refused
+// record then leaves no name behind.
+func (g *Gridder) Open(time int64) (int, error) {
+	t := g.Grid.bucket(time)
+	if t-g.Grid.Num >= MaxOpenIntervals {
+		return 0, fmt.Errorf("dataset: time %d is interval %d of a grid grown to %d: more than %d intervals to open at once",
+			time, t, g.Grid.Num, MaxOpenIntervals)
+	}
+	g.Grid.Num = max(g.Grid.Num, t+1)
+	return t, nil
+}
+
+// Add opens e's interval and records its cell. Scores of repeated
+// (user, interval, item) events accumulate in the order added.
+func (g *Gridder) Add(e Event) error {
+	t, err := g.Open(e.Time)
+	if err != nil {
+		return err
+	}
+	g.delta.Widen(g.users.Len(), g.Grid.Num, g.items.Len())
+	return g.delta.Add(e.User, t, e.Item, e.Score)
+}
+
+// Delta returns the cells added so far as a delta for a cuboid over the
+// grid and vocabularies as they stood at the last Add. The Gridder is
+// spent once the delta is applied.
+func (g *Gridder) Delta() *cuboid.Delta { return g.delta }
+
 // Grid buckets the log's events into intervals of the given length and
-// returns the resulting rating cuboid plus the grid. Scores of repeated
+// returns the resulting rating cuboid plus the grid: the events run
+// through a Gridder from an empty grid at the earliest event time, and
+// its delta is applied to an empty cuboid. Scores of repeated
 // (user, interval, item) interactions accumulate, matching the paper's
 // frequency-as-score convention. intervalLen must be positive and the
-// log non-empty.
+// log non-empty. The grid is opened in time order first, so a log is
+// refused — whatever order it is written in — exactly when a stream
+// delivering it chronologically would be: some event lies
+// MaxOpenIntervals or more empty intervals past the one before it.
 func (d *Interactions) Grid(intervalLen int64) (*cuboid.Cuboid, TimeGrid, error) {
 	if intervalLen <= 0 {
 		return nil, TimeGrid{}, fmt.Errorf("dataset: non-positive interval length %d", intervalLen)
@@ -166,15 +228,24 @@ func (d *Interactions) Grid(intervalLen int64) (*cuboid.Cuboid, TimeGrid, error)
 	if len(d.events) == 0 {
 		return nil, TimeGrid{}, fmt.Errorf("dataset: cannot grid an empty log")
 	}
-	num := int((d.maxTime-d.minTime)/intervalLen) + 1
-	grid := TimeGrid{Origin: d.minTime, Length: intervalLen, Num: num}
-	b := cuboid.NewBuilder(len(d.userIDs), num, len(d.itemIDs))
-	for _, e := range d.events {
-		if err := b.Add(e.User, grid.IntervalOf(e.Time), e.Item, e.Score); err != nil {
+	g := NewGridder(&d.Users, &d.Items, TimeGrid{Origin: d.minTime, Length: intervalLen})
+	times := make([]int64, len(d.events))
+	for i, e := range d.events {
+		times[i] = e.Time
+	}
+	slices.Sort(times)
+	for _, time := range times {
+		if _, err := g.Open(time); err != nil {
 			return nil, TimeGrid{}, err
 		}
 	}
-	return b.Build(), grid, nil
+	for _, e := range d.events {
+		if err := g.Add(e); err != nil {
+			return nil, TimeGrid{}, err
+		}
+	}
+	c, err := new(cuboid.Cuboid).ApplyDelta(g.Delta())
+	return c, g.Grid, err
 }
 
 // Split holds a train/test partition of a cuboid under the paper's
@@ -210,17 +281,10 @@ func SplitPerInterval(rng *rand.Rand, c *cuboid.Cuboid, testFrac float64) Split 
 }
 
 func splitByFlag(c *cuboid.Cuboid, inTest []bool) Split {
-	cells := c.Cells()
-	trainB := cuboid.NewBuilder(c.NumUsers(), c.NumIntervals(), c.NumItems())
-	testB := cuboid.NewBuilder(c.NumUsers(), c.NumIntervals(), c.NumItems())
-	for i, cell := range cells {
-		dst := trainB
-		if inTest[i] {
-			dst = testB
-		}
-		dst.MustAdd(int(cell.U), int(cell.T), int(cell.V), cell.Score)
+	return Split{
+		Train: c.Subset(func(i int, _ cuboid.Cell) bool { return !inTest[i] }),
+		Test:  c.Subset(func(i int, _ cuboid.Cell) bool { return inTest[i] }),
 	}
-	return Split{Train: trainB.Build(), Test: testB.Build()}
 }
 
 // forEachGroup invokes fn once per (user, interval) group with the

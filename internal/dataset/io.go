@@ -24,7 +24,7 @@ func (d *Interactions) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, e := range d.events {
-		rec := jsonlRecord{User: d.userIDs[e.User], Item: d.itemIDs[e.Item], Time: e.Time, Score: e.Score}
+		rec := jsonlRecord{User: d.UserID(e.User), Item: d.ItemID(e.Item), Time: e.Time, Score: e.Score}
 		if err := enc.Encode(&rec); err != nil {
 			return fmt.Errorf("dataset: write jsonl: %w", err)
 		}

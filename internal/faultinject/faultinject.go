@@ -1,11 +1,12 @@
 // Package faultinject provides deterministic, test-only fault hooks for
 // the serving stack. Production code marks interesting points with
-// Fire("site"); tests arm a hook at a site to inject latency, a panic,
-// or a context cancellation at exactly that point, which turns
+// Fire("site") or FireErr("site"); tests arm a hook at a site to inject
+// latency, a panic, a context cancellation or an error at exactly that
+// point, which turns
 // fault-tolerance claims ("an injected panic yields one 500 and the
 // server keeps serving") into ordinary deterministic tests.
 //
-// When no hook is armed, Fire is a single atomic load — cheap enough to
+// When no hook is armed, firing is a single atomic load — cheap enough to
 // leave compiled into release binaries, and nothing in this package can
 // trigger without a test explicitly arming it.
 package faultinject
@@ -17,40 +18,55 @@ import (
 )
 
 var (
-	// armed short-circuits Fire when no hooks are registered, keeping
+	// armed short-circuits FireErr when no hooks are registered, keeping
 	// the instrumented paths at one atomic load in production.
 	armed atomic.Bool
 
+	// hooks is the one registry: every site, whichever way it is fired.
 	mu    sync.Mutex
-	hooks map[string]func()
+	hooks map[string]func() error
 )
 
-// Fire invokes the hook armed at site, if any. Call it at the points a
-// fault should be injectable; with nothing armed it costs one atomic
-// load.
-func Fire(site string) {
+// FireErr invokes the hook armed at site and returns what it returns;
+// nil when nothing is armed (the production case: one atomic load). Call
+// it where the injected failure is an error value the code path must
+// handle — a refused connection, a torn response.
+func FireErr(site string) error {
 	if !armed.Load() {
-		return
+		return nil
 	}
 	mu.Lock()
 	fn := hooks[site]
 	mu.Unlock()
-	if fn != nil {
-		fn()
+	if fn == nil {
+		return nil
 	}
+	return fn()
 }
 
-// Set arms fn at site, replacing any previous hook there. fn runs on
-// the goroutine that calls Fire. Tests should pair Set with a deferred
-// Reset.
-func Set(site string, fn func()) {
+// Fire is FireErr for sites where the fault is a side effect — latency,
+// a panic, a cancellation — and there is no error to handle.
+func Fire(site string) {
+	_ = FireErr(site) // a site fired this way has nowhere to report an error hook's value
+}
+
+// SetErr arms an error-returning hook at site, replacing any previous
+// hook there: FireErr(site) returns whatever fn returns. fn runs on the
+// goroutine that fires. Tests should pair it with a deferred Reset.
+func SetErr(site string, fn func() error) {
 	mu.Lock()
 	defer mu.Unlock()
 	if hooks == nil {
-		hooks = make(map[string]func())
+		hooks = make(map[string]func() error)
 	}
 	hooks[site] = fn
 	armed.Store(true)
+}
+
+// Set arms a side-effect hook at site: SetErr with a hook that returns
+// nil.
+func Set(site string, fn func()) {
+	SetErr(site, func() error { fn(); return nil })
 }
 
 // Clear disarms the hook at site.
@@ -58,25 +74,18 @@ func Clear(site string) {
 	mu.Lock()
 	defer mu.Unlock()
 	delete(hooks, site)
-	maybeDisarm()
+	if len(hooks) == 0 {
+		armed.Store(false)
+	}
 }
 
-// Reset disarms every hook of both kinds (plain and error-returning);
-// defer it from any test that calls Set or SetErr.
+// Reset disarms every hook; defer it from any test that calls Set or
+// SetErr.
 func Reset() {
 	mu.Lock()
 	defer mu.Unlock()
 	hooks = nil
-	errHooks = nil
 	armed.Store(false)
-}
-
-// maybeDisarm drops the armed fast-path flag once no hook of either
-// registry remains. Callers hold mu.
-func maybeDisarm() {
-	if len(hooks) == 0 && len(errHooks) == 0 {
-		armed.Store(false)
-	}
 }
 
 // Panics returns a hook that panics with a constant message. Use it to

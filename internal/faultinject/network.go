@@ -1,55 +1,13 @@
 package faultinject
 
-// Error-returning fault hooks: sites where the injected failure is an
-// error value the production code path must handle (a refused
-// connection, a torn response) rather than a side effect. The
-// httpfault subpackage adapts these to the HTTP layer; it lives apart
-// so this package — imported by the training and model code for plain
-// hook sites — never links net/http.
+// Error hooks for FireErr sites. The httpfault subpackage adapts them to
+// the HTTP layer; it lives apart so this package — imported by the
+// training and model code for plain hook sites — never links net/http.
 
 import (
 	"errors"
 	"sync/atomic"
 )
-
-// errHooks shares faultinject.mu with the plain hook registry so the
-// armed fast-path flag has one consistent view of both.
-var errHooks map[string]func() error
-
-// SetErr arms an error-returning hook at site: FireErr(site) returns
-// whatever fn returns. Tests should pair SetErr with a deferred Reset.
-func SetErr(site string, fn func() error) {
-	mu.Lock()
-	defer mu.Unlock()
-	if errHooks == nil {
-		errHooks = make(map[string]func() error)
-	}
-	errHooks[site] = fn
-	armed.Store(true)
-}
-
-// FireErr invokes the error hook armed at site, returning nil when
-// nothing is armed (the production case: one atomic load).
-func FireErr(site string) error {
-	if !armed.Load() {
-		return nil
-	}
-	mu.Lock()
-	fn := errHooks[site]
-	mu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn()
-}
-
-// ClearErr disarms the error hook at site.
-func ClearErr(site string) {
-	mu.Lock()
-	defer mu.Unlock()
-	delete(errHooks, site)
-	maybeDisarm()
-}
 
 // ErrorsN returns an error hook whose first n firings return err and
 // the rest nil — "the connection fails n times, then recovers", the

@@ -11,7 +11,7 @@ func TestClearErrDisarms(t *testing.T) {
 	if err := FireErr("x.conn"); !errors.Is(err, ErrInjectedConn) {
 		t.Fatalf("armed FireErr = %v", err)
 	}
-	ClearErr("x.conn")
+	Clear("x.conn")
 	if err := FireErr("x.conn"); err != nil {
 		t.Fatalf("cleared FireErr = %v, want nil", err)
 	}

@@ -40,8 +40,10 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -90,18 +92,17 @@ type Log struct {
 	dir      string
 	maxBytes int64
 
-	mu       sync.Mutex
-	end      int64  // offset of the next record to be appended
-	segBase  int64  // offset of the active segment's first record
-	segBytes int64  // bytes currently in the active segment
-	buf      []byte // frame staging buffer, reused across Appends
-	tail     cursor // where the last Replay stopped
+	mu   sync.Mutex
+	head cursor // the next record to be appended, at the end of the active segment
+	buf  []byte // frame staging buffer, reused across Appends
+	tail cursor // where the last Replay stopped
 }
 
 // cursor states one fact about the on-disk log: record off starts at
-// byte pos of segment base. The log is append-only, so a cursor stays
-// true forever; a Replay that starts at off reads from pos instead of
-// walking the segment from its first frame.
+// byte pos of segment base (the offset of that segment's first record).
+// The log is append-only, so a cursor stays true forever; a Replay that
+// starts at off reads from pos instead of walking the segment from its
+// first frame, and a Refresh reads only what lies past the head.
 type cursor struct{ off, base, pos int64 }
 
 // Open opens (creating if needed) the log directory with the default
@@ -123,24 +124,17 @@ func OpenLimit(dir string, maxSegmentBytes int64) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, maxBytes: maxSegmentBytes}
-	for i, base := range bases {
-		if base != l.end {
-			return nil, fmt.Errorf("ingest: segment %s starts at offset %d but the preceding segments end at %d",
-				segName(base), base, l.end)
-		}
-		last := i == len(bases)-1
-		n, size, err := l.recoverSegment(base, last)
-		if err != nil {
-			return nil, err
-		}
-		l.end = base + n
-		if last {
-			l.segBase = base
-			l.segBytes = size
+	at, torn, err := scan(dir, bases, cursor{}, math.MaxInt64, true, nil)
+	if err != nil {
+		return nil, err
+	}
+	if torn {
+		// Torn append: nothing can follow a tear, truncate and resume.
+		if err := os.Truncate(filepath.Join(dir, segName(at.base)), at.pos); err != nil {
+			return nil, fmt.Errorf("ingest: truncate torn tail of %s: %w", segName(at.base), err)
 		}
 	}
-	return l, nil
+	return &Log{dir: dir, maxBytes: maxSegmentBytes, head: at}, nil
 }
 
 // End returns the offset one past the last appended record — the
@@ -148,7 +142,7 @@ func OpenLimit(dir string, maxSegmentBytes int64) (*Log, error) {
 func (l *Log) End() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.end
+	return l.head.off
 }
 
 // Append durably appends recs in order and returns the new end offset.
@@ -164,24 +158,23 @@ func (l *Log) Append(recs ...Record) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(recs) == 0 {
-		return l.end, nil
+		return l.head.off, nil
 	}
 	if err := faultinject.FireErr("ingest.append"); err != nil {
-		return l.end, err
+		return l.head.off, err
 	}
-	if l.segBytes >= l.maxBytes {
-		l.segBase = l.end
-		l.segBytes = 0
+	if l.head.pos >= l.maxBytes {
+		l.head.base, l.head.pos = l.head.off, 0
 	}
 	l.buf = l.buf[:0]
 	for _, r := range recs {
 		payload, err := json.Marshal(r)
 		if err != nil {
-			return l.end, fmt.Errorf("ingest: encode record: %w", err)
+			return l.head.off, fmt.Errorf("ingest: encode record: %w", err)
 		}
 		l.buf = appendFrame(l.buf, payload)
 	}
-	path := filepath.Join(l.dir, segName(l.segBase))
+	path := filepath.Join(l.dir, segName(l.head.base))
 	if err := atomicfile.Append(path, func(w io.Writer) error {
 		_, err := w.Write(l.buf)
 		return err
@@ -189,11 +182,11 @@ func (l *Log) Append(recs ...Record) (int64, error) {
 		// The on-disk state is unknown (a prefix may have landed); reopen
 		// to find out rather than guessing. Callers should treat the Log
 		// as poisoned and re-Open after an append error.
-		return l.end, err
+		return l.head.off, err
 	}
-	l.segBytes += int64(len(l.buf))
-	l.end += int64(len(recs))
-	return l.end, nil
+	l.head.pos += int64(len(l.buf))
+	l.head.off += int64(len(recs))
+	return l.head.off, nil
 }
 
 // Replay invokes fn for every record with offset >= from, in offset
@@ -208,64 +201,38 @@ func (l *Log) Replay(from int64, fn func(off int64, rec Record) error) error {
 		return err
 	}
 	l.mu.Lock()
-	end, tail := l.end, l.tail
+	end, tail := l.head.off, l.tail
 	l.mu.Unlock()
-	next := int64(0)
-	for i, base := range bases {
-		if base != next {
-			return fmt.Errorf("ingest: segment %s starts at offset %d but the preceding segments end at %d",
-				segName(base), base, next)
+	// Start at the first frame of the segment holding from — the next
+	// segment's base bounds a segment's record count, so whole segments
+	// below it are skipped — or where the previous Replay stopped, if
+	// that is exactly from.
+	var at cursor
+	if i := sort.Search(len(bases), func(i int) bool { return bases[i] > from }); i > 0 {
+		at = cursor{off: bases[i-1], base: bases[i-1]}
+	}
+	if tail.base == at.base && tail.off == from {
+		at = tail
+	}
+	// Records at or beyond the opened end are a concurrent append's and
+	// are left alone; below it nothing may be torn.
+	at, _, err = scan(l.dir, bases, at, end, false, func(off int64, payload []byte) error {
+		if off < from {
+			return nil
 		}
-		// Skip whole segments below from: the next segment's base bounds
-		// this one's record count.
-		if i+1 < len(bases) && bases[i+1] <= from {
-			next = bases[i+1]
-			continue
+		var rec Record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return fmt.Errorf("ingest: decode record at offset %d: %w", off, err)
 		}
-		at := cursor{off: base, base: base}
-		if tail.base == base && tail.off == from {
-			at = tail
-		}
-		if at, err = l.replaySegment(at, end, from, fn); err != nil {
-			return err
-		}
-		next, tail = at.off, at
+		return fn(off, rec)
+	})
+	if err != nil {
+		return err
 	}
 	l.mu.Lock()
-	l.tail = tail
+	l.tail = at
 	l.mu.Unlock()
 	return nil
-}
-
-// replaySegment scans one segment from the cursor at, calling fn for
-// records at or past from, bounded by end (records beyond the opened
-// end are a concurrent append's tail and are ignored). It returns the
-// cursor of the first record it did not scan.
-func (l *Log) replaySegment(at cursor, end, from int64, fn func(off int64, rec Record) error) (cursor, error) {
-	data, err := readSegment(l.dir, at.base, at.pos)
-	if err != nil {
-		return at, err
-	}
-	pos := 0
-	for pos < len(data) && at.off < end {
-		payload, nextPos, ok := readFrame(data, pos)
-		if !ok {
-			return at, fmt.Errorf("ingest: %s: invalid frame at byte %d (offset %d)", segName(at.base), at.pos, at.off)
-		}
-		if at.off >= from {
-			var rec Record
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return at, fmt.Errorf("ingest: %s: decode record at offset %d: %w", segName(at.base), at.off, err)
-			}
-			if err := fn(at.off, rec); err != nil {
-				return at, err
-			}
-		}
-		at.off++
-		at.pos += int64(nextPos - pos)
-		pos = nextPos
-	}
-	return at, nil
 }
 
 // Refresh picks up records appended through other handles — typically
@@ -285,34 +252,22 @@ func (l *Log) Refresh() (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.unchanged() {
-		return l.end, nil
+		return l.head.off, nil
 	}
 	bases, err := segmentBases(l.dir)
 	if err != nil {
 		return 0, err
 	}
-	end, segBase, segBytes := l.end, l.segBase, l.segBytes
-	active := sort.Search(len(bases), func(i int) bool { return bases[i] >= segBase })
-	if segBytes > 0 && (active == len(bases) || bases[active] != segBase) {
+	if l.head.pos > 0 && !slices.Contains(bases, l.head.base) {
 		return 0, fmt.Errorf("ingest: refresh found no segment %s, which held the known end %d (log rewritten underneath us?)",
-			segName(segBase), end)
+			segName(l.head.base), l.head.off)
 	}
-	for i := active; i < len(bases); i++ {
-		base, from := bases[i], int64(0)
-		if base == segBase {
-			from = segBytes
-		} else if base != end {
-			return 0, fmt.Errorf("ingest: segment %s starts at offset %d but the preceding segments end at %d",
-				segName(base), base, end)
-		}
-		n, size, _, err := scanSegment(l.dir, base, from, i == len(bases)-1)
-		if err != nil {
-			return 0, err
-		}
-		end, segBase, segBytes = end+n, base, size
+	at, _, err := scan(l.dir, bases, l.head, math.MaxInt64, true, nil)
+	if err != nil {
+		return 0, err
 	}
-	l.end, l.segBase, l.segBytes = end, segBase, segBytes
-	return end, nil
+	l.head = at
+	return at.off, nil
 }
 
 // unchanged reports whether the directory holds nothing this handle has
@@ -325,66 +280,72 @@ func (l *Log) Refresh() (int64, error) {
 // leave the verdict to Refresh's listing.
 func (l *Log) unchanged() bool {
 	var size int64
-	switch st, err := os.Stat(filepath.Join(l.dir, segName(l.segBase))); {
+	switch st, err := os.Stat(filepath.Join(l.dir, segName(l.head.base))); {
 	case err == nil:
 		size = st.Size()
 	case !errors.Is(err, fs.ErrNotExist):
 		return false
 	}
-	if size != l.segBytes {
+	if size != l.head.pos {
 		return false
 	}
-	if l.end == l.segBase {
+	if l.head.off == l.head.base {
 		return true // nothing read from the active segment yet: it is its own successor
 	}
-	_, err := os.Stat(filepath.Join(l.dir, segName(l.end)))
+	_, err := os.Stat(filepath.Join(l.dir, segName(l.head.off)))
 	return errors.Is(err, fs.ErrNotExist)
 }
 
-// recoverSegment validates one segment at Open time, returning its
-// record count and surviving byte size. On the last segment a torn
-// tail — any suffix that does not parse as complete, CRC-valid frames —
-// is truncated away; anywhere else it is corruption.
-func (l *Log) recoverSegment(base int64, last bool) (records, size int64, err error) {
-	n, size, torn, err := scanSegment(l.dir, base, 0, last)
-	if err != nil {
-		return 0, 0, err
+// scan is the one reader of the log's frames, behind Open, Refresh and
+// Replay. Starting at the cursor at — a frame boundary this handle has
+// established, or the zero cursor — it walks the segments named by bases
+// in order, handing fn (when not nil) the offset and payload of every
+// complete, CRC-valid frame below record offset end, and returns the
+// cursor of the first record it did not pass. Each segment must start at
+// the offset the ones before it end at. Bytes that do not form a frame
+// are a torn append — reported as torn, with the cursor in front of
+// them — only where one can be: at the tail of the last segment, and
+// only if the caller allows it (tornOK: it is reading past every record
+// it has seen before). Anywhere else they are corruption.
+func scan(dir string, bases []int64, at cursor, end int64, tornOK bool, fn func(off int64, payload []byte) error) (cursor, bool, error) {
+	if len(bases) > 0 && bases[0] != 0 {
+		return at, false, chainError(bases[0], 0)
 	}
-	if torn {
-		// Torn append: nothing can follow a tear, truncate and resume.
-		path := filepath.Join(l.dir, segName(base))
-		if err := os.Truncate(path, size); err != nil {
-			return 0, 0, fmt.Errorf("ingest: truncate torn tail of %s: %w", segName(base), err)
+	for i := sort.Search(len(bases), func(i int) bool { return bases[i] >= at.base }); i < len(bases); i++ {
+		if bases[i] != at.base {
+			if bases[i] != at.off {
+				return at, false, chainError(bases[i], at.off)
+			}
+			at = cursor{off: bases[i], base: bases[i]}
+		}
+		data, err := readSegment(dir, at.base, at.pos)
+		if err != nil {
+			return at, false, err
+		}
+		for pos := 0; pos < len(data) && at.off < end; {
+			payload, next, ok := readFrame(data, pos)
+			if !ok {
+				if tornOK && i == len(bases)-1 {
+					return at, true, nil
+				}
+				return at, false, fmt.Errorf("ingest: %s: corrupt frame at byte %d (offset %d): not a torn tail, refusing to read past it",
+					segName(at.base), at.pos, at.off)
+			}
+			if fn != nil {
+				if err := fn(at.off, payload); err != nil {
+					return at, false, err
+				}
+			}
+			at.off++
+			at.pos += int64(next - pos)
+			pos = next
 		}
 	}
-	return n, size, nil
+	return at, false, nil
 }
 
-// scanSegment counts the complete, CRC-valid frames of one segment from
-// byte from on (a frame boundary), without modifying it. size is the
-// byte just past the last of them. torn reports a trailing non-frame
-// suffix on the last segment (size excludes it); the same suffix on any
-// earlier segment is corruption.
-func scanSegment(dir string, base, from int64, last bool) (records, size int64, torn bool, err error) {
-	data, err := readSegment(dir, base, from)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	var n int64
-	pos := 0
-	for pos < len(data) {
-		_, next, ok := readFrame(data, pos)
-		if !ok {
-			if !last {
-				return 0, 0, false, fmt.Errorf("ingest: %s: corrupt frame at byte %d (mid-log corruption, refusing to open)",
-					segName(base), from+int64(pos))
-			}
-			return n, from + int64(pos), true, nil
-		}
-		n++
-		pos = next
-	}
-	return n, from + int64(pos), false, nil
+func chainError(base, end int64) error {
+	return fmt.Errorf("ingest: segment %s starts at offset %d but the preceding segments end at %d", segName(base), base, end)
 }
 
 // readSegment returns the bytes of one segment from byte from to its

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -201,6 +202,147 @@ func TestMidLogCorruptionRefusesOpen(t *testing.T) {
 	}
 	if _, err := OpenLimit(dir, 64); err == nil {
 		t.Fatal("Open accepted mid-log corruption")
+	}
+}
+
+// TestDamageClassifiedTheSameEverywhere: one table of damaged segments,
+// read through every door of the one frame walker. A three-segment,
+// eleven-record log is damaged after a reader handle has replayed its
+// first two records; then
+//
+//   - Refresh from that known end and a fresh Open must give the same
+//     verdict: a torn tail (bytes at the end of the last segment that
+//     are no frame — both stop in front of them, at the same record,
+//     and only Open truncates) or corruption (anything else: an error);
+//   - Replay from the reader's cursor delivers exactly the records up to
+//     the end Refresh found;
+//   - a handle that had already seen all eleven records calls any damage
+//     below them corruption, wherever it lies: nothing it has counted
+//     can still be an append in flight.
+func TestDamageClassifiedTheSameEverywhere(t *testing.T) {
+	const known, total = 2, 11
+	flip := func(t *testing.T, dir string, base int64, frame int) {
+		path := filepath.Join(dir, segName(base))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos := 0
+		for ; frame > 0; frame-- {
+			if _, pos, _ = readFrame(raw, pos); pos == 0 {
+				t.Fatalf("segment %d has no frame to flip", base)
+			}
+		}
+		raw[pos+frameHdr+1] ^= 0xff
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	partial := func(t *testing.T, dir string, base int64) {
+		f, err := os.OpenFile(filepath.Join(dir, segName(base)), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [frameHdr + 3]byte
+		binary.LittleEndian.PutUint32(hdr[:], 400) // promises more bytes than follow
+		if _, err := f.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		end    int64 // where a torn tail leaves the log; -1: corruption
+		seen   bool  // whether the handle that saw all records still replays them
+	}{
+		{"partial frame after the last record", func(t *testing.T, dir string) { partial(t, dir, 6) }, total, true},
+		{"last frame cut short", func(t *testing.T, dir string) {
+			st, err := os.Stat(filepath.Join(dir, segName(6)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(filepath.Join(dir, segName(6)), st.Size()-3); err != nil {
+				t.Fatal(err)
+			}
+		}, total - 1, false},
+		{"byte flipped in the last frame", func(t *testing.T, dir string) { flip(t, dir, 6, 4) }, total - 1, false},
+		{"byte flipped mid-way through the last segment", func(t *testing.T, dir string) { flip(t, dir, 6, 2) }, 8, false},
+		{"byte flipped in a sealed segment", func(t *testing.T, dir string) { flip(t, dir, 3, 1) }, -1, false},
+		{"byte flipped in the first record past the known end", func(t *testing.T, dir string) { flip(t, dir, 0, known) }, -1, false},
+		{"partial frame at the end of a sealed segment", func(t *testing.T, dir string) { partial(t, dir, 0) }, -1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			const limit = 150 // three ~58-byte frames fill a segment
+			writer, err := OpenLimit(dir, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := writer.Append(rec(0), rec(1)); err != nil {
+				t.Fatal(err)
+			}
+			reader, err := OpenLimit(dir, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sawAll, err := OpenLimit(dir, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			collect(t, reader, 0) // leaves both cursors at the known end
+			collect(t, sawAll, 0)
+			for i := known; i < 6; i++ {
+				if _, err := writer.Append(rec(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := writer.Append(rec(6), rec(7), rec(8), rec(9), rec(10)); err != nil {
+				t.Fatal(err)
+			}
+			if bases, err := segmentBases(dir); err != nil || !reflect.DeepEqual(bases, []int64{0, 3, 6}) {
+				t.Fatalf("segments %v (err %v), want [0 3 6]", bases, err)
+			}
+			if end, err := sawAll.Refresh(); err != nil || end != total {
+				t.Fatalf("Refresh before the damage = (%d, %v)", end, err)
+			}
+			tc.damage(t, dir)
+
+			count := func(l *Log) (int64, error) {
+				var n int64
+				err := l.Replay(known, func(off int64, r Record) error {
+					if off != known+n || r != rec(int(off)) {
+						t.Fatalf("replayed offset %d as %+v", off, r)
+					}
+					n++
+					return nil
+				})
+				return n, err
+			}
+			end, err := reader.Refresh()
+			if (err != nil) != (tc.end < 0) || (err == nil && end != tc.end) {
+				t.Errorf("Refresh from the known end = (%d, %v), want end %d", end, err, tc.end)
+			}
+			if err == nil {
+				if n, err := count(reader); err != nil || n != end-known {
+					t.Errorf("Replay from the cursor after Refresh = (%d records, %v), want %d", n, err, end-known)
+				}
+			}
+			if n, err := count(sawAll); (err == nil) != tc.seen || (err == nil && n != total-known) {
+				t.Errorf("Replay by the handle that saw every record = (%d records, %v), want success %v", n, err, tc.seen)
+			}
+			opened, err := OpenLimit(dir, limit) // last: it truncates a torn tail
+			if (err != nil) != (tc.end < 0) || (err == nil && opened.End() != tc.end) {
+				t.Errorf("Open = (%v, %v), want end %d", opened, err, tc.end)
+			}
+			if err == nil {
+				if got := collect(t, opened, 0); int64(len(got)) != tc.end {
+					t.Errorf("after Open, Replay sees %d records, want %d", len(got), tc.end)
+				}
+			}
+		})
 	}
 }
 
@@ -441,9 +583,9 @@ func TestRefreshResumesAcrossSegmentRoll(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if reader.end != reopened.end || reader.segBase != reopened.segBase || reader.segBytes != reopened.segBytes {
+	if reader.head != reopened.head {
 		t.Fatalf("refreshed handle at (end %d, seg %d, %d bytes), a fresh Open at (end %d, seg %d, %d bytes)",
-			reader.end, reader.segBase, reader.segBytes, reopened.end, reopened.segBase, reopened.segBytes)
+			reader.head.off, reader.head.base, reader.head.pos, reopened.head.off, reopened.head.base, reopened.head.pos)
 	}
 	// A replay that does not start at the cursor — a retried cycle —
 	// still reads from the segment's first frame.
@@ -470,7 +612,7 @@ func TestRefreshRejectsShrunkenSegment(t *testing.T) {
 	if _, err := l.Append(rec(0), rec(1), rec(2)); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := os.Truncate(filepath.Join(dir, segName(0)), l.segBytes-5); err != nil {
+	if err := os.Truncate(filepath.Join(dir, segName(0)), l.head.pos-5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Refresh(); err == nil {
@@ -501,7 +643,7 @@ func TestRefreshRejectsCorruptionPastKnownEnd(t *testing.T) {
 	if _, err := reader.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	known := reader.segBytes
+	known := reader.head.pos
 	for i := 2; i < 30; i++ { // rolls past segment 0
 		if _, err := writer.Append(rec(i)); err != nil {
 			t.Fatal(err)

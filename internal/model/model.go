@@ -155,39 +155,41 @@ func Workers(configured int) int {
 // storage one reslice longer (DESIGN.md §15).
 func SpareItems(v int) int { return max(64, v/8) }
 
-// ParallelRanges splits [0, n) into contiguous chunks and runs fn once
-// per chunk across the given number of workers, blocking until all
-// complete. fn receives the worker index (for per-worker accumulators)
-// and its [lo, hi) range. With one worker or tiny n it degenerates to a
-// direct call, keeping single-threaded runs allocation-free.
-func ParallelRanges(n, workers int, fn func(worker, lo, hi int)) {
+// CutRanges is the one ceil-chunk partition: it cuts [0, n) into at most
+// parts contiguous ranges of ceil(n/parts) and calls fn(i, lo, hi) for
+// each, in order. EM's user shards, every parallel loop and the serving
+// tier's item ranges are all this split, and the summation grouping the
+// *_prerefactor_* fixtures were recorded under is its arithmetic.
+func CutRanges(n, parts int, fn func(i, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
+	parts = max(1, min(parts, n))
+	chunk := (n + parts - 1) / parts
+	for i, lo := 0, 0; lo < n; i, lo = i+1, lo+chunk {
+		fn(i, lo, min(lo+chunk, n))
 	}
-	if workers <= 1 {
-		fn(0, 0, n)
+}
+
+// ParallelRanges splits [0, n) into contiguous chunks (CutRanges) and
+// runs fn once per chunk across the given number of workers, blocking
+// until all complete. fn receives the worker index (for per-worker
+// accumulators) and its [lo, hi) range. With one worker or tiny n it
+// degenerates to a direct call, keeping single-threaded runs
+// allocation-free.
+func ParallelRanges(n, workers int, fn func(worker, lo, hi int)) {
+	if min(n, workers) <= 1 {
+		CutRanges(n, 1, fn)
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	CutRanges(n, workers, func(worker, lo, hi int) {
 		wg.Add(1)
-		go func(worker, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			fn(worker, lo, hi)
-		}(w, lo, hi)
-	}
+		}()
+	})
 	wg.Wait()
 }
 

@@ -31,20 +31,10 @@ func benchCuboid(tb testing.TB) *cuboid.Cuboid {
 // production summation grouping.
 func benchAccums(tb testing.TB, tr *trainer) []train.Accum {
 	tb.Helper()
-	n := tr.NumUsers()
-	shards := train.DefaultShards
-	if shards > n {
-		shards = n
-	}
-	chunk := (n + shards - 1) / shards
 	var accums []train.Accum
-	for lo, s := 0, 0; lo < n; lo, s = lo+chunk, s+1 {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	model.CutRanges(tr.NumUsers(), train.DefaultShards, func(s, lo, hi int) {
 		accums = append(accums, tr.NewAccum(s, lo, hi))
-	}
+	})
 	return accums
 }
 

@@ -78,7 +78,7 @@ func (s *Server) precompute(sn *Generation) warmStats {
 			s.logf("precompute aborted after %d of %d hot users: %v", warm.users, len(hot), err)
 			break
 		}
-		q := api.Query{User: sn.bundle.Users[u], Time: grid.Origin + int64(grid.Num-1)*grid.Length}
+		q := api.Query{User: sn.bundle.Users[u], Time: grid.Start(grid.Num - 1)}
 		// resolve + search, not Answer: warming must neither count as a
 		// miss nor feed the sketch it ranks by.
 		if err := sc.resolve(&q); err == nil {

@@ -279,7 +279,7 @@ func TestPrecomputeKilledFallsThrough(t *testing.T) {
 		serveHTTP(srv, http.MethodGet, "/recommend?user=user-2&time=115", "")
 	}
 	faultinject.SetErr("server.precompute", faultinject.ErrorAlways(errors.New("injected: precompute killed")))
-	defer faultinject.ClearErr("server.precompute")
+	defer faultinject.Clear("server.precompute")
 	if _, err := srv.Reload(b); err != nil {
 		t.Fatalf("a killed precompute must not fail the publish: %v", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"tcam/internal/api"
+	"tcam/internal/dataset"
 	"tcam/internal/index"
 	"tcam/internal/rescache"
 	"tcam/internal/topk"
@@ -26,8 +27,8 @@ import (
 type Generation struct {
 	bundle  *index.Bundle
 	idx     *topk.Index
-	userIdx map[string]int
-	itemIdx map[string]int
+	users   *dataset.Vocab // the bundle's names, indexed for this generation alone
+	items   *dataset.Vocab
 	version uint64 // the cache epoch: 1 for the boot bundle, +1 per reload
 
 	// The Server's cache and hot-user sketch; nil when caching is off.
@@ -41,26 +42,19 @@ func NewGeneration(b *index.Bundle) *Generation {
 }
 
 func newGeneration(b *index.Bundle, idx *topk.Index) *Generation {
-	g := &Generation{
+	return &Generation{
 		bundle:  b,
 		idx:     idx,
-		userIdx: make(map[string]int, len(b.Users)),
-		itemIdx: make(map[string]int, len(b.Items)),
+		users:   dataset.NewVocab(b.Users),
+		items:   dataset.NewVocab(b.Items),
 		version: 1,
 	}
-	for u, name := range b.Users {
-		g.userIdx[name] = u
-	}
-	for v, name := range b.Items {
-		g.itemIdx[name] = v
-	}
-	return g
 }
 
 // User resolves a user name to its dense index; an unknown one is a
 // 404 *api.Error.
 func (g *Generation) User(name string) (int, error) {
-	u, ok := g.userIdx[name]
+	u, ok := g.users.Lookup(name)
 	if !ok {
 		return 0, api.Errorf(http.StatusNotFound, "unknown user %q", name)
 	}
@@ -159,7 +153,7 @@ func (sc *Scratch) resolve(q *api.Query) error {
 	if len(q.Exclude) > 0 {
 		sc.ex.reset(len(g.bundle.Items))
 		for _, id := range q.Exclude {
-			if v, ok := g.itemIdx[id]; ok && !sc.ex.has(v) {
+			if v, ok := g.items.Lookup(id); ok && !sc.ex.has(v) {
 				sc.ex.add(v)
 				exh.Add(uint64(v))
 				sc.items = append(sc.items, v)

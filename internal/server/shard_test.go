@@ -74,7 +74,7 @@ func TestShardQueryMatchesMonolithicWindow(t *testing.T) {
 	}
 
 	// Reference: the monolithic index with items outside [4,12) excluded.
-	u := sn.userIdx["user-3"]
+	u, _ := sn.users.Lookup("user-3")
 	want, _ := sn.idx.Query(bundle.Scorer(), u, got.Interval, 6, func(v int) bool { return v < 4 })
 	if len(got.Results) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got.Results), len(want))

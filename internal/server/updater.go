@@ -62,9 +62,9 @@ type Updater struct {
 
 	// Grown vocabularies: the boot names as a prefix, stream arrivals
 	// appended in log order (which makes the dense indices a pure
-	// function of the log prefix).
-	users, items     []string
-	userIdx, itemIdx map[string]int
+	// function of the log prefix). Private to the updater: a generation
+	// gets the names and indexes them itself.
+	users, items *dataset.Vocab
 
 	grid   dataset.TimeGrid // boot grid, Num grown as intervals open
 	stream *cuboid.Cuboid   // events since boot (never boot cells)
@@ -98,37 +98,17 @@ func NewUpdater(srv *Server, lg *ingest.Log, boot *index.Bundle, cfg UpdaterConf
 		cfg.Advance = index.DefaultAdvanceConfig()
 	}
 	u := &Updater{
-		srv:     srv,
-		log:     lg,
-		boot:    boot,
-		cfg:     cfg,
-		users:   append([]string(nil), boot.Users...),
-		items:   append([]string(nil), boot.Items...),
-		userIdx: make(map[string]int, len(boot.Users)),
-		itemIdx: make(map[string]int, len(boot.Items)),
-		grid:    boot.Grid,
-		stream:  cuboid.NewBuilder(len(boot.Users), boot.Grid.Num, len(boot.Items)).Build(),
-	}
-	for i, name := range u.users {
-		u.userIdx[name] = i
-	}
-	for i, name := range u.items {
-		u.itemIdx[name] = i
+		srv:    srv,
+		log:    lg,
+		boot:   boot,
+		cfg:    cfg,
+		users:  dataset.NewVocab(boot.Users),
+		items:  dataset.NewVocab(boot.Items),
+		grid:   boot.Grid,
+		stream: cuboid.NewBuilder(len(boot.Users), boot.Grid.Num, len(boot.Items)).Build(),
 	}
 	srv.ingestStat.Store(&ingestStatus{end: lg.End(), publishedAt: time.Now()})
 	return u, nil
-}
-
-// intervalOf maps an event time onto the grown grid WITHOUT the upper
-// clamp dataset.TimeGrid.IntervalOf applies: an event past the last
-// known interval opens a new one instead of folding into the old edge.
-// Times before the grid origin still clamp to interval zero.
-func (u *Updater) intervalOf(when int64) int {
-	g := u.grid
-	if g.Length <= 0 || when < g.Origin {
-		return 0
-	}
-	return int((when - g.Origin) / g.Length)
 }
 
 // Step runs one ingest cycle: consume every record appended since the
@@ -152,29 +132,8 @@ func (u *Updater) Step() (bool, error) {
 	if err := faultinject.FireErr("updater.fold"); err != nil {
 		return false, err
 	}
-	type event struct {
-		u, t, v int
-		score   float64
-	}
-	var evs []event
-	numT := u.grid.Num
+	g := dataset.NewGridder(u.users, u.items, u.grid)
 	if err := u.log.Replay(u.offset, func(off int64, r ingest.Record) error {
-		ui, ok := u.userIdx[r.User]
-		if !ok {
-			ui = len(u.users)
-			u.userIdx[r.User] = ui
-			u.users = append(u.users, r.User)
-		}
-		vi, ok := u.itemIdx[r.Item]
-		if !ok {
-			vi = len(u.items)
-			u.itemIdx[r.Item] = vi
-			u.items = append(u.items, r.Item)
-		}
-		t := u.intervalOf(r.Time)
-		if t >= numT {
-			numT = t + 1
-		}
 		if u.srv.hot != nil && off >= u.observed {
 			// Seed the hot-user sketch from the event stream: users who
 			// act also read, so publish-time precompute has a ranking
@@ -182,24 +141,22 @@ func (u *Updater) Step() (bool, error) {
 			u.srv.hot.Observe(rescache.HashString(r.User))
 			u.observed = off + 1
 		}
-		evs = append(evs, event{u: ui, t: t, v: vi, score: r.Score})
-		return nil
+		if _, err := g.Open(r.Time); err != nil {
+			// Skipped, not failed: a cycle that failed on it would fail
+			// again on every retry and after every restart.
+			u.srv.logf("ingest: skipping log record %d: %v", off, err)
+			return nil
+		}
+		return g.Add(dataset.Event{User: u.users.Intern(r.User), Item: u.items.Intern(r.Item), Time: r.Time, Score: r.Score})
 	}); err != nil {
 		return false, err
 	}
-	d := cuboid.NewDelta(len(u.users), numT, len(u.items))
-	for _, e := range evs {
-		if err := d.Add(e.u, e.t, e.v, e.score); err != nil {
-			return false, err
-		}
-	}
-	stream, err := u.stream.ApplyDelta(d)
+	stream, err := u.stream.ApplyDelta(g.Delta())
 	if err != nil {
 		return false, err
 	}
-	grid := u.grid
-	grid.Num = numT
-	adv, err := u.boot.AdvanceFrom(u.carry, stream, grid, u.users, u.items, u.cfg.Advance)
+	grid, users, items := g.Grid, u.users.Names(), u.items.Names()
+	adv, err := u.boot.AdvanceFrom(u.carry, stream, grid, users, items, u.cfg.Advance)
 	if err != nil {
 		return false, err
 	}
@@ -216,7 +173,7 @@ func (u *Updater) Step() (bool, error) {
 		"lists %d kept / %d sorted, contexts %d kept / %d fit, users %d kept / %d folded; "+
 		"storage shared: %d of %d lists, item table %t, topic slabs %t, fold-in transposes %t; "+
 		"warmed %d users in %s at %.0f list pops each",
-		u.offset, len(u.users), len(u.items), u.grid.Num, time.Since(start).Round(time.Microsecond),
+		u.offset, len(users), len(items), u.grid.Num, time.Since(start).Round(time.Microsecond),
 		sn.idx.ListsKept(), sn.idx.NumLists()-sn.idx.ListsKept(), adv.ContextsKept, adv.ContextsFit, adv.UsersKept, adv.UsersFolded,
 		sn.idx.ListsShared(), sn.idx.NumLists(), sn.idx.TablesShared(), adv.SlabsShared, adv.TransposesShared,
 		warm.users, warm.took.Round(time.Microsecond), warm.popsPerUser())

@@ -12,9 +12,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"tcam/internal/api"
+	"tcam/internal/cuboid"
+	"tcam/internal/dataset"
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
 	"tcam/internal/ingest"
@@ -187,8 +190,12 @@ func TestUpdaterKillAndResume(t *testing.T) {
 	dir := t.TempDir()
 	srvA, upA := updaterFixture(t, dir)
 
+	// The second record is one no process could fold in and live: it is
+	// skipped, by the survivor and by every restart alike, and the
+	// records behind it are published.
 	appendEvents(t, dir,
 		ingest.Record{User: "user-late", Item: "item-3", Time: 105, Score: 2},
+		farFuture,
 		ingest.Record{User: "user-later", Item: "item-new", Time: 141, Score: 1},
 	)
 	if _, err := upA.Step(); err != nil {
@@ -216,8 +223,16 @@ func TestUpdaterKillAndResume(t *testing.T) {
 	if published, err := upA.Step(); err != nil || !published {
 		t.Fatalf("survivor Step = (%v, %v), want (true, nil)", published, err)
 	}
-	if upA.offset != 3 || upB.offset != 3 {
-		t.Fatalf("offsets after resume: survivor %d, restarted %d, want 3", upA.offset, upB.offset)
+	if upA.offset != 4 || upB.offset != 4 {
+		t.Fatalf("offsets after resume: survivor %d, restarted %d, want 4", upA.offset, upB.offset)
+	}
+	for _, srv := range []*Server{srvA, srvB} {
+		if h := healthOf(t, srv); h.Users != 8 || h.Items != 13 || h.Intervals != 5 {
+			t.Fatalf("serving %d users, %d items, %d intervals, want 8, 13, 5: the far-future record was not skipped whole", h.Users, h.Items, h.Intervals)
+		}
+		if w := serveHTTP(srv, http.MethodGet, "/recommend?user=user-later&time=142&k=3", ""); w.Code != http.StatusOK {
+			t.Fatalf("a user behind the skipped record answers %d: %s", w.Code, w.Body.String())
+		}
 	}
 	a, b := snapshotBytes(t, srvA), snapshotBytes(t, srvB)
 	if !bytes.Equal(a, b) {
@@ -282,12 +297,18 @@ func TestUpdaterValidation(t *testing.T) {
 	}
 }
 
+// farFuture is a record no restart could survive folding in: it would
+// open fifty million intervals past the fixture's grid (origin 100,
+// length 10), each costing a context list and a θ′ row.
+var farFuture = ingest.Record{User: "user-far", Item: "item-far", Time: 100 + 5e7*10, Score: 1}
+
 // chunkedStream is the log of TestUpdaterChunkingInvariance as the
 // batches it is appended in. Boot intervals cover times [100,130); the
-// stream opens intervals 3 to 7. Hand-placed among seeded filler: an
+// stream opens intervals 3 to 8. Hand-placed among seeded filler: an
 // event landing in a stream interval older than the open one, a batch
 // that brings no new user, item or interval, a re-rating of an
-// existing cell, and an interval jump that leaves an interval empty.
+// existing cell, an interval jump that leaves an interval empty, and a
+// record fifty million intervals out, which every cycle must skip.
 func chunkedStream() [][]ingest.Record {
 	rng := rand.New(rand.NewSource(21))
 	var batches [][]ingest.Record
@@ -311,6 +332,8 @@ func chunkedStream() [][]ingest.Record {
 			batch = append(batch, r)
 		}
 		switch b {
+		case 5: // not a gap to open: skipped, and its names with it
+			batch = append(batch, farFuture)
 		case 9: // back in interval 3 while a later one is open
 			batch = append(batch, ingest.Record{User: "late-1", Item: "item-3", Time: 131, Score: 2})
 		case 12: // nothing new: known user, known item, the open interval, twice
@@ -415,6 +438,12 @@ func TestUpdaterChunkingInvariance(t *testing.T) {
 						perCycle, inherited.ContextsKept, inherited.UsersKept, lists)
 				}
 				out := outcome{bundle: snapshotBytes(t, srv)}
+				if h := healthOf(t, srv); h.Intervals != 9 || h.Ingest.Lag != 0 {
+					t.Errorf("%d batches per cycle: serving %d intervals at lag %d, want the 9 the stream reaches, at 0", perCycle, h.Intervals, h.Ingest.Lag)
+				}
+				if w := serveHTTP(srv, http.MethodGet, "/recommend?user="+farFuture.User+"&time=105", ""); w.Code != http.StatusNotFound {
+					t.Errorf("%d batches per cycle: the skipped record's user answers %d", perCycle, w.Code)
+				}
 				for _, q := range queries {
 					w := serveHTTP(srv, http.MethodGet, q, "")
 					if w.Code != http.StatusOK {
@@ -445,7 +474,7 @@ func TestUpdaterChunkingInvariance(t *testing.T) {
 				}
 				// The carried derivation is the stateless one, too: advancing
 				// boot over the updater's final stream from nothing.
-				fresh, err := boot.Advance(up.stream, up.grid, up.users, up.items, up.cfg.Advance)
+				fresh, err := boot.Advance(up.stream, up.grid, up.users.Names(), up.items.Names(), up.cfg.Advance)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -456,8 +485,63 @@ func TestUpdaterChunkingInvariance(t *testing.T) {
 				if !bytes.Equal(buf.Bytes(), got.bundle) {
 					t.Errorf("%s: boot.Advance over the final stream differs from what the updater serves", tc.label)
 				}
+				assertGridOfWholeLog(t, tc.label, up, batches)
 			}
 		})
+	}
+}
+
+// assertGridOfWholeLog: what the updater holds after consuming the log —
+// grown vocabularies, grown grid, and the boot cuboid plus its stream
+// cuboid — is what dataset.Interactions.Grid makes of the fixture's boot
+// events followed by the same records in one batch, the far-future one
+// left out: the stream path and batch gridding are one definition of
+// what an event becomes.
+func assertGridOfWholeLog(t *testing.T, label string, up *Updater, batches [][]ingest.Record) {
+	t.Helper()
+	boot := testfixture.Data(6, 12)
+	whole := dataset.New()
+	for u := 0; u < boot.NumUsers(); u++ { // the boot vocabularies, in the bundle's order
+		whole.Users.Intern(fmt.Sprintf("user-%d", u))
+	}
+	for v := 0; v < boot.NumItems(); v++ {
+		whole.Items.Intern(fmt.Sprintf("item-%d", v))
+	}
+	add := func(user, item string, when int64, score float64) {
+		if err := whole.Add(user, item, when, score); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range boot.Cells() {
+		add(fmt.Sprintf("user-%d", c.U), fmt.Sprintf("item-%d", c.V), up.boot.Grid.Start(int(c.T)), c.Score)
+	}
+	for _, batch := range batches {
+		for _, r := range batch {
+			if r != farFuture {
+				add(r.User, r.Item, r.Time, r.Score)
+			}
+		}
+	}
+	want, grid, err := whole.Grid(up.boot.Grid.Length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid != up.grid {
+		t.Errorf("%s: updater grid %+v, the whole log grids to %+v", label, up.grid, grid)
+	}
+	if !reflect.DeepEqual(up.users.Names(), whole.Users.Names()) || !reflect.DeepEqual(up.items.Names(), whole.Items.Names()) {
+		t.Errorf("%s: updater vocabularies differ from the whole log's", label)
+	}
+	d := cuboid.NewDelta(up.stream.NumUsers(), up.stream.NumIntervals(), up.stream.NumItems())
+	for _, c := range up.stream.Cells() {
+		d.MustAdd(int(c.U), int(c.T), int(c.V), c.Score)
+	}
+	got, err := boot.ApplyDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Cells(), want.Cells()) {
+		t.Errorf("%s: boot cuboid + stream cuboid differs from gridding the whole log", label)
 	}
 }
 

@@ -126,7 +126,7 @@ func TestCoordinatorCacheDegradedNeverServedAsHealthy(t *testing.T) {
 	if f.counters[0].Load() == before {
 		t.Fatal("unexpected degraded cache hit: no healthy-scope lookup may reach a degraded entry")
 	}
-	faultinject.ClearErr("shard1.conn")
+	faultinject.Clear("shard1.conn")
 	full, err := f.c.Recommend(ctx, "user-2", 115, 5, nil)
 	if err != nil || full.Degraded {
 		t.Fatalf("after recovery: %+v, %v", full, err)

@@ -223,7 +223,7 @@ func TestCoordinatorShardCrashDegrades(t *testing.T) {
 	}
 
 	// Recovery: clear the fault and the same query is exact again.
-	faultinject.ClearErr("shard1.conn")
+	faultinject.Clear("shard1.conn")
 	resp, err = f.c.Recommend(context.Background(), "user-2", 115, 5, nil)
 	if err != nil || resp.Degraded {
 		t.Fatalf("after recovery: err=%v degraded=%v", err, resp != nil && resp.Degraded)
@@ -380,7 +380,7 @@ func TestCoordinatorBreakerTripAndRecover(t *testing.T) {
 	// Open breaker: the scatter leg is skipped entirely — the shard sees
 	// no request — and the fault being fixed changes nothing until the
 	// cooldown elapses.
-	faultinject.ClearErr("shard0.conn")
+	faultinject.Clear("shard0.conn")
 	before := f.counters[0].Load()
 	if resp := ask(); !resp.Degraded {
 		t.Fatal("open breaker should keep shard0's range missing")

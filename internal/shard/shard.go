@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"tcam/internal/api"
+	"tcam/internal/model"
 )
 
 // Range is a contiguous [Lo, Hi) window of the item catalog.
@@ -31,24 +32,10 @@ type Range = api.Range
 // Every item lands in exactly one range; when shards > n the trailing
 // empty ranges are omitted.
 func Partition(n, shards int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	chunk := (n + shards - 1) / shards
-	out := make([]Range, 0, shards)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	var out []Range
+	model.CutRanges(n, shards, func(_, lo, hi int) {
 		out = append(out, Range{Lo: lo, Hi: hi})
-	}
+	})
 	return out
 }
 

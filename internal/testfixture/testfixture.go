@@ -85,15 +85,8 @@ func Saved(tb testing.TB, users, days int) string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	userIDs, itemIDs := make([]string, users), make([]string, days)
-	for u := range userIDs {
-		userIDs[u] = log.UserID(u)
-	}
-	for v := range itemIDs {
-		itemIDs[v] = log.ItemID(v)
-	}
 	path := filepath.Join(tb.TempDir(), "b.tcam")
-	if err := index.New(res.Model.(*tcam.Model), grid, userIDs, itemIDs).Save(path); err != nil {
+	if err := index.New(res.Model.(*tcam.Model), grid, log.Users.Names(), log.Items.Names()).Save(path); err != nil {
 		tb.Fatal(err)
 	}
 	return path

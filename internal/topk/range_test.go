@@ -3,6 +3,8 @@ package topk
 import (
 	"math/rand"
 	"testing"
+
+	"tcam/internal/model"
 )
 
 // windowExclude composes a query's exclude set with an item-window
@@ -17,21 +19,13 @@ func windowExclude(lo, hi int, exclude Exclude) Exclude {
 	}
 }
 
-// splitRanges cuts v items into n contiguous windows, ceil-chunked like
-// shard.Partition.
+// splitRanges cuts v items into n contiguous windows, the ranges
+// shard.Partition serves.
 func splitRanges(v, n int) [][2]int {
-	if n > v {
-		n = v
-	}
-	chunk := (v + n - 1) / n
 	var out [][2]int
-	for lo := 0; lo < v; lo += chunk {
-		hi := lo + chunk
-		if hi > v {
-			hi = v
-		}
+	model.CutRanges(v, n, func(_, lo, hi int) {
 		out = append(out, [2]int{lo, hi})
-	}
+	})
 	return out
 }
 

@@ -197,23 +197,13 @@ func shardCount(configured, n int) int {
 // shardRange is one contiguous user range [Lo, Hi).
 type shardRange struct{ Lo, Hi int }
 
-// shardRanges cuts [0, n) into at most shards contiguous ranges of
-// ceil(n/shards) users — the arithmetic of model.ParallelRanges, which
-// is the grouping the *_prerefactor_* gob fixtures were summed under.
+// shardRanges cuts [0, n) into shardCount's contiguous ranges of
+// ceil(n/shards) users.
 func shardRanges(n, shards int) []shardRange {
-	shards = shardCount(shards, n)
-	if n <= 0 {
-		return nil
-	}
-	chunk := (n + shards - 1) / shards
-	out := make([]shardRange, 0, shards)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	var out []shardRange
+	model.CutRanges(n, shardCount(shards, n), func(_, lo, hi int) {
 		out = append(out, shardRange{Lo: lo, Hi: hi})
-	}
+	})
 	return out
 }
 

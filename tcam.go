@@ -169,14 +169,6 @@ func Train(log *Dataset, opts Options) (*Recommender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcam: %w", err)
 	}
-	users := make([]string, log.NumUsers())
-	for u := range users {
-		users[u] = log.UserID(u)
-	}
-	items := make([]string, log.NumItems())
-	for v := range items {
-		items[v] = log.ItemID(v)
-	}
 	res, err := core.Train(method, data, core.Options{
 		K1:              opts.K1,
 		K2:              opts.K2,
@@ -193,7 +185,7 @@ func Train(log *Dataset, opts Options) (*Recommender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcam: %w", err)
 	}
-	return newRecommender(index.New(res.Model.(*tcammodel.Model), grid, users, items)), nil
+	return newRecommender(index.New(res.Model.(*tcammodel.Model), grid, log.Users.Names(), log.Items.Names())), nil
 }
 
 // Recommend returns the top-k items for userID at the given absolute
