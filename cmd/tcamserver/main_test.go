@@ -3,9 +3,8 @@ package main
 import (
 	"encoding/json"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -16,63 +15,27 @@ import (
 	"tcam/internal/testfixture"
 )
 
-func testConfig(t *testing.T) config {
+// quiet is the logger tests hand run: records are built and dropped.
+var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+// testArgs is a command line over a small saved bundle on an ephemeral
+// port, with extra appended.
+func testArgs(t *testing.T, extra ...string) []string {
 	t.Helper()
-	return config{
-		bundlePath:        testfixture.Saved(t, 6, 5),
-		addr:              "127.0.0.1:0",
-		readTimeout:       5 * time.Second,
-		readHeaderTimeout: 5 * time.Second,
-		writeTimeout:      5 * time.Second,
-		idleTimeout:       5 * time.Second,
-		drainTimeout:      5 * time.Second,
-		maxInflight:       64,
-		maxInflightBatch:  8,
-		logger:            log.New(io.Discard, "", 0),
-	}
-}
-
-func TestBuildServerServes(t *testing.T) {
-	srv, b, err := buildServer(testConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Users) != 6 {
-		t.Errorf("bundle users = %d", len(b.Users))
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/recommend?user=user2&time=3&k=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("status %d", resp.StatusCode)
-	}
-}
-
-func TestBuildServerErrors(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.bundlePath = ""
-	if _, _, err := buildServer(cfg); err == nil {
-		t.Error("accepted empty bundle path")
-	}
-	cfg.bundlePath = filepath.Join(t.TempDir(), "missing")
-	if _, _, err := buildServer(cfg); err == nil {
-		t.Error("accepted missing bundle")
-	}
+	return append([]string{
+		"-bundle", testfixture.Saved(t, 6, 5), "-addr", "127.0.0.1:0", "-drain-timeout", "5s",
+		"-max-inflight", "64", "-max-inflight-batch", "8",
+	}, extra...)
 }
 
 // startRun launches run in a goroutine and returns the bound address
 // and the error channel. The onReady hook guarantees signal handling is
 // wired before the test fires any signal at the process.
-func startRun(t *testing.T, cfg config) (string, chan error) {
+func startRun(t *testing.T, args []string) (string, chan error) {
 	t.Helper()
 	ready := make(chan string, 1)
-	cfg.onReady = func(addr string) { ready <- addr }
 	done := make(chan error, 1)
-	go func() { done <- run(cfg) }()
+	go func() { done <- run(args, quiet, func(addr string) { ready <- addr }) }()
 	select {
 	case addr := <-ready:
 		return addr, done
@@ -82,18 +45,9 @@ func startRun(t *testing.T, cfg config) (string, chan error) {
 	}
 }
 
-// SIGTERM must drain and exit cleanly; /readyz flips to 503 before the
-// listener closes (probed implicitly by run's StartDrain ordering).
-func TestRunSIGTERMGracefulShutdown(t *testing.T) {
-	addr, done := startRun(t, testConfig(t))
-	resp, err := http.Get("http://" + addr + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz before shutdown: status %d", resp.StatusCode)
-	}
+// stopRun sends the process SIGTERM and waits for run to drain cleanly.
+func stopRun(t *testing.T, done chan error) {
+	t.Helper()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -107,19 +61,60 @@ func TestRunSIGTERMGracefulShutdown(t *testing.T) {
 	}
 }
 
+// Every flag the frozen benchmark passes (bench/e2e.go) builds a server
+// that serves.
+func TestBuildServerServes(t *testing.T) {
+	addr, done := startRun(t, testArgs(t, "-cache-entries", "64", "-precompute-hot", "2",
+		"-ingest-log", t.TempDir(), "-ingest-interval", "50ms"))
+	resp, err := http.Get("http://" + addr + "/recommend?user=user2&time=3&k=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("status %d", resp.StatusCode)
+	}
+	stopRun(t, done)
+}
+
+func TestBuildServerErrors(t *testing.T) {
+	for name, args := range map[string][]string{
+		"no bundle path":  {"-addr", "127.0.0.1:0"},
+		"missing bundle":  {"-bundle", filepath.Join(t.TempDir(), "missing")},
+		"a removed flag":  testArgs(t, "-fold-iters", "3"),
+		"a removed flag2": testArgs(t, "-read-timeout", "5s"),
+	} {
+		if err := run(args, quiet, nil); err == nil {
+			t.Errorf("%s: run accepted %v", name, args)
+		}
+	}
+}
+
+// SIGTERM must drain and exit cleanly; /readyz flips to 503 before the
+// listener closes (probed implicitly by run's StartDrain ordering).
+func TestRunSIGTERMGracefulShutdown(t *testing.T) {
+	addr, done := startRun(t, testArgs(t))
+	resp, err := http.Get("http://" + addr + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz before shutdown: status %d", resp.StatusCode)
+	}
+	stopRun(t, done)
+}
+
 // TestRunContinuousIngestion is the end-to-end acceptance test for the
 // streaming loop: a producer process (here, a second ingest.Log handle)
 // appends events while tcamserver runs, and the background updater must
 // publish at least three successive snapshot generations — growing the
 // user base, the catalog, and the time grid mid-flight — all while the
 // HTTP surface keeps answering. SIGTERM at the end also exercises the
-// updater goroutine join in run.
+// updater goroutine join in run (stopRun hangs if it is not joined).
 func TestRunContinuousIngestion(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.ingestLog = t.TempDir()
-	cfg.ingestInterval = 10 * time.Millisecond
-	cfg.foldIters = 3
-	addr, done := startRun(t, cfg)
+	logDir := t.TempDir()
+	addr, done := startRun(t, testArgs(t, "-ingest-log", logDir, "-ingest-interval", "10ms"))
 
 	type ingestBody struct {
 		LogOffset int64   `json:"log_offset"`
@@ -181,7 +176,7 @@ func TestRunContinuousIngestion(t *testing.T) {
 		t.Fatal("/healthz has no ingest object with -ingest-log set")
 	}
 
-	producer, err := ingest.Open(cfg.ingestLog)
+	producer, err := ingest.Open(logDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,23 +222,13 @@ func TestRunContinuousIngestion(t *testing.T) {
 		t.Fatalf("/recommend at streamed interval = %d", code)
 	}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("run returned %v, want clean drain with updater joined", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not exit after SIGTERM (updater goroutine not joined?)")
-	}
+	stopRun(t, done)
 }
 
 // SIGHUP must hot-swap the bundle (version bump in /healthz) without
 // interrupting service, then SIGTERM still drains cleanly.
 func TestRunSIGHUPReloads(t *testing.T) {
-	addr, done := startRun(t, testConfig(t))
+	addr, done := startRun(t, testArgs(t))
 	version := func() uint64 {
 		resp, err := http.Get("http://" + addr + "/healthz")
 		if err != nil {
@@ -280,15 +265,5 @@ func TestRunSIGHUPReloads(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("recommend after reload: status %d", resp.StatusCode)
 	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("run returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not exit after SIGTERM")
-	}
+	stopRun(t, done)
 }

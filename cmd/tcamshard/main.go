@@ -16,152 +16,106 @@
 //
 // The second coordinator form splits -catalog items across the listed
 // shards with the same ceil-chunk partition the deploy scripts use for
-// -items. Signals: SIGINT/SIGTERM drain and exit; SIGHUP hot-reloads
-// the bundle (shard mode only).
+// -items. Both modes run behind the process shell tcamserver runs
+// behind (server.Shell, DESIGN.md §9): same timeouts, admission control
+// on every query door, panic containment, /healthz, /readyz and drain.
+// Signals: SIGINT/SIGTERM flip /readyz to 503, drain and exit; SIGHUP
+// hot-reloads the bundle (shard mode only).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"net/http"
+	"log/slog"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"tcam/internal/client"
-	"tcam/internal/index"
 	"tcam/internal/server"
 	"tcam/internal/shard"
 )
 
-// config carries everything run needs; flags populate it in main and
-// tests populate it directly.
-type config struct {
-	mode string
-	addr string
-
-	// shard mode
-	bundlePath string
-	items      string
-
-	// coordinator mode
-	shards           string
-	catalog          int
-	shardTimeout     time.Duration
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	hedgeQuantile    float64
-	hedgeDefault     time.Duration
-	seed             int64
-	cacheEntries     int
-
-	drainTimeout time.Duration
-
-	logger  *log.Logger
-	onReady func(addr string) // test hook: fires once the listener is bound
-}
-
 func main() {
-	cfg := config{logger: log.New(os.Stderr, "tcamshard ", log.LstdFlags)}
-	flag.StringVar(&cfg.mode, "mode", "", `"shard" or "coordinator" (required)`)
-	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&cfg.bundlePath, "bundle", "", "trained bundle path (shard mode)")
-	flag.StringVar(&cfg.items, "items", "", `item window "lo-hi" this shard serves (shard mode)`)
-	flag.StringVar(&cfg.shards, "shards", "", `comma-separated shard base URLs, each optionally "url=lo-hi" (coordinator mode)`)
-	flag.IntVar(&cfg.catalog, "catalog", 0, "catalog size to auto-partition across -shards without windows")
-	flag.DurationVar(&cfg.shardTimeout, "shard-timeout", 2*time.Second, "per-shard deadline budget per request")
-	flag.IntVar(&cfg.breakerThreshold, "breaker-threshold", 5, "consecutive failures that trip a shard's circuit breaker")
-	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", time.Second, "open-breaker cooldown before a recovery probe")
-	flag.Float64Var(&cfg.hedgeQuantile, "hedge-quantile", 0.9, "latency quantile after which a backup request fires")
-	flag.DurationVar(&cfg.hedgeDefault, "hedge-default", 50*time.Millisecond, "hedge delay until the latency window warms up")
-	flag.Int64Var(&cfg.seed, "seed", 1, "seed for breaker probe jitter")
-	flag.IntVar(&cfg.cacheEntries, "cache-entries", 0, "merged-result cache capacity in entries, epoch-versioned by the observed fleet state (coordinator mode, 0 disables)")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight requests")
-	flag.Parse()
-	if err := run(cfg); err != nil {
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("proc", "tcamshard")
+	if err := run(os.Args[1:], logger, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "tcamshard:", err)
 		os.Exit(1)
 	}
 }
 
 // run serves until SIGINT/SIGTERM, then drains and returns. In shard
-// mode SIGHUP hot-reloads the bundle in between.
-func run(cfg config) error {
-	var handler http.Handler
-	var srv *server.Server // non-nil in shard mode: drain + reload surface
-	switch cfg.mode {
+// mode SIGHUP hot-reloads the bundle in between. Either mode builds a
+// server.Shell and runs it. onReady is the tests' hook: it fires once
+// the listener is bound.
+func run(args []string, logger *slog.Logger, onReady func(addr string)) error {
+	fs := flag.NewFlagSet("tcamshard", flag.ContinueOnError)
+	mode := fs.String("mode", "", `"shard" or "coordinator" (required)`)
+	addr := fs.String("addr", ":8080", "listen address")
+	bundlePath := fs.String("bundle", "", "trained bundle path (shard mode)")
+	items := fs.String("items", "", `item window "lo-hi" this shard serves (shard mode)`)
+	shards := fs.String("shards", "", `comma-separated shard base URLs, each optionally "url=lo-hi" (coordinator mode)`)
+	catalog := fs.Int("catalog", 0, "catalog size to auto-partition across -shards without windows")
+	shardTimeout := fs.Duration("shard-timeout", 2*time.Second, "per-shard deadline budget per request")
+	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive failures that trip a shard's circuit breaker")
+	breakerCooldown := fs.Duration("breaker-cooldown", time.Second, "open-breaker cooldown before a recovery probe")
+	hedgeQuantile := fs.Float64("hedge-quantile", 0.9, "latency quantile after which a backup request fires")
+	hedgeDefault := fs.Duration("hedge-default", 50*time.Millisecond, "hedge delay until the latency window warms up")
+	seed := fs.Int64("seed", 1, "seed for breaker probe jitter")
+	cacheEntries := fs.Int("cache-entries", 0, "merged-result cache capacity in entries, epoch-versioned by the observed fleet state (coordinator mode, 0 disables)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight requests")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage
+		}
+		return err
+	}
+
+	var sh *server.Shell
+	switch *mode {
 	case "shard":
-		s, b, err := buildShard(cfg)
+		// A shard is a tcamserver over a window: same Open, one option.
+		lo, hi, err := parseWindow(*items)
 		if err != nil {
 			return err
 		}
-		cfg.logf("shard mode: %s bundle, items %s of %d", b.Kind(), cfg.items, len(b.Items))
-		handler, srv = s, s
+		s, b, err := server.Open(*bundlePath, logger, server.WithItemRange(lo, hi))
+		if err != nil {
+			return err
+		}
+		s.Log.Info("shard mode", "kind", string(b.Kind()), "items", *items, "catalog", len(b.Items))
+		sh = s.Shell
 	case "coordinator":
-		c, err := buildCoordinator(cfg)
+		fleet, err := parseShards(*shards, *catalog)
 		if err != nil {
 			return err
 		}
-		cfg.logf("coordinator mode: %d shards", strings.Count(cfg.shards, ",")+1)
-		handler = c
+		c, err := shard.New(shard.Config{
+			Shards:       fleet,
+			ShardTimeout: *shardTimeout,
+			Breaker: client.BreakerConfig{
+				FailureThreshold: *breakerThreshold,
+				OpenTimeout:      *breakerCooldown,
+				Seed:             *seed,
+			},
+			Hedger: client.HedgerConfig{
+				Quantile: *hedgeQuantile,
+				Default:  *hedgeDefault,
+			},
+			Logger:       logger,
+			CacheEntries: *cacheEntries,
+		})
+		if err != nil {
+			return err
+		}
+		c.Log.Info("coordinator mode", "shards", len(fleet))
+		sh = c.Shell
 	default:
 		return fmt.Errorf(`-mode must be "shard" or "coordinator"`)
 	}
-
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadTimeout:       10 * time.Second,
-		ReadHeaderTimeout: 5 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-		ErrorLog:          cfg.logger,
-	}
-	return server.Run(httpSrv, cfg.addr, srv, cfg.drainTimeout, cfg.onReady)
-}
-
-func (cfg config) logf(format string, args ...interface{}) {
-	if cfg.logger != nil {
-		cfg.logger.Printf(format, args...)
-	}
-}
-
-// buildShard loads the bundle and constructs a shard-mode server over
-// the -items window, with a reloader re-reading -bundle.
-func buildShard(cfg config) (*server.Server, *index.Bundle, error) {
-	if cfg.bundlePath == "" {
-		return nil, nil, fmt.Errorf("-bundle is required in shard mode")
-	}
-	lo, hi, err := parseWindow(cfg.items)
-	if err != nil {
-		return nil, nil, err
-	}
-	return server.Open(cfg.bundlePath, cfg.logger, server.WithItemRange(lo, hi))
-}
-
-// buildCoordinator assembles the fleet from -shards (and -catalog for
-// the window-less form) and wires the failure-discipline knobs.
-func buildCoordinator(cfg config) (*shard.Coordinator, error) {
-	shards, err := parseShards(cfg.shards, cfg.catalog)
-	if err != nil {
-		return nil, err
-	}
-	return shard.New(shard.Config{
-		Shards:       shards,
-		ShardTimeout: cfg.shardTimeout,
-		Breaker: client.BreakerConfig{
-			FailureThreshold: cfg.breakerThreshold,
-			OpenTimeout:      cfg.breakerCooldown,
-			Seed:             cfg.seed,
-		},
-		Hedger: client.HedgerConfig{
-			Quantile: cfg.hedgeQuantile,
-			Default:  cfg.hedgeDefault,
-		},
-		Logger:       cfg.logger,
-		CacheEntries: cfg.cacheEntries,
-	})
+	return sh.Run(*addr, *drainTimeout, onReady)
 }
 
 // parseWindow reads an "lo-hi" item window.

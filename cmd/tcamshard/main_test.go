@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,7 +18,42 @@ import (
 	"tcam/internal/testfixture"
 )
 
-func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
+// quiet is the logger tests hand run: records are built and dropped.
+var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+// startRun launches run in a goroutine and returns the bound address and
+// the error channel; the listener is bound and signals are wired.
+func startRun(t *testing.T, args ...string) (string, chan error) {
+	t.Helper()
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(append(args, "-addr", "127.0.0.1:0", "-drain-timeout", "5s"), quiet, func(addr string) { ready <- addr })
+	}()
+	select {
+	case addr := <-ready:
+		return addr, done
+	case err := <-done:
+		t.Fatalf("run exited before ready: %v", err)
+		return "", nil
+	}
+}
+
+// stopRun sends the process SIGTERM and waits for run to drain cleanly.
+func stopRun(t *testing.T, done chan error) {
+	t.Helper()
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not drain after SIGTERM")
+	}
+}
 
 func TestParseWindow(t *testing.T) {
 	if lo, hi, err := parseWindow("3-9"); err != nil || lo != 3 || hi != 9 {
@@ -63,21 +98,12 @@ func TestParseShards(t *testing.T) {
 	}
 }
 
+// Shard mode with exactly the flags the frozen benchmark passes
+// (bench/e2e.go) serves its window.
 func TestBuildShardServesWindow(t *testing.T) {
-	srv, b, err := buildShard(config{
-		bundlePath: testfixture.Saved(t, 6, 5),
-		items:      "0-3",
-		logger:     quietLogger(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Items) != 5 {
-		t.Fatalf("bundle items = %d, want 5", len(b.Items))
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/shard/query", "application/json",
+	addr, done := startRun(t, "-mode", "shard", "-bundle", testfixture.Saved(t, 6, 5), "-items", "0-3")
+	defer stopRun(t, done)
+	resp, err := http.Post("http://"+addr+"/shard/query", "application/json",
 		strings.NewReader(`{"user":"user2","time":3,"k":5}`))
 	if err != nil {
 		t.Fatal(err)
@@ -107,11 +133,15 @@ func TestBuildShardServesWindow(t *testing.T) {
 }
 
 func TestBuildShardErrors(t *testing.T) {
-	if _, _, err := buildShard(config{items: "0-3"}); err == nil {
-		t.Error("missing -bundle accepted")
-	}
-	if _, _, err := buildShard(config{bundlePath: testfixture.Saved(t, 6, 5), items: "0-99"}); err == nil {
-		t.Error("window beyond the catalog accepted")
+	saved := testfixture.Saved(t, 6, 5)
+	for name, args := range map[string][]string{
+		"missing -bundle":           {"-mode", "shard", "-items", "0-3"},
+		"missing -items":            {"-mode", "shard", "-bundle", saved},
+		"window beyond the catalog": {"-mode", "shard", "-bundle", saved, "-items", "0-99"},
+	} {
+		if err := run(args, quiet, nil); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -137,25 +167,7 @@ func TestRunCoordinatorEndToEnd(t *testing.T) {
 		spec = append(spec, fmt.Sprintf("%s=%d-%d", ts.URL, r.Lo, r.Hi))
 	}
 
-	ready := make(chan string, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- run(config{
-			mode:         "coordinator",
-			addr:         "127.0.0.1:0",
-			shards:       strings.Join(spec, ","),
-			shardTimeout: 2 * time.Second,
-			drainTimeout: 5 * time.Second,
-			logger:       quietLogger(),
-			onReady:      func(addr string) { ready <- addr },
-		})
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-done:
-		t.Fatalf("run exited early: %v", err)
-	}
+	addr, done := startRun(t, "-mode", "coordinator", "-shards", strings.Join(spec, ","), "-cache-entries", "0")
 
 	fetch := func() (int, map[string]interface{}) {
 		t.Helper()
@@ -183,24 +195,14 @@ func TestRunCoordinatorEndToEnd(t *testing.T) {
 		t.Fatalf("one shard down: status %d, body %v", code, out)
 	}
 
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not drain after SIGTERM")
-	}
+	stopRun(t, done)
 }
 
 func TestRunRejectsBadMode(t *testing.T) {
-	if err := run(config{mode: "banana", logger: quietLogger()}); err == nil {
+	if err := run([]string{"-mode", "banana"}, quiet, nil); err == nil {
 		t.Error("bad mode accepted")
 	}
-	if err := run(config{mode: "coordinator", logger: quietLogger()}); err == nil {
+	if err := run([]string{"-mode", "coordinator"}, quiet, nil); err == nil {
 		t.Error("coordinator without shards accepted")
 	}
 }

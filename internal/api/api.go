@@ -10,7 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"runtime/debug"
@@ -171,6 +171,33 @@ type Health struct {
 	Cache     *CacheHealth  `json:"cache,omitempty"`
 }
 
+// FleetHealth is a coordinator's /healthz payload: the fleet it fronts,
+// each shard with its circuit breaker's state.
+type FleetHealth struct {
+	Status string        `json:"status"`
+	Shards []ShardHealth `json:"shards"`
+	Cache  *CacheHealth  `json:"cache,omitempty"`
+}
+
+// ShardHealth is one fleet entry of FleetHealth.
+type ShardHealth struct {
+	BaseURL string `json:"base_url"`
+	Items   Range  `json:"items"`
+	Breaker string `json:"breaker"`
+}
+
+// Ready is the /readyz payload of every process kind (and, as
+// "reloaded", /admin/reload's): 200 exactly when Status is "ready". A
+// server reports the generation Version it would serve; a coordinator
+// with open breakers is "degraded" — or "unavailable" with all of them
+// open — and names the item ranges it cannot reach; any process that has
+// begun to drain is "draining".
+type Ready struct {
+	Status            string  `json:"status"`
+	Version           uint64  `json:"version,omitempty"`
+	MissingItemRanges []Range `json:"missing_item_ranges,omitempty"`
+}
+
 // CacheHealth is the "cache" object of /healthz: lifetime counters, the
 // live entry count and the epoch lookups are keyed by (the snapshot
 // version on a server, the observed fleet-state hash on a coordinator).
@@ -220,14 +247,13 @@ func Only(method string, h http.HandlerFunc) http.HandlerFunc {
 
 // Contain serves r through h with panic containment: a panicking
 // handler produces one logged 500 (when nothing has been written yet)
-// and never takes the process down. logger may be nil.
-func Contain(w http.ResponseWriter, r *http.Request, h http.Handler, logger *log.Logger) {
+// and never takes the process down.
+func Contain(w http.ResponseWriter, r *http.Request, h http.Handler, logger *slog.Logger) {
 	cw := &containedWriter{ResponseWriter: w}
 	defer func() {
 		if v := recover(); v != nil {
-			if logger != nil {
-				logger.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
-			}
+			logger.Error("panic serving request", "method", r.Method, "path", r.URL.Path,
+				"panic", v, "stack", string(debug.Stack()))
 			if !cw.wrote {
 				WriteError(cw, http.StatusInternalServerError, "internal error")
 			}

@@ -36,27 +36,16 @@ import (
 	"tcam/internal/model/tcam"
 )
 
-// AdvanceConfig parameterizes Bundle.Advance.
-type AdvanceConfig struct {
-	// FoldIters is the number of partial-EM rounds for new users'
-	// interests (θu) and mixing weights (λu).
-	FoldIters int
-	// FitIters is the number of partial-EM rounds for a new interval's
-	// temporal context under TTCAM (ITCAM's estimator is closed-form
-	// and ignores it).
-	FitIters int
-	// Smoothing is the additive epsilon for the folded θ rows.
-	Smoothing float64
-	// Shards/Workers mirror the batch trainer's knobs; neither affects
-	// the folded parameters.
-	Shards  int
-	Workers int
-}
+// AdvanceConfig is empty: everything that shapes a published θ or λ —
+// fold-in rounds, interval-fit rounds, smoothing — is a constant of
+// internal/model/tcam, so published = f(boot bundle, log prefix) holds
+// with no "and the same flags". The type, DefaultAdvanceConfig and
+// Advance's last parameter remain only because bench/, which may not be
+// edited, compiles against them (ROADMAP item 8e).
+type AdvanceConfig struct{}
 
-// DefaultAdvanceConfig mirrors the models' fold-in defaults.
-func DefaultAdvanceConfig() AdvanceConfig {
-	return AdvanceConfig{FoldIters: 5, FitIters: 20, Smoothing: 1e-9}
-}
+// DefaultAdvanceConfig returns the only AdvanceConfig there is.
+func DefaultAdvanceConfig() AdvanceConfig { return AdvanceConfig{} }
 
 // Advanced is one derivation's result together with what the next
 // derivation may inherit from it.
@@ -74,7 +63,6 @@ type Advanced struct {
 
 	boot   *Bundle        // the receiver the bundle was derived from
 	stream *cuboid.Cuboid // the stream cuboid it was derived over
-	cfg    AdvanceConfig
 }
 
 // Advance derives a grown bundle from the (frozen) receiver. stream
@@ -85,8 +73,8 @@ type Advanced struct {
 // as a prefix, stream arrivals appended), and grid must extend the
 // boot grid to stream.NumIntervals() intervals. The receiver is not
 // mutated.
-func (b *Bundle) Advance(stream *cuboid.Cuboid, grid dataset.TimeGrid, users, items []string, cfg AdvanceConfig) (*Bundle, error) {
-	adv, err := b.AdvanceFrom(nil, stream, grid, users, items, cfg)
+func (b *Bundle) Advance(stream *cuboid.Cuboid, grid dataset.TimeGrid, users, items []string, _ AdvanceConfig) (*Bundle, error) {
+	adv, err := b.AdvanceFrom(nil, stream, grid, users, items)
 	if err != nil {
 		return nil, err
 	}
@@ -94,11 +82,11 @@ func (b *Bundle) Advance(stream *cuboid.Cuboid, grid dataset.TimeGrid, users, it
 }
 
 // AdvanceFrom is Advance inheriting from prev, an earlier derivation
-// from the same receiver under the same config (anything else, nil
-// included, inherits nothing). The bundle is Advance's, bit for bit:
+// from the same receiver (anything else, nil included, inherits
+// nothing). The bundle is Advance's, bit for bit:
 //
 //   - The θ′ row of a stream-opened interval t is a function of t's
-//     stream cells, the boot model, cfg.FitIters and the row width. It
+//     stream cells, the boot model and the row width. It
 //     is prev's row when t's cells in stream are exactly t's cells in
 //     prev's stream and the width is unchanged (an item context is as
 //     wide as the catalog, so a new item refits every open row).
@@ -108,7 +96,7 @@ func (b *Bundle) Advance(stream *cuboid.Cuboid, grid dataset.TimeGrid, users, it
 //     the intervals in them. It is prev's when u's cells are exactly
 //     u's cells in prev's stream and none lies in an interval whose row
 //     was refit just above.
-func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset.TimeGrid, users, items []string, cfg AdvanceConfig) (*Advanced, error) {
+func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset.TimeGrid, users, items []string) (*Advanced, error) {
 	if len(users) != stream.NumUsers() || len(items) != stream.NumItems() {
 		return nil, fmt.Errorf("index: advance vocabularies (%d users, %d items) disagree with the stream cuboid (%d × %d)",
 			len(users), len(items), stream.NumUsers(), stream.NumItems())
@@ -130,10 +118,10 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 			return nil, fmt.Errorf("index: advance item vocabulary is not a boot extension (index %d: %q != %q)", v, items[v], name)
 		}
 	}
-	if prev != nil && (prev.boot != b || prev.cfg != cfg) {
+	if prev != nil && prev.boot != b {
 		prev = nil
 	}
-	adv := &Advanced{boot: b, stream: stream, cfg: cfg}
+	adv := &Advanced{boot: b, stream: stream}
 
 	m := b.Model
 	width := m.K2()
@@ -151,7 +139,7 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 			}
 		}
 		vs, weights := intervalRatings(stream, t)
-		contexts = append(contexts, m.FitNewIntervalSorted(vs, weights, len(items), cfg.FitIters))
+		contexts = append(contexts, m.FitNewIntervalSorted(vs, weights, len(items), tcam.FitIters))
 		refit[t] = true
 		adv.ContextsFit++
 	}
@@ -178,9 +166,7 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 		}
 	}
 	adv.UsersFolded = len(users) - m.NumUsers() - adv.UsersKept
-	folded, err := grown.FoldInUsersFrom(before, kept, stream, tcam.FoldInConfig{
-		Iters: cfg.FoldIters, Smoothing: cfg.Smoothing, Shards: cfg.Shards, Workers: cfg.Workers,
-	})
+	folded, err := grown.FoldInUsersFrom(before, kept, stream, tcam.FoldInConfig{Iters: tcam.FoldIters, Smoothing: tcam.Smoothing})
 	if err != nil {
 		return nil, err
 	}

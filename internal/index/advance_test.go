@@ -50,9 +50,9 @@ func (s *streamState) apply(tb testing.TB, cells ...[4]int) {
 	s.stream = next
 }
 
-func (s *streamState) advanceFrom(tb testing.TB, b *Bundle, prev *Advanced, cfg AdvanceConfig) *Advanced {
+func (s *streamState) advanceFrom(tb testing.TB, b *Bundle, prev *Advanced) *Advanced {
 	tb.Helper()
-	adv, err := b.AdvanceFrom(prev, s.stream, s.grid, s.users, s.items, cfg)
+	adv, err := b.AdvanceFrom(prev, s.stream, s.grid, s.users, s.items)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -88,7 +88,6 @@ func bootBundles(tb testing.TB) map[string]*Bundle {
 func TestAdvanceFromEqualsAdvance(t *testing.T) {
 	for name, boot := range bootBundles(t) {
 		t.Run(name, func(t *testing.T) {
-			cfg := DefaultAdvanceConfig()
 			rng := rand.New(rand.NewSource(4))
 			s := newStreamState(boot)
 			var prev *Advanced
@@ -104,8 +103,8 @@ func TestAdvanceFromEqualsAdvance(t *testing.T) {
 					})
 				}
 				s.apply(t, cells...)
-				prev = s.advanceFrom(t, boot, prev, cfg)
-				if !bytes.Equal(bundleBytes(t, prev.Bundle), bundleBytes(t, s.advanceFrom(t, boot, nil, cfg).Bundle)) {
+				prev = s.advanceFrom(t, boot, prev)
+				if !bytes.Equal(bundleBytes(t, prev.Bundle), bundleBytes(t, s.advanceFrom(t, boot, nil).Bundle)) {
 					t.Fatalf("step %d (cells %v): inheriting derivation differs from the derivation from nothing", step, cells)
 				}
 				kept += prev.ContextsKept + prev.UsersKept
@@ -128,7 +127,6 @@ func TestAdvanceFromEqualsAdvance(t *testing.T) {
 func TestAdvanceFromAcrossStride(t *testing.T) {
 	for name, boot := range bootBundles(t) {
 		t.Run(name, func(t *testing.T) {
-			cfg := DefaultAdvanceConfig()
 			rng := rand.New(rand.NewSource(6))
 			s := newStreamState(boot)
 			var prev *Advanced
@@ -138,8 +136,8 @@ func TestAdvanceFromAcrossStride(t *testing.T) {
 					cells = append(cells, [4]int{rng.Intn(len(s.users) + 1 - min(1, step%3)), s.grid.Num - min(1, step%10), len(s.items) + i, 1 + rng.Intn(3)})
 				}
 				s.apply(t, cells...)
-				adv := s.advanceFrom(t, boot, prev, cfg)
-				if !bytes.Equal(bundleBytes(t, adv.Bundle), bundleBytes(t, s.advanceFrom(t, boot, nil, cfg).Bundle)) {
+				adv := s.advanceFrom(t, boot, prev)
+				if !bytes.Equal(bundleBytes(t, adv.Bundle), bundleBytes(t, s.advanceFrom(t, boot, nil).Bundle)) {
 					t.Fatalf("step %d: inheriting derivation differs from the derivation from nothing", step)
 				}
 				if relaid := step%17 == 0; adv.SlabsShared == relaid {
@@ -171,12 +169,12 @@ func TestAdvanceFromAcrossStride(t *testing.T) {
 				}
 				sm.apply(t, cells...)
 				sd.apply(t, cells...)
-				fromMemory = sm.advanceFrom(t, prev.Bundle, fromMemory, cfg)
-				fromDisk = sd.advanceFrom(t, reloaded, fromDisk, cfg)
+				fromMemory = sm.advanceFrom(t, prev.Bundle, fromMemory)
+				fromDisk = sd.advanceFrom(t, reloaded, fromDisk)
 				if !bytes.Equal(bundleBytes(t, fromMemory.Bundle), bundleBytes(t, fromDisk.Bundle)) {
 					t.Fatalf("step %d after reload: the saved bundle and the one kept in memory derive different bundles", step)
 				}
-				if !bytes.Equal(bundleBytes(t, fromDisk.Bundle), bundleBytes(t, sd.advanceFrom(t, reloaded, nil, cfg).Bundle)) {
+				if !bytes.Equal(bundleBytes(t, fromDisk.Bundle), bundleBytes(t, sd.advanceFrom(t, reloaded, nil).Bundle)) {
 					t.Fatalf("step %d after reload: inheriting derivation differs from the derivation from nothing", step)
 				}
 			}
@@ -188,29 +186,28 @@ func TestAdvanceFromAcrossStride(t *testing.T) {
 // one user in the open interval refits that interval's θ′ and re-folds
 // the users with cells in it, nothing else; a new item refits every
 // item-context row (its width changed) but no topic-mixture row; a
-// previous derivation from another boot bundle or config, or over an
+// previous derivation from another boot bundle, or over an
 // unrelated stream, is no authority.
 func TestAdvanceFromInherits(t *testing.T) {
 	for name, boot := range bootBundles(t) {
 		t.Run(name, func(t *testing.T) {
-			cfg := DefaultAdvanceConfig()
 			s := newStreamState(boot)
 			// Users 6 and 7 are stream-born; intervals 3 and 4 stream-opened.
 			s.apply(t, [4]int{6, 3, 2, 1}, [4]int{7, 3, 5, 2}, [4]int{7, 4, 1, 1}, [4]int{0, 4, 2, 1})
-			first := s.advanceFrom(t, boot, nil, cfg)
+			first := s.advanceFrom(t, boot, nil)
 			if first.ContextsKept+first.UsersKept != 0 || first.ContextsFit != 2 || first.UsersFolded != 2 {
 				t.Fatalf("derivation from nothing reports %+v", first)
 			}
 
 			s.apply(t, [4]int{7, 4, 3, 1}) // user 7, open interval 4, known item
-			second := s.advanceFrom(t, boot, first, cfg)
+			second := s.advanceFrom(t, boot, first)
 			if second.ContextsKept != 1 || second.ContextsFit != 1 || second.UsersKept != 1 || second.UsersFolded != 1 {
 				t.Errorf("one-user delta in the open interval: %d/%d contexts kept/fit, %d/%d users kept/folded, want 1/1 and 1/1",
 					second.ContextsKept, second.ContextsFit, second.UsersKept, second.UsersFolded)
 			}
 
 			s.apply(t, [4]int{1, 2, 12, 1}) // boot user, boot interval, brand-new item 12
-			third := s.advanceFrom(t, boot, second, cfg)
+			third := s.advanceFrom(t, boot, second)
 			wantKept, wantUsers := 2, 2
 			if name == "ITCAM" {
 				wantKept, wantUsers = 0, 0 // item contexts are catalog-wide rows
@@ -220,23 +217,16 @@ func TestAdvanceFromInherits(t *testing.T) {
 			}
 
 			other := *boot
-			otherCfg := cfg
-			otherCfg.FoldIters++
-			for label, adv := range map[string]*Advanced{
-				"another boot bundle": s.advanceFrom(t, &other, third, cfg),
-				"another config":      s.advanceFrom(t, boot, third, otherCfg),
-			} {
-				if adv.ContextsKept+adv.UsersKept != 0 {
-					t.Errorf("%s: inherited %d contexts and %d users", label, adv.ContextsKept, adv.UsersKept)
-				}
+			if adv := s.advanceFrom(t, &other, third); adv.ContextsKept+adv.UsersKept != 0 {
+				t.Errorf("another boot bundle: inherited %d contexts and %d users", adv.ContextsKept, adv.UsersKept)
 			}
 
 			// A previous derivation over a stream this one does not extend:
 			// whatever matches is taken, and the bytes are still Advance's.
 			u := newStreamState(boot)
 			u.apply(t, [4]int{6, 3, 2, 1}, [4]int{7, 3, 9, 2}, [4]int{8, 4, 1, 3})
-			unrelated := u.advanceFrom(t, boot, nil, cfg)
-			got := s.advanceFrom(t, boot, unrelated, cfg)
+			unrelated := u.advanceFrom(t, boot, nil)
+			got := s.advanceFrom(t, boot, unrelated)
 			if !bytes.Equal(bundleBytes(t, got.Bundle), bundleBytes(t, third.Bundle)) {
 				t.Error("inheriting from an unrelated stream's derivation changed the bundle")
 			}
@@ -317,7 +307,7 @@ func TestLiveIntervalDepth(t *testing.T) {
 				cells = append(cells, [4]int{u, at, v, 1})
 			}
 			s.apply(t, cells...)
-			adv = s.advanceFrom(t, boot, adv, DefaultAdvanceConfig())
+			adv = s.advanceFrom(t, boot, adv)
 		}
 	}
 	b := adv.Bundle

@@ -83,10 +83,26 @@ type Config struct {
 	Hook func(model.IterStat)
 }
 
+// Smoothing is the trainer's default additive epsilon and, with
+// FoldIters and FitIters, one of the three numbers that shape what the
+// streaming fold-in publishes (index.AdvanceFrom): partial-EM rounds for
+// a new user's θu and λu, and for a new interval's temporal context
+// under time topics (the item-context estimator is closed-form). They
+// are constants, not configuration, so that a published bundle is a
+// function of the boot bundle and the log prefix alone — two processes
+// replaying one log cannot disagree by a flag — and so that fold-in ≡
+// batch EM restricted to the new user holds against the smoothing a
+// default-trained bundle was normalized with.
+const (
+	Smoothing = 1e-9
+	FoldIters = 5
+	FitIters  = 20
+)
+
 // DefaultConfig returns the paper's default TTCAM topic counts (Section
 // 5.3.2) with the harness's standard EM settings.
 func DefaultConfig() Config {
-	return Config{K1: 60, K2: 40, MaxIters: 50, Tol: 1e-5, Seed: 1, Smoothing: 1e-9}
+	return Config{K1: 60, K2: 40, MaxIters: 50, Tol: 1e-5, Seed: 1, Smoothing: Smoothing}
 }
 
 // DefaultITCAMConfig is DefaultConfig for the item-context variant: no

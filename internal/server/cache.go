@@ -75,7 +75,7 @@ func (s *Server) precompute(sn *Generation) warmStats {
 	sc := sn.Acquire()
 	for _, u := range hot {
 		if err := faultinject.FireErr("server.precompute"); err != nil {
-			s.logf("precompute aborted after %d of %d hot users: %v", warm.users, len(hot), err)
+			s.Log.Warn("precompute aborted", "warmed", warm.users, "hot", len(hot), "err", err)
 			break
 		}
 		q := api.Query{User: sn.bundle.Users[u], Time: grid.Start(grid.Num - 1)}
@@ -92,8 +92,8 @@ func (s *Server) precompute(sn *Generation) warmStats {
 	s.hotPrecomputed.Store(uint64(warm.users))
 	s.hot.Decay() // publish cadence turns the sketch into a sliding window
 	if warm.users > 0 {
-		s.logf("precomputed top-%d for %d hot users in %s, %.0f list pops a user (epoch %d)",
-			api.DefaultK, warm.users, warm.took, warm.popsPerUser(), sn.version)
+		s.Log.Info("precomputed hot users", "k", api.DefaultK, "users", warm.users, "took", warm.took,
+			"list_pops_per_user", warm.popsPerUser(), "epoch", sn.version)
 	}
 	return warm
 }

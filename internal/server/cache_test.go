@@ -318,9 +318,7 @@ func TestUpdaterSeedsHotTracker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := UpdaterConfig{Advance: index.DefaultAdvanceConfig()}
-	cfg.Advance.FoldIters = 3
-	up, err := NewUpdater(srv, lg, boot, cfg)
+	up, err := NewUpdater(srv, lg, boot, UpdaterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -188,7 +188,7 @@ func TestReloadWhileQuerying(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	defer faultinject.Reset()
 	var logBuf bytes.Buffer
-	srv, err := New(testfixture.Bundle(t, 6, 12), WithLogger(log.New(&logBuf, "", 0)))
+	srv, err := New(testfixture.Bundle(t, 6, 12), WithLogger(slog.New(slog.NewTextHandler(&logBuf, nil))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPanicContainment(t *testing.T) {
 	if w := serveHTTP(srv, http.MethodGet, "/recommend?user=user-2&time=115&k=3", ""); w.Code != http.StatusInternalServerError {
 		t.Errorf("panicking request: status %d, want 500", w.Code)
 	}
-	if !strings.Contains(logBuf.String(), "panic serving GET /recommend") {
+	if !strings.Contains(logBuf.String(), `msg="panic serving request" method=GET path=/recommend`) {
 		t.Errorf("panic not logged: %q", logBuf.String())
 	}
 	for i := 0; i < 3; i++ {
@@ -421,7 +421,7 @@ func TestAdminReload(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("reload: status %d: %s", w.Code, w.Body.String())
 	}
-	var rr statusResponse
+	var rr api.Ready
 	if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestReadyz(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
 	}
-	var rr statusResponse
+	var rr api.Ready
 	if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"tcam/internal/api"
-	"tcam/internal/faultinject"
 	"tcam/internal/index"
 	"tcam/internal/topk"
 )
@@ -51,9 +50,8 @@ func New(b *index.Bundle, opts ...Option) (*Server, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Server{mux: http.NewServeMux()}
-	s.recLimit.max = DefaultMaxInflight
-	s.batchLimit.max = DefaultMaxInflightBatch
+	s := &Server{recLimit: NewLimiter(DefaultMaxInflight), batchLimit: NewLimiter(DefaultMaxInflightBatch)}
+	s.Shell = NewShell(nil, s.health, s.ready, s.ReloadFromSource)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -61,14 +59,12 @@ func New(b *index.Bundle, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	s.snap.Store(s.generation(b, 1))
-	s.mux.HandleFunc("/healthz", api.Only(http.MethodGet, s.handleHealth))
-	s.mux.HandleFunc("/readyz", api.Only(http.MethodGet, s.handleReady))
-	s.mux.HandleFunc("/recommend", s.door(http.MethodGet, "server.recommend", &s.recLimit, recommend))
-	s.mux.HandleFunc("/recommend/batch", s.door(http.MethodPost, "server.batch", &s.batchLimit, recommendBatch))
-	s.mux.HandleFunc("/shard/query", s.door(http.MethodPost, "server.shard", &s.recLimit, shardQuery))
-	s.mux.HandleFunc("/admin/reload", api.Only(http.MethodPost, s.handleAdminReload))
-	s.mux.HandleFunc("/topics/", api.Only(http.MethodGet, s.handleTopic))
-	s.mux.HandleFunc("/users/", api.Only(http.MethodGet, s.handleUser))
+	s.Door("/recommend", http.MethodGet, "server.recommend", s.recLimit, s.on(recommend))
+	s.Door("/recommend/batch", http.MethodPost, "server.batch", s.batchLimit, s.on(recommendBatch))
+	s.Door("/shard/query", http.MethodPost, "server.shard", s.recLimit, s.on(shardQuery))
+	s.Handle("/admin/reload", http.MethodPost, s.handleAdminReload)
+	s.Handle("/topics/", http.MethodGet, s.handleTopic)
+	s.Handle("/users/", http.MethodGet, s.handleUser)
 	return s, nil
 }
 
@@ -77,7 +73,7 @@ func New(b *index.Bundle, opts ...Option) (*Server, error) {
 // the catalog — shard mode — while vocabularies stay global so queries
 // speak global item names; the zero window means the full catalog. The
 // serving generation's index, when there is one, is the hint the new
-// index inherits unchanged lists from (DESIGN.md §9).
+// index inherits unchanged lists from (DESIGN.md §6).
 func (s *Server) generation(b *index.Bundle, version uint64) *Generation {
 	lo, hi := s.itemLo, s.itemHi
 	if lo == 0 && hi == 0 {
@@ -94,7 +90,8 @@ func (s *Server) generation(b *index.Bundle, version uint64) *Generation {
 
 func (s *Server) snapshot() *Generation { return s.snap.Load() }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+// health is the server's /healthz payload.
+func (s *Server) health() interface{} {
 	sn := s.snapshot()
 	resp := api.Health{
 		Status:    "ok",
@@ -111,28 +108,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.itemLo != 0 || s.itemHi != 0 {
 		resp.ItemRange = &api.Range{Lo: s.itemLo, Hi: s.itemHi}
 	}
-	api.WriteJSON(w, http.StatusOK, resp)
+	return resp
 }
 
-// door wraps a query door in what the three share: method check,
-// admission against the endpoint's in-flight budget, the fault-injection
-// site, a cancelled-before-start check and one load of the generation.
-func (s *Server) door(method, site string, limit *inflightLimiter, serve func(http.ResponseWriter, *http.Request, *Generation)) http.HandlerFunc {
-	return api.Only(method, func(w http.ResponseWriter, r *http.Request) {
-		if !limit.tryAcquire() {
-			// Shed with a back-off hint instead of queueing unboundedly.
-			w.Header().Set("Retry-After", "1")
-			api.WriteError(w, http.StatusTooManyRequests, strings.TrimPrefix(site, "server.")+" capacity saturated")
-			return
-		}
-		defer limit.release()
-		faultinject.Fire(site)
-		if r.Context().Err() != nil {
-			api.WriteError(w, http.StatusServiceUnavailable, "request cancelled")
-			return
-		}
-		serve(w, r, s.snapshot())
-	})
+// on hands a query door the generation current when the request starts:
+// one load, so the whole request sees one snapshot.
+func (s *Server) on(serve func(http.ResponseWriter, *http.Request, *Generation)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { serve(w, r, s.snapshot()) }
 }
 
 // recommend is the public single-query door: the query arrives as a GET

@@ -41,14 +41,14 @@ import (
 // Interval at zero.
 const DefaultUpdaterInterval = time.Second
 
-// UpdaterConfig parameterizes an Updater.
+// UpdaterConfig parameterizes an Updater. Nothing in it can change a
+// published bit: the fold-in's parameters are constants of
+// internal/model/tcam, so two updaters over one boot bundle and one log
+// publish the same bytes.
 type UpdaterConfig struct {
 	// Interval is Run's log poll period (0 means
 	// DefaultUpdaterInterval).
 	Interval time.Duration
-	// Advance configures the fold-in composition; the zero value takes
-	// index.DefaultAdvanceConfig.
-	Advance index.AdvanceConfig
 }
 
 // Updater tails one ingest log on behalf of one Server. Not safe for
@@ -93,9 +93,6 @@ func NewUpdater(srv *Server, lg *ingest.Log, boot *index.Bundle, cfg UpdaterConf
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultUpdaterInterval
-	}
-	if cfg.Advance == (index.AdvanceConfig{}) {
-		cfg.Advance = index.DefaultAdvanceConfig()
 	}
 	u := &Updater{
 		srv:    srv,
@@ -144,7 +141,7 @@ func (u *Updater) Step() (bool, error) {
 		if _, err := g.Open(r.Time); err != nil {
 			// Skipped, not failed: a cycle that failed on it would fail
 			// again on every retry and after every restart.
-			u.srv.logf("ingest: skipping log record %d: %v", off, err)
+			u.srv.Log.Warn("ingest: skipping log record", "offset", off, "err", err)
 			return nil
 		}
 		return g.Add(dataset.Event{User: u.users.Intern(r.User), Item: u.items.Intern(r.Item), Time: r.Time, Score: r.Score})
@@ -156,7 +153,7 @@ func (u *Updater) Step() (bool, error) {
 		return false, err
 	}
 	grid, users, items := g.Grid, u.users.Names(), u.items.Names()
-	adv, err := u.boot.AdvanceFrom(u.carry, stream, grid, users, items, u.cfg.Advance)
+	adv, err := u.boot.AdvanceFrom(u.carry, stream, grid, users, items)
 	if err != nil {
 		return false, err
 	}
@@ -169,14 +166,15 @@ func (u *Updater) Step() (bool, error) {
 	}
 	u.stream, u.grid, u.offset, u.carry = stream, grid, end, adv
 	u.refreshStatus(u.log.End(), time.Now())
-	u.srv.logf("ingest: published snapshot at log offset %d (%d users, %d items, %d intervals) in %s; "+
-		"lists %d kept / %d sorted, contexts %d kept / %d fit, users %d kept / %d folded; "+
-		"storage shared: %d of %d lists, item table %t, topic slabs %t, fold-in transposes %t; "+
-		"warmed %d users in %s at %.0f list pops each",
-		u.offset, len(users), len(items), u.grid.Num, time.Since(start).Round(time.Microsecond),
-		sn.idx.ListsKept(), sn.idx.NumLists()-sn.idx.ListsKept(), adv.ContextsKept, adv.ContextsFit, adv.UsersKept, adv.UsersFolded,
-		sn.idx.ListsShared(), sn.idx.NumLists(), sn.idx.TablesShared(), adv.SlabsShared, adv.TransposesShared,
-		warm.users, warm.took.Round(time.Microsecond), warm.popsPerUser())
+	u.srv.Log.Info("ingest: published snapshot",
+		"offset", u.offset, "users", len(users), "items", len(items), "intervals", u.grid.Num,
+		"took", time.Since(start).Round(time.Microsecond),
+		"lists_kept", sn.idx.ListsKept(), "lists_sorted", sn.idx.NumLists()-sn.idx.ListsKept(),
+		"contexts_kept", adv.ContextsKept, "contexts_fit", adv.ContextsFit,
+		"users_kept", adv.UsersKept, "users_folded", adv.UsersFolded,
+		"lists_shared", sn.idx.ListsShared(), "lists", sn.idx.NumLists(), "tables_shared", sn.idx.TablesShared(),
+		"slabs_shared", adv.SlabsShared, "transposes_shared", adv.TransposesShared,
+		"warmed_users", warm.users, "warm_took", warm.took.Round(time.Microsecond), "warm_list_pops_per_user", warm.popsPerUser())
 	return true, nil
 }
 
@@ -206,7 +204,7 @@ func (u *Updater) Run(ctx context.Context) {
 			return
 		case <-ticker.C:
 			if _, err := u.Step(); err != nil {
-				u.srv.logf("ingest: step failed (will retry): %v", err)
+				u.srv.Log.Warn("ingest: step failed (will retry)", "err", err)
 			}
 		}
 	}

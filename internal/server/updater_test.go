@@ -10,10 +10,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"tcam/internal/api"
 	"tcam/internal/cuboid"
@@ -37,9 +40,7 @@ func updaterFixture(tb testing.TB, dir string) (*Server, *Updater) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := UpdaterConfig{Advance: index.DefaultAdvanceConfig()}
-	cfg.Advance.FoldIters = 3
-	up, err := NewUpdater(srv, lg, boot, cfg)
+	up, err := NewUpdater(srv, lg, boot, UpdaterConfig{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -271,6 +272,109 @@ func TestUpdaterDeterministicAcrossBatching(t *testing.T) {
 	}
 }
 
+// TestTwoUpdatersPublishTheSameBytes: two processes replaying one log
+// over one boot bundle — a monolith and a cached shard, polling at
+// different periods — publish byte-identical bundles, because nothing
+// that shapes θ or λ is configurable: the updater's config is its poll
+// period and the fold-in's is empty.
+func TestTwoUpdatersPublishTheSameBytes(t *testing.T) {
+	if n := reflect.TypeOf(UpdaterConfig{}).NumField(); n != 1 {
+		t.Errorf("UpdaterConfig has %d fields; only Interval cannot change a published bit", n)
+	}
+	if n := reflect.TypeOf(index.AdvanceConfig{}).NumField(); n != 0 {
+		t.Errorf("index.AdvanceConfig has %d fields, want none", n)
+	}
+	dir := t.TempDir()
+	boot := testfixture.Bundle(t, 6, 12)
+	var published [2][]byte
+	for i, opts := range [][]Option{nil, {WithItemRange(0, 6), WithCache(64), WithHotPrecompute(2)}} {
+		srv, err := New(boot, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg, err := ingest.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up, err := NewUpdater(srv, lg, boot, UpdaterConfig{Interval: time.Duration(i+1) * time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			for _, batch := range chunkedStream() {
+				appendEvents(t, dir, batch...)
+				if _, err := up.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if _, err := up.Step(); err != nil { // the whole log in one cycle
+			t.Fatal(err)
+		}
+		published[i] = snapshotBytes(t, srv)
+	}
+	if !bytes.Equal(published[0], published[1]) {
+		t.Fatal("two updaters over one boot bundle and one log published different bundles")
+	}
+}
+
+// TestReloadRefusedUnderUpdater: with an updater attached a reload from
+// the source would be replaced by the next publish (or served
+// indefinitely if no event arrives), so SIGHUP and /admin/reload are
+// refused with 409 and one log record, the source is never read, and
+// the serving generation stays the updater's. Reload itself — the
+// updater's own door — is untouched.
+func TestReloadRefusedUnderUpdater(t *testing.T) {
+	dir := t.TempDir()
+	boot := testfixture.Bundle(t, 6, 12)
+	var logs bytes.Buffer
+	loads := 0
+	srv, err := New(boot, WithLogger(slog.New(slog.NewTextHandler(&logs, nil))),
+		WithReloader(func() (*index.Bundle, error) { loads++; return boot, nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := srv.ReloadFromSource(); err != nil || v != 2 {
+		t.Fatalf("reload before an updater attaches: version %d, %v; want 2", v, err)
+	}
+	lg, err := ingest.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := NewUpdater(srv, lg, boot, UpdaterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendEvents(t, dir, ingest.Record{User: "user-late", Item: "item-3", Time: 105, Score: 2})
+	if _, err := up.Step(); err != nil {
+		t.Fatal(err)
+	}
+	serving, before := srv.snapshot(), healthOf(t, srv)
+	logs.Reset()
+
+	var refused *api.Error
+	if _, err := srv.ReloadFromSource(); !errors.As(err, &refused) || refused.Status != http.StatusConflict {
+		t.Errorf("ReloadFromSource under an updater: %v, want a 409 *api.Error", err)
+	}
+	if w := serveHTTP(srv, http.MethodPost, "/admin/reload", ""); w.Code != http.StatusConflict {
+		t.Errorf("/admin/reload under an updater: status %d, want 409: %s", w.Code, w.Body.String())
+	}
+	if n := strings.Count(logs.String(), `msg="reload failed, keeping current bundle"`); n != 2 {
+		t.Errorf("%d log records for 2 refused reloads, want one each:\n%s", n, logs.String())
+	}
+	if loads != 1 {
+		t.Errorf("the reload source was read %d times, want only the pre-updater once", loads)
+	}
+	if srv.snapshot() != serving {
+		t.Error("a refused reload replaced the serving generation")
+	}
+	if after := healthOf(t, srv); after.Version != before.Version || after.Users != before.Users {
+		t.Errorf("/healthz moved across a refused reload: %+v -> %+v", before, after)
+	}
+	if v, err := srv.Reload(boot); err != nil || v != before.Version+1 {
+		t.Errorf("Reload(b) under an updater: version %d, %v; want %d", v, err, before.Version+1)
+	}
+}
+
 // TestUpdaterValidation: NewUpdater rejects a bundle that fails
 // validation rather than tailing a log it can never advance from.
 func TestUpdaterValidation(t *testing.T) {
@@ -292,7 +396,7 @@ func TestUpdaterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up.cfg.Interval != DefaultUpdaterInterval || up.cfg.Advance.FoldIters == 0 {
+	if up.cfg.Interval != DefaultUpdaterInterval {
 		t.Fatalf("zero config not defaulted: %+v", up.cfg)
 	}
 }
@@ -474,7 +578,7 @@ func TestUpdaterChunkingInvariance(t *testing.T) {
 				}
 				// The carried derivation is the stateless one, too: advancing
 				// boot over the updater's final stream from nothing.
-				fresh, err := boot.Advance(up.stream, up.grid, up.users.Names(), up.items.Names(), up.cfg.Advance)
+				fresh, err := boot.Advance(up.stream, up.grid, up.users.Names(), up.items.Names(), index.DefaultAdvanceConfig())
 				if err != nil {
 					t.Fatal(err)
 				}

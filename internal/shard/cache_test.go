@@ -35,7 +35,7 @@ func coordHealthCache(t *testing.T, c *Coordinator) *api.CacheHealth {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var resp healthResponse
+	var resp api.FleetHealth
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -18,6 +18,7 @@ import (
 	"tcam/internal/client"
 	"tcam/internal/faultinject"
 	"tcam/internal/rescache"
+	"tcam/internal/server"
 )
 
 // ShardConfig describes one shard of the fleet.
@@ -48,9 +49,9 @@ type Config struct {
 	// Hedger templates the per-shard latency trackers that decide when
 	// a straggler deserves a backup request.
 	Hedger client.HedgerConfig
-	// Logger directs coordinator logging (recovered panics, shard
+	// Logger takes the coordinator's log records (recovered panics, shard
 	// failures). Without it the coordinator is silent.
-	Logger *log.Logger
+	Logger *slog.Logger
 	// CacheEntries enables the merged-result cache with room for about
 	// this many answers (see cache.go); non-positive leaves caching
 	// off, the default.
@@ -58,15 +59,14 @@ type Config struct {
 }
 
 // Coordinator scatter-gathers queries across a shard fleet and merges
-// the partial top-k lists. It implements http.Handler with the same
-// /recommend surface a monolithic tcamserver exposes, plus /healthz
-// and /readyz that surface per-shard breaker state. Safe for
+// the partial top-k lists. Behind the server.Shell it holds it serves
+// the same /recommend door a monolithic tcamserver exposes, plus
+// /healthz and /readyz that surface per-shard breaker state. Safe for
 // concurrent use.
 type Coordinator struct {
+	*server.Shell
 	shards  []*shardConn
 	timeout time.Duration
-	logger  *log.Logger
-	mux     *http.ServeMux
 
 	// cache holds merged Responses (treated as immutable once cached),
 	// epoch-versioned by the observed fleet state; nil when disabled.
@@ -92,11 +92,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("shard: at least one shard is required")
 	}
-	c := &Coordinator{
-		timeout: cfg.ShardTimeout,
-		logger:  cfg.Logger,
-		mux:     http.NewServeMux(),
-	}
+	c := &Coordinator{timeout: cfg.ShardTimeout}
 	if c.timeout <= 0 {
 		c.timeout = 2 * time.Second
 	}
@@ -136,9 +132,8 @@ func New(cfg Config) (*Coordinator, error) {
 			hedger:  client.NewHedger(cfg.Hedger),
 		})
 	}
-	c.mux.HandleFunc("/healthz", api.Only(http.MethodGet, c.handleHealth))
-	c.mux.HandleFunc("/readyz", api.Only(http.MethodGet, c.handleReady))
-	c.mux.HandleFunc("/recommend", api.Only(http.MethodGet, c.handleRecommend))
+	c.Shell = server.NewShell(cfg.Logger, c.health, c.ready, nil)
+	c.Door("/recommend", http.MethodGet, "coordinator.recommend", server.NewLimiter(server.DefaultMaxInflight), c.handleRecommend)
 	return c, nil
 }
 
@@ -152,12 +147,6 @@ func FleetConfigs(n int, baseURLs []string) []ShardConfig {
 		out[i] = ShardConfig{BaseURL: baseURLs[i], Items: r}
 	}
 	return out
-}
-
-// ServeHTTP implements http.Handler: the routed handler under panic
-// containment.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	api.Contain(w, r, c.mux, c.logger)
 }
 
 // errBreakerOpen marks a shard skipped without a request because its
@@ -276,9 +265,7 @@ func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k 
 		if rejected := rejection(errs[i]); rejected != nil {
 			return nil, rejected
 		}
-		if c.logger != nil {
-			c.logger.Printf("shard %s unavailable: %v", c.shards[i].base, errs[i])
-		}
+		c.Log.Warn("shard unavailable", "shard", c.shards[i].base, "err", errs[i])
 		missing = append(missing, c.shards[i].items)
 	}
 	if len(alive) == 0 {
@@ -319,7 +306,7 @@ func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k 
 var ErrAllShardsDown = errors.New("shard: all shards unavailable")
 
 // handleRecommend is the monolith's GET /recommend door in front of
-// the fleet: parse, scatter-gather, write.
+// the fleet, behind the same Shell.Door: parse, scatter-gather, write.
 func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var q api.Query
 	err := q.ParseForm(r.URL.Query())
@@ -334,48 +321,30 @@ func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// shardHealth is one fleet entry of the coordinator's /healthz payload.
-type shardHealth struct {
-	BaseURL string `json:"base_url"`
-	Items   Range  `json:"items"`
-	Breaker string `json:"breaker"`
-}
-
-// healthResponse is the coordinator's /healthz payload.
-type healthResponse struct {
-	Status string           `json:"status"`
-	Shards []shardHealth    `json:"shards"`
-	Cache  *api.CacheHealth `json:"cache,omitempty"`
-}
-
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp := healthResponse{Status: "ok", Shards: make([]shardHealth, len(c.shards)), Cache: c.cacheHealth()}
+// health is the coordinator's /healthz payload: the fleet, each shard
+// with its breaker's state.
+func (c *Coordinator) health() interface{} {
+	resp := api.FleetHealth{Status: "ok", Shards: make([]api.ShardHealth, len(c.shards)), Cache: c.cacheHealth()}
 	for i, sc := range c.shards {
-		resp.Shards[i] = shardHealth{BaseURL: sc.base, Items: sc.items, Breaker: sc.breaker.State().String()}
+		resp.Shards[i] = api.ShardHealth{BaseURL: sc.base, Items: sc.items, Breaker: sc.breaker.State().String()}
 	}
-	api.WriteJSON(w, http.StatusOK, resp)
+	return resp
 }
 
-// readyResponse is the coordinator's /readyz payload.
-type readyResponse struct {
-	Status            string  `json:"status"`
-	MissingItemRanges []Range `json:"missing_item_ranges,omitempty"`
-}
-
-// handleReady feeds breaker state to the load balancer: 200 while every
-// shard's breaker admits traffic, 503 naming the unavailable item
-// ranges once any breaker is open (degraded — partial answers only),
-// with status "unavailable" when the whole fleet is down.
-func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
-	resp, code := readyResponse{Status: "ready"}, http.StatusOK
+// ready feeds breaker state to the load balancer: ready while every
+// shard's breaker admits traffic, degraded naming the unavailable item
+// ranges once any breaker is open (partial answers only), unavailable
+// when the whole fleet is down.
+func (c *Coordinator) ready() api.Ready {
+	resp := api.Ready{Status: "ready"}
 	for _, sc := range c.shards {
 		if sc.breaker.State() == client.BreakerOpen {
 			resp.MissingItemRanges = append(resp.MissingItemRanges, sc.items)
-			resp.Status, code = "degraded", http.StatusServiceUnavailable
+			resp.Status = "degraded"
 		}
 	}
 	if len(resp.MissingItemRanges) == len(c.shards) {
 		resp.Status = "unavailable"
 	}
-	api.WriteJSON(w, code, resp)
+	return resp
 }

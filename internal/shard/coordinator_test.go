@@ -328,11 +328,11 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.now = c.now.Add(d)
 }
 
-func readyStatus(t *testing.T, c *Coordinator) (int, readyResponse) {
+func readyStatus(t *testing.T, c *Coordinator) (int, api.Ready) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
-	var out readyResponse
+	var out api.Ready
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestCoordinatorHealthListsFleet(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
-	var h healthResponse
+	var h api.FleetHealth
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}

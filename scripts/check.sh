@@ -6,11 +6,32 @@
 # suite, a tcamcheck assertion build of the models, and an allocation
 # gate on the pooled-searcher benchmarks.
 #
-# Usage: scripts/check.sh [-short]
+# Usage: scripts/check.sh [-short | race]
 #   -short   skip the slow gates; run only formatting, vet, tcamvet and
 #            the race tests
+#   race     run only the race tests (the CI workflow's race job, so the
+#            package list exists once)
 set -eu
 cd "$(dirname "$0")/.."
+
+# The packages where scratch reuse, pooling, snapshot swaps, limiter
+# counters or fault hooks could race, plus the ingest log (single
+# writer, concurrent readers), the process shell and its signal loop
+# (the root package holds its contract test, run against a monolith, a
+# shard and a coordinator), the sharded EM training engine, the
+# scatter-gather serving tier (coordinator fan-out, hedged requests,
+# circuit breakers) and the wire package that owns the pooled response
+# encoder.
+race() {
+    go test -race -count=1 . ./internal/topk/ ./internal/server/ ./internal/eval/ \
+        ./internal/faultinject/... ./internal/client/ ./internal/atomicfile/ \
+        ./internal/ingest/ ./internal/train/ ./internal/shard/ \
+        ./internal/rescache/ ./internal/api/ ./cmd/tcamserver/ ./cmd/tcamshard/
+}
+if [ "${1:-}" = race ]; then
+    race
+    exit
+fi
 
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -36,16 +57,7 @@ go run ./cmd/tcamvet ./...
 # with zero per-element bounds checks (DESIGN.md §12).
 scripts/check_bce.sh
 
-# The packages where scratch reuse, pooling, snapshot swaps, limiter
-# counters or fault hooks could race, plus the ingest log (single
-# writer, concurrent readers), the signal-driven lifecycle,
-# the sharded EM training engine, the scatter-gather serving tier
-# (coordinator fan-out, hedged requests, circuit breakers) and the wire
-# package that owns the pooled response encoder.
-go test -race -count=1 ./internal/topk/ ./internal/server/ ./internal/eval/ \
-    ./internal/faultinject/... ./internal/client/ ./internal/atomicfile/ \
-    ./internal/ingest/ ./internal/train/ ./internal/shard/ \
-    ./internal/rescache/ ./internal/api/ ./cmd/tcamserver/ ./cmd/tcamshard/
+race
 
 if [ "${1:-}" != "-short" ]; then
     go test ./...
