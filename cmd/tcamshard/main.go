@@ -3,14 +3,16 @@
 //
 //	shard        a tcamserver whose TA index covers only the item
 //	             window -items; serves /shard/query for a coordinator
-//	             plus the full single-node API over its window
+//	             plus the full single-node API over its window, from a
+//	             result cache of -cache-entries answers when given
 //	coordinator  the scatter-gather front: fans /recommend out to the
 //	             fleet in -shards, merges the partial top-k lists, and
-//	             degrades gracefully when shards are down
+//	             degrades gracefully when shards are down; it caches
+//	             nothing, so every answer is the shards' own generations'
 //
 // Usage:
 //
-//	tcamshard -mode shard -bundle digg.tcam -items 0-50000 [-addr :8081]
+//	tcamshard -mode shard -bundle digg.tcam -items 0-50000 [-addr :8081] [-cache-entries 16384]
 //	tcamshard -mode coordinator -shards http://h1:8081=0-50000,http://h2:8081=50000-100000
 //	tcamshard -mode coordinator -shards http://h1:8081,http://h2:8081 -catalog 100000
 //
@@ -64,7 +66,7 @@ func run(args []string, logger *slog.Logger, onReady func(addr string)) error {
 	hedgeQuantile := fs.Float64("hedge-quantile", 0.9, "latency quantile after which a backup request fires")
 	hedgeDefault := fs.Duration("hedge-default", 50*time.Millisecond, "hedge delay until the latency window warms up")
 	seed := fs.Int64("seed", 1, "seed for breaker probe jitter")
-	cacheEntries := fs.Int("cache-entries", 0, "merged-result cache capacity in entries, epoch-versioned by the observed fleet state (coordinator mode, 0 disables)")
+	cacheEntries := fs.Int("cache-entries", 0, "result cache capacity in entries, epoch-versioned by the shard's generation (shard mode, 0 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight requests")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -81,13 +83,16 @@ func run(args []string, logger *slog.Logger, onReady func(addr string)) error {
 		if err != nil {
 			return err
 		}
-		s, b, err := server.Open(*bundlePath, logger, server.WithItemRange(lo, hi))
+		s, b, err := server.Open(*bundlePath, logger, server.WithItemRange(lo, hi), server.WithCache(*cacheEntries))
 		if err != nil {
 			return err
 		}
 		s.Log.Info("shard mode", "kind", string(b.Kind()), "items", *items, "catalog", len(b.Items))
 		sh = s.Shell
 	case "coordinator":
+		if *cacheEntries > 0 {
+			return errors.New("-cache-entries belongs to shard mode: a coordinator caches nothing, each shard caches its own answers")
+		}
 		fleet, err := parseShards(*shards, *catalog)
 		if err != nil {
 			return err
@@ -104,8 +109,7 @@ func run(args []string, logger *slog.Logger, onReady func(addr string)) error {
 				Quantile: *hedgeQuantile,
 				Default:  *hedgeDefault,
 			},
-			Logger:       logger,
-			CacheEntries: *cacheEntries,
+			Logger: logger,
 		})
 		if err != nil {
 			return err

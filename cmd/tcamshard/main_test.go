@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"tcam/internal/api"
 	"tcam/internal/index"
 	"tcam/internal/server"
 	"tcam/internal/shard"
@@ -132,6 +133,43 @@ func TestBuildShardServesWindow(t *testing.T) {
 	}
 }
 
+// The sharded tier caches at its shards: -cache-entries in shard mode is
+// the server's result cache, so a repeated /shard/query is one miss and
+// one hit in the shard's own /healthz.
+func TestShardModeCachesItsAnswers(t *testing.T) {
+	addr, done := startRun(t, "-mode", "shard", "-bundle", testfixture.Saved(t, 6, 5), "-items", "0-3", "-cache-entries", "64")
+	defer stopRun(t, done)
+	var answers [2]string
+	for i := range answers {
+		resp, err := http.Post("http://"+addr+"/shard/query", "application/json",
+			strings.NewReader(`{"user":"user2","time":3,"k":5}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard query %d: status %d, %v", i, resp.StatusCode, err)
+		}
+		answers[i] = string(body)
+	}
+	if answers[0] != answers[1] {
+		t.Errorf("the cached answer differs:\n%s\n%s", answers[0], answers[1])
+	}
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health api.Health
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if c := health.Cache; c == nil || c.Hits != 1 || c.Misses != 1 || c.Entries != 1 || c.Epoch != health.Version {
+		t.Errorf("/healthz cache = %+v at version %d, want one miss, one hit, one entry in that epoch", c, health.Version)
+	}
+}
+
 func TestBuildShardErrors(t *testing.T) {
 	saved := testfixture.Saved(t, 6, 5)
 	for name, args := range map[string][]string{
@@ -204,5 +242,10 @@ func TestRunRejectsBadMode(t *testing.T) {
 	}
 	if err := run([]string{"-mode", "coordinator"}, quiet, nil); err == nil {
 		t.Error("coordinator without shards accepted")
+	}
+	// A coordinator holds no cache; the flag's home is shard mode.
+	err := run([]string{"-mode", "coordinator", "-shards", "http://a=0-6", "-cache-entries", "5"}, quiet, nil)
+	if err == nil || !strings.Contains(err.Error(), "shard mode") {
+		t.Errorf("coordinator with -cache-entries 5: err = %v, want one naming shard mode", err)
 	}
 }

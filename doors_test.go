@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tcam/internal/api"
 	"tcam/internal/client"
+	"tcam/internal/cuboid"
+	"tcam/internal/shard"
 	"tcam/internal/testfixture"
 )
 
@@ -19,16 +22,15 @@ import (
 // the (full-window) monolith, GET /recommend on a 2-shard coordinator,
 // and the tcam.Recommender facade.
 type doors struct {
-	mono, coord string
-	monoC, coC  *client.Client
-	rec         *Recommender
+	*tier
+	monoC, coC *client.Client
+	rec        *Recommender
 }
 
 func openDoors(t *testing.T, cacheEntries int) *doors {
 	t.Helper()
 	b := testfixture.Serving(t)
-	d := &doors{rec: newRecommender(b)}
-	d.mono, d.coord = startDoors(t, b, cacheEntries)
+	d := &doors{tier: startDoors(t, b, cacheEntries), rec: newRecommender(b)}
 	var err error
 	if d.monoC, err = client.New(client.Config{BaseURL: d.mono, MaxRetries: -1}); err != nil {
 		t.Fatal(err)
@@ -80,24 +82,24 @@ func (d *doors) ask(t *testing.T, q api.Query) map[string]doorAnswer {
 		t.Fatal(err)
 	}
 	code, raw := fetch(t, d.mono+"/shard/query", string(body))
-	var shard doorAnswer
+	var partial doorAnswer
 	if code == http.StatusOK {
 		var p api.ShardPartial
 		if err := json.Unmarshal([]byte(raw), &p); err != nil {
 			t.Fatal(err)
 		}
-		shard.recs = []api.Recommendation{}
+		partial.recs = []api.Recommendation{}
 		for _, r := range p.Results {
-			shard.recs = append(shard.recs, api.Recommendation{Item: r.Name, Score: r.Score})
+			partial.recs = append(partial.recs, api.Recommendation{Item: r.Name, Score: r.Score})
 		}
 	} else {
 		var e api.ErrorResponse
 		if err := json.Unmarshal([]byte(raw), &e); err != nil {
 			t.Fatal(err)
 		}
-		shard = doorAnswer{status: code, msg: e.Error}
+		partial = doorAnswer{status: code, msg: e.Error}
 	}
-	out["shard"] = shard
+	out["shard"] = partial
 
 	recs, err := d.rec.RecommendExcluding(q.User, q.Time, q.K, q.Exclude)
 	facade := doorAnswer{recs: []api.Recommendation{}}
@@ -111,22 +113,25 @@ func (d *doors) ask(t *testing.T, q api.Query) map[string]doorAnswer {
 	return out
 }
 
+// doorQueries is every query shape the doors must agree on.
+var doorQueries = []api.Query{
+	{User: "user-2", Time: 115},       // default k
+	{User: "user-3", Time: 105, K: 4}, // explicit k
+	{User: "user-2", Time: 115, K: 5, Exclude: []string{"item-6", "item-5", "item-6"}}, // duplicates
+	{User: "user-2", Time: 115, K: 5, Exclude: []string{"bogus", "item-6", ""}},        // unknown names
+	{User: "user-2", Time: 115, K: 12, Exclude: []string{"c++", "100%41"}},             // names a second decode would mangle
+	{User: "user-0", Time: 50, K: 3},                                                   // before the grid: first interval
+	{User: "user-0", Time: 100, K: 3},                                                  // first interval
+	{User: "user-5", Time: 129, K: 3},                                                  // last interval
+	{User: "user-5", Time: 9999, K: 3},                                                 // past the grid: last interval
+}
+
 // TestSameQueryEveryDoor: one query path means one answer. For every
 // query shape the doors agree item-for-item and bit-for-bit on scores,
 // with the result caches off and on (asked twice, so the second answer
 // is a cache hit wherever there is a cache).
 func TestSameQueryEveryDoor(t *testing.T) {
-	queries := []api.Query{
-		{User: "user-2", Time: 115},       // default k
-		{User: "user-3", Time: 105, K: 4}, // explicit k
-		{User: "user-2", Time: 115, K: 5, Exclude: []string{"item-6", "item-5", "item-6"}}, // duplicates
-		{User: "user-2", Time: 115, K: 5, Exclude: []string{"bogus", "item-6", ""}},        // unknown names
-		{User: "user-2", Time: 115, K: 12, Exclude: []string{"c++", "100%41"}},             // names a second decode would mangle
-		{User: "user-0", Time: 50, K: 3},                                                   // before the grid: first interval
-		{User: "user-0", Time: 100, K: 3},                                                  // first interval
-		{User: "user-5", Time: 129, K: 3},                                                  // last interval
-		{User: "user-5", Time: 9999, K: 3},                                                 // past the grid: last interval
-	}
+	queries := doorQueries
 	want := make([][]api.Recommendation, len(queries))
 	for _, cacheEntries := range []int{0, 256} {
 		d := openDoors(t, cacheEntries)
@@ -157,6 +162,81 @@ func TestSameQueryEveryDoor(t *testing.T) {
 	}
 	if reflect.DeepEqual(want[2], want[3]) || len(want[4]) != 10 {
 		t.Errorf("fixture too weak: excludes do not change the answers")
+	}
+}
+
+// TestCachedShardsAnswerLikeTheMonolith: the sharded tier caches at its
+// shards, where a cached answer's epoch is the generation that computed
+// it. A coordinator over two cached shards therefore says what the
+// monolith says — byte for byte up to the work counter, which it sums
+// over its shards — with every entry warm, on the very next request
+// after the servers reload another bundle (where a cache of merged
+// answers would still hold the old one), and, degraded, what the
+// surviving shard alone says once the other is down.
+func TestCachedShardsAnswerLikeTheMonolith(t *testing.T) {
+	d := startDoors(t, testfixture.Serving(t), 256)
+	get := func(base string, q api.Query) string {
+		t.Helper()
+		code, body := fetch(t, base+"/recommend?"+q.Form(), "")
+		if code != http.StatusOK {
+			t.Fatalf("%s %+v: %d %s", base, q, code, body)
+		}
+		return body
+	}
+	ranking := func(body string) string {
+		t.Helper()
+		head, _, ok := strings.Cut(body, `,"items_examined":`)
+		if !ok {
+			t.Fatalf("no work counter in %s", body)
+		}
+		return head
+	}
+	agree := func(stage string) []string {
+		t.Helper()
+		var answers []string
+		for _, q := range doorQueries {
+			want := ranking(get(d.mono, q))
+			for round := 0; round < 2; round++ { // the second is a hit at both shards
+				if got := ranking(get(d.coord, q)); got != want {
+					t.Errorf("%s, round %d, %+v: coordinator answered\n%s\nmonolith\n%s", stage, round, q, got, want)
+				}
+			}
+			answers = append(answers, want)
+		}
+		return answers
+	}
+	boot := agree("boot generation")
+
+	data := cuboid.NewBuilder(6, 3, 12) // Serving's shape, other interactions
+	for u := 0; u < 6; u++ {
+		for iv := 0; iv < 3; iv++ {
+			data.MustAdd(u, iv, (u*3+iv*2)%12, 1)
+			data.MustAdd(u, iv, (iv*5+1)%12, 1)
+		}
+	}
+	next := testfixture.BundleOf(t, data.Build(), 3, 0)
+	next.Items[4], next.Items[9] = "c++", "100%41"
+	for _, s := range d.servers {
+		if _, err := s.Reload(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, answer := range agree("first requests after the reload") {
+		if answer == boot[i] {
+			t.Errorf("%+v: the two bundles answer alike; a stale answer would be invisible", doorQueries[i])
+		}
+	}
+
+	d.shards[1].Close()
+	down := shard.Partition(len(next.Items), 2)[1]
+	for _, q := range doorQueries {
+		alone := get(d.shards[0].URL, q)
+		want := strings.TrimSuffix(alone, "}") + fmt.Sprintf(`,"degraded":true,"missing_item_ranges":[{"lo":%d,"hi":%d}]}`, down.Lo, down.Hi)
+		for round := 0; round < 2; round++ {
+			if got := get(d.coord, q); got != want {
+				t.Errorf("shard 1 down, round %d, %+v: coordinator answered\n%s\nwant the surviving shard's\n%s", round, q, got, want)
+			}
+		}
 	}
 }
 

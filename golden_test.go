@@ -15,37 +15,46 @@ import (
 	"tcam/internal/testfixture"
 )
 
-// startDoors serves b behind a monolithic server and behind a
-// coordinator over two half-catalog shards, all with result caches of
-// cacheEntries entries (0 disables them), and returns the two base URLs.
-func startDoors(tb testing.TB, b *index.Bundle, cacheEntries int) (mono, coord string) {
+// tier is one bundle behind a monolithic server and behind a coordinator
+// over two half-catalog shards.
+type tier struct {
+	mono, coord string             // base URLs
+	servers     []*server.Server   // the monolith, then the shards in window order
+	shards      []*httptest.Server // the shards' listeners, by window
+}
+
+// startDoors serves b as a tier whose monolith and shards each hold a
+// result cache of cacheEntries entries (0 disables them).
+func startDoors(tb testing.TB, b *index.Bundle, cacheEntries int) *tier {
 	tb.Helper()
-	serve := func(h http.Handler) string {
+	serve := func(h http.Handler) *httptest.Server {
 		ts := httptest.NewServer(h)
 		tb.Cleanup(ts.Close)
-		return ts.URL
+		return ts
 	}
 	m, err := server.New(b, server.WithCache(cacheEntries))
 	if err != nil {
 		tb.Fatal(err)
 	}
+	d := &tier{mono: serve(m).URL, servers: []*server.Server{m}}
 	cfg := shard.Config{
 		ShardTimeout: 5 * time.Second,
 		Hedger:       client.HedgerConfig{Default: 10 * time.Second},
-		CacheEntries: cacheEntries,
 	}
 	for _, r := range shard.Partition(len(b.Items), 2) {
 		s, err := server.New(b, server.WithItemRange(r.Lo, r.Hi), server.WithCache(cacheEntries))
 		if err != nil {
 			tb.Fatal(err)
 		}
-		cfg.Shards = append(cfg.Shards, shard.ShardConfig{BaseURL: serve(s), Items: r})
+		d.servers, d.shards = append(d.servers, s), append(d.shards, serve(s))
+		cfg.Shards = append(cfg.Shards, shard.ShardConfig{BaseURL: d.shards[len(d.shards)-1].URL, Items: r})
 	}
 	c, err := shard.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return serve(m), serve(c)
+	d.coord = serve(c).URL
+	return d
 }
 
 // fetch runs one request (POST when body is non-empty) and returns the
@@ -73,7 +82,8 @@ func fetch(tb testing.TB, url, body string) (int, string) {
 // TestGoldenWireBytes pins the exact JSON of one healthy response per
 // query door, over raw HTTP: the proof that the wire does not move.
 func TestGoldenWireBytes(t *testing.T) {
-	mono, coord := startDoors(t, testfixture.Serving(t), 0)
+	d := startDoors(t, testfixture.Serving(t), 0)
+	mono, coord := d.mono, d.coord
 	for _, tc := range []struct{ name, url, body, want string }{
 		{"recommend", mono + "/recommend?user=user-2&time=115&k=3&exclude=item-6,bogus", "",
 			`{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-5","score":0.10288519397770296},{"item":"100%41","score":0.06759050852527754}],"items_examined":4}`},

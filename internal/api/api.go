@@ -58,9 +58,10 @@ var (
 // reusing q.Exclude's backing array. url.ParseQuery has already
 // percent-decoded the form and it is not decoded again, so an item
 // named "c++" or "100%41" survives intact; an id containing a literal
-// "," cannot be expressed here and needs /recommend/batch. An explicit
-// k=0 is an error (only an absent k means the default); the upper bound
-// is Normalize's, which every consumer of a Query applies.
+// "," cannot be expressed here and needs /recommend/batch, and an empty
+// id — which names no item — is dropped. An explicit k=0 is an error
+// (only an absent k means the default); the upper bound is Normalize's,
+// which every consumer of a Query applies.
 func (q *Query) ParseForm(form url.Values) error {
 	q.User, q.K, q.Exclude = form.Get("user"), 0, q.Exclude[:0]
 	var err error
@@ -74,10 +75,31 @@ func (q *Query) ParseForm(form url.Values) error {
 	}
 	for raw := form.Get("exclude"); raw != ""; {
 		var id string
-		id, raw, _ = strings.Cut(raw, ",")
-		q.Exclude = append(q.Exclude, id)
+		if id, raw, _ = strings.Cut(raw, ","); id != "" {
+			q.Exclude = append(q.Exclude, id)
+		}
 	}
 	return nil
+}
+
+// Form renders q as the GET form ParseForm reads — its inverse for every
+// query ParseForm can produce. A non-positive k is left off, so the
+// server applies the default.
+func (q *Query) Form() string {
+	var b strings.Builder
+	b.WriteString("user=" + url.QueryEscape(q.User) + "&time=" + strconv.FormatInt(q.Time, 10))
+	if q.K > 0 {
+		b.WriteString("&k=" + strconv.Itoa(q.K))
+	}
+	for i, id := range q.Exclude {
+		if i == 0 {
+			b.WriteString("&exclude=")
+		} else {
+			b.WriteByte(',')
+		}
+		b.WriteString(url.QueryEscape(id))
+	}
+	return b.String()
 }
 
 // Normalize applies the default k and rejects one outside [1, MaxK].
@@ -142,8 +164,8 @@ type PartialResult struct {
 }
 
 // ShardPartial is the /shard/query payload: a partial top-k over the
-// shard's item window, plus that window and the bundle version so the
-// coordinator can tell fleet states apart.
+// shard's item window, plus that window and the generation version it
+// was answered from, so a gather can tell a mixed-generation fleet.
 type ShardPartial struct {
 	User          string          `json:"user"`
 	Interval      int             `json:"interval"`
@@ -176,7 +198,6 @@ type Health struct {
 type FleetHealth struct {
 	Status string        `json:"status"`
 	Shards []ShardHealth `json:"shards"`
-	Cache  *CacheHealth  `json:"cache,omitempty"`
 }
 
 // ShardHealth is one fleet entry of FleetHealth.
@@ -198,17 +219,16 @@ type Ready struct {
 	MissingItemRanges []Range `json:"missing_item_ranges,omitempty"`
 }
 
-// CacheHealth is the "cache" object of /healthz: lifetime counters, the
-// live entry count and the epoch lookups are keyed by (the snapshot
-// version on a server, the observed fleet-state hash on a coordinator).
+// CacheHealth is the "cache" object of a server's or a shard's /healthz:
+// lifetime counters, the live entry count and the epoch lookups are
+// keyed by, which is the generation version.
 type CacheHealth struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	Stale   uint64 `json:"stale"`
 	Entries int64  `json:"entries"`
 	Epoch   uint64 `json:"epoch"`
-	// HotPrecomputed counts the hot users the latest publish warmed;
-	// coordinators never precompute.
+	// HotPrecomputed counts the hot users the latest publish warmed.
 	HotPrecomputed uint64 `json:"hot_precomputed,omitempty"`
 }
 

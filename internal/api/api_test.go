@@ -17,7 +17,8 @@ func TestParseForm(t *testing.T) {
 		err  error
 	}{
 		{"user=u&time=-5", Query{User: "u", Time: -5, Exclude: []string{}}, nil},
-		{"user=u&time=7&k=3&exclude=a,,b,", Query{User: "u", Time: 7, K: 3, Exclude: []string{"a", "", "b"}}, nil},
+		// An empty id names no item, wherever it stands in the list.
+		{"user=u&time=7&k=3&exclude=,a,,b,,", Query{User: "u", Time: 7, K: 3, Exclude: []string{"a", "b"}}, nil},
 		// Decoded exactly once: "+" and "%41" in a name survive.
 		{"user=a+b&time=1&exclude=c%2B%2B,100%2541", Query{User: "a b", Time: 1, Exclude: []string{"c++", "100%41"}}, nil},
 		{"user=u&time=1&k=5000", Query{User: "u", Time: 1, K: 5000, Exclude: []string{}}, nil}, // Normalize's to reject

@@ -58,7 +58,9 @@ type BreakerConfig struct {
 // (jittered, deterministic) cooldown. Safe for concurrent use.
 //
 // The caller drives it: Allow before attempting, then exactly one of
-// Success or Failure per allowed attempt.
+// Success or Failure per allowed attempt. Each state change is decided
+// under the breaker's lock and reported to exactly one caller, so a
+// caller that logs or counts transitions records each once.
 type Breaker struct {
 	mu       sync.Mutex
 	state    BreakerState
@@ -133,31 +135,38 @@ func (b *Breaker) Allow() bool {
 }
 
 // Success records a successful attempt: the breaker closes and the
-// consecutive-failure count resets.
-func (b *Breaker) Success() {
+// consecutive-failure count resets. It reports whether that closed a
+// breaker that was not closed.
+func (b *Breaker) Success() (recovered bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	recovered = b.state != BreakerClosed
 	b.state = BreakerClosed
 	b.failures = 0
 	b.probing = false
+	return recovered
 }
 
-// Failure records a failed attempt. A half-open probe failure re-opens
-// the breaker with a fresh jittered cooldown; enough consecutive
-// closed-state failures trip it.
-func (b *Breaker) Failure() {
+// Failure records a failed attempt and reports whether it tripped the
+// breaker open. A half-open probe failure re-opens the breaker with a
+// fresh jittered cooldown; enough consecutive closed-state failures
+// trip it.
+func (b *Breaker) Failure() (tripped bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerHalfOpen:
 		b.trip()
+		return true
 	case BreakerClosed:
 		b.failures++
 		if b.failures >= b.threshold {
 			b.trip()
+			return true
 		}
 	}
 	// Open: a straggling failure from before the trip changes nothing.
+	return false
 }
 
 // trip opens the breaker and schedules the next probe. The jitter draw

@@ -62,6 +62,36 @@ func TestBreakerTripsAfterThreshold(t *testing.T) {
 	}
 }
 
+// Failure and Success report a transition to exactly the call that
+// caused it, so a caller logging them records each once.
+func TestBreakerReportsEachTransitionOnce(t *testing.T) {
+	clock := newFakeClock()
+	b := testBreaker(clock)
+	if b.Success() {
+		t.Fatal("Success on a closed breaker reported a recovery")
+	}
+	if b.Failure() || b.Failure() {
+		t.Fatal("Failure below the threshold reported a trip")
+	}
+	if !b.Failure() {
+		t.Fatal("the failure that reached the threshold did not report the trip")
+	}
+	if b.Failure() {
+		t.Fatal("a straggling failure on an open breaker reported a second trip")
+	}
+	clock.Advance(2 * time.Second)
+	if !b.Allow() || !b.Failure() {
+		t.Fatal("a failed probe did not report the re-trip")
+	}
+	clock.Advance(2 * time.Second)
+	if !b.Allow() || !b.Success() {
+		t.Fatal("a successful probe did not report the recovery")
+	}
+	if b.Success() {
+		t.Fatal("Success after the recovery reported it again")
+	}
+}
+
 func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 	clock := newFakeClock()
 	b := testBreaker(clock)

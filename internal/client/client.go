@@ -18,7 +18,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -100,17 +99,8 @@ func New(cfg Config) (*Client, error) {
 // response). An exclude id containing "," cannot travel on the GET form
 // (see api.Query.ParseForm); use RecommendBatch for those.
 func (c *Client) Recommend(ctx context.Context, user string, when int64, k int, exclude []string) (*api.RecommendResponse, error) {
-	path := "/recommend?user=" + url.QueryEscape(user) + "&time=" + strconv.FormatInt(when, 10)
-	if k > 0 {
-		path += "&k=" + strconv.Itoa(k)
-	}
-	if len(exclude) > 0 {
-		escaped := make([]string, len(exclude))
-		for i, id := range exclude {
-			escaped[i] = url.QueryEscape(id)
-		}
-		path += "&exclude=" + strings.Join(escaped, ",")
-	}
+	q := api.Query{User: user, Time: when, K: k, Exclude: exclude}
+	path := "/recommend?" + q.Form()
 	var out api.RecommendResponse
 	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync"
@@ -158,7 +159,7 @@ func EvaluateTA(ix *topk.Index, ts model.TopicScorer, queries []Query, maxK, wor
 		}
 		batch[i] = topk.BatchQuery{U: q.U, T: q.T, K: maxK, Exclude: exclude}
 	}
-	res := ix.QueryBatch(ts, batch, workers)
+	res := ix.QueryBatch(context.Background(), ts, batch, workers)
 	sums := make([]RankMetrics, maxK)
 	for i, r := range res {
 		accumulate(sums, r.Results, queries[i].Test, maxK)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -95,7 +96,7 @@ func (r *Runner) latencyOn(p datagen.Profile) (*LatencyResult, error) {
 			batch[i] = topk.BatchQuery{U: qq.u, T: qq.t, K: k}
 		}
 		start := time.Now()
-		ix.QueryBatch(tm, batch, 0)
+		ix.QueryBatch(context.Background(), tm, batch, 0)
 		batchTotal := time.Since(start)
 
 		n := time.Duration(len(queries))

@@ -5,13 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// HotTracker is a depth-2 count-min sketch over user identities: the
-// serve path folds one Observe per request (two atomic increments, no
-// allocation, no locks), and publish time asks for the N hottest users
-// to precompute. Counts are upper bounds — hash collisions only ever
-// inflate — which is the right bias for a precompute heuristic: a
-// falsely-hot user costs one wasted warm entry, a falsely-cold hot
-// user merely misses once.
+// HotTracker is a depth-2 count-min sketch over dense user indices, the
+// identity a Key carries: the serve path folds one Observe per request
+// (two atomic increments, no allocation, no locks), and publish time
+// asks for the N hottest users to precompute. Counts are upper bounds —
+// collisions only ever inflate — which is the right bias for a
+// precompute heuristic: a falsely-hot user costs one wasted warm entry,
+// a falsely-cold hot user merely misses once.
 type HotTracker struct {
 	row0 []atomic.Uint32
 	row1 []atomic.Uint32
@@ -36,35 +36,34 @@ func NewHotTracker(width int) *HotTracker {
 	}
 }
 
-// Observe records one request for the user identified by hash h
-// (HashString of the user ID). Safe for concurrent use from the serve
-// path.
+// Observe records one request for user u. Safe for concurrent use from
+// the serve path.
 //
 //tcam:hotpath
-func (t *HotTracker) Observe(h uint64) {
-	t.row0[h&t.mask].Add(1)
-	t.row1[Mix64(h)&t.mask].Add(1)
+func (t *HotTracker) Observe(u uint64) {
+	t.row0[u&t.mask].Add(1)
+	t.row1[Mix64(u)&t.mask].Add(1)
 }
 
 // Count returns the sketch's estimate (an upper bound) of how many
-// times h was observed since the last decay.
+// times u was observed since the last decay.
 //
 //tcam:hotpath
-func (t *HotTracker) Count(h uint64) uint32 {
-	a := t.row0[h&t.mask].Load()
-	b := t.row1[Mix64(h)&t.mask].Load()
+func (t *HotTracker) Count(u uint64) uint32 {
+	a := t.row0[u&t.mask].Load()
+	b := t.row1[Mix64(u)&t.mask].Load()
 	if b < a {
 		return b
 	}
 	return a
 }
 
-// Top returns the indices of the hottest users among names, hottest
-// first, at most n, skipping users the sketch never saw. Ties break by
-// index ascending so the precompute set is deterministic for a given
-// traffic history. This is a publish-time scan over the user
-// vocabulary, not a serve-path operation.
-func (t *HotTracker) Top(names []string, n int) []int {
+// Top returns the hottest of the users 0..numUsers, hottest first, at
+// most n, skipping users the sketch never saw. Ties break by index
+// ascending so the precompute set is deterministic for a given traffic
+// history. This is a publish-time scan over the user vocabulary, not a
+// serve-path operation.
+func (t *HotTracker) Top(numUsers, n int) []int {
 	if n <= 0 {
 		return nil
 	}
@@ -72,9 +71,9 @@ func (t *HotTracker) Top(names []string, n int) []int {
 		u int
 		c uint32
 	}
-	ranked := make([]hot, 0, len(names))
-	for u, name := range names {
-		if c := t.Count(HashString(name)); c > 0 {
+	ranked := make([]hot, 0, numUsers)
+	for u := 0; u < numUsers; u++ {
+		if c := t.Count(uint64(u)); c > 0 {
 			ranked = append(ranked, hot{u: u, c: c})
 		}
 	}

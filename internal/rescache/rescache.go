@@ -1,9 +1,9 @@
 // Package rescache is the epoch-versioned top-k result cache behind
 // the serving tier (DESIGN.md §16). It maps a query identity
-// (user, t, k, exclude-set hash, scope) to an arbitrary immutable
-// value, versioned by the serving snapshot's epoch: a publish bumps
-// the epoch, which invalidates every cached entry logically in O(1) —
-// stale entries are rejected by an epoch compare on lookup and lazily
+// (user, t, k, exclude-set hash) to an arbitrary immutable value,
+// versioned by the serving snapshot's epoch: a publish bumps the epoch,
+// which invalidates every cached entry logically in O(1) — stale
+// entries are rejected by an epoch compare on lookup and lazily
 // reclaimed, never scanned.
 //
 // The cache is a fixed-capacity, set-associative array of atomic
@@ -26,19 +26,14 @@ const ways = 4
 
 // Key identifies one cached query. All fields participate in equality,
 // so two queries collide only when every component — including the
-// exclude-set hash, its cardinality, and the caller-defined scope —
-// matches. User is the caller's user identity (a dense index for the
-// in-process server, a hashed name for the coordinator); Scope
-// distinguishes result universes that share a user/time/k triple, such
-// as the coordinator's degraded missing-shard set, so a degraded
-// answer can never be served as a healthy one.
+// exclude-set hash and its cardinality — matches. User is the dense
+// user index of the generation the epoch names: exact, never a hash.
 type Key struct {
 	User        uint64
 	Time        int64
 	K           int32
 	NumExclude  int32
 	ExcludeHash uint64
-	Scope       uint64
 }
 
 // hash mixes every key field into the slot-selection hash.
@@ -48,8 +43,7 @@ func (k Key) hash() uint64 {
 	h := Mix64(k.User)
 	h = Mix64(h ^ uint64(k.Time))
 	h = Mix64(h ^ uint64(uint32(k.K))<<32 ^ uint64(uint32(k.NumExclude)))
-	h = Mix64(h ^ k.ExcludeHash)
-	return Mix64(h ^ k.Scope)
+	return Mix64(h ^ k.ExcludeHash)
 }
 
 // entry is one immutable published (epoch, key, value) binding.
@@ -189,20 +183,6 @@ func Mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// HashString is FNV-1a over the string's bytes — allocation-free (no
-// []byte conversion) and stable across processes, so workload files
-// and servers agree on user identities.
-//
-//tcam:hotpath
-func HashString(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
 }
 
 // SetHash accumulates an order-independent, duplicate-sensitive hash

@@ -25,7 +25,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 		{User: 7, Time: 11, K: 9},
 		{User: 7, Time: 11, K: 10, NumExclude: 1},
 		{User: 7, Time: 11, K: 10, ExcludeHash: 3},
-		{User: 7, Time: 11, K: 10, Scope: 5},
 	} {
 		if _, ok := c.Get(1, other); ok {
 			t.Fatalf("key %+v hit entry stored under %+v", other, k)
@@ -102,10 +101,10 @@ func TestPropertyHitsAreExact(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		epoch := uint64(1 + rng.Intn(3))
 		k := Key{
-			User:  uint64(rng.Intn(40)),
-			Time:  int64(rng.Intn(4)),
-			K:     int32(1 + rng.Intn(3)),
-			Scope: uint64(rng.Intn(2)),
+			User:       uint64(rng.Intn(40)),
+			Time:       int64(rng.Intn(4)),
+			K:          int32(1 + rng.Intn(3)),
+			NumExclude: int32(rng.Intn(2)),
 		}
 		if rng.Intn(2) == 0 {
 			if model[epoch] == nil {
@@ -189,37 +188,22 @@ func TestSetHashOrderIndependentDuplicateSensitive(t *testing.T) {
 	}
 }
 
-func TestHashStringStable(t *testing.T) {
-	// FNV-1a reference values: workload files and servers must agree
-	// across processes and releases.
-	if got := HashString(""); got != 0xcbf29ce484222325 {
-		t.Fatalf("HashString(\"\") = %#x", got)
-	}
-	if got := HashString("a"); got != 0xaf63dc4c8601ec8c {
-		t.Fatalf("HashString(\"a\") = %#x", got)
-	}
-	if HashString("user-1") == HashString("user-2") {
-		t.Fatal("distinct users collided")
-	}
-}
-
 func TestHotTrackerTopRanksSkew(t *testing.T) {
 	tr := NewHotTracker(1024)
-	names := make([]string, 50)
-	for i := range names {
-		names[i] = fmt.Sprintf("user-%02d", i)
-	}
-	// user-03 hottest, then user-07, then user-01; everyone else cold.
+	const numUsers = 50
+	// User 3 hottest, then 7, then 1; everyone else cold.
 	for i := 0; i < 30; i++ {
-		tr.Observe(HashString("user-03"))
+		tr.Observe(3)
 	}
 	for i := 0; i < 20; i++ {
-		tr.Observe(HashString("user-07"))
+		tr.Observe(7)
 	}
 	for i := 0; i < 10; i++ {
-		tr.Observe(HashString("user-01"))
+		tr.Observe(1)
 	}
-	got := tr.Top(names, 3)
+	// A user beyond the vocabulary asked about is never ranked.
+	tr.Observe(numUsers)
+	got := tr.Top(numUsers, 3)
 	want := []int{3, 7, 1}
 	if len(got) != len(want) {
 		t.Fatalf("Top = %v, want %v", got, want)
@@ -230,7 +214,7 @@ func TestHotTrackerTopRanksSkew(t *testing.T) {
 		}
 	}
 	// Never-seen users are not padded in, even with room for them.
-	if got := tr.Top(names, 10); len(got) != 3 {
+	if got := tr.Top(numUsers, 10); len(got) != 3 {
 		t.Fatalf("Top padded unseen users: %v", got)
 	}
 }
@@ -238,22 +222,22 @@ func TestHotTrackerTopRanksSkew(t *testing.T) {
 func TestHotTrackerCountNeverUnderestimates(t *testing.T) {
 	tr := NewHotTracker(64) // tiny: force collisions
 	rng := rand.New(rand.NewSource(2))
-	exact := map[string]uint32{}
+	exact := map[uint64]uint32{}
 	for i := 0; i < 2000; i++ {
-		name := fmt.Sprintf("u%03d", rng.Intn(300))
-		exact[name]++
-		tr.Observe(HashString(name))
+		u := uint64(rng.Intn(300))
+		exact[u]++
+		tr.Observe(u)
 	}
-	for name, want := range exact {
-		if got := tr.Count(HashString(name)); got < want {
-			t.Fatalf("Count(%s) = %d underestimates exact %d", name, got, want)
+	for u, want := range exact {
+		if got := tr.Count(u); got < want {
+			t.Fatalf("Count(%d) = %d underestimates exact %d", u, got, want)
 		}
 	}
 }
 
 func TestHotTrackerDecayHalves(t *testing.T) {
 	tr := NewHotTracker(1024)
-	h := HashString("user-a")
+	const h = 5
 	for i := 0; i < 9; i++ {
 		tr.Observe(h)
 	}
@@ -266,9 +250,8 @@ func TestHotTrackerDecayHalves(t *testing.T) {
 	if got := tr.Count(h); got != 1 {
 		t.Fatalf("Count after three decays = %d, want 1", got)
 	}
-	names := []string{"user-a"}
 	tr.Decay() // 1 → 0: fades out entirely
-	if got := tr.Top(names, 1); len(got) != 0 {
+	if got := tr.Top(h+1, 1); len(got) != 0 {
 		t.Fatalf("fully-decayed user still ranked: %v", got)
 	}
 }

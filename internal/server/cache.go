@@ -3,8 +3,8 @@ package server
 // Result-cache layer (DESIGN.md §16): an epoch-versioned rescache in
 // front of the TA search. The epoch is the generation version, so
 // Reload's atomic pointer swap is also the whole cache invalidation.
-// The probe and the insert live in generation.go; this file holds the
-// options, publish-time precompute and the /healthz view.
+// The one probe and the one insert live in generation.go; this file
+// holds the options, publish-time precompute and the /healthz view.
 
 import (
 	"time"
@@ -70,7 +70,7 @@ func (s *Server) precompute(sn *Generation) warmStats {
 		return warm
 	}
 	start := time.Now()
-	hot := s.hot.Top(sn.bundle.Users, s.precomputeHot)
+	hot := s.hot.Top(len(sn.bundle.Users), s.precomputeHot)
 	grid := sn.bundle.Grid
 	sc := sn.Acquire()
 	for _, u := range hot {

@@ -199,8 +199,8 @@ func BenchmarkReloadPrecompute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Pre-hash the stream's users once; each iteration re-seeds the hot
-	// tracker off the clock, because every publish decays the sketch and
+	// Each iteration re-seeds the hot tracker off the clock with the
+	// stream's users (user-<i> is dense index i), because every publish decays the sketch and
 	// back-to-back reloads with no traffic would age it to empty.
 	queries, err := datagen.GenerateQueries(datagen.QueryLoadConfig{
 		Queries: 2048, Users: zipfBenchUsers, UserExponent: 1.2, Seed: 1,
@@ -208,16 +208,12 @@ func BenchmarkReloadPrecompute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hashes := make([]uint64, len(queries))
-	for i, q := range queries {
-		hashes[i] = rescache.HashString(fmt.Sprintf("user-%d", q.User))
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for _, h := range hashes {
-			srv.hot.Observe(h)
+		for _, q := range queries {
+			srv.hot.Observe(uint64(q.User))
 		}
 		b.StartTimer()
 		if _, err := srv.Reload(bundle); err != nil {

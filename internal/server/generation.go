@@ -14,7 +14,9 @@ import (
 
 	"tcam/internal/api"
 	"tcam/internal/dataset"
+	"tcam/internal/faultinject"
 	"tcam/internal/index"
+	"tcam/internal/model"
 	"tcam/internal/rescache"
 	"tcam/internal/topk"
 )
@@ -80,10 +82,8 @@ type Scratch struct {
 	gen    *Generation
 	ex     excludeSet
 	filter topk.Exclude          // ex.has, bound once so a query does not allocate it
-	items  []int                 // the deduplicated exclusion set, for detached
 	sr     *topk.Searcher        // held from the first search until Release
 	resp   api.RecommendResponse // render buffer of the /recommend door
-	misses []topk.BatchQuery     // fan-out buffer of AnswerBatch
 
 	// The resolved query.
 	u, t, k int
@@ -122,14 +122,19 @@ func (sc *Scratch) Release() {
 	scratches.Put(sc)
 }
 
-// Answer resolves q and answers it from the cache or the index.
-// Failures are *api.Error.
+// Answer resolves q and answers it from the cache or the index — the
+// one executor behind every door, and the only place the cache is
+// probed: a lookup in the generation's epoch, counted in the hot-user
+// sketch, and a plain miss when caching is off. Failures are *api.Error.
 func (sc *Scratch) Answer(q *api.Query) (Answer, error) {
 	if err := sc.resolve(q); err != nil {
 		return Answer{}, err
 	}
-	if a, ok := sc.probe(q.User); ok {
-		return a, nil
+	if g := sc.gen; g.cache != nil {
+		g.hot.Observe(uint64(sc.u))
+		if a, ok := g.cache.Get(g.version, sc.key); ok {
+			return a, nil
+		}
 	}
 	a, _ := sc.search()
 	return a, nil
@@ -149,14 +154,13 @@ func (sc *Scratch) resolve(q *api.Query) error {
 		return err
 	}
 	var exh rescache.SetHash
-	sc.exclude, sc.items = nil, sc.items[:0]
+	sc.exclude = nil
 	if len(q.Exclude) > 0 {
 		sc.ex.reset(len(g.bundle.Items))
 		for _, id := range q.Exclude {
 			if v, ok := g.items.Lookup(id); ok && !sc.ex.has(v) {
 				sc.ex.add(v)
 				exh.Add(uint64(v))
-				sc.items = append(sc.items, v)
 			}
 		}
 		sc.exclude = sc.filter
@@ -181,20 +185,9 @@ func topkKey(u int, t int, k int, exh *rescache.SetHash) rescache.Key {
 	}
 }
 
-// probe counts the user in the hot-user sketch and looks the resolved
-// query up in the generation's epoch; a plain miss when caching is off.
-func (sc *Scratch) probe(user string) (Answer, bool) {
-	g := sc.gen
-	if g.cache == nil {
-		return Answer{}, false
-	}
-	g.hot.Observe(rescache.HashString(user))
-	return g.cache.Get(g.version, sc.key)
-}
-
 // search runs the Threshold Algorithm for the resolved query and caches
-// a deep copy of the answer (the searcher recycles its slice). It also
-// returns what the search cost.
+// a deep copy of the answer (the searcher recycles its slice) — the only
+// place the cache is written. It also returns what the search cost.
 func (sc *Scratch) search() (Answer, topk.Stats) {
 	g := sc.gen
 	if sc.sr == nil {
@@ -210,67 +203,37 @@ func (sc *Scratch) search() (Answer, topk.Stats) {
 	return a, st
 }
 
-// detached copies the resolved exclusion filter so it outlives the
-// scratch — a batch's queries all wait for one fan-out.
-func (sc *Scratch) detached() topk.Exclude {
-	if sc.exclude == nil {
-		return nil
-	}
-	banned := make(map[int]struct{}, len(sc.items))
-	for _, v := range sc.items {
-		banned[v] = struct{}{}
-	}
-	return func(v int) bool { _, ok := banned[v]; return ok }
-}
-
-// BatchAnswer is one AnswerBatch entry. Err is the entry's own failure;
-// Done is false when the batch was cancelled before the entry ran.
+// BatchAnswer is one AnswerBatch entry, its Results caller-owned. Err is
+// the entry's own failure; Done is false when the batch was cancelled
+// before the entry ran.
 type BatchAnswer struct {
 	Answer
 	Err  error
 	Done bool
-
-	key rescache.Key
-	hit bool
 }
 
-// AnswerBatch answers queries by position: each is resolved and probed
-// like a single query, then the misses fan out across CPUs through
-// Index.QueryBatchContext (cooperative cancellation between queries)
-// and their answers are cached.
+// AnswerBatch answers queries by position: contiguous chunks fan out
+// across CPUs, each worker holding one Scratch and answering its entries
+// one by one exactly as a single query is. Cancellation is cooperative:
+// a worker checks ctx between entries and leaves the rest of its chunk
+// not Done, so a completed entry is never half-answered.
 func (g *Generation) AnswerBatch(ctx context.Context, queries []api.Query) []BatchAnswer {
 	out := make([]BatchAnswer, len(queries))
-	sc := g.Acquire()
-	defer sc.Release()
-	if cap(sc.misses) < len(queries) {
-		sc.misses = make([]topk.BatchQuery, len(queries))
-	}
-	misses := sc.misses[:len(queries)]
-	defer clear(misses) // drop the exclusion closures before pooling
-	for i := range queries {
-		a := &out[i]
-		if a.Err = sc.resolve(&queries[i]); a.Err != nil {
-			continue // zero-value BatchQuery: K=0 ranks nothing
+	model.ParallelRanges(len(queries), model.Workers(0), func(_, lo, hi int) {
+		sc := g.Acquire()
+		defer sc.Release()
+		for i := lo; i < hi; i++ {
+			faultinject.Fire("topk.batch.query")
+			if ctx.Err() != nil {
+				return
+			}
+			a, err := sc.Answer(&queries[i])
+			// The next Answer recycles a searched result; a cached one is
+			// shared and immutable, but the two are not told apart here.
+			a.Results = append([]topk.Result(nil), a.Results...)
+			out[i] = BatchAnswer{Answer: a, Err: err, Done: true}
 		}
-		a.key = sc.key
-		if a.Answer, a.hit = sc.probe(queries[i].User); !a.hit {
-			a.Interval = sc.t
-			misses[i] = topk.BatchQuery{U: sc.u, T: sc.t, K: sc.k, Exclude: sc.detached()}
-		}
-	}
-	for i, br := range g.idx.QueryBatchContext(ctx, g.bundle.Scorer(), misses, 0) {
-		a := &out[i]
-		a.Done = br.Done
-		if a.Err != nil || a.hit {
-			continue
-		}
-		a.Results, a.ItemsExamined = br.Results, br.Stats.ItemsExamined
-		// Never cache the empty answer of a query the cancelled batch
-		// did not run. br.Results is caller-owned: no copy needed.
-		if br.Done && g.cache != nil {
-			g.cache.Put(g.version, a.key, a.Answer)
-		}
-	}
+	})
 	return out
 }
 

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -174,18 +175,25 @@ func shardQuery(w http.ResponseWriter, r *http.Request, g *Generation) {
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// readBody decodes a JSON body of at most limit bytes (the cap bounds
-// what the decoder will even read): 413 over the cap, 400 malformed.
+// readBody decodes a body that is one JSON value of at most limit bytes
+// (the cap bounds what the decoder will even read): 413 over the cap,
+// 400 malformed — which anything but white space after the value is.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string, dst interface{}) error {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return api.Errorf(http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, limit)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(dst)
+	if err == nil {
+		switch _, err = dec.Token(); err {
+		case io.EOF:
+			return nil
+		case nil:
+			err = errors.New("trailing data after the JSON value")
 		}
-		return api.Errorf(http.StatusBadRequest, "bad %s body: %v", what, err)
 	}
-	return nil
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return api.Errorf(http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, limit)
+	}
+	return api.Errorf(http.StatusBadRequest, "bad %s body: %v", what, err)
 }
 
 // batchReqPool recycles decoded batch requests; encoding/json reuses

@@ -34,7 +34,6 @@ import (
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
 	"tcam/internal/ingest"
-	"tcam/internal/rescache"
 )
 
 // DefaultUpdaterInterval is Run's poll period when the config leaves
@@ -131,20 +130,21 @@ func (u *Updater) Step() (bool, error) {
 	}
 	g := dataset.NewGridder(u.users, u.items, u.grid)
 	if err := u.log.Replay(u.offset, func(off int64, r ingest.Record) error {
-		if u.srv.hot != nil && off >= u.observed {
-			// Seed the hot-user sketch from the event stream: users who
-			// act also read, so publish-time precompute has a ranking
-			// even before serve traffic arrives.
-			u.srv.hot.Observe(rescache.HashString(r.User))
-			u.observed = off + 1
-		}
 		if _, err := g.Open(r.Time); err != nil {
 			// Skipped, not failed: a cycle that failed on it would fail
 			// again on every retry and after every restart.
 			u.srv.Log.Warn("ingest: skipping log record", "offset", off, "err", err)
 			return nil
 		}
-		return g.Add(dataset.Event{User: u.users.Intern(r.User), Item: u.items.Intern(r.Item), Time: r.Time, Score: r.Score})
+		user := u.users.Intern(r.User)
+		if u.srv.hot != nil && off >= u.observed {
+			// Seed the hot-user sketch from the event stream: users who
+			// act also read, so publish-time precompute has a ranking
+			// even before serve traffic arrives.
+			u.srv.hot.Observe(uint64(user))
+			u.observed = off + 1
+		}
+		return g.Add(dataset.Event{User: user, Item: u.items.Intern(r.Item), Time: r.Time, Score: r.Score})
 	}); err != nil {
 		return false, err
 	}

@@ -24,7 +24,6 @@ import (
 	"tcam/internal/faultinject"
 	"tcam/internal/index"
 	"tcam/internal/ingest"
-	"tcam/internal/rescache"
 	"tcam/internal/testfixture"
 )
 
@@ -699,13 +698,27 @@ func TestUpdaterObservesConsumedRecordsOnce(t *testing.T) {
 	for _, site := range []string{"updater.fold", "updater.publish"} {
 		faulted := run(site)
 		for _, user := range []string{"user-late", "user-later", "user-1", "user-0"} {
-			h := rescache.HashString(user)
+			h := uint64(sketchIndex(t, clean, user))
+			if at := sketchIndex(t, faulted, user); uint64(at) != h {
+				t.Fatalf("two failed cycles at %s: %q is user %d, a clean run's %d", site, user, at, h)
+			}
 			if got, want := faulted.hot.Count(h), clean.hot.Count(h); got != want {
 				t.Errorf("two failed cycles at %s: sketch counts %q %d times, a clean run %d", site, user, got, want)
 			}
 		}
 	}
-	if clean.hot.Count(rescache.HashString("user-late")) == 0 {
+	if clean.hot.Count(uint64(sketchIndex(t, clean, "user-late"))) == 0 {
 		t.Error("the event stream never reached the sketch")
 	}
+}
+
+// sketchIndex is the identity the hot-user sketch counts name under:
+// its dense index in the serving generation.
+func sketchIndex(t *testing.T, srv *Server, name string) int {
+	t.Helper()
+	u, err := srv.snapshot().User(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
 }

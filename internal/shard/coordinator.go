@@ -11,13 +11,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tcam/internal/api"
 	"tcam/internal/client"
 	"tcam/internal/faultinject"
-	"tcam/internal/rescache"
 	"tcam/internal/server"
 )
 
@@ -49,30 +47,22 @@ type Config struct {
 	// Hedger templates the per-shard latency trackers that decide when
 	// a straggler deserves a backup request.
 	Hedger client.HedgerConfig
-	// Logger takes the coordinator's log records (recovered panics, shard
-	// failures). Without it the coordinator is silent.
+	// Logger takes the coordinator's log records (recovered panics,
+	// breaker transitions). Without it the coordinator is silent.
 	Logger *slog.Logger
-	// CacheEntries enables the merged-result cache with room for about
-	// this many answers (see cache.go); non-positive leaves caching
-	// off, the default.
-	CacheEntries int
 }
 
 // Coordinator scatter-gathers queries across a shard fleet and merges
 // the partial top-k lists. Behind the server.Shell it holds it serves
 // the same /recommend door a monolithic tcamserver exposes, plus
-// /healthz and /readyz that surface per-shard breaker state. Safe for
-// concurrent use.
+// /healthz and /readyz that surface per-shard breaker state. It caches
+// nothing: every request scatters, and each shard answers from its own
+// result cache, whose epoch is exactly the generation it serves
+// (DESIGN.md §16). Safe for concurrent use.
 type Coordinator struct {
 	*server.Shell
 	shards  []*shardConn
 	timeout time.Duration
-
-	// cache holds merged Responses (treated as immutable once cached),
-	// epoch-versioned by the observed fleet state; nil when disabled.
-	cache      *rescache.Cache[*api.RecommendResponse]
-	fleetEpoch atomic.Uint64 // fleetEpochOf the latest scatter
-	reqSeq     atomic.Uint64 // Recommend calls, for the passthrough cadence
 }
 
 // shardConn is the coordinator's per-shard state: transport, breaker,
@@ -95,9 +85,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{timeout: cfg.ShardTimeout}
 	if c.timeout <= 0 {
 		c.timeout = 2 * time.Second
-	}
-	if cfg.CacheEntries > 0 {
-		c.cache = rescache.New[*api.RecommendResponse](cfg.CacheEntries)
 	}
 	shared := &http.Client{Timeout: 30 * time.Second}
 	ordered := make([]ShardConfig, len(cfg.Shards))
@@ -186,7 +173,10 @@ func rejection(err error) *api.Error {
 // budget carved from ctx, and a hedged request — the backup fires after
 // the shard's observed latency quantile, the first success wins, and
 // the loser's context is cancelled. A half-open breaker admits exactly
-// one un-hedged probe.
+// one un-hedged probe. The log carries one record per breaker
+// transition — the trip with the failure that caused it — and nothing
+// per failed or skipped leg, so a dead shard costs a few records per
+// cooldown, not one per request.
 func (c *Coordinator) query(ctx context.Context, sc *shardConn, body []byte) (*api.ShardPartial, error) {
 	if !sc.breaker.Allow() {
 		return nil, errBreakerOpen
@@ -196,22 +186,25 @@ func (c *Coordinator) query(ctx context.Context, sc *shardConn, body []byte) (*a
 	delay := sc.hedger.Delay()
 	if sc.breaker.State() == client.BreakerHalfOpen {
 		delay = -1 // the recovery probe is a single request, never doubled
+		c.Log.Info("shard breaker half-open: probing", "shard", sc.base)
 	}
 	start := time.Now()
 	resp, _, err := client.Hedge(sctx, delay, func(actx context.Context) (*api.ShardPartial, error) {
 		return sc.post(actx, body)
 	})
-	if err != nil {
-		if rejection(err) != nil {
-			sc.breaker.Success()
-		} else {
-			sc.breaker.Failure()
+	if err != nil && rejection(err) == nil {
+		if sc.breaker.Failure() {
+			c.Log.Warn("shard breaker open", "shard", sc.base, "err", err)
 		}
 		return nil, err
 	}
-	sc.hedger.Observe(time.Since(start))
-	sc.breaker.Success()
-	return resp, nil
+	if err == nil {
+		sc.hedger.Observe(time.Since(start))
+	}
+	if sc.breaker.Success() {
+		c.Log.Info("shard breaker closed", "shard", sc.base)
+	}
+	return resp, err
 }
 
 // Recommend scatter-gathers one query across the fleet and merges the
@@ -219,25 +212,11 @@ func (c *Coordinator) query(ctx context.Context, sc *shardConn, body []byte) (*a
 // degraded (with the missing ranges named) when some did, and the error
 // is ErrAllShardsDown when none did. A request the fleet rejects — k out
 // of bounds here, or a shard's own 400/404/413 — fails with an
-// *api.Error and is never cached. Treat the response as immutable: it
-// may be shared with the cache.
+// *api.Error.
 func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k int, exclude []string) (*api.RecommendResponse, error) {
 	req := &api.Query{User: user, Time: when, K: k, Exclude: exclude}
 	if err := req.Normalize(); err != nil {
 		return nil, err
-	}
-	var key rescache.Key
-	if c.cache != nil {
-		key = c.cacheKey(req)
-		// Every cachePassthroughEvery-th request scatters regardless, so
-		// the observed fleet epoch can't go stale under a 100% hit rate.
-		if c.reqSeq.Add(1)%cachePassthroughEvery != 0 {
-			// Key.User is a hash: re-check the cached identity so a user
-			// collision degrades to a miss, never a wrong answer.
-			if resp, ok := c.cache.Get(c.fleetEpoch.Load(), key); ok && resp.User == user {
-				return resp, nil
-			}
-		}
 	}
 	faultinject.Fire("coordinator.scatter")
 	body, err := json.Marshal(req) // once, shared by every leg and hedge
@@ -265,7 +244,6 @@ func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k 
 		if rejected := rejection(errs[i]); rejected != nil {
 			return nil, rejected
 		}
-		c.Log.Warn("shard unavailable", "shard", c.shards[i].base, "err", errs[i])
 		missing = append(missing, c.shards[i].items)
 	}
 	if len(alive) == 0 {
@@ -287,16 +265,6 @@ func (c *Coordinator) Recommend(ctx context.Context, user string, when int64, k 
 	}
 	for _, res := range merged {
 		resp.Recommendations = append(resp.Recommendations, api.Recommendation{Item: res.Name, Score: res.Score})
-	}
-	if c.cache != nil {
-		// Advance the observed epoch, then cache the merge under the
-		// missing set that actually happened (Scope was the expected
-		// set for the lookup): a degraded answer can only ever be
-		// served while that exact degradation is expected.
-		ep := fleetEpochOf(parts)
-		c.fleetEpoch.Store(ep)
-		key.Scope = missingScopeOf(parts)
-		c.cache.Put(ep, key, resp)
 	}
 	return resp, nil
 }
@@ -324,7 +292,7 @@ func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
 // health is the coordinator's /healthz payload: the fleet, each shard
 // with its breaker's state.
 func (c *Coordinator) health() interface{} {
-	resp := api.FleetHealth{Status: "ok", Shards: make([]api.ShardHealth, len(c.shards)), Cache: c.cacheHealth()}
+	resp := api.FleetHealth{Status: "ok", Shards: make([]api.ShardHealth, len(c.shards))}
 	for i, sc := range c.shards {
 		resp.Shards[i] = api.ShardHealth{BaseURL: sc.base, Items: sc.items, Breaker: sc.breaker.State().String()}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -403,6 +404,67 @@ func TestCoordinatorBreakerTripAndRecover(t *testing.T) {
 	}
 	if f.counters[0].Load() != before+1 {
 		t.Fatalf("probe made %d requests, want 1", f.counters[0].Load()-before)
+	}
+}
+
+// countingHandler counts the log records that mention one shard, by
+// message.
+type countingHandler struct {
+	shard string
+	mu    sync.Mutex
+	byMsg map[string]int
+}
+
+func (h *countingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *countingHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *countingHandler) WithGroup(string) slog.Handler            { return h }
+func (h *countingHandler) Handle(_ context.Context, r slog.Record) error {
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "shard" && a.Value.String() == h.shard {
+			h.mu.Lock()
+			h.byMsg[r.Message]++
+			h.mu.Unlock()
+			return false
+		}
+		return true
+	})
+	return nil
+}
+
+// A dead shard must not cost a log record per request: 200 requests
+// against a fleet whose shard 0 is down log its breaker's trip once —
+// with the failure that caused it — and nothing for the legs the open
+// breaker then skips; the recovery logs the probe and the close, once
+// each.
+func TestCoordinatorLogsBreakerTransitionsOnce(t *testing.T) {
+	clock := &fakeClock{now: time.Unix(1_700_000_000, 0)}
+	logs := &countingHandler{byMsg: map[string]int{}}
+	f := newFleet(t, 2, func(cfg *Config) {
+		cfg.Breaker = client.BreakerConfig{FailureThreshold: 3, OpenTimeout: time.Second, JitterFrac: -1, Now: clock.Now}
+		cfg.Logger = slog.New(logs)
+		logs.shard = cfg.Shards[0].BaseURL
+	}, nil)
+	faultinject.SetErr("shard0.conn", faultinject.ErrorAlways(faultinject.ErrInjectedConn))
+	ask := func(degraded bool) {
+		t.Helper()
+		resp, err := f.c.Recommend(context.Background(), "user-3", 115, 5, nil)
+		if err != nil || resp.Degraded != degraded {
+			t.Fatalf("Recommend = %+v, %v; want degraded=%v", resp, err, degraded)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		ask(true)
+	}
+	if got := fmt.Sprint(logs.byMsg); got != "map[shard breaker open:1]" {
+		t.Fatalf("200 requests against a dead shard logged %s, want the trip once", got)
+	}
+	faultinject.Clear("shard0.conn")
+	clock.Advance(1100 * time.Millisecond)
+	ask(false)
+	ask(false)
+	want := "map[shard breaker closed:1 shard breaker half-open: probing:1 shard breaker open:1]"
+	if got := fmt.Sprint(logs.byMsg); got != want {
+		t.Fatalf("after recovery the log holds %s, want %s", got, want)
 	}
 }
 

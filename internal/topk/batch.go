@@ -17,7 +17,7 @@ type BatchQuery struct {
 
 // BatchResult pairs one batch query's ranked items with its work stats.
 // Results is caller-owned. Done reports whether the query actually ran:
-// QueryBatchContext leaves entries it abandoned on cancellation with
+// QueryBatch leaves entries it abandoned on cancellation with
 // Done == false (a zero result is otherwise indistinguishable from a
 // legitimate empty ranking, e.g. K == 0).
 type BatchResult struct {
@@ -32,18 +32,10 @@ type BatchResult struct {
 // per-query cost matches the allocation-free fast path plus one result
 // copy. Results align with queries by position and are each
 // bit-identical to BruteForce; ts must be the scorer the index was
-// built from.
-func (ix *Index) QueryBatch(ts model.TopicScorer, queries []BatchQuery, workers int) []BatchResult {
-	return ix.QueryBatchContext(context.Background(), ts, queries, workers)
-}
-
-// QueryBatchContext is QueryBatch with cooperative cancellation: each
-// worker checks ctx between queries and stops TA work as soon as the
-// context is done, leaving the remaining entries of its chunk with
-// Done == false. Completed entries are always fully correct — a query
-// is never half-answered. The serving layer uses this to honor request
-// deadlines mid-batch and return the completed prefix.
-func (ix *Index) QueryBatchContext(ctx context.Context, ts model.TopicScorer, queries []BatchQuery, workers int) []BatchResult {
+// built from. Cancellation is cooperative: each worker checks ctx
+// between queries and leaves the rest of its chunk with Done == false,
+// so a completed entry is always fully correct, never half-answered.
+func (ix *Index) QueryBatch(ctx context.Context, ts model.TopicScorer, queries []BatchQuery, workers int) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	model.ParallelRanges(len(queries), model.Workers(workers), func(_, lo, hi int) {
 		s := ix.AcquireSearcher()

@@ -15,7 +15,7 @@ func TestQueryBatchMarksDone(t *testing.T) {
 	fm := randomModel(rng, 5, 40)
 	ix := BuildIndex(fm)
 	queries := []BatchQuery{{U: 0, T: 0, K: 3}, {U: 1, T: 0, K: 0}, {U: 2, T: 1, K: 5}}
-	for i, br := range ix.QueryBatch(fm, queries, 2) {
+	for i, br := range ix.QueryBatch(context.Background(), fm, queries, 2) {
 		if !br.Done {
 			t.Errorf("query %d not marked Done", i)
 		}
@@ -32,7 +32,7 @@ func TestQueryBatchContextPreCancelled(t *testing.T) {
 	for i := range queries {
 		queries[i] = BatchQuery{U: 0, T: 0, K: 3}
 	}
-	for i, br := range ix.QueryBatchContext(ctx, fm, queries, 1) {
+	for i, br := range ix.QueryBatch(ctx, fm, queries, 1) {
 		if br.Done || br.Results != nil {
 			t.Errorf("query %d ran under a cancelled context: %+v", i, br)
 		}
@@ -56,7 +56,7 @@ func TestQueryBatchContextCancelMidBatch(t *testing.T) {
 	defer cancel()
 	// The 4th firing cancels: queries 0..2 complete, 3..9 are abandoned.
 	faultinject.Set("topk.batch.query", faultinject.CancelsAfter(4, cancel))
-	out := ix.QueryBatchContext(ctx, fm, queries, 1)
+	out := ix.QueryBatch(ctx, fm, queries, 1)
 	for i, br := range out {
 		if want := i < 3; br.Done != want {
 			t.Errorf("query %d: Done = %v, want %v", i, br.Done, want)

@@ -6,6 +6,7 @@ package topk
 // httptest server benches) into BENCH_query.json.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -90,6 +91,6 @@ func BenchmarkQueryBatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.QueryBatch(f, qs, 0)
+		ix.QueryBatch(context.Background(), f, qs, 0)
 	}
 }

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -108,7 +109,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 			queries = append(queries, BatchQuery{U: u, T: tt, K: 1 + (u+tt)%7, Exclude: ex})
 		}
 	}
-	batch := ix.QueryBatch(fm, queries, 3)
+	batch := ix.QueryBatch(context.Background(), fm, queries, 3)
 	if len(batch) != len(queries) {
 		t.Fatalf("got %d results for %d queries", len(batch), len(queries))
 	}

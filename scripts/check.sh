@@ -3,8 +3,9 @@
 # and race-enabled tests on the concurrency-sensitive packages (the
 # pooled TA searcher, the HTTP serving lifecycle — drain/reload/shed —
 # the retrying client and the fault-injection hooks), then the full
-# suite, a tcamcheck assertion build of the models, and an allocation
-# gate on the pooled-searcher benchmarks.
+# suite, a tcamcheck assertion build of the models, an allocation
+# gate on the pooled-searcher benchmarks, and a short run of every fuzz
+# target and example program.
 #
 # Usage: scripts/check.sh [-short | race]
 #   -short   skip the slow gates; run only formatting, vet, tcamvet and
@@ -75,5 +76,9 @@ if [ "${1:-}" != "-short" ]; then
     # deeper at a stream-opened interval than at a trained one. Shared
     # with the CI workflow's gates job.
     scripts/bench_smoke.sh
+
+    # Execution smoke, also the gates job's: each fuzz target for 5 s,
+    # each examples/ program once.
+    scripts/smoke.sh
 fi
 echo "check.sh: OK"
