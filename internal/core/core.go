@@ -78,16 +78,10 @@ type Options struct {
 	Seed       int64
 	Workers    int
 	// Tol overrides the relative log-likelihood early-stop tolerance of
-	// the EM methods (UT, TT and the TCAM family): 0 keeps each model's
-	// default, a negative value disables the early stop so every
+	// the six EM methods (UT, TT and the TCAM family): 0 keeps each
+	// model's default, a negative value disables the early stop so every
 	// iteration runs.
 	Tol float64
-	// Shards fixes the EM summation grouping for the TCAM family (0 =
-	// engine default). Runs with equal Shards are bit-identical
-	// regardless of Workers.
-	Shards int
-	// MaxWall bounds TCAM-family training wall-clock time (0 = none).
-	MaxWall time.Duration
 	// CheckpointDir enables TCAM-family training checkpoints in the
 	// directory, snapshotting every CheckpointEvery iterations
 	// (CheckpointEvery <= 0 means every iteration); Resume restores the
@@ -96,20 +90,25 @@ type Options struct {
 	CheckpointDir   string
 	CheckpointEvery int
 	Resume          bool
-	// Hook, when non-nil, observes every TCAM-family EM iteration.
+	// Hook, when non-nil, observes every iteration of the six EM methods.
 	Hook func(model.IterStat)
 }
 
-// tolOf resolves the Options.Tol override against a model default.
-func tolOf(opts Options, def float64) float64 {
+// engineOf overlays the options on the fields of an EM method's config
+// that are the internal/train engine's policy (plsa.Config and
+// tcam.Config carry them under the same names), each holding the
+// model's default on entry.
+func engineOf(opts Options, maxIters *int, tol *float64, workers *int, hook *func(model.IterStat)) {
+	if opts.MaxIters > 0 {
+		*maxIters = opts.MaxIters
+	}
 	switch {
 	case opts.Tol > 0:
-		return opts.Tol
+		*tol = opts.Tol
 	case opts.Tol < 0:
-		return 0
-	default:
-		return def
+		*tol = 0
 	}
+	*workers, *hook = opts.Workers, opts.Hook
 }
 
 // checkpointOf translates the flat checkpoint options into the engine
@@ -154,11 +153,8 @@ func Train(method Method, data *cuboid.Cuboid, opts Options) (Result, error) {
 		if k > 0 {
 			cfg.K = k
 		}
-		if opts.MaxIters > 0 {
-			cfg.MaxIters = opts.MaxIters
-		}
-		cfg.Tol = tolOf(opts, cfg.Tol)
-		cfg.Seed, cfg.Workers = seedOf(opts), opts.Workers
+		engineOf(opts, &cfg.MaxIters, &cfg.Tol, &cfg.Workers, &cfg.Hook)
+		cfg.Seed = seedOf(opts)
 		res.Model, res.Stats, err = plsa.Train(tdata, axis, cfg)
 	case ITCAM, WITCAM, TTCAM, WTTCAM:
 		cfg := tcam.DefaultITCAMConfig()
@@ -172,13 +168,8 @@ func Train(method Method, data *cuboid.Cuboid, opts Options) (Result, error) {
 		if opts.K1 > 0 {
 			cfg.K1 = opts.K1
 		}
-		if opts.MaxIters > 0 {
-			cfg.MaxIters = opts.MaxIters
-		}
-		cfg.Tol = tolOf(opts, cfg.Tol)
-		cfg.MaxWall, cfg.Shards = opts.MaxWall, opts.Shards
-		cfg.Checkpoint, cfg.Hook = checkpointOf(opts), opts.Hook
-		cfg.Seed, cfg.Workers = seedOf(opts), opts.Workers
+		engineOf(opts, &cfg.MaxIters, &cfg.Tol, &cfg.Workers, &cfg.Hook)
+		cfg.Checkpoint, cfg.Seed = checkpointOf(opts), seedOf(opts)
 		cfg.Label = string(method)
 		res.Model, res.Stats, err = tcam.Train(tdata, cfg)
 	case BPRMF:

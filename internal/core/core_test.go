@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tcam/internal/cuboid"
@@ -100,5 +101,36 @@ func TestTimeSVDExtension(t *testing.T) {
 	}
 	if _, ok := res.Model.(model.TopicScorer); ok {
 		t.Error("timeSVD++ has no topic decomposition; TA must not apply")
+	}
+}
+
+// TestEngineOptionsReachEveryEMMethod: the six EM methods train on one
+// engine, so Hook sees every iteration of each, a negative Tol runs all
+// MaxIters of each, and the stats say how the run ended; only the TCAM
+// family checkpoints.
+func TestEngineOptionsReachEveryEMMethod(t *testing.T) {
+	data := smallWorld(t)
+	for _, m := range []Method{UT, TT, ITCAM, TTCAM, WITCAM, WTTCAM} {
+		opts := fastOpts()
+		opts.MaxIters, opts.Tol = 7, -1
+		var seen []int
+		opts.Hook = func(it model.IterStat) { seen = append(seen, it.Iter) }
+		res, err := Train(m, data, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 7 || seen[6] != 7 || res.Stats.Iterations() != 7 || len(res.Stats.Iters) != 7 {
+			t.Errorf("%s: hook saw iterations %v, stats record %d", m, seen, res.Stats.Iterations())
+		}
+		if res.Stats.StopReason != model.StopMaxIters || res.Stats.Converged {
+			t.Errorf("%s: stop reason %q, converged %v; want max-iters", m, res.Stats.StopReason, res.Stats.Converged)
+		}
+	}
+	for _, m := range []Method{UT, TT} {
+		opts := fastOpts()
+		opts.CheckpointDir = t.TempDir()
+		if _, err := Train(m, data, opts); err == nil || !strings.Contains(err.Error(), "does not support checkpointing") {
+			t.Errorf("%s: checkpointing err = %v", m, err)
+		}
 	}
 }

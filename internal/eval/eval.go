@@ -10,7 +10,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 
 	"tcam/internal/dataset"
 	"tcam/internal/model"
@@ -111,40 +110,29 @@ type Curve []RankMetrics
 func (c Curve) At(k int) RankMetrics { return c[k-1] }
 
 // Evaluate runs every query at cutoffs 1..maxK and returns the averaged
-// metric curve. Queries are distributed across workers; the ranker must
-// be safe for concurrent use (all models in this module are, after
-// training).
+// metric curve. The ranked lists are computed across workers, each into
+// its query's position, and then scored in query order — so the curve is
+// a function of the lists alone, bit for bit, at any worker count. The
+// ranker must be safe for concurrent use (all models in this module are,
+// after training).
 func Evaluate(rank Ranker, queries []Query, maxK, workers int) Curve {
 	if maxK <= 0 || len(queries) == 0 {
 		return nil
 	}
-	sums := make([]RankMetrics, maxK)
-	var mu sync.Mutex
+	ranked := make([][]topk.Result, len(queries))
 	model.ParallelRanges(len(queries), model.Workers(workers), func(_, lo, hi int) {
-		local := make([]RankMetrics, maxK)
 		for i := lo; i < hi; i++ {
 			q := queries[i]
-			exclude := func(v int) bool { return q.Train[v] }
-			res := rank(q.U, q.T, maxK, exclude)
-			accumulate(local, res, q.Test, maxK)
+			ranked[i] = rank(q.U, q.T, maxK, func(v int) bool { return q.Train[v] })
 		}
-		mu.Lock()
-		for k := range sums {
-			sums[k].Precision += local[k].Precision
-			sums[k].NDCG += local[k].NDCG
-			sums[k].F1 += local[k].F1
-			sums[k].Recall += local[k].Recall
-			sums[k].MRR += local[k].MRR
-		}
-		mu.Unlock()
 	})
-	return averageCurve(sums, len(queries))
+	return score(queries, maxK, func(i int) []topk.Result { return ranked[i] })
 }
 
 // EvaluateTA is Evaluate specialized to the Threshold Algorithm: the
 // whole query set goes through Index.QueryBatch, so each worker reuses
 // one pooled searcher instead of allocating per-query scratch. The
-// resulting curve is identical to Evaluate over a ranker that calls
+// resulting curve is bit-identical to Evaluate over a ranker that calls
 // Index.Query once per query.
 func EvaluateTA(ix *topk.Index, ts model.TopicScorer, queries []Query, maxK, workers int) Curve {
 	if maxK <= 0 || len(queries) == 0 {
@@ -160,19 +148,19 @@ func EvaluateTA(ix *topk.Index, ts model.TopicScorer, queries []Query, maxK, wor
 		batch[i] = topk.BatchQuery{U: q.U, T: q.T, K: maxK, Exclude: exclude}
 	}
 	res := ix.QueryBatch(context.Background(), ts, batch, workers)
-	sums := make([]RankMetrics, maxK)
-	for i, r := range res {
-		accumulate(sums, r.Results, queries[i].Test, maxK)
-	}
-	return averageCurve(sums, len(queries))
+	return score(queries, maxK, func(i int) []topk.Result { return res[i].Results })
 }
 
-// averageCurve divides per-cutoff metric sums by the query count.
-func averageCurve(sums []RankMetrics, queries int) Curve {
-	n := float64(queries)
-	out := make(Curve, len(sums))
+// score is the one evaluation fold: it accumulates ranked(i), query i's
+// list, for every query in query order and averages over the queries.
+func score(queries []Query, maxK int, ranked func(i int) []topk.Result) Curve {
+	sums := make(Curve, maxK)
+	for i, q := range queries {
+		accumulate(sums, ranked(i), q.Test, maxK)
+	}
+	n := float64(len(queries))
 	for k := range sums {
-		out[k] = RankMetrics{
+		sums[k] = RankMetrics{
 			Precision: sums[k].Precision / n,
 			NDCG:      sums[k].NDCG / n,
 			F1:        sums[k].F1 / n,
@@ -180,7 +168,7 @@ func averageCurve(sums []RankMetrics, queries int) Curve {
 			MRR:       sums[k].MRR / n,
 		}
 	}
-	return out
+	return sums
 }
 
 // accumulate folds one query's ranked list into the running metric sums

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"tcam/internal/cuboid"
@@ -204,35 +205,55 @@ func (m *miniScorer) Score(u, t, v int) float64 {
 }
 
 // EvaluateTA (the batch serving path) must produce the exact curve of
-// evaluating the Threshold Algorithm one Index.Query at a time.
+// evaluating the Threshold Algorithm one Index.Query at a time: both
+// fold the ranked lists in query order, so the curves agree bit for bit
+// at every worker count and on every run, however the goroutines that
+// ranked them were scheduled. The world is large enough (300 queries)
+// that a fold in completion order would not.
 func TestEvaluateTAMatchesTARanker(t *testing.T) {
-	m := &miniScorer{
-		topics: [][]float64{
-			{0.05, 0.30, 0.10, 0.20, 0.05, 0.10, 0.15, 0.02, 0.02, 0.01},
-			{0.20, 0.02, 0.25, 0.05, 0.15, 0.03, 0.05, 0.10, 0.10, 0.05},
-		},
-		queries: [][]float64{
-			{0.7, 0.3},
-			{0.2, 0.8},
-			{0.5, 0.5},
-			{0.9, 0.1},
-		},
+	const users, items = 150, 60
+	rng := rand.New(rand.NewSource(5))
+	m := &miniScorer{topics: make([][]float64, 4), queries: make([][]float64, users*2)}
+	for z := range m.topics {
+		m.topics[z] = make([]float64, items)
+		for v := range m.topics[z] {
+			m.topics[z][v] = rng.Float64()
+		}
+	}
+	trainB := cuboid.NewBuilder(users, 2, items)
+	testB := cuboid.NewBuilder(users, 2, items)
+	for q := range m.queries {
+		m.queries[q] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+		for n := 0; n < 6; n++ {
+			b := trainB
+			if n%3 == 0 {
+				b = testB
+			}
+			b.MustAdd(q/2, q%2, rng.Intn(items), 1)
+		}
 	}
 	ix := topk.BuildIndex(m)
-	queries := BuildQueries(makeSplit(t))
+	queries := BuildQueries(dataset.Split{Train: trainB.Build(), Test: testB.Build()})
 	taRanker := func(u, t, k int, exclude topk.Exclude) []topk.Result {
 		res, _ := ix.Query(m, u, t, k, exclude)
 		return res
 	}
-	for _, workers := range []int{1, 3} {
-		batch := EvaluateTA(ix, m, queries, 5, workers)
-		perQuery := Evaluate(taRanker, queries, 5, workers)
-		if len(batch) != len(perQuery) {
-			t.Fatalf("curve lengths %d vs %d", len(batch), len(perQuery))
-		}
-		for k := range batch {
-			if batch[k] != perQuery[k] {
-				t.Errorf("workers=%d k=%d: batch %+v != per-query %+v", workers, k+1, batch[k], perQuery[k])
+	want := EvaluateTA(ix, m, queries, 5, 1)
+	if len(queries) != 2*users || len(want) != 5 || want.At(5).Recall <= 0 {
+		t.Fatalf("%d queries, curve %+v", len(queries), want)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		for name, got := range map[string]Curve{
+			"EvaluateTA": EvaluateTA(ix, m, queries, 5, workers),
+			"Evaluate":   Evaluate(taRanker, queries, 5, workers),
+		} {
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: curve length %d, want %d", name, workers, len(got), len(want))
+			}
+			for k := range got {
+				if got[k] != want[k] {
+					t.Errorf("%s workers=%d k=%d: %+v != %+v", name, workers, k+1, got[k], want[k])
+				}
 			}
 		}
 	}

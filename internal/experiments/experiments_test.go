@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"tcam/internal/core"
 	"tcam/internal/datagen"
+	"tcam/internal/eval"
 )
 
 // tiny returns a configuration small enough for unit tests; shape
@@ -353,5 +356,60 @@ func TestWorldCaching(t *testing.T) {
 	b := r.World(datagen.Digg)
 	if a != b {
 		t.Error("worlds not cached")
+	}
+}
+
+// TestNumbersIgnoreWorkers: an offline number is a function of (data,
+// seed), not of the parallelism it was computed under. Every method of
+// the comparison, trained and evaluated at 1, 2 and 5 workers, scores a
+// probe grid and averages every field of its metric curve to the same
+// bits.
+func TestNumbersIgnoreWorkers(t *testing.T) {
+	type numbers struct {
+		scores []float64
+		curve  eval.Curve
+	}
+	run := func(workers int) map[core.Method]numbers {
+		cfg := tiny()
+		cfg.Scale, cfg.EMIters, cfg.GibbsBurnin, cfg.GibbsKeep, cfg.Workers = 0.1, 5, 2, 2, workers
+		r := NewRunner(cfg)
+		data, _ := r.gridWorld(datagen.Digg)
+		split, queries := r.splitQueries(data)
+		out := make(map[core.Method]numbers)
+		for _, m := range core.AllMethods() {
+			res, err := core.Train(m, split.Train, r.trainOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n numbers
+			for u := 0; u < data.NumUsers(); u += 7 {
+				for tt := 0; tt < data.NumIntervals(); tt += 3 {
+					for v := 0; v < data.NumItems(); v += 11 {
+						n.scores = append(n.scores, res.Model.Score(u, tt, v))
+					}
+				}
+			}
+			n.curve = eval.Evaluate(eval.BruteForceRanker(res.Model), queries, 10, workers)
+			out[m] = n
+		}
+		return out
+	}
+	want := run(1)
+	for _, workers := range []int{2, 5} {
+		got := run(workers)
+		for _, m := range core.AllMethods() {
+			for i, s := range got[m].scores {
+				if math.Float64bits(s) != math.Float64bits(want[m].scores[i]) {
+					t.Errorf("%s: a score trained at %d workers differs from 1 worker's", m, workers)
+					break
+				}
+			}
+			for k, rm := range got[m].curve {
+				if rm != want[m].curve[k] {
+					t.Errorf("%s: metrics at k=%d evaluated at %d workers = %+v, at 1 worker %+v", m, k+1, workers, rm, want[m].curve[k])
+					break
+				}
+			}
+		}
 	}
 }

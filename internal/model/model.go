@@ -105,7 +105,6 @@ type IterStat struct {
 const (
 	StopConverged = "converged"
 	StopMaxIters  = "max-iters"
-	StopWallClock = "wall-clock"
 )
 
 // TrainStats records an EM run: the log-likelihood after every
@@ -116,12 +115,12 @@ type TrainStats struct {
 	// Converged is true when the relative improvement fell below the
 	// tolerance before MaxIters was reached.
 	Converged bool
-	// Iters carries the per-iteration observability records for trainers
-	// that run on the internal/train engine; legacy trainers leave it
-	// nil.
+	// Iters carries the per-iteration observability records of an EM run
+	// (every EM method trains on the internal/train engine); the
+	// factorization baselines leave it nil.
 	Iters []IterStat
-	// StopReason is one of the Stop* constants for engine-driven runs,
-	// empty otherwise.
+	// StopReason is one of the Stop* constants for an EM run, empty
+	// otherwise.
 	StopReason string
 	// ResumedAt is the number of already-completed iterations restored
 	// from a checkpoint (0 for uninterrupted runs).
@@ -220,21 +219,4 @@ func NormalizeRows(data []float64, cols int, eps float64) {
 			row[i] = (row[i] + eps) / denom
 		}
 	}
-}
-
-// MergeSlabs element-wise sums per-worker accumulator slabs into
-// slabs[0] and returns it.
-//
-//tcam:hotpath
-func MergeSlabs(slabs [][]float64) []float64 {
-	if len(slabs) == 0 {
-		return nil
-	}
-	dst := slabs[0]
-	for _, s := range slabs[1:] {
-		for i, x := range s {
-			dst[i] += x
-		}
-	}
-	return dst
 }

@@ -78,17 +78,6 @@ func TestNormalizeRowsSmoothing(t *testing.T) {
 	}
 }
 
-func TestMergeSlabs(t *testing.T) {
-	slabs := [][]float64{{1, 2}, {10, 20}, {100, 200}}
-	got := MergeSlabs(slabs)
-	if got[0] != 111 || got[1] != 222 {
-		t.Errorf("MergeSlabs = %v", got)
-	}
-	if MergeSlabs(nil) != nil {
-		t.Error("MergeSlabs(nil) should be nil")
-	}
-}
-
 func TestTrainStats(t *testing.T) {
 	var s TrainStats
 	if s.Iterations() != 0 || s.Final() != 0 {

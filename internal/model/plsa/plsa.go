@@ -10,6 +10,12 @@
 // ones (Digg). With intervals as documents it is TT, the mirror image
 // that ignores user identity. Each is one half of Equation 1 taken
 // alone — the asymmetry TCAM unifies.
+//
+// Training is a client of the internal/train engine, like TCAM's: the
+// documents are the sharding dimension, the E-step runs on the engine's
+// kernels, and the engine's convergence rule, per-iteration hook and
+// fixed shard count apply — the learned parameters are a function of
+// (data, Config.Seed), never of Config.Workers or the host.
 package plsa
 
 import (
@@ -19,6 +25,7 @@ import (
 
 	"tcam/internal/cuboid"
 	"tcam/internal/model"
+	"tcam/internal/train"
 )
 
 // Axis names the cuboid dimension whose rows are the documents.
@@ -44,9 +51,12 @@ type Config struct {
 	MaxIters int
 	Tol      float64
 	Seed     int64
-	// Workers is the E-step parallelism; non-positive means GOMAXPROCS.
+	// Workers caps E-step goroutines; non-positive means GOMAXPROCS. It
+	// never affects the learned parameters.
 	Workers   int
 	Smoothing float64
+	// Hook, when non-nil, observes every EM iteration.
+	Hook func(model.IterStat)
 }
 
 // DefaultConfig returns the harness's standard configuration for the
@@ -85,27 +95,49 @@ type Model struct {
 }
 
 // Train fits the baseline the axis selects. The cuboid's other
-// dimension is ignored (ratings aggregate across it); the E-step
-// parallelizes over documents.
+// dimension is ignored (ratings aggregate across it).
 func Train(data *cuboid.Cuboid, axis Axis, cfg Config) (*Model, model.TrainStats, error) {
-	var stats model.TrainStats
-	if err := cfg.validate(data); err != nil {
+	return trainSharded(data, axis, cfg, 0)
+}
+
+// trainSharded is Train under an explicit engine shard count (0 means
+// train.DefaultShards): shards = s is the summation grouping the
+// *_prerefactor_w<s> fixtures were recorded under.
+func trainSharded(data *cuboid.Cuboid, axis Axis, cfg Config, shards int) (*Model, model.TrainStats, error) {
+	tr, err := prepare(data, axis, cfg)
+	if err != nil {
+		return nil, model.TrainStats{}, err
+	}
+	stats, err := train.Run(tr, train.Config{
+		MaxIters: cfg.MaxIters, Tol: cfg.Tol, Shards: shards, Workers: cfg.Workers, Hook: cfg.Hook,
+	})
+	if err != nil {
 		return nil, stats, err
+	}
+	return tr.m, stats, nil
+}
+
+// prepare validates the config and returns a trainer around a freshly
+// initialized model: the setup behind Train and the single-iteration
+// benchmark.
+func prepare(data *cuboid.Cuboid, axis Axis, cfg Config) (*trainer, error) {
+	if err := cfg.validate(data); err != nil {
+		return nil, err
 	}
 	// The documents: item and score columns grouped by the axis, and
 	// the row range of each.
-	docs, span := data.NumUsers(), data.UserSpan
-	_, vs, scores := data.CSR()
+	tr := &trainer{smoothing: cfg.Smoothing, docs: data.NumUsers(), span: data.UserSpan}
+	_, tr.vs, tr.scores = data.CSR()
 	if axis == Intervals {
-		docs, span = data.NumIntervals(), data.IntervalSpan
-		_, vs, scores = data.IntervalCSR()
+		tr.docs, tr.span = data.NumIntervals(), data.IntervalSpan
+		_, tr.vs, tr.scores = data.IntervalCSR()
 	}
 	k, v := cfg.K, data.NumItems()
 	m := &Model{
 		axis:       axis,
 		k:          k,
 		lambdaB:    cfg.LambdaB,
-		theta:      make([]float64, docs*k),
+		theta:      make([]float64, tr.docs*k),
 		phi:        make([]float64, k*v),
 		background: make([]float64, v),
 	}
@@ -117,72 +149,101 @@ func Train(data *cuboid.Cuboid, axis Axis, cfg Config) (*Model, model.TrainStats
 	}
 	model.NormalizeRows(m.background, v, 1e-9)
 
-	workers := model.Workers(cfg.Workers)
-	thetaAcc := make([]float64, len(m.theta))
-	phiW := make([][]float64, workers)
-	for w := range phiW {
-		phiW[w] = make([]float64, len(m.phi))
-	}
-	llW := make([]float64, workers)
-	prevLL := math.Inf(-1)
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		clear(thetaAcc)
-		for _, s := range phiW {
-			clear(s)
-		}
-		model.ParallelRanges(docs, workers, func(worker, lo, hi int) {
-			phiAcc := phiW[worker]
-			pz := make([]float64, k)
-			var ll float64
-			for d := lo; d < hi; d++ {
-				thetaRow := m.theta[d*k : (d+1)*k]
-				clo, chi := span(d)
-				for ci := clo; ci < chi; ci++ {
-					vv, w := int(vs[ci]), scores[ci]
-					var pd float64
-					for z := 0; z < k; z++ {
-						p := thetaRow[z] * m.phi[z*v+vv]
-						pz[z] = p
-						pd += p
-					}
-					denom := cfg.LambdaB*m.background[vv] + (1-cfg.LambdaB)*pd
-					if denom <= 0 {
-						denom = 1e-300
-					}
-					ll += w * math.Log(denom)
-					// Posterior mass of the topic path, split across z.
-					if pd > 0 {
-						pTopic := (1 - cfg.LambdaB) * pd / denom
-						scale := w * pTopic / pd
-						for z := 0; z < k; z++ {
-							c := scale * pz[z]
-							thetaAcc[d*k+z] += c
-							phiAcc[z*v+vv] += c
-						}
-					}
-				}
-			}
-			llW[worker] = ll
-		})
-		copy(m.theta, thetaAcc)
-		model.NormalizeRows(m.theta, k, cfg.Smoothing)
-		copy(m.phi, model.MergeSlabs(phiW))
-		model.NormalizeRows(m.phi, v, cfg.Smoothing)
+	tr.m, tr.theta, tr.phiT = m, make([]float64, len(m.theta)), make([]float64, len(m.phi))
+	train.Transpose(tr.phiT, m.phi, k, v)
+	return tr, nil
+}
 
-		var ll float64
-		for _, x := range llW {
-			ll += x
-		}
-		stats.LogLikelihood = append(stats.LogLikelihood, ll)
-		if iter > 0 {
-			if rel := math.Abs(ll-prevLL) / (math.Abs(prevLL) + 1e-12); rel < cfg.Tol {
-				stats.Converged = true
-				break
+// trainer adapts the E/M-step to train.Trainable, as tcam's does: the θ
+// statistics are document-sharded — every shard writes a disjoint row
+// range of one shared slab — so only the ϕ slab is duplicated per shard
+// and merged. phiT is the E-step's item-major copy of ϕ, rebuilt by
+// bit-exact transposition after every M-step; the shard slabs share its
+// layout, so each cell reads and writes contiguous K-length rows.
+type trainer struct {
+	m         *Model
+	smoothing float64
+	docs      int
+	span      func(d int) (lo, hi int)
+	vs        []int32
+	scores    []float64
+
+	theta []float64 // D×K, shard s owns rows [lo, hi)
+	phiT  []float64 // V×K: transpose of Model.phi
+}
+
+// accum is one shard's sufficient statistics: a private item-major ϕ
+// slab, its documents' rows of trainer.theta, and posterior scratch.
+type accum struct {
+	tr     *trainer
+	lo, hi int
+	phiT   []float64 // V×K
+	pz     []float64 // K
+	ll     float64
+}
+
+func (tr *trainer) NumUsers() int { return tr.docs }
+
+func (tr *trainer) NewAccum(_, lo, hi int) train.Accum {
+	return &accum{tr: tr, lo: lo, hi: hi, phiT: make([]float64, len(tr.phiT)), pz: make([]float64, tr.m.k)}
+}
+
+//tcam:hotpath
+func (a *accum) Reset() {
+	train.Zero(a.tr.theta[a.lo*a.tr.m.k : a.hi*a.tr.m.k])
+	train.Zero(a.phiT)
+	a.ll = 0
+}
+
+//tcam:hotpath
+func (a *accum) Merge(src train.Accum) {
+	s := src.(*accum)
+	train.MergeInto(a.phiT, s.phiT)
+	a.ll += s.ll
+}
+
+// EStep scans the shard's documents: the posterior over topics of every
+// rated cell, split between the background and the topic path.
+//
+//tcam:hotpath
+func (tr *trainer) EStep(acc train.Accum) {
+	a := acc.(*accum)
+	m, k, lambdaB := tr.m, tr.m.k, tr.m.lambdaB
+	vs, scores, phiT, pz := tr.vs, tr.scores, tr.phiT, a.pz
+	var ll float64
+	for d := a.lo; d < a.hi; d++ {
+		thetaRow := m.theta[d*k : (d+1)*k]
+		thetaAcc := tr.theta[d*k : (d+1)*k]
+		lo, hi := tr.span(d)
+		for i := lo; i < hi; i++ {
+			v, w := int(vs[i]), scores[i]
+			pd := train.DotInto(pz, thetaRow, phiT[v*k:(v+1)*k])
+			denom := lambdaB*m.background[v] + (1-lambdaB)*pd
+			if denom <= 0 {
+				denom = 1e-300
+			}
+			ll += w * math.Log(denom)
+			// Posterior mass of the topic path, split across z.
+			if pd > 0 {
+				pTopic := (1 - lambdaB) * pd / denom
+				train.AddScaledPair(thetaAcc, a.phiT[v*k:(v+1)*k], w*pTopic/pd, pz)
 			}
 		}
-		prevLL = ll
 	}
-	return m, stats, nil
+	a.ll = ll
+}
+
+// MStep renormalizes the merged statistics into θ and ϕ and returns the
+// log-likelihood under the parameters the iteration started from.
+func (tr *trainer) MStep(merged train.Accum) float64 {
+	a := merged.(*accum)
+	m, v := tr.m, tr.m.NumItems()
+	copy(m.theta, tr.theta)
+	model.NormalizeRows(m.theta, m.k, tr.smoothing)
+	train.Transpose(m.phi, a.phiT, v, m.k)
+	model.NormalizeRows(m.phi, v, tr.smoothing)
+	train.Transpose(tr.phiT, m.phi, m.k, v)
+	return a.ll
 }
 
 func jitterRows(rng *rand.Rand, data []float64, cols int) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"tcam/internal/cuboid"
+	"tcam/internal/model"
 )
 
 // interestWorld: each user sticks to a small pet-item set across all
@@ -154,8 +155,8 @@ func TestConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Converged || st.Iterations() == cfg.MaxIters {
-			t.Errorf("no early stop: converged=%v after %d iterations", st.Converged, st.Iterations())
+		if !st.Converged || st.StopReason != model.StopConverged || st.Iterations() == cfg.MaxIters {
+			t.Errorf("no early stop: converged=%v (%q) after %d iterations", st.Converged, st.StopReason, st.Iterations())
 		}
 	})
 }
@@ -264,17 +265,18 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestMatchesPreMergeFixture pins the merge: for each axis and worker
-// count the one trainer reproduces the separate trainers' parameters
-// and log-likelihood trace bit for bit (the worker count changes the
-// summation grouping, so the two fixtures of an axis differ), and
-// ScoreAll agrees with Score on every (document, item).
+// TestMatchesPreMergeFixture pins the merge and the port onto the
+// engine: for each axis the one trainer, sharded s ways, reproduces bit
+// for bit the parameters and log-likelihood trace the separate trainers
+// learned at s workers (the grouping of the ϕ sums is what the two
+// fixtures of an axis differ by) — at every worker count, which only
+// decides how many goroutines run the shards. ScoreAll agrees with
+// Score on every (document, item).
 func TestMatchesPreMergeFixture(t *testing.T) {
 	forBaselines(t, func(t *testing.T, b baseline) {
 		data := fixtureWorld()
-		for _, workers := range []int{1, 2} {
-			label := fmt.Sprintf("workers=%d", workers)
-			f, err := os.Open(fmt.Sprintf("testdata/%s_prerefactor_w%d.gob", strings.ToLower(b.name), workers))
+		for _, shards := range []int{1, 2} {
+			f, err := os.Open(fmt.Sprintf("testdata/%s_prerefactor_w%d.gob", strings.ToLower(b.name), shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,18 +286,22 @@ func TestMatchesPreMergeFixture(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := DefaultConfig(b.axis)
-			cfg.K, cfg.MaxIters, cfg.Tol, cfg.Seed, cfg.Workers = 5, 12, 1e-6, 11, workers
-			m, st, err := Train(data, b.axis, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, pair := range map[string][2][]float64{
-				"theta": {m.theta, want.Theta}, "phi": {m.phi, want.Phi},
-				"background": {m.background, want.Background}, "log-likelihood": {st.LogLikelihood, want.LogLikelihood},
-			} {
-				if !bitsEqual(pair[0], pair[1]) {
-					t.Errorf("%s: %s differs from the pre-merge fixture", label, name)
+			var m *Model
+			for _, workers := range []int{1, 2, 3, 8} {
+				label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
+				cfg := DefaultConfig(b.axis)
+				cfg.K, cfg.MaxIters, cfg.Tol, cfg.Seed, cfg.Workers = 5, 12, 1e-6, 11, workers
+				var st model.TrainStats
+				if m, st, err = trainSharded(data, b.axis, cfg, shards); err != nil {
+					t.Fatal(err)
+				}
+				for name, pair := range map[string][2][]float64{
+					"theta": {m.theta, want.Theta}, "phi": {m.phi, want.Phi},
+					"background": {m.background, want.Background}, "log-likelihood": {st.LogLikelihood, want.LogLikelihood},
+				} {
+					if !bitsEqual(pair[0], pair[1]) {
+						t.Errorf("%s: %s differs from the pre-merge fixture", label, name)
+					}
 				}
 			}
 			scores := make([]float64, m.NumItems())
@@ -304,7 +310,7 @@ func TestMatchesPreMergeFixture(t *testing.T) {
 					m.ScoreAll(u, tt, scores)
 					for v := range scores {
 						if math.Abs(scores[v]-m.Score(u, tt, v)) > 1e-12 {
-							t.Fatalf("%s: ScoreAll(%d,%d)[%d] = %v, Score = %v", label, u, tt, v, scores[v], m.Score(u, tt, v))
+							t.Fatalf("shards=%d: ScoreAll(%d,%d)[%d] = %v, Score = %v", shards, u, tt, v, scores[v], m.Score(u, tt, v))
 						}
 					}
 				}

@@ -28,7 +28,6 @@ package tcam
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"tcam/internal/cuboid"
 	"tcam/internal/model"
@@ -52,8 +51,6 @@ type Config struct {
 	// under which training stops early.
 	MaxIters int
 	Tol      float64
-	// MaxWall optionally bounds training wall-clock time (0 = no budget).
-	MaxWall time.Duration
 	// Seed drives the random initialization.
 	Seed int64
 	// Workers caps E-step goroutines; non-positive means GOMAXPROCS. It

@@ -21,7 +21,6 @@ func Train(data *cuboid.Cuboid, cfg Config) (*Model, model.TrainStats, error) {
 	stats, err := train.Run(tr, train.Config{
 		MaxIters:   cfg.MaxIters,
 		Tol:        cfg.Tol,
-		MaxWall:    cfg.MaxWall,
 		Shards:     cfg.Shards,
 		Workers:    cfg.Workers,
 		Checkpoint: cfg.Checkpoint,

@@ -11,9 +11,9 @@ package train
 // globals held fixed — the property the fold-in fixture tests pin down.
 //
 // The driver below deliberately reuses the exact accumulator/shard
-// machinery of Run: the same shardRanges arithmetic, the same
-// NewAccum/Reset/EStep/Merge cycle in the same ascending merge order,
-// executed by the same worker pool. Fold-in is not a second EM
+// machinery of Run: newAccums' shard arithmetic and runShards'
+// Reset/EStep/Merge cycle in the same ascending merge order, executed
+// by the same worker pool. Fold-in is not a second EM
 // implementation; it is the batch engine pointed at a sub-range with
 // the global M-step replaced by a user-range one.
 
@@ -63,25 +63,11 @@ func FoldIn(f UserFolder, lo, hi int, cfg FoldInConfig) ([]float64, error) {
 	if hi == lo {
 		return nil, errors.New("train: empty fold-in user range")
 	}
-	ranges := shardRanges(hi-lo, cfg.Shards)
-	accums := make([]Accum, len(ranges))
-	for i, r := range ranges {
-		accums[i] = f.NewAccum(i, lo+r.Lo, lo+r.Hi)
-	}
+	accums := newAccums(f, lo, hi-lo, cfg.Shards)
 	workers := model.Workers(cfg.Workers)
-	if workers > len(accums) {
-		workers = len(accums)
-	}
 	lls := make([]float64, 0, cfg.Iters)
 	for iter := 0; iter < cfg.Iters; iter++ {
-		for _, a := range accums {
-			a.Reset()
-		}
-		runShards(f, accums, workers)
-		for i := 1; i < len(accums); i++ {
-			accums[0].Merge(accums[i])
-		}
-		lls = append(lls, f.FoldStep(accums[0], lo, hi))
+		lls = append(lls, f.FoldStep(runShards(f, accums, workers), lo, hi))
 	}
 	return lls, nil
 }

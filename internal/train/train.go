@@ -1,16 +1,17 @@
-// Package train is the EM training engine behind internal/model/tcam:
-// ITCAM and TTCAM training and user fold-in run their iteration loop
-// through Run and FoldIn. The loop has the MapReduce shape the paper
-// notes in Section 3.2.3 — user-sharded E-steps (map), an ordered
-// accumulator merge (reduce), one M-step — and the engine owns
-// everything about it that is not model math:
+// Package train is the one EM training engine. Its clients are
+// internal/model/tcam's batch training (Run over users), its streaming
+// fold-in (FoldIn over the new users) and internal/model/plsa's UT and
+// TT baselines (Run over documents) — all six EM methods of Section 5.2
+// iterate here. The loop has the MapReduce shape the paper notes in
+// Section 3.2.3 — user-sharded E-steps (map), an ordered accumulator
+// merge (reduce), one M-step — and the engine owns everything about it
+// that is not model math:
 //
 //   - the iteration driver — deterministic user-range sharding, a worker
 //     pool executing shards, and an ordered accumulator merge, so the
 //     learned parameters are bit-identical for any worker count;
-//   - one convergence policy — MaxIters, a relative log-likelihood
-//     tolerance, and an optional wall-clock budget — applied uniformly
-//     to every variant;
+//   - one convergence policy — MaxIters and a relative log-likelihood
+//     tolerance — applied uniformly to every client;
 //   - checkpoint/resume — full parameter snapshots through
 //     internal/atomicfile that resume to parameters bit-identical to an
 //     uninterrupted run;
@@ -143,10 +144,6 @@ type Config struct {
 	// training stops early; 0 disables the early stop (the run always
 	// burns MaxIters), negative is invalid.
 	Tol float64
-	// MaxWall optionally bounds the run's wall-clock time; after any
-	// iteration that exceeds it the engine checkpoints (when enabled)
-	// and stops with StopReason "wall-clock". 0 means no budget.
-	MaxWall time.Duration
 	// Shards is the deterministic user-range shard count (0 means
 	// DefaultShards). It — not Workers — fixes the floating-point
 	// summation grouping, so two runs agree bit-for-bit exactly when
@@ -170,9 +167,6 @@ func (c Config) validate() error {
 	if c.Tol < 0 {
 		return fmt.Errorf("train: negative Tol %v", c.Tol)
 	}
-	if c.MaxWall < 0 {
-		return fmt.Errorf("train: negative MaxWall %v", c.MaxWall)
-	}
 	return c.Checkpoint.validate()
 }
 
@@ -194,15 +188,21 @@ func shardCount(configured, n int) int {
 	return s
 }
 
-// shardRange is one contiguous user range [Lo, Hi).
-type shardRange struct{ Lo, Hi int }
+// sharded is the surface batch training (Trainable) and fold-in
+// (UserFolder) share: the shard machinery below needs only this much.
+type sharded interface {
+	NewAccum(shard, lo, hi int) Accum
+	EStep(a Accum)
+}
 
-// shardRanges cuts [0, n) into shardCount's contiguous ranges of
-// ceil(n/shards) users.
-func shardRanges(n, shards int) []shardRange {
-	var out []shardRange
-	model.CutRanges(n, shardCount(shards, n), func(_, lo, hi int) {
-		out = append(out, shardRange{Lo: lo, Hi: hi})
+// newAccums cuts the n users from base on into shardCount's contiguous
+// ranges of ceil(n/shards) and allocates each range's accumulator, in
+// ascending shard order.
+func newAccums(t sharded, base, n, shards int) []Accum {
+	shards = shardCount(shards, n)
+	out := make([]Accum, 0, shards)
+	model.CutRanges(n, shards, func(i, lo, hi int) {
+		out = append(out, t.NewAccum(i, base+lo, base+hi))
 	})
 	return out
 }
@@ -241,30 +241,15 @@ func Run(t Trainable, cfg Config) (model.TrainStats, error) {
 		}
 	}
 
-	ranges := shardRanges(n, cfg.Shards)
-	accums := make([]Accum, len(ranges))
-	for i, r := range ranges {
-		accums[i] = t.NewAccum(i, r.Lo, r.Hi)
-	}
+	accums := newAccums(t, 0, n, cfg.Shards)
 	workers := model.Workers(cfg.Workers)
-	if workers > len(accums) {
-		workers = len(accums)
-	}
-
-	start := time.Now()
 	for iter := startIter; iter < cfg.MaxIters; iter++ {
 		eStart := time.Now()
-		for _, a := range accums {
-			a.Reset()
-		}
-		runShards(t, accums, workers)
-		for i := 1; i < len(accums); i++ {
-			accums[0].Merge(accums[i])
-		}
+		merged := runShards(t, accums, workers)
 		eDur := time.Since(eStart)
 
 		mStart := time.Now()
-		ll := t.MStep(accums[0])
+		ll := t.MStep(merged)
 		mDur := time.Since(mStart)
 
 		var rel float64
@@ -295,10 +280,6 @@ func Run(t Trainable, cfg Config) (model.TrainStats, error) {
 				return stats, err
 			}
 		}
-		if cfg.MaxWall > 0 && time.Since(start) >= cfg.MaxWall {
-			stats.StopReason = model.StopWallClock
-			break
-		}
 	}
 	if stats.StopReason == "" {
 		stats.StopReason = model.StopMaxIters
@@ -306,30 +287,30 @@ func Run(t Trainable, cfg Config) (model.TrainStats, error) {
 	return stats, nil
 }
 
-// eStepper is the E-step surface shared by batch training (Trainable)
-// and fold-in (UserFolder): runShards only needs this much.
-type eStepper interface {
-	EStep(a Accum)
-}
-
-// runShards executes the E-step of every accumulator across the worker
-// pool. Each shard writes only its own accumulator (plus disjoint
-// user-sharded rows of any state the Trainable shares between them), so
-// execution order is irrelevant; determinism comes from the ordered
-// merge afterwards.
-func runShards(t eStepper, accums []Accum, workers int) {
-	if len(accums) == 0 {
-		return
+// runShards is one iteration's map and reduce: it resets every
+// accumulator, executes the E-step of each across the worker pool
+// (never more goroutines than shards) and returns the first with the
+// rest folded into it. Each shard writes only its own accumulator (plus
+// disjoint user-sharded rows of any state the model shares between
+// them), so execution order is irrelevant; determinism comes from the
+// merge, always in ascending shard order.
+func runShards(t sharded, accums []Accum, workers int) Accum {
+	for _, a := range accums {
+		a.Reset()
 	}
 	if workers <= 1 || len(accums) == 1 {
 		for _, a := range accums {
 			t.EStep(a)
 		}
-		return
+	} else {
+		model.ParallelRanges(len(accums), workers, func(_, lo, hi int) {
+			for s := lo; s < hi; s++ {
+				t.EStep(accums[s])
+			}
+		})
 	}
-	model.ParallelRanges(len(accums), workers, func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			t.EStep(accums[s])
-		}
-	})
+	for _, a := range accums[1:] {
+		accums[0].Merge(a)
+	}
+	return accums[0]
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tcam/internal/model"
 )
@@ -69,18 +68,22 @@ func (m *fakeModel) DecodeParams(r io.Reader) error {
 	return gob.NewDecoder(r).Decode(&m.steps)
 }
 
-// slowModel burns wall time per iteration so the budget trips.
-type slowModel struct{ fakeModel }
-
-func (m *slowModel) MStep(merged Accum) float64 {
-	time.Sleep(5 * time.Millisecond)
-	return m.fakeModel.MStep(merged)
-}
-
 // plainModel is a Trainable without checkpoint support.
 type plainModel struct{ fakeModel }
 
 func (m *plainModel) EncodeParams() {} // shadow away the interface
+
+// shardRange is one contiguous user range [Lo, Hi); shardRanges lists
+// the ranges newAccums hands a model's NewAccum, in shard order.
+type shardRange struct{ Lo, Hi int }
+
+func shardRanges(n, shards int) []shardRange {
+	var out []shardRange
+	for _, a := range newAccums(newFakeModel(n), 0, n, shards) {
+		out = append(out, shardRange{a.(*fakeAccum).lo, a.(*fakeAccum).hi})
+	}
+	return out
+}
 
 func TestShardRanges(t *testing.T) {
 	cases := []struct {
@@ -208,26 +211,11 @@ func TestRunHookOrder(t *testing.T) {
 	}
 }
 
-func TestRunWallClockBudget(t *testing.T) {
-	m := &slowModel{*newFakeModel(10)}
-	stats, err := Run(m, Config{MaxIters: 1000, MaxWall: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.StopReason != model.StopWallClock {
-		t.Fatalf("StopReason = %q, want wall-clock", stats.StopReason)
-	}
-	if stats.Iterations() >= 1000 {
-		t.Fatal("wall-clock budget never tripped")
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	m := newFakeModel(10)
 	for name, cfg := range map[string]Config{
 		"zero iters":         {MaxIters: 0},
 		"negative tol":       {MaxIters: 1, Tol: -1},
-		"negative wall":      {MaxIters: 1, MaxWall: -time.Second},
 		"resume without dir": {MaxIters: 1, Checkpoint: CheckpointConfig{Resume: true}},
 	} {
 		if _, err := Run(m, cfg); err == nil {

@@ -16,8 +16,8 @@
 #            warm and multi-epoch Zipf runs) and one /recommend through
 #            a coordinator over 1, 2 and 4 live shard servers
 #   train    one full EM iteration per TCAM variant, serial and
-#            sharded-parallel (cells/s is the headline), plus cuboid
-#            construction
+#            sharded-parallel, and per UT/TT baseline on a wide catalog
+#            (cells/s is the headline), plus cuboid construction
 #   ingest   log append (single fsync'd record and 128-record batch),
 #            replay, the updater cycle at batch size 1 and over
 #            256-event batches behind 1k/8k/32k events of history, and
@@ -91,6 +91,7 @@ query)
 train)
     run_bench ./internal/model/tcam/ 'BenchmarkEMIteration$'
     run_bench ./internal/model/tcam/ 'BenchmarkEMIterationParallel$' -cpu 1,2
+    run_bench ./internal/model/plsa/ 'BenchmarkPLSAIteration$'
     run_bench ./internal/cuboid/ 'BenchmarkCuboidBuild$|BenchmarkScaled$|BenchmarkSubset$'
     ;;
 ingest)

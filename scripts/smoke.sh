@@ -21,6 +21,7 @@ fuzz() {
 }
 fuzz ./internal/api/ FuzzQueryParseForm
 fuzz ./internal/server/ FuzzQueryBodies
+fuzz ./internal/train/ FuzzCheckpointLoad
 
 for dir in examples/*/; do
     echo "go run ./$dir"
