@@ -234,16 +234,18 @@ func TestAdvanceFromInherits(t *testing.T) {
 	}
 }
 
-// depthBoot trains a TTCAM whose boot intervals each have their own
+// depthBoot trains a model whose boot intervals each have their own
 // trend: 240 users × 6 intervals × 1 200 items, the first 600 items in
 // six interest groups the users split over, the last 600 in six trend
 // groups of which interval t favours group t, popularity inside a group
-// falling off like 1/rank. Every boot θ′ row comes out peaked.
-func depthBoot(tb testing.TB) *Bundle {
+// falling off like 1/rank. Every boot θ′ row comes out peaked. idle more
+// users follow the 240 with no cells at all. cfg names the kind; its
+// K1, K2 (when it has time topics), MaxIters and Tol are set here.
+func depthBoot(tb testing.TB, cfg tcam.Config, idle int) *Bundle {
 	tb.Helper()
 	const users, intervals, items, group = 240, 6, 1200, 100
 	rng := rand.New(rand.NewSource(7))
-	b := cuboid.NewBuilder(users, intervals, items)
+	b := cuboid.NewBuilder(users+idle, intervals, items)
 	for u := 0; u < users; u++ {
 		for t := 0; t < intervals; t++ {
 			for i := 0; i < 4; i++ {
@@ -252,8 +254,10 @@ func depthBoot(tb testing.TB) *Bundle {
 			}
 		}
 	}
-	cfg := tcam.DefaultConfig()
-	cfg.K1, cfg.K2, cfg.MaxIters, cfg.Tol = 6, 6, 30, 0
+	cfg.K1, cfg.MaxIters, cfg.Tol = 6, 30, 0
+	if cfg.K2 > 0 {
+		cfg.K2 = 6
+	}
 	m, _, err := tcam.Train(b.Build(), cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -265,7 +269,7 @@ func depthBoot(tb testing.TB) *Bundle {
 		}
 		return out
 	}
-	return New(m, dataset.TimeGrid{Origin: 0, Length: 10, Num: intervals}, names("u", users), names("v", items))
+	return New(m, dataset.TimeGrid{Origin: 0, Length: 10, Num: intervals}, names("u", users+idle), names("v", items))
 }
 
 // zipfRank draws a rank in [0, n) with probability ∝ 1/(rank+1).
@@ -288,7 +292,7 @@ func zipfRank(rng *rand.Rand, n int) int {
 // Stats.ListPops stays within twice the last boot interval's, for the
 // same users and k.
 func TestLiveIntervalDepth(t *testing.T) {
-	boot := depthBoot(t)
+	boot := depthBoot(t, tcam.DefaultConfig(), 0)
 	rng := rand.New(rand.NewSource(8))
 	s := newStreamState(boot)
 	var adv *Advanced
@@ -327,5 +331,39 @@ func TestLiveIntervalDepth(t *testing.T) {
 	t.Logf("mean list pops: last boot interval %.1f, live interval %.1f", lastBoot, live)
 	if live > 2*lastBoot {
 		t.Errorf("TA pops %.1f list entries a query at the live interval, more than twice the %.1f at the last boot interval", live, lastBoot)
+	}
+}
+
+// TestFlatUserDepth is the count behind the floor list: a user with no
+// training cells keeps a flat θu, whose K1 weights tie, and TA must not
+// scan deeper for them than for a trained user. Against K1 separately
+// bounded user-topic lists such a query popped entries by the thousand;
+// the floor list carries the weight the user topics share, so at the
+// same interval and k a flat user's Stats.ListPops stays within twice
+// the trained users' mean, on both kinds.
+func TestFlatUserDepth(t *testing.T) {
+	const trained = 240 // depthBoot's users; user 240 has no cells
+	for _, kind := range []struct {
+		name string
+		cfg  tcam.Config
+	}{{"TTCAM", tcam.DefaultConfig()}, {"ITCAM", tcam.DefaultITCAMConfig()}} {
+		t.Run(kind.name, func(t *testing.T) {
+			b := depthBoot(t, kind.cfg, 1)
+			sr := b.BuildIndex().NewSearcher()
+			at := b.Grid.Num - 1
+			pops := func(u int) float64 {
+				_, st := sr.Query(b.Scorer(), u, at, 10, nil)
+				return float64(st.ListPops)
+			}
+			var mean float64
+			for u := 0; u < trained; u++ {
+				mean += pops(u) / trained
+			}
+			flat := pops(trained)
+			t.Logf("mean list pops: trained users %.1f, the user with no cells %.0f", mean, flat)
+			if flat > 2*mean {
+				t.Errorf("TA pops %.0f list entries for the user with no cells, more than twice the trained users' mean %.1f", flat, mean)
+			}
+		})
 	}
 }

@@ -55,6 +55,25 @@ func BenchmarkTAQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkTAQueryFlat is BenchmarkTAQuery for a user with no history:
+// benchSetup's topics, every one of them a user topic, under a uniform
+// query — every residual +0, so TA walks the floor list alone.
+func BenchmarkTAQueryFlat(b *testing.B) {
+	f, _ := benchSetup(b, 32, 8192)
+	flat := make([]float64, 32)
+	for z := range flat {
+		flat[z] = 1.0 / 32
+	}
+	c := allUserTopics(f, flat)
+	s := BuildIndex(c).AcquireSearcher()
+	defer s.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Query(c, 0, 0, 10, nil)
+	}
+}
+
 func BenchmarkTAQueryParallel(b *testing.B) {
 	f, ix := benchSetup(b, 32, 8192)
 	b.ReportAllocs()

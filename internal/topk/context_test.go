@@ -9,8 +9,10 @@ import (
 
 // contextModel is a hand-built model.ContextScorer: a fakeTopicModel
 // whose topics [lo, hi) a query weighs by its interval alone — TTCAM's
-// shape, topics past hi standing in for the background. With an empty
-// range it is a plain scorer that merely takes the fast path.
+// shape, topics past hi standing in for the background. Topics below lo
+// are user topics, which the index floors. With an empty range nothing
+// is collapsed: ITCAM's shape for lo > 0, and for lo = 0 a plain scorer
+// that merely takes the fast path.
 type contextModel struct {
 	*fakeTopicModel
 	lo, hi int
@@ -52,6 +54,14 @@ func (c *contextModel) Score(u, t, v int) float64 {
 
 var _ model.ContextScorer = (*contextModel)(nil)
 
+// allUserTopics is f as a model.ContextScorer that names every topic a
+// user topic — the index then holds a floor list over all of them — and
+// whose user 0 weighs them by q at its one interval.
+func allUserTopics(f *fakeTopicModel, q []float64) *contextModel {
+	k := len(f.topics)
+	return &contextModel{fakeTopicModel: f, lo: k, hi: k, omega: [][]float64{nil}, user: [][]float64{q}, gamma: []float64{0}}
+}
+
 // wantTopK is BruteForce, except for the query that gives no list a
 // weight, which TA answers with nothing (TestTAAllZeroQuery).
 func (c *contextModel) wantTopK(u, t, k int, exclude Exclude) []Result {
@@ -78,14 +88,12 @@ func tiedRow(rng *rand.Rand, v int) []float64 {
 	return row
 }
 
-// tiedContextModel is a scorer of tiedRows throughout: k1 user topics,
-// k2 context topics, tail topics after them, T intervals, v items and
-// three users.
+// tiedContextModel is a scorer of tiedRows throughout: k1 user topics
+// (the floor list's), k2 context topics, tail topics after them — with
+// no context topics, ITCAM's shape — T intervals, v items and three
+// users.
 func tiedContextModel(rng *rand.Rand, k1, k2, tail, intervals, v int) *contextModel {
-	c := &contextModel{fakeTopicModel: &fakeTopicModel{}}
-	if k2 > 0 {
-		c.lo, c.hi = k1, k1+k2
-	}
+	c := &contextModel{fakeTopicModel: &fakeTopicModel{}, lo: k1, hi: k1 + k2}
 	for z := 0; z < k1+k2+tail; z++ {
 		c.topics = append(c.topics, tiedRow(rng, v))
 	}
@@ -119,14 +127,15 @@ func contextRow(rng *rand.Rand, k2 int) []float64 {
 
 // Property: a scorer with collapsed contexts answers exactly as
 // BruteForce — items, order and score bits — over flat, one-hot, sparse
-// and empty context rows, with and without a background topic behind
-// the range, on the whole catalog and on item windows, with stream-born
-// items no topic has weight for yet, for any k, through one reused
-// searcher. BruteForce adds the context topics one by one; the index
-// bounds them by their collapsed sum, so this is the soundness test of
-// the bound's margin.
+// and empty context rows, random, uniform, ulp-perturbed and one-zero
+// user rows, with and without a background topic behind the range, on
+// the whole catalog and on item windows, with stream-born items no topic
+// has weight for yet, for any k, through one reused searcher. BruteForce
+// adds the context topics one by one and the user topics one by one; the
+// index bounds them by their collapsed sum and by the floor and the
+// residuals, so this is the soundness test of the bound's margin.
 func TestTAContextEquivalenceProperty(t *testing.T) {
-	for seed := int64(1); seed <= 300; seed++ {
+	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k1, k2, background := 1+rng.Intn(5), 1+rng.Intn(6), rng.Intn(2)
 		v, born := 5+rng.Intn(100), rng.Intn(4)
@@ -139,7 +148,9 @@ func TestTAContextEquivalenceProperty(t *testing.T) {
 			c.omega = append(c.omega, contextRow(rng, k2))
 		}
 		for u := 0; u < 4; u++ {
-			c.user = append(c.user, randomQuery(rng, k, true))
+			row := randomQuery(rng, k, true)
+			copy(row, userWeights(rng, k1))
+			c.user = append(c.user, row)
 			c.gamma = append(c.gamma, rng.Float64()*float64(rng.Intn(3)))
 		}
 		lo, hi := 0, v
@@ -226,6 +237,49 @@ func TestTAContextBoundMargin(t *testing.T) {
 		c.omega = [][]float64{flat}
 		c.user = [][]float64{make([]float64, 1+k2)}
 		c.gamma = []float64{rng.Float64()}
+		ix := BuildIndex(c)
+		for k := 1; k < v; k += 1 + rng.Intn(5) {
+			got, _ := ix.Query(c, 0, 0, k, nil)
+			want, _ := BruteForce(c, 0, 0, k, nil)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d k=%d rank %d: got %+v, want %+v", seed, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// Property: items whose user topics hold one multiset of weights in
+// different orders tie in exact arithmetic under a flat θu, and round an
+// ulp apart — differently in Score, which scales each topic by its weight
+// before adding, than in m·S_v, whose sum the floor list is sorted by.
+// The two orders then disagree about near-tied items, and only the
+// bound's margin keeps TA from stopping in front of one that Score ranks
+// in.
+func TestTAFloorBoundMargin(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k1, v := 3+rng.Intn(5), 40+rng.Intn(80)
+		f := &fakeTopicModel{}
+		for z := 0; z < k1; z++ {
+			f.topics = append(f.topics, make([]float64, v))
+		}
+		levels := make([]float64, k1)
+		for z := range levels {
+			levels[z] = rng.Float64()
+		}
+		for item := 0; item < v; item++ {
+			for z, from := range rng.Perm(k1) {
+				f.topics[z][item] = levels[from]
+			}
+		}
+		flat := make([]float64, k1)
+		w := rng.Float64()
+		for z := range flat {
+			flat[z] = w
+		}
+		c := allUserTopics(f, flat)
 		ix := BuildIndex(c)
 		for k := 1; k < v; k += 1 + rng.Intn(5) {
 			got, _ := ix.Query(c, 0, 0, k, nil)

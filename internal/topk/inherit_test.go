@@ -107,6 +107,9 @@ func assertSameIndex(t *testing.T, label string, rng *rand.Rand, c *contextModel
 			t.Fatalf("%s: context list of interval %d differs from a from-scratch build\n got %v\nwant %v", label, i, got.contexts[i], want.contexts[i])
 		}
 	}
+	if !reflect.DeepEqual(got.floor, want.floor) {
+		t.Fatalf("%s: floor list differs from a from-scratch build\n got %v\nwant %v", label, got.floor, want.floor)
+	}
 	if len(got.byItem) != len(want.byItem) || len(got.byItem32) != len(want.byItem32) {
 		t.Fatalf("%s: transposed tables sized %d/%d, want %d/%d", label,
 			len(got.byItem), len(got.byItem32), len(want.byItem), len(want.byItem32))
@@ -139,7 +142,9 @@ func assertSameIndex(t *testing.T, label string, rng *rand.Rand, c *contextModel
 // context rows or intervals, BuildIndexFrom equals BuildIndexRange on
 // the new scorer, over chains of generations. Odd seeds run a scorer
 // with collapsed contexts (TTCAM's shape, with and without a trailing
-// background topic), the rest one whose topics all keep their own list.
+// background topic), the rest one whose topics all keep their own list:
+// ITCAM's shape, user topics and a floor list, or, every other time, a
+// scorer that names no user topics and so has no floor.
 func TestBuildIndexFromMatchesBuildIndexRange(t *testing.T) {
 	for seed := int64(1); seed <= 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -152,6 +157,9 @@ func TestBuildIndexFromMatchesBuildIndexRange(t *testing.T) {
 				"refit interval", "refit interval", "opened interval")
 		}
 		c := tiedContextModel(rng, 1+rng.Intn(4), k2, rng.Intn(2), 1+rng.Intn(4), 4+rng.Intn(40))
+		if seed%4 == 0 {
+			c.lo, c.hi = 0, 0
+		}
 		// A full-catalog server's window follows the catalog; a shard's is
 		// fixed, and may stop short of or at the catalog's end.
 		lo, fixedHi := 0, -1
@@ -182,21 +190,27 @@ func TestBuildIndexFromMatchesBuildIndexRange(t *testing.T) {
 
 // TestBuildIndexFromInherits pins which lists a generation keeps. Topic
 // lists: all of them under a frozen ϕ — shared slab, copied slab, a
-// widened catalog — all but the changed one otherwise. Context lists:
-// every interval whose θ′ row stood still — the boot intervals, always —
-// but not the refit open interval, and none once a context topic moved.
-// Nothing across a moved window or from no previous index.
+// widened catalog — all but the changed one otherwise. The floor list:
+// as long as no user topic changed. Context lists: every interval whose
+// θ′ row stood still — the boot intervals, always — but not the refit
+// open interval, and none once a context topic moved. Nothing across a
+// moved window or from no previous index.
 func TestBuildIndexFromInherits(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	plain := tiedContextModel(rng, 4, 0, 0, 1, 30) // 4 topic lists
-	ctx := tiedContextModel(rng, 3, 2, 1, 4, 30)   // 3 user + 1 background topic lists, 4 contexts
-	for _, c := range []*contextModel{plain, ctx} {
+	plain := tiedContextModel(rng, 4, 0, 0, 1, 30) // 4 topic lists, no user topics named: no floor
+	plain.lo, plain.hi = 0, 0
+	item := tiedContextModel(rng, 3, 0, 2, 2, 30) // 3 user + 2 item-context topic lists, the floor
+	ctx := tiedContextModel(rng, 3, 2, 1, 4, 30)  // 3 user + 1 background topic lists, 4 contexts, the floor
+	for _, c := range []*contextModel{plain, item, ctx} {
 		if prev := BuildIndex(c); prev.ListsKept() != 0 {
 			t.Fatalf("a from-scratch index reports %d inherited lists", prev.ListsKept())
 		}
 	}
-	if got := BuildIndex(ctx).NumLists(); got != 8 {
-		t.Fatalf("3 user topics, 2 collapsed context topics, a background and 4 intervals make %d lists, want 8", got)
+	if got := BuildIndex(ctx).NumLists(); got != 9 {
+		t.Fatalf("3 user topics, 2 collapsed context topics, a background and 4 intervals make %d lists, want 9", got)
+	}
+	if got := BuildIndex(item).NumLists(); got != 6 {
+		t.Fatalf("3 user topics and 2 item contexts make %d lists, want 6", got)
 	}
 	for _, tc := range []struct {
 		c      *contextModel
@@ -210,12 +224,17 @@ func TestBuildIndexFromInherits(t *testing.T) {
 		{plain, "grown topic count", 0, -1, 4},
 		{plain, "shrunken catalog", 0, -1, 0},
 		{plain, "same", 1, -1, 0},
-		{ctx, "same", 0, -1, 8},
-		{ctx, "appended items", 0, -1, 8},
+		{item, "same", 0, -1, 6},
+		{item, "appended items", 0, -1, 6},
+		{item, "changed user topic", 0, -1, 4},
+		{item, "grown topic count", 0, -1, 6},
+		{item, "shrunken catalog", 0, -1, 0},
+		{ctx, "same", 0, -1, 9},
+		{ctx, "appended items", 0, -1, 9},
 		{ctx, "changed user topic", 0, -1, 7},
-		{ctx, "changed context topic", 0, -1, 4},
-		{ctx, "refit interval", 0, -1, 7},
-		{ctx, "opened interval", 0, -1, 8},
+		{ctx, "changed context topic", 0, -1, 5},
+		{ctx, "refit interval", 0, -1, 8},
+		{ctx, "opened interval", 0, -1, 9},
 		{ctx, "shrunken catalog", 0, -1, 0},
 		{ctx, "same", 1, -1, 0},
 	} {
@@ -230,14 +249,15 @@ func TestBuildIndexFromInherits(t *testing.T) {
 		}
 	}
 	// A change outside a shard's window costs the shard neither the
-	// topic's list nor, when it is a context topic, the contexts.
+	// topic's list nor, when it is a user topic, the floor nor, when it is
+	// a context topic, the contexts.
 	for _, z := range []int{1, ctx.lo} {
 		n := nextGeneration(rng, ctx, "same")
 		n.topics[z] = append([]float64(nil), n.topics[z]...)
 		n.topics[z][25] += 0.5
 		shard := BuildIndexRange(ctx, 5, 20)
-		if got := BuildIndexFrom(shard, n, 5, 20).ListsKept(); got != 8 {
-			t.Errorf("change to topic %d outside the window: kept %d lists, want 8", z, got)
+		if got := BuildIndexFrom(shard, n, 5, 20).ListsKept(); got != 9 {
+			t.Errorf("change to topic %d outside the window: kept %d lists, want 9", z, got)
 		}
 	}
 }
@@ -308,7 +328,7 @@ func assertBruteForce(t *testing.T, label string, rng *rand.Rand, c *contextMode
 // interval's are the previous generation's storage. Under item contexts
 // the live interval's topic weighs the new items, so its list and the
 // tables take the copying path every time while the other topics' lists
-// are still shared.
+// and the floor are still shared.
 func TestBuildIndexFromAcrossSpareRoom(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -316,11 +336,11 @@ func TestBuildIndexFromAcrossSpareRoom(t *testing.T) {
 		itemContexts bool
 		wantShared   int // lists shared, at least, in a link where those of the first layout find room
 	}{
-		{name: "TTCAM", k2: 3, wantShared: 3 + 1},
-		{name: "TTCAM+background", k2: 3, tail: 1, wantShared: 3 + 1 + 1},
-		{name: "TTCAM window", k2: 2, tail: 1, lo: 7, wantShared: 3 + 1 + 1},
-		{name: "ITCAM", tail: 2, itemContexts: true, wantShared: 3 + 1},
-		{name: "ITCAM window", tail: 2, lo: 5, itemContexts: true, wantShared: 3 + 1},
+		{name: "TTCAM", k2: 3, wantShared: 3 + 1 + 1},
+		{name: "TTCAM+background", k2: 3, tail: 1, wantShared: 3 + 1 + 1 + 1},
+		{name: "TTCAM window", k2: 2, tail: 1, lo: 7, wantShared: 3 + 1 + 1 + 1},
+		{name: "ITCAM", tail: 2, itemContexts: true, wantShared: 3 + 1 + 1},
+		{name: "ITCAM window", tail: 2, lo: 5, itemContexts: true, wantShared: 3 + 1 + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
@@ -347,10 +367,11 @@ func TestBuildIndexFromAcrossSpareRoom(t *testing.T) {
 }
 
 // TestZeroTailSharesStorage: a generation whose new items weigh +0
-// everywhere is the previous one's lists and tables one reslice longer
-// — the same arrays — once a growing build has left room; an item with
-// weight under one topic costs that topic's list and the tables a copy
-// and the other lists nothing. A boot index has no room to share.
+// everywhere is the previous one's lists, floor list included, and
+// tables one reslice longer — the same arrays — once a growing build has
+// left room; an item with weight under one user topic costs that topic's
+// list, the floor and the tables a copy and the other lists nothing. A
+// boot index has no room to share.
 func TestZeroTailSharesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c := tiedContextModel(rng, 3, 2, 1, 3, 30)
@@ -381,6 +402,9 @@ func TestZeroTailSharesStorage(t *testing.T) {
 			t.Errorf("zero tail: context list of interval %d was copied", at)
 		}
 	}
+	if &next.floor.items[0] != &first.floor.items[0] || &next.floor.weights[0] != &first.floor.weights[0] {
+		t.Error("zero tail: the floor list was copied")
+	}
 	if &next.byItem[0] != &first.byItem[0] || &next.byItem32[0] != &first.byItem32[0] || !next.TablesShared() {
 		t.Error("zero tail: the transposed tables were copied")
 	}
@@ -394,7 +418,8 @@ func TestZeroTailSharesStorage(t *testing.T) {
 	weighed.topics[1][zero.NumItems()-2] = 0.25
 	next = BuildIndexFrom(first, &weighed, 0, weighed.NumItems())
 	assertSameIndex(t, "weighed tail", rng, &weighed, next, BuildIndex(&weighed))
-	if sameStorage(next, first, 1) || &next.byItem[0] == &first.byItem[0] || &next.byItem32[0] == &first.byItem32[0] || next.TablesShared() {
+	if sameStorage(next, first, 1) || &next.floor.items[0] == &first.floor.items[0] ||
+		&next.byItem[0] == &first.byItem[0] || &next.byItem32[0] == &first.byItem32[0] || next.TablesShared() {
 		t.Error("weighed tail: a list or table with a new non-zero entry shares the previous generation's storage")
 	}
 	for _, z := range []int{0, 2, 5} {

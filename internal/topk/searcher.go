@@ -20,9 +20,10 @@ import (
 // copy them (Index.Query and Index.QueryBatch do).
 type Searcher struct {
 	ix *Index
-	// The lists the current query walks, in expanded-topic order: every
-	// topic list with a positive weight, the interval's collapsed context
-	// among them where the context topics would be.
+	// The lists the current query walks: the floor list, then in
+	// expanded-topic order every topic list with a positive weight, the
+	// interval's collapsed context among them where the context topics
+	// would be.
 	slots []slot
 
 	seen    []uint32  // epoch stamps: seen[v] == epoch ⇔ v examined
@@ -130,7 +131,8 @@ func (s *Searcher) open(l list, w float64) {
 // possible score of any unexamined item, aggregating each walked list's
 // current head weight — inflated by the index's bound margin, because
 // Score adds the context topics one by one where this adds their
-// collapsed sum. The hot path maintains the plain sum incrementally and
+// collapsed sum, and adds the user topics where this adds the floor and
+// the residuals. The hot path maintains the plain sum incrementally and
 // only calls the exact recompute to confirm termination.
 //
 //tcam:hotpath
@@ -194,10 +196,24 @@ func (s *Searcher) search(query []float64, t int, context float64, k int, exclud
 	}
 
 	// Exhausted or zero-weight lists get no slot: they are in neither
-	// the priority queue nor the threshold.
+	// the priority queue nor the threshold. The user topics' least weight
+	// m walks the floor list and each user topic's list only what its
+	// weight has above m: Σ w_z·ϕ_zv = m·S_v + Σ (w_z − m)·ϕ_zv, every
+	// term non-negative, so the heads still bound every unseen item. A
+	// flat θu leaves each residual exactly +0, and those lists never open.
 	s.slots = s.slots[:0]
+	m := 0.0
+	if ix.ctxLo > 0 {
+		m = query[0]
+		for _, w := range query[1:ix.ctxLo] {
+			if w < m {
+				m = w
+			}
+		}
+		s.open(ix.floor, m)
+	}
 	for z := 0; z < ix.ctxLo; z++ {
-		s.open(ix.lists[z], query[z])
+		s.open(ix.lists[z], query[z]-m)
 	}
 	if len(ix.contexts) > 0 {
 		s.open(ix.contexts[t], context)

@@ -86,7 +86,9 @@ func BruteForce(r model.Recommender, u, t, k int, exclude Exclude) ([]Result, St
 // topic, except that the topics a model.ContextScorer weighs by the
 // interval alone are replaced by one collapsed list per interval,
 // sorted by Σ_x ω_t[x]·ϕ_x,v: the sum itself, not the sum of K2 heads,
-// bounds the context half of an unseen item's score. The table is dual:
+// bounds the context half of an unseen item's score. Such a scorer's
+// index also holds a floor list, sorted by Σ_z ϕ_zv over the user
+// topics, that carries the weight those topics share. The table is dual:
 // an exact float64 copy (byItem) answers the confirm step, and a
 // quantized float32 copy (byItem32) feeds the screening scan that
 // filters candidates at half the memory traffic; both keep the full
@@ -103,9 +105,14 @@ type Index struct {
 
 	// lists[z] is expanded topic z's list, empty for the context topics
 	// [ctxLo, ctxHi), which contexts[t] — interval t's collapsed list —
-	// stands in for.
+	// stands in for. floor, held when a model.ContextScorer names user
+	// topics (ctxLo > 0), is sorted by S_v = Σ_{z<ctxLo} ϕ_zv: a query
+	// walks it with the least user-topic weight m and each user-topic
+	// list with what its weight has above m, so a flat θu opens one list,
+	// not K1.
 	lists        []list
 	contexts     []list
+	floor        list
 	ctxLo, ctxHi int
 
 	// topics[z] is the scorer's whole-catalog weight slab of topic z and
@@ -190,9 +197,11 @@ func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
 // function of ω_t and the context topics' slabs, each term computed per
 // item, so it is unchanged exactly when those are — which is read off
 // the slab comparison every topic gets anyway, once per build, plus T
-// short rows. The choice is made from the weights alone: a frozen ϕ
-// keeps every topic list and every context whose θ′ row stood still
-// across publishes; the refit open interval re-sorts its one list.
+// short rows. The floor list's weights are a per-item sum of the user
+// topics' slabs, so it is unchanged exactly when all of those are. The
+// choice is made from the weights alone: a frozen ϕ keeps every topic
+// list, the floor and every context whose θ′ row stood still across
+// publishes; the refit open interval re-sorts its one list.
 //
 // Work parallelizes in passes: the slab comparisons and then the lists
 // fan out one per task, and the ϕ transpose fans out over item ranges
@@ -219,7 +228,8 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 		screenEps:   1e-35,
 		// More than twice the analytic bound (3K+4)·2⁻⁵³ on how far
 		// rounding can lift an unseen item's Score above a threshold that
-		// sums the context half in another grouping.
+		// sums the context half and the floored user half in other
+		// groupings.
 		boundScale: 1 + float64(k+8)*0x1p-50,
 	}
 	for z := 0; z < k; z++ {
@@ -261,8 +271,16 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	for _, ok := range same[ix.ctxLo:ix.ctxHi] {
 		ctxSame = ctxSame && ok
 	}
-	// One task per list: the topics, then the contexts.
-	kept := make([]bool, k+len(ix.contexts))
+	floorSame := prev != nil // every user topic's weights are prev's
+	for _, ok := range same[:ix.ctxLo] {
+		floorSame = floorSame && ok
+	}
+	// One task per list: the topics, the contexts, then the floor.
+	lists := k + len(ix.contexts)
+	if ix.ctxLo > 0 {
+		lists++
+	}
+	kept := make([]bool, lists)
 	shared := make([]bool, len(kept))
 	model.ParallelRanges(len(kept), workers, func(_, jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
@@ -275,6 +293,11 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 				} else {
 					ix.lists[j] = sortedList(ix.topics[j][lo:hi], 0, spare)
 				}
+			case t == len(ix.contexts) && floorSame:
+				kept[j] = true
+				ix.floor, shared[j] = extend(prev.floor, ix.floorWeights(lo+head, hi), spare)
+			case t == len(ix.contexts):
+				ix.floor = sortedList(ix.floorWeights(lo, hi), 0, spare)
 			case ctxSame && t < len(prev.contexts) && sameBits(prev.ctxWeights[t], ix.ctxWeights[t]):
 				kept[j] = true
 				ix.contexts[t], shared[j] = extend(prev.contexts[t], ix.collapse(t, lo+head, hi), spare)
@@ -340,6 +363,19 @@ func (ix *Index) collapse(t, from, to int) []float64 {
 		if w > 0 {
 			train.AddScaled(sum, w, ix.topics[ix.ctxLo+x][from:to])
 		}
+	}
+	return sum
+}
+
+// floorWeights returns the floor list's weights S_v = Σ_{z<ctxLo} ϕ_zv
+// of the catalog items [from, to): the user topics added in ascending
+// order, each item on its own — so, like a collapse, any sub-range of it
+// is the floor weights of the sub-range, and items no user topic weighs
+// get +0.
+func (ix *Index) floorWeights(from, to int) []float64 {
+	sum := make([]float64, to-from)
+	for _, weights := range ix.topics[:ix.ctxLo] {
+		train.MergeInto(sum, weights[from:to])
 	}
 	return sum
 }
@@ -458,8 +494,9 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// ListsKept returns how many of the index's sorted lists were inherited
-// from the previous generation's index (0 for a BuildIndexRange index).
+// ListsKept returns how many of the index's sorted lists, the floor list
+// among them, were inherited from the previous generation's index (0 for
+// a BuildIndexRange index).
 func (ix *Index) ListsKept() int { return ix.kept }
 
 // ListsShared returns how many of the inherited lists are the previous
@@ -472,9 +509,15 @@ func (ix *Index) ListsShared() int { return ix.shared }
 func (ix *Index) TablesShared() bool { return ix.tableShared }
 
 // NumLists returns how many sorted lists the index holds: one per
-// expanded topic outside the collapsed range plus one per interval
-// context.
-func (ix *Index) NumLists() int { return ix.numTopics - (ix.ctxHi - ix.ctxLo) + len(ix.contexts) }
+// expanded topic outside the collapsed range, one per interval context,
+// and the floor list when there are user topics to floor.
+func (ix *Index) NumLists() int {
+	n := ix.numTopics - (ix.ctxHi - ix.ctxLo) + len(ix.contexts)
+	if ix.ctxLo > 0 {
+		n++
+	}
+	return n
+}
 
 // ItemRange returns the global [lo, hi) item window the index covers.
 // A BuildIndex index reports the whole catalog.

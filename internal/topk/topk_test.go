@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -238,16 +239,60 @@ func TestQueryPanicsOnMismatchedIndex(t *testing.T) {
 	queryWith(ix, f, []float64{1, 0}, 3, nil)
 }
 
-// Property: for random models, random (possibly sparse) queries, random
-// k and random exclusions, TA returns exactly the brute-force top-k.
+// userWeights draws query weights of the shapes the floor list meets: a
+// random sparse row (a trained θu), an exactly uniform one (a user with
+// no history: every residual is +0), a uniform one with entries an ulp
+// off (the floor carries almost everything, the residual lists next to
+// nothing) and a uniform one but for a zero (the floor does not open).
+func userWeights(rng *rand.Rand, k int) []float64 {
+	shape := rng.Intn(4)
+	if shape == 0 || (shape == 3 && k == 1) {
+		return randomQuery(rng, k, true)
+	}
+	q := make([]float64, k)
+	w := 1 / float64(k)
+	for z := range q {
+		q[z] = w
+	}
+	switch shape {
+	case 2:
+		for z := range q {
+			switch rng.Intn(3) {
+			case 0:
+				q[z] = math.Nextafter(w, 0)
+			case 1:
+				q[z] = math.Nextafter(w, 1)
+			}
+		}
+	case 3:
+		q[rng.Intn(k)] = 0
+	}
+	return q
+}
+
+// Property: for random models, random, uniform, ulp-perturbed and
+// one-zero queries, random k, random exclusions and random item windows,
+// TA returns exactly the brute-force top-k — items, order and score
+// bits — whether the scorer is a plain one, whose every topic has its own
+// list, or names all its topics user topics and so walks a floor list.
 func TestTAEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		kTopics := rng.Intn(8) + 1
 		v := rng.Intn(120) + 5
 		fm := randomModel(rng, kTopics, v)
-		fm.queries[[2]int{0, 0}] = randomQuery(rng, kTopics, true)
-		ix := BuildIndex(fm)
+		q := userWeights(rng, kTopics)
+		fm.queries[[2]int{0, 0}] = q
+		var scorer model.TopicScorer = fm
+		if rng.Intn(2) == 0 {
+			scorer = allUserTopics(fm, q)
+		}
+		lo, hi := 0, v
+		if rng.Intn(2) == 0 {
+			lo = rng.Intn(v)
+			hi = lo + rng.Intn(v-lo+1)
+		}
+		ix := BuildIndexRange(scorer, lo, hi)
 		k := rng.Intn(v+3) + 1
 		var ex Exclude
 		if rng.Float64() < 0.5 {
@@ -257,22 +302,19 @@ func TestTAEquivalenceProperty(t *testing.T) {
 			}
 			ex = func(item int) bool { return banned[item] }
 		}
-		ta, _ := ix.Query(fm, 0, 0, k, ex)
-		bf, _ := BruteForce(fm, 0, 0, k, ex)
+		ta, _ := ix.Query(scorer, 0, 0, k, ex)
+		bf, _ := BruteForce(scorer, 0, 0, k, windowExclude(lo, hi, ex))
 		if len(ta) != len(bf) {
 			return false
 		}
 		for i := range ta {
-			if ta[i].Item != bf[i].Item {
-				return false
-			}
-			if d := ta[i].Score - bf[i].Score; d > 1e-10 || d < -1e-10 {
+			if ta[i].Item != bf[i].Item || math.Float64bits(ta[i].Score) != math.Float64bits(bf[i].Score) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -11,10 +11,11 @@
 # "value unit" pair go test printed (B/op, allocs/op, cells/s, events/s,
 # hit_rate, epochs, ...) is keyed by its unit as printed.
 #
-#   query    TA query / index build / batch, the HTTP handlers, the
-#            result cache (hit, miss, put, hot-user sketch; uncached,
-#            warm and multi-epoch Zipf runs) and one /recommend through
-#            a coordinator over 1, 2 and 4 live shard servers
+#   query    TA query (trained and flat user) / index build / batch,
+#            the HTTP handlers, the result cache (hit, miss, put,
+#            hot-user sketch; uncached, warm and multi-epoch Zipf runs)
+#            and one /recommend through a coordinator over 1, 2 and 4
+#            live shard servers
 #   train    one full EM iteration per TCAM variant, serial and
 #            sharded-parallel, and per UT/TT baseline on a wide catalog
 #            (cells/s is the headline), plus cuboid construction
@@ -81,7 +82,7 @@ run)
     exit 0
     ;;
 query)
-    run_bench ./internal/topk/ 'BenchmarkTAQuery$|BenchmarkTAQueryParallel$|BenchmarkBuildIndex$'
+    run_bench ./internal/topk/ 'BenchmarkTAQuery$|BenchmarkTAQueryFlat$|BenchmarkTAQueryParallel$|BenchmarkBuildIndex$'
     run_bench ./internal/topk/ 'BenchmarkQueryBatch$' -cpu 1,2
     run_bench ./internal/server/ 'BenchmarkServerRecommend$|BenchmarkServerRecommendExclude$|BenchmarkServerRecommendBatch$'
     run_bench ./internal/rescache/ 'BenchmarkCacheHit$|BenchmarkCacheMiss$|BenchmarkCachePut$|BenchmarkHotObserve$'

@@ -5,7 +5,8 @@
 # unmeasured:
 #
 #   1. the pooled TA searcher must report 0 allocs/op at steady state,
-#      single-threaded and under parallel pool churn;
+#      single-threaded, for a flat query that walks the floor list, and
+#      under parallel pool churn;
 #   2. the serial EM iteration benchmarks must stay allocation-free for
 #      every TCAM variant (the Parallel variant is exempt — fanning
 #      shards across workers allocates the closure and goroutines);
@@ -21,9 +22,10 @@
 #      behind 1k: a publish inherits from the previous generation
 #      instead of growing with the log (DESIGN.md §15), and the queries
 #      it triggers scan no deeper at a stream-opened interval than at a
-#      trained one (DESIGN.md §6), which
-#   7. TestLiveIntervalDepth asserts in list pops, not nanoseconds, so
-#      the regression cannot hide on a noisy host;
+#      trained one, nor for a user with no history than for a trained
+#      one (DESIGN.md §6), which
+#   7. TestLiveIntervalDepth and TestFlatUserDepth assert in list pops,
+#      not nanoseconds, so the regression cannot hide on a noisy host;
 #   8. the same 32k step must allocate at most 6 MB — half of the
 #      11.5 MB/op it cost while every item-indexed table was laid out
 #      anew per publish (about 4.6 MB/op over these 8 steps now,
@@ -54,7 +56,7 @@ zero_allocs() {
     fi
 }
 
-zero_allocs "pooled-searcher benchmark" 200x ./internal/topk/ 'BenchmarkTAQuery$|BenchmarkTAQueryParallel$'
+zero_allocs "pooled-searcher benchmark" 200x ./internal/topk/ 'BenchmarkTAQuery$|BenchmarkTAQueryFlat$|BenchmarkTAQueryParallel$'
 zero_allocs "result-cache hit path" 200x ./internal/rescache/ 'BenchmarkCacheHit$|BenchmarkHotObserve$'
 zero_allocs "serial EM iteration" 3x ./internal/model/tcam/ 'BenchmarkEMIteration$'
 
@@ -90,7 +92,7 @@ if ! echo "$coord_out" | awk '
     exit 1
 fi
 
-go test -run 'TestLiveIntervalDepth$' -count=1 ./internal/index/
+go test -run 'TestLiveIntervalDepth$|TestFlatUserDepth$' -count=1 ./internal/index/
 go test -run 'TestPublishBytesAreDelta$' -count=1 ./internal/server/
 go test -run 'TestZeroTailSharesStorage$|TestBuildIndexFromAcrossSpareRoom$' -count=1 ./internal/topk/
 echo "bench_smoke.sh: OK"

@@ -22,6 +22,7 @@ fuzz() {
 fuzz ./internal/api/ FuzzQueryParseForm
 fuzz ./internal/api/ FuzzShardPartial
 fuzz ./internal/server/ FuzzQueryBodies
+fuzz ./internal/topk/ FuzzTAMatchesBruteForce
 fuzz ./internal/train/ FuzzCheckpointLoad
 
 for dir in examples/*/; do
