@@ -61,9 +61,10 @@ func (w warmStats) popsPerUser() float64 {
 
 // precompute warms a not-yet-published generation's epoch with the
 // default-shaped answers (k absent, no excludes, the live interval —
-// where read traffic lands) of the hottest users, their /recommend
-// bodies included, so by the time any request can name the new epoch
-// its hot entries exist and a hit on one is a single write. A faultinject
+// where read traffic lands) of the hottest users, so by the time any
+// request can name the new epoch its hot entries exist and hit. A warmed
+// entry carries no /recommend body: its first hit renders and promotes
+// one, like any entry's (Scratch.body). A faultinject
 // abort leaves a partial warm set — the rest simply miss into the TA —
 // and never blocks the publish itself.
 func (s *Server) precompute(sn *Generation) warmStats {
@@ -84,7 +85,7 @@ func (s *Server) precompute(sn *Generation) warmStats {
 		// resolve + search, not Answer: warming must neither count as a
 		// miss nor feed the sketch it ranks by.
 		if err := sc.resolve(&q); err == nil {
-			_, st := sc.search(true)
+			_, st := sc.search()
 			warm.users++
 			warm.listPops += st.ListPops
 		}

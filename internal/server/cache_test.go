@@ -85,9 +85,10 @@ func cachedEntry(t *testing.T, srv *Server, target string) (Answer, bool) {
 // server answers with the uncached server's status, headers and bytes
 // at every point an entry's body goes through — the miss that inserts
 // it bare, the first hit that renders and keeps its body, a hit that
-// only writes the kept body, and the first hit after a publish, warmed
-// or not — and then under a random workload (users, times, k, exclude
-// lists — including duplicates and unknown items) across two epochs.
+// only writes the kept body, and the first hit after a publish, on a
+// warmed (bare) entry or not — and then under a random workload (users,
+// times, k, exclude lists — including duplicates and unknown items)
+// across two epochs.
 func TestCacheHitBitIdentical(t *testing.T) {
 	bundles := []*index.Bundle{testfixture.Bundle(t, 6, 12), testfixture.Bundle(t, 6, 10)}
 	t.Run("body lifecycle", func(t *testing.T) {
@@ -118,8 +119,8 @@ func TestCacheHitBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if a, ok := cachedEntry(t, cached, hot); !ok || a.Body == nil {
-			t.Fatalf("the publish did not warm %s with its body: present %v, body %q", hot, ok, a.Body)
+		if a, ok := cachedEntry(t, cached, hot); !ok || a.Body != nil {
+			t.Fatalf("the publish did not warm %s bare: present %v, body %q", hot, ok, a.Body)
 		}
 		step("first request after publish, warmed", hot, true)
 		step("first request after publish", cold, false)
@@ -167,9 +168,10 @@ func TestCacheHitBitIdentical(t *testing.T) {
 // TestPromotionNeverOverwritesANewerEpoch stages the race a promotion
 // can lose: a request hits an entry at epoch E, a publish of E+1 warms
 // the same key (rewriting its slot), and only then does the request
-// keep its body. The promotion must change nothing — the E+1 entry and
-// its body survive and the next request hits them — where a plain
-// insert at E would have put the old generation's answer back.
+// keep its body. The promotion must change nothing — the E+1 entry
+// survives, bare as warming left it, and the next request hits it and
+// promotes it with its own body — where a plain insert at E would have
+// put the old generation's answer back.
 func TestPromotionNeverOverwritesANewerEpoch(t *testing.T) {
 	oldB, newB := testfixture.Bundle(t, 6, 12), testfixture.Bundle(t, 6, 10)
 	srv, err := New(oldB, WithCache(1024), WithHotPrecompute(1))
@@ -204,13 +206,16 @@ func TestPromotionNeverOverwritesANewerEpoch(t *testing.T) {
 		t.Fatal("fixture bundles answer identically; the lost promotion would be invisible")
 	}
 	kept, ok := cachedEntry(t, srv, target)
-	if !ok || string(kept.Body) != want.Body.String() {
-		t.Fatalf("epoch-2 entry after a stale promotion: present %v, body %q; want %q", ok, kept.Body, want.Body.String())
+	if !ok || kept.Body != nil {
+		t.Fatalf("epoch-2 entry after a stale promotion: present %v, body %q; want the warmed entry, bare", ok, kept.Body)
 	}
 	before := srv.cache.Counters()
 	sameResponse(t, target, serveHTTP(srv, http.MethodGet, target, ""), want)
 	if after := srv.cache.Counters(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
 		t.Fatalf("the request after the lost promotion did not hit: %+v → %+v", before, after)
+	}
+	if kept, ok := cachedEntry(t, srv, target); !ok || string(kept.Body) != want.Body.String() {
+		t.Fatalf("epoch-2 entry after its own first hit: present %v, body %q; want %q", ok, kept.Body, want.Body.String())
 	}
 }
 
@@ -351,7 +356,8 @@ func TestConcurrentQueryDuringPublish(t *testing.T) {
 
 // TestPrecomputeWarmsFreshEpoch: after serve traffic concentrates on
 // two users, a publish precomputes their default-shaped answers, so
-// their first queries on the fresh epoch hit without ever missing.
+// their first queries on the fresh epoch hit without ever missing. The
+// warmed entries carry no body until that first hit promotes one.
 func TestPrecomputeWarmsFreshEpoch(t *testing.T) {
 	b := testfixture.Bundle(t, 6, 12)
 	srv, err := New(b, WithCache(1024), WithHotPrecompute(2))
@@ -371,25 +377,30 @@ func TestPrecomputeWarmsFreshEpoch(t *testing.T) {
 		t.Fatalf("hot_precomputed = %d, want 2", hc.HotPrecomputed)
 	}
 	misses := hc.Misses
-	// A warmed entry carries the /recommend body, byte for byte the one an
-	// uncached server renders for it, before any request has hit it.
+	// A warmed entry is present and bare: warming inserts no body.
+	for _, u := range []int{1, 4} {
+		target := fmt.Sprintf("/recommend?user=user-%d&time=125", u)
+		if a, ok := cachedEntry(t, srv, target); !ok || a.Body != nil {
+			t.Fatalf("user-%d's warmed entry: present %v, body %q; want present and bare", u, ok, a.Body)
+		}
+	}
+	// The live interval is Grid.Num-1 = 2, i.e. times in [120, 130);
+	// an absent k is the precomputed default. Both hot users must hit
+	// cold, and that first hit promotes the entry with the body an
+	// uncached server renders for it, byte for byte.
 	ref, err := New(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range []int{1, 4} {
 		target := fmt.Sprintf("/recommend?user=user-%d&time=125", u)
-		a, ok := cachedEntry(t, srv, target)
-		if want := serveHTTP(ref, http.MethodGet, target, "").Body.String(); !ok || string(a.Body) != want {
-			t.Fatalf("user-%d's warmed entry: present %v, body %q; want %q", u, ok, a.Body, want)
+		w := serveHTTP(srv, http.MethodGet, target, "")
+		want := serveHTTP(ref, http.MethodGet, target, "").Body.String()
+		if w.Code != http.StatusOK || w.Body.String() != want {
+			t.Fatalf("user-%d fresh-epoch query = %d %q; want 200 %q", u, w.Code, w.Body.String(), want)
 		}
-	}
-	// The live interval is Grid.Num-1 = 2, i.e. times in [120, 130);
-	// an absent k is the precomputed default. Both hot users must hit cold.
-	for _, u := range []int{1, 4} {
-		w := serveHTTP(srv, http.MethodGet, fmt.Sprintf("/recommend?user=user-%d&time=125", u), "")
-		if w.Code != http.StatusOK {
-			t.Fatalf("user-%d fresh-epoch query = %d", u, w.Code)
+		if a, ok := cachedEntry(t, srv, target); !ok || string(a.Body) != want {
+			t.Fatalf("user-%d's entry after its first hit: present %v, body %q; want %q", u, ok, a.Body, want)
 		}
 	}
 	hc = healthCache(t, srv)

@@ -149,7 +149,7 @@ func (sc *Scratch) Answer(q *api.Query) (Answer, error) {
 			return a, nil
 		}
 	}
-	a, _ := sc.search(false)
+	a, _ := sc.search()
 	return a, nil
 }
 
@@ -200,10 +200,10 @@ func topkKey(u int, t int, k int, exh *rescache.SetHash) rescache.Key {
 
 // search runs the Threshold Algorithm for the resolved query and caches
 // a deep copy of the answer (the searcher recycles its slice) — the only
-// place the cache is inserted into. withBody stores the /recommend body
-// on the entry too, for an answer warmed ahead of its first request. It
-// also returns what the search cost.
-func (sc *Scratch) search(withBody bool) (Answer, topk.Stats) {
+// place the cache is inserted into. The entry carries no body: it gets
+// one when it is first hit (Scratch.body). It also returns what the
+// search cost.
+func (sc *Scratch) search() (Answer, topk.Stats) {
 	g := sc.gen
 	if sc.sr == nil {
 		sc.sr = g.idx.AcquireSearcher()
@@ -213,11 +213,6 @@ func (sc *Scratch) search(withBody bool) (Answer, topk.Stats) {
 	if g.cache != nil {
 		cached := a
 		cached.Results = append([]topk.Result(nil), results...)
-		if withBody {
-			if body, ok := sc.render(&cached); ok {
-				cached.Body = bytes.Clone(body)
-			}
-		}
 		g.cache.Put(g.version, sc.key, cached)
 	}
 	return a, st
@@ -228,8 +223,8 @@ func (sc *Scratch) search(withBody bool) (Answer, topk.Stats) {
 // rendered into the scratch. An entry's first hit in its epoch keeps a
 // copy on the entry — the only promotion, which swaps exactly the entry
 // that was hit and nothing else — so every later hit is one write. A
-// missed answer's entry keeps no body: only entries that are hit or
-// warmed carry bytes. ok is false for an answer no JSON renders (a
+// missed or warmed answer's entry keeps no body: only entries that are
+// hit carry bytes. ok is false for an answer no JSON renders (a
 // non-finite score), which the door answers through api.WriteJSON.
 func (sc *Scratch) body(a *Answer) ([]byte, bool) {
 	if a.Body != nil {

@@ -102,6 +102,55 @@ func BenchmarkBuildIndex(b *testing.B) {
 	}
 }
 
+// deepWorld has BenchmarkBuildIndex's shape — 40 user topics and 24
+// context topics over 20 000 items, 30 intervals — with skewedModel's
+// Zipf-like topic weights (uniform ones make TA a full scan, about
+// 30 000 pops at k = 50), and 16 users, each with a γ of its own: half
+// with no history (a flat θu), half trained (θu on three topics).
+func deepWorld() *contextModel {
+	rng := rand.New(rand.NewSource(7))
+	c := &contextModel{fakeTopicModel: skewedModel(rng, 64, 20000), lo: 40, hi: 64}
+	for t := 0; t < 30; t++ {
+		c.omega = append(c.omega, randomQuery(rng, 24, false))
+	}
+	for u := 0; u < 16; u++ {
+		gamma := rng.Float64()
+		row := make([]float64, 64)
+		if u%2 == 0 { // no history: a flat θu, which walks the floor list
+			for z := range row[:40] {
+				row[z] = (1 - gamma) / 40
+			}
+		} else { // a trained user: θu on three topics
+			for _, z := range rng.Perm(40)[:3] {
+				row[z] = (1 - gamma) / 3
+			}
+		}
+		c.user = append(c.user, row)
+		c.gamma = append(c.gamma, gamma)
+	}
+	return c
+}
+
+// BenchmarkTAQueryDeep is the repo benchmark's serve_cold query shape:
+// k = 50 over deepWorld, each iteration the next of its 16 users at the
+// next of its 30 intervals, so every query walks the floor list, the
+// user topics' residual lists and a collapsed context list.
+func BenchmarkTAQueryDeep(b *testing.B) {
+	c := deepWorld()
+	s := BuildIndex(c).AcquireSearcher()
+	defer s.Release()
+	var pops, examined int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st := s.Query(c, i%16, i%30, 50, nil)
+		pops += st.ListPops
+		examined += st.ItemsExamined
+	}
+	b.ReportMetric(float64(pops)/float64(b.N), "pops/op")
+	b.ReportMetric(float64(examined)/float64(b.N), "examined/op")
+}
+
 func BenchmarkQueryBatch(b *testing.B) {
 	f, ix := benchSetup(b, 32, 8192)
 	qs := make([]BatchQuery, 64)

@@ -113,6 +113,34 @@ func decodeFuzzModel(data []byte) (c *contextModel, lo, hi, at, k int, exclude E
 	return c, lo, hi, at, k, exclude
 }
 
+// taSeed spells a FuzzTAMatchesBruteForce input: kTopics topics over v
+// items, the context range shape (decodeFuzzModel's third byte), topic
+// rows, one ω row, the user's row and γ drawn from rng's bytes, then the
+// whole catalog, k and the excluded items.
+func taSeed(rng *rand.Rand, kTopics, v int, shape byte, k int, excluded ...int) []byte {
+	b := []byte{byte(kTopics - 1), byte(v - 1), shape, 0}
+	row := func(n int) {
+		b = append(b, 0) // weights of its own, not one repeated
+		for i := 0; i < n; i++ {
+			b = append(b, byte(rng.Intn(256)))
+		}
+	}
+	for z := 0; z < kTopics; z++ {
+		row(v)
+	}
+	cLo := int(shape&15) % (kTopics + 1)
+	cHi := cLo + int(shape>>4)%(kTopics-cLo+1)
+	b = append(b, 0) // one interval
+	row(cHi - cLo)
+	row(kTopics)
+	b = append(b, byte(rng.Intn(256)), 0, 0, byte(k-1)) // γ, whole catalog, interval 0, k
+	banned := make([]byte, (v+7)/8)
+	for _, i := range excluded {
+		banned[i/8] |= 1 << (i % 8)
+	}
+	return append(b, banned...)
+}
+
 // FuzzTAMatchesBruteForce: whatever model, window and query the bytes
 // spell — exact ties, subnormals, uniform rows, zero weights, any
 // context range, with or without user topics and so a floor list — TA
@@ -138,6 +166,18 @@ func FuzzTAMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{7, 63, 0x35, 0, 1, 0xc9, 0, 0xff})
 	// Permuted multisets under a flat user over eight user topics.
 	f.Add([]byte{7, 47, 0x08, 1, 0, 0xb1, 0x93, 0x4f, 0x2a, 0xd7, 0x85, 0x16, 0x6c})
+	// Until the result heap holds k, candidates are confirmed in pairs and
+	// a lone one alone: k = 1 (always alone), k = 2 (one pair), an odd k
+	// (pairs, then one at the k−1 boundary), k past the window (the lists
+	// run out), and an exclude set that leaves k−1 items, the last of
+	// them confirmed alone when the lists run out. Six topics: four user
+	// topics, one context topic, a background.
+	for _, tc := range []struct {
+		v, k     int
+		excluded []int
+	}{{40, 1, nil}, {40, 2, nil}, {40, 7, nil}, {12, 13, nil}, {10, 6, []int{0, 2, 4, 6, 8}}} {
+		f.Add(taSeed(rng, 6, tc.v, 0x14, tc.k, tc.excluded...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, lo, hi, at, k, exclude := decodeFuzzModel(data)
 		got, _ := BuildIndexRange(c, lo, hi).Query(c, 0, at, k, exclude)

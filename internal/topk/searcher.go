@@ -162,16 +162,24 @@ func (s *Searcher) threshold() float64 {
 //     the loop actually breaks; an inflated running value merely delays
 //     the cheap check and never affects correctness.
 //
-// The float32 fast scan (see DESIGN.md §12): list priorities come from
-// the quantized score32 kernel, and when the result heap is full a
-// popped candidate's screened score — its priority, already computed at
-// push time — is checked against the k-th best under the index's error
-// bound before paying for the exact float64 score. Priorities only
-// steer pop order (TA is correct under any pop order once the exact
-// threshold bound holds), every score that enters the result heap comes
-// from the exact float64 confirm over the full-width table row, and the
-// screen bound over-covers the f32 error, so results stay bit-identical
-// to the pure float64 path.
+// What a pop pays for (DESIGN.md §12), none of which changes results:
+//
+//   - lists pop in order of their weighted head w·weights[pos], the term
+//     each already adds to the threshold, so ordering costs a multiply.
+//     TA is exact under any pop order once the exact threshold bound
+//     holds; the order only shifts the Stats counters.
+//   - until the result heap holds k results every candidate is confirmed
+//     and no termination test runs, so candidates are confirmed two at a
+//     time through the paired dotOrdered2 kernel, each score Score's bit
+//     for bit. The heap holds the same k entries whatever order the
+//     offers come in. A lone candidate — at the k−1 boundary or when the
+//     lists run out — is confirmed alone.
+//   - once the heap is full, a popped candidate's float32 score is
+//     checked against the k-th best under the index's error bound before
+//     paying for the exact float64 score. The screen bound over-covers
+//     the f32 error, and every score that enters the result heap comes
+//     from the exact float64 confirm over the full-width table row, so
+//     results stay bit-identical to the pure float64 path.
 //
 //tcam:hotpath
 func (s *Searcher) search(query []float64, t int, context float64, k int, exclude Exclude) ([]Result, Stats) {
@@ -225,8 +233,9 @@ func (s *Searcher) search(query []float64, t int, context float64, k int, exclud
 	threshold := 0.0
 	for i := range s.slots {
 		l := &s.slots[i]
-		s.pq.push(listRef{slot: i, priority: float64(ix.score32(q32, int(l.items[0])))})
-		threshold += l.w * l.weights[0]
+		head := l.w * l.weights[0]
+		s.pq.push(listRef{slot: i, priority: head})
+		threshold += head
 	}
 	if len(s.pq) == 0 {
 		return nil, st
@@ -234,6 +243,7 @@ func (s *Searcher) search(query []float64, t int, context float64, k int, exclud
 
 	s.results.reset(k)
 	results := &s.results
+	pending := -1 // a candidate waiting for a second one to confirm beside
 
 	for len(s.pq) > 0 {
 		// Early termination (Lines 18–21 of Algorithm 1): the k-th
@@ -257,26 +267,44 @@ func (s *Searcher) search(query []float64, t int, context float64, k int, exclud
 			// historical behavior there.
 			gitem := item + ix.itemLo
 			if exclude == nil || !exclude(gitem) {
-				// f32 screen: ref.priority is this item's screened score.
-				// Only candidates that could still reach the k-th best
-				// under the error bound pay for the exact f64 score.
-				if results.Len() < k || ref.priority*ix.screenScale+ix.screenEps >= results.min().Score {
+				switch {
+				case results.Len() == k:
+					// f32 screen: only candidates that could still reach
+					// the k-th best under the error bound pay for the
+					// exact f64 score.
+					if float64(ix.score32(q32, item))*ix.screenScale+ix.screenEps >= results.min().Score {
+						st.ItemsExamined++
+						results.offer(Result{Item: gitem, Score: ix.Score(query, gitem)})
+					} else {
+						st.ScreenedOut++
+					}
+				case pending >= 0:
+					a, b := ix.score2(query, pending, gitem)
+					st.ItemsExamined += 2
+					results.offer(Result{Item: pending, Score: a})
+					results.offer(Result{Item: gitem, Score: b})
+					pending = -1
+				case results.Len() == k-1:
 					st.ItemsExamined++
 					results.offer(Result{Item: gitem, Score: ix.Score(query, gitem)})
-				} else {
-					st.ScreenedOut++
+				default:
+					pending = gitem
 				}
 			}
 		}
 		// Advance this list's cursor, fold the head change into the
 		// running threshold, and re-queue it (Lines 28–33).
-		threshold -= l.w * l.weights[l.pos]
+		threshold -= ref.priority
 		l.pos++
 		if l.pos < len(l.items) {
-			threshold += l.w * l.weights[l.pos]
-			ref.priority = float64(ix.score32(q32, int(l.items[l.pos])))
+			ref.priority = l.w * l.weights[l.pos]
+			threshold += ref.priority
 			s.pq.push(ref)
 		}
+	}
+	if pending >= 0 { // the lists ran out with one candidate unconfirmed
+		st.ItemsExamined++
+		results.offer(Result{Item: pending, Score: ix.Score(query, pending)})
 	}
 	s.out = results.appendSorted(s.out[:0])
 	if len(s.out) == 0 {

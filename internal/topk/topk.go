@@ -539,6 +539,16 @@ func (ix *Index) Score(query []float64, item int) float64 {
 	return dotOrdered(query, ix.byItem[local*k:(local+1)*k])
 }
 
+// score2 is Score for two items at once, through the paired dotOrdered2
+// kernel: each value is Score's bit for bit.
+//
+//tcam:hotpath
+func (ix *Index) score2(query []float64, a, b int) (float64, float64) {
+	k := ix.numTopics
+	a, b = a-ix.itemLo, b-ix.itemLo
+	return dotOrdered2(query, ix.byItem[a*k:(a+1)*k], ix.byItem[b*k:(b+1)*k])
+}
+
 // score32 is the float32 screening scorer: the same dot product as
 // Score, read from the quantized table with reassociated float32
 // accumulation. Its value is only valid as a screen under the index's
@@ -577,7 +587,8 @@ func cloneResults(res []Result) []Result {
 }
 
 // listRef is one of the lists a query walks in the priority queue,
-// keyed by the full ranking score of its head item.
+// keyed by its weighted head w·weights[pos] — the term the list adds to
+// the threshold.
 type listRef struct {
 	slot     int
 	priority float64

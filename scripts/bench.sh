@@ -82,7 +82,7 @@ run)
     exit 0
     ;;
 query)
-    run_bench ./internal/topk/ 'BenchmarkTAQuery$|BenchmarkTAQueryFlat$|BenchmarkTAQueryParallel$|BenchmarkBuildIndex$'
+    run_bench ./internal/topk/ 'BenchmarkTAQuery$|BenchmarkTAQueryFlat$|BenchmarkTAQueryDeep$|BenchmarkTAQueryParallel$|BenchmarkBuildIndex$'
     run_bench ./internal/topk/ 'BenchmarkQueryBatch$' -cpu 1,2
     run_bench ./internal/server/ 'BenchmarkServerRecommend$|BenchmarkServerRecommendExclude$|BenchmarkServerRecommendBatch$'
     run_bench ./internal/rescache/ 'BenchmarkCacheHit$|BenchmarkCacheMiss$|BenchmarkCachePut$|BenchmarkHotObserve$'

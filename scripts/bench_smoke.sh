@@ -5,8 +5,9 @@
 # unmeasured:
 #
 #   1. the pooled TA searcher must report 0 allocs/op at steady state,
-#      single-threaded, for a flat query that walks the floor list, and
-#      under parallel pool churn;
+#      single-threaded, for a flat query that walks the floor list, for
+#      serve_cold's k = 50 over user, floor and collapsed context lists,
+#      and under parallel pool churn;
 #   2. the serial EM iteration benchmarks must stay allocation-free for
 #      every TCAM variant (the Parallel variant is exempt — fanning
 #      shards across workers allocates the closure and goroutines);
@@ -60,7 +61,7 @@ zero_allocs() {
     fi
 }
 
-zero_allocs "pooled-searcher benchmark" 200x ./internal/topk/ 'BenchmarkTAQuery$|BenchmarkTAQueryFlat$|BenchmarkTAQueryParallel$'
+zero_allocs "pooled-searcher benchmark" 200x ./internal/topk/ 'BenchmarkTAQuery$|BenchmarkTAQueryFlat$|BenchmarkTAQueryDeep$|BenchmarkTAQueryParallel$'
 zero_allocs "result-cache hit path" 200x ./internal/rescache/ 'BenchmarkCacheHit$|BenchmarkHotObserve$'
 zero_allocs "serial EM iteration" 3x ./internal/model/tcam/ 'BenchmarkEMIteration$'
 
