@@ -7,6 +7,10 @@
 // Retries are bounded, jitter comes from an explicitly seeded source
 // (deterministic under test), and every wait respects the caller's
 // context.
+//
+// The package also holds what the shard coordinator's scatter legs are
+// made of: Attempt (one exchange), Breaker, Hedger with HedgeOn, and
+// Transport, the legs' HTTP/1.1 round tripper.
 package client
 
 import (

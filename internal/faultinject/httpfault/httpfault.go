@@ -42,11 +42,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err := faultinject.FireErr(t.Site + ".conn"); err != nil {
 		return nil, err
 	}
-	base := t.Base
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	resp, err := base.RoundTrip(req)
+	resp, err := t.base().RoundTrip(req)
 	if err != nil || resp == nil {
 		return resp, err
 	}
@@ -54,6 +50,21 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		resp.Body = &tornBody{rc: resp.Body, remain: 1, err: terr}
 	}
 	return resp, err
+}
+
+// CloseIdleConnections closes the idle connections of the base
+// transport, when it keeps any.
+func (t *Transport) CloseIdleConnections() {
+	if ci, ok := t.base().(interface{ CloseIdleConnections() }); ok {
+		ci.CloseIdleConnections()
+	}
+}
+
+func (t *Transport) base() http.RoundTripper {
+	if t.Base == nil {
+		return http.DefaultTransport
+	}
+	return t.Base
 }
 
 // tornBody lets remain bytes through and then fails every Read — a

@@ -27,10 +27,10 @@ type ShardConfig struct {
 	// missing when the shard is unavailable.
 	Items Range
 	// HTTPClient overrides the transport for this shard (default: one
-	// shared client with no Timeout of its own: every leg's context
-	// carries the ShardTimeout deadline, and a Client.Timeout would cost
-	// a goroutine, a timer and a context per request). Tests use it to
-	// wire httpfault.Transport per shard.
+	// client shared by the fleet over one client.Transport, which runs a
+	// leg's exchange on the leg's goroutine, with no Timeout of its own:
+	// every leg's context carries the ShardTimeout deadline). Tests use
+	// it to wire httpfault.Transport per shard.
 	HTTPClient *http.Client
 }
 
@@ -93,7 +93,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if c.timeout <= 0 {
 		c.timeout = 2 * time.Second
 	}
-	shared := &http.Client{}
+	shared := &http.Client{Transport: &client.Transport{}}
 	ordered := make([]ShardConfig, len(cfg.Shards))
 	copy(ordered, cfg.Shards)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Items.Lo < ordered[j].Items.Lo })
@@ -123,6 +123,9 @@ func New(cfg Config) (*Coordinator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
 		}
+		if query.URL.Scheme != "http" {
+			return nil, fmt.Errorf("shard: shard %d BaseURL %q is not http://", i, sc.BaseURL)
+		}
 		query.Header.Set("Content-Type", "application/json")
 		c.shards = append(c.shards, &shardConn{
 			base:    base,
@@ -140,10 +143,16 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close joins the coordinator's workers; the shell's Run calls it once
-// drained. A request arriving later still runs, its legs and attempts
-// one after another on its own goroutine.
-func (c *Coordinator) Close() { c.workers.close() }
+// Close joins the coordinator's workers and closes the legs' idle
+// connections; the shell's Run calls it once drained. A request arriving
+// later still runs, its legs and attempts one after another on its own
+// goroutine, over connections of its own.
+func (c *Coordinator) Close() {
+	c.workers.close()
+	for _, sc := range c.shards {
+		sc.hc.CloseIdleConnections()
+	}
+}
 
 // FleetConfigs partitions an n-item catalog across the given base URLs
 // with Partition's ceil-chunk split — the deploy-time helper that keeps

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -28,13 +29,15 @@ import (
 )
 
 // fleet is a coordinator in front of n live shard servers, with
-// per-shard request counters and faultinject transports on sites
-// "shard<i>.delay" / "shard<i>.conn" / "shard<i>.torn".
+// per-shard request and connection counters and faultinject transports
+// on sites "shard<i>.delay" / "shard<i>.conn" / "shard<i>.torn" over
+// the client.Transport the coordinator uses by default.
 type fleet struct {
 	c        *Coordinator
 	bundle   *index.Bundle
 	ranges   []Range
 	counters []*atomic.Int64
+	conns    []*atomic.Int64  // connections each shard server accepted
 	servers  []*server.Server // the shard servers, for reload-driven epoch tests
 }
 
@@ -54,6 +57,7 @@ func newFleet(tb testing.TB, n int, mut func(*Config), wrap func(i int, h http.H
 		Breaker: client.BreakerConfig{FailureThreshold: 1 << 20},
 		Hedger:  client.HedgerConfig{Default: 10 * time.Second, Window: 1 << 10, MinSamples: 1 << 10},
 	}
+	legs := &client.Transport{}
 	for i, r := range f.ranges {
 		srv, err := server.New(bundle, server.WithItemRange(r.Lo, r.Hi))
 		if err != nil {
@@ -64,20 +68,26 @@ func newFleet(tb testing.TB, n int, mut func(*Config), wrap func(i int, h http.H
 		if wrap != nil {
 			h = wrap(i, h)
 		}
-		counter := &atomic.Int64{}
-		f.counters = append(f.counters, counter)
+		counter, conns := &atomic.Int64{}, &atomic.Int64{}
+		f.counters, f.conns = append(f.counters, counter), append(f.conns, conns)
 		inner := h
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			counter.Add(1)
 			inner.ServeHTTP(w, r)
 		}))
+		ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+			if state == http.StateNew {
+				conns.Add(1)
+			}
+		}
+		ts.Start()
 		tb.Cleanup(ts.Close)
 		cfg.Shards = append(cfg.Shards, ShardConfig{
 			BaseURL: ts.URL,
 			Items:   r,
 			// No Client.Timeout, as the default client has none: each
 			// leg's context carries ShardTimeout.
-			HTTPClient: &http.Client{Transport: &httpfault.Transport{Site: fmt.Sprintf("shard%d", i)}},
+			HTTPClient: &http.Client{Transport: &httpfault.Transport{Site: fmt.Sprintf("shard%d", i), Base: legs}},
 		})
 	}
 	if mut != nil {
@@ -647,6 +657,16 @@ func TestNewRejectsBadFleets(t *testing.T) {
 	}
 }
 
+// Legs speak plain HTTP/1.1: a shard URL of any other scheme, or none,
+// is refused when the fleet is built, not on the first request.
+func TestNewRejectsNonHTTPShards(t *testing.T) {
+	for _, url := range []string{"https://a:8443", "localhost:8081", "ftp://a"} {
+		if _, err := New(Config{Shards: []ShardConfig{{BaseURL: url, Items: Range{Lo: 0, Hi: 5}}}}); err == nil {
+			t.Errorf("New accepted shard URL %q", url)
+		}
+	}
+}
+
 func TestFleetConfigs(t *testing.T) {
 	cfgs := FleetConfigs(10, []string{"http://a", "http://b", "http://c"})
 	if len(cfgs) != 3 {
@@ -664,9 +684,10 @@ func TestFleetConfigs(t *testing.T) {
 // on demand and parked for reuse: 1 000 sequential requests over two
 // shards never have more than three jobs in flight — shard 0's leg and
 // both primary attempts; shard 1's leg is the request's own goroutine —
-// so they start at most three workers, and four concurrent callers at
-// most four times that (no hedge fires: the window never warms). Close
-// joins every one of them: once the idle connections are gone too, the
+// so they start at most three workers and open at most three
+// connections per shard, and four concurrent callers at most four times
+// that many workers (no hedge fires: the window never warms). Close
+// joins every one of them and closes the legs' idle connections: the
 // goroutine count is back to what it was before the first request.
 func TestCoordinatorWorkersReusedAndJoined(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *Config) {
@@ -693,6 +714,11 @@ func TestCoordinatorWorkersReusedAndJoined(t *testing.T) {
 	if n := spawned(); n > 3 {
 		t.Fatalf("1 000 sequential requests started %d workers, want at most 3", n)
 	}
+	for i, conns := range f.conns {
+		if n := conns.Load(); n > 3 {
+			t.Fatalf("1 000 sequential requests opened %d connections to shard %d, want at most 3", n, i)
+		}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -711,7 +737,6 @@ func TestCoordinatorWorkersReusedAndJoined(t *testing.T) {
 		t.Fatalf("four concurrent callers started %d workers, want at most 12", n)
 	}
 	f.c.Close()
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines five seconds after Close, %d before the first request", runtime.NumGoroutine(), baseline)

@@ -21,6 +21,7 @@ fuzz() {
 }
 fuzz ./internal/api/ FuzzQueryParseForm
 fuzz ./internal/api/ FuzzShardPartial
+fuzz ./internal/client/ FuzzLegResponse
 fuzz ./internal/server/ FuzzQueryBodies
 fuzz ./internal/topk/ FuzzTAMatchesBruteForce
 fuzz ./internal/train/ FuzzCheckpointLoad
