@@ -108,29 +108,31 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return b
 }
 
-// Allow reports whether an attempt may proceed, transitioning a
-// cooled-down open breaker to half-open (and claiming the single probe
-// slot) as a side effect. A false return must not be followed by
-// Success or Failure.
-func (b *Breaker) Allow() bool {
+// Allow reports whether an attempt may proceed and whether that attempt
+// is the half-open probe, transitioning a cooled-down open breaker to
+// half-open (and claiming the single probe slot) as a side effect. The
+// probe is known only here, under the lock that admits it: a State read
+// after Allow may already see a straggler's Success close the breaker.
+// A false ok must not be followed by Success or Failure.
+func (b *Breaker) Allow() (ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
-		return true
+		return true, false
 	case BreakerOpen:
 		if b.now().Before(b.probeAt) {
-			return false
+			return false, false
 		}
 		b.state = BreakerHalfOpen
 		b.probing = true
-		return true
+		return true, true
 	default: // half-open: one probe at a time
 		if b.probing {
-			return false
+			return false, false
 		}
 		b.probing = true
-		return true
+		return true, true
 	}
 }
 

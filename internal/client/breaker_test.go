@@ -38,11 +38,17 @@ func testBreaker(clock *fakeClock) *Breaker {
 	})
 }
 
+// allowed is Allow's first answer: whether the attempt may proceed.
+func allowed(b *Breaker) bool {
+	ok, _ := b.Allow()
+	return ok
+}
+
 func TestBreakerTripsAfterThreshold(t *testing.T) {
 	clock := newFakeClock()
 	b := testBreaker(clock)
 	for i := 0; i < 2; i++ {
-		if !b.Allow() {
+		if !allowed(b) {
 			t.Fatalf("closed breaker refused attempt %d", i)
 		}
 		b.Failure()
@@ -50,14 +56,14 @@ func TestBreakerTripsAfterThreshold(t *testing.T) {
 			t.Fatalf("tripped after only %d failures", i+1)
 		}
 	}
-	if !b.Allow() {
+	if !allowed(b) {
 		t.Fatal("closed breaker refused the third attempt")
 	}
 	b.Failure()
 	if b.State() != BreakerOpen {
 		t.Fatalf("state = %v after 3 consecutive failures, want open", b.State())
 	}
-	if b.Allow() {
+	if allowed(b) {
 		t.Fatal("open breaker admitted traffic before the cooldown")
 	}
 }
@@ -80,11 +86,11 @@ func TestBreakerReportsEachTransitionOnce(t *testing.T) {
 		t.Fatal("a straggling failure on an open breaker reported a second trip")
 	}
 	clock.Advance(2 * time.Second)
-	if !b.Allow() || !b.Failure() {
+	if !allowed(b) || !b.Failure() {
 		t.Fatal("a failed probe did not report the re-trip")
 	}
 	clock.Advance(2 * time.Second)
-	if !b.Allow() || !b.Success() {
+	if !allowed(b) || !b.Success() {
 		t.Fatal("a successful probe did not report the recovery")
 	}
 	if b.Success() {
@@ -113,25 +119,51 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	}
 	// Jitter is seeded: cooldown lies in [1s, 1.5s]. Before 1s no probe.
 	clock.Advance(999 * time.Millisecond)
-	if b.Allow() {
+	if allowed(b) {
 		t.Fatal("probe admitted before the base cooldown elapsed")
 	}
 	clock.Advance(501 * time.Millisecond) // past any jittered cooldown
-	if !b.Allow() {
-		t.Fatal("cooled-down breaker refused the probe")
+	if ok, probe := b.Allow(); !ok || !probe {
+		t.Fatalf("cooled-down breaker: Allow() = (%v, %v), want the probe admitted", ok, probe)
 	}
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state = %v after probe admitted, want half-open", b.State())
 	}
-	if b.Allow() {
+	if allowed(b) {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 	b.Success()
 	if b.State() != BreakerClosed {
 		t.Fatalf("state = %v after successful probe, want closed", b.State())
 	}
-	if !b.Allow() {
-		t.Fatal("recovered breaker refused traffic")
+	if ok, probe := b.Allow(); !ok || probe {
+		t.Fatalf("recovered breaker: Allow() = (%v, %v), want traffic and no probe", ok, probe)
+	}
+}
+
+// The probe is Allow's to report. A leg admitted before the trip can
+// call Success between the probe's Allow and a State read after it:
+// the breaker then reads closed, and only Allow's answer still says
+// that the attempt it admitted is the probe, the one never hedged.
+func TestBreakerAllowReportsTheProbe(t *testing.T) {
+	clock := newFakeClock()
+	b := testBreaker(clock)
+	if ok, probe := b.Allow(); !ok || probe { // the straggler, admitted while closed
+		t.Fatalf("closed breaker: Allow() = (%v, %v), want (true, false)", ok, probe)
+	}
+	for i := 0; i < 3; i++ { // the other legs trip it
+		b.Failure()
+	}
+	clock.Advance(2 * time.Second)
+	ok, probe := b.Allow()
+	if !b.Success() { // the straggler answers
+		t.Fatal("the straggler's Success did not close the half-open breaker")
+	}
+	if !ok || !probe {
+		t.Fatalf("cooled-down breaker: Allow() = (%v, %v), want the probe", ok, probe)
+	}
+	if st := b.State(); st != BreakerClosed {
+		t.Fatalf("state = %v after the straggler's Success, want closed", st)
 	}
 }
 
@@ -142,18 +174,18 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 		b.Failure()
 	}
 	clock.Advance(2 * time.Second)
-	if !b.Allow() {
+	if !allowed(b) {
 		t.Fatal("cooled-down breaker refused the probe")
 	}
 	b.Failure() // probe fails: back to open with a fresh cooldown
 	if b.State() != BreakerOpen {
 		t.Fatalf("state = %v after failed probe, want open", b.State())
 	}
-	if b.Allow() {
+	if allowed(b) {
 		t.Fatal("re-opened breaker admitted traffic immediately")
 	}
 	clock.Advance(2 * time.Second)
-	if !b.Allow() {
+	if !allowed(b) {
 		t.Fatal("re-opened breaker never re-admitted a probe")
 	}
 }
@@ -173,7 +205,7 @@ func TestBreakerJitterDeterministicPerSeed(t *testing.T) {
 	} {
 		clockA.Advance(step)
 		clockB.Advance(step)
-		ga, gb := a.Allow(), b.Allow()
+		ga, gb := allowed(a), allowed(b)
 		if ga != gb {
 			t.Fatalf("same seed diverged: Allow() = %v vs %v", ga, gb)
 		}

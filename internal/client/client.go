@@ -9,8 +9,9 @@
 // context.
 //
 // The package also holds what the shard coordinator's scatter legs are
-// made of: Attempt (one exchange), Breaker, Hedger with HedgeOn, and
-// Transport, the legs' HTTP/1.1 round tripper.
+// made of: Attempt (one exchange), Breaker, Hedger (when a straggler
+// deserves a backup request) and Transport, the legs' HTTP/1.1 round
+// tripper. The coordinator runs a leg's attempts, and its hedge, itself.
 package client
 
 import (

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"context"
 	"slices"
 	"sync"
 	"time"
@@ -119,107 +118,3 @@ func (h *Hedger) Delay() time.Duration {
 	}
 	return d
 }
-
-// Job is one hedged attempt as a Runner sees it: Run makes the call,
-// Done hands its outcome back.
-type Job interface {
-	Run()
-	Done()
-}
-
-// Runner runs HedgeOn's attempts off the caller's goroutine. Run(j)
-// returns at once; the goroutine that takes j calls j.Run and then,
-// once it is free for another job, j.Done.
-type Runner interface {
-	Run(j Job)
-}
-
-// HedgeOn runs call on r and, if it has not returned after delay,
-// launches one identical backup attempt on r — the tail-latency
-// discipline of "The Tail at Scale". The first success wins and the
-// other attempt's context is cancelled immediately; an attempt that
-// fails outright (before or after the hedge fires) does not win, so a
-// fast connection error still waits for an in-flight sibling. A
-// negative delay disables the backup. The caller's goroutine only
-// waits, so HedgeOn returns when ctx ends even if call ignores it
-// (hedge_test.go's Hedge is HedgeOn with a fresh goroutine per attempt).
-//
-// Returns the winning value and which attempt produced it (0 primary,
-// 1 hedge). When every launched attempt fails, the first error is
-// returned with attempt -1; when ctx itself ends first, its error is
-// returned with attempt -1.
-func HedgeOn[T any](ctx context.Context, r Runner, delay time.Duration, call func(context.Context) (T, error)) (T, int, error) {
-	h := &hedge[T]{results: make(chan *attempt[T], 2)} // one send per attempt
-	defer func() {
-		// Whatever path returns, both attempts end up cancelled: the
-		// loser's work is abandoned, not leaked.
-		for i := range h.attempts {
-			if cancel := h.attempts[i].cancel; cancel != nil {
-				cancel()
-			}
-		}
-	}()
-	launch := func(idx int) {
-		a := &h.attempts[idx]
-		a.ctx, a.cancel = context.WithCancel(ctx)
-		a.call, a.idx, a.results = call, idx, h.results
-		r.Run(a)
-	}
-	launch(0)
-	outstanding := 1
-	var timerC <-chan time.Time
-	if delay >= 0 {
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	var zero T
-	var firstErr error
-	for {
-		select {
-		case out := <-h.results:
-			outstanding--
-			if out.err == nil {
-				return out.v, out.idx, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if outstanding == 0 {
-				// Every launched attempt failed. If the primary failed
-				// before the hedge timer there is no sibling to wait for,
-				// and launching one now would be a retry — the caller's
-				// policy, not HedgeOn's.
-				return zero, -1, firstErr
-			}
-		case <-timerC:
-			timerC = nil
-			launch(1)
-			outstanding++
-		case <-ctx.Done():
-			return zero, -1, ctx.Err()
-		}
-	}
-}
-
-// hedge is one HedgeOn call's attempts, allocated together.
-type hedge[T any] struct {
-	attempts [2]attempt[T] // primary, backup
-	results  chan *attempt[T]
-}
-
-// attempt is one call as a Job: Run makes it, Done reports it.
-type attempt[T any] struct {
-	call    func(context.Context) (T, error)
-	ctx     context.Context
-	cancel  context.CancelFunc
-	idx     int
-	results chan<- *attempt[T]
-	v       T
-	err     error
-}
-
-func (a *attempt[T]) Run() { a.v, a.err = a.call(a.ctx) }
-
-// Done never blocks: results has room for both attempts.
-func (a *attempt[T]) Done() { a.results <- a }

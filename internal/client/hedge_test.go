@@ -1,160 +1,11 @@
 package client
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// Hedge is HedgeOn with each attempt on a fresh goroutine: the
-// semantics under test, without a coordinator's workers.
-func Hedge[T any](ctx context.Context, delay time.Duration, call func(context.Context) (T, error)) (T, int, error) {
-	return HedgeOn(ctx, goRunner{}, delay, call)
-}
-
-type goRunner struct{}
-
-func (goRunner) Run(j Job) {
-	go func() {
-		j.Run()
-		j.Done()
-	}()
-}
-
-func TestHedgePrimaryWinsBeforeDelay(t *testing.T) {
-	var launches atomic.Int64
-	v, idx, err := Hedge(context.Background(), time.Hour, func(ctx context.Context) (string, error) {
-		launches.Add(1)
-		return "primary", nil
-	})
-	if err != nil || v != "primary" || idx != 0 {
-		t.Fatalf("Hedge = (%q, %d, %v), want (primary, 0, nil)", v, idx, err)
-	}
-	if launches.Load() != 1 {
-		t.Errorf("launched %d attempts, want 1 (no hedge for a fast primary)", launches.Load())
-	}
-}
-
-// A straggling primary triggers the hedge; the hedge's result wins and
-// the straggler's context is cancelled — observed deterministically via
-// the blocked primary's ctx.Done.
-func TestHedgeFiresOnStragglerAndCancelsLoser(t *testing.T) {
-	primaryCancelled := make(chan struct{})
-	release := make(chan struct{})
-	defer close(release)
-	var attempt atomic.Int64
-	v, idx, err := Hedge(context.Background(), time.Millisecond, func(ctx context.Context) (string, error) {
-		if attempt.Add(1) == 1 {
-			// Primary: a straggler that only returns once cancelled.
-			select {
-			case <-ctx.Done():
-				close(primaryCancelled)
-				return "", ctx.Err()
-			case <-release:
-				return "straggler", nil
-			}
-		}
-		return "hedge", nil
-	})
-	if err != nil || v != "hedge" || idx != 1 {
-		t.Fatalf("Hedge = (%q, %d, %v), want (hedge, 1, nil)", v, idx, err)
-	}
-	select {
-	case <-primaryCancelled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("losing attempt was never cancelled")
-	}
-}
-
-// The first SUCCESS wins: a hedge that errors quickly does not beat a
-// primary that eventually succeeds.
-func TestHedgeErrorDoesNotBeatSlowSuccess(t *testing.T) {
-	var attempt atomic.Int64
-	hedgeFailed := make(chan struct{})
-	v, idx, err := Hedge(context.Background(), time.Millisecond, func(ctx context.Context) (string, error) {
-		if attempt.Add(1) == 1 {
-			<-hedgeFailed // primary waits out the hedge's failure
-			return "primary", nil
-		}
-		close(hedgeFailed)
-		return "", errors.New("hedge lost the coin flip")
-	})
-	if err != nil || v != "primary" || idx != 0 {
-		t.Fatalf("Hedge = (%q, %d, %v), want (primary, 0, nil)", v, idx, err)
-	}
-}
-
-func TestHedgeAllAttemptsFail(t *testing.T) {
-	wantErr := errors.New("shard down")
-	var launches atomic.Int64
-	started := make(chan struct{}, 2)
-	_, idx, err := Hedge(context.Background(), 0, func(ctx context.Context) (int, error) {
-		launches.Add(1)
-		started <- struct{}{}
-		<-started // both attempts proceed regardless of ordering
-		started <- struct{}{}
-		return 0, wantErr
-	})
-	if !errors.Is(err, wantErr) || idx != -1 {
-		t.Fatalf("Hedge = (%d, %v), want (-1, the shard error)", idx, err)
-	}
-}
-
-func TestHedgePrimaryFastFailureReturnsWithoutHedging(t *testing.T) {
-	wantErr := errors.New("connection refused")
-	var launches atomic.Int64
-	_, idx, err := Hedge(context.Background(), time.Hour, func(ctx context.Context) (int, error) {
-		launches.Add(1)
-		return 0, wantErr
-	})
-	if !errors.Is(err, wantErr) || idx != -1 {
-		t.Fatalf("Hedge = (%d, %v), want the primary's error", idx, err)
-	}
-	if launches.Load() != 1 {
-		t.Errorf("launched %d attempts, want 1 (fast failure is not a straggler)", launches.Load())
-	}
-}
-
-func TestHedgeNegativeDelayDisablesBackup(t *testing.T) {
-	var launches atomic.Int64
-	release := make(chan struct{})
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		close(release)
-	}()
-	v, idx, err := Hedge(context.Background(), -1, func(ctx context.Context) (string, error) {
-		launches.Add(1)
-		<-release
-		return "only", nil
-	})
-	if err != nil || v != "only" || idx != 0 {
-		t.Fatalf("Hedge = (%q, %d, %v)", v, idx, err)
-	}
-	if launches.Load() != 1 {
-		t.Errorf("launched %d attempts with hedging disabled", launches.Load())
-	}
-}
-
-func TestHedgeContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	entered := make(chan struct{})
-	go func() {
-		<-entered
-		cancel()
-	}()
-	_, idx, err := Hedge(ctx, time.Hour, func(ctx context.Context) (int, error) {
-		entered <- struct{}{}
-		<-ctx.Done()
-		return 0, ctx.Err()
-	})
-	if !errors.Is(err, context.Canceled) || idx != -1 {
-		t.Fatalf("Hedge = (%d, %v), want the caller's cancellation", idx, err)
-	}
-}
 
 func TestHedgerQuantileDelay(t *testing.T) {
 	h := NewHedger(HedgerConfig{Quantile: 0.9, Window: 10, MinSamples: 5, Default: 123 * time.Millisecond})

@@ -27,21 +27,28 @@ var (
 	hooks map[string]func() error
 )
 
-// FireErr invokes the hook armed at site and returns what it returns;
-// nil when nothing is armed (the production case: one atomic load). Call
-// it where the injected failure is an error value the code path must
-// handle — a refused connection, a torn response.
-func FireErr(site string) error {
+// Hook returns the hook armed at site, or nil (the production case: one
+// atomic load). A site that must not wait on its hook past some other
+// event looks it up here and runs it itself.
+func Hook(site string) func() error {
 	if !armed.Load() {
 		return nil
 	}
 	mu.Lock()
 	fn := hooks[site]
 	mu.Unlock()
-	if fn == nil {
-		return nil
+	return fn
+}
+
+// FireErr invokes the hook armed at site and returns what it returns;
+// nil when nothing is armed. Call it where the injected failure is an
+// error value the code path must handle — a refused connection, a torn
+// response.
+func FireErr(site string) error {
+	if fn := Hook(site); fn != nil {
+		return fn()
 	}
-	return fn()
+	return nil
 }
 
 // Fire is FireErr for sites where the fault is a side effect — latency,

@@ -23,14 +23,18 @@ import (
 //
 //	Site+".delay"  Fire hook — inject latency (Sleeps) or park the
 //	               request (Blocks); a slow-then-succeed straggler is
-//	               Sleeps past the hedge trigger.
+//	               Sleeps past the hedge trigger. The hook runs on a
+//	               goroutine of its own, and the request stops waiting
+//	               for it, with its context's error, once that context
+//	               ends, as a network wait does.
 //	Site+".conn"   FireErr hook — non-nil aborts before the wire, the
 //	               shape of a refused/reset connection.
 //	Site+".torn"   FireErr hook — non-nil lets the response headers
 //	               through but fails the body mid-read, the shape of a
 //	               connection dropped inside the payload.
 //
-// With nothing armed each point costs one atomic load.
+// With nothing armed each point costs one atomic load and starts no
+// goroutine.
 type Transport struct {
 	Site string
 	Base http.RoundTripper // nil means http.DefaultTransport
@@ -38,7 +42,9 @@ type Transport struct {
 
 // RoundTrip implements http.RoundTripper with the Site's fault points.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	faultinject.Fire(t.Site + ".delay")
+	if err := delay(req, faultinject.Hook(t.Site+".delay")); err != nil {
+		return nil, err
+	}
 	if err := faultinject.FireErr(t.Site + ".conn"); err != nil {
 		return nil, err
 	}
@@ -50,6 +56,25 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		resp.Body = &tornBody{rc: resp.Body, remain: 1, err: terr}
 	}
 	return resp, err
+}
+
+// delay runs hook, when one is armed, until it returns or req's context
+// ends. In the second case the hook is left to finish on its own.
+func delay(req *http.Request, hook func() error) error {
+	if hook == nil {
+		return nil
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = hook()
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-req.Context().Done():
+		return req.Context().Err()
+	}
 }
 
 // CloseIdleConnections closes the idle connections of the base

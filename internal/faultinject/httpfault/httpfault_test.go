@@ -1,6 +1,7 @@
 package httpfault_test
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -85,5 +86,29 @@ func TestTransportInjectsLatency(t *testing.T) {
 	_ = resp.Body.Close()
 	if took := time.Since(start); took < delay {
 		t.Fatalf("request returned after %v, want >= %v", took, delay)
+	}
+}
+
+// A request parked at the .delay site gives up when its context ends,
+// with the context's error, as a network wait does; the hook itself
+// finishes on its own once released.
+func TestTransportDelayEndsWithContext(t *testing.T) {
+	defer faultinject.Reset()
+	ts, hc := transportClient("net.park")
+	defer ts.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	faultinject.Set("net.park.delay", faultinject.Blocks(entered, release))
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		<-entered
+		cancel()
+	}()
+	if _, err := hc.Do(req); !errors.Is(err, context.Canceled) {
+		t.Fatalf("parked request err = %v, want context.Canceled", err)
 	}
 }

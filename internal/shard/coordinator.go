@@ -60,9 +60,10 @@ type Config struct {
 // /healthz and /readyz that surface per-shard breaker state. It caches
 // nothing: every request scatters, and each shard answers from its own
 // result cache, whose epoch is exactly the generation it serves
-// (DESIGN.md §16). A request's legs run on workers the coordinator
-// owns, the last on the request's own goroutine; Close, which the
-// shell's Run calls once drained, joins them. Safe for concurrent use.
+// (DESIGN.md §16). A request's legs, and the backup attempts their
+// hedges add, run on workers the coordinator owns, the last leg on the
+// request's own goroutine; Close, which the shell's Run calls once
+// drained, joins them. Safe for concurrent use.
 type Coordinator struct {
 	*server.Shell
 	shards  []*shardConn
@@ -145,8 +146,8 @@ func New(cfg Config) (*Coordinator, error) {
 
 // Close joins the coordinator's workers and closes the legs' idle
 // connections; the shell's Run calls it once drained. A request arriving
-// later still runs, its legs and attempts one after another on its own
-// goroutine, over connections of its own.
+// later still runs, its legs one after another on its own goroutine and
+// a backup on its hedge timer's, over connections of its own.
 func (c *Coordinator) Close() {
 	c.workers.close()
 	for _, sc := range c.shards {
@@ -213,27 +214,25 @@ func rejection(err error) *api.Error {
 	return nil
 }
 
-// query runs one shard's scatter leg under ctx, which carries the
-// leg's deadline budget: breaker admission and a hedged request — the
-// backup fires after the shard's observed latency quantile, the first
-// success wins, and the loser's context is cancelled. A half-open
-// breaker admits exactly one un-hedged probe. The log carries one record
-// per breaker transition — the trip with the failure that caused it —
-// and nothing per failed or skipped leg, so a dead shard costs a few
-// records per cooldown, not one per request.
-func (c *Coordinator) query(ctx context.Context, sc *shardConn, body *queryBody) (*api.ShardPartial, error) {
-	if !sc.breaker.Allow() {
+// query runs l's scatter leg under the gather's context, which carries
+// the leg's deadline budget: breaker admission, then the hedged request.
+// A half-open breaker admits exactly one un-hedged probe. The log
+// carries one record per breaker transition — the trip with the
+// failure that caused it — and nothing per failed or skipped leg, so a
+// dead shard costs a few records per cooldown, not one per request.
+func (c *Coordinator) query(l *leg) (*api.ShardPartial, error) {
+	sc := l.sc
+	ok, probe := sc.breaker.Allow()
+	if !ok {
 		return nil, errBreakerOpen
 	}
 	delay := sc.hedger.Delay()
-	if sc.breaker.State() == client.BreakerHalfOpen {
+	if probe {
 		delay = -1 // the recovery probe is a single request, never doubled
 		c.Log.Info("shard breaker half-open: probing", "shard", sc.base)
 	}
 	start := time.Now()
-	resp, _, err := client.HedgeOn(ctx, &c.workers, delay, func(actx context.Context) (*api.ShardPartial, error) {
-		return sc.post(actx, body)
-	})
+	resp, err := l.hedge(delay)
 	if err != nil && rejection(err) == nil {
 		if sc.breaker.Failure() {
 			c.Log.Warn("shard breaker open", "shard", sc.base, "err", err)
@@ -324,7 +323,9 @@ type gather struct {
 func newGather(c *Coordinator) *gather {
 	g := &gather{legs: make([]leg, len(c.shards))}
 	for i, sc := range c.shards {
-		g.legs[i] = leg{c: c, g: g, sc: sc}
+		l := &g.legs[i]
+		*l = leg{c: c, g: g, sc: sc, backupDone: make(chan struct{}, 1)}
+		l.backup.l = l
 	}
 	return g
 }
@@ -332,7 +333,9 @@ func newGather(c *Coordinator) *gather {
 // reset drops what a request left behind, so the pool pins none of it.
 func (g *gather) reset() {
 	for i := range g.legs {
-		g.legs[i].part, g.legs[i].err = nil, nil
+		l := &g.legs[i]
+		l.part, l.err, l.ctx, l.cancel = nil, nil, nil, nil
+		l.backup.part, l.backup.err = nil, nil
 	}
 	clear(g.alive)
 	clear(g.merged)
@@ -340,18 +343,79 @@ func (g *gather) reset() {
 	g.ctx, g.body = nil, nil
 }
 
-// leg is one shard's part of a gather: a client.Job for a worker or,
-// for the last shard, run by the request itself.
+// leg is one shard's part of a gather: a job for a worker or, for the
+// last shard, run by the request itself.
 type leg struct {
 	c    *Coordinator
 	g    *gather
 	sc   *shardConn
 	part *api.ShardPartial
 	err  error
+
+	// The hedge: both attempts share ctx, which the first success
+	// cancels; timer hands backup to a worker, whose Done signals
+	// backupDone.
+	ctx        context.Context
+	cancel     context.CancelFunc
+	timer      *time.Timer // made by the leg's first hedge, then Reset
+	backup     backup
+	backupDone chan struct{}
 }
 
-func (l *leg) Run()  { l.part, l.err = l.c.query(l.g.ctx, l.sc, l.g.body) }
+func (l *leg) Run()  { l.part, l.err = l.c.query(l) }
 func (l *leg) Done() { l.g.wg.Done() }
+
+// hedge runs the leg's request on the calling goroutine and, if it has
+// not returned after delay, one backup attempt on the coordinator's
+// workers — the tail-latency discipline of "The Tail at Scale". The
+// first success wins and cancels the other attempt; a failure cancels
+// nothing, so a fast failure waits for its sibling. A primary that
+// returns before the backup fires returns at once, and a negative delay
+// never hedges. hedge returns once every attempt it started has
+// returned, the backup's worker parked again; when both fail, with the
+// primary's error.
+func (l *leg) hedge(delay time.Duration) (*api.ShardPartial, error) {
+	l.ctx, l.cancel = context.WithCancel(l.g.ctx)
+	defer l.cancel()
+	if delay >= 0 {
+		if l.timer == nil {
+			l.timer = time.AfterFunc(delay, l.fire)
+		} else {
+			l.timer.Reset(delay)
+		}
+	}
+	part, err := l.sc.post(l.ctx, l.g.body)
+	if delay < 0 || l.timer.Stop() {
+		return part, err // the backup never fired
+	}
+	if err == nil {
+		l.cancel()
+	}
+	<-l.backupDone
+	if err != nil && l.backup.err == nil {
+		return l.backup.part, nil
+	}
+	return part, err
+}
+
+// fire hands the leg's backup attempt to a worker.
+func (l *leg) fire() { l.c.workers.Run(&l.backup) }
+
+// backup is a leg's second attempt, a job for a worker.
+type backup struct {
+	l    *leg
+	part *api.ShardPartial
+	err  error
+}
+
+func (b *backup) Run() {
+	l := b.l
+	if b.part, b.err = l.sc.post(l.ctx, l.g.body); b.err == nil {
+		l.cancel() // the backup won: the primary ends
+	}
+}
+
+func (b *backup) Done() { b.l.backupDone <- struct{}{} }
 
 // ErrAllShardsDown is returned when no shard produced a partial result:
 // there is nothing to serve, degraded or otherwise.

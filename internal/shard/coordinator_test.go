@@ -481,7 +481,10 @@ func TestCoordinatorLogsBreakerTransitionsOnce(t *testing.T) {
 }
 
 // A straggling shard triggers the hedge: the backup request wins, the
-// straggler's context is cancelled, and the answer is full-fidelity.
+// straggler's context is cancelled, and the answer is full-fidelity. The
+// straggler runs on the leg's own goroutine, which the request waits
+// for, so Recommend returning well inside the fleet's 5 s ShardTimeout
+// shows the cancel reached the wire.
 func TestCoordinatorHedgeWinsAndCancelsStraggler(t *testing.T) {
 	var shard0Queries atomic.Int64
 	stragglerCancelled := make(chan struct{})
@@ -505,7 +508,11 @@ func TestCoordinatorHedgeWinsAndCancelsStraggler(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
+	start := time.Now()
 	resp, err := f.c.Recommend(context.Background(), "user-4", 125, 5, nil)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Recommend took %v, want at most 1s: the loser's cancel did not end it", took)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,43 +687,31 @@ func TestFleetConfigs(t *testing.T) {
 	}
 }
 
-// Legs and hedged attempts run on workers the coordinator owns, started
-// on demand and parked for reuse: 1 000 sequential requests over two
-// shards never have more than three jobs in flight — shard 0's leg and
-// both primary attempts; shard 1's leg is the request's own goroutine —
-// so they start at most three workers and open at most three
-// connections per shard, and four concurrent callers at most four times
-// that many workers (no hedge fires: the window never warms). Close
-// joins every one of them and closes the legs' idle connections: the
-// goroutine count is back to what it was before the first request.
+// Legs and backup attempts run on workers the coordinator owns, started
+// on demand and parked for reuse. Over two shards a request without a
+// hedge hands out one job, shard 0's leg: shard 1's leg runs on the
+// request's own goroutine, and each leg's first attempt on the leg's.
+// So 1 000 sequential requests start at most one worker and open at
+// most one connection per shard, and four concurrent callers start at
+// most four workers. Close joins every worker and closes the legs' idle
+// connections: the goroutine count is back to what it was before the
+// first request.
 func TestCoordinatorWorkersReusedAndJoined(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *Config) {
 		cfg.Hedger = client.HedgerConfig{Default: time.Hour, Window: 1 << 12, MinSamples: 1 << 12}
 	}, nil)
-	spawned := func() int {
-		f.c.workers.mu.Lock()
-		defer f.c.workers.mu.Unlock()
-		return f.c.workers.spawned
-	}
 	baseline := runtime.NumGoroutine()
-	ask := func(i int) error {
-		resp, err := f.c.Recommend(context.Background(), fmt.Sprintf("user-%d", i%6), 100+int64(i%30), 10, nil)
-		if err == nil && resp.Degraded {
-			err = fmt.Errorf("degraded: %+v", resp)
-		}
-		return err
-	}
 	for i := 0; i < 1000; i++ {
-		if err := ask(i); err != nil {
+		if err := askFleet(f, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := spawned(); n > 3 {
-		t.Fatalf("1 000 sequential requests started %d workers, want at most 3", n)
+	if n := f.spawned(); n > 1 {
+		t.Fatalf("1 000 sequential requests started %d workers, want at most 1", n)
 	}
 	for i, conns := range f.conns {
-		if n := conns.Load(); n > 3 {
-			t.Fatalf("1 000 sequential requests opened %d connections to shard %d, want at most 3", n, i)
+		if n := conns.Load(); n > 1 {
+			t.Fatalf("1 000 sequential requests opened %d connections to shard %d, want at most 1", n, i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -725,7 +720,7 @@ func TestCoordinatorWorkersReusedAndJoined(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := ask(g*100 + i); err != nil {
+				if err := askFleet(f, g*100+i); err != nil {
 					t.Error(err)
 					return
 				}
@@ -733,21 +728,75 @@ func TestCoordinatorWorkersReusedAndJoined(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := spawned(); n > 12 {
-		t.Fatalf("four concurrent callers started %d workers, want at most 12", n)
+	if n := f.spawned(); n > 4 {
+		t.Fatalf("four concurrent callers started %d workers, want at most 4", n)
 	}
 	f.c.Close()
+	waitForGoroutines(t, baseline)
+	// A request after Close still answers, on its own goroutine.
+	if err := askFleet(f, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.spawned(); n > 4 {
+		t.Fatalf("a request after Close started a worker (%d in all)", n)
+	}
+}
+
+// When hedges fire — a 1 ms hedge delay against 3 ms of injected latency
+// at shard 0's .delay site — each backup is one more job on the workers:
+// sequential requests start at most three (shard 0's leg and backup, and
+// a backup for shard 1 should it straggle too), and Close still brings
+// the goroutine count back to its baseline.
+func TestCoordinatorHedgesJoined(t *testing.T) {
+	f := newFleet(t, 2, func(cfg *Config) {
+		cfg.Hedger = client.HedgerConfig{Default: time.Millisecond, Window: 1 << 12, MinSamples: 1 << 12}
+	}, nil)
+	var attempts atomic.Int64
+	faultinject.Set("shard0.delay", func() {
+		attempts.Add(1)
+		time.Sleep(3 * time.Millisecond)
+	})
+	baseline := runtime.NumGoroutine()
+	const requests = 100
+	for i := 0; i < requests; i++ {
+		if err := askFleet(f, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := attempts.Load(); n <= requests {
+		t.Fatalf("%d attempts reached shard 0 over %d requests: no hedge fired", n, requests)
+	}
+	if n := f.spawned(); n > 3 {
+		t.Fatalf("%d sequential hedged requests started %d workers, want at most 3", requests, n)
+	}
+	f.c.Close()
+	waitForGoroutines(t, baseline)
+}
+
+// askFleet sends the i-th request of a fixed mix and wants a full answer.
+func askFleet(f *fleet, i int) error {
+	resp, err := f.c.Recommend(context.Background(), fmt.Sprintf("user-%d", i%6), 100+int64(i%30), 10, nil)
+	if err == nil && resp.Degraded {
+		err = fmt.Errorf("degraded: %+v", resp)
+	}
+	return err
+}
+
+// spawned is how many workers the fleet's coordinator ever started.
+func (f *fleet) spawned() int {
+	f.c.workers.mu.Lock()
+	defer f.c.workers.mu.Unlock()
+	return f.c.workers.spawned
+}
+
+// waitForGoroutines waits up to five seconds for the goroutine count to
+// fall back to baseline.
+func waitForGoroutines(t *testing.T, baseline int) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines five seconds after Close, %d before the first request", runtime.NumGoroutine(), baseline)
 		}
-	}
-	// A request after Close still answers, on its own goroutine.
-	if err := ask(0); err != nil {
-		t.Fatal(err)
-	}
-	if n := spawned(); n > 12 {
-		t.Fatalf("a request after Close started a worker (%d in all)", n)
 	}
 }
 

@@ -1,22 +1,25 @@
 package shard
 
-import (
-	"sync"
+import "sync"
 
-	"tcam/internal/client"
-)
+// job is what a worker runs: a scatter leg, or a leg's backup attempt.
+// Run does the work; Done reports it, once the worker is parked again.
+type job interface {
+	Run()
+	Done()
+}
 
 // workers are the goroutines a Coordinator runs its scatter legs and
-// their hedged attempts on (a client.Runner). A worker starts only when
-// no idle one is parked, so no more ever exist than jobs were in flight
-// at once; between jobs it parks on its own channel and keeps the stack
-// the last job grew. A job's Done runs once its worker is parked again,
+// their backup attempts on. A worker starts only when no idle one is
+// parked, so no more ever exist than jobs were in flight at once;
+// between jobs it parks on its own channel and keeps the stack the last
+// job grew. A job's Done runs once its worker is parked again,
 // so a caller that waits for Done before handing out its next job finds
 // that worker free. close joins them all. The zero value is ready to
 // use.
 type workers struct {
 	mu      sync.Mutex
-	idle    []chan client.Job // one per parked worker
+	idle    []chan job // one per parked worker
 	closed  bool
 	spawned int // workers ever started
 	wg      sync.WaitGroup
@@ -26,7 +29,7 @@ type workers struct {
 // After close, j runs on the caller's goroutine.
 //
 //tcam:spawner workers are joined by close
-func (w *workers) Run(j client.Job) {
+func (w *workers) Run(j job) {
 	w.mu.Lock()
 	if n := len(w.idle); n > 0 {
 		ch := w.idle[n-1]
@@ -44,12 +47,12 @@ func (w *workers) Run(j client.Job) {
 	w.spawned++
 	w.wg.Add(1)
 	w.mu.Unlock()
-	go w.loop(make(chan client.Job, 1), j)
+	go w.loop(make(chan job, 1), j)
 }
 
 // loop is one worker: run j, park, report j done, take the next job
 // from ch — until close, which closes ch or refuses to park it.
-func (w *workers) loop(ch chan client.Job, j client.Job) {
+func (w *workers) loop(ch chan job, j job) {
 	defer w.wg.Done()
 	for {
 		j.Run()
@@ -65,7 +68,7 @@ func (w *workers) loop(ch chan client.Job, j client.Job) {
 }
 
 // park lists ch's worker as idle, unless the workers are closed.
-func (w *workers) park(ch chan client.Job) bool {
+func (w *workers) park(ch chan job) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
