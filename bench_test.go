@@ -367,15 +367,3 @@ func BenchmarkTrainAllMethodsSmall(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkExtensionTimeSVD measures the timeSVD++ extension's training
-// cost next to the paper's models (see BenchmarkTrainAllMethodsSmall).
-func BenchmarkExtensionTimeSVD(b *testing.B) {
-	data := benchWorld(b)
-	opts := core.Options{Factors: 8, Epochs: 5, Seed: 1}
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Train(core.TimeSVD, data, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

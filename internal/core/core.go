@@ -16,7 +16,6 @@ import (
 	"tcam/internal/model/bptf"
 	"tcam/internal/model/plsa"
 	"tcam/internal/model/tcam"
-	"tcam/internal/model/timesvd"
 	"tcam/internal/train"
 	"tcam/internal/weighting"
 )
@@ -36,10 +35,6 @@ const (
 	BPRMF  Method = "BPRMF"
 	BPTF   Method = "BPTF"
 )
-
-// TimeSVD is the timeSVD++ extension (Koren, KDD 2009) — discussed in
-// the paper's related work but not part of its comparison.
-const TimeSVD Method = "timeSVD++"
 
 // AllMethods lists every method in the paper's comparison order.
 func AllMethods() []Method {
@@ -182,16 +177,6 @@ func Train(method Method, data *cuboid.Cuboid, opts Options) (Result, error) {
 		}
 		cfg.Seed = seedOf(opts)
 		res.Model, res.Stats, err = bprmf.Train(tdata, cfg)
-	case TimeSVD:
-		cfg := timesvd.DefaultConfig()
-		if opts.Factors > 0 {
-			cfg.Factors = opts.Factors
-		}
-		if opts.Epochs > 0 {
-			cfg.Epochs = opts.Epochs
-		}
-		cfg.Seed = seedOf(opts)
-		res.Model, res.Stats, err = timesvd.Train(tdata, cfg)
 	case BPTF:
 		cfg := bptf.DefaultConfig()
 		if opts.Factors > 0 {

@@ -85,22 +85,10 @@ func TestMethodPredicates(t *testing.T) {
 }
 
 func TestTrainUnknownMethod(t *testing.T) {
-	if _, err := Train(Method("bogus"), smallWorld(t), fastOpts()); err == nil {
-		t.Error("Train accepted an unknown method")
-	}
-}
-
-func TestTimeSVDExtension(t *testing.T) {
-	data := smallWorld(t)
-	res, err := Train(TimeSVD, data, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Model.Name() != "timeSVD++" {
-		t.Errorf("name = %q", res.Model.Name())
-	}
-	if _, ok := res.Model.(model.TopicScorer); ok {
-		t.Error("timeSVD++ has no topic decomposition; TA must not apply")
+	for _, m := range []Method{"bogus", "timeSVD++"} {
+		if _, err := Train(m, smallWorld(t), fastOpts()); err == nil {
+			t.Errorf("Train accepted the unknown method %q", m)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tcam/internal/core"
+	"tcam/internal/cuboid"
 	"tcam/internal/datagen"
 	"tcam/internal/eval"
 )
@@ -223,6 +224,27 @@ func TestTable5TopicQuality(t *testing.T) {
 	if res.Purity("W-TTCAM") < res.Purity("TT") {
 		t.Errorf("item weighting must not reduce burst purity: W-TTCAM %.3f vs TT %.3f",
 			res.Purity("W-TTCAM"), res.Purity("TT"))
+	}
+}
+
+// TestHeaviestEventCluster: Figure 5 and Tables 5–6 match the event
+// cluster whose items the most users rated, ties to the lower id, and
+// all three fail on a world without event clusters instead of scoring
+// against cluster −1, every stable item.
+func TestHeaviestEventCluster(t *testing.T) {
+	st := &cuboid.Stats{ItemUsers: []int{9, 2, 3, 4, 1}}
+	w := &datagen.World{Truth: &datagen.GroundTruth{EventCluster: []int{-1, 2, 1, 1, 2}}}
+	if x, err := heaviestEventCluster(datagen.Delicious, w, st); err != nil || x != 1 {
+		t.Errorf("cluster %d, err %v; want 1 (masses 7 and 3, not the stable item's 9)", x, err)
+	}
+	w.Truth.EventCluster = []int{-1, 2, 1, 1, 3}
+	st.ItemUsers = []int{9, 7, 3, 4, 1}
+	if x, err := heaviestEventCluster(datagen.Delicious, w, st); err != nil || x != 1 {
+		t.Errorf("cluster %d, err %v; want the tie between 1 and 2 to go to 1", x, err)
+	}
+	w.Truth.EventCluster = []int{-1, -1, -1, -1, -1}
+	if _, err := heaviestEventCluster(datagen.Douban, w, st); err == nil || !strings.Contains(err.Error(), "Douban") {
+		t.Errorf("a world without event clusters gave err %v", err)
 	}
 }
 

@@ -171,21 +171,9 @@ func (r *Runner) Figure5() (*BurstySeriesResult, error) {
 	data, grid := r.gridWorld(p)
 	st := cuboid.ComputeStats(data)
 
-	// The event cluster with the most rated mass.
-	clusterMass := make(map[int]int)
-	for v := 0; v < data.NumItems(); v++ {
-		if x := w.Truth.EventCluster[v]; x >= 0 {
-			clusterMass[x] += st.ItemUsers[v]
-		}
-	}
-	bestCluster, bestMass := -1, -1
-	for x, mass := range clusterMass {
-		if mass > bestMass || (mass == bestMass && x < bestCluster) {
-			bestCluster, bestMass = x, mass
-		}
-	}
-	if bestCluster < 0 {
-		return nil, fmt.Errorf("experiments: figure5: no event clusters in world")
+	bestCluster, err := heaviestEventCluster(p, w, st)
+	if err != nil {
+		return nil, err
 	}
 
 	pickTop := func(candidates []int, n int) []int {
@@ -330,18 +318,9 @@ func (r *Runner) topicQualityOn(p datagen.Profile) (*TopicQualityResult, error) 
 	data, _ := r.gridWorld(p)
 	st := cuboid.ComputeStats(data)
 
-	// Matched cluster: the ground-truth event cluster with most mass.
-	clusterMass := make(map[int]int)
-	for v := 0; v < data.NumItems(); v++ {
-		if x := w.Truth.EventCluster[v]; x >= 0 {
-			clusterMass[x] += st.ItemUsers[v]
-		}
-	}
-	bestCluster, bestMass := -1, -1
-	for x, mass := range clusterMass {
-		if mass > bestMass || (mass == bestMass && x < bestCluster) {
-			bestCluster, bestMass = x, mass
-		}
+	bestCluster, err := heaviestEventCluster(p, w, st)
+	if err != nil {
+		return nil, err
 	}
 
 	out := &TopicQualityResult{Dataset: p.String(), Cluster: bestCluster}
@@ -396,6 +375,28 @@ func (r *Runner) topicQualityOn(p datagen.Profile) (*TopicQualityResult, error) 
 		appraise(string(m), tm.TimeTopic, tm.K2())
 	}
 	return out, nil
+}
+
+// heaviestEventCluster returns the ground-truth event cluster whose
+// items the most users rated (ties go to the lower id): the event that
+// Figure 5 and Tables 5–6 match topics against.
+func heaviestEventCluster(p datagen.Profile, w *datagen.World, st *cuboid.Stats) (int, error) {
+	clusterMass := make(map[int]int)
+	for v, users := range st.ItemUsers {
+		if x := w.Truth.EventCluster[v]; x >= 0 {
+			clusterMass[x] += users
+		}
+	}
+	bestCluster, bestMass := -1, -1
+	for x, mass := range clusterMass {
+		if mass > bestMass || (mass == bestMass && x < bestCluster) {
+			bestCluster, bestMass = x, mass
+		}
+	}
+	if bestCluster < 0 {
+		return -1, fmt.Errorf("experiments: no event clusters in the %s world", p)
+	}
+	return bestCluster, nil
 }
 
 // Render prints one block per model.

@@ -24,6 +24,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -289,18 +290,20 @@ type lambdaResponse struct {
 
 func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
 	sn := s.snapshot()
-	rest := strings.TrimPrefix(r.URL.Path, "/users/")
-	parts := strings.Split(rest, "/")
-	if len(parts) != 2 || parts[1] != "lambda" {
+	// Cut the escaped path so an id may carry an encoded "/", then
+	// decode the id segment exactly once.
+	escaped, ok := strings.CutSuffix(strings.TrimPrefix(r.URL.EscapedPath(), "/users/"), "/lambda")
+	id, err := url.PathUnescape(escaped)
+	if !ok || err != nil || strings.Contains(escaped, "/") {
 		api.WriteError(w, http.StatusNotFound, "want /users/{id}/lambda")
 		return
 	}
-	u, err := sn.User(parts[0])
+	u, err := sn.User(id)
 	if err != nil {
 		api.Fail(w, err, http.StatusInternalServerError)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, lambdaResponse{User: parts[0], Lambda: sn.bundle.Model.Lambda(u)})
+	api.WriteJSON(w, http.StatusOK, lambdaResponse{User: id, Lambda: sn.bundle.Model.Lambda(u)})
 }
 
 // TopicItems ranks the n highest-probability items of expanded topic z.

@@ -269,17 +269,24 @@ func TestTopics(t *testing.T) {
 }
 
 func TestUserLambda(t *testing.T) {
-	srv, bundle := testServer(t)
-	resp, body := get(t, srv, "/users/user-3/lambda")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var lr lambdaResponse
-	if err := json.Unmarshal(body, &lr); err != nil {
+	bundle := testfixture.Bundle(t, 6, 12)
+	bundle.Users[4] = "team/alice"
+	srv, err := New(bundle)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if lr.Lambda != bundle.Model.Lambda(3) {
-		t.Errorf("lambda = %v, want %v", lr.Lambda, bundle.Model.Lambda(3))
+	for path, u := range map[string]int{"/users/user-3/lambda": 3, "/users/team%2Falice/lambda": 4} {
+		resp, body := get(t, srv, path)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		var lr lambdaResponse
+		if err := json.Unmarshal(body, &lr); err != nil {
+			t.Fatal(err)
+		}
+		if lr.User != bundle.Users[u] || lr.Lambda != bundle.Model.Lambda(u) {
+			t.Errorf("%s: user %q lambda %v, want %q %v", path, lr.User, lr.Lambda, bundle.Users[u], bundle.Model.Lambda(u))
+		}
 	}
 	if resp, _ := get(t, srv, "/users/nobody/lambda"); resp.StatusCode != http.StatusNotFound {
 		t.Error("unknown user accepted")
