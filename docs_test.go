@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -86,12 +87,44 @@ func TestDocsReferToRealThings(t *testing.T) {
 	}
 }
 
+// TestSmokeFuzzesEveryTarget holds scripts/smoke.sh to the fuzz targets
+// the tree declares: the `fuzz <dir> <name>` lines name exactly the
+// `func Fuzz…` of the _test.go files outside bench/, each with its
+// package directory, so a new fuzzer cannot be left out of CI.
+func TestSmokeFuzzesEveryTarget(t *testing.T) {
+	declared, _ := walkTree(t)
+	want := map[string]bool{}
+	for name, dirs := range declared {
+		for _, dir := range dirs {
+			if strings.HasPrefix(name, "Fuzz") && dir != "bench" && !strings.HasPrefix(dir, "bench/") {
+				want[dir+" "+name] = true
+			}
+		}
+	}
+	listed := map[string]bool{}
+	lines := regexp.MustCompile(`(?m)^fuzz (\S+) (\w+)$`)
+	for _, m := range lines.FindAllStringSubmatch(readDoc(t, "scripts/smoke.sh"), -1) {
+		key := path.Clean(m[1]) + " " + m[2]
+		listed[key] = true
+		if !want[key] {
+			t.Errorf("scripts/smoke.sh fuzzes %s in %s, which no _test.go there declares", m[2], m[1])
+		}
+	}
+	for key := range want {
+		if !listed[key] {
+			dir, name, _ := strings.Cut(key, " ")
+			t.Errorf("%s declares %s, which scripts/smoke.sh does not fuzz", dir, name)
+		}
+	}
+}
+
 // walkTree returns the Test/Benchmark/Fuzz functions the tree's
-// _test.go files declare and the set of every file's base name,
-// skipping dot directories (VCS data, build caches) and testdata.
-func walkTree(t *testing.T) (declared, files map[string]bool) {
+// _test.go files declare, each with the directories declaring it, and
+// the set of every file's base name, skipping dot directories (VCS data,
+// build caches) and testdata.
+func walkTree(t *testing.T) (declared map[string][]string, files map[string]bool) {
 	t.Helper()
-	declared, files = map[string]bool{}, map[string]bool{}
+	declared, files = map[string][]string{}, map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -111,7 +144,7 @@ func walkTree(t *testing.T) (declared, files map[string]bool) {
 			return err
 		}
 		for _, m := range testDeclRe.FindAllSubmatch(src, -1) {
-			declared[string(m[1])] = true
+			declared[string(m[1])] = append(declared[string(m[1])], filepath.ToSlash(filepath.Dir(path)))
 		}
 		return nil
 	})
@@ -123,10 +156,10 @@ func walkTree(t *testing.T) (declared, files map[string]bool) {
 
 // isDeclared reports whether name is a declared test function or, when
 // it ends in "*", the prefix of one.
-func isDeclared(name string, declared map[string]bool) bool {
+func isDeclared(name string, declared map[string][]string) bool {
 	prefix, ok := strings.CutSuffix(name, "*")
 	if !ok {
-		return declared[name]
+		return len(declared[name]) > 0
 	}
 	for d := range declared {
 		if strings.HasPrefix(d, prefix) {

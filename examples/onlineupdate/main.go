@@ -67,17 +67,25 @@ func main() {
 	fmt.Println()
 
 	// Online phase: accumulate the new interval's ratings and refit its
-	// temporal context after each batch.
-	newRatings := map[int]float64{}
+	// temporal context after each batch, with the iterations the
+	// streaming updater publishes (tcam.FitIters).
+	counts := make([]float64, world.Log.NumItems())
 	batchEnd := int64(cutoverDay)
 	i := 0
 	for _, horizon := range []int64{69, 72, 75} {
 		for ; i < len(futureEvents) && futureEvents[i].day < horizon; i++ {
-			newRatings[futureEvents[i].item]++
+			counts[futureEvents[i].item]++
 		}
-		theta := model.FitNewInterval(newRatings, model.NumItems(), 25)
+		var items []int
+		var weights []float64
+		for v, c := range counts {
+			if c > 0 {
+				items, weights = append(items, v), append(weights, c)
+			}
+		}
+		theta := model.FitNewInterval(items, weights, model.NumItems(), tcam.FitIters)
 		top := topTopics(theta, 3)
-		fmt.Printf("after streaming days [%d,%d): %d distinct new items\n", batchEnd, horizon, len(newRatings))
+		fmt.Printf("after streaming days [%d,%d): %d distinct new items\n", batchEnd, horizon, len(items))
 		fmt.Printf("  fitted temporal context: top time-topics %v\n", top)
 		fmt.Printf("  context now recommends: %v\n\n", contextTopItems(world, model, theta, 3))
 	}

@@ -142,7 +142,7 @@ func TestByName(t *testing.T) {
 // suppression is a standing exception to a determinism or performance
 // invariant; adding one is a reviewed decision, so a new directive must
 // bump this constant in the same change that justifies it.
-const repoIgnoreBudget = 12
+const repoIgnoreBudget = 11
 
 // TestRepoIsClean runs the full suite — all nine analyzers — over the
 // live repository; the tree must stay free of findings (satellite

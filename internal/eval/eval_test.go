@@ -193,16 +193,27 @@ func (m *miniScorer) Name() string               { return "mini" }
 func (m *miniScorer) NumItems() int              { return len(m.topics[0]) }
 func (m *miniScorer) NumTopics() int             { return len(m.topics) }
 func (m *miniScorer) TopicItems(z int) []float64 { return m.topics[z] }
-func (m *miniScorer) QueryWeights(u, t int) []float64 {
-	return m.queries[u*2+t]
-}
 func (m *miniScorer) Score(u, t, v int) float64 {
 	var s float64
-	for z, w := range m.QueryWeights(u, t) {
+	for z, w := range m.queries[u*2+t] {
 		s += w * m.topics[z][v]
 	}
 	return s
 }
+func (m *miniScorer) ScoreAll(u, t int, scores []float64) {
+	for v := range scores {
+		scores[v] = m.Score(u, t, v)
+	}
+}
+
+// The scorer names no context range: TA walks one list per topic.
+func (m *miniScorer) QueryWeightsInto(u, t int, dst []float64) float64 {
+	copy(dst, m.queries[u*2+t])
+	return 0
+}
+func (m *miniScorer) ContextTopics() (lo, hi int)  { return 0, 0 }
+func (m *miniScorer) NumIntervals() int            { return 2 }
+func (m *miniScorer) ContextWeights(int) []float64 { return nil }
 
 // EvaluateTA (the batch serving path) must produce the exact curve of
 // evaluating the Threshold Algorithm one Index.Query at a time: both

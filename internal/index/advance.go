@@ -7,9 +7,9 @@ package index
 // touching any trained parameter of existing users. The composition is
 //
 //	new-interval θ′ estimation (FitNewInterval, one row per interval
-//	the stream opened)  →  Grow (re-layout over the wider interval and
-//	item dimensions)    →  FoldInUsers (partial EM for the new users
-//	against every global frozen).
+//	the stream opened)  →  GrowFrom (re-layout over the wider interval
+//	and item dimensions)  →  FoldInUsersFrom (partial EM for the new
+//	users against every global frozen).
 //
 // Because each step is deterministic and starts from the immutable
 // boot bundle, the advanced bundle is a pure function of (boot, stream
@@ -139,7 +139,7 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 			}
 		}
 		vs, weights := intervalRatings(stream, t)
-		contexts = append(contexts, m.FitNewIntervalSorted(vs, weights, len(items), tcam.FitIters))
+		contexts = append(contexts, m.FitNewInterval(vs, weights, len(items), tcam.FitIters))
 		refit[t] = true
 		adv.ContextsFit++
 	}
@@ -179,8 +179,8 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 }
 
 // intervalRatings aggregates interval t's stream events into the
-// ascending (item, total score) columns FitNewIntervalSorted estimates
-// a context from. The by-interval CSR view makes this one contiguous
+// ascending (item, total score) columns FitNewInterval estimates a
+// context from. The by-interval CSR view makes this one contiguous
 // scan; an item's scores add up in cell order.
 func intervalRatings(c *cuboid.Cuboid, t int) (items []int, weights []float64) {
 	_, vs, scores := c.IntervalCSR()

@@ -117,7 +117,7 @@ func TestAdvanceFromEqualsAdvance(t *testing.T) {
 }
 
 // TestAdvanceFromAcrossStride: a stream of four new items a step
-// outgrows the room Grow leaves behind φ, φ′ and the background (64
+// outgrows the room GrowFrom leaves behind φ, φ′ and the background (64
 // items at this size) and has them laid out anew at steps 0, 17 and 34.
 // In between, a derivation shares the previous one's slabs and
 // fold-in's transposes of them, and at every step it writes the bytes

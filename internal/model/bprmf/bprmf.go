@@ -205,4 +205,4 @@ func (m *Model) ScoreAll(u, _ int, scores []float64) {
 	}
 }
 
-var _ model.BulkScorer = (*Model)(nil)
+var _ model.Recommender = (*Model)(nil)

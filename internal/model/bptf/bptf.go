@@ -176,7 +176,7 @@ func (m *Model) ScoreAll(u, t int, scores []float64) {
 	}
 }
 
-var _ model.BulkScorer = (*Model)(nil)
+var _ model.Recommender = (*Model)(nil)
 
 // hyper are the fixed Normal–Wishart hyperparameters (standard
 // non-informative choices from the BPTF paper).

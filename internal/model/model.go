@@ -10,27 +10,21 @@ import (
 	"time"
 )
 
-// Recommender is the minimal surface the evaluation harness needs: a
-// ranking score for item v given the query (u, t) of Section 4. Higher
-// is better; absolute scale is model-specific.
+// Recommender is the surface the evaluation harness and the brute-force
+// ranker need: a ranking score for item v given the query (u, t) of
+// Section 4. Higher is better; absolute scale is model-specific.
 type Recommender interface {
 	// Name returns the label used in the paper's tables and figures
 	// (e.g. "W-TTCAM", "BPRMF").
 	Name() string
 	// Score returns the ranking score S(u, t, v).
 	Score(u, t, v int) float64
+	// ScoreAll writes S(u, t, v) into scores[v] for every item at once,
+	// computing the per-query state once instead of V times.
+	// len(scores) must be NumItems().
+	ScoreAll(u, t int, scores []float64)
 	// NumItems returns the item-catalog size the model was trained on.
 	NumItems() int
-}
-
-// BulkScorer is an optional fast path: fill scores[v] for every item at
-// once. The brute-force ranker uses it when available to avoid
-// recomputing per-query state V times.
-type BulkScorer interface {
-	Recommender
-	// ScoreAll writes S(u, t, v) into scores[v] for all v. len(scores)
-	// must be NumItems().
-	ScoreAll(u, t int, scores []float64)
 }
 
 // TopicScorer exposes the expanded topic space of Section 4.1, the
@@ -38,46 +32,40 @@ type BulkScorer interface {
 // non-negative per-topic weights ϑq, items carry non-negative per-topic
 // weights ϕ_z̃v, and the ranking score is their inner product
 // (Equation 22). Monotonicity of this form is what makes TA applicable.
-type TopicScorer interface {
-	Recommender
-	// NumTopics returns K, the expanded topic-space dimension.
-	NumTopics() int
-	// QueryWeights returns ϑq for query (u, t): a non-negative vector of
-	// length NumTopics(). Entries may be zero; TA skips those lists.
-	QueryWeights(u, t int) []float64
-	// TopicItems returns ϕ_z̃ for topic z̃: non-negative per-item weights
-	// of length NumItems(). Callers must not modify the slice.
-	TopicItems(z int) []float64
-}
-
-// ContextScorer is an optional TopicScorer extension for scorers whose
-// query weights split, as TCAM's do (Equation 1), into a half that
-// depends on the user and a half that depends only on the interval:
-// over the expanded topics [lo, hi) of ContextTopics,
+//
+// The query weights may split, as TCAM's do (Equation 1), into a half
+// that depends on the user and a half that depends only on the
+// interval: over the expanded topics [lo, hi) of ContextTopics,
 //
 //	ϑq[lo+x] = γ · ContextWeights(t)[x]   (rounded once)
 //
 // with γ ≥ 0 the only trace of the user. The Threshold Algorithm then
 // walks one list per interval sorted by Σ_x ContextWeights(t)[x]·ϕ_x,v
 // in place of hi−lo topic lists, whose summed heads bound that sum
-// loosely. Both TCAM variants implement it; it is also the serving fast
-// path's allocation-free way to ϑq.
-type ContextScorer interface {
-	TopicScorer
-	// NumIntervals returns T, the number of intervals a query may name.
-	NumIntervals() int
+// loosely. A scorer without such a half names the empty range.
+type TopicScorer interface {
+	Recommender
+	// NumTopics returns K, the expanded topic-space dimension.
+	NumTopics() int
+	// TopicItems returns ϕ_z̃ for topic z̃: non-negative per-item weights
+	// of length NumItems(). Callers must not modify the slice.
+	TopicItems(z int) []float64
+	// QueryWeightsInto overwrites dst, of length NumTopics(), with ϑq for
+	// query (u, t): non-negative entries, zero ones skipped by TA. It
+	// returns γ, the context half's multiplier (0 for an empty range).
+	QueryWeightsInto(u, t int, dst []float64) (context float64)
 	// ContextTopics returns the range [lo, hi) of expanded topics that
 	// make up the user-independent half. An empty range means there is
 	// nothing to collapse: the expanded topics already hold one topic per
-	// interval (ITCAM).
+	// interval (ITCAM), or the scorer has no such half.
 	ContextTopics() (lo, hi int)
+	// NumIntervals returns T, the number of intervals a query may name;
+	// consulted only for a non-empty range.
+	NumIntervals() int
 	// ContextWeights returns interval t's non-negative weights over the
 	// context topics, of length hi−lo; consulted only for a non-empty
 	// range. Callers must not modify the slice.
 	ContextWeights(t int) []float64
-	// QueryWeightsInto overwrites dst, of length NumTopics(), with ϑq for
-	// query (u, t) and returns γ.
-	QueryWeightsInto(u, t int, dst []float64) (context float64)
 }
 
 // IterStat describes one EM iteration for observability consumers:

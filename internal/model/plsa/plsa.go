@@ -307,4 +307,4 @@ func (m *Model) ScoreAll(u, t int, scores []float64) {
 	}
 }
 
-var _ model.BulkScorer = (*Model)(nil)
+var _ model.Recommender = (*Model)(nil)

@@ -2,23 +2,22 @@ package tcam
 
 // Incremental model evolution for the streaming ingest loop:
 // FitNewInterval estimates a fresh interval's temporal context from its
-// ratings alone, Grow widens the interval/item dimensions against
-// frozen parameters, and FoldInUsers fits new users' θu/λu by partial
-// EM with every global parameter frozen. None of the three mutates the
-// receiver — each returns a new Model (sharing the slabs it did not
-// change), so the boot model stays a frozen base the updater can
-// re-derive every snapshot from.
+// ratings alone, GrowFrom widens the interval/item dimensions against
+// frozen parameters, and FoldInUsersFrom fits new users' θu/λu by
+// partial EM with every global parameter frozen. None of the three
+// mutates the receiver — each returns a new Model (sharing the slabs it
+// did not change), so the boot model stays a frozen base the updater
+// can re-derive every snapshot from.
 
 import (
 	"fmt"
-	"sort"
 
 	"tcam/internal/cuboid"
 	"tcam/internal/model"
 	"tcam/internal/train"
 )
 
-// FoldInConfig parameterizes FoldInUsers.
+// FoldInConfig parameterizes FoldInUsersFrom.
 type FoldInConfig struct {
 	// Iters is the number of partial-EM rounds for the new users'
 	// interests and mixing weights.
@@ -36,9 +35,13 @@ type FoldInConfig struct {
 // unseen interval from its ratings alone, holding every other parameter
 // frozen — the partial-EM update an online deployment runs when a new
 // interval opens (with the user unknown or mixed, the user path is
-// dropped and only the temporal context is fit). ratings maps dense
-// item index to accumulated score; out-of-range or non-positive entries
-// are dropped. The result is a row Grow accepts.
+// dropped and only the temporal context is fit). The ratings are
+// parallel (item, accumulated score) columns in ascending item order,
+// each item at most once — the form a cuboid's by-interval view yields.
+// Ascending order, not map order, because float addition is not
+// associative: the fitted θ' bits must not depend on an iteration order.
+// Out-of-range or non-positive entries are dropped. The result is a row
+// GrowFrom accepts.
 //
 // For ITCAM the context is a multinomial directly over items, so the
 // update is closed-form: the smoothed empirical item distribution of
@@ -47,28 +50,7 @@ type FoldInConfig struct {
 // admit items newer than the model); iters is unused. For TTCAM it is
 // iters rounds of EM on the K2-vector P(x|θ't) against the frozen time
 // topics, which cannot see items beyond the trained catalog.
-func (m *Model) FitNewInterval(ratings map[int]float64, numItems, iters int) []float64 {
-	// Ascending item order, not map order: float addition is not
-	// associative, so iterating the map directly would make the fitted θ'
-	// bits depend on the runtime's randomized iteration and break fold-in
-	// bit-identity across runs.
-	items := make([]int, 0, len(ratings))
-	for v := range ratings {
-		items = append(items, v)
-	}
-	sort.Ints(items)
-	weights := make([]float64, len(items))
-	for i, v := range items {
-		weights[i] = ratings[v]
-	}
-	return m.FitNewIntervalSorted(items, weights, numItems, iters)
-}
-
-// FitNewIntervalSorted is FitNewInterval over the ratings as parallel
-// (item, accumulated score) columns in ascending item order, each item
-// at most once — the form a cuboid's by-interval view yields without
-// building a map.
-func (m *Model) FitNewIntervalSorted(items []int, weights []float64, numItems, iters int) []float64 {
+func (m *Model) FitNewInterval(items []int, weights []float64, numItems, iters int) []float64 {
 	if numItems < m.numItems || m.k2 > 0 {
 		numItems = m.numItems
 	}
@@ -124,21 +106,19 @@ func (m *Model) FitNewIntervalSorted(items []int, weights []float64, numItems, i
 	return thetaNew
 }
 
-// Grow returns the model widened to numIntervals intervals and numItems
-// items. The new items get zero probability in every item-indexed table
-// (φ, φ', an item context, the background): under ITCAM a new item is
-// reachable only through the temporal contexts that observed it, under
-// TTCAM's frozen time topics not at all, until a full retrain.
+// GrowFrom returns the model widened to numIntervals intervals and
+// numItems items. The new items get zero probability in every
+// item-indexed table (φ, φ', an item context, the background): under
+// ITCAM a new item is reachable only through the temporal contexts that
+// observed it, under TTCAM's frozen time topics not at all, until a full
+// retrain.
 // newContexts supplies the θ't row of each appended interval in order,
 // from FitNewInterval, so numIntervals must equal
 // NumIntervals()+len(newContexts). Every table whose shape the growth
 // leaves alone is shared with the receiver, not copied.
-func (m *Model) Grow(numIntervals, numItems int, newContexts [][]float64) (*Model, error) {
-	return m.GrowFrom(nil, numIntervals, numItems, newContexts)
-}
-
-// GrowFrom is Grow given prev, an earlier growth of the same receiver
-// (anything else, nil included, is ignored); the model is Grow's,
+//
+// prev is an earlier growth of the same receiver (anything else, nil
+// included, is ignored); the model is the one GrowFrom(nil, …) returns,
 // parameter for parameter. φ, φ' and the background never change under
 // growth — a wider catalog only needs more zeros behind each row — so
 // they are laid out once, rows a stride apart with room behind the
@@ -214,21 +194,19 @@ func widenRows(src []float64, oldCols, newCols, rows int) []float64 {
 	return dst
 }
 
-// FoldInUsers returns the model extended to data.NumUsers() users. Users
-// [NumUsers(), data.NumUsers()) start from the uniform interest and
-// λ=1/2, then run cfg.Iters rounds of partial EM over their own cells
-// with φ, θ' and φ' frozen — through the same accumulator and shard
-// machinery as batch training, so folding in user u is bit-identical to
-// batch EM restricted to u against the same frozen globals. data's
-// interval/item dimensions must match the model (Grow first when the
-// stream widened them); its cells for already-trained users are ignored.
-func (m *Model) FoldInUsers(data *cuboid.Cuboid, cfg FoldInConfig) (*Model, error) {
-	return m.FoldInUsersFrom(nil, nil, data, cfg)
-}
-
-// FoldInUsersFrom is FoldInUsers given prev, the result of an earlier
-// fold-in from the same trained model: a new user u with kept[u] set
-// takes (θu, λu) from prev instead of being folded again. The caller
+// FoldInUsersFrom returns the model extended to data.NumUsers() users.
+// Users [NumUsers(), data.NumUsers()) start from the uniform interest
+// and λ=1/2, then run cfg.Iters rounds of partial EM over their own
+// cells with φ, θ' and φ' frozen — through the same accumulator and
+// shard machinery as batch training, so folding in user u is
+// bit-identical to batch EM restricted to u against the same frozen
+// globals. data's interval/item dimensions must match the model
+// (GrowFrom first when the stream widened them); its cells for
+// already-trained users are ignored.
+//
+// prev is the result of an earlier fold-in from the same trained model,
+// or nil: a new user u with kept[u] set takes (θu, λu) from prev instead
+// of being folded again. The caller
 // vouches that what u's rounds read — u's cells in data, and the φ, θ'
 // and φ' entries those cells address — is what prev's fold read, which
 // makes the copy an equality: the rounds are deterministic and a user's

@@ -124,7 +124,7 @@ func foldConfig() FoldInConfig {
 	return FoldInConfig{Iters: 3, Smoothing: 1e-9, Shards: 2}
 }
 
-// extendUniform replicates FoldInUsers' initialization: the boot model
+// extendUniform replicates FoldInUsersFrom's initialization: the boot model
 // widened to n users with uniform interests and λ=1/2. Test-side copy
 // so the comparator cannot share code with the path under test.
 func extendUniform(m *Model, n int) *Model {
@@ -171,7 +171,7 @@ func batchReference(tb testing.TB, boot *Model, data *cuboid.Cuboid, iters int, 
 }
 
 // TestFoldInBitIdenticalToRestrictedBatch is the fold-in guarantee: for
-// every new user u, FoldInUsers reproduces — bit for bit — the θu and
+// every new user u, FoldInUsersFrom reproduces — bit for bit — the θu and
 // λu that batch EM restricted to u (globals frozen, any shard/worker
 // split) would learn on the same cuboid.
 func TestFoldInBitIdenticalToRestrictedBatch(t *testing.T) {
@@ -187,9 +187,9 @@ func TestFoldInBitIdenticalToRestrictedBatch(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				cfg := cfg
 				cfg.Shards, cfg.Workers = shards, workers
-				got, err := boot.FoldInUsers(grown, cfg)
+				got, err := boot.FoldInUsersFrom(nil, nil, grown, cfg)
 				if err != nil {
-					t.Fatalf("FoldInUsers(shards=%d, workers=%d): %v", shards, workers, err)
+					t.Fatalf("FoldInUsersFrom(shards=%d, workers=%d): %v", shards, workers, err)
 				}
 				label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
 				if !bitsEqual(got.theta[oldN*got.k1:], want.theta[oldN*want.k1:]) {
@@ -213,7 +213,7 @@ func TestFoldInBitIdenticalToRestrictedBatch(t *testing.T) {
 }
 
 // TestFoldInFixture pins the end-to-end stream → ingest replay →
-// ApplyDelta → FoldInUsers pipeline to the committed gob fixtures, so
+// ApplyDelta → FoldInUsersFrom pipeline to the committed gob fixtures, so
 // any change to the arithmetic anywhere along that path is caught.
 func TestFoldInFixture(t *testing.T) {
 	for _, fv := range foldVariants {
@@ -221,7 +221,7 @@ func TestFoldInFixture(t *testing.T) {
 			continue
 		}
 		t.Run(fv.name, func(t *testing.T) {
-			got, err := foldBootModel(t, fv.variant).FoldInUsers(foldGrownWorld(t), foldConfig())
+			got, err := foldBootModel(t, fv.variant).FoldInUsersFrom(nil, nil, foldGrownWorld(t), foldConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func TestFoldInDriftFromFullBatch(t *testing.T) {
 		grown := foldGrownWorld(t)
 		const oldN = 20
 		cfg := foldConfig()
-		folded, err := boot.FoldInUsers(grown, cfg)
+		folded, err := boot.FoldInUsersFrom(nil, nil, grown, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestFoldInSingleRoundMatchesFullBatch(t *testing.T) {
 		const oldN = 20
 		cfg := foldConfig()
 		cfg.Iters = 1
-		folded, err := boot.FoldInUsers(grown, cfg)
+		folded, err := boot.FoldInUsersFrom(nil, nil, grown, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,25 +291,25 @@ func TestFoldInValidation(t *testing.T) {
 	forFoldVariants(t, func(t *testing.T, v variant) {
 		boot := foldBootModel(t, v)
 		cfg := foldConfig()
-		if _, err := boot.FoldInUsers(cuboid.NewBuilder(30, 7, 25).Build(), cfg); err == nil {
-			t.Error("FoldInUsers accepted a cuboid with mismatched intervals")
+		if _, err := boot.FoldInUsersFrom(nil, nil, cuboid.NewBuilder(30, 7, 25).Build(), cfg); err == nil {
+			t.Error("FoldInUsersFrom accepted a cuboid with mismatched intervals")
 		}
-		if _, err := boot.FoldInUsers(cuboid.NewBuilder(30, 6, 26).Build(), cfg); err == nil {
-			t.Error("FoldInUsers accepted a cuboid with mismatched items")
+		if _, err := boot.FoldInUsersFrom(nil, nil, cuboid.NewBuilder(30, 6, 26).Build(), cfg); err == nil {
+			t.Error("FoldInUsersFrom accepted a cuboid with mismatched items")
 		}
-		if _, err := boot.FoldInUsers(cuboid.NewBuilder(10, 6, 25).Build(), cfg); err == nil {
-			t.Error("FoldInUsers accepted a shrinking user dimension")
+		if _, err := boot.FoldInUsersFrom(nil, nil, cuboid.NewBuilder(10, 6, 25).Build(), cfg); err == nil {
+			t.Error("FoldInUsersFrom accepted a shrinking user dimension")
 		}
 		// No new users: identity extension.
-		same, err := boot.FoldInUsers(foldBootWorld(t), cfg)
+		same, err := boot.FoldInUsersFrom(nil, nil, foldBootWorld(t), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameModel(t, "no-op fold-in", same, boot)
 		// Zero iterations is a config error.
 		cfg.Iters = 0
-		if _, err := boot.FoldInUsers(foldGrownWorld(t), cfg); err == nil {
-			t.Error("FoldInUsers accepted Iters=0")
+		if _, err := boot.FoldInUsersFrom(nil, nil, foldGrownWorld(t), cfg); err == nil {
+			t.Error("FoldInUsersFrom accepted Iters=0")
 		}
 	})
 }
@@ -319,12 +319,12 @@ func TestGrowAddsIntervalAndItems(t *testing.T) {
 		boot := foldBootModel(t, v)
 		frozen := cloneModel(boot)
 		// New interval 6 observed old items 3 and 7 and brand-new item 26.
-		ctx := boot.FitNewInterval(map[int]float64{3: 2, 26: 5, 7: 1}, 28, 5)
-		grownM, err := boot.Grow(7, 28, [][]float64{ctx})
+		ctx := boot.FitNewInterval([]int{3, 7, 26}, []float64{2, 1, 5}, 28, 5)
+		grownM, err := boot.GrowFrom(nil, 7, 28, [][]float64{ctx})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameModel(t, "receiver after Grow", boot, frozen)
+		assertSameModel(t, "receiver after GrowFrom", boot, frozen)
 		if grownM.NumIntervals() != 7 || grownM.NumItems() != 28 || grownM.NumUsers() != boot.NumUsers() {
 			t.Fatalf("grown dims %d users × %d intervals × %d items", grownM.NumUsers(), grownM.NumIntervals(), grownM.NumItems())
 		}
@@ -333,7 +333,7 @@ func TestGrowAddsIntervalAndItems(t *testing.T) {
 			for tt := 0; tt < 6; tt++ {
 				for v := 0; v < 25; v += 5 {
 					if math.Float64bits(grownM.Score(u, tt, v)) != math.Float64bits(boot.Score(u, tt, v)) {
-						t.Fatalf("Score(%d,%d,%d) changed after Grow", u, tt, v)
+						t.Fatalf("Score(%d,%d,%d) changed after GrowFrom", u, tt, v)
 					}
 				}
 			}
@@ -372,14 +372,14 @@ func TestGrowAddsIntervalAndItems(t *testing.T) {
 		}
 		assertSameModel(t, "grown round-trip", back, grownM)
 
-		if _, err := boot.Grow(7, 24, [][]float64{ctx}); err == nil {
-			t.Error("Grow accepted an item shrink")
+		if _, err := boot.GrowFrom(nil, 7, 24, [][]float64{ctx}); err == nil {
+			t.Error("GrowFrom accepted an item shrink")
 		}
-		if _, err := boot.Grow(8, 28, [][]float64{ctx}); err == nil {
-			t.Error("Grow accepted an interval count without matching contexts")
+		if _, err := boot.GrowFrom(nil, 8, 28, [][]float64{ctx}); err == nil {
+			t.Error("GrowFrom accepted an interval count without matching contexts")
 		}
-		if _, err := boot.Grow(7, 28, [][]float64{ctx[:2]}); err == nil {
-			t.Error("Grow accepted a short context row")
+		if _, err := boot.GrowFrom(nil, 7, 28, [][]float64{ctx[:2]}); err == nil {
+			t.Error("GrowFrom accepted a short context row")
 		}
 	})
 }
@@ -389,7 +389,7 @@ func TestGrowAddsIntervalAndItems(t *testing.T) {
 // computation.
 func TestFitNewIntervalClosedForm(t *testing.T) {
 	boot := foldBootModel(t, variants[0])
-	ctx := boot.FitNewInterval(map[int]float64{0: 3, 2: 1, 99: 5, -1: 2}, 25, 0)
+	ctx := boot.FitNewInterval([]int{-1, 0, 2, 99}, []float64{2, 3, 1, 5}, 25, 0)
 	if len(ctx) != 25 {
 		t.Fatalf("context length %d, want 25", len(ctx))
 	}
@@ -408,7 +408,7 @@ func TestFitNewIntervalClosedForm(t *testing.T) {
 	}
 	// Out-of-range keys (99 under numItems=25, -1) are dropped: the
 	// result must equal the in-range-only fit.
-	want := boot.FitNewInterval(map[int]float64{0: 3, 2: 1}, 25, 0)
+	want := boot.FitNewInterval([]int{0, 2}, []float64{3, 1}, 25, 0)
 	if !bitsEqual(ctx, want) {
 		t.Error("out-of-range ratings leaked into the fitted context")
 	}
@@ -485,7 +485,16 @@ func TestFitNewIntervalBitIdenticalToReference(t *testing.T) {
 				ratings[rng.Intn(34)-3] = float64(rng.Intn(5)) - 0.5 // keys in [-3,31), some weights ≤ 0
 			}
 			numItems, iters := 20+rng.Intn(12), rng.Intn(8)
-			got := boot.FitNewInterval(ratings, numItems, iters)
+			var items []int
+			for v := range ratings {
+				items = append(items, v)
+			}
+			sort.Ints(items)
+			weights := make([]float64, len(items))
+			for i, v := range items {
+				weights[i] = ratings[v]
+			}
+			got := boot.FitNewInterval(items, weights, numItems, iters)
 			if want := referenceFitNewInterval(boot, ratings, numItems, iters); !bitsEqual(got, want) {
 				t.Fatalf("trial %d (%d ratings, numItems=%d, iters=%d): fitted context differs from the reference estimator",
 					trial, len(ratings), numItems, iters)
@@ -502,7 +511,7 @@ func TestFoldInUsersFromKeepsVouchedUsers(t *testing.T) {
 	forFoldVariants(t, func(t *testing.T, v variant) {
 		boot := foldBootModel(t, v)
 		grown := foldGrownWorld(t)
-		full, err := boot.FoldInUsers(grown, foldConfig())
+		full, err := boot.FoldInUsersFrom(nil, nil, grown, foldConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,37 +561,37 @@ func keepUsers(n int, users ...int) []bool {
 func TestGrowSharesUnchangedSlabs(t *testing.T) {
 	forFoldVariants(t, func(t *testing.T, v variant) {
 		boot := foldBootModel(t, v)
-		same, err := boot.Grow(6, 25, nil)
+		same, err := boot.GrowFrom(nil, 6, 25, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if &same.phi[0] != &boot.phi[0] || &same.ctx[0] != &boot.ctx[0] {
-			t.Error("Grow to the same shape copied φ or θ'")
+			t.Error("GrowFrom to the same shape copied φ or θ'")
 		}
-		ctx := boot.FitNewInterval(map[int]float64{3: 2}, 25, 5)
-		taller, err := boot.Grow(7, 25, [][]float64{ctx})
+		ctx := boot.FitNewInterval([]int{3}, []float64{2}, 25, 5)
+		taller, err := boot.GrowFrom(nil, 7, 25, [][]float64{ctx})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if &taller.phi[0] != &boot.phi[0] {
-			t.Error("Grow by an interval copied φ")
+			t.Error("GrowFrom by an interval copied φ")
 		}
 		if &taller.ctx[0] == &boot.ctx[0] {
-			t.Error("Grow by an interval wrote the new context into the receiver's θ'")
+			t.Error("GrowFrom by an interval wrote the new context into the receiver's θ'")
 		}
-		wider, err := boot.Grow(6, 26, nil)
+		wider, err := boot.GrowFrom(nil, 6, 26, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if &wider.phi[0] == &boot.phi[0] {
-			t.Error("Grow by an item shares a φ of the old width")
+			t.Error("GrowFrom by an item shares a φ of the old width")
 		}
 	})
 }
 
 // TestFoldInAllocationIndependentOfShards pins what fold-in allocates:
 // every global is frozen, so no shard may carry a (K1+K2)×V statistics
-// slab, and bytes per FoldInUsers must not grow with the shard count.
+// slab, and bytes per FoldInUsersFrom must not grow with the shard count.
 func TestFoldInAllocationIndependentOfShards(t *testing.T) {
 	const users, newUsers, intervals, items = 16, 16, 4, 4000
 	b := cuboid.NewBuilder(users, intervals, items)
@@ -614,7 +623,7 @@ func TestFoldInAllocationIndependentOfShards(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
-				if _, err := boot.FoldInUsers(grown, FoldInConfig{Iters: 2, Smoothing: 1e-9, Shards: shards, Workers: 1}); err != nil {
+				if _, err := boot.FoldInUsersFrom(nil, nil, grown, FoldInConfig{Iters: 2, Smoothing: 1e-9, Shards: shards, Workers: 1}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -624,12 +633,12 @@ func TestFoldInAllocationIndependentOfShards(t *testing.T) {
 		slab := uint64(8 * len(boot.phi)) // the smallest of the per-shard slabs fold-in used to carry
 		one, eight := bytesPerFold(1), bytesPerFold(8)
 		if eight > one+slab/2 {
-			t.Errorf("FoldInUsers allocates %d B with 8 shards, %d B with 1: grows by more than half a %d B φ slab", eight, one, slab)
+			t.Errorf("FoldInUsersFrom allocates %d B with 8 shards, %d B with 1: grows by more than half a %d B φ slab", eight, one, slab)
 		}
 		// Read-side transposes of φ and φ' plus the user rows: about the
 		// model's own size, once.
 		if limit := 3 * uint64(8*(len(boot.phi)+len(boot.phiX)+len(boot.theta))); eight > limit {
-			t.Errorf("FoldInUsers allocates %d B per call, want under %d B", eight, limit)
+			t.Errorf("FoldInUsersFrom allocates %d B per call, want under %d B", eight, limit)
 		}
 	})
 }

@@ -77,7 +77,7 @@ func TestEMInvariantsProperty(t *testing.T) {
 	})
 }
 
-// Property: TA decomposition (QueryWeights · TopicItems) equals Score
+// Property: TA decomposition (QueryWeightsInto · TopicItems) equals Score
 // for random models and probes.
 func TestDecompositionProperty(t *testing.T) {
 	forVariants(t, func(t *testing.T, v variant) {
@@ -91,8 +91,10 @@ func TestDecompositionProperty(t *testing.T) {
 			r := rand.New(rand.NewSource(seed + 99))
 			for probe := 0; probe < 10; probe++ {
 				u, tt, item := r.Intn(m.NumUsers()), r.Intn(m.NumIntervals()), r.Intn(m.NumItems())
+				w := make([]float64, m.NumTopics())
+				m.QueryWeightsInto(u, tt, w)
 				var s float64
-				for z, wz := range m.QueryWeights(u, tt) {
+				for z, wz := range w {
 					if wz != 0 {
 						s += wz * m.TopicItems(z)[item]
 					}

@@ -145,8 +145,8 @@ func checkDense(intervals, items int) error {
 }
 
 // Model is a trained TCAM. Parameter slices are row-major, and
-// immutable once training returns: Grow and FoldInUsers derive new
-// models that share the slabs they leave unchanged.
+// immutable once training returns: GrowFrom and FoldInUsersFrom derive
+// new models that share the slabs they leave unchanged.
 type Model struct {
 	label string
 
@@ -156,7 +156,7 @@ type Model struct {
 	k1, k2       int // k2 == 0: the temporal context emits items directly (ITCAM)
 
 	// stride is the row stride of φ, φ′ and θB: V for a trained or
-	// decoded model, more where Grow left room for the catalog to grow
+	// decoded model, more where GrowFrom left room for the catalog to grow
 	// into. Whatever lies between V and stride is zero — the probability
 	// a frozen topic gives an item it never saw.
 	stride int
@@ -170,7 +170,7 @@ type Model struct {
 	backgroundW float64   // λB; 0 when disabled
 	background  []float64 // 1×stride: θB, empirical item distribution
 
-	// grownFrom is the model Grow derived this one from (through any
+	// grownFrom is the model GrowFrom derived this one from (through any
 	// number of fold-ins), and itemMajor the fold-in trainer's transposes
 	// of exactly these φ and φ′ slabs. Both exist for the next derivation
 	// to inherit from (GrowFrom, FoldInUsersFrom); scoring reads neither.
@@ -318,21 +318,13 @@ func (m *Model) NumTopics() int {
 	}
 }
 
-// QueryWeights returns ϑq of Section 4.1 for query (u, t); see
-// QueryWeightsInto.
-func (m *Model) QueryWeights(u, t int) []float64 {
-	out := make([]float64, m.NumTopics())
-	m.QueryWeightsInto(u, t, out)
-	return out
-}
-
-// QueryWeightsInto is the allocation-free form of QueryWeights: it
-// overwrites every entry of out, which must have length NumTopics(),
-// with ϑq = ⟨λu·θu, (1−λu)·θ't⟩ (scaled by 1−λB with a trailing λB
-// background entry when enabled). For ITCAM the temporal half is
-// (1−λu) on interval t's pseudo-topic and zero elsewhere. It returns
-// the temporal half's multiplier, (1−λB)·(1−λu): the one factor of it
-// that depends on the user (model.ContextScorer).
+// QueryWeightsInto overwrites every entry of out, which must have
+// length NumTopics(), with ϑq of Section 4.1 for query (u, t):
+// ⟨λu·θu, (1−λu)·θ't⟩ (scaled by 1−λB with a trailing λB background
+// entry when enabled). For ITCAM the temporal half is (1−λu) on
+// interval t's pseudo-topic and zero elsewhere. It returns the temporal
+// half's multiplier, (1−λB)·(1−λu): the one factor of it that depends
+// on the user (model.TopicScorer).
 //
 //tcam:hotpath
 func (m *Model) QueryWeightsInto(u, t int, out []float64) float64 {
@@ -384,7 +376,4 @@ func (m *Model) TopicItems(z int) []float64 {
 	}
 }
 
-var (
-	_ model.BulkScorer    = (*Model)(nil)
-	_ model.ContextScorer = (*Model)(nil)
-)
+var _ model.TopicScorer = (*Model)(nil)

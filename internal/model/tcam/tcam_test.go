@@ -257,10 +257,8 @@ func TestTopicDecompositionMatchesScore(t *testing.T) {
 		}
 		for _, q := range [][2]int{{3, 1}, {30, 5}} {
 			u, tt := q[0], q[1]
-			w := m.QueryWeights(u, tt)
-			if len(w) != m.NumTopics() {
-				t.Fatalf("QueryWeights length %d, want %d", len(w), m.NumTopics())
-			}
+			w := make([]float64, m.NumTopics())
+			m.QueryWeightsInto(u, tt, w)
 			var wsum float64
 			for _, x := range w {
 				wsum += x
@@ -348,7 +346,7 @@ func TestFitNewIntervalTopics(t *testing.T) {
 	// fresh pseudo-interval containing exactly that pair: the fitted θ'
 	// must concentrate on the same topic as the trained interval 4.
 	hot4 := 20 + 4*2
-	fitted := m.FitNewInterval(map[int]float64{hot4: 5, hot4 + 1: 5}, m.NumItems(), 30)
+	fitted := m.FitNewInterval([]int{hot4, hot4 + 1}, []float64{5, 5}, m.NumItems(), 30)
 	var sum float64
 	for _, x := range fitted {
 		if x < 0 {
@@ -363,7 +361,7 @@ func TestFitNewIntervalTopics(t *testing.T) {
 		t.Errorf("fitted interval picked topic %d, trained interval 4 uses %d", bestFit, bestTrained)
 	}
 	// Degenerate inputs return uniform.
-	uniform := m.FitNewInterval(nil, m.NumItems(), 10)
+	uniform := m.FitNewInterval(nil, nil, m.NumItems(), 10)
 	for _, x := range uniform {
 		if math.Abs(x-1/float64(m.K2())) > 1e-12 {
 			t.Fatalf("empty fit not uniform: %v", uniform)
@@ -371,8 +369,8 @@ func TestFitNewIntervalTopics(t *testing.T) {
 	}
 	// Out-of-range and non-positive entries — including items a grown
 	// catalog has but the frozen topics do not — are ignored, not fatal.
-	got := m.FitNewInterval(map[int]float64{-1: 1, 10_000: 2, m.NumItems() + 1: 3, hot4: 0, hot4 + 1: 5}, m.NumItems()+5, 5)
-	want := m.FitNewInterval(map[int]float64{hot4 + 1: 5}, m.NumItems(), 5)
+	got := m.FitNewInterval([]int{-1, hot4, hot4 + 1, m.NumItems() + 1, 10_000}, []float64{1, 0, 5, 3, 2}, m.NumItems()+5, 5)
+	want := m.FitNewInterval([]int{hot4 + 1}, []float64{5}, m.NumItems(), 5)
 	if !bitsEqual(got, want) {
 		t.Error("out-of-range ratings leaked into the fitted context")
 	}

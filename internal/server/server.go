@@ -315,6 +315,7 @@ func (g *Generation) TopicItems(z, n int) []topk.Result {
 // weightModel ranks a bare weight vector through the topk machinery.
 type weightModel struct{ weights []float64 }
 
-func (m weightModel) Name() string              { return "topic" }
-func (m weightModel) NumItems() int             { return len(m.weights) }
-func (m weightModel) Score(_, _, v int) float64 { return m.weights[v] }
+func (m weightModel) Name() string                   { return "topic" }
+func (m weightModel) NumItems() int                  { return len(m.weights) }
+func (m weightModel) Score(_, _, v int) float64      { return m.weights[v] }
+func (m weightModel) ScoreAll(_, _ int, s []float64) { copy(s, m.weights) }

@@ -7,12 +7,11 @@ import (
 	"tcam/internal/model"
 )
 
-// contextModel is a hand-built model.ContextScorer: a fakeTopicModel
-// whose topics [lo, hi) a query weighs by its interval alone — TTCAM's
-// shape, topics past hi standing in for the background. Topics below lo
-// are user topics, which the index floors. With an empty range nothing
-// is collapsed: ITCAM's shape for lo > 0, and for lo = 0 a plain scorer
-// that merely takes the fast path.
+// contextModel is a fakeTopicModel whose topics [lo, hi) a query weighs
+// by its interval alone — TTCAM's shape, topics past hi standing in for
+// the background. Topics below lo are user topics, which the index
+// floors. With an empty range nothing is collapsed: ITCAM's shape for
+// lo > 0, and for lo = 0 fakeTopicModel's.
 type contextModel struct {
 	*fakeTopicModel
 	lo, hi int
@@ -52,9 +51,17 @@ func (c *contextModel) Score(u, t, v int) float64 {
 	return s
 }
 
-var _ model.ContextScorer = (*contextModel)(nil)
+// ScoreAll is this model's own: the embedded fake's would call the
+// fake's Score.
+func (c *contextModel) ScoreAll(u, t int, scores []float64) {
+	for v := range scores {
+		scores[v] = c.Score(u, t, v)
+	}
+}
 
-// allUserTopics is f as a model.ContextScorer that names every topic a
+var _ model.TopicScorer = (*contextModel)(nil)
+
+// allUserTopics is f as a contextModel that names every topic a
 // user topic — the index then holds a floor list over all of them — and
 // whose user 0 weighs them by q at its one interval.
 func allUserTopics(f *fakeTopicModel, q []float64) *contextModel {
@@ -158,7 +165,7 @@ func TestTAContextEquivalenceProperty(t *testing.T) {
 			lo = rng.Intn(v)
 			hi = lo + rng.Intn(v-lo+1)
 		}
-		ix := BuildIndexRange(c, lo, hi)
+		ix := BuildIndexFrom(nil, c, lo, hi)
 		s := ix.AcquireSearcher()
 		for round := 0; round < 10; round++ {
 			u, at, topN := rng.Intn(4), rng.Intn(len(c.omega)), 1+rng.Intn(v+3)

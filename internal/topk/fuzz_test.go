@@ -180,7 +180,7 @@ func FuzzTAMatchesBruteForce(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, lo, hi, at, k, exclude := decodeFuzzModel(data)
-		got, _ := BuildIndexRange(c, lo, hi).Query(c, 0, at, k, exclude)
+		got, _ := BuildIndexFrom(nil, c, lo, hi).Query(c, 0, at, k, exclude)
 		want := c.wantTopK(0, at, k, windowExclude(lo, hi, exclude))
 		if len(got) != len(want) {
 			t.Fatalf("window [%d,%d) interval %d k=%d: TA answered %v, BruteForce %v", lo, hi, at, k, got, want)

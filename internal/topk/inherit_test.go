@@ -139,12 +139,13 @@ func assertSameIndex(t *testing.T, label string, rng *rand.Rand, c *contextModel
 // TestBuildIndexFromMatchesBuildIndexRange is the inheritance property:
 // whatever the previous generation's index was — any window, itself
 // inherited or not — and however the scorer changed since, topics,
-// context rows or intervals, BuildIndexFrom equals BuildIndexRange on
-// the new scorer, over chains of generations. Odd seeds run a scorer
-// with collapsed contexts (TTCAM's shape, with and without a trailing
-// background topic), the rest one whose topics all keep their own list:
-// ITCAM's shape, user topics and a floor list, or, every other time, a
-// scorer that names no user topics and so has no floor.
+// context rows or intervals, BuildIndexFrom equals a build without prev
+// (BuildIndexFrom(nil, …)) on the new scorer, over chains of
+// generations. Odd seeds run a scorer with collapsed contexts (TTCAM's
+// shape, with and without a trailing background topic), the rest one
+// whose topics all keep their own list: ITCAM's shape, user topics and a
+// floor list, or, every other time, a scorer that names no user topics
+// and so has no floor.
 func TestBuildIndexFromMatchesBuildIndexRange(t *testing.T) {
 	for seed := int64(1); seed <= 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -175,14 +176,14 @@ func TestBuildIndexFromMatchesBuildIndexRange(t *testing.T) {
 			return min(lo, hi), hi
 		}
 		wlo, whi := window(c)
-		prev := BuildIndexRange(c, wlo, whi)
+		prev := BuildIndexFrom(nil, c, wlo, whi)
 		for gen := 0; gen < 6; gen++ {
 			how := changes[rng.Intn(len(changes))]
 			c = nextGeneration(rng, c, how)
 			wlo, whi = window(c)
 			got := BuildIndexFrom(prev, c, wlo, whi)
 			label := fmt.Sprintf("seed %d generation %d (%s, window [%d,%d))", seed, gen, how, wlo, whi)
-			assertSameIndex(t, label, rng, c, got, BuildIndexRange(c, wlo, whi))
+			assertSameIndex(t, label, rng, c, got, BuildIndexFrom(nil, c, wlo, whi))
 			prev = got
 		}
 	}
@@ -255,7 +256,7 @@ func TestBuildIndexFromInherits(t *testing.T) {
 		n := nextGeneration(rng, ctx, "same")
 		n.topics[z] = append([]float64(nil), n.topics[z]...)
 		n.topics[z][25] += 0.5
-		shard := BuildIndexRange(ctx, 5, 20)
+		shard := BuildIndexFrom(nil, ctx, 5, 20)
 		if got := BuildIndexFrom(shard, n, 5, 20).ListsKept(); got != 9 {
 			t.Errorf("change to topic %d outside the window: kept %d lists, want 9", z, got)
 		}
@@ -345,12 +346,12 @@ func TestBuildIndexFromAcrossSpareRoom(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			c := tiedContextModel(rng, 3, tc.k2, tc.tail, 2, 20)
-			prev := BuildIndexRange(c, tc.lo, c.NumItems())
+			prev := BuildIndexFrom(nil, c, tc.lo, c.NumItems())
 			for gen := 0; gen < 40; gen++ {
 				c = streamGeneration(rng, c, 5, tc.itemContexts, gen%9 == 4)
 				got := BuildIndexFrom(prev, c, tc.lo, c.NumItems())
 				label := fmt.Sprintf("generation %d (%d items)", gen, c.NumItems())
-				assertSameIndex(t, label, rng, c, got, BuildIndexRange(c, tc.lo, c.NumItems()))
+				assertSameIndex(t, label, rng, c, got, BuildIndexFrom(nil, c, tc.lo, c.NumItems()))
 				assertBruteForce(t, label, rng, c, got)
 				room := gen%13 != 0 // a boot index leaves none, a relayout 64 items' worth: 13 links of 5
 				if want := room && !tc.itemContexts; got.TablesShared() != want {

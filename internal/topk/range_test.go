@@ -38,7 +38,7 @@ func TestRangeIndexMatchesBruteForce(t *testing.T) {
 	f := randomModel(rng, 6, 37)
 	for _, shards := range []int{1, 2, 4} {
 		for _, r := range splitRanges(f.NumItems(), shards) {
-			ix := BuildIndexRange(f, r[0], r[1])
+			ix := BuildIndexFrom(nil, f, r[0], r[1])
 			if lo, hi := ix.ItemRange(); lo != r[0] || hi != r[1] {
 				t.Fatalf("ItemRange() = [%d,%d), want [%d,%d)", lo, hi, r[0], r[1])
 			}
@@ -78,7 +78,7 @@ func TestRangeIndexMergeBitIdentical(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		var windows []*Index
 		for _, r := range splitRanges(f.NumItems(), shards) {
-			windows = append(windows, BuildIndexRange(f, r[0], r[1]))
+			windows = append(windows, BuildIndexFrom(nil, f, r[0], r[1]))
 		}
 		for trial := 0; trial < 60; trial++ {
 			q := randomQuery(rng, 5, trial%2 == 1)
@@ -135,14 +135,14 @@ func TestBuildIndexRangeBounds(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("BuildIndexRange(%d, %d) did not panic", bad[0], bad[1])
+					t.Errorf("BuildIndexFrom(nil, f, %d, %d) did not panic", bad[0], bad[1])
 				}
 			}()
-			BuildIndexRange(f, bad[0], bad[1])
+			BuildIndexFrom(nil, f, bad[0], bad[1])
 		}()
 	}
 	// An empty window is legal and answers every query with nothing.
-	empty := BuildIndexRange(f, 4, 4)
+	empty := BuildIndexFrom(nil, f, 4, 4)
 	if res, _ := queryWith(empty, f, []float64{1, 0, 0}, 5, nil); res != nil {
 		t.Errorf("empty window returned %+v", res)
 	}

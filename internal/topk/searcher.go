@@ -28,7 +28,7 @@ type Searcher struct {
 
 	seen    []uint32  // epoch stamps: seen[v] == epoch ⇔ v examined
 	epoch   uint32    // current query's stamp; bumping it clears seen in O(1)
-	query   []float64 // scratch for the model.ContextScorer fast path
+	query   []float64 // the active ϑq vector
 	query32 []float32 // float32 quantization of the active ϑq vector
 	pq      listHeap
 	results resultHeap
@@ -99,22 +99,22 @@ func (s *Searcher) Release() {
 }
 
 // Query answers the temporal top-k query (u, t), writing results into
-// searcher-owned scratch. When ts implements model.ContextScorer the ϑq
-// vector is materialized into scratch bind pre-sized to the index's
-// topic count, making the whole call allocation-free at steady state.
-// The result set and scores match BruteForce exactly (ties broken by
-// ascending item index); the returned slice is valid until the
-// searcher's next query or Release.
+// searcher-owned scratch. ts must be the scorer the index was built
+// from, and any other panics: the lists only bound that scorer's
+// scores. The ϑq vector is materialized into scratch bind pre-sized to
+// the index's topic count, making the whole call allocation-free at
+// steady state. The result set and scores match BruteForce exactly
+// (ties broken by ascending item index); the returned slice is valid
+// until the searcher's next query or Release.
 //
 //tcam:hotpath
 func (s *Searcher) Query(ts model.TopicScorer, u, t, k int, exclude Exclude) ([]Result, Stats) {
-	if cs, ok := ts.(model.ContextScorer); ok {
-		//tcamvet:ignore hotpathstrict one dispatch per query, outside the item loop; scorer is polymorphic by design
-		context := cs.QueryWeightsInto(u, t, s.query)
-		return s.search(s.query, t, context, k, exclude)
+	if ts != s.ix.scorer {
+		panic("topk: query scorer is not the one the index was built from")
 	}
-	//tcamvet:ignore hotpathstrict cold fallback for scorers without the Into fast path
-	return s.search(ts.QueryWeights(u, t), t, 0, k, exclude)
+	//tcamvet:ignore hotpathstrict one dispatch per query, outside the item loop; scorer is polymorphic by design
+	context := ts.QueryWeightsInto(u, t, s.query)
+	return s.search(s.query, t, context, k, exclude)
 }
 
 // open gives l a slot in the query when it can contribute: a positive

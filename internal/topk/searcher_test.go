@@ -75,20 +75,6 @@ func TestSearcherEpochWraparound(t *testing.T) {
 	}
 }
 
-// Searcher.Query must answer a scorer without the model.ContextScorer
-// fast path (both TCAM variants have it; the fake model here does not)
-// through the allocating QueryWeights fallback.
-func TestSearcherQueryFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	fm := randomModel(rng, 5, 40)
-	ix := BuildIndex(fm)
-	s := ix.AcquireSearcher()
-	defer s.Release()
-	got, _ := s.Query(fm, 0, 0, 6, nil)
-	want, _ := BruteForce(fm, 0, 0, 6, nil)
-	assertSameResults(t, got, want)
-}
-
 // QueryBatch must agree with per-query TA (and hence BruteForce) and
 // align results by position.
 func TestQueryBatchMatchesSequential(t *testing.T) {

@@ -53,9 +53,8 @@ type Stats struct {
 // their recommendations.
 type Exclude func(item int) bool
 
-// BruteForce ranks every item with the model and returns the top k by
-// score (ties broken by ascending item index). It uses the model's bulk
-// scorer when available.
+// BruteForce ranks every item with the model's ScoreAll and returns the
+// top k by score (ties broken by ascending item index).
 func BruteForce(r model.Recommender, u, t, k int, exclude Exclude) ([]Result, Stats) {
 	st := Stats{}
 	if k <= 0 {
@@ -63,13 +62,7 @@ func BruteForce(r model.Recommender, u, t, k int, exclude Exclude) ([]Result, St
 	}
 	n := r.NumItems()
 	scores := make([]float64, n)
-	if bulk, ok := r.(model.BulkScorer); ok {
-		bulk.ScoreAll(u, t, scores)
-	} else {
-		for v := 0; v < n; v++ {
-			scores[v] = r.Score(u, t, v)
-		}
-	}
+	r.ScoreAll(u, t, scores)
 	st.ItemsExamined = n
 	h := resultHeap{k: k}
 	for v := 0; v < n; v++ {
@@ -83,20 +76,23 @@ func BruteForce(r model.Recommender, u, t, k int, exclude Exclude) ([]Result, St
 
 // Index holds the sorted item lists of Section 4.2 plus a transposed ϕ
 // table for O(K) full-score evaluation. There is one list per expanded
-// topic, except that the topics a model.ContextScorer weighs by the
-// interval alone are replaced by one collapsed list per interval,
-// sorted by Σ_x ω_t[x]·ϕ_x,v: the sum itself, not the sum of K2 heads,
-// bounds the context half of an unseen item's score. Such a scorer's
-// index also holds a floor list, sorted by Σ_z ϕ_zv over the user
-// topics, that carries the weight those topics share. The table is dual:
-// an exact float64 copy (byItem) answers the confirm step, and a
-// quantized float32 copy (byItem32) feeds the screening scan that
-// filters candidates at half the memory traffic; both keep the full
-// expanded-topic width, so a confirmed score is BruteForce's bit for
-// bit. Building from scratch is O(K·V·logV), parallelized across lists;
-// BuildIndexFrom inherits what a previous generation's index already
-// holds. Queries are read-only and safe for concurrent use.
+// topic, except that the topics the scorer weighs by the interval alone
+// (model.TopicScorer's context range) are replaced by one collapsed list
+// per interval, sorted by Σ_x ω_t[x]·ϕ_x,v: the sum itself, not the sum
+// of K2 heads, bounds the context half of an unseen item's score. A
+// scorer with user topics below that range also gets a floor list,
+// sorted by Σ_z ϕ_zv over the user topics, that carries the weight
+// those topics share. The table is dual: an exact float64 copy
+// (byItem) answers the confirm step, and a quantized float32 copy
+// (byItem32) feeds the screening scan that filters candidates at half
+// the memory traffic; both keep the full expanded-topic width, so a
+// confirmed score is BruteForce's bit for bit. Building from scratch is
+// O(K·V·logV), parallelized across lists; BuildIndexFrom inherits what a
+// previous generation's index already holds. Queries are read-only and
+// safe for concurrent use.
 type Index struct {
+	scorer model.TopicScorer // built from, and the only scorer Query accepts
+
 	numTopics int       // K, the expanded topic space: the width of a table row
 	numItems  int       // window size: number of items this index covers
 	itemLo    int       // global index of the window's first item (0 for a full index)
@@ -105,8 +101,8 @@ type Index struct {
 
 	// lists[z] is expanded topic z's list, empty for the context topics
 	// [ctxLo, ctxHi), which contexts[t] — interval t's collapsed list —
-	// stands in for. floor, held when a model.ContextScorer names user
-	// topics (ctxLo > 0), is sorted by S_v = Σ_{z<ctxLo} ϕ_zv: a query
+	// stands in for. floor, held when the scorer names user topics
+	// (ctxLo > 0), is sorted by S_v = Σ_{z<ctxLo} ϕ_zv: a query
 	// walks it with the least user-topic weight m and each user-topic
 	// list with what its weight has above m, so a flat θu opens one list,
 	// not K1.
@@ -159,29 +155,26 @@ type list struct {
 // table) for ts. Zero-weight entries are kept: the lists must cover the
 // catalog for the threshold bound to hold as k grows.
 func BuildIndex(ts model.TopicScorer) *Index {
-	return BuildIndexRange(ts, 0, ts.NumItems())
+	return BuildIndexFrom(nil, ts, 0, ts.NumItems())
 }
 
-// BuildIndexRange builds an index covering only the items in [lo, hi) —
-// the per-shard item window of the scatter-gather serving tier. The
-// windowed index answers the same queries as a full one restricted to
-// its window: results carry global item indices, Exclude callbacks
-// receive global item indices, and scores are the exact full-model
-// scores, so merging disjoint windows' top-k lists by (score desc, item
-// asc) reproduces the monolithic top-k bit for bit (the global top-k is
-// a subset of the union of per-window top-k's). Memory scales with the
-// window, not the catalog: lists and both transposed tables hold hi−lo
-// entries per list or topic.
-func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
-	return BuildIndexFrom(nil, ts, lo, hi)
-}
-
-// BuildIndexFrom is BuildIndexRange given the index of the previous
-// generation: whatever prev already holds that the new scorer leaves
-// unchanged is inherited instead of re-derived, and the result equals
-// BuildIndexRange(ts, lo, hi) field for field. prev is a hint, never an
-// authority — nil, another window origin, a wider window or another
-// context range simply inherit nothing.
+// BuildIndexFrom builds an index for ts covering only the items in
+// [lo, hi) — the per-shard item window of the scatter-gather serving
+// tier. The windowed index answers the same queries as a full one
+// restricted to its window: results carry global item indices, Exclude
+// callbacks receive global item indices, and scores are the exact
+// full-model scores, so merging disjoint windows' top-k lists by (score
+// desc, item asc) reproduces the monolithic top-k bit for bit (the
+// global top-k is a subset of the union of per-window top-k's). Memory
+// scales with the window, not the catalog: lists and both transposed
+// tables hold hi−lo entries per list or topic.
+//
+// prev is the index of the previous generation: whatever it already
+// holds that the new scorer leaves unchanged is inherited instead of
+// re-derived, and the result equals BuildIndexFrom(nil, ts, lo, hi)
+// field for field. prev is a hint, never an authority — nil, another
+// window origin, a wider window or another context range simply inherit
+// nothing.
 //
 // A sorted list depends on nothing but its weights over the window, and
 // (weight desc, item asc) is a strict total order, so the sorted list
@@ -214,6 +207,7 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	}
 	k, v := ts.NumTopics(), hi-lo
 	ix := &Index{
+		scorer:    ts,
 		numTopics: k,
 		numItems:  v,
 		itemLo:    lo,
@@ -235,13 +229,11 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	for z := 0; z < k; z++ {
 		ix.topics[z] = ts.TopicItems(z)
 	}
-	if cs, ok := ts.(model.ContextScorer); ok {
-		if ix.ctxLo, ix.ctxHi = cs.ContextTopics(); ix.ctxHi > ix.ctxLo {
-			ix.contexts = make([]list, cs.NumIntervals())
-			ix.ctxWeights = make([][]float64, len(ix.contexts))
-			for t := range ix.ctxWeights {
-				ix.ctxWeights[t] = cs.ContextWeights(t)
-			}
+	if ix.ctxLo, ix.ctxHi = ts.ContextTopics(); ix.ctxHi > ix.ctxLo {
+		ix.contexts = make([]list, ts.NumIntervals())
+		ix.ctxWeights = make([][]float64, len(ix.contexts))
+		for t := range ix.ctxWeights {
+			ix.ctxWeights[t] = ts.ContextWeights(t)
 		}
 	}
 	head := 0 // items of the window prev's lists already order
@@ -251,8 +243,8 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 		prev = nil
 	}
 	// A window that has outgrown prev's will grow again: what has to be
-	// laid out for it gets room behind its end. BuildIndexRange leaves
-	// none — a boot index is exactly as large as its catalog.
+	// laid out for it gets room behind its end. A build without prev
+	// leaves none — a boot index is exactly as large as its catalog.
 	spare := 0
 	if prev != nil && head < v {
 		spare = model.SpareItems(v)
@@ -496,7 +488,7 @@ func sameBits(a, b []float64) bool {
 
 // ListsKept returns how many of the index's sorted lists, the floor list
 // among them, were inherited from the previous generation's index (0 for
-// a BuildIndexRange index).
+// an index built without one).
 func (ix *Index) ListsKept() int { return ix.kept }
 
 // ListsShared returns how many of the inherited lists are the previous
@@ -561,7 +553,8 @@ func (ix *Index) score32(query []float32, item int) float32 {
 }
 
 // Query answers the temporal top-k query (u, t) with the extended
-// Threshold Algorithm. ts must be the scorer the index was built from.
+// Threshold Algorithm. ts must be the scorer the index was built from;
+// any other panics.
 // The result set and scores match BruteForce exactly (ties broken by
 // ascending item index), but the algorithm stops after examining only
 // as many items as the threshold bound requires. Scratch comes from the

@@ -40,6 +40,20 @@ func (f *fakeTopicModel) Score(u, t, v int) float64 {
 	}
 	return s
 }
+func (f *fakeTopicModel) ScoreAll(u, t int, scores []float64) {
+	for v := range scores {
+		scores[v] = f.Score(u, t, v)
+	}
+}
+
+// The fake names no context range: TA walks one list per topic.
+func (f *fakeTopicModel) QueryWeightsInto(u, t int, dst []float64) float64 {
+	copy(dst, f.QueryWeights(u, t))
+	return 0
+}
+func (f *fakeTopicModel) ContextTopics() (lo, hi int)  { return 0, 0 }
+func (f *fakeTopicModel) NumIntervals() int            { return 0 }
+func (f *fakeTopicModel) ContextWeights(int) []float64 { return nil }
 
 var _ model.TopicScorer = (*fakeTopicModel)(nil)
 
@@ -227,16 +241,18 @@ func TestTAKLargerThanCatalog(t *testing.T) {
 	assertSameResults(t, ta, bf)
 }
 
+// An index answers only the scorer it was built from: its lists bound
+// no other scorer's scores, even one of the same shape.
 func TestQueryPanicsOnMismatchedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	f := randomModel(rng, 3, 8)
+	f, g := randomModel(rng, 3, 8), randomModel(rng, 3, 8)
 	ix := BuildIndex(f)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for mismatched query length")
+			t.Fatal("expected panic for a scorer the index was not built from")
 		}
 	}()
-	queryWith(ix, f, []float64{1, 0}, 3, nil)
+	ix.Query(g, 0, 0, 3, nil)
 }
 
 // userWeights draws query weights of the shapes the floor list meets: a
@@ -292,7 +308,7 @@ func TestTAEquivalenceProperty(t *testing.T) {
 			lo = rng.Intn(v)
 			hi = lo + rng.Intn(v-lo+1)
 		}
-		ix := BuildIndexRange(scorer, lo, hi)
+		ix := BuildIndexFrom(nil, scorer, lo, hi)
 		k := rng.Intn(v+3) + 1
 		var ex Exclude
 		if rng.Float64() < 0.5 {

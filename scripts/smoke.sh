@@ -22,6 +22,7 @@ fuzz() {
 fuzz ./internal/api/ FuzzQueryParseForm
 fuzz ./internal/api/ FuzzShardPartial
 fuzz ./internal/client/ FuzzLegResponse
+fuzz ./internal/dataset/ FuzzGridder
 fuzz ./internal/server/ FuzzQueryBodies
 fuzz ./internal/topk/ FuzzTAMatchesBruteForce
 fuzz ./internal/train/ FuzzCheckpointLoad
