@@ -166,7 +166,7 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 		}
 	}
 	adv.UsersFolded = len(users) - m.NumUsers() - adv.UsersKept
-	folded, err := grown.FoldInUsersFrom(before, kept, stream, tcam.FoldInConfig{Iters: tcam.FoldIters, Smoothing: tcam.Smoothing})
+	folded, err := grown.FoldInUsersFrom(before, kept, stream, tcam.FoldIters)
 	if err != nil {
 		return nil, err
 	}

@@ -5,17 +5,17 @@ import (
 	"testing"
 
 	"tcam/internal/cuboid"
-	"tcam/internal/model"
 	"tcam/internal/train"
 )
 
 // BenchmarkPLSAIteration times one full EM iteration of each baseline
-// as the engine runs it — train.DefaultShards shard resets, the E-step
-// scans, the ordered merge, the M-step — at the paper's topic counts on
-// a wide catalog: 1 000 users × 12 intervals × 20 000 items, 40 ratings
-// a user. A ϕ slab is K×V (9.6 MB for UT, 6.4 MB for TT) and every
-// shard clears and merges one per iteration whatever the host, so this
-// is where the engine's fixed grouping costs most; cells/s is the
+// as the engine runs it on one worker — the reducer's
+// train.DefaultShards shard resets, E-step scans and ordered merge,
+// then the M-step — at the paper's topic counts on a wide catalog: 1 000
+// users × 12 intervals × 20 000 items, 40 ratings a user. A ϕ slab is
+// K×V (9.6 MB for UT, 6.4 MB for TT) and every shard after the first
+// clears and merges one per iteration whatever the host, so this is
+// where the engine's fixed grouping costs most; cells/s is the
 // headline.
 func BenchmarkPLSAIteration(b *testing.B) {
 	const nu, nt, nv = 1000, 12, 20000
@@ -33,23 +33,13 @@ func BenchmarkPLSAIteration(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var accums []train.Accum
-			model.CutRanges(tr.NumUsers(), train.DefaultShards, func(s, lo, hi int) {
-				accums = append(accums, tr.NewAccum(s, lo, hi))
-			})
+			r := train.NewReducer(tr, 1)
+			n := tr.NumUsers()
+			r.Reduce(0, n, 0) // allocates the reducer's accumulators, once
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, a := range accums {
-					a.Reset()
-				}
-				for _, a := range accums {
-					tr.EStep(a)
-				}
-				for j := 1; j < len(accums); j++ {
-					accums[0].Merge(accums[j])
-				}
-				tr.MStep(accums[0])
+				tr.MStep(r.Reduce(0, n, 0))
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(data.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")

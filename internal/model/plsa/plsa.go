@@ -156,10 +156,11 @@ func prepare(data *cuboid.Cuboid, axis Axis, cfg Config) (*trainer, error) {
 
 // trainer adapts the E/M-step to train.Trainable, as tcam's does: the θ
 // statistics are document-sharded — every shard writes a disjoint row
-// range of one shared slab — so only the ϕ slab is duplicated per shard
-// and merged. phiT is the E-step's item-major copy of ϕ, rebuilt by
-// bit-exact transposition after every M-step; the shard slabs share its
-// layout, so each cell reads and writes contiguous K-length rows.
+// range of one shared slab — so only the ϕ slab lives in the
+// accumulators and is merged. phiT is the E-step's item-major copy of
+// ϕ, rebuilt by bit-exact transposition after every M-step; the
+// accumulator slabs share its layout, so each cell reads and writes
+// contiguous K-length rows.
 type trainer struct {
 	m         *Model
 	smoothing float64
@@ -168,29 +169,26 @@ type trainer struct {
 	vs        []int32
 	scores    []float64
 
-	theta []float64 // D×K, shard s owns rows [lo, hi)
+	theta []float64 // D×K, an E-step over [lo, hi) owns rows [lo, hi)
 	phiT  []float64 // V×K: transpose of Model.phi
 }
 
-// accum is one shard's sufficient statistics: a private item-major ϕ
-// slab, its documents' rows of trainer.theta, and posterior scratch.
+// accum is one shard's global sufficient statistics — an item-major ϕ
+// slab — and posterior scratch.
 type accum struct {
-	tr     *trainer
-	lo, hi int
-	phiT   []float64 // V×K
-	pz     []float64 // K
-	ll     float64
+	phiT []float64 // V×K
+	pz   []float64 // K
+	ll   float64
 }
 
 func (tr *trainer) NumUsers() int { return tr.docs }
 
-func (tr *trainer) NewAccum(_, lo, hi int) train.Accum {
-	return &accum{tr: tr, lo: lo, hi: hi, phiT: make([]float64, len(tr.phiT)), pz: make([]float64, tr.m.k)}
+func (tr *trainer) NewAccum() train.Accum {
+	return &accum{phiT: make([]float64, len(tr.phiT)), pz: train.Scratch(tr.m.k)}
 }
 
 //tcam:hotpath
 func (a *accum) Reset() {
-	train.Zero(a.tr.theta[a.lo*a.tr.m.k : a.hi*a.tr.m.k])
 	train.Zero(a.phiT)
 	a.ll = 0
 }
@@ -202,16 +200,18 @@ func (a *accum) Merge(src train.Accum) {
 	a.ll += s.ll
 }
 
-// EStep scans the shard's documents: the posterior over topics of every
-// rated cell, split between the background and the topic path.
+// EStep scans documents [first, last): it clears their rows of the θ
+// statistics, then adds the posterior over topics of every rated cell,
+// split between the background and the topic path.
 //
 //tcam:hotpath
-func (tr *trainer) EStep(acc train.Accum) {
+func (tr *trainer) EStep(acc train.Accum, first, last int) {
 	a := acc.(*accum)
 	m, k, lambdaB := tr.m, tr.m.k, tr.m.lambdaB
 	vs, scores, phiT, pz := tr.vs, tr.scores, tr.phiT, a.pz
+	train.Zero(tr.theta[first*k : last*k])
 	var ll float64
-	for d := a.lo; d < a.hi; d++ {
+	for d := first; d < last; d++ {
 		thetaRow := m.theta[d*k : (d+1)*k]
 		thetaAcc := tr.theta[d*k : (d+1)*k]
 		lo, hi := tr.span(d)

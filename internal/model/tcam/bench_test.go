@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tcam/internal/cuboid"
-	"tcam/internal/model"
 	"tcam/internal/train"
 )
 
@@ -26,41 +25,25 @@ func benchCuboid(tb testing.TB) *cuboid.Cuboid {
 	return b.Build()
 }
 
-// benchAccums cuts the user range into train.DefaultShards contiguous
-// shards exactly as the engine does, so benchmarked iterations use the
-// production summation grouping.
-func benchAccums(tb testing.TB, tr *trainer) []train.Accum {
-	tb.Helper()
-	var accums []train.Accum
-	model.CutRanges(tr.NumUsers(), train.DefaultShards, func(s, lo, hi int) {
-		accums = append(accums, tr.NewAccum(s, lo, hi))
-	})
-	return accums
-}
-
-// benchIteration times full EM iterations — shard resets, E-step scans
-// (through eStep, so the parallel benchmark can fan them out), the
-// ordered accumulator merge and the M-step — for one variant at K1=40,
-// K2=32. The headline metric is cells/s (nonzero cuboid cells processed
-// per second).
-func benchIteration(b *testing.B, v variant, eStep func(tr *trainer, accums []train.Accum)) {
+// benchIteration times full EM iterations as the engine runs them —
+// the reducer's shard resets, E-step scans and ordered merge over
+// train.DefaultShards user shards on the given workers (non-positive
+// means GOMAXPROCS), then the M-step — for one variant at K1=40, K2=32.
+// The headline metric is cells/s (nonzero cuboid cells processed per
+// second).
+func benchIteration(b *testing.B, v variant, workers int) {
 	data := benchCuboid(b)
 	tr, err := prepare(data, v.config(40, 32))
 	if err != nil {
 		b.Fatal(err)
 	}
-	accums := benchAccums(b, tr)
+	r := train.NewReducer(tr, workers)
+	n := tr.NumUsers()
+	r.Reduce(0, n, 0) // allocates the reducer's accumulators, once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, a := range accums {
-			a.Reset()
-		}
-		eStep(tr, accums)
-		for j := 1; j < len(accums); j++ {
-			accums[0].Merge(accums[j])
-		}
-		tr.MStep(accums[0])
+		tr.MStep(r.Reduce(0, n, 0))
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(data.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
@@ -70,32 +53,19 @@ func benchIteration(b *testing.B, v variant, eStep func(tr *trainer, accums []tr
 // Steady state must be allocation-free (scripts/bench_smoke.sh).
 func BenchmarkEMIteration(b *testing.B) {
 	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			benchIteration(b, v, func(tr *trainer, accums []train.Accum) {
-				for _, a := range accums {
-					tr.EStep(a)
-				}
-			})
-		})
+		b.Run(v.name, func(b *testing.B) { benchIteration(b, v, 1) })
 	}
 }
 
 // BenchmarkEMIterationParallel is BenchmarkEMIteration with the E-step
 // shards fanned across GOMAXPROCS workers, exactly as the training
-// engine's shard runner does. Run with -cpu 1,2,4,8 for the scaling
-// curve recorded in BENCH_train.json; the merge and M-step stay serial,
-// so the curve exposes the Amdahl ceiling of the current split.
+// engine runs them. Run with -cpu 1,2,4,8 for the scaling curve
+// recorded in BENCH_train.json; each merge waits for the shards before
+// it and the M-step stays serial, so the curve exposes the Amdahl
+// ceiling of the current split.
 func BenchmarkEMIterationParallel(b *testing.B) {
 	for _, v := range variants[:2] {
-		b.Run(v.name, func(b *testing.B) {
-			workers := model.Workers(0) // read here: each -cpu setting re-runs this func
-			benchIteration(b, v, func(tr *trainer, accums []train.Accum) {
-				model.ParallelRanges(len(accums), workers, func(_, lo, hi int) {
-					for s := lo; s < hi; s++ {
-						tr.EStep(accums[s])
-					}
-				})
-			})
-		})
+		// Workers are read inside: each -cpu setting re-runs this func.
+		b.Run(v.name, func(b *testing.B) { benchIteration(b, v, 0) })
 	}
 }

@@ -17,20 +17,6 @@ import (
 	"tcam/internal/train"
 )
 
-// FoldInConfig parameterizes FoldInUsersFrom.
-type FoldInConfig struct {
-	// Iters is the number of partial-EM rounds for the new users'
-	// interests and mixing weights.
-	Iters int
-	// Smoothing is the additive epsilon for the θ row normalization,
-	// matching the batch trainer's Config.Smoothing.
-	Smoothing float64
-	// Shards/Workers mirror the batch trainer's knobs; neither affects
-	// the folded parameters (per-user statistics live in private rows).
-	Shards  int
-	Workers int
-}
-
 // FitNewInterval estimates the temporal context θ't of a previously
 // unseen interval from its ratings alone, holding every other parameter
 // frozen — the partial-EM update an online deployment runs when a new
@@ -196,13 +182,14 @@ func widenRows(src []float64, oldCols, newCols, rows int) []float64 {
 
 // FoldInUsersFrom returns the model extended to data.NumUsers() users.
 // Users [NumUsers(), data.NumUsers()) start from the uniform interest
-// and λ=1/2, then run cfg.Iters rounds of partial EM over their own
-// cells with φ, θ' and φ' frozen — through the same accumulator and
-// shard machinery as batch training, so folding in user u is
-// bit-identical to batch EM restricted to u against the same frozen
-// globals. data's interval/item dimensions must match the model
-// (GrowFrom first when the stream widened them); its cells for
-// already-trained users are ignored.
+// and λ=1/2, then run iters rounds of partial EM over their own cells
+// with φ, θ' and φ' frozen: each round is batch training's reduce over
+// the new users followed by its user-dimension M-step (userStep) on
+// them, at the Smoothing default-trained models were normalized with,
+// so folding in user u is bit-identical to batch EM restricted to u
+// against the same frozen globals. data's interval/item dimensions
+// must match the model (GrowFrom first when the stream widened them);
+// its cells for already-trained users are ignored.
 //
 // prev is the result of an earlier fold-in from the same trained model,
 // or nil: a new user u with kept[u] set takes (θu, λu) from prev instead
@@ -213,7 +200,10 @@ func widenRows(src []float64, oldCols, newCols, rows int) []float64 {
 // statistics live in rows no other user or shard touches. kept is
 // indexed by user and may be shorter than the user range (missing
 // entries fold); a kept user must exist in prev.
-func (m *Model) FoldInUsersFrom(prev *Model, kept []bool, data *cuboid.Cuboid, cfg FoldInConfig) (*Model, error) {
+func (m *Model) FoldInUsersFrom(prev *Model, kept []bool, data *cuboid.Cuboid, iters int) (*Model, error) {
+	if iters <= 0 {
+		return nil, fmt.Errorf("tcam: fold-in iters must be positive, got %d", iters)
+	}
 	if data.NumIntervals() != m.numIntervals || data.NumItems() != m.numItems {
 		return nil, fmt.Errorf("tcam: fold-in cuboid is %d intervals × %d items, model has %d × %d",
 			data.NumIntervals(), data.NumItems(), m.numIntervals, m.numItems)
@@ -236,6 +226,7 @@ func (m *Model) FoldInUsersFrom(prev *Model, kept []bool, data *cuboid.Cuboid, c
 		out.lambda[u] = 0.5
 	}
 	var tr *trainer // sized on the first user that needs folding
+	var r *train.Reducer
 	for lo := oldN; lo < n; {
 		if lo < len(kept) && kept[lo] {
 			if prev == nil || prev.k1 != k1 || lo >= prev.numUsers {
@@ -257,15 +248,13 @@ func (m *Model) FoldInUsersFrom(prev *Model, kept []bool, data *cuboid.Cuboid, c
 			if out.itemMajor == nil {
 				out.itemMajor = newItemMajor(&out)
 			}
-			tr = newTrainer(&out, data, cfg.Smoothing, out.itemMajor)
+			tr = newTrainer(&out, data, Smoothing, out.itemMajor)
 			tr.frozen = true
+			r = train.NewReducer(tr, 0)
 		}
-		if _, err := train.FoldIn(tr, lo, hi, train.FoldInConfig{
-			Iters:   cfg.Iters,
-			Shards:  cfg.Shards,
-			Workers: cfg.Workers,
-		}); err != nil {
-			return nil, err
+		for i := 0; i < iters; i++ {
+			r.Reduce(lo, hi, 0)
+			tr.userStep(lo, hi)
 		}
 		lo = hi
 	}

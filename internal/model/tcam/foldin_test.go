@@ -120,9 +120,9 @@ func foldBootModel(tb testing.TB, v variant) *Model {
 	return m
 }
 
-func foldConfig() FoldInConfig {
-	return FoldInConfig{Iters: 3, Smoothing: 1e-9, Shards: 2}
-}
+// foldIters is the number of fold-in rounds the fold-in fixtures were
+// recorded with.
+const foldIters = 3
 
 // extendUniform replicates FoldInUsersFrom's initialization: the boot model
 // widened to n users with uniform interests and λ=1/2. Test-side copy
@@ -157,14 +157,14 @@ func batchReference(tb testing.TB, boot *Model, data *cuboid.Cuboid, iters int, 
 	n := data.NumUsers()
 	m := extendUniform(boot, n)
 	tr := newTrainer(m, data, 1e-9, newItemMajor(m))
-	acc := tr.NewAccum(0, 0, n)
+	acc := tr.NewAccum()
 	for it := 0; it < iters; it++ {
 		acc.Reset()
-		tr.EStep(acc)
+		tr.EStep(acc, 0, n)
 		if updateGlobals {
 			tr.MStep(acc)
 		} else {
-			tr.FoldStep(acc, 0, n)
+			tr.userStep(0, n)
 		}
 	}
 	return m
@@ -172,42 +172,39 @@ func batchReference(tb testing.TB, boot *Model, data *cuboid.Cuboid, iters int, 
 
 // TestFoldInBitIdenticalToRestrictedBatch is the fold-in guarantee: for
 // every new user u, FoldInUsersFrom reproduces — bit for bit — the θu and
-// λu that batch EM restricted to u (globals frozen, any shard/worker
-// split) would learn on the same cuboid.
+// λu that batch EM restricted to u (globals frozen, a single shard)
+// would learn on the same cuboid, at any GOMAXPROCS.
 func TestFoldInBitIdenticalToRestrictedBatch(t *testing.T) {
 	forFoldVariants(t, func(t *testing.T, v variant) {
 		boot := foldBootModel(t, v)
 		frozen := cloneModel(boot) // fold-in shares boot's globals; compare against a copy
 		grown := foldGrownWorld(t)
 		const oldN = 20
-		cfg := foldConfig()
-		want := batchReference(t, boot, grown, cfg.Iters, false)
+		want := batchReference(t, boot, grown, foldIters, false)
 
-		for _, shards := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 8} {
-				cfg := cfg
-				cfg.Shards, cfg.Workers = shards, workers
-				got, err := boot.FoldInUsersFrom(nil, nil, grown, cfg)
-				if err != nil {
-					t.Fatalf("FoldInUsersFrom(shards=%d, workers=%d): %v", shards, workers, err)
-				}
-				label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
-				if !bitsEqual(got.theta[oldN*got.k1:], want.theta[oldN*want.k1:]) {
-					t.Errorf("%s: folded theta rows differ from restricted batch EM", label)
-				}
-				if !bitsEqual(got.lambda[oldN:], want.lambda[oldN:]) {
-					t.Errorf("%s: folded lambda differs from restricted batch EM", label)
-				}
-				// Old users and every global parameter are untouched, in
-				// the result and in the receiver.
-				if !bitsEqual(got.theta[:oldN*got.k1], frozen.theta) ||
-					!bitsEqual(got.lambda[:oldN], frozen.lambda) ||
-					!bitsEqual(got.phi, frozen.phi) || !bitsEqual(got.ctx, frozen.ctx) ||
-					!bitsEqual(got.phiX, frozen.phiX) || !bitsEqual(got.background, frozen.background) {
-					t.Errorf("%s: fold-in mutated frozen parameters", label)
-				}
-				assertSameModel(t, label+": receiver", boot, frozen)
+		for _, procs := range []int{1, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			got, err := boot.FoldInUsersFrom(nil, nil, grown, foldIters)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("FoldInUsersFrom(GOMAXPROCS=%d): %v", procs, err)
 			}
+			label := fmt.Sprintf("GOMAXPROCS=%d", procs)
+			if !bitsEqual(got.theta[oldN*got.k1:], want.theta[oldN*want.k1:]) {
+				t.Errorf("%s: folded theta rows differ from restricted batch EM", label)
+			}
+			if !bitsEqual(got.lambda[oldN:], want.lambda[oldN:]) {
+				t.Errorf("%s: folded lambda differs from restricted batch EM", label)
+			}
+			// Old users and every global parameter are untouched, in
+			// the result and in the receiver.
+			if !bitsEqual(got.theta[:oldN*got.k1], frozen.theta) ||
+				!bitsEqual(got.lambda[:oldN], frozen.lambda) ||
+				!bitsEqual(got.phi, frozen.phi) || !bitsEqual(got.ctx, frozen.ctx) ||
+				!bitsEqual(got.phiX, frozen.phiX) || !bitsEqual(got.background, frozen.background) {
+				t.Errorf("%s: fold-in mutated frozen parameters", label)
+			}
+			assertSameModel(t, label+": receiver", boot, frozen)
 		}
 	})
 }
@@ -221,7 +218,7 @@ func TestFoldInFixture(t *testing.T) {
 			continue
 		}
 		t.Run(fv.name, func(t *testing.T) {
-			got, err := foldBootModel(t, fv.variant).FoldInUsersFrom(nil, nil, foldGrownWorld(t), foldConfig())
+			got, err := foldBootModel(t, fv.variant).FoldInUsersFrom(nil, nil, foldGrownWorld(t), foldIters)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,12 +237,11 @@ func TestFoldInDriftFromFullBatch(t *testing.T) {
 		boot := foldBootModel(t, v)
 		grown := foldGrownWorld(t)
 		const oldN = 20
-		cfg := foldConfig()
-		folded, err := boot.FoldInUsersFrom(nil, nil, grown, cfg)
+		folded, err := boot.FoldInUsersFrom(nil, nil, grown, foldIters)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := batchReference(t, boot, grown, cfg.Iters, true)
+		full := batchReference(t, boot, grown, foldIters, true)
 
 		var totalL1 float64
 		for i := oldN * folded.k1; i < len(folded.theta); i++ {
@@ -271,9 +267,7 @@ func TestFoldInSingleRoundMatchesFullBatch(t *testing.T) {
 		boot := foldBootModel(t, v)
 		grown := foldGrownWorld(t)
 		const oldN = 20
-		cfg := foldConfig()
-		cfg.Iters = 1
-		folded, err := boot.FoldInUsersFrom(nil, nil, grown, cfg)
+		folded, err := boot.FoldInUsersFrom(nil, nil, grown, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,26 +284,24 @@ func TestFoldInSingleRoundMatchesFullBatch(t *testing.T) {
 func TestFoldInValidation(t *testing.T) {
 	forFoldVariants(t, func(t *testing.T, v variant) {
 		boot := foldBootModel(t, v)
-		cfg := foldConfig()
-		if _, err := boot.FoldInUsersFrom(nil, nil, cuboid.NewBuilder(30, 7, 25).Build(), cfg); err == nil {
+		if _, err := boot.FoldInUsersFrom(nil, nil, cuboid.NewBuilder(30, 7, 25).Build(), foldIters); err == nil {
 			t.Error("FoldInUsersFrom accepted a cuboid with mismatched intervals")
 		}
-		if _, err := boot.FoldInUsersFrom(nil, nil, cuboid.NewBuilder(30, 6, 26).Build(), cfg); err == nil {
+		if _, err := boot.FoldInUsersFrom(nil, nil, cuboid.NewBuilder(30, 6, 26).Build(), foldIters); err == nil {
 			t.Error("FoldInUsersFrom accepted a cuboid with mismatched items")
 		}
-		if _, err := boot.FoldInUsersFrom(nil, nil, cuboid.NewBuilder(10, 6, 25).Build(), cfg); err == nil {
+		if _, err := boot.FoldInUsersFrom(nil, nil, cuboid.NewBuilder(10, 6, 25).Build(), foldIters); err == nil {
 			t.Error("FoldInUsersFrom accepted a shrinking user dimension")
 		}
 		// No new users: identity extension.
-		same, err := boot.FoldInUsersFrom(nil, nil, foldBootWorld(t), cfg)
+		same, err := boot.FoldInUsersFrom(nil, nil, foldBootWorld(t), foldIters)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameModel(t, "no-op fold-in", same, boot)
 		// Zero iterations is a config error.
-		cfg.Iters = 0
-		if _, err := boot.FoldInUsersFrom(nil, nil, foldGrownWorld(t), cfg); err == nil {
-			t.Error("FoldInUsersFrom accepted Iters=0")
+		if _, err := boot.FoldInUsersFrom(nil, nil, foldGrownWorld(t), 0); err == nil {
+			t.Error("FoldInUsersFrom accepted zero iterations")
 		}
 	})
 }
@@ -511,7 +503,7 @@ func TestFoldInUsersFromKeepsVouchedUsers(t *testing.T) {
 	forFoldVariants(t, func(t *testing.T, v variant) {
 		boot := foldBootModel(t, v)
 		grown := foldGrownWorld(t)
-		full, err := boot.FoldInUsersFrom(nil, nil, grown, foldConfig())
+		full, err := boot.FoldInUsersFrom(nil, nil, grown, foldIters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +514,7 @@ func TestFoldInUsersFromKeepsVouchedUsers(t *testing.T) {
 			keepUsers(30, 20, 29),
 			keepUsers(27, 22, 23, 26), // shorter than the user range: the rest fold
 		} {
-			got, err := boot.FoldInUsersFrom(full, kept, grown, foldConfig())
+			got, err := boot.FoldInUsersFrom(full, kept, grown, foldIters)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -531,7 +523,7 @@ func TestFoldInUsersFromKeepsVouchedUsers(t *testing.T) {
 		// The kept rows are copies of prev's, not a second fold.
 		marked := cloneModel(full)
 		marked.lambda[24] = 0.123
-		got, err := boot.FoldInUsersFrom(marked, keepUsers(30, 24), grown, foldConfig())
+		got, err := boot.FoldInUsersFrom(marked, keepUsers(30, 24), grown, foldIters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,10 +531,10 @@ func TestFoldInUsersFromKeepsVouchedUsers(t *testing.T) {
 			t.Error("kept user did not take prev's λ, or a folded one did")
 		}
 		// A user prev never had cannot be kept.
-		if _, err := boot.FoldInUsersFrom(boot, keepUsers(30, 24), grown, foldConfig()); err == nil {
+		if _, err := boot.FoldInUsersFrom(boot, keepUsers(30, 24), grown, foldIters); err == nil {
 			t.Error("kept a user the previous model does not have")
 		}
-		if _, err := boot.FoldInUsersFrom(nil, keepUsers(30, 24), grown, foldConfig()); err == nil {
+		if _, err := boot.FoldInUsersFrom(nil, keepUsers(30, 24), grown, foldIters); err == nil {
 			t.Error("kept a user with no previous model")
 		}
 	})
@@ -589,10 +581,12 @@ func TestGrowSharesUnchangedSlabs(t *testing.T) {
 	})
 }
 
-// TestFoldInAllocationIndependentOfShards pins what fold-in allocates:
-// every global is frozen, so no shard may carry a (K1+K2)×V statistics
-// slab, and bytes per FoldInUsersFrom must not grow with the shard count.
-func TestFoldInAllocationIndependentOfShards(t *testing.T) {
+// TestFoldInAllocatesNoGlobalSlab pins what fold-in allocates: every
+// global is frozen, so no accumulator — the total's or any worker's, at
+// any GOMAXPROCS — may carry a φ-, θ'- or φ'-sized statistics slab.
+// What a fold costs is the read-side transposes of φ and φ' plus
+// user-sized rows.
+func TestFoldInAllocatesNoGlobalSlab(t *testing.T) {
 	const users, newUsers, intervals, items = 16, 16, 4, 4000
 	b := cuboid.NewBuilder(users, intervals, items)
 	d := cuboid.NewDelta(users+newUsers, intervals, items)
@@ -618,27 +612,26 @@ func TestFoldInAllocationIndependentOfShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bytesPerFold := func(shards int) uint64 {
+		bytesPerFold := func(procs int) uint64 {
 			const runs = 4
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
-				if _, err := boot.FoldInUsersFrom(nil, nil, grown, FoldInConfig{Iters: 2, Smoothing: 1e-9, Shards: shards, Workers: 1}); err != nil {
+				if _, err := boot.FoldInUsersFrom(nil, nil, grown, 2); err != nil {
 					t.Fatal(err)
 				}
 			}
 			runtime.ReadMemStats(&after)
 			return (after.TotalAlloc - before.TotalAlloc) / runs
 		}
-		slab := uint64(8 * len(boot.phi)) // the smallest of the per-shard slabs fold-in used to carry
-		one, eight := bytesPerFold(1), bytesPerFold(8)
-		if eight > one+slab/2 {
-			t.Errorf("FoldInUsersFrom allocates %d B with 8 shards, %d B with 1: grows by more than half a %d B φ slab", eight, one, slab)
-		}
-		// Read-side transposes of φ and φ' plus the user rows: about the
-		// model's own size, once.
-		if limit := 3 * uint64(8*(len(boot.phi)+len(boot.phiX)+len(boot.theta))); eight > limit {
-			t.Errorf("FoldInUsersFrom allocates %d B per call, want under %d B", eight, limit)
+		transposes := uint64(8 * (len(boot.phi) + len(boot.phiX)))
+		slab := uint64(8 * len(boot.phi)) // the smallest global slab an accumulator could carry
+		for _, procs := range []int{1, 8} {
+			if got := bytesPerFold(procs); got > transposes+slab/2 {
+				t.Errorf("GOMAXPROCS=%d: FoldInUsersFrom allocates %d B per call, want under %d B of transposes plus half a %d B φ slab",
+					procs, got, transposes, slab)
+			}
 		}
 	})
 }

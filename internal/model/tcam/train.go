@@ -107,20 +107,20 @@ func fillJitteredRows(rng *rand.Rand, data []float64, cols int) {
 // trainer adapts the E/M-step math to the train.Trainable contract. The
 // θ and λ sufficient statistics are user-sharded — every shard writes a
 // disjoint row range of one shared slab — so only the global φ, θ' and
-// φ' slabs are duplicated per shard and merged.
+// φ' slabs live in the accumulators and are merged.
 //
 // phiT and phiXT (itemMajor) are the E-step's read-side copies of φ and
 // φ' in item-major layout, rebuilt — by bit-exact transposition — after
 // every M-step and on checkpoint restore. The per-cell topic loops then
 // read one contiguous K-length row per matrix instead of a stride-V
-// column, and the shard accumulators store their φ/φ' statistics in the
+// column, and the accumulators store their φ/φ' statistics in the
 // same item-major layout so the loops' writes are contiguous too. For
 // ITCAM the φ' slabs are empty.
 //
 // A frozen trainer is fold-in's: φ, θ' and φ' are held fixed and only
-// FoldStep consumes its accumulators, so they carry no global slab —
-// nothing item- or interval-sized is allocated, cleared or merged per
-// shard — and the E-step leaves those statistics out. Its transposes
+// userStep follows its E-steps, so its accumulators carry no global
+// slab — nothing item- or interval-sized is allocated, cleared or
+// merged — and the E-step leaves those statistics out. Its transposes
 // are the model's own carried copy, never refreshed. The per-cell user
 // statistics (θ, λ) are computed by the same operations in the same
 // order either way.
@@ -130,7 +130,7 @@ type trainer struct {
 	smoothing float64
 	frozen    bool
 
-	theta  []float64 // N×K1, shard s owns rows [lo, hi)
+	theta  []float64 // N×K1, an E-step over [lo, hi) owns rows [lo, hi)
 	lamNum []float64 // N
 	lamDen []float64 // N
 	*itemMajor
@@ -175,15 +175,11 @@ func newTrainer(m *Model, data *cuboid.Cuboid, smoothing float64, im *itemMajor)
 	}
 }
 
-// accum is one shard's sufficient-statistic set: private global slabs
-// plus the shard's slice of the shared user-dimension statistics. The φ
-// and φ' slabs are item-major, mirroring trainer.phiT/phiXT; ctx has
-// the layout of Model.ctx. Under a frozen trainer the three global
-// slabs are nil.
+// accum is one shard's global sufficient-statistic slabs and posterior
+// scratch. The φ and φ' slabs are item-major, mirroring
+// trainer.phiT/phiXT; ctx has the layout of Model.ctx. Under a frozen
+// trainer the three global slabs are nil.
 type accum struct {
-	tr     *trainer
-	lo, hi int
-
 	phiT  []float64 // V×K1
 	ctx   []float64 // T×ctxWidth
 	phiXT []float64 // V×K2
@@ -194,14 +190,11 @@ type accum struct {
 
 func (tr *trainer) NumUsers() int { return tr.m.numUsers }
 
-func (tr *trainer) NewAccum(_, lo, hi int) train.Accum {
+func (tr *trainer) NewAccum() train.Accum {
 	m := tr.m
 	a := &accum{
-		tr: tr,
-		lo: lo,
-		hi: hi,
-		pz: make([]float64, m.k1),
-		px: make([]float64, m.k2),
+		pz: train.Scratch(m.k1),
+		px: train.Scratch(m.k2),
 	}
 	if !tr.frozen {
 		a.phiT = make([]float64, len(m.phi))
@@ -211,15 +204,10 @@ func (tr *trainer) NewAccum(_, lo, hi int) train.Accum {
 	return a
 }
 
-// Reset clears the shard's slabs and its disjoint range of the shared
-// user-dimension statistics.
+// Reset clears the global slabs.
 //
 //tcam:hotpath
 func (a *accum) Reset() {
-	k1 := a.tr.m.k1
-	train.Zero(a.tr.theta[a.lo*k1 : a.hi*k1])
-	train.Zero(a.tr.lamNum[a.lo:a.hi])
-	train.Zero(a.tr.lamDen[a.lo:a.hi])
 	train.Zero(a.phiT)
 	train.Zero(a.ctx)
 	train.Zero(a.phiXT)
@@ -238,18 +226,23 @@ func (a *accum) Merge(src train.Accum) {
 	a.ll += s.ll
 }
 
-// EStep picks the shard's per-cell kernel by context kind, once.
-func (tr *trainer) EStep(acc train.Accum) {
+// EStep clears the range's disjoint rows of the shared user-dimension
+// statistics and picks the per-cell kernel by context kind, once.
+func (tr *trainer) EStep(acc train.Accum, lo, hi int) {
 	a := acc.(*accum)
+	k1 := tr.m.k1
+	train.Zero(tr.theta[lo*k1 : hi*k1])
+	train.Zero(tr.lamNum[lo:hi])
+	train.Zero(tr.lamDen[lo:hi])
 	if tr.m.k2 == 0 {
-		tr.eStepItems(a)
+		tr.eStepItems(a, lo, hi)
 	} else {
-		tr.eStepTopics(a)
+		tr.eStepTopics(a, lo, hi)
 	}
 }
 
 // The two kernels below run the E-step over one shard's user range
-// [lo, hi), accumulating sufficient statistics into the shard's slabs.
+// [lo, hi), accumulating sufficient statistics into the accumulator.
 // All scratch is pre-sized in the accumulator so the per-iteration
 // inner loop never touches the allocator.
 //
@@ -267,7 +260,7 @@ func (tr *trainer) EStep(acc train.Accum) {
 // the numerators of (8)–(11).
 //
 //tcam:hotpath
-func (tr *trainer) eStepItems(a *accum) {
+func (tr *trainer) eStepItems(a *accum, first, last int) {
 	m := tr.m
 	k1, V := m.k1, m.numItems
 	data := tr.data
@@ -276,7 +269,7 @@ func (tr *trainer) eStepItems(a *accum) {
 	frozen := tr.frozen
 	pz := a.pz
 	var ll float64
-	for u := a.lo; u < a.hi; u++ {
+	for u := first; u < last; u++ {
 		lam := m.lambda[u]
 		thetaRow := m.theta[u*k1 : (u+1)*k1]
 		thetaAcc := tr.theta[u*k1 : (u+1)*k1]
@@ -315,7 +308,7 @@ func (tr *trainer) eStepItems(a *accum) {
 // mixture-path posteriors discounted by the background's when enabled.
 //
 //tcam:hotpath
-func (tr *trainer) eStepTopics(a *accum) {
+func (tr *trainer) eStepTopics(a *accum, first, last int) {
 	m := tr.m
 	k1, k2 := m.k1, m.k2
 	data := tr.data
@@ -327,7 +320,7 @@ func (tr *trainer) eStepTopics(a *accum) {
 	pz := a.pz
 	px := a.px
 	var ll float64
-	for u := a.lo; u < a.hi; u++ {
+	for u := first; u < last; u++ {
 		lam := m.lambda[u]
 		thetaRow := m.theta[u*k1 : (u+1)*k1]
 		thetaAcc := tr.theta[u*k1 : (u+1)*k1]
@@ -418,14 +411,6 @@ func (tr *trainer) userStep(lo, hi int) {
 	}
 }
 
-// FoldStep applies userStep to [lo, hi), leaving every global parameter
-// frozen, and returns the range's log-likelihood under the round's
-// starting parameters (the only part of merged it consumes).
-func (tr *trainer) FoldStep(merged train.Accum, lo, hi int) float64 {
-	tr.userStep(lo, hi)
-	return merged.(*accum).ll
-}
-
 // EncodeParams snapshots the full parameter state (the model wire
 // format) for the engine's checkpoints.
 func (tr *trainer) EncodeParams(w io.Writer) error { return tr.m.Write(w) }
@@ -453,5 +438,4 @@ func (tr *trainer) DecodeParams(r io.Reader) error {
 var (
 	_ train.Trainable      = (*trainer)(nil)
 	_ train.Checkpointable = (*trainer)(nil)
-	_ train.UserFolder     = (*trainer)(nil)
 )

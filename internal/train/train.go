@@ -1,14 +1,14 @@
 // Package train is the one EM training engine. Its clients are
-// internal/model/tcam's batch training (Run over users), its streaming
-// fold-in (FoldIn over the new users) and internal/model/plsa's UT and
-// TT baselines (Run over documents) — all six EM methods of Section 5.2
-// iterate here. The loop has the MapReduce shape the paper notes in
-// Section 3.2.3 — user-sharded E-steps (map), an ordered accumulator
-// merge (reduce), one M-step — and the engine owns everything about it
-// that is not model math:
+// internal/model/tcam's batch training (Run over users) and streaming
+// fold-in (a Reducer over the new users), internal/model/plsa's UT and
+// TT baselines (Run over documents) and the EM benchmarks — all six EM
+// methods of Section 5.2 iterate here. The loop has the MapReduce shape
+// the paper notes in Section 3.2.3 — user-sharded E-steps (map), an
+// ordered accumulator merge (reduce), one M-step — and the engine owns
+// everything about it that is not model math:
 //
-//   - the iteration driver — deterministic user-range sharding, a worker
-//     pool executing shards, and an ordered accumulator merge, so the
+//   - the reduce — deterministic user-range sharding, a worker pool
+//     executing shards, and an ordered accumulator merge, so the
 //     learned parameters are bit-identical for any worker count;
 //   - one convergence policy — MaxIters and a relative log-likelihood
 //     tolerance — applied uniformly to every client;
@@ -22,16 +22,19 @@
 // Determinism contract: the number of shards — not the number of
 // workers — fixes the floating-point summation grouping. Shards are
 // contiguous user ranges cut with the same arithmetic for a given
-// (users, shards) pair, each shard owns its own accumulator, and merge
-// always folds shard s+1 into shard s's accumulator in ascending order.
-// Workers only decide how many goroutines execute the shards; results
-// never depend on it, nor on OS scheduling.
+// (users, shards) pair, shard 0's accumulator is the running total and
+// every later shard is merged into it in ascending order, so the sum is
+// always ((s0 + s1) + s2) + …. Workers only decide how many goroutines
+// execute the shards and how many accumulators (one more than the
+// workers) are reused from shard to shard; results never depend on
+// them, nor on OS scheduling.
 package train
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"tcam/internal/model"
@@ -81,6 +84,12 @@ func Zero(s []float64) {
 	}
 }
 
+// Scratch returns a zeroed length-n slab with a cache line of unused
+// capacity behind it. Accumulators that workers write per cell —
+// posterior scratch rows — come from it, so two workers' accumulators
+// allocated side by side never write the same cache line.
+func Scratch(n int) []float64 { return make([]float64, n, n+8) }
+
 // Transpose writes the rows×cols row-major matrix src into dst as its
 // cols×rows transpose: dst[c*rows+r] = src[r*cols+c]. It is pure data
 // movement — no arithmetic — so round-tripping a slab through it is
@@ -102,12 +111,14 @@ func Transpose(dst, src []float64, rows, cols int) {
 	}
 }
 
-// Accum is one shard's sufficient-statistic slab set. The engine resets
-// every accumulator at the start of an iteration, runs the E-step into
-// each, then merges them in ascending shard order.
+// Accum is the global sufficient-statistic slab set of one shard. The
+// reducer resets it before the shard is E-stepped into it, merges it
+// into the running total in ascending shard order, and reuses it for a
+// later shard.
 type Accum interface {
-	// Reset clears the accumulator for the next iteration. Reset calls
-	// are sequential (never concurrent with each other or the E-step).
+	// Reset clears the accumulator for the next shard; calls for
+	// different accumulators may run concurrently. The user-sharded
+	// statistics are the E-step's to clear, not Reset's.
 	Reset()
 	// Merge folds src into the receiver by element-wise addition. The
 	// engine calls it in ascending shard order, which fixes the
@@ -121,14 +132,14 @@ type Accum interface {
 type Trainable interface {
 	// NumUsers returns the size of the sharding dimension.
 	NumUsers() int
-	// NewAccum allocates the accumulator for shard (its user range is
-	// [lo, hi)). Called once per shard before the first iteration, in
-	// ascending shard order.
-	NewAccum(shard, lo, hi int) Accum
-	// EStep scans the accumulator's user range, adding sufficient
-	// statistics (and the range's log-likelihood term) into it. Calls
-	// for different shards may run concurrently.
-	EStep(a Accum)
+	// NewAccum allocates an accumulator. The reducer allocates one per
+	// worker plus one, and reuses them every iteration.
+	NewAccum() Accum
+	// EStep scans the user range [lo, hi): it clears and fills the
+	// range's own user-dimension statistics, and adds the global
+	// statistics (and the range's log-likelihood term) into a, which
+	// was just reset. Calls for disjoint ranges may run concurrently.
+	EStep(a Accum, lo, hi int)
 	// MStep consumes the merged accumulator, updates the model
 	// parameters in place, and returns the data log-likelihood under the
 	// parameters the iteration started from (the quantity EM never
@@ -188,23 +199,123 @@ func shardCount(configured, n int) int {
 	return s
 }
 
-// sharded is the surface batch training (Trainable) and fold-in
-// (UserFolder) share: the shard machinery below needs only this much.
-type sharded interface {
-	NewAccum(shard, lo, hi int) Accum
-	EStep(a Accum)
+// Reducer is one iteration's map and reduce: it E-steps a user range
+// shard by shard across its workers and merges the shards' statistics
+// in ascending order. Build one per run and call Reduce every
+// iteration; the accumulators it allocates on first use are reused, so
+// a steady-state Reduce on one worker allocates nothing. A Reducer is
+// not safe for concurrent Reduce calls.
+type Reducer struct {
+	t       Trainable
+	workers int
+	accs    []Accum // every accumulator allocated, one per worker plus one
+	cuts    [][2]int
+
+	mu      sync.Mutex
+	turn    sync.Cond // broadcast whenever an accumulator is freed
+	free    []Accum   // accumulators no shard holds
+	next    int       // the next shard a worker takes
+	total   Accum     // shard 0's accumulator, the running sum
+	folded  int       // shards merged into total so far
+	pending []Accum   // by shard: E-stepped, not yet merged
+	merging bool      // a worker is in fold
 }
 
-// newAccums cuts the n users from base on into shardCount's contiguous
-// ranges of ceil(n/shards) and allocates each range's accumulator, in
-// ascending shard order.
-func newAccums(t sharded, base, n, shards int) []Accum {
-	shards = shardCount(shards, n)
-	out := make([]Accum, 0, shards)
-	model.CutRanges(n, shards, func(i, lo, hi int) {
-		out = append(out, t.NewAccum(i, base+lo, base+hi))
+// NewReducer returns a reducer over t with workers goroutines
+// (non-positive means GOMAXPROCS).
+func NewReducer(t Trainable, workers int) *Reducer {
+	r := &Reducer{t: t, workers: model.Workers(workers)}
+	r.turn.L = &r.mu
+	return r
+}
+
+// Reduce E-steps users [lo, hi) cut into shards contiguous ranges
+// (0 means DefaultShards) and returns the merged accumulator, which
+// stays the reducer's: it is valid until the next Reduce.
+//
+// Each worker takes the next unstarted shard and a free accumulator,
+// resets it and E-steps the shard into it. Shard 0's accumulator is the
+// running total; every later shard is merged into it as soon as all
+// earlier ones have been, by whichever worker completes that prefix,
+// and its accumulator is freed. There are min(workers, shards) + 1
+// accumulators, so a worker can run one shard ahead of the merge before
+// it waits for one. The merge order is the shard order whatever the
+// schedule.
+func (r *Reducer) Reduce(lo, hi, shards int) Accum {
+	n := hi - lo
+	r.cuts = r.cuts[:0]
+	model.CutRanges(n, shardCount(shards, n), func(_, a, b int) {
+		r.cuts = append(r.cuts, [2]int{lo + a, lo + b})
 	})
-	return out
+	workers := max(1, min(r.workers, len(r.cuts)))
+	for len(r.accs) < workers+1 {
+		r.accs = append(r.accs, r.t.NewAccum())
+	}
+	if cap(r.pending) < len(r.cuts) {
+		r.pending = make([]Accum, len(r.cuts))
+	}
+	r.pending = r.pending[:len(r.cuts)]
+	r.free = append(r.free[:0], r.accs...)
+	r.next, r.folded, r.total = 0, 0, nil
+	if workers == 1 {
+		r.work() // inline: the serial path allocates nothing
+	} else {
+		model.ParallelRanges(workers, workers, func(_, _, _ int) { r.work() })
+	}
+	if r.total == nil { // an empty range
+		r.total = r.accs[0]
+		r.total.Reset()
+	}
+	return r.total
+}
+
+// work is one worker's loop: take a shard and a free accumulator,
+// E-step the one into the other and hand it to fold, until no shard is
+// left.
+func (r *Reducer) work() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.next < len(r.cuts) {
+		if len(r.free) == 0 {
+			r.turn.Wait()
+			continue
+		}
+		s, a := r.next, r.free[len(r.free)-1]
+		r.next++
+		r.free = r.free[:len(r.free)-1]
+		r.mu.Unlock()
+		a.Reset()
+		r.t.EStep(a, r.cuts[s][0], r.cuts[s][1])
+		r.mu.Lock()
+		r.pending[s] = a
+		r.fold()
+	}
+}
+
+// fold merges, in shard order, every E-stepped shard whose predecessors
+// are all merged, and frees its accumulator. One worker folds at a
+// time, and it releases r.mu while it merges, so others can hand in
+// shards meanwhile; r.mu is held on entry and on return.
+func (r *Reducer) fold() {
+	if r.merging {
+		return
+	}
+	r.merging = true
+	for r.folded < len(r.pending) && r.pending[r.folded] != nil {
+		f, a := r.folded, r.pending[r.folded]
+		r.pending[f] = nil
+		if f == 0 {
+			r.total = a
+		} else {
+			r.mu.Unlock()
+			r.total.Merge(a)
+			r.mu.Lock()
+			r.free = append(r.free, a)
+			r.turn.Broadcast()
+		}
+		r.folded++
+	}
+	r.merging = false
 }
 
 // Run executes the EM loop for t under cfg and returns the training
@@ -241,11 +352,10 @@ func Run(t Trainable, cfg Config) (model.TrainStats, error) {
 		}
 	}
 
-	accums := newAccums(t, 0, n, cfg.Shards)
-	workers := model.Workers(cfg.Workers)
+	r := NewReducer(t, cfg.Workers)
 	for iter := startIter; iter < cfg.MaxIters; iter++ {
 		eStart := time.Now()
-		merged := runShards(t, accums, workers)
+		merged := r.Reduce(0, n, cfg.Shards)
 		eDur := time.Since(eStart)
 
 		mStart := time.Now()
@@ -285,32 +395,4 @@ func Run(t Trainable, cfg Config) (model.TrainStats, error) {
 		stats.StopReason = model.StopMaxIters
 	}
 	return stats, nil
-}
-
-// runShards is one iteration's map and reduce: it resets every
-// accumulator, executes the E-step of each across the worker pool
-// (never more goroutines than shards) and returns the first with the
-// rest folded into it. Each shard writes only its own accumulator (plus
-// disjoint user-sharded rows of any state the model shares between
-// them), so execution order is irrelevant; determinism comes from the
-// merge, always in ascending shard order.
-func runShards(t sharded, accums []Accum, workers int) Accum {
-	for _, a := range accums {
-		a.Reset()
-	}
-	if workers <= 1 || len(accums) == 1 {
-		for _, a := range accums {
-			t.EStep(a)
-		}
-	} else {
-		model.ParallelRanges(len(accums), workers, func(_, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				t.EStep(accums[s])
-			}
-		})
-	}
-	for _, a := range accums[1:] {
-		accums[0].Merge(a)
-	}
-	return accums[0]
 }

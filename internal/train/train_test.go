@@ -6,18 +6,17 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tcam/internal/model"
 )
 
-// fakeAccum sums the values of its user range.
-type fakeAccum struct {
-	lo, hi int
-	sum    float64
-}
+// fakeAccum sums the values of the ranges E-stepped into it.
+type fakeAccum struct{ sum float64 }
 
 func (a *fakeAccum) Reset() { a.sum = 0 }
 func (a *fakeAccum) Merge(src Accum) {
@@ -35,6 +34,10 @@ type fakeModel struct {
 	steps int
 	// lastMerged records what the M-step saw, for sharding assertions.
 	lastMerged float64
+	// accums counts NewAccum calls; ranges records every E-step range.
+	accums int
+	mu     sync.Mutex
+	ranges []shardRange
 }
 
 func newFakeModel(users int) *fakeModel {
@@ -46,14 +49,18 @@ func newFakeModel(users int) *fakeModel {
 }
 
 func (m *fakeModel) NumUsers() int { return m.users }
-func (m *fakeModel) NewAccum(_, lo, hi int) Accum {
-	return &fakeAccum{lo: lo, hi: hi}
+func (m *fakeModel) NewAccum() Accum {
+	m.accums++
+	return &fakeAccum{}
 }
-func (m *fakeModel) EStep(a Accum) {
+func (m *fakeModel) EStep(a Accum, lo, hi int) {
 	acc := a.(*fakeAccum)
-	for u := acc.lo; u < acc.hi; u++ {
+	for u := lo; u < hi; u++ {
 		acc.sum += m.vals[u]
 	}
+	m.mu.Lock()
+	m.ranges = append(m.ranges, shardRange{lo, hi})
+	m.mu.Unlock()
 }
 func (m *fakeModel) MStep(merged Accum) float64 {
 	m.lastMerged = merged.(*fakeAccum).sum
@@ -74,44 +81,44 @@ type plainModel struct{ fakeModel }
 func (m *plainModel) EncodeParams() {} // shadow away the interface
 
 // shardRange is one contiguous user range [Lo, Hi); shardRanges lists
-// the ranges newAccums hands a model's NewAccum, in shard order.
+// the ranges one Reduce over [lo, lo+n) E-steps, in shard order.
 type shardRange struct{ Lo, Hi int }
 
-func shardRanges(n, shards int) []shardRange {
-	var out []shardRange
-	for _, a := range newAccums(newFakeModel(n), 0, n, shards) {
-		out = append(out, shardRange{a.(*fakeAccum).lo, a.(*fakeAccum).hi})
-	}
-	return out
+func shardRanges(lo, n, shards int) []shardRange {
+	m := newFakeModel(lo + n)
+	NewReducer(m, 1).Reduce(lo, lo+n, shards)
+	return m.ranges
 }
 
 func TestShardRanges(t *testing.T) {
 	cases := []struct {
-		n, shards int
-		want      []shardRange
+		lo, n, shards int
+		want          []shardRange
 	}{
-		{10, 3, []shardRange{{0, 4}, {4, 8}, {8, 10}}},
-		{10, 4, []shardRange{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
-		{3, 8, []shardRange{{0, 1}, {1, 2}, {2, 3}}},
-		{5, 1, []shardRange{{0, 5}}},
-		{0, 4, nil},
-		{16, 0, []shardRange{{0, 2}, {2, 4}, {4, 6}, {6, 8}, {8, 10}, {10, 12}, {12, 14}, {14, 16}}},
+		{0, 10, 3, []shardRange{{0, 4}, {4, 8}, {8, 10}}},
+		{0, 10, 4, []shardRange{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
+		{0, 3, 8, []shardRange{{0, 1}, {1, 2}, {2, 3}}},
+		{0, 5, 1, []shardRange{{0, 5}}},
+		{0, 0, 4, nil},
+		{0, 16, 0, []shardRange{{0, 2}, {2, 4}, {4, 6}, {6, 8}, {8, 10}, {10, 12}, {12, 14}, {14, 16}}},
+		// A sub-range (fold-in's new users) is cut like [0, n), offset.
+		{20, 10, 3, []shardRange{{20, 24}, {24, 28}, {28, 30}}},
 	}
 	for _, c := range cases {
-		got := shardRanges(c.n, c.shards)
+		got := shardRanges(c.lo, c.n, c.shards)
 		if len(got) != len(c.want) {
-			t.Fatalf("shardRanges(%d, %d) = %v, want %v", c.n, c.shards, got, c.want)
+			t.Fatalf("shardRanges(%d, %d, %d) = %v, want %v", c.lo, c.n, c.shards, got, c.want)
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Fatalf("shardRanges(%d, %d) = %v, want %v", c.n, c.shards, got, c.want)
+				t.Fatalf("shardRanges(%d, %d, %d) = %v, want %v", c.lo, c.n, c.shards, got, c.want)
 			}
 		}
 	}
 }
 
 // Shard boundaries depend only on (n, shards): for any (n, s),
-// shardRanges(n, s) is exactly the ranges ParallelRanges hands to s
+// shardRanges(0, n, s) is exactly the ranges ParallelRanges hands to s
 // workers, whatever else the config says.
 func TestShardRangesMatchParallelRanges(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 30, 100, 1000} {
@@ -131,7 +138,7 @@ func TestShardRangesMatchParallelRanges(t *testing.T) {
 					}
 				}
 			}
-			got := shardRanges(n, s)
+			got := shardRanges(0, n, s)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d s=%d: engine %v vs want %v", n, s, got, want)
 			}
@@ -365,6 +372,64 @@ func TestWorkerCountInvariance(t *testing.T) {
 	for i := 1; i < len(results); i++ {
 		if math.Float64bits(results[i]) != math.Float64bits(results[0]) {
 			t.Fatalf("workers changed the merged sum: %v", results)
+		}
+	}
+}
+
+// TestReducerAccumulatorsPerWorker: accumulators scale with workers,
+// not shards. Eight shards over w workers allocate one accumulator per
+// worker plus one, once for the whole run, and every shard is still
+// E-stepped once per iteration.
+func TestReducerAccumulatorsPerWorker(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		m := newFakeModel(100)
+		if _, err := Run(m, Config{MaxIters: 3, Shards: 8, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if want := min(workers, 8) + 1; m.accums != want {
+			t.Errorf("workers=%d: %d accumulators allocated, want %d", workers, m.accums, want)
+		}
+		if len(m.ranges) != 3*8 {
+			t.Errorf("workers=%d: %d E-steps over 3 iterations, want 24", workers, len(m.ranges))
+		}
+	}
+}
+
+// orderAccum records the shards merged into it, in merge order.
+type orderAccum struct {
+	shard  int
+	merged []int
+}
+
+func (a *orderAccum) Reset() { a.shard, a.merged = -1, a.merged[:0] }
+func (a *orderAccum) Merge(src Accum) {
+	a.merged = append(a.merged, src.(*orderAccum).shard)
+}
+
+// orderModel has one user per shard, and a shard's E-step takes longer
+// the earlier the shard, so concurrent shards finish in reverse order.
+type orderModel struct{}
+
+func (orderModel) NumUsers() int   { return 8 }
+func (orderModel) NewAccum() Accum { return &orderAccum{} }
+func (orderModel) EStep(a Accum, lo, _ int) {
+	time.Sleep(time.Duration(8-lo) * 200 * time.Microsecond)
+	a.(*orderAccum).shard = lo
+}
+func (orderModel) MStep(Accum) float64 { return 0 }
+
+// TestReduceMergesInShardOrder: however the shards finish, the total is
+// shard 0's E-step with shards 1…7 merged into it in ascending order,
+// each once — the summation grouping the fixtures pin.
+func TestReduceMergesInShardOrder(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		r := NewReducer(orderModel{}, workers)
+		for round := 0; round < 3; round++ {
+			total := r.Reduce(0, 8, 8).(*orderAccum)
+			if total.shard != 0 || !slices.Equal(total.merged, []int{1, 2, 3, 4, 5, 6, 7}) {
+				t.Fatalf("workers=%d round %d: total holds shard %d with %v merged, want 0 with 1…7",
+					workers, round, total.shard, total.merged)
+			}
 		}
 	}
 }

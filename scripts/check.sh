@@ -19,16 +19,19 @@ cd "$(dirname "$0")/.."
 # counters or fault hooks could race, plus the ingest log (single
 # writer, concurrent readers), the process shell and its signal loop
 # (the root package holds its contract test, run against a monolith, a
-# shard and a coordinator), the sharded EM training engine and the UT/TT
-# trainer on it (shards write disjoint rows of one shared θ slab), the
+# shard and a coordinator), the sharded EM training engine's reducer and
+# the trainers on it — UT/TT, TCAM and TCAM fold-in, which the index's
+# streaming advance drives (workers take shards from a queue, merge at
+# their turn and write disjoint rows of one shared θ slab) — the
 # scatter-gather serving tier (coordinator fan-out, hedged requests,
 # circuit breakers) and the wire package that owns the pooled response
 # encoder.
 race() {
     go test -race -count=1 . ./internal/topk/ ./internal/server/ ./internal/eval/ \
         ./internal/faultinject/... ./internal/client/ ./internal/atomicfile/ \
-        ./internal/ingest/ ./internal/train/ ./internal/model/plsa/ ./internal/shard/ \
-        ./internal/rescache/ ./internal/api/ ./cmd/tcamserver/ ./cmd/tcamshard/
+        ./internal/ingest/ ./internal/train/ ./internal/model/plsa/ ./internal/model/tcam/ \
+        ./internal/index/ ./internal/shard/ ./internal/rescache/ ./internal/api/ \
+        ./cmd/tcamserver/ ./cmd/tcamshard/
 }
 if [ "${1:-}" = race ]; then
     race
