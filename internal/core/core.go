@@ -89,27 +89,22 @@ type Options struct {
 	Hook func(model.IterStat)
 }
 
-// engineOf overlays the options on the fields of an EM method's config
-// that are the internal/train engine's policy (plsa.Config and
-// tcam.Config carry them under the same names), each holding the
-// model's default on entry.
-func engineOf(opts Options, maxIters *int, tol *float64, workers *int, hook *func(model.IterStat)) {
+// engineOf overlays the options on the internal/train engine config
+// that plsa.Config and tcam.Config embed, which holds the model's
+// defaults on entry. Only the TCAM family reaches it with checkpoint
+// options set.
+func engineOf(opts Options, c *train.Config) {
 	if opts.MaxIters > 0 {
-		*maxIters = opts.MaxIters
+		c.MaxIters = opts.MaxIters
 	}
 	switch {
 	case opts.Tol > 0:
-		*tol = opts.Tol
+		c.Tol = opts.Tol
 	case opts.Tol < 0:
-		*tol = 0
+		c.Tol = 0
 	}
-	*workers, *hook = opts.Workers, opts.Hook
-}
-
-// checkpointOf translates the flat checkpoint options into the engine
-// config.
-func checkpointOf(opts Options) train.CheckpointConfig {
-	return train.CheckpointConfig{Dir: opts.CheckpointDir, Every: opts.CheckpointEvery, Resume: opts.Resume}
+	c.Workers, c.Hook = opts.Workers, opts.Hook
+	c.Checkpoint = train.CheckpointConfig{Dir: opts.CheckpointDir, Every: opts.CheckpointEvery, Resume: opts.Resume}
 }
 
 // Result bundles a trained model with its statistics and wall-clock
@@ -148,7 +143,7 @@ func Train(method Method, data *cuboid.Cuboid, opts Options) (Result, error) {
 		if k > 0 {
 			cfg.K = k
 		}
-		engineOf(opts, &cfg.MaxIters, &cfg.Tol, &cfg.Workers, &cfg.Hook)
+		engineOf(opts, &cfg.Config)
 		cfg.Seed = seedOf(opts)
 		res.Model, res.Stats, err = plsa.Train(tdata, axis, cfg)
 	case ITCAM, WITCAM, TTCAM, WTTCAM:
@@ -163,8 +158,8 @@ func Train(method Method, data *cuboid.Cuboid, opts Options) (Result, error) {
 		if opts.K1 > 0 {
 			cfg.K1 = opts.K1
 		}
-		engineOf(opts, &cfg.MaxIters, &cfg.Tol, &cfg.Workers, &cfg.Hook)
-		cfg.Checkpoint, cfg.Seed = checkpointOf(opts), seedOf(opts)
+		engineOf(opts, &cfg.Config)
+		cfg.Seed = seedOf(opts)
 		cfg.Label = string(method)
 		res.Model, res.Stats, err = tcam.Train(tdata, cfg)
 	case BPRMF:

@@ -7,7 +7,6 @@
 package eval
 
 import (
-	"context"
 	"math"
 	"sort"
 
@@ -129,26 +128,14 @@ func Evaluate(rank Ranker, queries []Query, maxK, workers int) Curve {
 	return score(queries, maxK, func(i int) []topk.Result { return ranked[i] })
 }
 
-// EvaluateTA is Evaluate specialized to the Threshold Algorithm: the
-// whole query set goes through Index.QueryBatch, so each worker reuses
-// one pooled searcher instead of allocating per-query scratch. The
-// resulting curve is bit-identical to Evaluate over a ranker that calls
-// Index.Query once per query.
+// EvaluateTA is Evaluate over the Threshold Algorithm: a ranker that
+// answers each query with one Index.Query against ts, the scorer the
+// index was built from.
 func EvaluateTA(ix *topk.Index, ts model.TopicScorer, queries []Query, maxK, workers int) Curve {
-	if maxK <= 0 || len(queries) == 0 {
-		return nil
-	}
-	batch := make([]topk.BatchQuery, len(queries))
-	for i, q := range queries {
-		train := q.Train
-		var exclude topk.Exclude
-		if len(train) > 0 {
-			exclude = func(v int) bool { return train[v] }
-		}
-		batch[i] = topk.BatchQuery{U: q.U, T: q.T, K: maxK, Exclude: exclude}
-	}
-	res := ix.QueryBatch(context.Background(), ts, batch, workers)
-	return score(queries, maxK, func(i int) []topk.Result { return res[i].Results })
+	return Evaluate(func(u, t, k int, exclude topk.Exclude) []topk.Result {
+		res, _ := ix.Query(ts, u, t, k, exclude)
+		return res
+	}, queries, maxK, workers)
 }
 
 // score is the one evaluation fold: it accumulates ranked(i), query i's

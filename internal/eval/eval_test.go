@@ -215,12 +215,12 @@ func (m *miniScorer) ContextTopics() (lo, hi int)  { return 0, 0 }
 func (m *miniScorer) NumIntervals() int            { return 2 }
 func (m *miniScorer) ContextWeights(int) []float64 { return nil }
 
-// EvaluateTA (the batch serving path) must produce the exact curve of
-// evaluating the Threshold Algorithm one Index.Query at a time: both
-// fold the ranked lists in query order, so the curves agree bit for bit
-// at every worker count and on every run, however the goroutines that
-// ranked them were scheduled. The world is large enough (300 queries)
-// that a fold in completion order would not.
+// EvaluateTA must produce the exact curve of evaluating the Threshold
+// Algorithm one Index.Query at a time: both fold the ranked lists in
+// query order, so the curves agree bit for bit at every worker count
+// and on every run, however the goroutines that ranked them were
+// scheduled. The world is large enough (300 queries) that a fold in
+// completion order would not.
 func TestEvaluateTAMatchesTARanker(t *testing.T) {
 	const users, items = 150, 60
 	rng := rand.New(rand.NewSource(5))

@@ -7,9 +7,12 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"tcam/internal/api"
 	"tcam/internal/core"
 	"tcam/internal/datagen"
+	"tcam/internal/index"
 	"tcam/internal/model/tcam"
+	"tcam/internal/server"
 	"tcam/internal/topk"
 )
 
@@ -23,8 +26,9 @@ type LatencyResult struct {
 	// Per-k average latency per query.
 	TA, BF, BPTF []time.Duration
 	// TABatch is the per-query latency when the same workload goes
-	// through Index.QueryBatch — the serving fast path: pooled searcher
-	// scratch per worker, fanned across CPUs.
+	// through Generation.AnswerBatch — the path /recommend/batch,
+	// Recommender.RecommendBatch and tcamquery -users serve: names
+	// resolved, one pooled scratch per worker, fanned across CPUs.
 	TABatch []time.Duration
 	// TAExamined[i] is the mean number of items TA examined at Ks[i]
 	// (the scan-saving evidence behind the latency gap).
@@ -48,7 +52,7 @@ func (r *Runner) Figure8() ([]*LatencyResult, error) {
 }
 
 func (r *Runner) latencyOn(p datagen.Profile) (*LatencyResult, error) {
-	data, _ := r.gridWorld(p)
+	data, grid := r.gridWorld(p)
 	tcamRes, err := core.Train(core.TTCAM, data, r.trainOpts())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: figure8 TTCAM on %s: %w", p, err)
@@ -59,6 +63,8 @@ func (r *Runner) latencyOn(p datagen.Profile) (*LatencyResult, error) {
 	}
 	tm := tcamRes.Model.(*tcam.Model)
 	ix := topk.BuildIndex(tm)
+	log := r.World(p).Log
+	gen := server.NewGeneration(index.New(tm, grid, log.Users.Names(), log.Items.Names()))
 
 	// Deterministic query workload spread across users and intervals.
 	const queriesPerK = 40
@@ -72,7 +78,7 @@ func (r *Runner) latencyOn(p datagen.Profile) (*LatencyResult, error) {
 	}
 
 	out := &LatencyResult{Dataset: p.String(), NumItems: data.NumItems()}
-	batch := make([]topk.BatchQuery, len(queries))
+	batch := make([]api.Query, len(queries))
 	for _, k := range []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20} {
 		out.Ks = append(out.Ks, k)
 		var taTotal, bfTotal, bptfTotal time.Duration
@@ -93,11 +99,16 @@ func (r *Runner) latencyOn(p datagen.Profile) (*LatencyResult, error) {
 		}
 		// The same workload through the batch serving path.
 		for i, qq := range queries {
-			batch[i] = topk.BatchQuery{U: qq.u, T: qq.t, K: k}
+			batch[i] = api.Query{User: log.UserID(qq.u), Time: grid.Origin + int64(qq.t)*grid.Length, K: k}
 		}
 		start := time.Now()
-		ix.QueryBatch(context.Background(), tm, batch, 0)
+		answers := gen.AnswerBatch(context.Background(), batch)
 		batchTotal := time.Since(start)
+		for _, a := range answers {
+			if a.Err != nil {
+				return nil, fmt.Errorf("experiments: figure8 batch on %s: %w", p, a.Err)
+			}
+		}
 
 		n := time.Duration(len(queries))
 		out.TA = append(out.TA, taTotal/n)
@@ -109,23 +120,13 @@ func (r *Runner) latencyOn(p datagen.Profile) (*LatencyResult, error) {
 	return out, nil
 }
 
-// Render prints the Figure 8 series for one dataset. The TA-batch
-// column appears when the result carries it (older payloads omit it).
+// Render prints the Figure 8 series for one dataset.
 func (l *LatencyResult) Render(w io.Writer) {
 	fprintf(w, "Online recommendation latency on %s (%d items), mean per query\n", l.Dataset, l.NumItems)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	withBatch := len(l.TABatch) == len(l.Ks)
-	if withBatch {
-		fprintln(tw, "k\tTCAM-TA\tTCAM-TA-batch\tTCAM-BF\tBPTF\tTA items examined")
-	} else {
-		fprintln(tw, "k\tTCAM-TA\tTCAM-BF\tBPTF\tTA items examined")
-	}
+	fprintln(tw, "k\tTCAM-TA\tTCAM-TA-batch\tTCAM-BF\tBPTF\tTA items examined")
 	for i, k := range l.Ks {
-		if withBatch {
-			fprintf(tw, "%d\t%v\t%v\t%v\t%v\t%.0f\n", k, l.TA[i], l.TABatch[i], l.BF[i], l.BPTF[i], l.TAExamined[i])
-		} else {
-			fprintf(tw, "%d\t%v\t%v\t%v\t%.0f\n", k, l.TA[i], l.BF[i], l.BPTF[i], l.TAExamined[i])
-		}
+		fprintf(tw, "%d\t%v\t%v\t%v\t%v\t%.0f\n", k, l.TA[i], l.TABatch[i], l.BF[i], l.BPTF[i], l.TAExamined[i])
 	}
 	flush(tw)
 }

@@ -29,19 +29,21 @@ type Config struct {
 	// Epochs is the number of SGD sweeps; each sweep draws one triple
 	// per observed (user, item) positive.
 	Epochs int
-	// LearnRate is the SGD step size; Reg the L2 regularization applied
-	// to factors and biases.
+	// LearnRate is the SGD step size.
 	LearnRate float64
-	Reg       float64
-	// InitStd is the standard deviation of the Gaussian factor
-	// initialization.
-	InitStd float64
-	Seed    int64
+	Seed      int64
 }
+
+// Reg is the L2 regularization applied to factors and biases; InitStd
+// the standard deviation of the Gaussian factor initialization.
+const (
+	Reg     = 0.01
+	InitStd = 0.1
+)
 
 // DefaultConfig mirrors MyMediaLite's BPRMF defaults at a small scale.
 func DefaultConfig() Config {
-	return Config{Factors: 32, Epochs: 30, LearnRate: 0.05, Reg: 0.01, InitStd: 0.1, Seed: 1}
+	return Config{Factors: 32, Epochs: 30, LearnRate: 0.05, Seed: 1}
 }
 
 func (c Config) validate(data *cuboid.Cuboid) error {
@@ -52,10 +54,6 @@ func (c Config) validate(data *cuboid.Cuboid) error {
 		return fmt.Errorf("bprmf: Epochs must be positive, got %d", c.Epochs)
 	case c.LearnRate <= 0:
 		return fmt.Errorf("bprmf: LearnRate must be positive, got %v", c.LearnRate)
-	case c.Reg < 0:
-		return fmt.Errorf("bprmf: negative regularization %v", c.Reg)
-	case c.InitStd <= 0:
-		return fmt.Errorf("bprmf: InitStd must be positive, got %v", c.InitStd)
 	}
 	if data.NNZ() == 0 {
 		return errors.New("bprmf: empty training cuboid")
@@ -93,10 +91,10 @@ func Train(data *cuboid.Cuboid, cfg Config) (*Model, model.TrainStats, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := range m.p {
-		m.p[i] = rng.NormFloat64() * cfg.InitStd
+		m.p[i] = rng.NormFloat64() * InitStd
 	}
 	for i := range m.q {
-		m.q[i] = rng.NormFloat64() * cfg.InitStd
+		m.q[i] = rng.NormFloat64() * InitStd
 	}
 
 	// Positive pairs (u, v) deduplicated across intervals, plus a
@@ -157,14 +155,14 @@ func (m *Model) updateTriple(u, i, j int, cfg Config) float64 {
 		xuij += pu[f] * (qi[f] - qj[f])
 	}
 	sig := 1 / (1 + math.Exp(xuij)) // σ(−x̂) = 1 − σ(x̂): the gradient scale
-	lr, reg := cfg.LearnRate, cfg.Reg
-	m.bias[i] += lr * (sig - reg*m.bias[i])
-	m.bias[j] += lr * (-sig - reg*m.bias[j])
+	lr := cfg.LearnRate
+	m.bias[i] += lr * (sig - Reg*m.bias[i])
+	m.bias[j] += lr * (-sig - Reg*m.bias[j])
 	for f := 0; f < d; f++ {
 		puf, qif, qjf := pu[f], qi[f], qj[f]
-		pu[f] += lr * (sig*(qif-qjf) - reg*puf)
-		qi[f] += lr * (sig*puf - reg*qif)
-		qj[f] += lr * (-sig*puf - reg*qjf)
+		pu[f] += lr * (sig*(qif-qjf) - Reg*puf)
+		qi[f] += lr * (sig*puf - Reg*qif)
+		qj[f] += lr * (-sig*puf - Reg*qjf)
 	}
 	return -math.Log1p(math.Exp(-xuij))
 }

@@ -44,8 +44,6 @@ func TestTrainValidation(t *testing.T) {
 		func(c *Config) { c.Factors = 0 },
 		func(c *Config) { c.Epochs = 0 },
 		func(c *Config) { c.LearnRate = 0 },
-		func(c *Config) { c.Reg = -1 },
-		func(c *Config) { c.InitStd = 0 },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig()

@@ -37,9 +37,6 @@ type Config struct {
 	// number of retained sweeps that form the predictive average.
 	Burnin  int
 	Samples int
-	// Alpha0 is the initial observation precision; it is resampled from
-	// its Gamma conditional every sweep.
-	Alpha0 float64
 	// NegativeRatio is the number of sampled zero-valued cells per
 	// observed cell. BPTF is a rating-prediction model; on implicit
 	// feedback (all observed scores positive) it needs explicit
@@ -53,9 +50,13 @@ type Config struct {
 	Workers int
 }
 
+// Alpha0 is the initial observation precision; it is resampled from
+// its Gamma conditional every sweep.
+const Alpha0 = 2
+
 // DefaultConfig returns the harness's standard BPTF configuration.
 func DefaultConfig() Config {
-	return Config{Factors: 16, Burnin: 12, Samples: 8, Alpha0: 2, NegativeRatio: 3, Seed: 1}
+	return Config{Factors: 16, Burnin: 12, Samples: 8, NegativeRatio: 3, Seed: 1}
 }
 
 func (c Config) validate(data *cuboid.Cuboid) error {
@@ -66,8 +67,6 @@ func (c Config) validate(data *cuboid.Cuboid) error {
 		return fmt.Errorf("bptf: negative Burnin %d", c.Burnin)
 	case c.Samples <= 0:
 		return fmt.Errorf("bptf: Samples must be positive, got %d", c.Samples)
-	case c.Alpha0 <= 0:
-		return fmt.Errorf("bptf: Alpha0 must be positive, got %v", c.Alpha0)
 	case c.NegativeRatio < 0:
 		return fmt.Errorf("bptf: negative NegativeRatio %v", c.NegativeRatio)
 	}
@@ -229,7 +228,7 @@ func newGibbsState(data *cuboid.Cuboid, cfg Config) *gibbsState {
 		lamV:  mat.Identity(d),
 		lamT:  mat.Identity(d),
 		t0:    mat.NewVector(d),
-		alpha: cfg.Alpha0,
+		alpha: Alpha0,
 		h:     hyper{mu0: mat.NewVector(d), beta0: 1, w0: mat.Identity(d), nu0: float64(d)},
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}

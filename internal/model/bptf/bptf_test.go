@@ -58,7 +58,6 @@ func TestTrainValidation(t *testing.T) {
 		func(c *Config) { c.Factors = 0 },
 		func(c *Config) { c.Burnin = -1 },
 		func(c *Config) { c.Samples = 0 },
-		func(c *Config) { c.Alpha0 = 0 },
 		func(c *Config) { c.NegativeRatio = -1 },
 	}
 	for i, mod := range bad {

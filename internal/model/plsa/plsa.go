@@ -42,41 +42,35 @@ const (
 
 // Config parameterizes training.
 type Config struct {
+	// Config is the EM engine's policy: MaxIters, Tol, Shards, Workers,
+	// Checkpoint and Hook. Shards — never Workers — fixes the learned
+	// parameters' floating-point summation grouping.
+	train.Config
 	// K is the number of topics.
-	K int
-	// LambdaB is the fixed background mixing weight λB.
-	LambdaB float64
-	// MaxIters bounds EM; Tol is the early-stopping tolerance on
-	// relative log-likelihood improvement.
-	MaxIters int
-	Tol      float64
-	Seed     int64
-	// Workers caps E-step goroutines; non-positive means GOMAXPROCS. It
-	// never affects the learned parameters.
-	Workers   int
-	Smoothing float64
-	// Hook, when non-nil, observes every EM iteration.
-	Hook func(model.IterStat)
+	K    int
+	Seed int64
 }
+
+// LambdaB is the fixed background mixing weight λB, and Smoothing the
+// additive epsilon of every multinomial normalization, the
+// background's included.
+const (
+	LambdaB   = 0.1
+	Smoothing = 1e-9
+)
 
 // DefaultConfig returns the harness's standard configuration for the
 // axis: the paper's K1 = 60 user-oriented or K2 = 40 time-oriented
 // topics.
 func DefaultConfig(axis Axis) Config {
 	k := [...]int{Users: 60, Intervals: 40}[axis]
-	return Config{K: k, LambdaB: 0.1, MaxIters: 50, Tol: 1e-5, Seed: 1, Smoothing: 1e-9}
+	return Config{Config: train.Config{MaxIters: 50, Tol: 1e-5}, K: k, Seed: 1}
 }
 
 func (c Config) validate(data *cuboid.Cuboid) error {
 	switch {
 	case c.K <= 0:
 		return fmt.Errorf("plsa: K must be positive, got %d", c.K)
-	case c.LambdaB < 0 || c.LambdaB >= 1:
-		return fmt.Errorf("plsa: LambdaB %v outside [0,1)", c.LambdaB)
-	case c.MaxIters <= 0:
-		return fmt.Errorf("plsa: MaxIters must be positive")
-	case c.Smoothing < 0:
-		return fmt.Errorf("plsa: negative smoothing %v", c.Smoothing)
 	case data.NNZ() == 0:
 		return fmt.Errorf("plsa: empty training cuboid")
 	}
@@ -85,9 +79,8 @@ func (c Config) validate(data *cuboid.Cuboid) error {
 
 // Model is a trained topic baseline.
 type Model struct {
-	axis    Axis
-	k       int
-	lambdaB float64
+	axis Axis
+	k    int
 
 	theta      []float64 // D×K: P(z|θd), one row per document
 	phi        []float64 // K×V: P(v|φz)
@@ -97,20 +90,11 @@ type Model struct {
 // Train fits the baseline the axis selects. The cuboid's other
 // dimension is ignored (ratings aggregate across it).
 func Train(data *cuboid.Cuboid, axis Axis, cfg Config) (*Model, model.TrainStats, error) {
-	return trainSharded(data, axis, cfg, 0)
-}
-
-// trainSharded is Train under an explicit engine shard count (0 means
-// train.DefaultShards): shards = s is the summation grouping the
-// *_prerefactor_w<s> fixtures were recorded under.
-func trainSharded(data *cuboid.Cuboid, axis Axis, cfg Config, shards int) (*Model, model.TrainStats, error) {
 	tr, err := prepare(data, axis, cfg)
 	if err != nil {
 		return nil, model.TrainStats{}, err
 	}
-	stats, err := train.Run(tr, train.Config{
-		MaxIters: cfg.MaxIters, Tol: cfg.Tol, Shards: shards, Workers: cfg.Workers, Hook: cfg.Hook,
-	})
+	stats, err := train.Run(tr, cfg.Config)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -126,7 +110,7 @@ func prepare(data *cuboid.Cuboid, axis Axis, cfg Config) (*trainer, error) {
 	}
 	// The documents: item and score columns grouped by the axis, and
 	// the row range of each.
-	tr := &trainer{smoothing: cfg.Smoothing, docs: data.NumUsers(), span: data.UserSpan}
+	tr := &trainer{docs: data.NumUsers(), span: data.UserSpan}
 	_, tr.vs, tr.scores = data.CSR()
 	if axis == Intervals {
 		tr.docs, tr.span = data.NumIntervals(), data.IntervalSpan
@@ -136,7 +120,6 @@ func prepare(data *cuboid.Cuboid, axis Axis, cfg Config) (*trainer, error) {
 	m := &Model{
 		axis:       axis,
 		k:          k,
-		lambdaB:    cfg.LambdaB,
 		theta:      make([]float64, tr.docs*k),
 		phi:        make([]float64, k*v),
 		background: make([]float64, v),
@@ -147,7 +130,7 @@ func prepare(data *cuboid.Cuboid, axis Axis, cfg Config) (*trainer, error) {
 	for _, cell := range data.Cells() {
 		m.background[cell.V] += cell.Score
 	}
-	model.NormalizeRows(m.background, v, 1e-9)
+	model.NormalizeRows(m.background, v, Smoothing)
 
 	tr.m, tr.theta, tr.phiT = m, make([]float64, len(m.theta)), make([]float64, len(m.phi))
 	train.Transpose(tr.phiT, m.phi, k, v)
@@ -162,12 +145,11 @@ func prepare(data *cuboid.Cuboid, axis Axis, cfg Config) (*trainer, error) {
 // accumulator slabs share its layout, so each cell reads and writes
 // contiguous K-length rows.
 type trainer struct {
-	m         *Model
-	smoothing float64
-	docs      int
-	span      func(d int) (lo, hi int)
-	vs        []int32
-	scores    []float64
+	m      *Model
+	docs   int
+	span   func(d int) (lo, hi int)
+	vs     []int32
+	scores []float64
 
 	theta []float64 // D×K, an E-step over [lo, hi) owns rows [lo, hi)
 	phiT  []float64 // V×K: transpose of Model.phi
@@ -207,7 +189,7 @@ func (a *accum) Merge(src train.Accum) {
 //tcam:hotpath
 func (tr *trainer) EStep(acc train.Accum, first, last int) {
 	a := acc.(*accum)
-	m, k, lambdaB := tr.m, tr.m.k, tr.m.lambdaB
+	m, k := tr.m, tr.m.k
 	vs, scores, phiT, pz := tr.vs, tr.scores, tr.phiT, a.pz
 	train.Zero(tr.theta[first*k : last*k])
 	var ll float64
@@ -218,14 +200,14 @@ func (tr *trainer) EStep(acc train.Accum, first, last int) {
 		for i := lo; i < hi; i++ {
 			v, w := int(vs[i]), scores[i]
 			pd := train.DotInto(pz, thetaRow, phiT[v*k:(v+1)*k])
-			denom := lambdaB*m.background[v] + (1-lambdaB)*pd
+			denom := LambdaB*m.background[v] + (1-LambdaB)*pd
 			if denom <= 0 {
 				denom = 1e-300
 			}
 			ll += w * math.Log(denom)
 			// Posterior mass of the topic path, split across z.
 			if pd > 0 {
-				pTopic := (1 - lambdaB) * pd / denom
+				pTopic := (1 - LambdaB) * pd / denom
 				train.AddScaledPair(thetaAcc, a.phiT[v*k:(v+1)*k], w*pTopic/pd, pz)
 			}
 		}
@@ -239,9 +221,9 @@ func (tr *trainer) MStep(merged train.Accum) float64 {
 	a := merged.(*accum)
 	m, v := tr.m, tr.m.NumItems()
 	copy(m.theta, tr.theta)
-	model.NormalizeRows(m.theta, m.k, tr.smoothing)
+	model.NormalizeRows(m.theta, m.k, Smoothing)
 	train.Transpose(m.phi, a.phiT, v, m.k)
-	model.NormalizeRows(m.phi, v, tr.smoothing)
+	model.NormalizeRows(m.phi, v, Smoothing)
 	train.Transpose(tr.phiT, m.phi, m.k, v)
 	return a.ll
 }
@@ -283,7 +265,7 @@ func (m *Model) Score(u, t, v int) float64 {
 	for z := 0; z < m.k; z++ {
 		pd += thetaRow[z] * m.phi[z*m.NumItems()+v]
 	}
-	return m.lambdaB*m.background[v] + (1-m.lambdaB)*pd
+	return LambdaB*m.background[v] + (1-LambdaB)*pd
 }
 
 // ScoreAll fills scores[v] = P(v|d) for every item.
@@ -292,11 +274,11 @@ func (m *Model) ScoreAll(u, t int, scores []float64) {
 		panic(fmt.Sprintf("plsa: ScoreAll buffer %d, want %d", len(scores), m.NumItems()))
 	}
 	for v := range scores {
-		scores[v] = m.lambdaB * m.background[v]
+		scores[v] = LambdaB * m.background[v]
 	}
 	thetaRow := m.mixture(u, t)
 	for z := 0; z < m.k; z++ {
-		w := (1 - m.lambdaB) * thetaRow[z]
+		w := (1 - LambdaB) * thetaRow[z]
 		if w <= 0 {
 			continue
 		}

@@ -110,10 +110,7 @@ func TestTrainValidation(t *testing.T) {
 		good := b.world()
 		bad := []func(*Config){
 			func(c *Config) { c.K = 0 },
-			func(c *Config) { c.LambdaB = 1 },
-			func(c *Config) { c.LambdaB = -0.1 },
 			func(c *Config) { c.MaxIters = 0 },
-			func(c *Config) { c.Smoothing = -1 },
 		}
 		for i, mod := range bad {
 			cfg := DefaultConfig(b.axis)
@@ -290,9 +287,9 @@ func TestMatchesPreMergeFixture(t *testing.T) {
 			for _, workers := range []int{1, 2, 3, 8} {
 				label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
 				cfg := DefaultConfig(b.axis)
-				cfg.K, cfg.MaxIters, cfg.Tol, cfg.Seed, cfg.Workers = 5, 12, 1e-6, 11, workers
+				cfg.K, cfg.MaxIters, cfg.Tol, cfg.Seed, cfg.Workers, cfg.Shards = 5, 12, 1e-6, 11, workers, shards
 				var st model.TrainStats
-				if m, st, err = trainSharded(data, b.axis, cfg, shards); err != nil {
+				if m, st, err = Train(data, b.axis, cfg); err != nil {
 					t.Fatal(err)
 				}
 				for name, pair := range map[string][2][]float64{

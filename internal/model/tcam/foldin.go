@@ -185,7 +185,7 @@ func widenRows(src []float64, oldCols, newCols, rows int) []float64 {
 // and λ=1/2, then run iters rounds of partial EM over their own cells
 // with φ, θ' and φ' frozen: each round is batch training's reduce over
 // the new users followed by its user-dimension M-step (userStep) on
-// them, at the Smoothing default-trained models were normalized with,
+// them, at the one Smoothing training normalizes with,
 // so folding in user u is bit-identical to batch EM restricted to u
 // against the same frozen globals. data's interval/item dimensions
 // must match the model (GrowFrom first when the stream widened them);
@@ -248,7 +248,7 @@ func (m *Model) FoldInUsersFrom(prev *Model, kept []bool, data *cuboid.Cuboid, i
 			if out.itemMajor == nil {
 				out.itemMajor = newItemMajor(&out)
 			}
-			tr = newTrainer(&out, data, Smoothing, out.itemMajor)
+			tr = newTrainer(&out, data, out.itemMajor)
 			tr.frozen = true
 			r = train.NewReducer(tr, 0)
 		}

@@ -156,7 +156,7 @@ func batchReference(tb testing.TB, boot *Model, data *cuboid.Cuboid, iters int, 
 	tb.Helper()
 	n := data.NumUsers()
 	m := extendUniform(boot, n)
-	tr := newTrainer(m, data, 1e-9, newItemMajor(m))
+	tr := newTrainer(m, data, newItemMajor(m))
 	acc := tr.NewAccum()
 	for it := 0; it < iters; it++ {
 		acc.Reset()

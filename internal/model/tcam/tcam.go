@@ -41,29 +41,18 @@ const maxDenseCells = 64 << 20
 
 // Config parameterizes training.
 type Config struct {
+	// Config is the EM engine's policy: MaxIters, Tol, Shards, Workers,
+	// Checkpoint and Hook. Shards — never Workers — fixes the learned
+	// parameters' floating-point summation grouping.
+	train.Config
 	// K1 is the number of user-oriented topics. K2 is the number of
 	// time-oriented topics; 0 trains ITCAM, whose temporal contexts are
 	// item distributions with no topic layer (the paper's TTCAM
 	// defaults are 60 and 40).
 	K1 int
 	K2 int
-	// MaxIters bounds EM; Tol is the relative log-likelihood improvement
-	// under which training stops early.
-	MaxIters int
-	Tol      float64
 	// Seed drives the random initialization.
 	Seed int64
-	// Workers caps E-step goroutines; non-positive means GOMAXPROCS. It
-	// never affects the learned parameters.
-	Workers int
-	// Shards is the deterministic E-step shard count (0 means
-	// train.DefaultShards). It fixes the floating-point summation
-	// grouping: runs with equal Shards produce bit-identical parameters
-	// regardless of Workers.
-	Shards int
-	// Smoothing is the additive epsilon for every multinomial
-	// normalization, keeping all generation probabilities positive.
-	Smoothing float64
 	// Background, when positive, mixes a fixed empirical item
 	// distribution θB into the likelihood with this weight:
 	// P(v|u,t) = Background·θB(v) + (1−Background)·(TCAM mixture).
@@ -73,23 +62,20 @@ type Config struct {
 	// Label overrides the model name (the weighted variants report
 	// "W-ITCAM" / "W-TTCAM").
 	Label string
-	// Checkpoint configures periodic parameter snapshots and resume; the
-	// zero value disables them.
-	Checkpoint train.CheckpointConfig
-	// Hook, when non-nil, observes every EM iteration.
-	Hook func(model.IterStat)
 }
 
-// Smoothing is the trainer's default additive epsilon and, with
-// FoldIters and FitIters, one of the three numbers that shape what the
-// streaming fold-in publishes (index.AdvanceFrom): partial-EM rounds for
-// a new user's θu and λu, and for a new interval's temporal context
-// under time topics (the item-context estimator is closed-form). They
-// are constants, not configuration, so that a published bundle is a
-// function of the boot bundle and the log prefix alone — two processes
-// replaying one log cannot disagree by a flag — and so that fold-in ≡
-// batch EM restricted to the new user holds against the smoothing a
-// default-trained bundle was normalized with.
+// Smoothing is the additive epsilon of every multinomial
+// normalization, training's and fold-in's alike, keeping all
+// generation probabilities positive. With FoldIters and FitIters it is
+// one of the three numbers that shape what the streaming fold-in
+// publishes (index.AdvanceFrom): partial-EM rounds for a new user's θu
+// and λu, and for a new interval's temporal context under time topics
+// (the item-context estimator is closed-form). They are constants, not
+// configuration, so that a published bundle is a function of the boot
+// bundle and the log prefix alone — two processes replaying one log
+// cannot disagree by a flag — and so that fold-in ≡ batch EM restricted
+// to the new user holds by construction: both normalize with this one
+// value.
 const (
 	Smoothing = 1e-9
 	FoldIters = 5
@@ -99,7 +85,7 @@ const (
 // DefaultConfig returns the paper's default TTCAM topic counts (Section
 // 5.3.2) with the harness's standard EM settings.
 func DefaultConfig() Config {
-	return Config{K1: 60, K2: 40, MaxIters: 50, Tol: 1e-5, Seed: 1, Smoothing: Smoothing}
+	return Config{Config: train.Config{MaxIters: 50, Tol: 1e-5}, K1: 60, K2: 40, Seed: 1}
 }
 
 // DefaultITCAMConfig is DefaultConfig for the item-context variant: no
@@ -114,10 +100,6 @@ func (c Config) validate(data *cuboid.Cuboid) error {
 	switch {
 	case c.K1 <= 0 || c.K2 < 0:
 		return fmt.Errorf("tcam: need K1 > 0 and K2 >= 0, got K1=%d K2=%d", c.K1, c.K2)
-	case c.MaxIters <= 0:
-		return fmt.Errorf("tcam: MaxIters must be positive, got %d", c.MaxIters)
-	case c.Smoothing < 0:
-		return fmt.Errorf("tcam: negative smoothing %v", c.Smoothing)
 	case !validBackground(c.K2, c.Background):
 		return fmt.Errorf("tcam: Background %v outside [0,1), or set without time topics (K2=%d)", c.Background, c.K2)
 	}

@@ -103,7 +103,6 @@ func TestTrainValidation(t *testing.T) {
 		{"zero K1", good, func(c *Config) { c.K1 = 0 }},
 		{"negative K2", good, func(c *Config) { c.K2 = -1 }},
 		{"zero iters", good, func(c *Config) { c.MaxIters = 0 }},
-		{"negative smoothing", good, func(c *Config) { c.Smoothing = -1 }},
 		{"background 1", good, func(c *Config) { c.Background = 1 }},
 		{"negative background", good, func(c *Config) { c.Background = -0.1 }},
 		{"NaN background", good, func(c *Config) { c.Background = math.NaN() }},

@@ -18,14 +18,7 @@ func Train(data *cuboid.Cuboid, cfg Config) (*Model, model.TrainStats, error) {
 	if err != nil {
 		return nil, model.TrainStats{}, err
 	}
-	stats, err := train.Run(tr, train.Config{
-		MaxIters:   cfg.MaxIters,
-		Tol:        cfg.Tol,
-		Shards:     cfg.Shards,
-		Workers:    cfg.Workers,
-		Checkpoint: cfg.Checkpoint,
-		Hook:       cfg.Hook,
-	})
+	stats, err := train.Run(tr, cfg.Config)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -62,7 +55,7 @@ func prepare(data *cuboid.Cuboid, cfg Config) (*trainer, error) {
 	m.phiX = make([]float64, m.k2*V)
 	m.lambda = make([]float64, n)
 	m.initialize(data, cfg.Seed)
-	return newTrainer(m, data, cfg.Smoothing, newItemMajor(m)), nil
+	return newTrainer(m, data, newItemMajor(m)), nil
 }
 
 // initialize seeds θ, φ and the topic-mixture context (θ', φ') with
@@ -125,10 +118,9 @@ func fillJitteredRows(rng *rand.Rand, data []float64, cols int) {
 // statistics (θ, λ) are computed by the same operations in the same
 // order either way.
 type trainer struct {
-	m         *Model
-	data      *cuboid.Cuboid
-	smoothing float64
-	frozen    bool
+	m      *Model
+	data   *cuboid.Cuboid
+	frozen bool
 
 	theta  []float64 // N×K1, an E-step over [lo, hi) owns rows [lo, hi)
 	lamNum []float64 // N
@@ -163,11 +155,10 @@ func (im *itemMajor) refresh(m *Model) {
 // against m, reading φ and φ' through im: a fresh model and fresh
 // transposes (Train), or a grown model and the transposes it carries
 // (fold-in).
-func newTrainer(m *Model, data *cuboid.Cuboid, smoothing float64, im *itemMajor) *trainer {
+func newTrainer(m *Model, data *cuboid.Cuboid, im *itemMajor) *trainer {
 	return &trainer{
 		m:         m,
 		data:      data,
-		smoothing: smoothing,
 		theta:     make([]float64, len(m.theta)),
 		lamNum:    make([]float64, m.numUsers),
 		lamDen:    make([]float64, m.numUsers),
@@ -378,11 +369,11 @@ func (tr *trainer) MStep(merged train.Accum) float64 {
 	V := m.numItems
 	tr.userStep(0, m.numUsers)
 	train.Transpose(m.phi, a.phiT, V, m.k1) // item-major stats back to K1×V
-	model.NormalizeRows(m.phi, V, tr.smoothing)
+	model.NormalizeRows(m.phi, V, Smoothing)
 	copy(m.ctx, a.ctx)
-	model.NormalizeRows(m.ctx, m.ctxWidth(V), tr.smoothing)
+	model.NormalizeRows(m.ctx, m.ctxWidth(V), Smoothing)
 	train.Transpose(m.phiX, a.phiXT, V, m.k2) // item-major stats back to K2×V
-	model.NormalizeRows(m.phiX, V, tr.smoothing)
+	model.NormalizeRows(m.phiX, V, Smoothing)
 	tr.refresh(m)
 	if model.AssertionsEnabled {
 		model.AssertRowStochastic("tcam phi", m.phi, V, 1e-9)
@@ -399,7 +390,7 @@ func (tr *trainer) userStep(lo, hi int) {
 	m, k1 := tr.m, tr.m.k1
 	rows := m.theta[lo*k1 : hi*k1]
 	copy(rows, tr.theta[lo*k1:hi*k1])
-	model.NormalizeRows(rows, k1, tr.smoothing)
+	model.NormalizeRows(rows, k1, Smoothing)
 	for u := lo; u < hi; u++ {
 		if tr.lamDen[u] > 0 {
 			m.lambda[u] = train.ClampLambda(tr.lamNum[u] / tr.lamDen[u])

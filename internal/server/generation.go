@@ -276,7 +276,7 @@ func (g *Generation) AnswerBatch(ctx context.Context, queries []api.Query) []Bat
 		sc := g.Acquire()
 		defer sc.Release()
 		for i := lo; i < hi; i++ {
-			faultinject.Fire("topk.batch.query")
+			faultinject.Fire("server.batch.query")
 			if ctx.Err() != nil {
 				return
 			}

@@ -14,7 +14,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -318,7 +320,7 @@ func TestBatchCancelledMidwayTruncates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Firing 3 lands before query index 2: two queries complete.
-	faultinject.Set("topk.batch.query", faultinject.CancelsAfter(3, cancel))
+	faultinject.Set("server.batch.query", faultinject.CancelsAfter(3, cancel))
 	var body strings.Builder
 	body.WriteString(`{"queries":[`)
 	for i := 0; i < 6; i++ {
@@ -353,6 +355,64 @@ func TestBatchCancelledMidwayTruncates(t *testing.T) {
 				t.Errorf("result %d[%d] = %+v, single %+v", i, j, r.Recommendations[j], single.Recommendations[j])
 			}
 		}
+	}
+}
+
+// AnswerBatch marks every entry it ran Done — an entry that failed
+// too, since Done is what tells an abandoned entry from an empty
+// ranking — and no entry after a cancellation. With one worker the
+// done entries are the prefix before the cancel, and each equals a
+// single Scratch.Answer of its query.
+func TestAnswerBatchDoneAndCancel(t *testing.T) {
+	old := runtime.GOMAXPROCS(1) // one batch worker: deterministic prefix
+	defer runtime.GOMAXPROCS(old)
+	g := NewGeneration(testfixture.Bundle(t, 6, 12))
+	queries := []api.Query{
+		{User: "user-0", Time: 115, K: 3},
+		{User: "nobody", Time: 115, K: 3}, // fails: unknown user
+		{User: "user-2", Time: 100, K: 0},
+		{User: "user-1", Time: 130, K: 5, Exclude: []string{"item-0", "item-3"}},
+		{User: "user-3", Time: 115, K: 12},
+		{User: "user-4", Time: 100, K: 2},
+	}
+	for _, tc := range []struct {
+		name string
+		arm  func(cancel context.CancelFunc)
+		done int // entries [0, done) are Done, the rest are not
+	}{
+		{"uncancelled", func(context.CancelFunc) {}, len(queries)},
+		{"cancelled before the call", func(cancel context.CancelFunc) { cancel() }, 0},
+		{"cancelled at the fourth entry", func(cancel context.CancelFunc) {
+			faultinject.Set("server.batch.query", faultinject.CancelsAfter(4, cancel))
+		}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			tc.arm(cancel)
+			for i, got := range g.AnswerBatch(ctx, slices.Clone(queries)) {
+				if got.Done != (i < tc.done) {
+					t.Errorf("entry %d: Done = %v, want %v", i, got.Done, i < tc.done)
+				}
+				if !got.Done {
+					if got.Results != nil || got.Err != nil {
+						t.Errorf("abandoned entry %d carries %+v", i, got)
+					}
+					continue
+				}
+				sc := g.Acquire()
+				q := queries[i]
+				want, err := sc.Answer(&q)
+				if !reflect.DeepEqual(got.Answer, want) || !reflect.DeepEqual(got.Err, err) {
+					t.Errorf("entry %d = %+v, %v; single Answer %+v, %v", i, got.Answer, got.Err, want, err)
+				}
+				sc.Release()
+			}
+		})
+	}
+	if got := g.AnswerBatch(context.Background(), queries[1:2]); got[0].Err == nil {
+		t.Error("unknown user answered without an error")
 	}
 }
 

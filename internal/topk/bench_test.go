@@ -1,12 +1,11 @@
 package topk
 
-// Serving benchmarks (ISSUE 1): the TA fast path must show 0 allocs/op
-// at steady state, BuildIndex must scale with cores, and the batch path
-// amortizes fan-out. scripts/bench.sh query snapshots these (plus the
-// httptest server benches) into BENCH_query.json.
+// Serving benchmarks: the TA fast path must show 0 allocs/op at steady
+// state and BuildIndex must scale with cores. scripts/bench.sh query
+// snapshots these (plus the httptest server benches, the batch path
+// among them) into BENCH_query.json.
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 )
@@ -149,16 +148,4 @@ func BenchmarkTAQueryDeep(b *testing.B) {
 	}
 	b.ReportMetric(float64(pops)/float64(b.N), "pops/op")
 	b.ReportMetric(float64(examined)/float64(b.N), "examined/op")
-}
-
-func BenchmarkQueryBatch(b *testing.B) {
-	f, ix := benchSetup(b, 32, 8192)
-	qs := make([]BatchQuery, 64)
-	for i := range qs {
-		qs[i] = BatchQuery{U: 0, T: 0, K: 10}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.QueryBatch(context.Background(), f, qs, 0)
-	}
 }

@@ -17,7 +17,7 @@ import (
 //
 // Result slices returned by a Searcher are owned by it and valid only
 // until its next query or Release; callers that retain results must
-// copy them (Index.Query and Index.QueryBatch do).
+// copy them (Index.Query does).
 type Searcher struct {
 	ix *Index
 	// The lists the current query walks: the floor list, then in

@@ -1,7 +1,6 @@
 package topk
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -72,41 +71,6 @@ func TestSearcherEpochWraparound(t *testing.T) {
 	}
 	if s.epoch == 0 || s.epoch > 4 {
 		t.Errorf("epoch after wraparound = %d, want small positive", s.epoch)
-	}
-}
-
-// QueryBatch must agree with per-query TA (and hence BruteForce) and
-// align results by position.
-func TestQueryBatchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	fm := randomModel(rng, 6, 80)
-	for u := 0; u < 5; u++ {
-		for tt := 0; tt < 3; tt++ {
-			fm.queries[[2]int{u, tt}] = randomQuery(rng, 6, true)
-		}
-	}
-	ix := BuildIndex(fm)
-	var queries []BatchQuery
-	for u := 0; u < 5; u++ {
-		for tt := 0; tt < 3; tt++ {
-			var ex Exclude
-			if (u+tt)%2 == 0 {
-				banned := u
-				ex = func(item int) bool { return item == banned }
-			}
-			queries = append(queries, BatchQuery{U: u, T: tt, K: 1 + (u+tt)%7, Exclude: ex})
-		}
-	}
-	batch := ix.QueryBatch(context.Background(), fm, queries, 3)
-	if len(batch) != len(queries) {
-		t.Fatalf("got %d results for %d queries", len(batch), len(queries))
-	}
-	for i, q := range queries {
-		want, wantSt := ix.Query(fm, q.U, q.T, q.K, q.Exclude)
-		assertSameResults(t, batch[i].Results, want)
-		if batch[i].Stats != wantSt {
-			t.Errorf("query %d: stats %+v, want %+v", i, batch[i].Stats, wantSt)
-		}
 	}
 }
 

@@ -14,9 +14,10 @@
 //
 // The serving fast path keeps steady-state queries allocation-free: a
 // Searcher holds all per-query scratch (cursors, an epoch-stamped seen
-// table, both heaps) and is recycled through a sync.Pool, and
-// QueryBatch fans query slices across workers with one pooled Searcher
-// each. All paths return results bit-identical to BruteForce.
+// table, both heaps) and is recycled through a sync.Pool. The package
+// answers one query at a time; batching, cancellation and fault sites
+// belong to the server that drives it. All paths return results
+// bit-identical to BruteForce.
 package topk
 
 import (
@@ -562,21 +563,12 @@ func (ix *Index) score32(query []float32, item int) float32 {
 // the caller.
 func (ix *Index) Query(ts model.TopicScorer, u, t, k int, exclude Exclude) ([]Result, Stats) {
 	s := ix.AcquireSearcher()
+	defer s.Release()
 	res, st := s.Query(ts, u, t, k, exclude)
-	out := cloneResults(res)
-	s.Release()
-	return out, st
-}
-
-// cloneResults copies a searcher-owned result slice into caller-owned
-// memory (nil for an empty result, matching historical behavior).
-func cloneResults(res []Result) []Result {
 	if len(res) == 0 {
-		return nil
+		return nil, st
 	}
-	out := make([]Result, len(res))
-	copy(out, res)
-	return out
+	return slices.Clone(res), st
 }
 
 // listRef is one of the lists a query walks in the priority queue,

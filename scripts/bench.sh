@@ -11,9 +11,10 @@
 # "value unit" pair go test printed (B/op, allocs/op, cells/s, events/s,
 # hit_rate, epochs, ...) is keyed by its unit as printed.
 #
-#   query    TA query (trained and flat user) / index build / batch,
-#            the HTTP handlers, the result cache (hit, miss, put,
-#            hot-user sketch; uncached, warm and multi-epoch Zipf runs)
+#   query    TA query (trained and flat user) / index build, the HTTP
+#            handlers (the batch door among them), the result cache
+#            (hit, miss, put, hot-user sketch; uncached, warm and
+#            multi-epoch Zipf runs)
 #            and one /recommend through a coordinator over 1, 2 and 4
 #            live shard servers
 #   train    one full EM iteration per TCAM variant, serial and
@@ -24,7 +25,7 @@
 #            256-event batches behind 1k/8k/32k events of history, and
 #            the isolated snapshot swap
 #
-# The two benchmarks that fan work across cores (QueryBatch,
+# The two benchmarks that fan work across cores (ServerRecommendBatch,
 # EMIterationParallel) run under -cpu 1,2 and yield one record per
 # setting; a curve the recording host has no cores for is not recorded.
 # With a checkout of the parent commit as the third argument, `ingest`
@@ -83,8 +84,8 @@ run)
     ;;
 query)
     run_bench ./internal/topk/ 'BenchmarkTAQuery$|BenchmarkTAQueryFlat$|BenchmarkTAQueryDeep$|BenchmarkTAQueryParallel$|BenchmarkBuildIndex$'
-    run_bench ./internal/topk/ 'BenchmarkQueryBatch$' -cpu 1,2
-    run_bench ./internal/server/ 'BenchmarkServerRecommend$|BenchmarkServerRecommendExclude$|BenchmarkServerRecommendBatch$'
+    run_bench ./internal/server/ 'BenchmarkServerRecommend$|BenchmarkServerRecommendExclude$'
+    run_bench ./internal/server/ 'BenchmarkServerRecommendBatch$' -cpu 1,2
     run_bench ./internal/rescache/ 'BenchmarkCacheHit$|BenchmarkCacheMiss$|BenchmarkCachePut$|BenchmarkHotObserve$'
     run_bench ./internal/server/ 'BenchmarkServerRecommendCacheHit$|BenchmarkServerZipfUncached$|BenchmarkServerZipfCacheWarm$|BenchmarkServerZipfCacheEpochs$|BenchmarkReloadPrecompute$'
     run_bench ./internal/shard/ 'BenchmarkCoordinator$'
