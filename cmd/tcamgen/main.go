@@ -123,7 +123,7 @@ func writeStream(log *dataset.Interactions, dir string, batchSize int) error {
 	events := log.Events()
 	recs := make([]ingest.Record, len(events))
 	for i, e := range events {
-		recs[i] = ingest.Record{User: log.UserID(e.User), Item: log.ItemID(e.Item), Time: e.Time, Score: e.Score}
+		recs[i] = log.Record(e)
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
 	lg, err := ingest.Open(dir)

@@ -11,6 +11,9 @@
 //	tcamquery -server http://localhost:8080 -users @load.jsonl
 //	tcamquery -server http://localhost:8080 -health [-json]
 //
+// -json needs -server, and -user and -users exclude each other: either
+// combination is a usage error (exit status 2).
+//
 // With -health, no query runs: the server's /healthz summary is
 // printed instead — snapshot version and, when the server tails an
 // ingest log, the log offset, lag and staleness, so operators can see
@@ -34,6 +37,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,6 +62,11 @@ func main() {
 		health  = flag.Bool("health", false, "print the server's /healthz summary (snapshot version, ingest lag, staleness) instead of querying")
 	)
 	flag.Parse()
+	if err := checkFlags(*server, *user, *users, *asJSON); err != nil {
+		fmt.Fprintln(os.Stderr, "tcamquery:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	var err error
 	switch {
 	case *health:
@@ -73,6 +82,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tcamquery:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses the flag combinations a mode would otherwise drop
+// without a word: -json shapes a server's response, so local mode has
+// nothing to apply it to, and -users runs a batch in which -user has no
+// place.
+func checkFlags(server, user, users string, asJSON bool) error {
+	if asJSON && server == "" {
+		return errors.New("-json needs -server: local mode prints text")
+	}
+	if user != "" && users != "" {
+		return errors.New("-user and -users exclude each other: give one query or one batch")
+	}
+	return nil
 }
 
 func splitList(s string) []string {

@@ -44,6 +44,28 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// Flags a mode would ignore are usage errors, not dropped.
+func TestQueryFlagCombinations(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		server, user, users string
+		asJSON, ok          bool
+	}{
+		{"-json without -server", "", "user3", "", true, false},
+		{"-json -users without -server", "", "", "user3,user5", true, false},
+		{"-user with -users", "", "user3", "user3,user5", false, false},
+		{"-user with -users against a server", "http://localhost:8080", "user3", "user5", false, false},
+		{"-json with -server", "http://localhost:8080", "user3", "", true, true},
+		{"-health -json with -server", "http://localhost:8080", "", "", true, true},
+		{"local -user", "", "user3", "", false, true},
+		{"local -users", "", "", "user3,user5", false, true},
+	} {
+		if err := checkFlags(tc.server, tc.user, tc.users, tc.asJSON); (err == nil) != tc.ok {
+			t.Errorf("%s: checkFlags = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestQueryRunBatch(t *testing.T) {
 	bundle := testfixture.Saved(t, 8, 6)
 	if err := runBatch(bundle, "user3,user5,user0", 2, 3, ""); err != nil {

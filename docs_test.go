@@ -22,22 +22,38 @@ var (
 	codeSpanRe = regexp.MustCompile("`([^`\n]+)`")
 	fileNameRe = regexp.MustCompile(`^[A-Za-z][\w.-]*\.(?:go|md|sh|json|yml)$`)
 	flagSpanRe = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(?: |$)`)
+	flagWordRe = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(?:=|$)`)
+	// designCite is a "DESIGN.md §N" (or "DESIGN §N") citation, also one
+	// that a Go comment wraps between the name and the section.
+	designCite = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s*//)?\s+§(\d+)`)
 )
 
-// TestDocsReferToRealThings holds DESIGN.md and README.md to the tree
-// they describe: every test, benchmark and fuzz target they name is
-// declared in some _test.go file, every repo path they quote exists,
-// every §N is a DESIGN.md section, every flag README quotes is defined
-// by some command, and every flag of the two serving binaries is in
-// README.
+// TestDocsReferToRealThings holds DESIGN.md, README.md and
+// EXPERIMENTS.md to the tree they describe: every test, benchmark and
+// fuzz target they name is declared in some _test.go file, every repo
+// path they quote exists, every §N is a DESIGN.md section, every flag
+// README quotes is defined by some command, and every flag of the two
+// serving binaries is in README. Every "DESIGN.md §N" a Go file outside
+// testdata or ROADMAP.md cites is a section too. In the three docs' code
+// spans that run a command (`go run ./cmd/tcamexp -exp figure8`,
+// `tcamquery -users`), each flag after the command's name is one its
+// main.go defines; ROADMAP.md may name flags still to be written.
 func TestDocsReferToRealThings(t *testing.T) {
-	declared, files := walkTree(t)
-	design, readme := readDoc(t, "DESIGN.md"), readDoc(t, "README.md")
+	declared, files, goFiles := walkTree(t)
+	design, readme, experiments := readDoc(t, "DESIGN.md"), readDoc(t, "README.md"), readDoc(t, "EXPERIMENTS.md")
 	sections := map[string]bool{}
 	for _, m := range sectionRe.FindAllStringSubmatch(design, -1) {
 		sections[m[1]] = true
 	}
-	for _, doc := range []struct{ name, text string }{{"DESIGN.md", design}, {"README.md", readme}} {
+	defined := map[string]map[string]bool{}
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no cmd/*/main.go: %v", err)
+	}
+	for _, path := range mains {
+		defined[filepath.Base(filepath.Dir(path))] = flagsOf(t, path)
+	}
+	for _, doc := range []struct{ name, text string }{{"DESIGN.md", design}, {"README.md", readme}, {"EXPERIMENTS.md", experiments}} {
 		for _, name := range testNameRe.FindAllString(doc.text, -1) {
 			if !isDeclared(name, declared) {
 				t.Errorf("%s names %s, which no _test.go declares", doc.name, name)
@@ -52,16 +68,22 @@ func TestDocsReferToRealThings(t *testing.T) {
 			if !pathResolves(m[1], files) {
 				t.Errorf("%s quotes `%s`, which is not in the repo", doc.name, m[1])
 			}
+			cmd := ""
+			for _, word := range strings.Fields(m[1]) {
+				if defined[path.Base(word)] != nil {
+					cmd = path.Base(word)
+				} else if f := flagWordRe.FindStringSubmatch(word); f != nil && cmd != "" && !defined[cmd][f[1]] {
+					t.Errorf("%s quotes `%s`, but %s defines no -%s", doc.name, m[1], cmd, f[1])
+				}
+			}
 		}
 	}
-
-	defined := map[string]map[string]bool{}
-	mains, err := filepath.Glob("cmd/*/main.go")
-	if err != nil || len(mains) == 0 {
-		t.Fatalf("no cmd/*/main.go: %v", err)
-	}
-	for _, path := range mains {
-		defined[filepath.Base(filepath.Dir(path))] = flagsOf(t, path)
+	for _, file := range append(goFiles, "ROADMAP.md") {
+		for _, m := range designCite.FindAllStringSubmatch(readDoc(t, file), -1) {
+			if !sections[m[1]] {
+				t.Errorf("%s cites DESIGN.md §%s, which is no section", file, m[1])
+			}
+		}
 	}
 	quoted := map[string]bool{}
 	for _, m := range codeSpanRe.FindAllStringSubmatch(readme, -1) {
@@ -92,7 +114,7 @@ func TestDocsReferToRealThings(t *testing.T) {
 // `func Fuzz…` of the _test.go files outside bench/, each with its
 // package directory, so a new fuzzer cannot be left out of CI.
 func TestSmokeFuzzesEveryTarget(t *testing.T) {
-	declared, _ := walkTree(t)
+	declared, _, _ := walkTree(t)
 	want := map[string]bool{}
 	for name, dirs := range declared {
 		for _, dir := range dirs {
@@ -119,10 +141,10 @@ func TestSmokeFuzzesEveryTarget(t *testing.T) {
 }
 
 // walkTree returns the Test/Benchmark/Fuzz functions the tree's
-// _test.go files declare, each with the directories declaring it, and
-// the set of every file's base name, skipping dot directories (VCS data,
-// build caches) and testdata.
-func walkTree(t *testing.T) (declared map[string][]string, files map[string]bool) {
+// _test.go files declare, each with the directories declaring it, the
+// set of every file's base name and the paths of the .go files, skipping
+// dot directories (VCS data, build caches) and testdata.
+func walkTree(t *testing.T) (declared map[string][]string, files map[string]bool, goFiles []string) {
 	t.Helper()
 	declared, files = map[string][]string{}, map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -136,6 +158,9 @@ func walkTree(t *testing.T) (declared map[string][]string, files map[string]bool
 			return nil
 		}
 		files[d.Name()] = true
+		if strings.HasSuffix(path, ".go") {
+			goFiles = append(goFiles, path)
+		}
 		if !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
@@ -151,7 +176,7 @@ func walkTree(t *testing.T) (declared map[string][]string, files map[string]bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	return declared, files
+	return declared, files, goFiles
 }
 
 // isDeclared reports whether name is a declared test function or, when

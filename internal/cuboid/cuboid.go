@@ -34,6 +34,19 @@ type Cell struct {
 	Score   float64
 }
 
+// CheckScore is the one rule for a rating score, and every door an
+// event can enter by applies it: Delta.Add for cells, ingest's
+// Record.Validate for events. A score is finite and positive — the
+// cuboid of Definition 3 holds positive ratings, and EM's likelihood and
+// TA's non-negative score decomposition both assume it — so NaN and ±Inf
+// are refused alongside zero and negatives.
+func CheckScore(score float64) error {
+	if !(score > 0) || math.IsInf(score, 1) {
+		return fmt.Errorf("cuboid: score %v is not finite and positive", score)
+	}
+	return nil
+}
+
 // Cuboid is an immutable sparse rating cuboid. Build one with a Builder
 // or by applying a Delta; the zero value is the empty 0×0×0 cuboid.
 type Cuboid struct {

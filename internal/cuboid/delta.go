@@ -43,7 +43,7 @@ func (d *Delta) Widen(numUsers, numIntervals, numItems int) {
 }
 
 // Add records a new rating cell. Indices are validated against the
-// delta's (post-application) dimensions.
+// delta's (post-application) dimensions and the score by CheckScore.
 func (d *Delta) Add(u, t, v int, score float64) error {
 	if d.frozen {
 		return fmt.Errorf("cuboid: delta already applied; build a new one")
@@ -57,8 +57,8 @@ func (d *Delta) Add(u, t, v int, score float64) error {
 	if v < 0 || v >= d.numItems {
 		return fmt.Errorf("cuboid: item %d out of range [0,%d)", v, d.numItems)
 	}
-	if score <= 0 {
-		return fmt.Errorf("cuboid: non-positive score %v", score)
+	if err := CheckScore(score); err != nil {
+		return err
 	}
 	d.cells = append(d.cells, Cell{U: int32(u), T: int32(t), V: int32(v), Score: score})
 	return nil

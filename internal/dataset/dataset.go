@@ -13,6 +13,7 @@ import (
 	"slices"
 
 	"tcam/internal/cuboid"
+	"tcam/internal/ingest"
 )
 
 // Event is one raw interaction: a user acted on an item at an absolute
@@ -85,11 +86,13 @@ type Interactions struct {
 // New returns an empty interaction log.
 func New() *Interactions { return &Interactions{} }
 
-// Add records an interaction by string identifiers. Scores must be
-// positive.
+// Add records an interaction by string identifiers. The event must pass
+// ingest.Record.Validate — non-empty names, a finite positive score —
+// the one rule the event log and the updater apply too, so whatever a
+// log holds can be saved, loaded back and trained on.
 func (d *Interactions) Add(userID, itemID string, time int64, score float64) error {
-	if score <= 0 {
-		return fmt.Errorf("dataset: non-positive score %v for %s/%s", score, userID, itemID)
+	if err := (ingest.Record{User: userID, Item: itemID, Time: time, Score: score}).Validate(); err != nil {
+		return err
 	}
 	if len(d.events) == 0 {
 		d.minTime, d.maxTime = time, time
@@ -97,6 +100,13 @@ func (d *Interactions) Add(userID, itemID string, time int64, score float64) err
 	d.minTime, d.maxTime = min(d.minTime, time), max(d.maxTime, time)
 	d.events = append(d.events, Event{User: d.Users.Intern(userID), Item: d.Items.Intern(itemID), Time: time, Score: score})
 	return nil
+}
+
+// Record returns e, one of the log's events, as the record that names
+// it: the one event → record conversion, behind WriteJSONL and the
+// ingest logs cmd/tcamgen writes.
+func (d *Interactions) Record(e Event) ingest.Record {
+	return ingest.Record{User: d.UserID(e.User), Item: d.ItemID(e.Item), Time: e.Time, Score: e.Score}
 }
 
 // NumUsers returns the number of interned users.
@@ -156,10 +166,11 @@ func (g TimeGrid) Start(t int) int64 { return g.Origin + int64(t)*g.Length }
 
 // MaxOpenIntervals bounds how many intervals one event may open past
 // the end of the grid as grown so far. Every open interval costs each
-// later generation a catalog-wide context list and a θ′ row (DESIGN.md
-// §15), so without a bound one corrupt timestamp is an allocation no
-// restart survives; a gap this long exceeds the whole span a bundle is
-// trained on, where a retrain, not a fold-in, is the remedy.
+// later generation a catalog-wide context list and a θ′ row
+// (DESIGN.md §15), so without a bound one corrupt timestamp is an
+// allocation no restart survives; a gap this long exceeds the whole
+// span a bundle is trained on, where a retrain, not a fold-in, is the
+// remedy.
 const MaxOpenIntervals = 256
 
 // Gridder turns events into cuboid cells on a grid that grows with

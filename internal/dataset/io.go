@@ -8,24 +8,16 @@ import (
 	"os"
 
 	"tcam/internal/atomicfile"
+	"tcam/internal/ingest"
 )
 
-// jsonlRecord is the on-disk JSONL representation of one interaction,
-// with string identifiers so logs are self-describing.
-type jsonlRecord struct {
-	User  string  `json:"user"`
-	Item  string  `json:"item"`
-	Time  int64   `json:"time"`
-	Score float64 `json:"score"`
-}
-
-// WriteJSONL streams the log to w as one JSON object per line.
+// WriteJSONL streams the log to w as one JSON object per line, each an
+// ingest.Record, so logs are self-describing.
 func (d *Interactions) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, e := range d.events {
-		rec := jsonlRecord{User: d.UserID(e.User), Item: d.ItemID(e.Item), Time: e.Time, Score: e.Score}
-		if err := enc.Encode(&rec); err != nil {
+		if err := enc.Encode(d.Record(e)); err != nil {
 			return fmt.Errorf("dataset: write jsonl: %w", err)
 		}
 	}
@@ -33,7 +25,9 @@ func (d *Interactions) WriteJSONL(w io.Writer) error {
 }
 
 // ReadJSONL parses a log produced by WriteJSONL (or any conforming JSONL
-// stream). Malformed lines abort with an error naming the line number.
+// stream): each line is decoded by ingest.Decode and added by Add, so a
+// line is refused exactly when Add would refuse its event. Malformed or
+// invalid lines abort with an error naming the line number.
 func ReadJSONL(r io.Reader) (*Interactions, error) {
 	d := New()
 	sc := bufio.NewScanner(r)
@@ -45,12 +39,9 @@ func ReadJSONL(r io.Reader) (*Interactions, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var rec jsonlRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		rec, err := ingest.Decode(raw)
+		if err != nil {
 			return nil, fmt.Errorf("dataset: jsonl line %d: %w", line, err)
-		}
-		if rec.User == "" || rec.Item == "" {
-			return nil, fmt.Errorf("dataset: jsonl line %d: empty user or item", line)
 		}
 		if err := d.Add(rec.User, rec.Item, rec.Time, rec.Score); err != nil {
 			return nil, fmt.Errorf("dataset: jsonl line %d: %w", line, err)

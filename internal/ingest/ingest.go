@@ -50,6 +50,7 @@ import (
 	"sync"
 
 	"tcam/internal/atomicfile"
+	"tcam/internal/cuboid"
 	"tcam/internal/faultinject"
 )
 
@@ -67,7 +68,9 @@ const (
 // Record is one interaction event: user rated (or re-rated) item at
 // Time with Score. IDs are the external string identifiers; the dense
 // index mapping is owned by whoever consumes the log, because the
-// mapping depends on which prefix has been consumed.
+// mapping depends on which prefix has been consumed. It is the one
+// record type of the module: a log frame's payload, a line of a JSONL
+// dataset (internal/dataset) and what the updater folds in.
 type Record struct {
 	User  string  `json:"user"`
 	Item  string  `json:"item"`
@@ -75,14 +78,24 @@ type Record struct {
 	Score float64 `json:"score"`
 }
 
-func (r Record) validate() error {
+// Validate is the one rule for an event, applied at every door one
+// enters by — Append, dataset.Interactions.Add (so JSONL loading) and
+// the updater, which skips a logged record that fails it: both names
+// non-empty and the score accepted by cuboid.CheckScore.
+func (r Record) Validate() error {
 	if r.User == "" || r.Item == "" {
 		return fmt.Errorf("ingest: record needs non-empty user and item, got user=%q item=%q", r.User, r.Item)
 	}
-	if !(r.Score > 0) {
-		return fmt.Errorf("ingest: record score must be positive, got %v", r.Score)
-	}
-	return nil
+	return cuboid.CheckScore(r.Score)
+}
+
+// Decode turns one encoded record — a log frame's payload, a JSONL
+// dataset line — into a Record. It only decodes: whether the record is
+// valid is Validate's question, asked by the caller.
+func Decode(b []byte) (Record, error) {
+	var r Record
+	err := json.Unmarshal(b, &r)
+	return r, err
 }
 
 // Log is an open event log. It is safe for concurrent use: appends are
@@ -151,7 +164,7 @@ func (l *Log) End() int64 {
 // discarded on the next Open) or all of it does.
 func (l *Log) Append(recs ...Record) (int64, error) {
 	for _, r := range recs {
-		if err := r.validate(); err != nil {
+		if err := r.Validate(); err != nil {
 			return 0, err
 		}
 	}
@@ -194,7 +207,10 @@ func (l *Log) Append(recs ...Record) (int64, error) {
 // immutable prefix present when Replay starts; records appended
 // concurrently may or may not be seen. A Replay that starts where the
 // handle's previous one stopped — a tailing consumer's next cycle —
-// reads only the bytes appended since.
+// reads only the bytes appended since. It delivers every record that
+// Decode accepts, valid or not — Append writes none that Validate
+// refuses, but the log may hold one another writer framed — and stops
+// with an error at a frame that does not decode.
 func (l *Log) Replay(from int64, fn func(off int64, rec Record) error) error {
 	bases, err := segmentBases(l.dir)
 	if err != nil {
@@ -220,8 +236,8 @@ func (l *Log) Replay(from int64, fn func(off int64, rec Record) error) error {
 		if off < from {
 			return nil
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := Decode(payload)
+		if err != nil {
 			return fmt.Errorf("ingest: decode record at offset %d: %w", off, err)
 		}
 		return fn(off, rec)

@@ -205,10 +205,81 @@ func TestMidLogCorruptionRefusesOpen(t *testing.T) {
 	}
 }
 
-// TestDamageClassifiedTheSameEverywhere: one table of damaged segments,
-// read through every door of the one frame walker. A three-segment,
-// eleven-record log is damaged after a reader handle has replayed its
-// first two records; then
+// damages is one table of ways a three-segment, eleven-record log —
+// written with segment limit damageLimit, two records known to a reader
+// before the rest are appended — is damaged, with the verdict each must
+// get: end is where a torn tail leaves the log (-1: corruption), seen
+// whether a handle that had already read all eleven records still
+// replays them. FuzzSegments seeds from the same damaged logs.
+var damages = []struct {
+	name   string
+	damage func(tb testing.TB, dir string)
+	end    int64
+	seen   bool
+}{
+	{"partial frame after the last record", func(tb testing.TB, dir string) { partial(tb, dir, 6) }, damageTotal, true},
+	{"last frame cut short", func(tb testing.TB, dir string) {
+		st, err := os.Stat(filepath.Join(dir, segName(6)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := os.Truncate(filepath.Join(dir, segName(6)), st.Size()-3); err != nil {
+			tb.Fatal(err)
+		}
+	}, damageTotal - 1, false},
+	{"byte flipped in the last frame", func(tb testing.TB, dir string) { flip(tb, dir, 6, 4) }, damageTotal - 1, false},
+	{"byte flipped mid-way through the last segment", func(tb testing.TB, dir string) { flip(tb, dir, 6, 2) }, 8, false},
+	{"byte flipped in a sealed segment", func(tb testing.TB, dir string) { flip(tb, dir, 3, 1) }, -1, false},
+	{"byte flipped in the first record past the known end", func(tb testing.TB, dir string) { flip(tb, dir, 0, damageKnown) }, -1, false},
+	{"partial frame at the end of a sealed segment", func(tb testing.TB, dir string) { partial(tb, dir, 0) }, -1, false},
+}
+
+const (
+	damageKnown, damageTotal = 2, 11
+	damageLimit              = 150 // three ~58-byte frames fill a segment
+)
+
+// flip inverts a payload byte of frame number frame of segment base.
+func flip(tb testing.TB, dir string, base int64, frame int) {
+	tb.Helper()
+	path := filepath.Join(dir, segName(base))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pos := 0
+	for ; frame > 0; frame-- {
+		if _, pos, _ = readFrame(raw, pos); pos == 0 {
+			tb.Fatalf("segment %d has no frame to flip", base)
+		}
+	}
+	raw[pos+frameHdr+1] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// partial appends to segment base a frame header promising more bytes
+// than follow it.
+func partial(tb testing.TB, dir string, base int64) {
+	tb.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, segName(base)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var hdr [frameHdr + 3]byte
+	binary.LittleEndian.PutUint32(hdr[:], 400)
+	if _, err := f.Write(hdr[:]); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestDamageClassifiedTheSameEverywhere: the damages table, read
+// through every door of the one frame walker. The log is damaged after
+// a reader handle has replayed its first two records; then
 //
 //   - Refresh from that known end and a fresh Open must give the same
 //     verdict: a torn tail (bytes at the end of the last segment that
@@ -220,63 +291,10 @@ func TestMidLogCorruptionRefusesOpen(t *testing.T) {
 //     below them corruption, wherever it lies: nothing it has counted
 //     can still be an append in flight.
 func TestDamageClassifiedTheSameEverywhere(t *testing.T) {
-	const known, total = 2, 11
-	flip := func(t *testing.T, dir string, base int64, frame int) {
-		path := filepath.Join(dir, segName(base))
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pos := 0
-		for ; frame > 0; frame-- {
-			if _, pos, _ = readFrame(raw, pos); pos == 0 {
-				t.Fatalf("segment %d has no frame to flip", base)
-			}
-		}
-		raw[pos+frameHdr+1] ^= 0xff
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	partial := func(t *testing.T, dir string, base int64) {
-		f, err := os.OpenFile(filepath.Join(dir, segName(base)), os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hdr [frameHdr + 3]byte
-		binary.LittleEndian.PutUint32(hdr[:], 400) // promises more bytes than follow
-		if _, err := f.Write(hdr[:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tc := range []struct {
-		name   string
-		damage func(t *testing.T, dir string)
-		end    int64 // where a torn tail leaves the log; -1: corruption
-		seen   bool  // whether the handle that saw all records still replays them
-	}{
-		{"partial frame after the last record", func(t *testing.T, dir string) { partial(t, dir, 6) }, total, true},
-		{"last frame cut short", func(t *testing.T, dir string) {
-			st, err := os.Stat(filepath.Join(dir, segName(6)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Truncate(filepath.Join(dir, segName(6)), st.Size()-3); err != nil {
-				t.Fatal(err)
-			}
-		}, total - 1, false},
-		{"byte flipped in the last frame", func(t *testing.T, dir string) { flip(t, dir, 6, 4) }, total - 1, false},
-		{"byte flipped mid-way through the last segment", func(t *testing.T, dir string) { flip(t, dir, 6, 2) }, 8, false},
-		{"byte flipped in a sealed segment", func(t *testing.T, dir string) { flip(t, dir, 3, 1) }, -1, false},
-		{"byte flipped in the first record past the known end", func(t *testing.T, dir string) { flip(t, dir, 0, known) }, -1, false},
-		{"partial frame at the end of a sealed segment", func(t *testing.T, dir string) { partial(t, dir, 0) }, -1, false},
-	} {
+	const known, total, limit = damageKnown, damageTotal, damageLimit
+	for _, tc := range damages {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			const limit = 150 // three ~58-byte frames fill a segment
 			writer, err := OpenLimit(dir, limit)
 			if err != nil {
 				t.Fatal(err)
@@ -294,17 +312,7 @@ func TestDamageClassifiedTheSameEverywhere(t *testing.T) {
 			}
 			collect(t, reader, 0) // leaves both cursors at the known end
 			collect(t, sawAll, 0)
-			for i := known; i < 6; i++ {
-				if _, err := writer.Append(rec(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := writer.Append(rec(6), rec(7), rec(8), rec(9), rec(10)); err != nil {
-				t.Fatal(err)
-			}
-			if bases, err := segmentBases(dir); err != nil || !reflect.DeepEqual(bases, []int64{0, 3, 6}) {
-				t.Fatalf("segments %v (err %v), want [0 3 6]", bases, err)
-			}
+			appendDamageLog(t, writer)
 			if end, err := sawAll.Refresh(); err != nil || end != total {
 				t.Fatalf("Refresh before the damage = (%d, %v)", end, err)
 			}
@@ -343,6 +351,23 @@ func TestDamageClassifiedTheSameEverywhere(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// appendDamageLog appends the records past the first two of the damages
+// table's log through writer, checking they land in its three segments.
+func appendDamageLog(tb testing.TB, writer *Log) {
+	tb.Helper()
+	for i := damageKnown; i < 6; i++ {
+		if _, err := writer.Append(rec(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := writer.Append(rec(6), rec(7), rec(8), rec(9), rec(10)); err != nil {
+		tb.Fatal(err)
+	}
+	if bases, err := segmentBases(writer.dir); err != nil || !reflect.DeepEqual(bases, []int64{0, 3, 6}) {
+		tb.Fatalf("segments %v (err %v), want [0 3 6]", bases, err)
 	}
 }
 

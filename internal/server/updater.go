@@ -1,12 +1,13 @@
 package server
 
-// Updater is the fold-in end of the streaming ingest loop (DESIGN.md
-// §15): it tails an append-only ingest log, grows the vocabularies and
-// time grid as unseen users/items/intervals arrive, derives a grown
-// bundle from the frozen boot bundle via index.AdvanceFrom, and
-// publishes it through the server's atomic snapshot swap — so the
-// server keeps answering queries on a consistent generation while the
-// next one is built off to the side.
+// Updater is the fold-in end of the streaming ingest loop
+// (DESIGN.md §15): it tails an append-only ingest log, grows the
+// vocabularies and time grid as unseen users/items/intervals arrive,
+// skips a record no cycle can absorb, derives a grown bundle from the
+// frozen boot bundle via index.AdvanceFrom, and publishes it through
+// the server's atomic snapshot swap — so the server keeps answering
+// queries on a consistent generation while the next one is built off
+// to the side.
 //
 // Determinism and crash safety come from one invariant: the published
 // bundle is a pure function of (boot bundle, log prefix). The updater
@@ -115,6 +116,12 @@ func NewUpdater(srv *Server, lg *ingest.Log, boot *index.Bundle, cfg UpdaterConf
 // it — where it was; the next Step retries the same records
 // (vocabulary interning is idempotent and the hot-user sketch counts a
 // record once, so a half-failed cycle cannot skew indices or rankings).
+// A record no cycle could absorb — one ingest.Record.Validate refuses,
+// or one dataset.Gridder.Open refuses to open intervals for — is
+// skipped with a warning naming its offset, before its names are
+// interned or the sketch sees it; whether a record is skipped depends
+// only on the log prefix, so it is the same at every chunking and
+// after every restart.
 func (u *Updater) Step() (bool, error) {
 	start := time.Now()
 	end, err := u.log.Refresh() // pick up records appended by the producer process
@@ -130,7 +137,11 @@ func (u *Updater) Step() (bool, error) {
 	}
 	g := dataset.NewGridder(u.users, u.items, u.grid)
 	if err := u.log.Replay(u.offset, func(off int64, r ingest.Record) error {
-		if _, err := g.Open(r.Time); err != nil {
+		err := r.Validate()
+		if err == nil {
+			_, err = g.Open(r.Time)
+		}
+		if err != nil {
 			// Skipped, not failed: a cycle that failed on it would fail
 			// again on every retry and after every restart.
 			u.srv.Log.Warn("ingest: skipping log record", "offset", off, "err", err)

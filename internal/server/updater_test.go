@@ -189,15 +189,23 @@ func TestUpdaterKillAndResume(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
 	srvA, upA := updaterFixture(t, dir)
+	var logA, logB bytes.Buffer
+	srvA.Log = slog.New(slog.NewTextHandler(&logA, nil))
 
-	// The second record is one no process could fold in and live: it is
-	// skipped, by the survivor and by every restart alike, and the
-	// records behind it are published.
+	// Records 1 to 3 are ones no process could fold in: one would open
+	// fifty million intervals, and two — framed by a writer that is not
+	// Append, which refuses them — fail Record.Validate. Each is skipped,
+	// by the survivor and by every restart alike, and the records on
+	// either side of them are published.
 	appendEvents(t, dir,
 		ingest.Record{User: "user-late", Item: "item-3", Time: 105, Score: 2},
 		farFuture,
-		ingest.Record{User: "user-later", Item: "item-new", Time: 141, Score: 1},
 	)
+	testfixture.AppendFrames(t, dir,
+		ingest.Record{User: "user-zero", Item: "item-zero", Time: 106, Score: 0},
+		ingest.Record{User: "", Item: "item-orphan", Time: 107, Score: 1},
+	)
+	appendEvents(t, dir, ingest.Record{User: "user-later", Item: "item-new", Time: 141, Score: 1})
 	if _, err := upA.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +222,7 @@ func TestUpdaterKillAndResume(t *testing.T) {
 
 	// "Restart": a fresh server + updater over the same directory.
 	srvB, upB := updaterFixture(t, dir)
+	srvB.Log = slog.New(slog.NewTextHandler(&logB, nil))
 	if published, err := upB.Step(); err != nil || !published {
 		t.Fatalf("resume Step = (%v, %v), want (true, nil)", published, err)
 	}
@@ -223,15 +232,28 @@ func TestUpdaterKillAndResume(t *testing.T) {
 	if published, err := upA.Step(); err != nil || !published {
 		t.Fatalf("survivor Step = (%v, %v), want (true, nil)", published, err)
 	}
-	if upA.offset != 4 || upB.offset != 4 {
-		t.Fatalf("offsets after resume: survivor %d, restarted %d, want 4", upA.offset, upB.offset)
+	if upA.offset != 6 || upB.offset != 6 {
+		t.Fatalf("offsets after resume: survivor %d, restarted %d, want 6", upA.offset, upB.offset)
 	}
 	for _, srv := range []*Server{srvA, srvB} {
 		if h := healthOf(t, srv); h.Users != 8 || h.Items != 13 || h.Intervals != 5 {
-			t.Fatalf("serving %d users, %d items, %d intervals, want 8, 13, 5: the far-future record was not skipped whole", h.Users, h.Items, h.Intervals)
+			t.Fatalf("serving %d users, %d items, %d intervals, want 8, 13, 5: a skipped record was not skipped whole", h.Users, h.Items, h.Intervals)
 		}
 		if w := serveHTTP(srv, http.MethodGet, "/recommend?user=user-later&time=142&k=3", ""); w.Code != http.StatusOK {
-			t.Fatalf("a user behind the skipped record answers %d: %s", w.Code, w.Body.String())
+			t.Fatalf("a user behind the skipped records answers %d: %s", w.Code, w.Body.String())
+		}
+	}
+	for name, logs := range map[string]string{"survivor": logA.String(), "restarted": logB.String()} {
+		var skipped []string
+		for _, line := range strings.Split(logs, "\n") {
+			if strings.Contains(line, `msg="ingest: skipping log record"`) {
+				_, off, _ := strings.Cut(line, " offset=")
+				off, _, _ = strings.Cut(off, " ")
+				skipped = append(skipped, off)
+			}
+		}
+		if !reflect.DeepEqual(skipped, []string{"1", "2", "3"}) {
+			t.Errorf("%s warned of skipping offsets %v, want [1 2 3]:\n%s", name, skipped, logs)
 		}
 	}
 	a, b := snapshotBytes(t, srvA), snapshotBytes(t, srvB)

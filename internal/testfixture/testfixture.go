@@ -6,7 +6,11 @@
 package testfixture
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -14,6 +18,7 @@ import (
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
 	"tcam/internal/index"
+	"tcam/internal/ingest"
 	"tcam/internal/model/tcam"
 )
 
@@ -90,6 +95,43 @@ func Saved(tb testing.TB, users, days int) string {
 		tb.Fatal(err)
 	}
 	return path
+}
+
+// AppendFrames appends recs to the ingest log in dir as CRC-valid frames
+// of its on-disk format ([4B LE length][JSON record][4B LE CRC32-IEEE]),
+// written straight to its highest segment without ingest.Record.Validate:
+// records another writer might have framed, which Log.Append refuses.
+// Handles see them after a Refresh.
+func AppendFrames(tb testing.TB, dir string, recs ...ingest.Record) {
+	tb.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(dir, "seg-0000000000000000.log")
+	if len(segs) > 0 {
+		path = segs[len(segs)-1] // zero-padded names: Glob's order is offset order
+	}
+	var buf []byte
+	for _, r := range recs {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = append(buf, payload...)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := f.Write(buf); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // numbered returns prefix-0 … prefix-(n-1).

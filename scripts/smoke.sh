@@ -23,6 +23,7 @@ fuzz ./internal/api/ FuzzQueryParseForm
 fuzz ./internal/api/ FuzzShardPartial
 fuzz ./internal/client/ FuzzLegResponse
 fuzz ./internal/dataset/ FuzzGridder
+fuzz ./internal/ingest/ FuzzSegments
 fuzz ./internal/server/ FuzzQueryBodies
 fuzz ./internal/topk/ FuzzTAMatchesBruteForce
 fuzz ./internal/train/ FuzzCheckpointLoad
