@@ -11,8 +11,8 @@
 //	tcamquery -server http://localhost:8080 -users @load.jsonl
 //	tcamquery -server http://localhost:8080 -health [-json]
 //
-// -json needs -server, and -user and -users exclude each other: either
-// combination is a usage error (exit status 2).
+// A flag the chosen mode does not read, and -user beside -users, is a
+// usage error (exit status 2).
 //
 // With -health, no query runs: the server's /healthz summary is
 // printed instead — snapshot version and, when the server tails an
@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"tcam"
@@ -62,18 +63,20 @@ func main() {
 		health  = flag.Bool("health", false, "print the server's /healthz summary (snapshot version, ingest lag, staleness) instead of querying")
 	)
 	flag.Parse()
-	if err := checkFlags(*server, *user, *users, *asJSON); err != nil {
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	mode, err := checkFlags(*health, *server, *users, set)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tcamquery:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	var err error
-	switch {
-	case *health:
+	switch mode {
+	case "health":
 		err = runHealth(os.Stdout, *server, *asJSON)
-	case *server != "":
+	case "remote":
 		err = runRemote(os.Stdout, *server, *user, *users, *when, *k, *exclude, *asJSON)
-	case *users != "":
+	case "batch":
 		err = runBatch(*bundle, *users, *when, *k, *exclude)
 	default:
 		err = run(*bundle, *user, *when, *k, *exclude)
@@ -84,18 +87,38 @@ func main() {
 	}
 }
 
-// checkFlags refuses the flag combinations a mode would otherwise drop
-// without a word: -json shapes a server's response, so local mode has
-// nothing to apply it to, and -users runs a batch in which -user has no
-// place.
-func checkFlags(server, user, users string, asJSON bool) error {
-	if asJSON && server == "" {
-		return errors.New("-json needs -server: local mode prints text")
+// readBy lists, per mode, every flag the mode reads.
+var readBy = map[string][]string{
+	"health": {"server", "health", "json"},
+	"remote": {"server", "user", "users", "time", "k", "exclude", "json"},
+	"batch":  {"bundle", "users", "time", "k", "exclude"},
+	"query":  {"bundle", "user", "time", "k", "exclude"},
+}
+
+// checkFlags picks what a run does — print -server's health, query
+// -server, run a local batch for -users or answer one local query — and
+// refuses what that mode would drop without a word: a set flag it does
+// not read (readBy), and -user beside -users.
+func checkFlags(health bool, server, users string, set []string) (mode string, err error) {
+	switch {
+	case health:
+		mode = "health"
+	case server != "":
+		mode = "remote"
+	case users != "":
+		mode = "batch"
+	default:
+		mode = "query"
 	}
-	if user != "" && users != "" {
-		return errors.New("-user and -users exclude each other: give one query or one batch")
+	for _, name := range set {
+		if !slices.Contains(readBy[mode], name) {
+			return "", fmt.Errorf("-%s is not read in %s mode", name, mode)
+		}
 	}
-	return nil
+	if slices.Contains(set, "user") && slices.Contains(set, "users") {
+		return "", errors.New("-user and -users exclude each other: give one query or one batch")
+	}
+	return mode, nil
 }
 
 func splitList(s string) []string {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,21 +48,37 @@ func TestQueryErrors(t *testing.T) {
 // Flags a mode would ignore are usage errors, not dropped.
 func TestQueryFlagCombinations(t *testing.T) {
 	for _, tc := range []struct {
-		name                string
-		server, user, users string
-		asJSON, ok          bool
+		name string
+		set  []string // the flags given, in command-line order
+		ok   bool
 	}{
-		{"-json without -server", "", "user3", "", true, false},
-		{"-json -users without -server", "", "", "user3,user5", true, false},
-		{"-user with -users", "", "user3", "user3,user5", false, false},
-		{"-user with -users against a server", "http://localhost:8080", "user3", "user5", false, false},
-		{"-json with -server", "http://localhost:8080", "user3", "", true, true},
-		{"-health -json with -server", "http://localhost:8080", "", "", true, true},
-		{"local -user", "", "user3", "", false, true},
-		{"local -users", "", "", "user3,user5", false, true},
+		{"-json without -server", []string{"bundle", "user", "json"}, false},
+		{"-json -users without -server", []string{"bundle", "users", "json"}, false},
+		{"-user with -users", []string{"bundle", "user", "users"}, false},
+		{"-user with -users against a server", []string{"server", "user", "users"}, false},
+		{"-json with -server", []string{"server", "user", "json"}, true},
+		{"-health -json with -server", []string{"server", "health", "json"}, true},
+		{"-health with -user", []string{"server", "health", "user"}, false},
+		{"-health with -users", []string{"server", "health", "users"}, false},
+		{"-health with -time", []string{"server", "health", "time"}, false},
+		{"-health with -k", []string{"server", "health", "k"}, false},
+		{"-health with -exclude", []string{"server", "health", "exclude"}, false},
+		{"-health with -bundle", []string{"server", "health", "bundle"}, false},
+		{"-server with -bundle", []string{"server", "bundle", "user"}, false},
+		{"remote query with every query flag", []string{"server", "user", "time", "k", "exclude"}, true},
+		{"local -user", []string{"bundle", "user", "time", "k", "exclude"}, true},
+		{"local -users", []string{"bundle", "users", "k"}, true},
 	} {
-		if err := checkFlags(tc.server, tc.user, tc.users, tc.asJSON); (err == nil) != tc.ok {
-			t.Errorf("%s: checkFlags = %v, want ok %v", tc.name, err, tc.ok)
+		has := func(name string) bool { return slices.Contains(tc.set, name) }
+		server, users := "", ""
+		if has("server") {
+			server = "http://localhost:8080"
+		}
+		if has("users") {
+			users = "user3,user5"
+		}
+		if mode, err := checkFlags(has("health"), server, users, tc.set); (err == nil) != tc.ok {
+			t.Errorf("%s: checkFlags(%v) = (%q, %v), want ok %v", tc.name, tc.set, mode, err, tc.ok)
 		}
 	}
 }

@@ -193,6 +193,16 @@ func (m *miniScorer) Name() string               { return "mini" }
 func (m *miniScorer) NumItems() int              { return len(m.topics[0]) }
 func (m *miniScorer) NumTopics() int             { return len(m.topics) }
 func (m *miniScorer) TopicItems(z int) []float64 { return m.topics[z] }
+func (m *miniScorer) ItemTopics() []float64 {
+	k := len(m.topics)
+	table := make([]float64, m.NumItems()*k)
+	for z, row := range m.topics {
+		for v, p := range row {
+			table[v*k+z] = p
+		}
+	}
+	return table
+}
 func (m *miniScorer) Score(u, t, v int) float64 {
 	var s float64
 	for z, w := range m.queries[u*2+t] {

@@ -56,10 +56,9 @@ type Advanced struct {
 	// computed: θ′ rows of stream-opened intervals, and folded users.
 	ContextsKept, ContextsFit int
 	UsersKept, UsersFolded    int
-	// Whether the model's item-indexed slabs (φ, φ′, background) and
-	// fold-in's transposes of them are the previous derivation's own
-	// storage rather than a new layout.
-	SlabsShared, TransposesShared bool
+	// Whether the model's item-indexed slabs (φ, φ′, background) are the
+	// previous derivation's own storage rather than a new layout.
+	SlabsShared bool
 
 	boot   *Bundle        // the receiver the bundle was derived from
 	stream *cuboid.Cuboid // the stream cuboid it was derived over
@@ -170,7 +169,7 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 	if err != nil {
 		return nil, err
 	}
-	adv.SlabsShared, adv.TransposesShared = folded.SharedWith(before)
+	adv.SlabsShared = before != nil && &folded.TopicItems(0)[0] == &before.TopicItems(0)[0]
 	adv.Bundle = New(folded, grid, users, items)
 	if err := adv.Bundle.Validate(); err != nil {
 		return nil, err

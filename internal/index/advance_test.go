@@ -119,8 +119,9 @@ func TestAdvanceFromEqualsAdvance(t *testing.T) {
 // TestAdvanceFromAcrossStride: a stream of four new items a step
 // outgrows the room GrowFrom leaves behind φ, φ′ and the background (64
 // items at this size) and has them laid out anew at steps 0, 17 and 34.
-// In between, a derivation shares the previous one's slabs and
-// fold-in's transposes of them, and at every step it writes the bytes
+// In between, a derivation shares the previous one's slabs and, under
+// time topics, the item-major table laid out from them (an ITCAM table
+// holds the refit item contexts too), and at every step it writes the bytes
 // of the derivation from nothing. The last bundle is then saved and
 // reloaded — stride back to V — and both copies, as boot bundles of a
 // further stream, derive the same bytes again.
@@ -143,11 +144,12 @@ func TestAdvanceFromAcrossStride(t *testing.T) {
 				if relaid := step%17 == 0; adv.SlabsShared == relaid {
 					t.Errorf("step %d (%d items): slabs shared with the previous derivation: %t", step, len(s.items), adv.SlabsShared)
 				}
-				if adv.TransposesShared && !adv.SlabsShared {
-					t.Errorf("step %d: transposes outlived the slabs they were made from", step)
+				table, before := adv.Bundle.Model.ItemTopics(), []float64(nil)
+				if prev != nil {
+					before = prev.Bundle.Model.ItemTopics()
 				}
-				if prev != nil && prev.TransposesShared && adv.SlabsShared && adv.UsersFolded > 0 && !adv.TransposesShared {
-					t.Errorf("step %d: fold-in transposed shared slabs again", step)
+				if shared := before != nil && &table[0] == &before[0]; shared != (adv.SlabsShared && name != "ITCAM") {
+					t.Errorf("step %d: item-major table shared with the previous derivation: %t, slabs: %t", step, shared, adv.SlabsShared)
 				}
 				prev = adv
 			}

@@ -112,6 +112,30 @@ func TestBundleIndexMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBruteForceScoresAreTAScores: on trained ITCAM, TTCAM and
+// TTCAM+background models, every score BruteForce ranks the whole
+// catalog by is, bit for bit, TA's score for the same item — the two add
+// the same terms in the same order.
+func TestBruteForceScoresAreTAScores(t *testing.T) {
+	for name, b := range bootBundles(t) {
+		m, ix := b.Model, b.BuildIndex()
+		for u := 0; u < m.NumUsers(); u++ {
+			for at := 0; at < m.NumIntervals(); at++ {
+				ta, _ := ix.Query(m, u, at, m.NumItems(), nil)
+				bf, _ := topk.BruteForce(m, u, at, m.NumItems(), nil)
+				if len(ta) != len(bf) {
+					t.Fatalf("%s (%d,%d): TA ranked %d items, BruteForce %d", name, u, at, len(ta), len(bf))
+				}
+				for i := range bf {
+					if ta[i] != bf[i] {
+						t.Errorf("%s (%d,%d) rank %d: TA %+v, BruteForce %+v", name, u, at, i, ta[i], bf[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestValidateCatchesMismatches(t *testing.T) {
 	_, tm, grid, users, items := trainedModels(t)
 	tests := []struct {

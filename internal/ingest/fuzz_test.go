@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -67,10 +68,10 @@ func frameRule(segs [][]byte) (payloads [][]byte, corrupt bool, tail int) {
 // Refresh, Replay from 0 and Open classify them as frameRule does,
 // without panicking. A torn tail is invisible to Refresh and truncated
 // by Open; anything else that is no frame is refused by both. Replay
-// delivers every record up to the end found, in order, as Decode reads
-// its payload, and stops with an error at the first payload that does
-// not decode. No frame costs more than maxPayload bytes of allocation,
-// whatever its length field claims.
+// delivers every frame up to the end found, in order: as Decode reads
+// its payload, or, for a payload that does not decode, as a record
+// Validate refuses with the decode error. No frame costs more than
+// maxPayload bytes of allocation, whatever its length field claims.
 func FuzzSegments(f *testing.F) {
 	addLog := func(dir string) {
 		bases, err := segmentBases(dir)
@@ -127,13 +128,13 @@ func FuzzSegments(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16) {
 		segs, bases := layout(data, cut1, cut2)
 		payloads, corrupt, tail := frameRule(segs)
-		want := make([]Record, 0, len(payloads)) // the records up to the first that does not decode
-		for _, p := range payloads {
+		want := make([]Record, len(payloads)) // zero where the payload does not decode
+		decodes := make([]bool, len(payloads))
+		for i, p := range payloads {
 			r, err := Decode(p)
-			if err != nil {
-				break
+			if decodes[i] = err == nil; decodes[i] {
+				want[i] = r
 			}
-			want = append(want, r)
 		}
 		dir := t.TempDir()
 		reader, err := Open(dir) // fresh: it has seen no record
@@ -159,14 +160,21 @@ func FuzzSegments(f *testing.F) {
 		replay := func(door string, l *Log) {
 			n := 0
 			err := l.Replay(0, func(off int64, r Record) error {
-				if off != int64(n) || n >= len(want) || r != want[n] {
-					t.Fatalf("%s: Replay delivered %+v at offset %d, record %d", door, r, off, n)
+				if off != int64(n) || n >= len(want) {
+					t.Fatalf("%s: Replay delivered %+v at offset %d, record %d of %d", door, r, off, n, len(want))
+				}
+				if decodes[n] && r != want[n] {
+					t.Fatalf("%s: Replay delivered %+v at offset %d, Decode reads %+v", door, r, off, want[n])
+				}
+				if !decodes[n] && (r.User != "" || r.Item != "" || r.Time != 0 || r.Score != 0 ||
+					r.Validate() == nil || !strings.Contains(r.Validate().Error(), "undecodable")) {
+					t.Fatalf("%s: the undecodable frame at offset %d arrived as %+v, Validate: %v", door, off, r, r.Validate())
 				}
 				n++
 				return nil
 			})
-			if n != len(want) || (err != nil) != (len(want) < len(payloads)) {
-				t.Fatalf("%s: Replay delivered %d records, error %v; %d decode, of %d", door, n, err, len(want), len(payloads))
+			if n != len(want) || err != nil {
+				t.Fatalf("%s: Replay delivered %d of %d frames, error %v", door, n, len(want), err)
 			}
 		}
 		var before, after runtime.MemStats

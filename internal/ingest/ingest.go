@@ -76,13 +76,18 @@ type Record struct {
 	Item  string  `json:"item"`
 	Time  int64   `json:"time"`
 	Score float64 `json:"score"`
+
+	undecodable error // why a replayed frame is no Record; Validate returns it
 }
 
 // Validate is the one rule for an event, applied at every door one
 // enters by — Append, dataset.Interactions.Add (so JSONL loading) and
-// the updater, which skips a logged record that fails it: both names
-// non-empty and the score accepted by cuboid.CheckScore.
+// the updater, which skips a logged record that fails it: a decoded
+// frame, both names non-empty, the score accepted by cuboid.CheckScore.
 func (r Record) Validate() error {
+	if r.undecodable != nil {
+		return r.undecodable
+	}
 	if r.User == "" || r.Item == "" {
 		return fmt.Errorf("ingest: record needs non-empty user and item, got user=%q item=%q", r.User, r.Item)
 	}
@@ -207,10 +212,10 @@ func (l *Log) Append(recs ...Record) (int64, error) {
 // immutable prefix present when Replay starts; records appended
 // concurrently may or may not be seen. A Replay that starts where the
 // handle's previous one stopped — a tailing consumer's next cycle —
-// reads only the bytes appended since. It delivers every record that
-// Decode accepts, valid or not — Append writes none that Validate
-// refuses, but the log may hold one another writer framed — and stops
-// with an error at a frame that does not decode.
+// reads only the bytes appended since. It delivers every frame, valid
+// or not — Append writes none that Validate refuses, but another writer
+// may — a payload Decode refuses as a Record Validate refuses with that
+// error, so a consumer skips it as it skips any invalid record.
 func (l *Log) Replay(from int64, fn func(off int64, rec Record) error) error {
 	bases, err := segmentBases(l.dir)
 	if err != nil {
@@ -238,7 +243,7 @@ func (l *Log) Replay(from int64, fn func(off int64, rec Record) error) error {
 		}
 		rec, err := Decode(payload)
 		if err != nil {
-			return fmt.Errorf("ingest: decode record at offset %d: %w", off, err)
+			rec = Record{undecodable: fmt.Errorf("ingest: undecodable record: %w", err)}
 		}
 		return fn(off, rec)
 	})

@@ -83,7 +83,7 @@ func assertSameModel(t *testing.T, label string, got, want *Model) {
 // shares no memory with the code under test.
 func cloneModel(m *Model) *Model {
 	out := *m
-	for _, p := range []*[]float64{&out.theta, &out.phi, &out.ctx, &out.phiX, &out.lambda, &out.background} {
+	for _, p := range []*[]float64{&out.theta, &out.phi, &out.ctx, &out.phiX, &out.lambda, &out.background, &out.table} {
 		if *p != nil {
 			*p = append([]float64(nil), *p...)
 		}

@@ -52,7 +52,7 @@ func (m *Model) FitNewInterval(items []int, weights []float64, numItems, iters i
 		return row
 	}
 
-	k2, S := m.k2, m.stride
+	k1, k2, k := m.k1, m.k2, m.NumTopics()
 	thetaNew := make([]float64, k2)
 	for x := range thetaNew {
 		thetaNew[x] = 1 / float64(k2)
@@ -60,17 +60,14 @@ func (m *Model) FitNewInterval(items []int, weights []float64, numItems, iters i
 	if len(items) == 0 {
 		return thetaNew
 	}
-	// Each rated item's P(v|φ'x) column, gathered once: the rounds below
-	// then read one contiguous K2-row per item instead of striding φ'.
+	// Each rated item's P(v|φ'x) over x, a run of its table row, gathered
+	// once: the rounds below then read one compact array.
 	w := make([]float64, 0, len(items))
 	cols := make([]float64, 0, len(items)*k2)
 	for i, v := range items {
-		if !valid(i) {
-			continue
-		}
-		w = append(w, weights[i])
-		for x := 0; x < k2; x++ {
-			cols = append(cols, m.phiX[x*S+v])
+		if valid(i) {
+			w = append(w, weights[i])
+			cols = append(cols, m.table[v*k+k1:v*k+k1+k2]...)
 		}
 	}
 	acc := make([]float64, k2)
@@ -110,9 +107,9 @@ func (m *Model) FitNewInterval(items []int, weights []float64, numItems, iters i
 // they are laid out once, rows a stride apart with room behind the
 // catalog (model.SpareItems), and every later growth that still fits
 // the stride shares prev's slabs outright. Nothing is written to them
-// again: the room was zero from the start. Storage that stays put is
-// also what lets the TA index and the fold-in transposes derived from
-// it be inherited by pointer comparison.
+// again: the room was zero from the start. A TTCAM table (ItemTopics)
+// goes with them, an ITCAM one, which holds the contexts, is laid out
+// anew; storage that stays put lets the TA index inherit by pointer.
 func (m *Model) GrowFrom(prev *Model, numIntervals, numItems int, newContexts [][]float64) (*Model, error) {
 	if numItems < m.numItems {
 		return nil, fmt.Errorf("tcam: cannot shrink items %d -> %d", m.numItems, numItems)
@@ -137,12 +134,12 @@ func (m *Model) GrowFrom(prev *Model, numIntervals, numItems int, newContexts []
 	out.numIntervals, out.numItems, out.grownFrom = numIntervals, numItems, m
 	switch {
 	case prev != nil && prev.grownFrom == m && numItems <= prev.stride:
-		out.stride, out.itemMajor = prev.stride, prev.itemMajor
+		out.stride, out.table = prev.stride, prev.table
 		out.phi, out.phiX, out.background = prev.phi, prev.phiX, prev.background
 	case numItems <= m.stride:
 		// The receiver's own rows already end in the new items' zeros.
 	default:
-		out.stride, out.itemMajor = numItems+model.SpareItems(numItems), nil
+		out.stride, out.table = numItems+model.SpareItems(numItems), nil
 		out.phi = widenRows(m.phi, m.stride, out.stride, m.k1)
 		out.phiX = widenRows(m.phiX, m.stride, out.stride, m.k2)
 		if m.background != nil {
@@ -153,16 +150,10 @@ func (m *Model) GrowFrom(prev *Model, numIntervals, numItems int, newContexts []
 	for i, ctx := range newContexts {
 		copy(out.ctx[(m.numIntervals+i)*width:], ctx)
 	}
-	return &out, nil
-}
-
-// SharedWith reports what m holds that is prev's own storage: the φ, φ'
-// and background slabs, and fold-in's transposes of them.
-func (m *Model) SharedWith(prev *Model) (slabs, transposes bool) {
-	if prev == nil {
-		return false, false
+	if out.table == nil || m.k2 == 0 {
+		out.table = out.layTable(nil)
 	}
-	return &m.phi[0] == &prev.phi[0], m.itemMajor != nil && m.itemMajor == prev.itemMajor
+	return &out, nil
 }
 
 // widenRows copies the oldCols-wide rows of src into a zeroed
@@ -242,13 +233,7 @@ func (m *Model) FoldInUsersFrom(prev *Model, kept []bool, data *cuboid.Cuboid, i
 			hi++
 		}
 		if tr == nil {
-			// The frozen φ and φ′ are transposed once per slab, not once per
-			// fold: the copy stays with the slabs it was made from, through
-			// GrowFrom, for as long as generations share them.
-			if out.itemMajor == nil {
-				out.itemMajor = newItemMajor(&out)
-			}
-			tr = newTrainer(&out, data, out.itemMajor)
+			tr = newTrainer(&out, data)
 			tr.frozen = true
 			r = train.NewReducer(tr, 0)
 		}

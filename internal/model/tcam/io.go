@@ -117,5 +117,6 @@ func Read(r io.Reader) (*Model, error) {
 	if len(m.background) != want {
 		return nil, fmt.Errorf("tcam: background length %d, want %d", len(m.background), want)
 	}
+	m.table = m.layTable(nil)
 	return m, nil
 }

@@ -152,12 +152,11 @@ type Model struct {
 	backgroundW float64   // λB; 0 when disabled
 	background  []float64 // 1×stride: θB, empirical item distribution
 
+	table []float64 // stride×NumTopics(): ItemTopics, built by layTable alone
+
 	// grownFrom is the model GrowFrom derived this one from (through any
-	// number of fold-ins), and itemMajor the fold-in trainer's transposes
-	// of exactly these φ and φ′ slabs. Both exist for the next derivation
-	// to inherit from (GrowFrom, FoldInUsersFrom); scoring reads neither.
+	// number of fold-ins), for the next growth to inherit from.
 	grownFrom *Model
-	itemMajor *itemMajor
 }
 
 // ctxWidth is the row length of the temporal-context table under the
@@ -234,12 +233,12 @@ func (m *Model) Score(u, t, v int) float64 {
 }
 
 // ScoreAll fills scores[v] with Score(u, t, v) for every item in one
-// pass over the topic matrices. For TTCAM the per-topic weights and
-// accumulation order are exactly those of QueryWeightsInto over
-// TopicItems (user topics ascending, then time topics, then the
-// background), so results stay bit-identical to the index-based scorer
-// without materializing the weight vector; ITCAM seeds the buffer with
-// the interval's context and adds the user topics onto it.
+// pass over the topic matrices. The per-topic weights and accumulation
+// order are exactly those of QueryWeightsInto over TopicItems (user
+// topics ascending, then the interval's context — ITCAM's one
+// pseudo-topic or TTCAM's time topics — then the background), so
+// results are the index-based scorer's bit for bit without
+// materializing the weight vector.
 //
 //tcam:hotpath
 func (m *Model) ScoreAll(u, t int, scores []float64) {
@@ -249,15 +248,13 @@ func (m *Model) ScoreAll(u, t int, scores []float64) {
 	lam := m.lambda[u]
 	scale := 1 - m.backgroundW
 	ctx := m.TemporalContext(t)
+	train.Zero(scores)
+	addTopics(scores, scale*lam, m.UserInterest(u), m.phi, m.stride)
 	if m.k2 == 0 {
-		for v := range scores {
-			scores[v] = (1 - lam) * ctx[v]
+		for v, p := range ctx {
+			scores[v] += (1 - lam) * p
 		}
 	} else {
-		train.Zero(scores)
-	}
-	addTopics(scores, scale*lam, m.UserInterest(u), m.phi, m.stride)
-	if m.k2 > 0 {
 		addTopics(scores, scale*(1-lam), ctx, m.phiX, m.stride)
 	}
 	if wz := m.backgroundW; wz > 0 {
@@ -356,6 +353,28 @@ func (m *Model) TopicItems(z int) []float64 {
 	default:
 		return m.background[:m.numItems]
 	}
+}
+
+// ItemTopics returns TopicItems item-major, one row per stride position:
+// [ϕ·v | ϕ′·v (| θB(v))] for TTCAM, [ϕ·v | θ′₀(v) … θ′_{T−1}(v)] for
+// ITCAM, zero behind NumItems(). Callers must not modify it.
+func (m *Model) ItemTopics() []float64 { return m.table }
+
+// layTable returns the ItemTopics table, a verbatim copy of the slabs,
+// written into dst when dst has its length — a training model refilling
+// its own table after an M-step — and allocated otherwise: a model that
+// may share its table passes nil.
+func (m *Model) layTable(dst []float64) []float64 {
+	k := m.NumTopics()
+	if len(dst) != m.stride*k {
+		dst = make([]float64, m.stride*k)
+	}
+	for z := 0; z < k; z++ {
+		for v, p := range m.TopicItems(z) {
+			dst[v*k+z] = p
+		}
+	}
+	return dst
 }
 
 var _ model.TopicScorer = (*Model)(nil)

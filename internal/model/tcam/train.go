@@ -55,7 +55,8 @@ func prepare(data *cuboid.Cuboid, cfg Config) (*trainer, error) {
 	m.phiX = make([]float64, m.k2*V)
 	m.lambda = make([]float64, n)
 	m.initialize(data, cfg.Seed)
-	return newTrainer(m, data, newItemMajor(m)), nil
+	m.table = m.layTable(nil)
+	return newTrainer(m, data), nil
 }
 
 // initialize seeds θ, φ and the topic-mixture context (θ', φ') with
@@ -102,21 +103,19 @@ func fillJitteredRows(rng *rand.Rand, data []float64, cols int) {
 // disjoint row range of one shared slab — so only the global φ, θ' and
 // φ' slabs live in the accumulators and are merged.
 //
-// phiT and phiXT (itemMajor) are the E-step's read-side copies of φ and
-// φ' in item-major layout, rebuilt — by bit-exact transposition — after
-// every M-step and on checkpoint restore. The per-cell topic loops then
-// read one contiguous K-length row per matrix instead of a stride-V
-// column, and the accumulators store their φ/φ' statistics in the
-// same item-major layout so the loops' writes are contiguous too. For
-// ITCAM the φ' slabs are empty.
+// The E-step reads φ, φ' and an item context through the model's
+// item-major table (ItemTopics), which the M-step lays out again from
+// the new slabs. The per-cell topic loops then read one contiguous row
+// per item instead of a stride-V column per topic, and the
+// accumulators store their φ/φ' statistics item-major too, so the
+// loops' writes are contiguous as well.
 //
 // A frozen trainer is fold-in's: φ, θ' and φ' are held fixed and only
 // userStep follows its E-steps, so its accumulators carry no global
 // slab — nothing item- or interval-sized is allocated, cleared or
-// merged — and the E-step leaves those statistics out. Its transposes
-// are the model's own carried copy, never refreshed. The per-cell user
-// statistics (θ, λ) are computed by the same operations in the same
-// order either way.
+// merged — and the E-step leaves those statistics out. It reads the
+// table the model carries. The per-cell user statistics (θ, λ) are
+// computed by the same operations in the same order either way.
 type trainer struct {
 	m      *Model
 	data   *cuboid.Cuboid
@@ -125,51 +124,24 @@ type trainer struct {
 	theta  []float64 // N×K1, an E-step over [lo, hi) owns rows [lo, hi)
 	lamNum []float64 // N
 	lamDen []float64 // N
-	*itemMajor
-}
-
-// itemMajor holds the transposes of a model's φ and φ' slabs, one row
-// of K1 or K2 entries per item — per stride position, so a model that
-// grows within its stride (GrowFrom) finds its new items' rows, all
-// zero, already there.
-type itemMajor struct {
-	phiT  []float64 // stride×K1: transpose of Model.phi
-	phiXT []float64 // stride×K2: transpose of Model.phiX
-}
-
-func newItemMajor(m *Model) *itemMajor {
-	im := &itemMajor{phiT: make([]float64, len(m.phi)), phiXT: make([]float64, len(m.phiX))}
-	im.refresh(m)
-	return im
-}
-
-// refresh rebuilds the transposes from m's current φ and φ'.
-// Transposition is pure data movement, so the E-step reads exactly the
-// values it would have read from m.phi and m.phiX.
-func (im *itemMajor) refresh(m *Model) {
-	train.Transpose(im.phiT, m.phi, m.k1, m.stride)
-	train.Transpose(im.phiXT, m.phiX, m.k2, m.stride)
 }
 
 // newTrainer sizes the statistics for running EM rounds over data
-// against m, reading φ and φ' through im: a fresh model and fresh
-// transposes (Train), or a grown model and the transposes it carries
-// (fold-in).
-func newTrainer(m *Model, data *cuboid.Cuboid, im *itemMajor) *trainer {
+// against m: a fresh model (Train) or a grown one (fold-in).
+func newTrainer(m *Model, data *cuboid.Cuboid) *trainer {
 	return &trainer{
-		m:         m,
-		data:      data,
-		theta:     make([]float64, len(m.theta)),
-		lamNum:    make([]float64, m.numUsers),
-		lamDen:    make([]float64, m.numUsers),
-		itemMajor: im,
+		m:      m,
+		data:   data,
+		theta:  make([]float64, len(m.theta)),
+		lamNum: make([]float64, m.numUsers),
+		lamDen: make([]float64, m.numUsers),
 	}
 }
 
 // accum is one shard's global sufficient-statistic slabs and posterior
-// scratch. The φ and φ' slabs are item-major, mirroring
-// trainer.phiT/phiXT; ctx has the layout of Model.ctx. Under a frozen
-// trainer the three global slabs are nil.
+// scratch. The φ and φ' slabs are item-major, stride V×K1 and V×K2;
+// ctx has the layout of Model.ctx. Under a frozen trainer the three
+// global slabs are nil.
 type accum struct {
 	phiT  []float64 // V×K1
 	ctx   []float64 // T×ctxWidth
@@ -239,7 +211,7 @@ func (tr *trainer) EStep(acc train.Accum, lo, hi int) {
 //
 // The scan is a linear walk of the cuboid's CSR columns — no index
 // indirection — and every slab the K1/K2 inner loops touch (θ and θ'
-// rows, their accumulator rows, the item-major φ/φ' rows and their
+// rows, their accumulator rows, the item's table row and its
 // accumulator rows, posterior scratch) is one contiguous K-length
 // block, so the whole per-cell working set stays cache-resident. They
 // are two functions because the per-cell arithmetic differs — the item
@@ -254,9 +226,10 @@ func (tr *trainer) EStep(acc train.Accum, lo, hi int) {
 func (tr *trainer) eStepItems(a *accum, first, last int) {
 	m := tr.m
 	k1, V := m.k1, m.numItems
+	k := m.NumTopics()
 	data := tr.data
 	ts, vs, scores := data.CSR()
-	phiT := tr.phiT
+	table := m.table
 	frozen := tr.frozen
 	pz := a.pz
 	var ll float64
@@ -268,8 +241,9 @@ func (tr *trainer) eStepItems(a *accum, first, last int) {
 		for i := lo; i < hi; i++ {
 			v, t, w := int(vs[i]), int(ts[i]), scores[i]
 
-			pu := train.DotInto(pz, thetaRow, phiT[v*k1:(v+1)*k1])
-			pt := m.ctx[t*V+v]
+			row := table[v*k : v*k+k]
+			pu := train.DotInto(pz, thetaRow, row[:k1])
+			pt := row[k1+t]
 			denom := lam*pu + (1-lam)*pt
 			if denom <= 0 {
 				denom = 1e-300
@@ -302,10 +276,10 @@ func (tr *trainer) eStepItems(a *accum, first, last int) {
 func (tr *trainer) eStepTopics(a *accum, first, last int) {
 	m := tr.m
 	k1, k2 := m.k1, m.k2
+	k := m.NumTopics()
 	data := tr.data
 	ts, vs, scores := data.CSR()
-	phiT := tr.phiT
-	phiXT := tr.phiXT
+	table := m.table
 	frozen := tr.frozen
 	bw := m.backgroundW
 	pz := a.pz
@@ -319,8 +293,9 @@ func (tr *trainer) eStepTopics(a *accum, first, last int) {
 		for i := lo; i < hi; i++ {
 			v, t, w := int(vs[i]), int(ts[i]), scores[i]
 
-			pu := train.DotInto(pz, thetaRow, phiT[v*k1:(v+1)*k1])
-			pt := train.DotInto(px, m.ctx[t*k2:(t+1)*k2], phiXT[v*k2:(v+1)*k2])
+			row := table[v*k : v*k+k1+k2]
+			pu := train.DotInto(pz, thetaRow, row[:k1])
+			pt := train.DotInto(px, m.ctx[t*k2:(t+1)*k2], row[k1:])
 			mix := lam*pu + (1-lam)*pt
 			denom := mix
 			var pbg float64 // posterior mass of the background path
@@ -374,7 +349,7 @@ func (tr *trainer) MStep(merged train.Accum) float64 {
 	model.NormalizeRows(m.ctx, m.ctxWidth(V), Smoothing)
 	train.Transpose(m.phiX, a.phiXT, V, m.k2) // item-major stats back to K2×V
 	model.NormalizeRows(m.phiX, V, Smoothing)
-	tr.refresh(m)
+	m.table = m.layTable(m.table)
 	if model.AssertionsEnabled {
 		model.AssertRowStochastic("tcam phi", m.phi, V, 1e-9)
 		model.AssertRowStochastic("tcam context", m.ctx, m.ctxWidth(V), 1e-9)
@@ -422,7 +397,6 @@ func (tr *trainer) DecodeParams(r io.Reader) error {
 	}
 	loaded.label = m.label
 	*m = *loaded
-	tr.refresh(m)
 	return nil
 }
 

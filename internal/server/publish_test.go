@@ -15,8 +15,8 @@ import (
 
 // TestPublishBytesAreDelta: once a growing publish has laid the
 // item-indexed tables out with room, a cycle that brings a handful of
-// stream-born items and users allocates less than one transposed table
-// of the TA index — where it used to allocate both of them, every
+// stream-born items and users allocates less than one f64 item-major
+// table — where it used to allocate the index's two tables, every
 // sorted list, the model's φ and φ′ and fold-in's transposes of them.
 // Counted in bytes (runtime.MemStats.TotalAlloc around Step, collector
 // off), so the regression cannot hide behind a noisy clock.
@@ -56,14 +56,14 @@ func TestPublishBytesAreDelta(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	table := uint64(8 * len(boot.Items) * boot.Scorer().NumTopics()) // byItem of the boot index
+	table := uint64(8 * len(boot.Items) * boot.Scorer().NumTopics()) // the boot model's item-major table
 	first := step(0)
 	if first < table {
 		t.Fatalf("the first growing publish allocated %d B, less than one %d B table: the fixture does not lay anything out", first, table)
 	}
 	for cycle := 1; cycle <= 4; cycle++ {
 		if got := step(cycle); got >= table {
-			t.Errorf("cycle %d: a publish of 8 new items and 8 new users allocated %d B, want less than one %d B byItem table (the first growing publish: %d B)",
+			t.Errorf("cycle %d: a publish of 8 new items and 8 new users allocated %d B, want less than one %d B item-major table (the first growing publish: %d B)",
 				cycle, got, table, first)
 		} else {
 			t.Logf("cycle %d: %d B (table %d B, first growing publish %d B)", cycle, got, table, first)
@@ -124,8 +124,8 @@ func TestReadersDuringGrowingPublishes(t *testing.T) {
 		if published, err := up.Step(); err != nil || !published {
 			t.Fatalf("Step %d = (%v, %v)", gen, published, err)
 		}
-		if sn := srv.snapshot(); gen > 0 && !sn.idx.TablesShared() {
-			t.Errorf("generation %d laid its tables out anew: the readers are not reading shared storage", gen)
+		if sn := srv.snapshot(); gen > 0 && !sn.idx.ScreenShared() {
+			t.Errorf("generation %d laid its screen out anew: the readers are not reading shared storage", gen)
 		}
 	}
 	close(stop)

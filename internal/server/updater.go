@@ -116,8 +116,8 @@ func NewUpdater(srv *Server, lg *ingest.Log, boot *index.Bundle, cfg UpdaterConf
 // it — where it was; the next Step retries the same records
 // (vocabulary interning is idempotent and the hot-user sketch counts a
 // record once, so a half-failed cycle cannot skew indices or rankings).
-// A record no cycle could absorb — one ingest.Record.Validate refuses,
-// or one dataset.Gridder.Open refuses to open intervals for — is
+// A record no cycle could absorb — one ingest.Record.Validate refuses
+// (an undecodable frame too) or dataset.Gridder.Open cannot open — is
 // skipped with a warning naming its offset, before its names are
 // interned or the sketch sees it; whether a record is skipped depends
 // only on the log prefix, so it is the same at every chunking and
@@ -183,8 +183,7 @@ func (u *Updater) Step() (bool, error) {
 		"lists_kept", sn.idx.ListsKept(), "lists_sorted", sn.idx.NumLists()-sn.idx.ListsKept(),
 		"contexts_kept", adv.ContextsKept, "contexts_fit", adv.ContextsFit,
 		"users_kept", adv.UsersKept, "users_folded", adv.UsersFolded,
-		"lists_shared", sn.idx.ListsShared(), "lists", sn.idx.NumLists(), "tables_shared", sn.idx.TablesShared(),
-		"slabs_shared", adv.SlabsShared, "transposes_shared", adv.TransposesShared,
+		"lists_shared", sn.idx.ListsShared(), "lists", sn.idx.NumLists(), "screen_shared", sn.idx.ScreenShared(), "slabs_shared", adv.SlabsShared,
 		"warmed_users", warm.users, "warm_took", warm.took.Round(time.Microsecond), "warm_list_pops_per_user", warm.popsPerUser())
 	return true, nil
 }

@@ -192,11 +192,12 @@ func TestUpdaterKillAndResume(t *testing.T) {
 	var logA, logB bytes.Buffer
 	srvA.Log = slog.New(slog.NewTextHandler(&logA, nil))
 
-	// Records 1 to 3 are ones no process could fold in: one would open
-	// fifty million intervals, and two — framed by a writer that is not
-	// Append, which refuses them — fail Record.Validate. Each is skipped,
-	// by the survivor and by every restart alike, and the records on
-	// either side of them are published.
+	// Records 1 to 4 are ones no process could fold in: one would open
+	// fifty million intervals, and three — framed by a writer that is not
+	// Append, which refuses them — fail Record.Validate, the last being
+	// no JSON at all. Each is skipped, by the survivor and by every
+	// restart alike, and the records on either side of them are
+	// published.
 	appendEvents(t, dir,
 		ingest.Record{User: "user-late", Item: "item-3", Time: 105, Score: 2},
 		farFuture,
@@ -204,6 +205,7 @@ func TestUpdaterKillAndResume(t *testing.T) {
 	testfixture.AppendFrames(t, dir,
 		ingest.Record{User: "user-zero", Item: "item-zero", Time: 106, Score: 0},
 		ingest.Record{User: "", Item: "item-orphan", Time: 107, Score: 1},
+		[]byte("not json"),
 	)
 	appendEvents(t, dir, ingest.Record{User: "user-later", Item: "item-new", Time: 141, Score: 1})
 	if _, err := upA.Step(); err != nil {
@@ -232,8 +234,8 @@ func TestUpdaterKillAndResume(t *testing.T) {
 	if published, err := upA.Step(); err != nil || !published {
 		t.Fatalf("survivor Step = (%v, %v), want (true, nil)", published, err)
 	}
-	if upA.offset != 6 || upB.offset != 6 {
-		t.Fatalf("offsets after resume: survivor %d, restarted %d, want 6", upA.offset, upB.offset)
+	if upA.offset != 7 || upB.offset != 7 {
+		t.Fatalf("offsets after resume: survivor %d, restarted %d, want 7", upA.offset, upB.offset)
 	}
 	for _, srv := range []*Server{srvA, srvB} {
 		if h := healthOf(t, srv); h.Users != 8 || h.Items != 13 || h.Intervals != 5 {
@@ -252,8 +254,8 @@ func TestUpdaterKillAndResume(t *testing.T) {
 				skipped = append(skipped, off)
 			}
 		}
-		if !reflect.DeepEqual(skipped, []string{"1", "2", "3"}) {
-			t.Errorf("%s warned of skipping offsets %v, want [1 2 3]:\n%s", name, skipped, logs)
+		if !reflect.DeepEqual(skipped, []string{"1", "2", "3", "4"}) {
+			t.Errorf("%s warned of skipping offsets %v, want [1 2 3 4]:\n%s", name, skipped, logs)
 		}
 	}
 	a, b := snapshotBytes(t, srvA), snapshotBytes(t, srvB)

@@ -18,7 +18,6 @@ import (
 	"tcam/internal/cuboid"
 	"tcam/internal/dataset"
 	"tcam/internal/index"
-	"tcam/internal/ingest"
 	"tcam/internal/model/tcam"
 )
 
@@ -101,8 +100,9 @@ func Saved(tb testing.TB, users, days int) string {
 // of its on-disk format ([4B LE length][JSON record][4B LE CRC32-IEEE]),
 // written straight to its highest segment without ingest.Record.Validate:
 // records another writer might have framed, which Log.Append refuses.
-// Handles see them after a Refresh.
-func AppendFrames(tb testing.TB, dir string, recs ...ingest.Record) {
+// A []byte is framed as it is, JSON or not. Handles see them after a
+// Refresh.
+func AppendFrames(tb testing.TB, dir string, recs ...any) {
 	tb.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
@@ -114,9 +114,12 @@ func AppendFrames(tb testing.TB, dir string, recs ...ingest.Record) {
 	}
 	var buf []byte
 	for _, r := range recs {
-		payload, err := json.Marshal(r)
-		if err != nil {
-			tb.Fatal(err)
+		payload, ok := r.([]byte)
+		if !ok {
+			var err error
+			if payload, err = json.Marshal(r); err != nil {
+				tb.Fatal(err)
+			}
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 		buf = append(buf, payload...)

@@ -82,9 +82,9 @@ func nextGeneration(rng *rand.Rand, c *contextModel, how string) *contextModel {
 }
 
 // assertSameIndex checks got against want field for field — topic and
-// context lists, both transposed tables down to the bit, the screen and
-// bound constants, window — and then through the Threshold Algorithm:
-// same answers, same Stats.
+// context lists, the borrowed table's window rows and the screen down to
+// the bit, the screen and bound constants, window — and then through
+// the Threshold Algorithm: same answers, same Stats.
 func assertSameIndex(t *testing.T, label string, rng *rand.Rand, c *contextModel, got, want *Index) {
 	t.Helper()
 	if got.numTopics != want.numTopics || got.numItems != want.numItems || got.itemLo != want.itemLo ||
@@ -110,14 +110,14 @@ func assertSameIndex(t *testing.T, label string, rng *rand.Rand, c *contextModel
 	if !reflect.DeepEqual(got.floor, want.floor) {
 		t.Fatalf("%s: floor list differs from a from-scratch build\n got %v\nwant %v", label, got.floor, want.floor)
 	}
-	if len(got.byItem) != len(want.byItem) || len(got.byItem32) != len(want.byItem32) {
-		t.Fatalf("%s: transposed tables sized %d/%d, want %d/%d", label,
-			len(got.byItem), len(got.byItem32), len(want.byItem), len(want.byItem32))
+	if len(got.byItem32) != len(want.byItem32) {
+		t.Fatalf("%s: screen sized %d, want %d", label, len(got.byItem32), len(want.byItem32))
 	}
-	for i := range want.byItem {
-		if math.Float64bits(got.byItem[i]) != math.Float64bits(want.byItem[i]) ||
-			math.Float32bits(got.byItem32[i]) != math.Float32bits(want.byItem32[i]) {
-			t.Fatalf("%s: transposed table entry %d differs", label, i)
+	for i, base := range want.byItem32 {
+		j := want.itemLo*want.numTopics + i
+		if math.Float64bits(got.table[j]) != math.Float64bits(want.table[j]) ||
+			math.Float32bits(got.byItem32[i]) != math.Float32bits(base) {
+			t.Fatalf("%s: table or screen entry %d of the window differs", label, i)
 		}
 	}
 	for trial := 0; trial < 8; trial++ {
@@ -267,19 +267,27 @@ func TestBuildIndexFromInherits(t *testing.T) {
 // grow stream-born items arrive, weighing +0 in every topic that
 // existed — the rows one reslice longer where their storage has room,
 // like a model grown within its stride, and moved to wider storage
-// where it has not. The live interval is refit; now and then another
-// opens. With itemContexts (ITCAM's shape: the trailing topics are the
-// intervals' item distributions, nothing collapsed) the refit draws the
-// live interval's row anew over the whole catalog, new items included,
-// so that one topic's tail is not zero.
+// where it has not. The item-major table goes with the rows: c's while
+// they stay put, laid out over their whole room when they move. The
+// live interval is refit; now and then another opens. With
+// itemContexts (ITCAM's shape: the trailing topics are the intervals'
+// item distributions, nothing collapsed) the refit draws the live
+// interval's row anew over the whole catalog, new items included, so
+// that one topic's tail is not zero and the table is laid out anew.
 func streamGeneration(rng *rand.Rand, c *contextModel, grow int, itemContexts, open bool) *contextModel {
 	v := c.NumItems() + grow
-	n := &contextModel{fakeTopicModel: &fakeTopicModel{}, lo: c.lo, hi: c.hi, user: c.user, gamma: c.gamma, omega: c.omega}
+	n := &contextModel{fakeTopicModel: &fakeTopicModel{table: c.table}, lo: c.lo, hi: c.hi, user: c.user, gamma: c.gamma, omega: c.omega}
+	var room [][]float64 // the rows over their whole storage
 	for _, row := range c.topics {
 		if cap(row) < v {
 			row = append(make([]float64, 0, v+64), row...)
+			n.table = nil
 		}
 		n.topics = append(n.topics, row[:v])
+		room = append(room, row[:cap(row)])
+	}
+	if n.table == nil && !itemContexts {
+		n.table = layOut(room, cap(room[0]))
 	}
 	liveRow := func() []float64 {
 		row := tiedRow(rng, v)
@@ -287,6 +295,7 @@ func streamGeneration(rng *rand.Rand, c *contextModel, grow int, itemContexts, o
 		return row
 	}
 	if itemContexts {
+		n.table = nil
 		n.topics[len(n.topics)-1] = liveRow()
 		if open {
 			n.topics = append(n.topics, liveRow())
@@ -354,8 +363,8 @@ func TestBuildIndexFromAcrossSpareRoom(t *testing.T) {
 				assertSameIndex(t, label, rng, c, got, BuildIndexFrom(nil, c, tc.lo, c.NumItems()))
 				assertBruteForce(t, label, rng, c, got)
 				room := gen%13 != 0 // a boot index leaves none, a relayout 64 items' worth: 13 links of 5
-				if want := room && !tc.itemContexts; got.TablesShared() != want {
-					t.Errorf("%s: tables shared with the previous generation: %t, want %t", label, got.TablesShared(), want)
+				if want := room && !tc.itemContexts; got.ScreenShared() != want {
+					t.Errorf("%s: screen shared with the previous generation: %t, want %t", label, got.ScreenShared(), want)
 				}
 				if room && got.ListsShared() < tc.wantShared {
 					t.Errorf("%s: %d of %d lists are the previous generation's storage, want at least %d",
@@ -371,23 +380,24 @@ func TestBuildIndexFromAcrossSpareRoom(t *testing.T) {
 // everywhere is the previous one's lists, floor list included, and
 // tables one reslice longer — the same arrays — once a growing build has
 // left room; an item with weight under one user topic costs that topic's
-// list, the floor and the tables a copy and the other lists nothing. A
-// boot index has no room to share.
+// list, the floor and — the scorer's table being laid out anew — the
+// screen a copy and the other lists nothing. A boot index has no room to
+// share.
 func TestZeroTailSharesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c := tiedContextModel(rng, 3, 2, 1, 3, 30)
 	boot := BuildIndex(c)
 	c = streamGeneration(rng, c, 4, false, false)
 	first := BuildIndexFrom(boot, c, 0, c.NumItems())
-	if first.TablesShared() || first.ListsShared() != 0 {
-		t.Fatalf("growing past a boot index shared its tables (%t) or %d lists: a boot index has no room", first.TablesShared(), first.ListsShared())
+	if first.ScreenShared() || first.ListsShared() != 0 {
+		t.Fatalf("growing past a boot index shared its screen (%t) or %d lists: a boot index has no room", first.ScreenShared(), first.ListsShared())
 	}
 	sameStorage := func(a, b *Index, z int) bool {
 		return &a.lists[z].items[0] == &b.lists[z].items[0] && &a.lists[z].weights[0] == &b.lists[z].weights[0]
 	}
 
 	zero := *c
-	zero.fakeTopicModel = &fakeTopicModel{}
+	zero.fakeTopicModel = &fakeTopicModel{table: c.table}
 	for _, row := range c.topics {
 		zero.topics = append(zero.topics, row[:len(row)+6]) // streamGeneration left zeroed room behind each row
 	}
@@ -406,8 +416,8 @@ func TestZeroTailSharesStorage(t *testing.T) {
 	if &next.floor.items[0] != &first.floor.items[0] || &next.floor.weights[0] != &first.floor.weights[0] {
 		t.Error("zero tail: the floor list was copied")
 	}
-	if &next.byItem[0] != &first.byItem[0] || &next.byItem32[0] != &first.byItem32[0] || !next.TablesShared() {
-		t.Error("zero tail: the transposed tables were copied")
+	if &next.byItem32[0] != &first.byItem32[0] || !next.ScreenShared() {
+		t.Error("zero tail: the screen was copied")
 	}
 	if next.ListsShared() != next.NumLists() {
 		t.Errorf("zero tail: %d of %d lists reported shared", next.ListsShared(), next.NumLists())
@@ -420,7 +430,7 @@ func TestZeroTailSharesStorage(t *testing.T) {
 	next = BuildIndexFrom(first, &weighed, 0, weighed.NumItems())
 	assertSameIndex(t, "weighed tail", rng, &weighed, next, BuildIndex(&weighed))
 	if sameStorage(next, first, 1) || &next.floor.items[0] == &first.floor.items[0] ||
-		&next.byItem[0] == &first.byItem[0] || &next.byItem32[0] == &first.byItem32[0] || next.TablesShared() {
+		&next.byItem32[0] == &first.byItem32[0] || next.ScreenShared() {
 		t.Error("weighed tail: a list or table with a new non-zero entry shares the previous generation's storage")
 	}
 	for _, z := range []int{0, 2, 5} {
@@ -434,7 +444,7 @@ func TestZeroTailSharesStorage(t *testing.T) {
 	negZero.topics[0][zero.NumItems()-1] = math.Copysign(0, -1)
 	next = BuildIndexFrom(first, &negZero, 0, negZero.NumItems())
 	assertSameIndex(t, "negative-zero tail", rng, &negZero, next, BuildIndex(&negZero))
-	if sameStorage(next, first, 0) || next.TablesShared() {
+	if sameStorage(next, first, 0) || next.ScreenShared() {
 		t.Error("negative-zero tail: −0 is not the +0 the spare room holds, yet storage was shared")
 	}
 }
@@ -463,8 +473,8 @@ func TestTwoSuccessorsOfOneGeneration(t *testing.T) {
 		assertSameIndex(t, "second successor", rng, b, second, BuildIndex(b))
 		assertSameIndex(t, "first successor after the second", rng, a, first, BuildIndex(a))
 		assertSameIndex(t, "their predecessor", rng, c, prev, BuildIndex(c))
-		if !itemContexts && (!first.TablesShared() || !second.TablesShared()) {
-			t.Error("the successors did not share their predecessor's tables: the test does not reach the reslice path")
+		if !itemContexts && (!first.ScreenShared() || !second.ScreenShared()) {
+			t.Error("the successors did not share their predecessor's screen: the test does not reach the reslice path")
 		}
 	}
 }

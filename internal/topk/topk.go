@@ -75,7 +75,7 @@ func BruteForce(r model.Recommender, u, t, k int, exclude Exclude) ([]Result, St
 	return h.appendSorted(make([]Result, 0, h.Len())), st
 }
 
-// Index holds the sorted item lists of Section 4.2 plus a transposed ϕ
+// Index holds the sorted item lists of Section 4.2 plus an item-major ϕ
 // table for O(K) full-score evaluation. There is one list per expanded
 // topic, except that the topics the scorer weighs by the interval alone
 // (model.TopicScorer's context range) are replaced by one collapsed list
@@ -83,22 +83,22 @@ func BruteForce(r model.Recommender, u, t, k int, exclude Exclude) ([]Result, St
 // of K2 heads, bounds the context half of an unseen item's score. A
 // scorer with user topics below that range also gets a floor list,
 // sorted by Σ_z ϕ_zv over the user topics, that carries the weight
-// those topics share. The table is dual: an exact float64 copy
-// (byItem) answers the confirm step, and a quantized float32 copy
-// (byItem32) feeds the screening scan that filters candidates at half
-// the memory traffic; both keep the full expanded-topic width, so a
-// confirmed score is BruteForce's bit for bit. Building from scratch is
-// O(K·V·logV), parallelized across lists; BuildIndexFrom inherits what a
-// previous generation's index already holds. Queries are read-only and
-// safe for concurrent use.
+// those topics share. The table is dual: the scorer's float64
+// ItemTopics, borrowed, answers the confirm step, and its window in
+// float32 (byItem32) feeds the screening scan at half the memory
+// traffic; both are full width, so a confirmed score is BruteForce's
+// bit for bit. Building from scratch is O(K·V·logV), parallelized
+// across lists; BuildIndexFrom inherits what a previous generation's
+// index already holds. Queries are read-only and safe for concurrent
+// use.
 type Index struct {
 	scorer model.TopicScorer // built from, and the only scorer Query accepts
 
 	numTopics int       // K, the expanded topic space: the width of a table row
 	numItems  int       // window size: number of items this index covers
 	itemLo    int       // global index of the window's first item (0 for a full index)
-	byItem    []float64 // V×K transposed topic weights: ϕ_zv at [v*K+z]
-	byItem32  []float32 // float32 quantization of byItem, same layout
+	table     []float64 // the scorer's ItemTopics: ϕ_zv at [v*K+z], v global
+	byItem32  []float32 // float32 conversion of the window's table rows: local item i at [i*K]
 
 	// lists[z] is expanded topic z's list, empty for the context topics
 	// [ctxLo, ctxHi), which contexts[t] — interval t's collapsed list —
@@ -117,12 +117,12 @@ type Index struct {
 	// generation's BuildIndexFrom compares against them to decide which
 	// lists it may inherit. kept counts the lists this index itself
 	// inherited, shared those of them that are prev's own storage, and
-	// tableShared says the same of byItem and byItem32.
-	topics      [][]float64
-	ctxWeights  [][]float64
-	kept        int
-	shared      int
-	tableShared bool
+	// screenShared says the same of byItem32.
+	topics       [][]float64
+	ctxWeights   [][]float64
+	kept         int
+	shared       int
+	screenShared bool
 
 	// screenScale and screenEps over-approximate the worst-case error of
 	// the float32 screening dot product: for any item,
@@ -152,8 +152,8 @@ type list struct {
 	weights []float64
 }
 
-// BuildIndex precomputes the sorted lists (and the transposed weight
-// table) for ts. Zero-weight entries are kept: the lists must cover the
+// BuildIndex precomputes the sorted lists (and the float32 screen) for
+// ts. Zero-weight entries are kept: the lists must cover the
 // catalog for the threshold bound to hold as k grows.
 func BuildIndex(ts model.TopicScorer) *Index {
 	return BuildIndexFrom(nil, ts, 0, ts.NumItems())
@@ -166,9 +166,10 @@ func BuildIndex(ts model.TopicScorer) *Index {
 // callbacks receive global item indices, and scores are the exact
 // full-model scores, so merging disjoint windows' top-k lists by (score
 // desc, item asc) reproduces the monolithic top-k bit for bit (the
-// global top-k is a subset of the union of per-window top-k's). Memory
-// scales with the window, not the catalog: lists and both transposed
-// tables hold hi−lo entries per list or topic.
+// global top-k is a subset of the union of per-window top-k's). What
+// the index builds scales with the window, not the catalog: lists and
+// the float32 screen hold hi−lo entries per list or topic. The exact
+// confirm reads the scorer's whole-catalog table, which it borrows.
 //
 // prev is the index of the previous generation: whatever it already
 // holds that the new scorer leaves unchanged is inherited instead of
@@ -185,7 +186,7 @@ func BuildIndex(ts model.TopicScorer) *Index {
 // the sorted tail of items prev did not cover yields the one sorted
 // list of the whole window; otherwise the list is sorted from scratch.
 // New items that all weigh +0 — a stream-born item under a frozen ϕ —
-// need no merge: extend, and the table step after it, admit them by
+// need no merge: extend, and the screen step after it, admit them by
 // reslicing prev's storage, moving no byte of it.
 // A topic's weights are its slab. A collapsed context's weights are a
 // function of ω_t and the context topics' slabs, each term computed per
@@ -195,23 +196,22 @@ func BuildIndex(ts model.TopicScorer) *Index {
 // topics' slabs, so it is unchanged exactly when all of those are. The
 // choice is made from the weights alone: a frozen ϕ keeps every topic
 // list, the floor and every context whose θ′ row stood still across
-// publishes; the refit open interval re-sorts its one list.
+// publishes; the refit open interval re-sorts its one list. The screen
+// is inherited when the borrowed table is prev's storage (below).
 //
 // Work parallelizes in passes: the slab comparisons and then the lists
-// fan out one per task, and the ϕ transpose fans out over item ranges
-// so each worker writes a contiguous region of byItem (a topic-major
-// split would interleave writes every K entries and thrash cache lines
-// between workers).
+// fan out one per task, the screen conversion over item ranges.
 func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
-	if lo < 0 || hi < lo || hi > ts.NumItems() {
+	k, v, table := ts.NumTopics(), hi-lo, ts.ItemTopics()
+	if lo < 0 || hi < lo || hi > ts.NumItems() || len(table) < hi*k {
 		panic("topk: item window out of bounds")
 	}
-	k, v := ts.NumTopics(), hi-lo
 	ix := &Index{
 		scorer:    ts,
 		numTopics: k,
 		numItems:  v,
 		itemLo:    lo,
+		table:     table,
 		lists:     make([]list, k),
 		topics:    make([][]float64, k),
 		// 16× the analytic bound on the f32 screening error — relative
@@ -307,40 +307,24 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 			ix.shared++
 		}
 	}
-	// The transposed tables. Their head rows are prev's when every column
-	// is an unchanged topic's; the rows behind are zero when the new items
-	// weigh +0 under every topic, which is what the room behind a table
-	// laid out with spare rows holds. Both: the tables are prev's, one
-	// reslice longer (no longer, for an unchanged window).
-	headSame := prev != nil && prev.numTopics == k
-	for _, ok := range same {
-		headSame = headSame && ok
+	// The screen: the window's table rows in float32. A borrowed table
+	// that is prev's storage holds prev's rows and, behind prev's
+	// catalog, zeros — what the room behind prev's screen holds — so the
+	// screen is prev's one reslice longer, or prev's rows copied.
+	tableSame := prev != nil && prev.numTopics == k && len(ix.table) > 0 && &prev.table[0] == &ix.table[0]
+	if tableSame && v*k <= cap(prev.byItem32) && (head == v || lo+head >= prev.scorer.NumItems()) {
+		ix.byItem32, ix.screenShared = prev.byItem32[:v*k], true
+		return ix
 	}
-	if tailZero := headSame && v*k <= cap(prev.byItem); tailZero {
-		for _, weights := range ix.topics {
-			tailZero = tailZero && allZero(weights[lo+head:hi])
-		}
-		if tailZero {
-			ix.byItem, ix.byItem32, ix.tableShared = prev.byItem[:v*k], prev.byItem32[:v*k], true
-			return ix
-		}
-	}
-	ix.byItem = make([]float64, v*k, (v+spare)*k)
 	ix.byItem32 = make([]float32, v*k, (v+spare)*k)
-	from := 0 // rows before it are copied, not transposed again
-	if headSame {
-		from = head
-		copy(ix.byItem, prev.byItem)
-		copy(ix.byItem32, prev.byItem32)
+	from := 0 // rows before it are copied, not converted again
+	if tableSame {
+		from = copy(ix.byItem32, prev.byItem32) / k
 	}
+	rows := ix.table[lo*k : hi*k]
 	model.ParallelRanges(v-from, workers, func(_, vlo, vhi int) {
-		for item := from + vlo; item < from+vhi; item++ {
-			row := ix.byItem[item*k : (item+1)*k]
-			row32 := ix.byItem32[item*k : (item+1)*k]
-			for z, weights := range ix.topics {
-				row[z] = weights[lo+item]
-				row32[z] = float32(weights[lo+item])
-			}
+		for i := (from + vlo) * k; i < (from+vhi)*k; i++ {
+			ix.byItem32[i] = float32(rows[i])
 		}
 	})
 	return ix
@@ -497,9 +481,9 @@ func (ix *Index) ListsKept() int { return ix.kept }
 // than a merged copy.
 func (ix *Index) ListsShared() int { return ix.shared }
 
-// TablesShared reports whether the transposed tables are the previous
+// ScreenShared reports whether the float32 screen is the previous
 // generation's own storage.
-func (ix *Index) TablesShared() bool { return ix.tableShared }
+func (ix *Index) ScreenShared() bool { return ix.screenShared }
 
 // NumLists returns how many sorted lists the index holds: one per
 // expanded topic outside the collapsed range, one per interval context,
@@ -517,8 +501,8 @@ func (ix *Index) NumLists() int {
 func (ix *Index) ItemRange() (lo, hi int) { return ix.itemLo, ix.itemLo + ix.numItems }
 
 // Score computes S(u,t,v) = Σ_z ϑ_z·ϕ_zv for a query-weight vector, in
-// O(K) via the transposed table. item is a global catalog index and
-// must lie inside the index's window (always true for a full index).
+// O(K) via the scorer's item-major table. item is a global catalog
+// index.
 // The sum runs over every topic in ascending order through the unrolled
 // dotOrdered kernel; weights and topic masses are non-negative (the
 // Eq. 22 monotone decomposition), so including zero-weight terms adds
@@ -528,8 +512,7 @@ func (ix *Index) ItemRange() (lo, hi int) { return ix.itemLo, ix.itemLo + ix.num
 //tcam:hotpath
 func (ix *Index) Score(query []float64, item int) float64 {
 	k := ix.numTopics
-	local := item - ix.itemLo
-	return dotOrdered(query, ix.byItem[local*k:(local+1)*k])
+	return dotOrdered(query, ix.table[item*k:(item+1)*k])
 }
 
 // score2 is Score for two items at once, through the paired dotOrdered2
@@ -538,13 +521,12 @@ func (ix *Index) Score(query []float64, item int) float64 {
 //tcam:hotpath
 func (ix *Index) score2(query []float64, a, b int) (float64, float64) {
 	k := ix.numTopics
-	a, b = a-ix.itemLo, b-ix.itemLo
-	return dotOrdered2(query, ix.byItem[a*k:(a+1)*k], ix.byItem[b*k:(b+1)*k])
+	return dotOrdered2(query, ix.table[a*k:(a+1)*k], ix.table[b*k:(b+1)*k])
 }
 
 // score32 is the float32 screening scorer: the same dot product as
-// Score, read from the quantized table with reassociated float32
-// accumulation. Its value is only valid as a screen under the index's
+// Score, read from the screen at a local window offset with
+// reassociated float32 accumulation. Its value is only valid as a screen under the index's
 // screenScale/screenEps error bound, never as a returned score.
 //
 //tcam:hotpath

@@ -14,6 +14,7 @@ import (
 type fakeTopicModel struct {
 	topics  [][]float64 // K×V item weights
 	queries map[[2]int][]float64
+	table   []float64 // set: the item-major table shared with a predecessor
 }
 
 func (f *fakeTopicModel) Name() string   { return "fake" }
@@ -21,6 +22,28 @@ func (f *fakeTopicModel) NumItems() int  { return len(f.topics[0]) }
 func (f *fakeTopicModel) NumTopics() int { return len(f.topics) }
 func (f *fakeTopicModel) TopicItems(z int) []float64 {
 	return f.topics[z]
+}
+
+// ItemTopics is the table a generation shares with its predecessor, or
+// else the topics laid out item-major afresh.
+func (f *fakeTopicModel) ItemTopics() []float64 {
+	if f.table != nil {
+		return f.table
+	}
+	return layOut(f.topics, f.NumItems())
+}
+
+// layOut lays topics out item-major over rows items, zero behind a
+// topic's last entry.
+func layOut(topics [][]float64, rows int) []float64 {
+	k := len(topics)
+	table := make([]float64, rows*k)
+	for z, row := range topics {
+		for v, p := range row[:min(len(row), rows)] {
+			table[v*k+z] = p
+		}
+	}
+	return table
 }
 func (f *fakeTopicModel) QueryWeights(u, t int) []float64 {
 	if q, ok := f.queries[[2]int{u, t}]; ok {

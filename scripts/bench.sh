@@ -28,12 +28,10 @@
 # The two benchmarks that fan work across cores (ServerRecommendBatch,
 # EMIterationParallel) run under -cpu 1,2 and yield one record per
 # setting; a curve the recording host has no cores for is not recorded.
-# With a checkout of the parent commit as the third argument, `ingest`
-# also runs the history benchmark there — this tree's benchmark file,
-# so both sides run the same cycle — and tags those records
-# "tree": "parent".
+# A snapshot records one tree; to compare a change against its parent,
+# use scripts/abbench.sh (interleaved parent/change pairs).
 #
-# Usage: scripts/bench.sh <query|train|ingest> [benchtime] [parent-checkout]
+# Usage: scripts/bench.sh <query|train|ingest> [benchtime]
 #        scripts/bench.sh run <benchtime> <pkg> <regex> [go test flags...]
 #
 # `run` is the shared runner on its own, for scripts/bench_smoke.sh: one
@@ -99,11 +97,6 @@ train)
 ingest)
     run_bench ./internal/ingest/ 'BenchmarkAppend$|BenchmarkAppendBatch$|BenchmarkReplay$'
     run_bench ./internal/server/ 'BenchmarkUpdaterStep$|BenchmarkUpdaterStepHistory$|BenchmarkSnapshotPublish$'
-    if [ -n "${3:-}" ]; then
-        cp internal/server/updater_bench_test.go "$3/internal/server/updater_bench_test.go"
-        echo '#tree parent' >> "$raw"
-        (cd "$3" && run_bench ./internal/server/ 'BenchmarkUpdaterStepHistory$')
-    fi
     ;;
 *)
     echo "bench.sh: unknown suite '$suite' (want query, train, ingest or run)" >&2
@@ -118,7 +111,6 @@ out=BENCH_$suite.json
 awk -v ncpu="$(nproc 2>/dev/null || echo 1)" -v gover="$(go env GOVERSION)" \
     -v commit="$(git describe --always --dirty 2>/dev/null || echo unknown)" '
 BEGIN { printf "{\n  \"cpus\": %d,\n  \"go\": \"%s\",\n  \"commit\": \"%s\",\n  \"benchmarks\": [\n", ncpu, gover, commit }
-/^#tree / { tree = $2 }
 /^pkg:/ { pkg = $2; sub(/^tcam\//, "", pkg) }
 /^Benchmark/ {
     name = $1
@@ -128,7 +120,6 @@ BEGIN { printf "{\n  \"cpus\": %d,\n  \"go\": \"%s\",\n  \"commit\": \"%s\",\n  
         name = substr(name, 1, RSTART - 1)
     }
     line = sprintf("    {\"name\": \"%s\", \"package\": \"%s\", \"gomaxprocs\": %d, \"iterations\": %s, \"ns_per_op\": %s", name, pkg, procs, $2, $3)
-    if (tree != "") line = line sprintf(", \"tree\": \"%s\"", tree)
     for (i = 5; i < NF; i += 2) line = line sprintf(", \"%s\": %s", $(i+1), $i)
     if (n++) printf ",\n"
     printf "%s}", line
