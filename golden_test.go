@@ -86,14 +86,14 @@ func TestGoldenWireBytes(t *testing.T) {
 	mono, coord := d.mono, d.coord
 	for _, tc := range []struct{ name, url, body, want string }{
 		{"recommend", mono + "/recommend?user=user-2&time=115&k=3&exclude=item-6,bogus", "",
-			`{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-5","score":0.10288519397770296},{"item":"100%41","score":0.06759050852527754}],"items_examined":4}`},
+			`{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-5","score":0.10288519397770296},{"item":"100%41","score":0.06759050852527754}],"items_examined":5}`},
 		{"batch", mono + "/recommend/batch",
 			`{"queries":[{"user":"user-2","time":115,"k":2},{"user":"nobody","time":1},{"user":"user-2","time":125,"k":2,"exclude":["c++","item-6","c++"]}]}`,
-			`{"results":[{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-6","score":0.13313798186467088}],"items_examined":2},{"user":"nobody","interval":0,"recommendations":null,"items_examined":0,"error":"unknown user \"nobody\""},{"user":"user-2","interval":2,"recommendations":[{"item":"item-8","score":0.4079490654414979},{"item":"item-5","score":0.07187577856315724}],"items_examined":3}]}`},
+			`{"results":[{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-6","score":0.13313798186467088}],"items_examined":5},{"user":"nobody","interval":0,"recommendations":null,"items_examined":0,"error":"unknown user \"nobody\""},{"user":"user-2","interval":2,"recommendations":[{"item":"item-8","score":0.4079490654414979},{"item":"item-5","score":0.07187577856315724}],"items_examined":5}]}`},
 		{"shard", mono + "/shard/query", `{"user":"user-2","time":115,"k":3,"exclude":["c++"]}`,
-			`{"user":"user-2","interval":1,"item_lo":0,"item_hi":12,"version":1,"results":[{"item":6,"name":"item-6","score":0.13313798186467088},{"item":5,"name":"item-5","score":0.10288519397770296},{"item":9,"name":"100%41","score":0.06759050852527754}],"items_examined":4}`},
+			`{"user":"user-2","interval":1,"item_lo":0,"item_hi":12,"version":1,"results":[{"item":6,"name":"item-6","score":0.13313798186467088},{"item":5,"name":"item-5","score":0.10288519397770296},{"item":9,"name":"100%41","score":0.06759050852527754}],"items_examined":5}`},
 		{"coordinator", coord + "/recommend?user=user-2&time=115&k=3&exclude=item-6,bogus", "",
-			`{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-5","score":0.10288519397770296},{"item":"100%41","score":0.06759050852527754}],"items_examined":6}`},
+			`{"user":"user-2","interval":1,"recommendations":[{"item":"c++","score":0.5385153211941354},{"item":"item-5","score":0.10288519397770296},{"item":"100%41","score":0.06759050852527754}],"items_examined":7}`},
 	} {
 		code, got := fetch(t, tc.url, tc.body)
 		if code != http.StatusOK || got != tc.want {

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // wire is the gob format of a trained model. gob matches fields by
@@ -72,7 +73,12 @@ func compactRows(src []float64, stride, cols int) []float64 {
 
 // Read deserializes a model written with Write, validating it: the
 // bytes may come from anywhere, and a model that passes is safe to
-// score with.
+// score with. Every table must be exactly as long as its dimensions say
+// — checked against the decoded lengths, so no product of header fields
+// can overflow — every θ, φ, θ' and φ' row and the background a
+// probability distribution (finite, non-negative entries summing to 1
+// within rowSumTol), and every λu in [0, 1]: TA's sorted lists bound
+// scores only under that non-negative decomposition (Eq. 22).
 func Read(r io.Reader) (*Model, error) {
 	var w wire
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&w); err != nil {
@@ -102,9 +108,9 @@ func Read(r io.Reader) (*Model, error) {
 		backgroundW:  w.BackgroundW,
 		background:   w.Background,
 	}
-	if len(m.theta) != m.numUsers*m.k1 || len(m.phi) != m.k1*m.numItems ||
-		len(m.ctx) != m.numIntervals*m.ctxWidth(m.numItems) || len(other) != 0 ||
-		len(m.phiX) != m.k2*m.numItems || len(m.lambda) != m.numUsers {
+	if !isTable(m.theta, m.numUsers, m.k1) || !isTable(m.phi, m.k1, m.numItems) ||
+		!isTable(m.ctx, m.numIntervals, m.ctxWidth(m.numItems)) || len(other) != 0 ||
+		!isTable(m.phiX, m.k2, m.numItems) || len(m.lambda) != m.numUsers {
 		return nil, fmt.Errorf("tcam: parameter lengths inconsistent with dimensions")
 	}
 	if !validBackground(m.k2, m.backgroundW) {
@@ -117,6 +123,60 @@ func Read(r io.Reader) (*Model, error) {
 	if len(m.background) != want {
 		return nil, fmt.Errorf("tcam: background length %d, want %d", len(m.background), want)
 	}
+	for _, t := range []struct {
+		name string
+		rows []float64
+		cols int
+	}{
+		{"θ", m.theta, m.k1},
+		{"φ", m.phi, m.numItems},
+		{"θ'", m.ctx, m.ctxWidth(m.numItems)},
+		{"φ'", m.phiX, m.numItems},
+		{"background", m.background, m.numItems},
+	} {
+		if r := badRow(t.rows, t.cols); r >= 0 {
+			return nil, fmt.Errorf("tcam: %s row %d is not a probability distribution", t.name, r)
+		}
+	}
+	for u, l := range m.lambda {
+		if !(l >= 0 && l <= 1) {
+			return nil, fmt.Errorf("tcam: λ of user %d is %v, outside [0,1]", u, l)
+		}
+	}
 	m.table = m.layTable(nil)
 	return m, nil
+}
+
+// rowSumTol is how far from 1 a decoded probability row may sum.
+// Training and fold-in normalize every row by one division per entry,
+// which leaves their sums within a few ulps of 1.
+const rowSumTol = 1e-9
+
+// isTable reports whether data holds exactly rows×cols entries, without
+// forming the product: header fields are untrusted, and their product
+// can wrap around to a decoded length.
+func isTable(data []float64, rows, cols int) bool {
+	if rows == 0 || cols == 0 {
+		return len(data) == 0
+	}
+	return len(data)%cols == 0 && len(data)/cols == rows
+}
+
+// badRow returns the first of data's cols-wide rows that is not a
+// probability distribution — an entry negative or not finite, or a sum
+// more than rowSumTol from 1 — or −1 when every row is one.
+func badRow(data []float64, cols int) int {
+	for r := 0; r*cols < len(data); r++ {
+		sum := 0.0
+		for _, p := range data[r*cols : (r+1)*cols] {
+			if !(p >= 0 && p <= math.MaxFloat64) {
+				return r
+			}
+			sum += p
+		}
+		if math.Abs(sum-1) > rowSumTol {
+			return r
+		}
+	}
+	return -1
 }

@@ -2,6 +2,8 @@ package tcam
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -157,6 +159,71 @@ func TestReadRejectsHostileBackground(t *testing.T) {
 	}
 	if _, err := Read(encode(func(m *Model) { m.backgroundW = 0 })); err == nil {
 		t.Error("Read accepted a background distribution with zero weight")
+	}
+}
+
+// TestReadRejectsHostileWires: Read refuses, with an error and never a
+// panic, a header whose dimension products wrap around to the decoded
+// lengths, and parameters outside the non-negative decomposition TA
+// bounds scores by — a NaN or negative φ entry, a λu above 1, a row
+// that sums to a half. The untouched wire still reads.
+func TestReadRejectsHostileWires(t *testing.T) {
+	cfg := variants[1].config(3, 2)
+	cfg.MaxIters = 2
+	m, _, err := Train(trendWorld(t, 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trained wire
+	if err := gob.NewDecoder(&buf).Decode(&trained); err != nil {
+		t.Fatal(err)
+	}
+	read := func(w wire) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
+				t.Errorf("Read panicked: %v", p)
+			}
+		}()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Read(&buf)
+		return err
+	}
+	if err := read(trained); err != nil {
+		t.Fatalf("Read rejected an untouched model: %v", err)
+	}
+	edited := func(edit func(w *wire)) wire {
+		w := trained
+		w.Theta = append([]float64(nil), trained.Theta...)
+		w.Phi = append([]float64(nil), trained.Phi...)
+		w.ThetaTx = append([]float64(nil), trained.ThetaTx...)
+		w.Lambda = append([]float64(nil), trained.Lambda...)
+		edit(&w)
+		return w
+	}
+	for name, w := range map[string]wire{
+		"wrapping dimensions": {NumUsers: 4, K1: 1 << 62, NumItems: 4, NumIntervals: 1,
+			ThetaT: []float64{0.25, 0.25, 0.25, 0.25}, Lambda: []float64{0.5, 0.5, 0.5, 0.5}},
+		"NaN φ entry":       edited(func(w *wire) { w.Phi[3] = math.NaN() }),
+		"negative φ entry":  edited(func(w *wire) { w.Phi[3], w.Phi[4] = -w.Phi[4], w.Phi[3]+2*w.Phi[4] }),
+		"λu = 7":            edited(func(w *wire) { w.Lambda[1] = 7 }),
+		"θ row sums to 1/2": edited(func(w *wire) { w.Theta[0], w.Theta[1], w.Theta[2] = 0.25, 0.125, 0.125 }),
+		"θ' row sums to 1/2": edited(func(w *wire) {
+			for x := 0; x < w.K2; x++ {
+				w.ThetaTx[w.K2+x] /= 2
+			}
+		}),
+	} {
+		if err := read(w); err == nil {
+			t.Errorf("%s: Read accepted the model", name)
+		}
 	}
 }
 

@@ -124,8 +124,8 @@ func TestReadersDuringGrowingPublishes(t *testing.T) {
 		if published, err := up.Step(); err != nil || !published {
 			t.Fatalf("Step %d = (%v, %v)", gen, published, err)
 		}
-		if sn := srv.snapshot(); gen > 0 && !sn.idx.ScreenShared() {
-			t.Errorf("generation %d laid its screen out anew: the readers are not reading shared storage", gen)
+		if sn := srv.snapshot(); gen > 0 && sn.idx.ListsShared() == 0 {
+			t.Errorf("generation %d laid every list out anew: the readers are not reading shared storage", gen)
 		}
 	}
 	close(stop)

@@ -137,10 +137,11 @@ func contextRow(rng *rand.Rand, k2 int) []float64 {
 // and empty context rows, random, uniform, ulp-perturbed and one-zero
 // user rows, with and without a background topic behind the range, on
 // the whole catalog and on item windows, with stream-born items no topic
-// has weight for yet, for any k, through one reused searcher. BruteForce
-// adds the context topics one by one and the user topics one by one; the
-// index bounds them by their collapsed sum and by the floor and the
-// residuals, so this is the soundness test of the bound's margin.
+// has weight for yet, for any k, through one reused searcher that
+// confirms every candidate it pops (allConfirmed). BruteForce adds the
+// context topics one by one and the user topics one by one; the index
+// bounds them by their collapsed sum and by the floor and the residuals,
+// so this is the soundness test of the bound's margin.
 func TestTAContextEquivalenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -174,7 +175,10 @@ func TestTAContextEquivalenceProperty(t *testing.T) {
 				banned := rng.Intn(v)
 				exclude = func(item int) bool { return item == banned }
 			}
-			got, _ := s.Query(c, u, at, topN, exclude)
+			got, st := s.Query(c, u, at, topN, exclude)
+			if err := allConfirmed(s, st, exclude); err != nil {
+				t.Fatalf("seed %d window [%d,%d) query (%d,%d) k=%d: %v", seed, lo, hi, u, at, topN, err)
+			}
 			want := c.wantTopK(u, at, topN, windowExclude(lo, hi, exclude))
 			if len(got) != len(want) {
 				t.Fatalf("seed %d window [%d,%d) query (%d,%d) k=%d: %d results, want %d", seed, lo, hi, u, at, topN, len(got), len(want))
@@ -191,15 +195,19 @@ func TestTAContextEquivalenceProperty(t *testing.T) {
 
 // Property: dyadic weights make scores tie exactly, at the k-th place
 // as anywhere else; the margin that loosens the bound must leave the
-// ascending-item tie-break what BruteForce's is.
+// ascending-item tie-break what BruteForce's is, and every popped
+// candidate is confirmed (allConfirmed).
 func TestTAContextTiesProperty(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := tiedContextModel(rng, 1+rng.Intn(3), 1+rng.Intn(3), rng.Intn(2), 1+rng.Intn(3), 5+rng.Intn(60))
-		ix := BuildIndex(c)
+		s := BuildIndex(c).NewSearcher()
 		for round := 0; round < 10; round++ {
 			u, at, k := rng.Intn(len(c.user)), rng.Intn(len(c.omega)), 1+rng.Intn(c.NumItems())
-			got, _ := ix.Query(c, u, at, k, nil)
+			got, st := s.Query(c, u, at, k, nil)
+			if err := allConfirmed(s, st, nil); err != nil {
+				t.Fatalf("seed %d query (%d,%d) k=%d: %v", seed, u, at, k, err)
+			}
 			want := c.wantTopK(u, at, k, nil)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d query (%d,%d) k=%d: %d results, want %d", seed, u, at, k, len(got), len(want))

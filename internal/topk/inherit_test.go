@@ -82,9 +82,9 @@ func nextGeneration(rng *rand.Rand, c *contextModel, how string) *contextModel {
 }
 
 // assertSameIndex checks got against want field for field — topic and
-// context lists, the borrowed table's window rows and the screen down to
-// the bit, the screen and bound constants, window — and then through
-// the Threshold Algorithm: same answers, same Stats.
+// context lists, the borrowed table's window rows down to the bit, the
+// bound constant, window — and then through the Threshold Algorithm:
+// same answers, same Stats.
 func assertSameIndex(t *testing.T, label string, rng *rand.Rand, c *contextModel, got, want *Index) {
 	t.Helper()
 	if got.numTopics != want.numTopics || got.numItems != want.numItems || got.itemLo != want.itemLo ||
@@ -93,9 +93,8 @@ func assertSameIndex(t *testing.T, label string, rng *rand.Rand, c *contextModel
 			got.numTopics, got.numItems, got.itemLo, got.ctxLo, got.ctxHi, len(got.contexts),
 			want.numTopics, want.numItems, want.itemLo, want.ctxLo, want.ctxHi, len(want.contexts))
 	}
-	if got.screenScale != want.screenScale || got.screenEps != want.screenEps || got.boundScale != want.boundScale {
-		t.Fatalf("%s: screen and bound constants (%v, %v, %v), want (%v, %v, %v)", label,
-			got.screenScale, got.screenEps, got.boundScale, want.screenScale, want.screenEps, want.boundScale)
+	if got.boundScale != want.boundScale {
+		t.Fatalf("%s: bound constant %v, want %v", label, got.boundScale, want.boundScale)
 	}
 	for z := range want.lists {
 		if !reflect.DeepEqual(got.lists[z], want.lists[z]) {
@@ -110,14 +109,10 @@ func assertSameIndex(t *testing.T, label string, rng *rand.Rand, c *contextModel
 	if !reflect.DeepEqual(got.floor, want.floor) {
 		t.Fatalf("%s: floor list differs from a from-scratch build\n got %v\nwant %v", label, got.floor, want.floor)
 	}
-	if len(got.byItem32) != len(want.byItem32) {
-		t.Fatalf("%s: screen sized %d, want %d", label, len(got.byItem32), len(want.byItem32))
-	}
-	for i, base := range want.byItem32 {
+	for i := 0; i < want.numItems*want.numTopics; i++ {
 		j := want.itemLo*want.numTopics + i
-		if math.Float64bits(got.table[j]) != math.Float64bits(want.table[j]) ||
-			math.Float32bits(got.byItem32[i]) != math.Float32bits(base) {
-			t.Fatalf("%s: table or screen entry %d of the window differs", label, i)
+		if math.Float64bits(got.table[j]) != math.Float64bits(want.table[j]) {
+			t.Fatalf("%s: table entry %d of the window differs", label, i)
 		}
 	}
 	for trial := 0; trial < 8; trial++ {
@@ -336,9 +331,9 @@ func assertBruteForce(t *testing.T, label string, rng *rand.Rand, c *contextMode
 // and a window that starts inside it) the new items weigh nothing
 // anywhere: between relayouts both tables and every list but the refit
 // interval's are the previous generation's storage. Under item contexts
-// the live interval's topic weighs the new items, so its list and the
-// tables take the copying path every time while the other topics' lists
-// and the floor are still shared.
+// the live interval's topic weighs the new items, so its list takes the
+// copying path every time while the other topics' lists and the floor
+// are still shared.
 func TestBuildIndexFromAcrossSpareRoom(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -363,9 +358,6 @@ func TestBuildIndexFromAcrossSpareRoom(t *testing.T) {
 				assertSameIndex(t, label, rng, c, got, BuildIndexFrom(nil, c, tc.lo, c.NumItems()))
 				assertBruteForce(t, label, rng, c, got)
 				room := gen%13 != 0 // a boot index leaves none, a relayout 64 items' worth: 13 links of 5
-				if want := room && !tc.itemContexts; got.ScreenShared() != want {
-					t.Errorf("%s: screen shared with the previous generation: %t, want %t", label, got.ScreenShared(), want)
-				}
 				if room && got.ListsShared() < tc.wantShared {
 					t.Errorf("%s: %d of %d lists are the previous generation's storage, want at least %d",
 						label, got.ListsShared(), got.NumLists(), tc.wantShared)
@@ -380,17 +372,16 @@ func TestBuildIndexFromAcrossSpareRoom(t *testing.T) {
 // everywhere is the previous one's lists, floor list included, and
 // tables one reslice longer — the same arrays — once a growing build has
 // left room; an item with weight under one user topic costs that topic's
-// list, the floor and — the scorer's table being laid out anew — the
-// screen a copy and the other lists nothing. A boot index has no room to
-// share.
+// list and the floor a copy and the other lists nothing. A boot index
+// has no room to share.
 func TestZeroTailSharesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c := tiedContextModel(rng, 3, 2, 1, 3, 30)
 	boot := BuildIndex(c)
 	c = streamGeneration(rng, c, 4, false, false)
 	first := BuildIndexFrom(boot, c, 0, c.NumItems())
-	if first.ScreenShared() || first.ListsShared() != 0 {
-		t.Fatalf("growing past a boot index shared its screen (%t) or %d lists: a boot index has no room", first.ScreenShared(), first.ListsShared())
+	if first.ListsShared() != 0 {
+		t.Fatalf("growing past a boot index shared %d lists: a boot index has no room", first.ListsShared())
 	}
 	sameStorage := func(a, b *Index, z int) bool {
 		return &a.lists[z].items[0] == &b.lists[z].items[0] && &a.lists[z].weights[0] == &b.lists[z].weights[0]
@@ -416,9 +407,6 @@ func TestZeroTailSharesStorage(t *testing.T) {
 	if &next.floor.items[0] != &first.floor.items[0] || &next.floor.weights[0] != &first.floor.weights[0] {
 		t.Error("zero tail: the floor list was copied")
 	}
-	if &next.byItem32[0] != &first.byItem32[0] || !next.ScreenShared() {
-		t.Error("zero tail: the screen was copied")
-	}
 	if next.ListsShared() != next.NumLists() {
 		t.Errorf("zero tail: %d of %d lists reported shared", next.ListsShared(), next.NumLists())
 	}
@@ -429,9 +417,8 @@ func TestZeroTailSharesStorage(t *testing.T) {
 	weighed.topics[1][zero.NumItems()-2] = 0.25
 	next = BuildIndexFrom(first, &weighed, 0, weighed.NumItems())
 	assertSameIndex(t, "weighed tail", rng, &weighed, next, BuildIndex(&weighed))
-	if sameStorage(next, first, 1) || &next.floor.items[0] == &first.floor.items[0] ||
-		&next.byItem32[0] == &first.byItem32[0] || next.ScreenShared() {
-		t.Error("weighed tail: a list or table with a new non-zero entry shares the previous generation's storage")
+	if sameStorage(next, first, 1) || &next.floor.items[0] == &first.floor.items[0] {
+		t.Error("weighed tail: a list with a new non-zero entry shares the previous generation's storage")
 	}
 	for _, z := range []int{0, 2, 5} {
 		if !sameStorage(next, first, z) {
@@ -444,7 +431,7 @@ func TestZeroTailSharesStorage(t *testing.T) {
 	negZero.topics[0][zero.NumItems()-1] = math.Copysign(0, -1)
 	next = BuildIndexFrom(first, &negZero, 0, negZero.NumItems())
 	assertSameIndex(t, "negative-zero tail", rng, &negZero, next, BuildIndex(&negZero))
-	if sameStorage(next, first, 0) || next.ScreenShared() {
+	if sameStorage(next, first, 0) {
 		t.Error("negative-zero tail: −0 is not the +0 the spare room holds, yet storage was shared")
 	}
 }
@@ -473,8 +460,9 @@ func TestTwoSuccessorsOfOneGeneration(t *testing.T) {
 		assertSameIndex(t, "second successor", rng, b, second, BuildIndex(b))
 		assertSameIndex(t, "first successor after the second", rng, a, first, BuildIndex(a))
 		assertSameIndex(t, "their predecessor", rng, c, prev, BuildIndex(c))
-		if !itemContexts && (!first.ScreenShared() || !second.ScreenShared()) {
-			t.Error("the successors did not share their predecessor's screen: the test does not reach the reslice path")
+		if first.ListsShared() == 0 || second.ListsShared() == 0 {
+			t.Errorf("the successors share %d and %d lists with their predecessor: the test does not reach the reslice path",
+				first.ListsShared(), second.ListsShared())
 		}
 	}
 }

@@ -16,8 +16,7 @@ import (
 // with room and two publishes that keep them — each bringing a new item
 // and folding a new user — the model's ItemTopics and the rows the
 // served index confirms from are one storage, the same array in all
-// three generations, and the index's float32 screen is its
-// predecessor's.
+// three generations, and the index shares lists with its predecessor.
 func TestOneItemMajorTablePerGeneration(t *testing.T) {
 	const users, intervals, items = 8, 3, 16
 	b := cuboid.NewBuilder(users, intervals, items)
@@ -65,9 +64,9 @@ func TestOneItemMajorTablePerGeneration(t *testing.T) {
 		if publish == 1 {
 			continue
 		}
-		if !adv.SlabsShared || &ix.ConfirmRows()[0] != &prevIx.ConfirmRows()[0] || !ix.ScreenShared() {
-			t.Errorf("publish %d: slabs shared %t, confirm rows the previous generation's %t, screen shared %t; want all",
-				publish, adv.SlabsShared, &ix.ConfirmRows()[0] == &prevIx.ConfirmRows()[0], ix.ScreenShared())
+		if !adv.SlabsShared || &ix.ConfirmRows()[0] != &prevIx.ConfirmRows()[0] || ix.ListsShared() == 0 {
+			t.Errorf("publish %d: slabs shared %t, confirm rows the previous generation's %t, %d lists shared; want all",
+				publish, adv.SlabsShared, &ix.ConfirmRows()[0] == &prevIx.ConfirmRows()[0], ix.ListsShared())
 		}
 	}
 }

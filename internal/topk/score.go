@@ -1,13 +1,12 @@
 package topk
 
-// Unrolled dot-product kernels behind Index.Score, TA's paired confirms
-// and the float32 screening path. This file holds only straight-line
-// kernel code: the scripts/check_bce.sh gate compiles it with
-// -gcflags=-d=ssa/check_bce and fails on any per-element bounds check
-// ("Found IsInBounds"). The loops use the slice-forward idiom — consume
-// four elements, re-slice every operand by four — which the prove pass
-// eliminates entirely; only the O(1) reslice checks at the loop
-// boundaries remain.
+// Unrolled dot-product kernels behind Index.Score and TA's paired
+// confirms. This file holds only straight-line kernel code: the
+// scripts/check_bce.sh gate compiles it with -gcflags=-d=ssa/check_bce
+// and fails on any per-element bounds check ("Found IsInBounds"). The
+// loops use the slice-forward idiom — consume four elements, re-slice
+// every operand by four — which the prove pass eliminates entirely;
+// only the O(1) reslice checks at the loop boundaries remain.
 
 // dotOrdered computes Σ a[i]·b[i] with a single accumulator in strictly
 // ascending index order — the exact floating-point operation sequence of
@@ -67,34 +66,4 @@ func dotOrdered2(q, a, b []float64) (float64, float64) {
 		t += x * b[j]
 	}
 	return s, t
-}
-
-// dot32 computes Σ a[i]·b[i] in float32 with four independent
-// accumulators — the screening kernel of the f32 scan path. Unlike
-// dotOrdered it reassociates freely for instruction-level parallelism:
-// its result is only ever used as a screening value under the Index's
-// error margin (screenScale/screenEps), never as a returned score, so
-// the rounding of the partial sums cannot affect results. The reduction
-// order of the four accumulators is fixed by the code, so the value is
-// still deterministic for a given input. b must be at least as long as
-// a.
-//
-//tcam:hotpath
-func dot32(a, b []float32) float32 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float32
-	for len(a) >= 4 && len(b) >= 4 {
-		s0 += a[0] * b[0]
-		s1 += a[1] * b[1]
-		s2 += a[2] * b[2]
-		s3 += a[3] * b[3]
-		a = a[4:]
-		b = b[4:]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	b = b[:len(a)]
-	for j, x := range a {
-		s += x * b[j]
-	}
-	return s
 }

@@ -9,11 +9,11 @@ import (
 
 // Searcher holds the per-query scratch of the extended Threshold
 // Algorithm — the walked lists with their weights and cursors, an
-// epoch-stamped seen table, the quantized query vector, the list
-// priority queue and the result heap — so steady-state queries allocate
-// nothing. A Searcher is bound to one Index at a time and is NOT safe
-// for concurrent use; concurrent callers take one each from the pool
-// via AcquireSearcher.
+// epoch-stamped seen table, the query vector, the list priority queue
+// and the result heap — so steady-state queries allocate nothing. A
+// Searcher is bound to one Index at a time and is NOT safe for
+// concurrent use; concurrent callers take one each from the pool via
+// AcquireSearcher.
 //
 // Result slices returned by a Searcher are owned by it and valid only
 // until its next query or Release; callers that retain results must
@@ -26,10 +26,9 @@ type Searcher struct {
 	// would be.
 	slots []slot
 
-	seen    []uint32  // epoch stamps: seen[v] == epoch ⇔ v examined
+	seen    []uint32  // epoch stamps: seen[v] == epoch ⇔ v popped
 	epoch   uint32    // current query's stamp; bumping it clears seen in O(1)
 	query   []float64 // the active ϑq vector
-	query32 []float32 // float32 quantization of the active ϑq vector
 	pq      listHeap
 	results resultHeap
 	out     []Result
@@ -65,9 +64,8 @@ func (s *Searcher) bind(ix *Index) {
 	s.ix = ix
 	if k := ix.numTopics; cap(s.query) < k {
 		s.query = make([]float64, k)
-		s.query32 = make([]float32, k)
 	} else {
-		s.query, s.query32 = s.query[:k], s.query32[:k]
+		s.query = s.query[:k]
 	}
 	if v := ix.numItems; cap(s.seen) < v {
 		s.seen = make([]uint32, v)
@@ -168,18 +166,14 @@ func (s *Searcher) threshold() float64 {
 //     each already adds to the threshold, so ordering costs a multiply.
 //     TA is exact under any pop order once the exact threshold bound
 //     holds; the order only shifts the Stats counters.
-//   - until the result heap holds k results every candidate is confirmed
-//     and no termination test runs, so candidates are confirmed two at a
-//     time through the paired dotOrdered2 kernel, each score Score's bit
-//     for bit. The heap holds the same k entries whatever order the
-//     offers come in. A lone candidate — at the k−1 boundary or when the
-//     lists run out — is confirmed alone.
-//   - once the heap is full, a popped candidate's float32 score is
-//     checked against the k-th best under the index's error bound before
-//     paying for the exact float64 score. The screen bound over-covers
-//     the f32 error, and every score that enters the result heap comes
-//     from the exact float64 confirm over the full-width table row, so
-//     results stay bit-identical to the pure float64 path.
+//   - every unseen, non-excluded candidate gets the exact float64
+//     confirm, two at a time through the paired dotOrdered2 kernel, each
+//     score Score's bit for bit. The heap holds the same k entries
+//     whatever order the offers come in. A candidate waiting for its
+//     partner is not yet in the k-th best the termination test reads,
+//     which can only make the test pass later, never wrongly. A lone
+//     candidate — at the k−1 boundary, where the heap fills, or when the
+//     search ends — is confirmed alone.
 //
 //tcam:hotpath
 func (s *Searcher) search(query []float64, t int, context float64, k int, exclude Exclude) ([]Result, Stats) {
@@ -196,11 +190,6 @@ func (s *Searcher) search(query []float64, t int, context float64, k int, exclud
 	if s.epoch == 0 { // stamp wraparound: reset the table once per 2^32 queries
 		clear(s.seen[:cap(s.seen)])
 		s.epoch = 1
-	}
-
-	q32 := s.query32
-	for z, w := range query {
-		q32[z] = float32(w)
 	}
 
 	// Exhausted or zero-weight lists get no slot: they are in neither
@@ -268,16 +257,6 @@ func (s *Searcher) search(query []float64, t int, context float64, k int, exclud
 			gitem := item + ix.itemLo
 			if exclude == nil || !exclude(gitem) {
 				switch {
-				case results.Len() == k:
-					// f32 screen: only candidates that could still reach
-					// the k-th best under the error bound pay for the
-					// exact f64 score.
-					if float64(ix.score32(q32, item))*ix.screenScale+ix.screenEps >= results.min().Score {
-						st.ItemsExamined++
-						results.offer(Result{Item: gitem, Score: ix.Score(query, gitem)})
-					} else {
-						st.ScreenedOut++
-					}
 				case pending >= 0:
 					a, b := ix.score2(query, pending, gitem)
 					st.ItemsExamined += 2
@@ -302,7 +281,7 @@ func (s *Searcher) search(query []float64, t int, context float64, k int, exclud
 			s.pq.push(ref)
 		}
 	}
-	if pending >= 0 { // the lists ran out with one candidate unconfirmed
+	if pending >= 0 { // the search ended with one candidate unconfirmed
 		st.ItemsExamined++
 		results.offer(Result{Item: pending, Score: ix.Score(query, pending)})
 	}

@@ -128,67 +128,48 @@ func TestIndexQueryReturnsOwnedResults(t *testing.T) {
 	}
 }
 
-// TestScreenedOutNeverChangesResults: the f32 screen only ever rejects
-// a candidate the exact path would have confirmed and then discarded.
-// The same queries through a twin index whose screen admits everything
-// (screenEps = +Inf) must give the same results, score bits included,
-// and BruteForce's, and the same pops — the pop order does not read
-// the screen — while each rejection turns into exactly one extra
-// confirm. Tied dyadic rows put exact ties at the k-th place, where
-// the screen's error margin decides; skewed rows are the common case.
-// The screen must actually fire.
-func TestScreenedOutNeverChangesResults(t *testing.T) {
-	screened := 0
-	for seed := int64(1); seed <= 120; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		k1, k2, v := 1+rng.Intn(6), 1+rng.Intn(5), 20+rng.Intn(300)
-		var c *contextModel
-		if seed%2 == 0 {
-			c = tiedContextModel(rng, k1, k2, rng.Intn(2), 1+rng.Intn(3), v)
-		} else {
-			c = &contextModel{fakeTopicModel: skewedModel(rng, k1+k2, v), lo: k1, hi: k1 + k2}
-			for i := 0; i <= rng.Intn(3); i++ {
-				c.omega = append(c.omega, contextRow(rng, k2))
-			}
-			for u := 0; u < 3; u++ {
-				c.user = append(c.user, randomQuery(rng, k1+k2, true))
-				c.gamma = append(c.gamma, rng.Float64())
-			}
-		}
-		ix := BuildIndex(c)
-		open := *ix
-		open.screenEps = math.Inf(1)
-		s, o := ix.NewSearcher(), open.NewSearcher()
-		for round := 0; round < 10; round++ {
-			u, at, k := rng.Intn(3), rng.Intn(len(c.omega)), 1+rng.Intn(20)
-			var exclude Exclude
-			if round%3 == 0 {
-				banned := rng.Intn(v)
-				exclude = func(item int) bool { return item == banned }
-			}
-			got, st := s.Query(c, u, at, k, exclude)
-			ref, ost := o.Query(c, u, at, k, exclude)
-			want := c.wantTopK(u, at, k, exclude)
-			label := fmt.Sprintf("seed %d query (%d,%d) k=%d", seed, u, at, k)
-			if ost.ScreenedOut != 0 {
-				t.Fatalf("%s: the open screen rejected %d candidates", label, ost.ScreenedOut)
-			}
-			if len(got) != len(want) || len(ref) != len(want) {
-				t.Fatalf("%s: %d results, %d unscreened, BruteForce %d", label, len(got), len(ref), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] || ref[i] != want[i] {
-					t.Fatalf("%s rank %d: screened %+v, unscreened %+v, BruteForce %+v", label, i, got[i], ref[i], want[i])
-				}
-			}
-			if st.ListPops != ost.ListPops || st.ItemsExamined+st.ScreenedOut != ost.ItemsExamined {
-				t.Fatalf("%s: screened %+v, unscreened %+v; want equal pops and examined+screened = examined", label, st, ost)
-			}
-			screened += st.ScreenedOut
+// allConfirmed checks TA's one admission rule after s's last query:
+// every distinct, non-excluded item the query popped got the exact
+// float64 confirm, so Stats.ItemsExamined is their count, read off the
+// searcher's seen table, and ScreenedOut is 0.
+func allConfirmed(s *Searcher, st Stats, exclude Exclude) error {
+	popped := 0
+	for i, stamp := range s.seen {
+		if stamp == s.epoch && (exclude == nil || !exclude(s.ix.itemLo+i)) {
+			popped++
 		}
 	}
-	if screened == 0 {
-		t.Fatal("the screen rejected nothing; the test exercises nothing")
+	if st.ItemsExamined != popped || st.ScreenedOut != 0 {
+		return fmt.Errorf("%+v for %d distinct non-excluded items popped; want every one examined", st, popped)
 	}
-	t.Logf("%d candidates screened out", screened)
+	return nil
+}
+
+// TestEveryCandidateIsConfirmed: allConfirmed on deepWorld at k = 50,
+// where the heap fills early and most candidates arrive after it, with
+// and without exclusions; results are BruteForce's bit for bit. The TA ≡
+// BruteForce property tests run the same check on their worlds.
+func TestEveryCandidateIsConfirmed(t *testing.T) {
+	c := deepWorld()
+	s := BuildIndex(c).NewSearcher()
+	for u := 0; u < len(c.user); u++ {
+		at := (7 * u) % len(c.omega)
+		var exclude Exclude
+		if u%2 == 1 {
+			exclude = func(item int) bool { return item%5 == u%5 }
+		}
+		want, _ := BruteForce(c, u, at, 50, exclude)
+		got, st := s.Query(c, u, at, 50, exclude)
+		if err := allConfirmed(s, st, exclude); err != nil {
+			t.Fatalf("query (%d,%d): %v", u, at, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query (%d,%d): %d results, BruteForce %d", u, at, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Item != want[i].Item || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("query (%d,%d) rank %d: got %+v, BruteForce %+v", u, at, i, got[i], want[i])
+			}
+		}
+	}
 }

@@ -42,10 +42,10 @@ type Stats struct {
 	ItemsExamined int
 	// ListPops counts entries consumed from the sorted lists (TA only).
 	ListPops int
-	// ScreenedOut counts candidates the float32 screening scan rejected
-	// without an exact float64 confirm (TA only). Screened candidates
-	// are provably below the k-th best at rejection time, so they never
-	// affect results.
+	// ScreenedOut is always 0: TA confirms every candidate exactly and
+	// screens none out. It stays only because the repository
+	// benchmark's per-layer report (bench/layers.go) reads it; ROADMAP
+	// item 8e removes it together with that metric.
 	ScreenedOut int
 }
 
@@ -83,14 +83,12 @@ func BruteForce(r model.Recommender, u, t, k int, exclude Exclude) ([]Result, St
 // of K2 heads, bounds the context half of an unseen item's score. A
 // scorer with user topics below that range also gets a floor list,
 // sorted by Σ_z ϕ_zv over the user topics, that carries the weight
-// those topics share. The table is dual: the scorer's float64
-// ItemTopics, borrowed, answers the confirm step, and its window in
-// float32 (byItem32) feeds the screening scan at half the memory
-// traffic; both are full width, so a confirmed score is BruteForce's
-// bit for bit. Building from scratch is O(K·V·logV), parallelized
-// across lists; BuildIndexFrom inherits what a previous generation's
-// index already holds. Queries are read-only and safe for concurrent
-// use.
+// those topics share. The table is the scorer's float64 ItemTopics,
+// borrowed: the exact confirm reads its full-width rows, so a confirmed
+// score is BruteForce's bit for bit. Building from scratch is
+// O(K·V·logV), parallelized across lists; BuildIndexFrom inherits what
+// a previous generation's index already holds. Queries are read-only
+// and safe for concurrent use.
 type Index struct {
 	scorer model.TopicScorer // built from, and the only scorer Query accepts
 
@@ -98,7 +96,6 @@ type Index struct {
 	numItems  int       // window size: number of items this index covers
 	itemLo    int       // global index of the window's first item (0 for a full index)
 	table     []float64 // the scorer's ItemTopics: ϕ_zv at [v*K+z], v global
-	byItem32  []float32 // float32 conversion of the window's table rows: local item i at [i*K]
 
 	// lists[z] is expanded topic z's list, empty for the context topics
 	// [ctxLo, ctxHi), which contexts[t] — interval t's collapsed list —
@@ -116,23 +113,11 @@ type Index struct {
 	// ctxWeights[t] the ω_t contexts[t] was collapsed under; the next
 	// generation's BuildIndexFrom compares against them to decide which
 	// lists it may inherit. kept counts the lists this index itself
-	// inherited, shared those of them that are prev's own storage, and
-	// screenShared says the same of byItem32.
-	topics       [][]float64
-	ctxWeights   [][]float64
-	kept         int
-	shared       int
-	screenShared bool
-
-	// screenScale and screenEps over-approximate the worst-case error of
-	// the float32 screening dot product: for any item,
-	// trueScore <= float64(score32)·screenScale + screenEps. A candidate
-	// is sent to the exact float64 confirm whenever its screened score
-	// could still reach the current k-th best under this bound, so the
-	// screen can cause extra confirms but never a missed result. See
-	// DESIGN.md §12 for the derivation.
-	screenScale float64
-	screenEps   float64
+	// inherited, and shared those of them that are prev's own storage.
+	topics     [][]float64
+	ctxWeights [][]float64
+	kept       int
+	shared     int
 
 	// boundScale inflates the threshold S_TA so that it dominates the
 	// float64 Score of every unseen item although the two add their terms
@@ -152,9 +137,9 @@ type list struct {
 	weights []float64
 }
 
-// BuildIndex precomputes the sorted lists (and the float32 screen) for
-// ts. Zero-weight entries are kept: the lists must cover the
-// catalog for the threshold bound to hold as k grows.
+// BuildIndex precomputes the sorted lists for ts. Zero-weight entries
+// are kept: the lists must cover the catalog for the threshold bound to
+// hold as k grows.
 func BuildIndex(ts model.TopicScorer) *Index {
 	return BuildIndexFrom(nil, ts, 0, ts.NumItems())
 }
@@ -167,9 +152,9 @@ func BuildIndex(ts model.TopicScorer) *Index {
 // full-model scores, so merging disjoint windows' top-k lists by (score
 // desc, item asc) reproduces the monolithic top-k bit for bit (the
 // global top-k is a subset of the union of per-window top-k's). What
-// the index builds scales with the window, not the catalog: lists and
-// the float32 screen hold hi−lo entries per list or topic. The exact
-// confirm reads the scorer's whole-catalog table, which it borrows.
+// the index builds scales with the window, not the catalog: lists hold
+// hi−lo entries each. The exact confirm reads the scorer's
+// whole-catalog table, which it borrows.
 //
 // prev is the index of the previous generation: whatever it already
 // holds that the new scorer leaves unchanged is inherited instead of
@@ -186,8 +171,8 @@ func BuildIndex(ts model.TopicScorer) *Index {
 // the sorted tail of items prev did not cover yields the one sorted
 // list of the whole window; otherwise the list is sorted from scratch.
 // New items that all weigh +0 — a stream-born item under a frozen ϕ —
-// need no merge: extend, and the screen step after it, admit them by
-// reslicing prev's storage, moving no byte of it.
+// need no merge: extend admits them by reslicing prev's storage, moving
+// no byte of it.
 // A topic's weights are its slab. A collapsed context's weights are a
 // function of ω_t and the context topics' slabs, each term computed per
 // item, so it is unchanged exactly when those are — which is read off
@@ -196,11 +181,10 @@ func BuildIndex(ts model.TopicScorer) *Index {
 // topics' slabs, so it is unchanged exactly when all of those are. The
 // choice is made from the weights alone: a frozen ϕ keeps every topic
 // list, the floor and every context whose θ′ row stood still across
-// publishes; the refit open interval re-sorts its one list. The screen
-// is inherited when the borrowed table is prev's storage (below).
+// publishes; the refit open interval re-sorts its one list.
 //
 // Work parallelizes in passes: the slab comparisons and then the lists
-// fan out one per task, the screen conversion over item ranges.
+// fan out one per task.
 func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	k, v, table := ts.NumTopics(), hi-lo, ts.ItemTopics()
 	if lo < 0 || hi < lo || hi > ts.NumItems() || len(table) < hi*k {
@@ -214,13 +198,6 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 		table:     table,
 		lists:     make([]list, k),
 		topics:    make([][]float64, k),
-		// 16× the analytic bound on the f32 screening error — relative
-		// term (K+8)·2⁻²⁰ vs the true ≤(K+8)·2⁻²⁴, absolute slack far
-		// above any subnormal underflow — so the screen is sound with
-		// wide margin and the slack costs only the occasional extra
-		// exact confirm.
-		screenScale: 1 + float64(k+8)*0x1p-20,
-		screenEps:   1e-35,
 		// More than twice the analytic bound (3K+4)·2⁻⁵³ on how far
 		// rounding can lift an unseen item's Score above a threshold that
 		// sums the context half and the floored user half in other
@@ -307,26 +284,6 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 			ix.shared++
 		}
 	}
-	// The screen: the window's table rows in float32. A borrowed table
-	// that is prev's storage holds prev's rows and, behind prev's
-	// catalog, zeros — what the room behind prev's screen holds — so the
-	// screen is prev's one reslice longer, or prev's rows copied.
-	tableSame := prev != nil && prev.numTopics == k && len(ix.table) > 0 && &prev.table[0] == &ix.table[0]
-	if tableSame && v*k <= cap(prev.byItem32) && (head == v || lo+head >= prev.scorer.NumItems()) {
-		ix.byItem32, ix.screenShared = prev.byItem32[:v*k], true
-		return ix
-	}
-	ix.byItem32 = make([]float32, v*k, (v+spare)*k)
-	from := 0 // rows before it are copied, not converted again
-	if tableSame {
-		from = copy(ix.byItem32, prev.byItem32) / k
-	}
-	rows := ix.table[lo*k : hi*k]
-	model.ParallelRanges(v-from, workers, func(_, vlo, vhi int) {
-		for i := (from + vlo) * k; i < (from+vhi)*k; i++ {
-			ix.byItem32[i] = float32(rows[i])
-		}
-	})
 	return ix
 }
 
@@ -481,10 +438,6 @@ func (ix *Index) ListsKept() int { return ix.kept }
 // than a merged copy.
 func (ix *Index) ListsShared() int { return ix.shared }
 
-// ScreenShared reports whether the float32 screen is the previous
-// generation's own storage.
-func (ix *Index) ScreenShared() bool { return ix.screenShared }
-
 // NumLists returns how many sorted lists the index holds: one per
 // expanded topic outside the collapsed range, one per interval context,
 // and the floor list when there are user topics to floor.
@@ -522,17 +475,6 @@ func (ix *Index) Score(query []float64, item int) float64 {
 func (ix *Index) score2(query []float64, a, b int) (float64, float64) {
 	k := ix.numTopics
 	return dotOrdered2(query, ix.table[a*k:(a+1)*k], ix.table[b*k:(b+1)*k])
-}
-
-// score32 is the float32 screening scorer: the same dot product as
-// Score, read from the screen at a local window offset with
-// reassociated float32 accumulation. Its value is only valid as a screen under the index's
-// screenScale/screenEps error bound, never as a returned score.
-//
-//tcam:hotpath
-func (ix *Index) score32(query []float32, item int) float32 {
-	k := ix.numTopics
-	return dot32(query, ix.byItem32[item*k:(item+1)*k])
 }
 
 // Query answers the temporal top-k query (u, t) with the extended

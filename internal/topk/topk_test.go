@@ -313,7 +313,8 @@ func userWeights(rng *rand.Rand, k int) []float64 {
 // one-zero queries, random k, random exclusions and random item windows,
 // TA returns exactly the brute-force top-k — items, order and score
 // bits — whether the scorer is a plain one, whose every topic has its own
-// list, or names all its topics user topics and so walks a floor list.
+// list, or names all its topics user topics and so walks a floor list —
+// and every candidate it pops gets the exact confirm (allConfirmed).
 func TestTAEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -331,7 +332,7 @@ func TestTAEquivalenceProperty(t *testing.T) {
 			lo = rng.Intn(v)
 			hi = lo + rng.Intn(v-lo+1)
 		}
-		ix := BuildIndexFrom(nil, scorer, lo, hi)
+		s := BuildIndexFrom(nil, scorer, lo, hi).NewSearcher()
 		k := rng.Intn(v+3) + 1
 		var ex Exclude
 		if rng.Float64() < 0.5 {
@@ -341,7 +342,11 @@ func TestTAEquivalenceProperty(t *testing.T) {
 			}
 			ex = func(item int) bool { return banned[item] }
 		}
-		ta, _ := ix.Query(scorer, 0, 0, k, ex)
+		ta, st := s.Query(scorer, 0, 0, k, ex)
+		if err := allConfirmed(s, st, ex); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
 		bf, _ := BruteForce(scorer, 0, 0, k, windowExclude(lo, hi, ex))
 		if len(ta) != len(bf) {
 			return false
