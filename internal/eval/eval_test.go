@@ -189,10 +189,9 @@ type miniScorer struct {
 	queries [][]float64 // (u*2+t)-indexed ϑq
 }
 
-func (m *miniScorer) Name() string               { return "mini" }
-func (m *miniScorer) NumItems() int              { return len(m.topics[0]) }
-func (m *miniScorer) NumTopics() int             { return len(m.topics) }
-func (m *miniScorer) TopicItems(z int) []float64 { return m.topics[z] }
+func (m *miniScorer) Name() string   { return "mini" }
+func (m *miniScorer) NumItems() int  { return len(m.topics[0]) }
+func (m *miniScorer) NumTopics() int { return len(m.topics) }
 func (m *miniScorer) ItemTopics() []float64 {
 	k := len(m.topics)
 	table := make([]float64, m.NumItems()*k)

@@ -56,9 +56,10 @@ type Advanced struct {
 	// computed: θ′ rows of stream-opened intervals, and folded users.
 	ContextsKept, ContextsFit int
 	UsersKept, UsersFolded    int
-	// Whether the model's item-indexed slabs (φ, φ′, background) are the
-	// previous derivation's own storage rather than a new layout.
-	SlabsShared bool
+	// Whether the model's item-major table (ItemTopics: φ, φ′ and the
+	// background, or φ and the item contexts) is the previous derivation's
+	// own storage rather than a new layout.
+	TableShared bool
 
 	boot   *Bundle        // the receiver the bundle was derived from
 	stream *cuboid.Cuboid // the stream cuboid it was derived over
@@ -169,7 +170,7 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 	if err != nil {
 		return nil, err
 	}
-	adv.SlabsShared = before != nil && &folded.TopicItems(0)[0] == &before.TopicItems(0)[0]
+	adv.TableShared = before != nil && &folded.ItemTopics()[0] == &before.ItemTopics()[0]
 	adv.Bundle = New(folded, grid, users, items)
 	if err := adv.Bundle.Validate(); err != nil {
 		return nil, err

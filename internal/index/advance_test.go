@@ -117,11 +117,11 @@ func TestAdvanceFromEqualsAdvance(t *testing.T) {
 }
 
 // TestAdvanceFromAcrossStride: a stream of four new items a step
-// outgrows the room GrowFrom leaves behind φ, φ′ and the background (64
-// items at this size) and has them laid out anew at steps 0, 17 and 34.
-// In between, a derivation shares the previous one's slabs and, under
-// time topics, the item-major table laid out from them (an ITCAM table
-// holds the refit item contexts too), and at every step it writes the bytes
+// outgrows the room GrowFrom leaves behind the item-major table (64
+// items at this size) and has it laid out anew at steps 0, 17 and 34.
+// In between, a derivation under time topics shares the previous one's
+// table (an ITCAM table holds the stream-opened item contexts too, and
+// is laid out anew every time), and at every step it writes the bytes
 // of the derivation from nothing. The last bundle is then saved and
 // reloaded — stride back to V — and both copies, as boot bundles of a
 // further stream, derive the same bytes again.
@@ -141,15 +141,15 @@ func TestAdvanceFromAcrossStride(t *testing.T) {
 				if !bytes.Equal(bundleBytes(t, adv.Bundle), bundleBytes(t, s.advanceFrom(t, boot, nil).Bundle)) {
 					t.Fatalf("step %d: inheriting derivation differs from the derivation from nothing", step)
 				}
-				if relaid := step%17 == 0; adv.SlabsShared == relaid {
-					t.Errorf("step %d (%d items): slabs shared with the previous derivation: %t", step, len(s.items), adv.SlabsShared)
+				if want := step%17 != 0 && name != "ITCAM"; adv.TableShared != want {
+					t.Errorf("step %d (%d items): table shared with the previous derivation: %t, want %t", step, len(s.items), adv.TableShared, want)
 				}
 				table, before := adv.Bundle.Model.ItemTopics(), []float64(nil)
 				if prev != nil {
 					before = prev.Bundle.Model.ItemTopics()
 				}
-				if shared := before != nil && &table[0] == &before[0]; shared != (adv.SlabsShared && name != "ITCAM") {
-					t.Errorf("step %d: item-major table shared with the previous derivation: %t, slabs: %t", step, shared, adv.SlabsShared)
+				if shared := before != nil && &table[0] == &before[0]; shared != adv.TableShared {
+					t.Errorf("step %d: item-major table shared with the previous derivation: %t, TableShared: %t", step, shared, adv.TableShared)
 				}
 				prev = adv
 			}

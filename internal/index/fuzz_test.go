@@ -98,7 +98,7 @@ func unsafeModel(m *tcam.Model) string {
 			return fmt.Sprintf("φ' of time topic %d", x)
 		}
 	}
-	if k := m.K1() + m.K2(); m.K2() > 0 && m.NumTopics() > k && !row(m.TopicItems(k)) {
+	if k := m.K1() + m.K2(); m.K2() > 0 && m.NumTopics() > k && !row(m.Topic(k)) {
 		return "background"
 	}
 	return ""

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 
 	"tcam/internal/atomicfile"
 	"tcam/internal/dataset"
@@ -119,15 +120,25 @@ func (b *Bundle) Write(w io.Writer) error {
 }
 
 // Read deserializes a bundle written with Write.
-func Read(r io.Reader) (*Bundle, error) {
+func Read(r io.Reader) (*Bundle, error) { return read(r, func() {}) }
+
+// read is Read calling collect twice: once the file's message is
+// decoded, and once the model is.
+func read(r io.Reader, collect func()) (*Bundle, error) {
 	var w fileWire
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("index: decode: %w", err)
 	}
-	m, err := tcam.Read(bytes.NewReader(w.Model))
+	// The payload is handed over, not kept: once tcam.Read has decoded
+	// it, nothing holds it.
+	payload := w.Model
+	w.Model = nil
+	collect()
+	m, err := tcam.Read(bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
+	collect()
 	b := &Bundle{Model: m, Grid: w.Grid, Users: w.Users, Items: w.Items}
 	if w.Kind != b.Kind() {
 		return nil, fmt.Errorf("index: bundle says kind %q but carries a %q model", w.Kind, b.Kind())
@@ -146,7 +157,13 @@ func (b *Bundle) Save(path string) error {
 	return atomicfile.Write(path, b.Write)
 }
 
-// Load reads a bundle from path.
+// Load reads a bundle from path, as a process boots or reloads. Each
+// decode leaves garbage as large as the model: the file's gob message
+// and the payload it copies out, then the model's own message and its
+// topic-major rows. Load collects it and hands its pages back to the
+// OS as each decode ends, so the next step grows from what is live, and
+// the process's peak resident memory does not depend on when the
+// collector happened to run.
 func Load(path string) (*Bundle, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -154,5 +171,5 @@ func Load(path string) (*Bundle, error) {
 	}
 	//tcamvet:ignore errcheck close error on a read-only file carries no signal
 	defer f.Close()
-	return Read(f)
+	return read(f, debug.FreeOSMemory)
 }

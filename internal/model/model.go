@@ -47,12 +47,10 @@ type TopicScorer interface {
 	Recommender
 	// NumTopics returns K, the expanded topic-space dimension.
 	NumTopics() int
-	// TopicItems returns ϕ_z̃ for topic z̃: non-negative per-item weights
-	// of length NumItems(). Callers must not modify the slice.
-	TopicItems(z int) []float64
-	// ItemTopics returns the same weights item-major, ϕ_z̃v at v·K+z̃, for
-	// at least NumItems() rows, zero behind them. It is immutable: two
-	// scorers returning one storage weigh every item alike.
+	// ItemTopics returns the items' non-negative per-topic weights
+	// item-major, ϕ_z̃v at v·K+z̃, for at least NumItems() rows, zero
+	// behind them. It is immutable: two scorers returning one storage
+	// weigh every item alike.
 	ItemTopics() []float64
 	// QueryWeightsInto overwrites dst, of length NumTopics(), with ϑq for
 	// query (u, t): non-negative entries, zero ones skipped by TA. It

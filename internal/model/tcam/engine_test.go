@@ -54,13 +54,17 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // params lists every parameter table of a model by name, the
-// item-indexed ones V wide whatever stride the model keeps them at.
+// item-indexed ones as the wire carries them: topic-major, V wide
+// whatever stride the model keeps its table at.
 func params(m *Model) map[string][]float64 {
-	return map[string][]float64{
-		"theta": m.theta, "phi": compactRows(m.phi, m.stride, m.numItems), "context": m.ctx,
-		"phiX": compactRows(m.phiX, m.stride, m.numItems), "lambda": m.lambda,
-		"background": compactRows(m.background, m.stride, m.numItems),
+	p := map[string][]float64{
+		"theta": m.theta, "phi": m.columns(0, m.k1), "context": m.ctx,
+		"phiX": m.columns(m.k1, m.k2), "lambda": m.lambda, "background": nil,
 	}
+	if m.backgroundW > 0 {
+		p["background"] = m.columns(m.k1+m.k2, 1)
+	}
+	return p
 }
 
 func assertSameModel(t *testing.T, label string, got, want *Model) {
@@ -83,7 +87,7 @@ func assertSameModel(t *testing.T, label string, got, want *Model) {
 // shares no memory with the code under test.
 func cloneModel(m *Model) *Model {
 	out := *m
-	for _, p := range []*[]float64{&out.theta, &out.phi, &out.ctx, &out.phiX, &out.lambda, &out.background, &out.table} {
+	for _, p := range []*[]float64{&out.theta, &out.ctx, &out.lambda, &out.table} {
 		if *p != nil {
 			*p = append([]float64(nil), *p...)
 		}

@@ -91,10 +91,10 @@ func (m *Model) FitNewInterval(items []int, weights []float64, numItems, iters i
 
 // GrowFrom returns the model widened to numIntervals intervals and
 // numItems items. The new items get zero probability in every
-// item-indexed table (φ, φ', an item context, the background): under
-// ITCAM a new item is reachable only through the temporal contexts that
-// observed it, under TTCAM's frozen time topics not at all, until a full
-// retrain.
+// item-indexed parameter (φ, φ', an item context, the background):
+// under ITCAM a new item is reachable only through the temporal
+// contexts that observed it, under TTCAM's frozen time topics not at
+// all, until a full retrain.
 // newContexts supplies the θ't row of each appended interval in order,
 // from FitNewInterval, so numIntervals must equal
 // NumIntervals()+len(newContexts). Every table whose shape the growth
@@ -102,14 +102,14 @@ func (m *Model) FitNewInterval(items []int, weights []float64, numItems, iters i
 //
 // prev is an earlier growth of the same receiver (anything else, nil
 // included, is ignored); the model is the one GrowFrom(nil, …) returns,
-// parameter for parameter. φ, φ' and the background never change under
-// growth — a wider catalog only needs more zeros behind each row — so
-// they are laid out once, rows a stride apart with room behind the
-// catalog (model.SpareItems), and every later growth that still fits
-// the stride shares prev's slabs outright. Nothing is written to them
-// again: the room was zero from the start. A TTCAM table (ItemTopics)
-// goes with them, an ITCAM one, which holds the contexts, is laid out
-// anew; storage that stays put lets the TA index inherit by pointer.
+// parameter for parameter. A wider catalog needs only more zero rows
+// behind the table, so a table that has to be widened is copied once
+// with room behind the catalog (model.SpareItems), and every later
+// growth that still fits that room shares prev's table outright.
+// Nothing is written to it again: the room was zero from the start. An
+// ITCAM table, whose columns include the contexts, is laid out anew
+// whenever an interval opens; storage that stays put lets the TA index
+// inherit by pointer.
 func (m *Model) GrowFrom(prev *Model, numIntervals, numItems int, newContexts [][]float64) (*Model, error) {
 	if numItems < m.numItems {
 		return nil, fmt.Errorf("tcam: cannot shrink items %d -> %d", m.numItems, numItems)
@@ -129,29 +129,36 @@ func (m *Model) GrowFrom(prev *Model, numIntervals, numItems int, newContexts []
 			return nil, fmt.Errorf("tcam: new context %d has %d entries, want %d", i, len(ctx), width)
 		}
 	}
-	V := m.numItems
 	out := *m // θ and λ are unchanged, so shared
 	out.numIntervals, out.numItems, out.grownFrom = numIntervals, numItems, m
-	switch {
-	case prev != nil && prev.grownFrom == m && numItems <= prev.stride:
-		out.stride, out.table = prev.stride, prev.table
-		out.phi, out.phiX, out.background = prev.phi, prev.phiX, prev.background
-	case numItems <= m.stride:
-		// The receiver's own rows already end in the new items' zeros.
-	default:
-		out.stride, out.table = numItems+model.SpareItems(numItems), nil
-		out.phi = widenRows(m.phi, m.stride, out.stride, m.k1)
-		out.phiX = widenRows(m.phiX, m.stride, out.stride, m.k2)
-		if m.background != nil {
-			out.background = widenRows(m.background, m.stride, out.stride, 1)
-		}
-	}
-	out.ctx = widenRows(m.ctx, m.ctxWidth(V), width, numIntervals)
+	out.ctx = widenRows(m.ctx, m.ctxWidth(m.numItems), width, numIntervals)
 	for i, ctx := range newContexts {
 		copy(out.ctx[(m.numIntervals+i)*width:], ctx)
 	}
-	if out.table == nil || m.k2 == 0 {
-		out.table = out.layTable(nil)
+	fits := prev != nil && prev.grownFrom == m && numItems <= prev.stride
+	switch {
+	case fits:
+		out.stride = prev.stride
+	case numItems > m.stride:
+		out.stride = numItems + model.SpareItems(numItems)
+	}
+	k0, k := m.NumTopics(), out.NumTopics()
+	switch {
+	case m.k2 == 0 && len(newContexts) > 0:
+		// Each new context is a new column: φ and the contexts are laid
+		// out anew at the new width.
+		out.table = make([]float64, out.stride*k)
+		for v := 0; v < m.numItems; v++ {
+			copy(out.table[v*k:v*k+m.k1], m.table[v*k0:v*k0+m.k1])
+		}
+		layColumns(out.table, k, m.k1, out.ctx, numItems)
+	case fits && m.k2 > 0:
+		out.table = prev.table
+	case out.stride > m.stride:
+		out.table = make([]float64, out.stride*k)
+		copy(out.table, m.table)
+	default:
+		// The receiver's own rows already end in the new items' zeros.
 	}
 	return &out, nil
 }

@@ -200,8 +200,7 @@ func TestFoldInBitIdenticalToRestrictedBatch(t *testing.T) {
 			// the result and in the receiver.
 			if !bitsEqual(got.theta[:oldN*got.k1], frozen.theta) ||
 				!bitsEqual(got.lambda[:oldN], frozen.lambda) ||
-				!bitsEqual(got.phi, frozen.phi) || !bitsEqual(got.ctx, frozen.ctx) ||
-				!bitsEqual(got.phiX, frozen.phiX) || !bitsEqual(got.background, frozen.background) {
+				!bitsEqual(got.table, frozen.table) || !bitsEqual(got.ctx, frozen.ctx) {
 				t.Errorf("%s: fold-in mutated frozen parameters", label)
 			}
 			assertSameModel(t, label+": receiver", boot, frozen)
@@ -429,6 +428,7 @@ func referenceFitNewInterval(m *Model, ratings map[int]float64, numItems, iters 
 		return row
 	}
 	k2, V := m.k2, m.numItems
+	phiX := m.columns(m.k1, k2)
 	thetaNew := make([]float64, k2)
 	for x := range thetaNew {
 		thetaNew[x] = 1 / float64(k2)
@@ -445,7 +445,7 @@ func referenceFitNewInterval(m *Model, ratings map[int]float64, numItems, iters 
 		for _, v := range items {
 			var pt float64
 			for x := 0; x < k2; x++ {
-				p := thetaNew[x] * m.phiX[x*V+v]
+				p := thetaNew[x] * phiX[x*V+v]
 				px[x] = p
 				pt += p
 			}
@@ -549,7 +549,8 @@ func keepUsers(n int, users ...int) []bool {
 }
 
 // TestGrowSharesUnchangedSlabs: growth copies a table only when its
-// shape changes.
+// shape changes. An ITCAM table, whose columns include the contexts,
+// changes shape with every interval.
 func TestGrowSharesUnchangedSlabs(t *testing.T) {
 	forFoldVariants(t, func(t *testing.T, v variant) {
 		boot := foldBootModel(t, v)
@@ -557,28 +558,58 @@ func TestGrowSharesUnchangedSlabs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if &same.phi[0] != &boot.phi[0] || &same.ctx[0] != &boot.ctx[0] {
-			t.Error("GrowFrom to the same shape copied φ or θ'")
+		if &same.table[0] != &boot.table[0] || &same.ctx[0] != &boot.ctx[0] {
+			t.Error("GrowFrom to the same shape copied the table or θ'")
 		}
 		ctx := boot.FitNewInterval([]int{3}, []float64{2}, 25, 5)
 		taller, err := boot.GrowFrom(nil, 7, 25, [][]float64{ctx})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if &taller.phi[0] != &boot.phi[0] {
-			t.Error("GrowFrom by an interval copied φ")
+		if shared := &taller.table[0] == &boot.table[0]; shared != v.topics {
+			t.Errorf("GrowFrom by an interval shares the table: %t, want %t", shared, v.topics)
 		}
 		if &taller.ctx[0] == &boot.ctx[0] {
 			t.Error("GrowFrom by an interval wrote the new context into the receiver's θ'")
 		}
+		assertTableIsParams(t, "taller", taller)
 		wider, err := boot.GrowFrom(nil, 6, 26, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if &wider.phi[0] == &boot.phi[0] {
-			t.Error("GrowFrom by an item shares a φ of the old width")
+		if &wider.table[0] == &boot.table[0] {
+			t.Error("GrowFrom by an item shares a table without room for it")
 		}
+		assertTableIsParams(t, "wider", wider)
 	})
+}
+
+// assertTableIsParams checks a model's table against the table Read
+// lays out from its own wire form, and its room behind the catalog for
+// zeros: growth must lay out what a decode would.
+func assertTableIsParams(t *testing.T, label string, m *Model) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	laid, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(laid.table)
+	if !bitsEqual(m.table[:n], laid.table) || !allZero(m.table[n:]) {
+		t.Errorf("%s: the table is not its parameters laid out", label)
+	}
+}
+
+func allZero(s []float64) bool {
+	for _, x := range s {
+		if math.Float64bits(x) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestFoldInAllocatesNoGlobalSlab pins what fold-in allocates: every
@@ -625,7 +656,7 @@ func TestFoldInAllocatesNoGlobalSlab(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			return (after.TotalAlloc - before.TotalAlloc) / runs
 		}
-		slab := uint64(8 * len(boot.phi)) // the smallest global slab an accumulator could carry
+		slab := uint64(8 * boot.numItems * boot.k1) // the smallest global slab an accumulator could carry
 		for _, procs := range []int{1, 8} {
 			if got := bytesPerFold(procs); got > slab/2 {
 				t.Errorf("GOMAXPROCS=%d: FoldInUsersFrom allocates %d B per call, want under half a %d B φ slab",

@@ -28,9 +28,10 @@ type wire struct {
 	Background   []float64
 }
 
-// Write serializes the trained model to w in gob format. The wire rows
-// are V wide whatever room the model's own slabs leave behind them, so
-// the bytes depend on the parameters alone.
+// Write serializes the trained model to w in gob format. The wire is
+// topic-major: the table's columns go out as V-wide rows, whatever room
+// the model leaves behind V, so the bytes depend on the parameters
+// alone.
 func (m *Model) Write(w io.Writer) error {
 	out := wire{
 		Label:        m.label,
@@ -40,35 +41,24 @@ func (m *Model) Write(w io.Writer) error {
 		K1:           m.k1,
 		K2:           m.k2,
 		Theta:        m.theta,
-		Phi:          compactRows(m.phi, m.stride, m.numItems),
-		PhiX:         compactRows(m.phiX, m.stride, m.numItems),
+		Phi:          m.columns(0, m.k1),
+		PhiX:         m.columns(m.k1, m.k2),
 		Lambda:       m.lambda,
 		BackgroundW:  m.backgroundW,
-		Background:   compactRows(m.background, m.stride, m.numItems),
 	}
 	if m.k2 == 0 {
 		out.ThetaT = m.ctx
 	} else {
 		out.ThetaTx = m.ctx
 	}
+	if m.backgroundW > 0 {
+		out.Background = m.columns(m.k1+m.k2, 1)
+	}
 	bw := bufio.NewWriter(w)
 	if err := gob.NewEncoder(bw).Encode(&out); err != nil {
 		return fmt.Errorf("tcam: encode: %w", err)
 	}
 	return bw.Flush()
-}
-
-// compactRows returns the table's rows, stride apart in src, laid end
-// to end at cols entries each — src itself when they already are.
-func compactRows(src []float64, stride, cols int) []float64 {
-	if stride == cols {
-		return src
-	}
-	dst := make([]float64, 0, len(src)/stride*cols)
-	for r := 0; r < len(src); r += stride {
-		dst = append(dst, src[r:r+cols]...)
-	}
-	return dst
 }
 
 // Read deserializes a model written with Write, validating it: the
@@ -101,16 +91,14 @@ func Read(r io.Reader) (*Model, error) {
 		k1:           w.K1,
 		k2:           w.K2,
 		theta:        w.Theta,
-		phi:          w.Phi,
 		ctx:          ctx,
-		phiX:         w.PhiX,
 		lambda:       w.Lambda,
 		backgroundW:  w.BackgroundW,
-		background:   w.Background,
 	}
-	if !isTable(m.theta, m.numUsers, m.k1) || !isTable(m.phi, m.k1, m.numItems) ||
-		!isTable(m.ctx, m.numIntervals, m.ctxWidth(m.numItems)) || len(other) != 0 ||
-		!isTable(m.phiX, m.k2, m.numItems) || len(m.lambda) != m.numUsers {
+	V := m.numItems
+	if !isTable(m.theta, m.numUsers, m.k1) || !isTable(w.Phi, m.k1, V) ||
+		!isTable(m.ctx, m.numIntervals, m.ctxWidth(V)) || len(other) != 0 ||
+		!isTable(w.PhiX, m.k2, V) || len(m.lambda) != m.numUsers {
 		return nil, fmt.Errorf("tcam: parameter lengths inconsistent with dimensions")
 	}
 	if !validBackground(m.k2, m.backgroundW) {
@@ -118,10 +106,10 @@ func Read(r io.Reader) (*Model, error) {
 	}
 	want := 0
 	if m.backgroundW > 0 {
-		want = m.numItems
+		want = V
 	}
-	if len(m.background) != want {
-		return nil, fmt.Errorf("tcam: background length %d, want %d", len(m.background), want)
+	if len(w.Background) != want {
+		return nil, fmt.Errorf("tcam: background length %d, want %d", len(w.Background), want)
 	}
 	for _, t := range []struct {
 		name string
@@ -129,10 +117,10 @@ func Read(r io.Reader) (*Model, error) {
 		cols int
 	}{
 		{"θ", m.theta, m.k1},
-		{"φ", m.phi, m.numItems},
-		{"θ'", m.ctx, m.ctxWidth(m.numItems)},
-		{"φ'", m.phiX, m.numItems},
-		{"background", m.background, m.numItems},
+		{"φ", w.Phi, V},
+		{"θ'", m.ctx, m.ctxWidth(V)},
+		{"φ'", w.PhiX, V},
+		{"background", w.Background, V},
 	} {
 		if r := badRow(t.rows, t.cols); r >= 0 {
 			return nil, fmt.Errorf("tcam: %s row %d is not a probability distribution", t.name, r)
@@ -143,7 +131,17 @@ func Read(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("tcam: λ of user %d is %v, outside [0,1]", u, l)
 		}
 	}
-	m.table = m.layTable(nil)
+	// The item-indexed rows are laid into the table and not kept: the
+	// table is the model's only copy of them.
+	k := m.NumTopics()
+	m.table = make([]float64, V*k)
+	layColumns(m.table, k, 0, w.Phi, V)
+	if m.k2 == 0 {
+		layColumns(m.table, k, m.k1, m.ctx, V)
+	} else {
+		layColumns(m.table, k, m.k1, w.PhiX, V)
+		layColumns(m.table, k, m.k1+m.k2, w.Background, V)
+	}
 	return m, nil
 }
 

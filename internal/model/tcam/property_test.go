@@ -77,7 +77,7 @@ func TestEMInvariantsProperty(t *testing.T) {
 	})
 }
 
-// Property: TA decomposition (QueryWeightsInto · TopicItems) equals Score
+// Property: TA decomposition (QueryWeightsInto · ItemTopics) equals Score
 // for random models and probes.
 func TestDecompositionProperty(t *testing.T) {
 	forVariants(t, func(t *testing.T, v variant) {
@@ -96,7 +96,7 @@ func TestDecompositionProperty(t *testing.T) {
 				var s float64
 				for z, wz := range w {
 					if wz != 0 {
-						s += wz * m.TopicItems(z)[item]
+						s += wz * m.ItemTopics()[item*m.NumTopics()+z]
 					}
 				}
 				if math.Abs(s-m.Score(u, tt, item)) > 1e-10 {

@@ -137,22 +137,20 @@ type Model struct {
 	numItems     int
 	k1, k2       int // k2 == 0: the temporal context emits items directly (ITCAM)
 
-	// stride is the row stride of φ, φ′ and θB: V for a trained or
-	// decoded model, more where GrowFrom left room for the catalog to grow
-	// into. Whatever lies between V and stride is zero — the probability
-	// a frozen topic gives an item it never saw.
-	stride int
-
 	theta  []float64 // N×K1: P(z|θu)
-	phi    []float64 // K1×stride: P(v|φz)
 	ctx    []float64 // T×ctxWidth: P(·|θ't), over items (ITCAM) or time topics (TTCAM)
-	phiX   []float64 // K2×stride: P(v|φ'x); empty for ITCAM
 	lambda []float64 // N: λu
 
-	backgroundW float64   // λB; 0 when disabled
-	background  []float64 // 1×stride: θB, empirical item distribution
+	backgroundW float64 // λB; 0 when disabled
 
-	table []float64 // stride×NumTopics(): ItemTopics, built by layTable alone
+	// table is ItemTopics, the one copy of every item-indexed parameter:
+	// row v holds [φ·v | φ′·v (| θB(v))] for TTCAM and [φ·v | θ′₀(v) …
+	// θ′_{T−1}(v)] for ITCAM, NumTopics() entries. It has stride rows: V
+	// for a trained or decoded model, more where GrowFrom left room for
+	// the catalog to grow into. The rows behind V are zero — the
+	// probability a frozen topic gives an item it never saw.
+	table  []float64
+	stride int
 
 	// grownFrom is the model GrowFrom derived this one from (through any
 	// number of fold-ins), for the next growth to inherit from.
@@ -194,8 +192,9 @@ func (m *Model) Lambda(u int) float64 { return m.lambda[u] }
 // not modify the slice.
 func (m *Model) UserInterest(u int) []float64 { return m.theta[u*m.k1 : (u+1)*m.k1] }
 
-// UserTopic returns P(·|φz), user-oriented topic z's item distribution.
-func (m *Model) UserTopic(z int) []float64 { return m.phi[z*m.stride : z*m.stride+m.numItems] }
+// UserTopic returns a copy of P(·|φz), user-oriented topic z's item
+// distribution.
+func (m *Model) UserTopic(z int) []float64 { return m.Topic(z) }
 
 // TemporalContext returns P(·|θ't): over items for ITCAM, over the K2
 // time-oriented topics for TTCAM.
@@ -204,81 +203,121 @@ func (m *Model) TemporalContext(t int) []float64 {
 	return m.ctx[t*w : (t+1)*w]
 }
 
-// TimeTopic returns P(·|φ'x), time-oriented topic x's item distribution.
-func (m *Model) TimeTopic(x int) []float64 { return m.phiX[x*m.stride : x*m.stride+m.numItems] }
+// TimeTopic returns a copy of P(·|φ'x), time-oriented topic x's item
+// distribution.
+func (m *Model) TimeTopic(x int) []float64 { return m.Topic(m.k1 + x) }
+
+// Topic returns a fresh copy of ϕ_z̃ of Equation (21), expanded topic
+// z's weight on every item — column z of ItemTopics: user-oriented
+// topics first, then the interval contexts (ITCAM) or the time-oriented
+// topics and the optional background (TTCAM). It returns nil when z is
+// outside [0, NumTopics()).
+func (m *Model) Topic(z int) []float64 {
+	if z < 0 || z >= m.NumTopics() {
+		return nil
+	}
+	return m.columns(z, 1)
+}
+
+// columns returns n columns of the table from column z on, each as a
+// V-wide row, laid end to end: the topic-major form of the wire.
+func (m *Model) columns(z, n int) []float64 {
+	k, V := m.NumTopics(), m.numItems
+	out := make([]float64, n*V)
+	for v := 0; v < V; v++ {
+		for j, p := range m.table[v*k+z : v*k+z+n] {
+			out[j*V+v] = p
+		}
+	}
+	return out
+}
+
+// layColumns writes the V-wide rows of src, laid end to end, into the
+// k-wide table's columns z, z+1, …: row j's entry v lands at
+// table[v*k+z+j].
+func layColumns(table []float64, k, z int, src []float64, V int) {
+	for j := 0; j*V < len(src); j++ {
+		for v, p := range src[j*V : (j+1)*V] {
+			table[v*k+z+j] = p
+		}
+	}
+}
 
 // Score implements the likelihood of Equations (1) and (12), including
-// the optional background mixture.
+// the optional background mixture, from item v's table row.
 //
 //tcam:hotpath
 func (m *Model) Score(u, t, v int) float64 {
-	S := m.stride
+	k := m.NumTopics()
+	row := m.table[v*k : v*k+k]
 	var pu float64
 	for z, th := range m.UserInterest(u) {
-		pu += th * m.phi[z*S+v]
+		pu += th * row[z]
 	}
 	lam := m.lambda[u]
 	if m.k2 == 0 {
-		return lam*pu + (1-lam)*m.ctx[t*m.numItems+v]
+		return lam*pu + (1-lam)*row[m.k1+t]
 	}
 	var pt float64
 	for x, c := range m.TemporalContext(t) {
-		pt += c * m.phiX[x*S+v]
+		pt += c * row[m.k1+x]
 	}
 	mix := lam*pu + (1-lam)*pt
 	if m.backgroundW > 0 {
-		return m.backgroundW*m.background[v] + (1-m.backgroundW)*mix
+		return m.backgroundW*row[m.k1+m.k2] + (1-m.backgroundW)*mix
 	}
 	return mix
 }
 
-// ScoreAll fills scores[v] with Score(u, t, v) for every item in one
-// pass over the topic matrices. The per-topic weights and accumulation
-// order are exactly those of QueryWeightsInto over TopicItems (user
-// topics ascending, then the interval's context — ITCAM's one
-// pseudo-topic or TTCAM's time topics — then the background), so
-// results are the index-based scorer's bit for bit without
-// materializing the weight vector.
+// ScoreAll fills scores[v] with Score(u, t, v) for every item, one table
+// row at a time. The per-topic weights and accumulation order are
+// exactly those of QueryWeightsInto over the row (user topics
+// ascending, then the interval's context — ITCAM's one pseudo-topic or
+// TTCAM's time topics — then the background), so results are the
+// index-based scorer's bit for bit without materializing the weight
+// vector.
 //
 //tcam:hotpath
 func (m *Model) ScoreAll(u, t int, scores []float64) {
 	if len(scores) != m.numItems {
 		panic(fmt.Sprintf("tcam: ScoreAll buffer %d, want %d", len(scores), m.numItems))
 	}
+	k, k1 := m.NumTopics(), m.k1
 	lam := m.lambda[u]
 	scale := 1 - m.backgroundW
-	ctx := m.TemporalContext(t)
-	train.Zero(scores)
-	addTopics(scores, scale*lam, m.UserInterest(u), m.phi, m.stride)
-	if m.k2 == 0 {
-		for v, p := range ctx {
-			scores[v] += (1 - lam) * p
+	user, context := scale*lam, scale*(1-lam)
+	theta, ctx := m.UserInterest(u), m.ContextWeights(t)
+	// Two items at a time, in two independent chains: one item's sum is
+	// a chain of dependent additions.
+	for v := 0; v < len(scores); v += 2 {
+		a, b := m.table[v*k:v*k+k], m.table[v*k:v*k+k]
+		if v+1 < len(scores) {
+			b = m.table[(v+1)*k : (v+2)*k]
 		}
-	} else {
-		addTopics(scores, scale*(1-lam), ctx, m.phiX, m.stride)
-	}
-	if wz := m.backgroundW; wz > 0 {
-		for v := range scores {
-			scores[v] += wz * m.background[v]
+		var sa, sb float64
+		for z, p := range theta {
+			if wz := user * p; wz > 0 {
+				sa += wz * a[z]
+				sb += wz * b[z]
+			}
 		}
-	}
-}
-
-// addTopics adds Σ_z scale·mix[z]·topics[z] into scores, skipping
-// zero-weight topics; topics is row-major, len(mix) rows of len(scores)
-// entries at the given stride.
-//
-//tcam:hotpath
-func addTopics(scores []float64, scale float64, mix, topics []float64, stride int) {
-	V := len(scores)
-	for z, p := range mix {
-		wz := scale * p
-		if wz <= 0 {
-			continue
+		if m.k2 == 0 {
+			sa += (1 - lam) * a[k1+t]
+			sb += (1 - lam) * b[k1+t]
 		}
-		row := topics[z*stride : z*stride+V]
-		for v := range scores {
-			scores[v] += wz * row[v]
+		for x, c := range ctx {
+			if wz := context * c; wz > 0 {
+				sa += wz * a[k1+x]
+				sb += wz * b[k1+x]
+			}
+		}
+		if wz := m.backgroundW; wz > 0 {
+			sa += wz * a[k1+m.k2]
+			sb += wz * b[k1+m.k2]
+		}
+		scores[v] = sa
+		if v+1 < len(scores) {
+			scores[v+1] = sb
 		}
 	}
 }
@@ -337,44 +376,9 @@ func (m *Model) ContextTopics() (lo, hi int) { return m.k1, m.k1 + m.k2 }
 // for ITCAM.
 func (m *Model) ContextWeights(t int) []float64 { return m.ctx[t*m.k2 : (t+1)*m.k2] }
 
-// TopicItems returns ϕ_z̃ of Equation (21): user-oriented topics first,
-// then the interval contexts (ITCAM) or the time-oriented topics and
-// the optional background (TTCAM).
-//
-//tcam:hotpath
-func (m *Model) TopicItems(z int) []float64 {
-	switch {
-	case z < m.k1:
-		return m.UserTopic(z)
-	case m.k2 == 0:
-		return m.TemporalContext(z - m.k1)
-	case z < m.k1+m.k2:
-		return m.TimeTopic(z - m.k1)
-	default:
-		return m.background[:m.numItems]
-	}
-}
-
-// ItemTopics returns TopicItems item-major, one row per stride position:
-// [ϕ·v | ϕ′·v (| θB(v))] for TTCAM, [ϕ·v | θ′₀(v) … θ′_{T−1}(v)] for
-// ITCAM, zero behind NumItems(). Callers must not modify it.
+// ItemTopics returns the table: ϕ_z̃v of Equation (21) at v·NumTopics()+z̃,
+// one row per stride position, zero behind NumItems(). Callers must not
+// modify it.
 func (m *Model) ItemTopics() []float64 { return m.table }
-
-// layTable returns the ItemTopics table, a verbatim copy of the slabs,
-// written into dst when dst has its length — a training model refilling
-// its own table after an M-step — and allocated otherwise: a model that
-// may share its table passes nil.
-func (m *Model) layTable(dst []float64) []float64 {
-	k := m.NumTopics()
-	if len(dst) != m.stride*k {
-		dst = make([]float64, m.stride*k)
-	}
-	for z := 0; z < k; z++ {
-		for v, p := range m.TopicItems(z) {
-			dst[v*k+z] = p
-		}
-	}
-	return dst
-}
 
 var _ model.TopicScorer = (*Model)(nil)

@@ -338,7 +338,7 @@ func TestTopicDecompositionMatchesScore(t *testing.T) {
 					if wz == 0 {
 						continue
 					}
-					s += wz * m.TopicItems(z)[v]
+					s += wz * m.ItemTopics()[v*m.NumTopics()+z]
 				}
 				if want := m.Score(u, tt, v); math.Abs(s-want) > 1e-10 {
 					t.Fatalf("topic decomposition score %v != Score %v at (u=%d,t=%d,v=%d)", s, want, u, tt, v)

@@ -50,12 +50,10 @@ func prepare(data *cuboid.Cuboid, cfg Config) (*trainer, error) {
 		}
 	}
 	m.theta = make([]float64, n*m.k1)
-	m.phi = make([]float64, m.k1*V)
 	m.ctx = make([]float64, T*m.ctxWidth(V))
-	m.phiX = make([]float64, m.k2*V)
 	m.lambda = make([]float64, n)
+	m.table = make([]float64, V*m.NumTopics())
 	m.initialize(data, cfg.Seed)
-	m.table = m.layTable(nil)
 	return newTrainer(m, data), nil
 }
 
@@ -63,31 +61,35 @@ func prepare(data *cuboid.Cuboid, cfg Config) (*trainer, error) {
 // jittered-uniform rows, an item context with the empirical
 // per-interval item distribution, λ at one half and the background with
 // the empirical item distribution. This is the only place training
-// consumes randomness; a checkpoint resume simply overwrites the
-// initialized parameters, which is why resumed runs match uninterrupted
-// ones bit-for-bit.
+// consumes randomness, drawing θ, φ, θ' and φ' in that order, each row
+// by row; a checkpoint resume simply overwrites the initialized
+// parameters, which is why resumed runs match uninterrupted ones
+// bit-for-bit.
 func (m *Model) initialize(data *cuboid.Cuboid, seed int64) {
+	V, k := m.numItems, m.NumTopics()
 	rng := rand.New(rand.NewSource(seed))
 	fillJitteredRows(rng, m.theta, m.k1)
-	fillJitteredRows(rng, m.phi, m.numItems)
+	layColumns(m.table, k, 0, jitteredRows(rng, m.k1, V), V)
 	if m.k2 == 0 {
 		for _, cell := range data.Cells() {
-			m.ctx[int(cell.T)*m.numItems+int(cell.V)] += cell.Score
+			m.ctx[int(cell.T)*V+int(cell.V)] += cell.Score
 		}
-		model.NormalizeRows(m.ctx, m.numItems, 1e-6)
+		model.NormalizeRows(m.ctx, V, 1e-6)
+		layColumns(m.table, k, m.k1, m.ctx, V)
 	} else {
 		fillJitteredRows(rng, m.ctx, m.k2)
-		fillJitteredRows(rng, m.phiX, m.numItems)
+		layColumns(m.table, k, m.k1, jitteredRows(rng, m.k2, V), V)
 	}
 	for u := range m.lambda {
 		m.lambda[u] = 0.5
 	}
 	if m.backgroundW > 0 {
-		m.background = make([]float64, m.numItems)
+		background := make([]float64, V)
 		for _, cell := range data.Cells() {
-			m.background[cell.V] += cell.Score
+			background[cell.V] += cell.Score
 		}
-		model.NormalizeRows(m.background, m.numItems, 1e-9)
+		model.NormalizeRows(background, V, 1e-9)
+		layColumns(m.table, k, m.k1+m.k2, background, V)
 	}
 }
 
@@ -98,17 +100,26 @@ func fillJitteredRows(rng *rand.Rand, data []float64, cols int) {
 	model.NormalizeRows(data, cols, 0)
 }
 
+// jitteredRows returns rows jittered-uniform rows of cols entries, for
+// initialize to lay into the table.
+func jitteredRows(rng *rand.Rand, rows, cols int) []float64 {
+	data := make([]float64, rows*cols)
+	fillJitteredRows(rng, data, cols)
+	return data
+}
+
 // trainer adapts the E/M-step math to the train.Trainable contract. The
 // θ and λ sufficient statistics are user-sharded — every shard writes a
 // disjoint row range of one shared slab — so only the global φ, θ' and
 // φ' slabs live in the accumulators and are merged.
 //
-// The E-step reads φ, φ' and an item context through the model's
-// item-major table (ItemTopics), which the M-step lays out again from
-// the new slabs. The per-cell topic loops then read one contiguous row
-// per item instead of a stride-V column per topic, and the
-// accumulators store their φ/φ' statistics item-major too, so the
-// loops' writes are contiguous as well.
+// The E-step reads φ, φ', an item context and the background through
+// the model's item-major table (ItemTopics), the only copy of them.
+// The per-cell topic loops then read one contiguous row per item
+// instead of a stride-V column per topic, and the accumulators store
+// their φ/φ' statistics item-major too, so the loops' writes are
+// contiguous as well and the M-step normalizes them straight into the
+// table's columns.
 //
 // A frozen trainer is fold-in's: φ, θ' and φ' are held fixed and only
 // userStep follows its E-steps, so its accumulators carry no global
@@ -124,6 +135,7 @@ type trainer struct {
 	theta  []float64 // N×K1, an E-step over [lo, hi) owns rows [lo, hi)
 	lamNum []float64 // N
 	lamDen []float64 // N
+	sums   []float64 // max(K1, K2): the M-step's column sums
 }
 
 // newTrainer sizes the statistics for running EM rounds over data
@@ -135,11 +147,12 @@ func newTrainer(m *Model, data *cuboid.Cuboid) *trainer {
 		theta:  make([]float64, len(m.theta)),
 		lamNum: make([]float64, m.numUsers),
 		lamDen: make([]float64, m.numUsers),
+		sums:   make([]float64, max(m.k1, m.k2)),
 	}
 }
 
 // accum is one shard's global sufficient-statistic slabs and posterior
-// scratch. The φ and φ' slabs are item-major, stride V×K1 and V×K2;
+// scratch. The φ and φ' slabs are item-major, V×K1 and V×K2;
 // ctx has the layout of Model.ctx. Under a frozen trainer the three
 // global slabs are nil.
 type accum struct {
@@ -160,9 +173,9 @@ func (tr *trainer) NewAccum() train.Accum {
 		px: train.Scratch(m.k2),
 	}
 	if !tr.frozen {
-		a.phiT = make([]float64, len(m.phi))
+		a.phiT = make([]float64, m.numItems*m.k1)
 		a.ctx = make([]float64, len(m.ctx))
-		a.phiXT = make([]float64, len(m.phiX))
+		a.phiXT = make([]float64, m.numItems*m.k2)
 	}
 	return a
 }
@@ -293,18 +306,19 @@ func (tr *trainer) eStepTopics(a *accum, first, last int) {
 		for i := lo; i < hi; i++ {
 			v, t, w := int(vs[i]), int(ts[i]), scores[i]
 
-			row := table[v*k : v*k+k1+k2]
+			row := table[v*k : v*k+k]
 			pu := train.DotInto(pz, thetaRow, row[:k1])
-			pt := train.DotInto(px, m.ctx[t*k2:(t+1)*k2], row[k1:])
+			pt := train.DotInto(px, m.ctx[t*k2:(t+1)*k2], row[k1:k1+k2])
 			mix := lam*pu + (1-lam)*pt
 			denom := mix
 			var pbg float64 // posterior mass of the background path
 			if bw > 0 {
-				denom = bw*m.background[v] + (1-bw)*mix
+				bg := row[k1+k2]
+				denom = bw*bg + (1-bw)*mix
 				if denom <= 0 {
 					denom = 1e-300
 				}
-				pbg = bw * m.background[v] / denom
+				pbg = bw * bg / denom
 			} else if denom <= 0 {
 				denom = 1e-300
 			}
@@ -337,25 +351,52 @@ func (tr *trainer) eStepTopics(a *accum, first, last int) {
 
 // MStep applies Equations (8)–(11) and (15)–(16) from the merged
 // statistics and returns the data log-likelihood under the parameters
-// the iteration started from (the quantity EM never decreases).
+// the iteration started from (the quantity EM never decreases). φ and
+// φ' are normalized from their item-major statistics straight into the
+// table's columns; an item context is normalized in place and then laid
+// into its columns.
 func (tr *trainer) MStep(merged train.Accum) float64 {
 	a := merged.(*accum)
 	m := tr.m
-	V := m.numItems
+	V, k, k1 := m.numItems, m.NumTopics(), m.k1
 	tr.userStep(0, m.numUsers)
-	train.Transpose(m.phi, a.phiT, V, m.k1) // item-major stats back to K1×V
-	model.NormalizeRows(m.phi, V, Smoothing)
+	normalizeColumns(m.table, k, a.phiT, k1, V, tr.sums[:k1])
 	copy(m.ctx, a.ctx)
 	model.NormalizeRows(m.ctx, m.ctxWidth(V), Smoothing)
-	train.Transpose(m.phiX, a.phiXT, V, m.k2) // item-major stats back to K2×V
-	model.NormalizeRows(m.phiX, V, Smoothing)
-	m.table = m.layTable(m.table)
+	if m.k2 == 0 {
+		layColumns(m.table, k, k1, m.ctx, V)
+	} else {
+		normalizeColumns(m.table[k1:], k, a.phiXT, m.k2, V, tr.sums[:m.k2])
+	}
 	if model.AssertionsEnabled {
-		model.AssertRowStochastic("tcam phi", m.phi, V, 1e-9)
+		model.AssertRowStochastic("tcam phi", m.columns(0, k1), V, 1e-9)
 		model.AssertRowStochastic("tcam context", m.ctx, m.ctxWidth(V), 1e-9)
-		model.AssertRowStochastic("tcam phiX", m.phiX, V, 1e-9)
+		model.AssertRowStochastic("tcam phiX", m.columns(k1, m.k2), V, 1e-9)
 	}
 	return a.ll
+}
+
+// normalizeColumns writes column j of the V×len(sums) item-major
+// statistics src, normalized at Smoothing, into column j of dst, whose
+// rows lie stride apart. It is NormalizeRows on the transpose — each
+// column summed in ascending item order, each entry divided once — so
+// the bits are the same; sums is the column scratch.
+//
+//tcam:hotpath
+func normalizeColumns(dst []float64, stride int, src []float64, cols, V int, sums []float64) {
+	train.Zero(sums)
+	for v := 0; v < V; v++ {
+		train.MergeInto(sums, src[v*cols:(v+1)*cols])
+	}
+	for j := range sums {
+		sums[j] += Smoothing * float64(V) // the denominator
+	}
+	for v := 0; v < V; v++ {
+		row := dst[v*stride : v*stride+cols]
+		for j, x := range src[v*cols : (v+1)*cols] {
+			row[j] = (x + Smoothing) / sums[j]
+		}
+	}
 }
 
 // userStep is the user-dimension M-step — Equations (8) and (11)

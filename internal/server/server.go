@@ -306,9 +306,10 @@ func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, lambdaResponse{User: id, Lambda: sn.bundle.Model.Lambda(u)})
 }
 
-// TopicItems ranks the n highest-probability items of expanded topic z.
+// TopicItems ranks the n highest-probability items of expanded topic z;
+// a topic outside [0, NumTopics()) has none.
 func (g *Generation) TopicItems(z, n int) []topk.Result {
-	top, _ := topk.BruteForce(weightModel{g.bundle.Scorer().TopicItems(z)}, 0, 0, n, nil)
+	top, _ := topk.BruteForce(weightModel{g.bundle.Model.Topic(z)}, 0, 0, n, nil)
 	return top
 }
 

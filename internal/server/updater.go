@@ -183,7 +183,7 @@ func (u *Updater) Step() (bool, error) {
 		"lists_kept", sn.idx.ListsKept(), "lists_sorted", sn.idx.NumLists()-sn.idx.ListsKept(),
 		"contexts_kept", adv.ContextsKept, "contexts_fit", adv.ContextsFit,
 		"users_kept", adv.UsersKept, "users_folded", adv.UsersFolded,
-		"lists_shared", sn.idx.ListsShared(), "lists", sn.idx.NumLists(), "slabs_shared", adv.SlabsShared,
+		"lists_shared", sn.idx.ListsShared(), "lists", sn.idx.NumLists(), "table_shared", adv.TableShared,
 		"warmed_users", warm.users, "warm_took", warm.took.Round(time.Microsecond), "warm_list_pops_per_user", warm.popsPerUser())
 	return true, nil
 }

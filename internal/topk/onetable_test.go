@@ -12,8 +12,8 @@ import (
 )
 
 // TestOneItemMajorTablePerGeneration: a folded TTCAM generation holds
-// one f64 item-major table. Through a derivation that lays the slabs out
-// with room and two publishes that keep them — each bringing a new item
+// one f64 item-major table. Through a derivation that lays the table out
+// with room and two publishes that keep it — each bringing a new item
 // and folding a new user — the model's ItemTopics and the rows the
 // served index confirms from are one storage, the same array in all
 // three generations, and the index shares lists with its predecessor.
@@ -64,9 +64,9 @@ func TestOneItemMajorTablePerGeneration(t *testing.T) {
 		if publish == 1 {
 			continue
 		}
-		if !adv.SlabsShared || &ix.ConfirmRows()[0] != &prevIx.ConfirmRows()[0] || ix.ListsShared() == 0 {
-			t.Errorf("publish %d: slabs shared %t, confirm rows the previous generation's %t, %d lists shared; want all",
-				publish, adv.SlabsShared, &ix.ConfirmRows()[0] == &prevIx.ConfirmRows()[0], ix.ListsShared())
+		if !adv.TableShared || &ix.ConfirmRows()[0] != &prevIx.ConfirmRows()[0] || ix.ListsShared() == 0 {
+			t.Errorf("publish %d: table shared %t, confirm rows the previous generation's %t, %d lists shared; want all",
+				publish, adv.TableShared, &ix.ConfirmRows()[0] == &prevIx.ConfirmRows()[0], ix.ListsShared())
 		}
 	}
 }

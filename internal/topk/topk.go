@@ -26,7 +26,6 @@ import (
 	"sort"
 
 	"tcam/internal/model"
-	"tcam/internal/train"
 )
 
 // Result is one recommended item with its ranking score.
@@ -109,15 +108,10 @@ type Index struct {
 	floor        list
 	ctxLo, ctxHi int
 
-	// topics[z] is the scorer's whole-catalog weight slab of topic z and
-	// ctxWeights[t] the ω_t contexts[t] was collapsed under; the next
-	// generation's BuildIndexFrom compares against them to decide which
-	// lists it may inherit. kept counts the lists this index itself
-	// inherited, and shared those of them that are prev's own storage.
-	topics     [][]float64
-	ctxWeights [][]float64
-	kept       int
-	shared     int
+	// kept counts the lists this index itself inherited, and shared
+	// those of them that are prev's own storage.
+	kept   int
+	shared int
 
 	// boundScale inflates the threshold S_TA so that it dominates the
 	// float64 Score of every unseen item although the two add their terms
@@ -173,18 +167,20 @@ func BuildIndex(ts model.TopicScorer) *Index {
 // New items that all weigh +0 — a stream-born item under a frozen ϕ —
 // need no merge: extend admits them by reslicing prev's storage, moving
 // no byte of it.
-// A topic's weights are its slab. A collapsed context's weights are a
-// function of ω_t and the context topics' slabs, each term computed per
-// item, so it is unchanged exactly when those are — which is read off
-// the slab comparison every topic gets anyway, once per build, plus T
-// short rows. The floor list's weights are a per-item sum of the user
-// topics' slabs, so it is unchanged exactly when all of those are. The
-// choice is made from the weights alone: a frozen ϕ keeps every topic
-// list, the floor and every context whose θ′ row stood still across
-// publishes; the refit open interval re-sorts its one list.
+// A topic's weights are its column of the table. A collapsed context's
+// weights are a function of ω_t and the context topics' columns, each
+// term computed per item, so it is unchanged exactly when those are —
+// which is read off the column comparison every topic gets anyway, once
+// per build, plus T short rows. The floor list's weights are a per-item
+// sum of the user topics' columns, so it is unchanged exactly when all
+// of those are. The choice is made from the weights alone: a frozen ϕ
+// keeps every topic list, the floor and every context whose θ′ row
+// stood still across publishes; the refit open interval re-sorts its
+// one list.
 //
-// Work parallelizes in passes: the slab comparisons and then the lists
-// fan out one per task.
+// Lists sorted afresh are built columnGroup to a task, each group from
+// one pass over the window's table rows; every inherited list is a task
+// of its own, and the tasks are dealt out round-robin across workers.
 func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	k, v, table := ts.NumTopics(), hi-lo, ts.ItemTopics()
 	if lo < 0 || hi < lo || hi > ts.NumItems() || len(table) < hi*k {
@@ -197,22 +193,14 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 		itemLo:    lo,
 		table:     table,
 		lists:     make([]list, k),
-		topics:    make([][]float64, k),
 		// More than twice the analytic bound (3K+4)·2⁻⁵³ on how far
 		// rounding can lift an unseen item's Score above a threshold that
 		// sums the context half and the floored user half in other
 		// groupings.
 		boundScale: 1 + float64(k+8)*0x1p-50,
 	}
-	for z := 0; z < k; z++ {
-		ix.topics[z] = ts.TopicItems(z)
-	}
 	if ix.ctxLo, ix.ctxHi = ts.ContextTopics(); ix.ctxHi > ix.ctxLo {
 		ix.contexts = make([]list, ts.NumIntervals())
-		ix.ctxWeights = make([][]float64, len(ix.contexts))
-		for t := range ix.ctxWeights {
-			ix.ctxWeights[t] = ts.ContextWeights(t)
-		}
 	}
 	head := 0 // items of the window prev's lists already order
 	if prev != nil && prev.itemLo == lo && prev.numItems <= v && prev.ctxLo == ix.ctxLo && prev.ctxHi == ix.ctxHi {
@@ -227,91 +215,166 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 	if prev != nil && head < v {
 		spare = model.SpareItems(v)
 	}
-	// Entries and table rows are indexed by the local item offset within
-	// the window; ascending local order is ascending global order, so
-	// every tie-break below matches the full index.
-	workers := model.Workers(0)
-	same := make([]bool, k) // topic z's weights over prev's window are prev's
-	model.ParallelRanges(k, workers, func(_, zlo, zhi int) {
-		for z := zlo; z < zhi; z++ {
-			same[z] = prev != nil && z < prev.numTopics && sameBits(prev.topics[z][lo:lo+head], ix.topics[z][lo:lo+head])
+	// Entries are indexed by the local item offset within the window;
+	// ascending local order is ascending global order, so every
+	// tie-break below matches the full index. same[z]: topic z's weights
+	// over prev's window are prev's.
+	same := ix.sameColumns(prev, lo, lo+head)
+	ctxSame := prev != nil && !slices.Contains(same[ix.ctxLo:ix.ctxHi], false)
+	floorSame := prev != nil && !slices.Contains(same[:ix.ctxLo], false)
+	// One job per list: the topics, the contexts, then the floor.
+	var kept, fresh []*job
+	for z := 0; z < k; z++ {
+		j := &job{weight: func(row []float64) float64 { return row[z] }, dst: &ix.lists[z]}
+		switch {
+		case z >= ix.ctxLo && z < ix.ctxHi:
+			// Walked only through the contexts.
+		case same[z]:
+			j.head, kept = prev.lists[z], append(kept, j)
+		default:
+			fresh = append(fresh, j)
 		}
-	})
-	ctxSame := prev != nil // every context topic's weights are prev's
-	for _, ok := range same[ix.ctxLo:ix.ctxHi] {
-		ctxSame = ctxSame && ok
 	}
-	floorSame := prev != nil // every user topic's weights are prev's
-	for _, ok := range same[:ix.ctxLo] {
-		floorSame = floorSame && ok
+	for t := range ix.contexts {
+		j := &job{weight: ix.collapsed(t), dst: &ix.contexts[t]}
+		// A collapse reads ω_t only through w > 0 and w·ϕ, and weights that
+		// compare equal differ at most in the sign of a zero, which both skip.
+		if ctxSame && t < len(prev.contexts) && slices.Equal(prev.scorer.ContextWeights(t), ts.ContextWeights(t)) {
+			j.head, kept = prev.contexts[t], append(kept, j)
+		} else {
+			fresh = append(fresh, j)
+		}
 	}
-	// One task per list: the topics, the contexts, then the floor.
-	lists := k + len(ix.contexts)
 	if ix.ctxLo > 0 {
-		lists++
+		j := &job{weight: ix.floorWeight, dst: &ix.floor}
+		if floorSame {
+			j.head, kept = prev.floor, append(kept, j)
+		} else {
+			fresh = append(fresh, j)
+		}
 	}
-	kept := make([]bool, lists)
-	shared := make([]bool, len(kept))
-	model.ParallelRanges(len(kept), workers, func(_, jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			switch t := j - k; {
-			case j >= ix.ctxLo && j < ix.ctxHi:
-				// Walked only through the contexts.
-			case j < k:
-				if kept[j] = same[j]; kept[j] {
-					ix.lists[j], shared[j] = extend(prev.lists[j], ix.topics[j][lo+head:hi], spare)
-				} else {
-					ix.lists[j] = sortedList(ix.topics[j][lo:hi], 0, spare)
-				}
-			case t == len(ix.contexts) && floorSame:
-				kept[j] = true
-				ix.floor, shared[j] = extend(prev.floor, ix.floorWeights(lo+head, hi), spare)
-			case t == len(ix.contexts):
-				ix.floor = sortedList(ix.floorWeights(lo, hi), 0, spare)
-			case ctxSame && t < len(prev.contexts) && sameBits(prev.ctxWeights[t], ix.ctxWeights[t]):
-				kept[j] = true
-				ix.contexts[t], shared[j] = extend(prev.contexts[t], ix.collapse(t, lo+head, hi), spare)
-			default:
-				ix.contexts[t] = sortedList(ix.collapse(t, lo, hi), 0, spare)
-			}
+	var tasks []func()
+	for _, j := range kept {
+		tasks = append(tasks, func() { *j.dst, j.shared = extend(j.head, ix.weights(j.weight, lo+head, hi), spare) })
+	}
+	for g := 0; g < len(fresh); g += columnGroup {
+		group := fresh[g:min(g+columnGroup, len(fresh))]
+		tasks = append(tasks, func() { ix.sortGroup(group, spare) })
+	}
+	workers := model.Workers(0)
+	model.ParallelRanges(workers, workers, func(w, _, _ int) {
+		for i := w; i < len(tasks); i += workers {
+			tasks[i]()
 		}
 	})
-	for j, ok := range kept {
-		if ok {
-			ix.kept++
-		}
-		if shared[j] {
+	ix.kept = len(kept)
+	for _, j := range kept {
+		if j.shared {
 			ix.shared++
 		}
 	}
 	return ix
 }
 
-// collapse returns interval t's context weights Σ_x ω_t[x]·ϕ_x,v of the
-// catalog items [from, to): the context topics accumulated in ascending
-// order, zero-weight ones skipped, each item on its own — so any
-// sub-range of a collapse is the collapse of the sub-range.
-func (ix *Index) collapse(t, from, to int) []float64 {
-	sum := make([]float64, to-from)
-	for x, w := range ix.ctxWeights[t] {
-		if w > 0 {
-			train.AddScaled(sum, w, ix.topics[ix.ctxLo+x][from:to])
+// sameColumns reports, per topic, whether its weights over the catalog
+// items [from, to) are prev's bit for bit — never for a topic prev does
+// not have. A table that is prev's own storage is not read.
+func (ix *Index) sameColumns(prev *Index, from, to int) []bool {
+	same := make([]bool, ix.numTopics)
+	if prev == nil {
+		return same
+	}
+	n := min(ix.numTopics, prev.numTopics)
+	for z := range same[:n] {
+		same[z] = true
+	}
+	if from == to || ix.numTopics == prev.numTopics && &prev.table[0] == &ix.table[0] {
+		return same
+	}
+	for v := from; v < to; v++ {
+		a, b := prev.row(v), ix.row(v)
+		for z := range same[:n] {
+			same[z] = same[z] && math.Float64bits(a[z]) == math.Float64bits(b[z])
 		}
 	}
-	return sum
+	return same
 }
 
-// floorWeights returns the floor list's weights S_v = Σ_{z<ctxLo} ϕ_zv
-// of the catalog items [from, to): the user topics added in ascending
-// order, each item on its own — so, like a collapse, any sub-range of it
-// is the floor weights of the sub-range, and items no user topic weighs
-// get +0.
-func (ix *Index) floorWeights(from, to int) []float64 {
-	sum := make([]float64, to-from)
-	for _, weights := range ix.topics[:ix.ctxLo] {
-		train.MergeInto(sum, weights[from:to])
+// job is one list BuildIndexFrom builds: weight is the list's weight of
+// an item, read off its table row; head, for a kept list, is prev's list
+// it extends, and shared reports whether the result is head's storage.
+type job struct {
+	weight func(row []float64) float64
+	dst    *list
+	head   list
+	shared bool
+}
+
+// columnGroup is how many fresh lists sortGroup builds from one pass
+// over the table's rows: the columns a group reads sit in a row's few
+// cache lines, so gathering them together reads the table once, not
+// once a list.
+const columnGroup = 4
+
+// row returns item v's table row.
+func (ix *Index) row(v int) []float64 {
+	k := ix.numTopics
+	return ix.table[v*k : (v+1)*k]
+}
+
+// weights returns a list's weights of the catalog items [from, to).
+func (ix *Index) weights(weight func(row []float64) float64, from, to int) []float64 {
+	out := make([]float64, to-from)
+	for i := range out {
+		out[i] = weight(ix.row(from + i))
 	}
-	return sum
+	return out
+}
+
+// sortGroup builds the lists of jobs over the whole window, gathering
+// their weights in one pass over its table rows.
+func (ix *Index) sortGroup(jobs []*job, spare int) {
+	weights := make([][]float64, len(jobs))
+	for c := range weights {
+		weights[c] = make([]float64, ix.numItems)
+	}
+	for i := 0; i < ix.numItems; i++ {
+		row := ix.row(ix.itemLo + i)
+		for c, j := range jobs {
+			weights[c][i] = j.weight(row)
+		}
+	}
+	for c, j := range jobs {
+		*j.dst = sortedList(weights[c], 0, spare)
+	}
+}
+
+// collapsed returns interval t's context weight Σ_x ω_t[x]·ϕ_x,v of an
+// item: the context topics added in ascending order, zero-weight ones
+// skipped, each item on its own — so any sub-range of a collapse is the
+// collapse of the sub-range.
+func (ix *Index) collapsed(t int) func(row []float64) float64 {
+	omega, lo := ix.scorer.ContextWeights(t), ix.ctxLo
+	return func(row []float64) float64 {
+		var s float64
+		for x, w := range omega {
+			if w > 0 {
+				s += float64(w * row[lo+x])
+			}
+		}
+		return s
+	}
+}
+
+// floorWeight returns an item's floor-list weight S_v = Σ_{z<ctxLo} ϕ_zv:
+// the user topics added in ascending order, so items no user topic
+// weighs get +0.
+func (ix *Index) floorWeight(row []float64) float64 {
+	var s float64
+	for _, p := range row[:ix.ctxLo] {
+		s += p
+	}
+	return s
 }
 
 // entry is one list element while it is being sorted.
@@ -410,24 +473,6 @@ func allZero(weights []float64) bool {
 	return true
 }
 
-// sameBits reports whether two weight slabs hold identical bits. Shared
-// storage — a model grown without widening the slab — answers without
-// reading it.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		return true
-	}
-	for i, x := range a {
-		if math.Float64bits(x) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // ListsKept returns how many of the index's sorted lists, the floor list
 // among them, were inherited from the previous generation's index (0 for
 // an index built without one).
@@ -464,8 +509,7 @@ func (ix *Index) ItemRange() (lo, hi int) { return ix.itemLo, ix.itemLo + ix.num
 //
 //tcam:hotpath
 func (ix *Index) Score(query []float64, item int) float64 {
-	k := ix.numTopics
-	return dotOrdered(query, ix.table[item*k:(item+1)*k])
+	return dotOrdered(query, ix.row(item))
 }
 
 // score2 is Score for two items at once, through the paired dotOrdered2
@@ -473,8 +517,7 @@ func (ix *Index) Score(query []float64, item int) float64 {
 //
 //tcam:hotpath
 func (ix *Index) score2(query []float64, a, b int) (float64, float64) {
-	k := ix.numTopics
-	return dotOrdered2(query, ix.table[a*k:(a+1)*k], ix.table[b*k:(b+1)*k])
+	return dotOrdered2(query, ix.row(a), ix.row(b))
 }
 
 // Query answers the temporal top-k query (u, t) with the extended

@@ -20,9 +20,6 @@ type fakeTopicModel struct {
 func (f *fakeTopicModel) Name() string   { return "fake" }
 func (f *fakeTopicModel) NumItems() int  { return len(f.topics[0]) }
 func (f *fakeTopicModel) NumTopics() int { return len(f.topics) }
-func (f *fakeTopicModel) TopicItems(z int) []float64 {
-	return f.topics[z]
-}
 
 // ItemTopics is the table a generation shares with its predecessor, or
 // else the topics laid out item-major afresh.

@@ -68,9 +68,10 @@ if [ "${1:-}" != "-short" ]; then
     go test ./...
 
     # Debug-assertion build: train the models with the tcamcheck runtime
-    # invariants compiled in (every θ/ϕ row sums to 1 ± 1e-9 and stays
-    # finite after each M-step; λ stays in [0,1]).
-    go test -tags tcamcheck -count=1 ./internal/model/...
+    # invariants compiled in (every θ row and ϕ column sums to 1 ± 1e-9
+    # and stays finite after each M-step; λ stays in [0,1]), and fold
+    # users into grown tables under the same checks.
+    go test -tags tcamcheck -count=1 ./internal/model/... ./internal/index/
 
     # Benchmark gates: the pooled TA searcher and the serial EM
     # iteration must stay allocation-free at steady state, the

@@ -269,9 +269,13 @@ func (r *Recommender) Grid() TimeGrid { return r.bundle.Grid }
 func (r *Recommender) NumTopics() int { return r.bundle.Scorer().NumTopics() }
 
 // TopicTopItems returns the n highest-probability item IDs of expanded
-// topic z — how Tables 5–7 inspect what a topic means.
+// topic z — how Tables 5–7 inspect what a topic means — or nil when z
+// is outside [0, NumTopics()).
 func (r *Recommender) TopicTopItems(z, n int) []Recommendation {
-	return r.render(r.gen.TopicItems(z, n))
+	if top := r.gen.TopicItems(z, n); len(top) > 0 {
+		return r.render(top)
+	}
+	return nil
 }
 
 // Save persists the recommender (model + grid + vocabularies) to path.

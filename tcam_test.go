@@ -197,22 +197,44 @@ func TestITCAMVariant(t *testing.T) {
 	}
 }
 
+// TestTopicTopItems ranks a topic's items under both variants, and
+// answers nil, not a panic, for a topic outside [0, NumTopics()).
 func TestTopicTopItems(t *testing.T) {
-	rec, err := Train(newsLog(t), fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.NumTopics() != 8+6 {
-		t.Fatalf("NumTopics = %d, want 14", rec.NumTopics())
-	}
-	top := rec.TopicTopItems(0, 4)
-	if len(top) != 4 {
-		t.Fatalf("got %d top items", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Score > top[i-1].Score {
-			t.Error("topic items not sorted")
-		}
+	itcam := fastOptions()
+	itcam.Variant = VariantITCAM
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		topics int
+	}{
+		{"TTCAM", fastOptions(), 8 + 6},
+		{"ITCAM", itcam, 8 + 10}, // K1 + one context per interval: ten days
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, err := Train(newsLog(t), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.NumTopics() != tc.topics {
+				t.Fatalf("NumTopics = %d, want %d", rec.NumTopics(), tc.topics)
+			}
+			for _, z := range []int{0, rec.NumTopics() - 1} {
+				top := rec.TopicTopItems(z, 4)
+				if len(top) != 4 {
+					t.Fatalf("topic %d: got %d top items", z, len(top))
+				}
+				for i := 1; i < len(top); i++ {
+					if top[i].Score > top[i-1].Score {
+						t.Errorf("topic %d: items not sorted", z)
+					}
+				}
+			}
+			for _, z := range []int{-1, rec.NumTopics()} {
+				if top := rec.TopicTopItems(z, 4); top != nil {
+					t.Errorf("TopicTopItems(%d, 4) = %v, want nil", z, top)
+				}
+			}
+		})
 	}
 }
 
