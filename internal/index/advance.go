@@ -56,9 +56,12 @@ type Advanced struct {
 	// computed: θ′ rows of stream-opened intervals, and folded users.
 	ContextsKept, ContextsFit int
 	UsersKept, UsersFolded    int
-	// Whether the model's item-major table (ItemTopics: φ, φ′ and the
-	// background, or φ and the item contexts) is the previous derivation's
-	// own storage rather than a new layout.
+	// Whether the model's item-major table (ItemTopics, the model's only
+	// copy of φ, φ′ and the background, or of φ and the item contexts) is
+	// the previous derivation's own storage rather than a new layout: the
+	// catalog still fits its stride and the growth adds no column. An
+	// item context is a column, so under ITCAM that holds only while the
+	// stream has opened no interval.
 	TableShared bool
 
 	boot   *Bundle        // the receiver the bundle was derived from
@@ -132,6 +135,7 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 	refit := make([]bool, grid.Num) // stream-opened intervals whose θ′ row is not prev's
 	for t := m.NumIntervals(); t < grid.Num; t++ {
 		if prev != nil && t < prev.stream.NumIntervals() && sameIntervalCells(prev.stream, stream, t) {
+			// An item context comes back as a copy of prev's table column.
 			if row := prev.Bundle.Model.TemporalContext(t); len(row) == width {
 				contexts = append(contexts, row)
 				adv.ContextsKept++

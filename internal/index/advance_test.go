@@ -120,9 +120,11 @@ func TestAdvanceFromEqualsAdvance(t *testing.T) {
 // outgrows the room GrowFrom leaves behind the item-major table (64
 // items at this size) and has it laid out anew at steps 0, 17 and 34.
 // In between, a derivation under time topics shares the previous one's
-// table (an ITCAM table holds the stream-opened item contexts too, and
-// is laid out anew every time), and at every step it writes the bytes
-// of the derivation from nothing. The last bundle is then saved and
+// table, and at every step it writes the bytes of the derivation from
+// nothing. An ITCAM table is laid out anew at every step: the stream
+// opens an interval at step 0, and each step refits that stream-opened
+// column — a new item widens every open context — into a table one
+// column wider than the boot model's. The last bundle is then saved and
 // reloaded — stride back to V — and both copies, as boot bundles of a
 // further stream, derive the same bytes again.
 func TestAdvanceFromAcrossStride(t *testing.T) {

@@ -61,6 +61,9 @@ func params(m *Model) map[string][]float64 {
 		"theta": m.theta, "phi": m.columns(0, m.k1), "context": m.ctx,
 		"phiX": m.columns(m.k1, m.k2), "lambda": m.lambda, "background": nil,
 	}
+	if m.k2 == 0 {
+		p["context"] = m.columns(m.k1, m.numIntervals)
+	}
 	if m.backgroundW > 0 {
 		p["background"] = m.columns(m.k1+m.k2, 1)
 	}

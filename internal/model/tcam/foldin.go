@@ -11,6 +11,7 @@ package tcam
 
 import (
 	"fmt"
+	"slices"
 
 	"tcam/internal/cuboid"
 	"tcam/internal/model"
@@ -102,14 +103,16 @@ func (m *Model) FitNewInterval(items []int, weights []float64, numItems, iters i
 //
 // prev is an earlier growth of the same receiver (anything else, nil
 // included, is ignored); the model is the one GrowFrom(nil, …) returns,
-// parameter for parameter. A wider catalog needs only more zero rows
-// behind the table, so a table that has to be widened is copied once
-// with room behind the catalog (model.SpareItems), and every later
-// growth that still fits that room shares prev's table outright.
-// Nothing is written to it again: the room was zero from the start. An
-// ITCAM table, whose columns include the contexts, is laid out anew
-// whenever an interval opens; storage that stays put lets the TA index
-// inherit by pointer.
+// parameter for parameter. The table follows one rule for both kinds.
+// An ITCAM context is a column of it, so a growth that opens intervals
+// copies the receiver's rows into a wider table and lays the new
+// contexts into the new columns. Otherwise a wider catalog needs only
+// more zero rows behind the table, so a table that has to be widened
+// is copied once with room behind the catalog (model.SpareItems), and
+// every later growth with prev's columns that still fits that room
+// shares prev's table outright. Nothing is written to it again: the
+// room was zero from the start. Storage that stays put lets the TA
+// index inherit by pointer.
 func (m *Model) GrowFrom(prev *Model, numIntervals, numItems int, newContexts [][]float64) (*Model, error) {
 	if numItems < m.numItems {
 		return nil, fmt.Errorf("tcam: cannot shrink items %d -> %d", m.numItems, numItems)
@@ -118,12 +121,13 @@ func (m *Model) GrowFrom(prev *Model, numIntervals, numItems int, newContexts []
 		return nil, fmt.Errorf("tcam: %d intervals need %d new contexts, got %d",
 			numIntervals, numIntervals-m.numIntervals, len(newContexts))
 	}
+	width := m.k2
 	if m.k2 == 0 {
 		if err := checkDense(numIntervals, numItems); err != nil {
 			return nil, err
 		}
+		width = numItems
 	}
-	width := m.ctxWidth(numItems)
 	for i, ctx := range newContexts {
 		if len(ctx) != width {
 			return nil, fmt.Errorf("tcam: new context %d has %d entries, want %d", i, len(ctx), width)
@@ -131,28 +135,28 @@ func (m *Model) GrowFrom(prev *Model, numIntervals, numItems int, newContexts []
 	}
 	out := *m // θ and λ are unchanged, so shared
 	out.numIntervals, out.numItems, out.grownFrom = numIntervals, numItems, m
-	out.ctx = widenRows(m.ctx, m.ctxWidth(m.numItems), width, numIntervals)
-	for i, ctx := range newContexts {
-		copy(out.ctx[(m.numIntervals+i)*width:], ctx)
+	k0, k := m.NumTopics(), out.NumTopics()
+	if m.k2 > 0 && len(newContexts) > 0 {
+		// A fresh slab: the receiver's θ' rows stay as they are.
+		out.ctx = slices.Concat(append([][]float64{m.ctx}, newContexts...)...)
 	}
-	fits := prev != nil && prev.grownFrom == m && numItems <= prev.stride
+	fits := prev != nil && prev.grownFrom == m && numItems <= prev.stride && prev.NumTopics() == k
 	switch {
 	case fits:
 		out.stride = prev.stride
 	case numItems > m.stride:
 		out.stride = numItems + model.SpareItems(numItems)
 	}
-	k0, k := m.NumTopics(), out.NumTopics()
 	switch {
-	case m.k2 == 0 && len(newContexts) > 0:
-		// Each new context is a new column: φ and the contexts are laid
-		// out anew at the new width.
+	case k > k0:
 		out.table = make([]float64, out.stride*k)
 		for v := 0; v < m.numItems; v++ {
-			copy(out.table[v*k:v*k+m.k1], m.table[v*k0:v*k0+m.k1])
+			copy(out.table[v*k:], m.table[v*k0:(v+1)*k0])
 		}
-		layColumns(out.table, k, m.k1, out.ctx, numItems)
-	case fits && m.k2 > 0:
+		for i, ctx := range newContexts {
+			layColumns(out.table, k, k0+i, ctx, numItems)
+		}
+	case fits:
 		out.table = prev.table
 	case out.stride > m.stride:
 		out.table = make([]float64, out.stride*k)
@@ -161,21 +165,6 @@ func (m *Model) GrowFrom(prev *Model, numIntervals, numItems int, newContexts []
 		// The receiver's own rows already end in the new items' zeros.
 	}
 	return &out, nil
-}
-
-// widenRows copies the oldCols-wide rows of src into a zeroed
-// rows×newCols table; rows beyond src's stay zero. A table whose shape
-// does not change is returned as is — parameter slabs are immutable, so
-// the grown model shares it.
-func widenRows(src []float64, oldCols, newCols, rows int) []float64 {
-	if oldCols == newCols && len(src) == rows*newCols {
-		return src
-	}
-	dst := make([]float64, rows*newCols)
-	for r := 0; r*oldCols < len(src); r++ {
-		copy(dst[r*newCols:], src[r*oldCols:(r+1)*oldCols])
-	}
-	return dst
 }
 
 // FoldInUsersFrom returns the model extended to data.NumUsers() users.

@@ -550,7 +550,9 @@ func keepUsers(n int, users ...int) []bool {
 
 // TestGrowSharesUnchangedSlabs: growth copies a table only when its
 // shape changes. An ITCAM table, whose columns include the contexts,
-// changes shape with every interval.
+// changes shape with every interval; with none opened it follows the
+// stride rule as a TTCAM table does, and a growth that fits prev's
+// stride shares prev's table.
 func TestGrowSharesUnchangedSlabs(t *testing.T) {
 	forFoldVariants(t, func(t *testing.T, v variant) {
 		boot := foldBootModel(t, v)
@@ -558,7 +560,7 @@ func TestGrowSharesUnchangedSlabs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if &same.table[0] != &boot.table[0] || &same.ctx[0] != &boot.ctx[0] {
+		if &same.table[0] != &boot.table[0] || !sameStorage(same.ctx, boot.ctx) {
 			t.Error("GrowFrom to the same shape copied the table or θ'")
 		}
 		ctx := boot.FitNewInterval([]int{3}, []float64{2}, 25, 5)
@@ -569,7 +571,7 @@ func TestGrowSharesUnchangedSlabs(t *testing.T) {
 		if shared := &taller.table[0] == &boot.table[0]; shared != v.topics {
 			t.Errorf("GrowFrom by an interval shares the table: %t, want %t", shared, v.topics)
 		}
-		if &taller.ctx[0] == &boot.ctx[0] {
+		if v.topics && sameStorage(taller.ctx, boot.ctx) {
 			t.Error("GrowFrom by an interval wrote the new context into the receiver's θ'")
 		}
 		assertTableIsParams(t, "taller", taller)
@@ -581,7 +583,24 @@ func TestGrowSharesUnchangedSlabs(t *testing.T) {
 			t.Error("GrowFrom by an item shares a table without room for it")
 		}
 		assertTableIsParams(t, "wider", wider)
+		wider2, err := boot.GrowFrom(wider, 6, 27, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &wider2.table[0] != &wider.table[0] {
+			t.Error("GrowFrom within prev's stride copied prev's table")
+		}
+		assertTableIsParams(t, "wider within the stride", wider2)
 	})
+}
+
+// sameStorage reports whether a and b are the same slab: both empty, or
+// both starting at one address.
+func sameStorage(a, b []float64) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return len(a) == len(b)
+	}
+	return &a[0] == &b[0]
 }
 
 // assertTableIsParams checks a model's table against the table Read

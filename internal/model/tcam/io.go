@@ -47,7 +47,7 @@ func (m *Model) Write(w io.Writer) error {
 		BackgroundW:  m.backgroundW,
 	}
 	if m.k2 == 0 {
-		out.ThetaT = m.ctx
+		out.ThetaT = m.columns(m.k1, m.numIntervals)
 	} else {
 		out.ThetaTx = m.ctx
 	}
@@ -78,9 +78,11 @@ func Read(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("tcam: corrupt dimensions %d/%d/%d/K1=%d/K2=%d",
 			w.NumUsers, w.NumIntervals, w.NumItems, w.K1, w.K2)
 	}
-	ctx, other := w.ThetaTx, w.ThetaT // the other kind's context table must be absent
+	// The other kind's context table must be absent; ITCAM's θ' rows are
+	// item-indexed and go into the table.
+	ctx, ctxCols, other := w.ThetaTx, w.K2, w.ThetaT
 	if w.K2 == 0 {
-		ctx, other = w.ThetaT, w.ThetaTx
+		ctx, ctxCols, other = w.ThetaT, w.NumItems, w.ThetaTx
 	}
 	m := &Model{
 		label:        w.Label,
@@ -91,13 +93,13 @@ func Read(r io.Reader) (*Model, error) {
 		k1:           w.K1,
 		k2:           w.K2,
 		theta:        w.Theta,
-		ctx:          ctx,
+		ctx:          w.ThetaTx,
 		lambda:       w.Lambda,
 		backgroundW:  w.BackgroundW,
 	}
 	V := m.numItems
 	if !isTable(m.theta, m.numUsers, m.k1) || !isTable(w.Phi, m.k1, V) ||
-		!isTable(m.ctx, m.numIntervals, m.ctxWidth(V)) || len(other) != 0 ||
+		!isTable(ctx, m.numIntervals, ctxCols) || len(other) != 0 ||
 		!isTable(w.PhiX, m.k2, V) || len(m.lambda) != m.numUsers {
 		return nil, fmt.Errorf("tcam: parameter lengths inconsistent with dimensions")
 	}
@@ -118,7 +120,7 @@ func Read(r io.Reader) (*Model, error) {
 	}{
 		{"θ", m.theta, m.k1},
 		{"φ", w.Phi, V},
-		{"θ'", m.ctx, m.ctxWidth(V)},
+		{"θ'", ctx, ctxCols},
 		{"φ'", w.PhiX, V},
 		{"background", w.Background, V},
 	} {
@@ -132,16 +134,14 @@ func Read(r io.Reader) (*Model, error) {
 		}
 	}
 	// The item-indexed rows are laid into the table and not kept: the
-	// table is the model's only copy of them.
+	// table is the model's only copy of them. Each kind's absent rows are
+	// empty and lay nothing.
 	k := m.NumTopics()
 	m.table = make([]float64, V*k)
 	layColumns(m.table, k, 0, w.Phi, V)
-	if m.k2 == 0 {
-		layColumns(m.table, k, m.k1, m.ctx, V)
-	} else {
-		layColumns(m.table, k, m.k1, w.PhiX, V)
-		layColumns(m.table, k, m.k1+m.k2, w.Background, V)
-	}
+	layColumns(m.table, k, m.k1, w.ThetaT, V)
+	layColumns(m.table, k, m.k1, w.PhiX, V)
+	layColumns(m.table, k, m.k1+m.k2, w.Background, V)
 	return m, nil
 }
 

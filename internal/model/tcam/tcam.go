@@ -34,9 +34,10 @@ import (
 	"tcam/internal/train"
 )
 
-// maxDenseCells guards ITCAM's dense T×V temporal-context table: one
-// item distribution per interval is only sensible for modest catalogs
-// (the paper's Digg and MovieLens runs). Beyond this size, use K2 > 0.
+// maxDenseCells guards ITCAM's T dense item-context columns of the
+// table: one item distribution per interval is only sensible for modest
+// catalogs (the paper's Digg and MovieLens runs). Beyond this size, use
+// K2 > 0.
 const maxDenseCells = 64 << 20
 
 // Config parameterizes training.
@@ -138,7 +139,7 @@ type Model struct {
 	k1, k2       int // k2 == 0: the temporal context emits items directly (ITCAM)
 
 	theta  []float64 // N×K1: P(z|θu)
-	ctx    []float64 // T×ctxWidth: P(·|θ't), over items (ITCAM) or time topics (TTCAM)
+	ctx    []float64 // T×K2: TTCAM's P(x|θ't); empty for ITCAM, whose θ't are table columns
 	lambda []float64 // N: λu
 
 	backgroundW float64 // λB; 0 when disabled
@@ -155,15 +156,6 @@ type Model struct {
 	// grownFrom is the model GrowFrom derived this one from (through any
 	// number of fold-ins), for the next growth to inherit from.
 	grownFrom *Model
-}
-
-// ctxWidth is the row length of the temporal-context table under the
-// given catalog size: V for the item context, K2 for the topic mixture.
-func (m *Model) ctxWidth(numItems int) int {
-	if m.k2 == 0 {
-		return numItems
-	}
-	return m.k2
 }
 
 // Name returns the model label ("ITCAM", "W-TTCAM", ...).
@@ -196,11 +188,14 @@ func (m *Model) UserInterest(u int) []float64 { return m.theta[u*m.k1 : (u+1)*m.
 // distribution.
 func (m *Model) UserTopic(z int) []float64 { return m.Topic(z) }
 
-// TemporalContext returns P(·|θ't): over items for ITCAM, over the K2
-// time-oriented topics for TTCAM.
+// TemporalContext returns P(·|θ't): for ITCAM a fresh copy of table
+// column K1+t, over items; for TTCAM ContextWeights(t), over the K2
+// time-oriented topics, which callers must not modify.
 func (m *Model) TemporalContext(t int) []float64 {
-	w := m.ctxWidth(m.numItems)
-	return m.ctx[t*w : (t+1)*w]
+	if m.k2 == 0 {
+		return m.columns(m.k1+t, 1)
+	}
+	return m.ContextWeights(t)
 }
 
 // TimeTopic returns a copy of P(·|φ'x), time-oriented topic x's item
@@ -259,7 +254,7 @@ func (m *Model) Score(u, t, v int) float64 {
 		return lam*pu + (1-lam)*row[m.k1+t]
 	}
 	var pt float64
-	for x, c := range m.TemporalContext(t) {
+	for x, c := range m.ContextWeights(t) {
 		pt += c * row[m.k1+x]
 	}
 	mix := lam*pu + (1-lam)*pt
@@ -358,7 +353,7 @@ func (m *Model) QueryWeightsInto(u, t int, out []float64) float64 {
 		tail[t] = context // no background without time topics: scale is 1
 		return context
 	}
-	for x, c := range m.TemporalContext(t) {
+	for x, c := range m.ContextWeights(t) {
 		tail[x] = context * c
 	}
 	if m.backgroundW > 0 {

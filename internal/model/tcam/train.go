@@ -50,7 +50,7 @@ func prepare(data *cuboid.Cuboid, cfg Config) (*trainer, error) {
 		}
 	}
 	m.theta = make([]float64, n*m.k1)
-	m.ctx = make([]float64, T*m.ctxWidth(V))
+	m.ctx = make([]float64, T*m.k2)
 	m.lambda = make([]float64, n)
 	m.table = make([]float64, V*m.NumTopics())
 	m.initialize(data, cfg.Seed)
@@ -71,11 +71,12 @@ func (m *Model) initialize(data *cuboid.Cuboid, seed int64) {
 	fillJitteredRows(rng, m.theta, m.k1)
 	layColumns(m.table, k, 0, jitteredRows(rng, m.k1, V), V)
 	if m.k2 == 0 {
+		ctx := make([]float64, m.numIntervals*V)
 		for _, cell := range data.Cells() {
-			m.ctx[int(cell.T)*V+int(cell.V)] += cell.Score
+			ctx[int(cell.T)*V+int(cell.V)] += cell.Score
 		}
-		model.NormalizeRows(m.ctx, V, 1e-6)
-		layColumns(m.table, k, m.k1, m.ctx, V)
+		model.NormalizeRows(ctx, V, 1e-6)
+		layColumns(m.table, k, m.k1, ctx, V)
 	} else {
 		fillJitteredRows(rng, m.ctx, m.k2)
 		layColumns(m.table, k, m.k1, jitteredRows(rng, m.k2, V), V)
@@ -111,15 +112,15 @@ func jitteredRows(rng *rand.Rand, rows, cols int) []float64 {
 // trainer adapts the E/M-step math to the train.Trainable contract. The
 // θ and λ sufficient statistics are user-sharded — every shard writes a
 // disjoint row range of one shared slab — so only the global φ, θ' and
-// φ' slabs live in the accumulators and are merged.
+// φ' statistics live in the accumulators and are merged.
 //
 // The E-step reads φ, φ', an item context and the background through
 // the model's item-major table (ItemTopics), the only copy of them.
 // The per-cell topic loops then read one contiguous row per item
 // instead of a stride-V column per topic, and the accumulators store
-// their φ/φ' statistics item-major too, so the loops' writes are
-// contiguous as well and the M-step normalizes them straight into the
-// table's columns.
+// the statistics of the table's fitted columns item-major too, so the
+// loops' writes are contiguous as well and the M-step normalizes them
+// straight into those columns.
 //
 // A frozen trainer is fold-in's: φ, θ' and φ' are held fixed and only
 // userStep follows its E-steps, so its accumulators carry no global
@@ -135,7 +136,7 @@ type trainer struct {
 	theta  []float64 // N×K1, an E-step over [lo, hi) owns rows [lo, hi)
 	lamNum []float64 // N
 	lamDen []float64 // N
-	sums   []float64 // max(K1, K2): the M-step's column sums
+	sums   []float64 // fittedColumns(): the M-step's column sums
 }
 
 // newTrainer sizes the statistics for running EM rounds over data
@@ -147,21 +148,30 @@ func newTrainer(m *Model, data *cuboid.Cuboid) *trainer {
 		theta:  make([]float64, len(m.theta)),
 		lamNum: make([]float64, m.numUsers),
 		lamDen: make([]float64, m.numUsers),
-		sums:   make([]float64, max(m.k1, m.k2)),
+		sums:   make([]float64, m.fittedColumns()),
 	}
 }
 
 // accum is one shard's global sufficient-statistic slabs and posterior
-// scratch. The φ and φ' slabs are item-major, V×K1 and V×K2;
-// ctx has the layout of Model.ctx. Under a frozen trainer the three
-// global slabs are nil.
+// scratch. items is laid out like the table's fitted columns — row v
+// holds [φ·v | θ′₀(v) … θ′_{T−1}(v)] (ITCAM) or [φ·v | φ′·v] (TTCAM)
+// statistics — and ctx like Model.ctx. Under a frozen trainer both are
+// nil.
 type accum struct {
-	phiT  []float64 // V×K1
-	ctx   []float64 // T×ctxWidth
-	phiXT []float64 // V×K2
+	items []float64 // V×fittedColumns()
+	ctx   []float64 // T×K2
 	pz    []float64 // user-path posterior scratch, length K1
 	px    []float64 // time-path posterior scratch, length K2
 	ll    float64
+}
+
+// fittedColumns is how many of the table's columns EM fits: all but the
+// background, which stays the empirical distribution it started as.
+func (m *Model) fittedColumns() int {
+	if m.backgroundW > 0 {
+		return m.NumTopics() - 1
+	}
+	return m.NumTopics()
 }
 
 func (tr *trainer) NumUsers() int { return tr.m.numUsers }
@@ -173,9 +183,8 @@ func (tr *trainer) NewAccum() train.Accum {
 		px: train.Scratch(m.k2),
 	}
 	if !tr.frozen {
-		a.phiT = make([]float64, m.numItems*m.k1)
+		a.items = make([]float64, m.numItems*m.fittedColumns())
 		a.ctx = make([]float64, len(m.ctx))
-		a.phiXT = make([]float64, m.numItems*m.k2)
 	}
 	return a
 }
@@ -184,9 +193,8 @@ func (tr *trainer) NewAccum() train.Accum {
 //
 //tcam:hotpath
 func (a *accum) Reset() {
-	train.Zero(a.phiT)
+	train.Zero(a.items)
 	train.Zero(a.ctx)
-	train.Zero(a.phiXT)
 	a.ll = 0
 }
 
@@ -196,9 +204,8 @@ func (a *accum) Reset() {
 //tcam:hotpath
 func (a *accum) Merge(src train.Accum) {
 	s := src.(*accum)
-	train.MergeInto(a.phiT, s.phiT)
+	train.MergeInto(a.items, s.items)
 	train.MergeInto(a.ctx, s.ctx)
-	train.MergeInto(a.phiXT, s.phiXT)
 	a.ll += s.ll
 }
 
@@ -238,8 +245,7 @@ func (tr *trainer) EStep(acc train.Accum, lo, hi int) {
 //tcam:hotpath
 func (tr *trainer) eStepItems(a *accum, first, last int) {
 	m := tr.m
-	k1, V := m.k1, m.numItems
-	k := m.NumTopics()
+	k1, k := m.k1, m.NumTopics() // no background: every column is fitted
 	data := tr.data
 	ts, vs, scores := data.CSR()
 	table := m.table
@@ -269,10 +275,11 @@ func (tr *trainer) eStepItems(a *accum, first, last int) {
 					train.AddScaled(thetaAcc, w*ps1/pu, pz)
 				}
 			} else {
+				acc := a.items[v*k : v*k+k]
 				if pu > 0 {
-					train.AddScaledPair(thetaAcc, a.phiT[v*k1:(v+1)*k1], w*ps1/pu, pz)
+					train.AddScaledPair(thetaAcc, acc[:k1], w*ps1/pu, pz)
 				}
-				a.ctx[t*V+v] += w * (1 - ps1)
+				acc[k1+t] += w * (1 - ps1)
 			}
 			tr.lamNum[u] += w * ps1
 			tr.lamDen[u] += w
@@ -289,7 +296,7 @@ func (tr *trainer) eStepItems(a *accum, first, last int) {
 func (tr *trainer) eStepTopics(a *accum, first, last int) {
 	m := tr.m
 	k1, k2 := m.k1, m.k2
-	k := m.NumTopics()
+	k, kf := m.NumTopics(), k1+k2 // table and statistics row lengths
 	data := tr.data
 	ts, vs, scores := data.CSR()
 	table := m.table
@@ -335,11 +342,12 @@ func (tr *trainer) eStepTopics(a *accum, first, last int) {
 					train.AddScaled(thetaAcc, w*ps1/pu, pz)
 				}
 			} else {
+				acc := a.items[v*kf : v*kf+kf]
 				if pu > 0 && ps1 > 0 {
-					train.AddScaledPair(thetaAcc, a.phiT[v*k1:(v+1)*k1], w*ps1/pu, pz)
+					train.AddScaledPair(thetaAcc, acc[:k1], w*ps1/pu, pz)
 				}
 				if pt > 0 && ps0 > 0 {
-					train.AddScaledPair(a.ctx[t*k2:(t+1)*k2], a.phiXT[v*k2:(v+1)*k2], w*ps0/pt, px)
+					train.AddScaledPair(a.ctx[t*k2:(t+1)*k2], acc[k1:], w*ps0/pt, px)
 				}
 			}
 			tr.lamNum[u] += w * ps1
@@ -352,26 +360,22 @@ func (tr *trainer) eStepTopics(a *accum, first, last int) {
 // MStep applies Equations (8)–(11) and (15)–(16) from the merged
 // statistics and returns the data log-likelihood under the parameters
 // the iteration started from (the quantity EM never decreases). φ and
-// φ' are normalized from their item-major statistics straight into the
-// table's columns; an item context is normalized in place and then laid
-// into its columns.
+// the item contexts or φ' are normalized from their item-major
+// statistics straight into the table's columns, and TTCAM's θ' rows in
+// place.
 func (tr *trainer) MStep(merged train.Accum) float64 {
 	a := merged.(*accum)
 	m := tr.m
-	V, k, k1 := m.numItems, m.NumTopics(), m.k1
+	V, kf := m.numItems, m.fittedColumns()
 	tr.userStep(0, m.numUsers)
-	normalizeColumns(m.table, k, a.phiT, k1, V, tr.sums[:k1])
+	normalizeColumns(m.table, m.NumTopics(), a.items, kf, V, tr.sums)
 	copy(m.ctx, a.ctx)
-	model.NormalizeRows(m.ctx, m.ctxWidth(V), Smoothing)
-	if m.k2 == 0 {
-		layColumns(m.table, k, k1, m.ctx, V)
-	} else {
-		normalizeColumns(m.table[k1:], k, a.phiXT, m.k2, V, tr.sums[:m.k2])
-	}
+	model.NormalizeRows(m.ctx, m.k2, Smoothing)
 	if model.AssertionsEnabled {
-		model.AssertRowStochastic("tcam phi", m.columns(0, k1), V, 1e-9)
-		model.AssertRowStochastic("tcam context", m.ctx, m.ctxWidth(V), 1e-9)
-		model.AssertRowStochastic("tcam phiX", m.columns(k1, m.k2), V, 1e-9)
+		model.AssertRowStochastic("tcam item columns", m.columns(0, kf), V, 1e-9)
+		if m.k2 > 0 {
+			model.AssertRowStochastic("tcam context", m.ctx, m.k2, 1e-9)
+		}
 	}
 	return a.ll
 }

@@ -253,18 +253,19 @@ func BuildIndexFrom(prev *Index, ts model.TopicScorer, lo, hi int) *Index {
 			fresh = append(fresh, j)
 		}
 	}
-	var tasks []func()
+	var tasks []func(gather *[]float64)
 	for _, j := range kept {
-		tasks = append(tasks, func() { *j.dst, j.shared = extend(j.head, ix.weights(j.weight, lo+head, hi), spare) })
+		tasks = append(tasks, func(*[]float64) { *j.dst, j.shared = extend(j.head, ix.weights(j.weight, lo+head, hi), spare) })
 	}
 	for g := 0; g < len(fresh); g += columnGroup {
 		group := fresh[g:min(g+columnGroup, len(fresh))]
-		tasks = append(tasks, func() { ix.sortGroup(group, spare) })
+		tasks = append(tasks, func(gather *[]float64) { ix.sortGroup(group, spare, gather) })
 	}
 	workers := model.Workers(0)
 	model.ParallelRanges(workers, workers, func(w, _, _ int) {
+		var gather []float64 // this worker's group weights, reused across its groups
 		for i := w; i < len(tasks); i += workers {
-			tasks[i]()
+			tasks[i](&gather)
 		}
 	})
 	ix.kept = len(kept)
@@ -332,20 +333,23 @@ func (ix *Index) weights(weight func(row []float64) float64, from, to int) []flo
 }
 
 // sortGroup builds the lists of jobs over the whole window, gathering
-// their weights in one pass over its table rows.
-func (ix *Index) sortGroup(jobs []*job, spare int) {
-	weights := make([][]float64, len(jobs))
-	for c := range weights {
-		weights[c] = make([]float64, ix.numItems)
+// their weights in one pass over its table rows into *gather, the
+// worker's buffer: grown when a group needs more, reused otherwise, as
+// sortedList copies the weights out.
+func (ix *Index) sortGroup(jobs []*job, spare int, gather *[]float64) {
+	n := ix.numItems
+	if cap(*gather) < len(jobs)*n {
+		*gather = make([]float64, len(jobs)*n)
 	}
-	for i := 0; i < ix.numItems; i++ {
+	weights := (*gather)[:len(jobs)*n]
+	for i := 0; i < n; i++ {
 		row := ix.row(ix.itemLo + i)
 		for c, j := range jobs {
-			weights[c][i] = j.weight(row)
+			weights[c*n+i] = j.weight(row)
 		}
 	}
 	for c, j := range jobs {
-		*j.dst = sortedList(weights[c], 0, spare)
+		*j.dst = sortedList(weights[c*n:(c+1)*n], 0, spare)
 	}
 }
 

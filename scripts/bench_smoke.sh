@@ -43,7 +43,12 @@
 #  10. a /recommend cache hit must allocate at most 9 times — 14 while
 #      every hit built a url.Values map and rendered its answer again;
 #      what is left is the benchmark's recorder and the shell's panic
-#      wrapper, not the hit (DESIGN.md §16).
+#      wrapper, not the hit (DESIGN.md §16);
+#  11. a whole-catalog index build at GOMAXPROCS 2 must allocate at most
+#      42.1 MB — 52.4 MB/op while every freshly sorted list gathered its
+#      weights into a new V-float slice, 42.0 since each worker reuses
+#      one gather buffer across its groups; the bound is pinned to a CPU
+#      count because each worker holds one buffer.
 #
 # Usage: scripts/bench_smoke.sh
 set -eu
@@ -106,6 +111,15 @@ if ! echo "$hit_out" | awk '
     /^BenchmarkServerRecommendCacheHit/ { allocs = $(NF-1) }
     END { exit !(allocs > 0 && allocs <= 9) }'; then
     echo "bench_smoke.sh: BenchmarkServerRecommendCacheHit allocates more than 9 times per op (or did not run)" >&2
+    exit 1
+fi
+
+build_out=$(scripts/bench.sh run 3x ./internal/topk/ 'BenchmarkBuildIndex$' -cpu 2)
+echo "$build_out"
+if ! echo "$build_out" | awk '
+    /^BenchmarkBuildIndex-2/ { bytes = $(NF-3) }
+    END { exit !(bytes > 0 && bytes <= 42100000) }'; then
+    echo "bench_smoke.sh: BenchmarkBuildIndex allocates more than 42.1 MB/op at GOMAXPROCS 2 (or did not run)" >&2
     exit 1
 fi
 
