@@ -23,8 +23,8 @@ import (
 )
 
 // badEvents is every way an event can break the one rule,
-// ingest.Record.Validate: a score that is not finite and positive
-// (cuboid.CheckScore), or a missing name. None of their names is one
+// ingest.Record.Validate: a score that is not positive or is above
+// cuboid.MaxScore (cuboid.CheckScore), or a missing name. None of their names is one
 // the serving fixture knows.
 var badEvents = []struct {
 	name string
@@ -35,6 +35,7 @@ var badEvents = []struct {
 	{"-Inf score", ingest.Record{User: "user-bad", Item: "item-bad", Time: 106, Score: math.Inf(-1)}},
 	{"zero score", ingest.Record{User: "user-bad", Item: "item-bad", Time: 106, Score: 0}},
 	{"negative score", ingest.Record{User: "user-bad", Item: "item-bad", Time: 106, Score: -1}},
+	{"score above the bound", ingest.Record{User: "user-bad", Item: "item-bad", Time: 106, Score: 1e308}},
 	{"empty user", ingest.Record{User: "", Item: "item-bad", Time: 106, Score: 1}},
 	{"empty item", ingest.Record{User: "user-bad", Item: "", Time: 106, Score: 1}},
 }

@@ -22,7 +22,7 @@ func benchRatings(tb testing.TB) ([][3]int, int, int, int) {
 }
 
 // BenchmarkCuboidBuild measures Builder.Build — sort, merge and the
-// posting/CSR construction — on an 80k-rating stream.
+// by-interval regrouping — on an 80k-rating stream.
 func BenchmarkCuboidBuild(b *testing.B) {
 	ratings, nu, nt, nv := benchRatings(b)
 	bld := NewBuilder(nu, nt, nv)

@@ -4,21 +4,16 @@
 // interval t. It also provides per-interval postings, aggregate
 // statistics and gob serialization.
 //
-// The cuboid is stored sparsely, CSR-style, in two structure-of-arrays
-// views so EM inference touches only nonzero cells — O(nnz·K) per
-// iteration rather than O(N·T·V·K):
+// The cuboid is stored sparsely, CSR-style, as one []Cell in two orders
+// so EM inference touches only nonzero cells — O(nnz·K) per iteration
+// rather than O(N·T·V·K):
 //
-//   - the by-user view: parallel ts/vs/scores arrays in (U, T, V) order
-//     with a userPtr row pointer, so a per-user E-step is a linear scan
-//     over three contiguous slices with no index indirection;
-//   - the by-interval view: parallel us/vs/scores arrays grouped by
-//     interval (cells in (T, U, V) order) with a timePtr row pointer,
-//     for the item-weighting pass of Section 3.3 and interval-major
-//     trainers.
-//
-// A merged []Cell slice is kept alongside for serialization and callers
-// that want whole cells; its order is exactly the by-user view's order,
-// so index i means the same cell in both.
+//   - by user: the cells in (U, T, V) order, rows cut by a userPtr row
+//     pointer, so a per-user E-step is a linear scan of one contiguous
+//     span;
+//   - by interval: the same cells regrouped by T (each interval's in
+//     (U, V) order), rows cut by a timePtr row pointer, for the
+//     item-weighting pass of Section 3.3 and interval-major trainers.
 package cuboid
 
 import (
@@ -34,15 +29,24 @@ type Cell struct {
 	Score   float64
 }
 
+// MaxScore is the largest score CheckScore admits, 2^512. A cuboid has
+// fewer than 2^31 cells (its row pointers are int32) and a weighting
+// factor is below 2^36, so every sum of scores or of weighted scores
+// stays below 2^579, and EM's log-likelihood — each cell's mass times a
+// log density of magnitude below 2^10 — below 2^589: far inside
+// float64's 2^1024 (DESIGN.md §11).
+const MaxScore = 0x1p512
+
 // CheckScore is the one rule for a rating score, and every door an
-// event can enter by applies it: Delta.Add for cells, ingest's
-// Record.Validate for events. A score is finite and positive — the
-// cuboid of Definition 3 holds positive ratings, and EM's likelihood and
-// TA's non-negative score decomposition both assume it — so NaN and ±Inf
-// are refused alongside zero and negatives.
+// event can enter by applies it: Delta.Add for cells, Read for a
+// serialized cuboid, ingest's Record.Validate for events. A score is
+// positive — the cuboid of Definition 3 holds positive ratings, and EM's
+// likelihood and TA's non-negative score decomposition both assume it —
+// and at most MaxScore, so NaN and ±Inf are refused alongside zero,
+// negatives and finite scores whose sums would overflow.
 func CheckScore(score float64) error {
-	if !(score > 0) || math.IsInf(score, 1) {
-		return fmt.Errorf("cuboid: score %v is not finite and positive", score)
+	if !(score > 0 && score <= MaxScore) {
+		return fmt.Errorf("cuboid: score %v is not in (0, %v]", score, MaxScore)
 	}
 	return nil
 }
@@ -54,22 +58,13 @@ type Cuboid struct {
 	numIntervals int
 	numItems     int
 
-	cells []Cell // sorted by (U, T, V), duplicates merged
+	cells   []Cell  // sorted by (U, T, V), duplicates merged
+	userPtr []int32 // len numUsers+1: user u's cells are cells[userPtr[u]:userPtr[u+1]]
 
-	// By-user CSR view: columnar copies of cells (same order), rows cut
-	// by userPtr. ts[i], vs[i], scores[i] describe cells[i].
-	ts      []int32
-	vs      []int32
-	scores  []float64
-	userPtr []int32 // len numUsers+1
-
-	// By-interval CSR view: cells regrouped by T (within an interval the
-	// order is ascending (U, V), i.e. ascending global cell index), rows
-	// cut by timePtr.
-	tUs     []int32
-	tVs     []int32
-	tScores []float64
-	timePtr []int32 // len numIntervals+1
+	// The same cells regrouped by T; within an interval they keep their
+	// (U, V) order, i.e. ascending index in cells.
+	byInterval []Cell
+	timePtr    []int32 // len numIntervals+1
 }
 
 // Builder accumulates ratings and produces a Cuboid: a Delta applied to
@@ -95,11 +90,11 @@ func (b *Builder) Build() *Cuboid {
 }
 
 // fromCells freezes a (U, T, V)-sorted, deduplicated cell slice into a
-// Cuboid, building both CSR views with a count-then-fill pass: one scan
-// counts row sizes, a prefix sum turns them into row pointers, and one
-// more scan writes every column entry into its final slot. No slice is
-// ever grown by append, so construction costs O(1) allocations of exact
-// size instead of O(nnz) small reallocations.
+// Cuboid, regrouping it by interval with a count-then-fill pass: one
+// scan counts row sizes, a prefix sum turns them into row pointers, and
+// one more scan copies every cell into its interval's next slot. No
+// slice is ever grown by append, so construction costs O(1) allocations
+// of exact size instead of O(nnz) small reallocations.
 func fromCells(numUsers, numIntervals, numItems int, cells []Cell) *Cuboid {
 	nnz := len(cells)
 	if nnz > math.MaxInt32 {
@@ -110,13 +105,8 @@ func fromCells(numUsers, numIntervals, numItems int, cells []Cell) *Cuboid {
 		numIntervals: numIntervals,
 		numItems:     numItems,
 		cells:        cells,
-		ts:           make([]int32, nnz),
-		vs:           make([]int32, nnz),
-		scores:       make([]float64, nnz),
 		userPtr:      make([]int32, numUsers+1),
-		tUs:          make([]int32, nnz),
-		tVs:          make([]int32, nnz),
-		tScores:      make([]float64, nnz),
+		byInterval:   make([]Cell, nnz),
 		timePtr:      make([]int32, numIntervals+1),
 	}
 	for i := range cells {
@@ -131,12 +121,9 @@ func fromCells(numUsers, numIntervals, numItems int, cells []Cell) *Cuboid {
 	}
 	next := make([]int32, numIntervals)
 	copy(next, c.timePtr[:numIntervals])
-	for i := range cells {
-		cell := &cells[i]
-		c.ts[i], c.vs[i], c.scores[i] = cell.T, cell.V, cell.Score
-		p := next[cell.T]
-		next[cell.T] = p + 1
-		c.tUs[p], c.tVs[p], c.tScores[p] = cell.U, cell.V, cell.Score
+	for _, cell := range cells {
+		c.byInterval[next[cell.T]] = cell
+		next[cell.T]++
 	}
 	return c
 }
@@ -153,41 +140,30 @@ func (c *Cuboid) NumItems() int { return c.numItems }
 // NNZ returns the number of nonzero cells.
 func (c *Cuboid) NNZ() int { return len(c.cells) }
 
-// Cells returns the merged cell slice sorted by (U, T, V). Callers must
-// not modify it. Index i here addresses the same cell as index i of the
-// CSR view.
-func (c *Cuboid) Cells() []Cell { return c.cells }
-
-// CSR returns the by-user structure-of-arrays view: parallel interval,
-// item and score columns in Cells() order. Row i of the three slices
-// describes Cells()[i]; user u's rows are the contiguous range returned
-// by UserSpan. Callers must not modify the slices.
+// Cells returns the merged cells sorted by (U, T, V): the by-user
+// order, user u's cells the span UserSpan(u). Callers must not modify
+// it.
 //
 //tcam:hotpath
-func (c *Cuboid) CSR() (ts, vs []int32, scores []float64) {
-	return c.ts, c.vs, c.scores
-}
+func (c *Cuboid) Cells() []Cell { return c.cells }
 
-// UserSpan returns the half-open range [lo, hi) of user u's cells in the
-// CSR view (equivalently in Cells()), in (T, V) order.
+// UserSpan returns the half-open range [lo, hi) of user u's cells in
+// Cells(), in (T, V) order.
 //
 //tcam:hotpath
 func (c *Cuboid) UserSpan(u int) (lo, hi int) {
 	return int(c.userPtr[u]), int(c.userPtr[u+1])
 }
 
-// IntervalCSR returns the by-interval structure-of-arrays view: parallel
-// user, item and score columns grouped by interval. Interval t's rows
-// are the contiguous range returned by IntervalSpan, in ascending (U, V)
-// order. Callers must not modify the slices.
+// IntervalCells returns the same cells grouped by interval: interval
+// t's cells are the span IntervalSpan(t), in (U, V) order. Callers must
+// not modify it.
 //
 //tcam:hotpath
-func (c *Cuboid) IntervalCSR() (us, vs []int32, scores []float64) {
-	return c.tUs, c.tVs, c.tScores
-}
+func (c *Cuboid) IntervalCells() []Cell { return c.byInterval }
 
 // IntervalSpan returns the half-open range [lo, hi) of interval t's
-// cells in the IntervalCSR view.
+// cells in IntervalCells().
 //
 //tcam:hotpath
 func (c *Cuboid) IntervalSpan(t int) (lo, hi int) {

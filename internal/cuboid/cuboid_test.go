@@ -3,8 +3,10 @@ package cuboid
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -55,6 +57,8 @@ func TestBuilderValidation(t *testing.T) {
 		{"item high", 0, 0, 2, 1, true},
 		{"zero score", 0, 0, 0, 0, true},
 		{"negative score", 0, 0, 0, -2, true},
+		{"score above MaxScore", 0, 0, 0, math.Nextafter(MaxScore, math.Inf(1)), true},
+		{"MaxScore", 0, 0, 0, MaxScore, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -226,6 +230,47 @@ func TestReadRejectsUnsortedCells(t *testing.T) {
 	}
 }
 
+// TestReadRefusesWhatNoDeltaBuilds: a wire Read accepts is one a Delta
+// could have produced — dimensions non-negative, every cell inside them
+// with a score CheckScore admits.
+func TestReadRefusesWhatNoDeltaBuilds(t *testing.T) {
+	cell := func(score float64) []Cell { return []Cell{{U: 0, T: 0, V: 0, Score: score}} }
+	for _, tc := range []struct {
+		name       string
+		nu, nt, nv int
+		cells      []Cell
+	}{
+		{"negative users", -2, 1, 1, nil},
+		{"negative intervals", 1, -1, 1, nil},
+		{"negative items", 1, 1, -3, nil},
+		{"NaN score", 1, 1, 1, cell(math.NaN())},
+		{"zero score", 1, 1, 1, cell(0)},
+		{"negative score", 1, 1, 1, cell(-3)},
+		{"+Inf score", 1, 1, 1, cell(math.Inf(1))},
+		{"score above MaxScore", 1, 1, 1, cell(2 * MaxScore)},
+		{"cell outside", 1, 1, 1, []Cell{{U: 1, T: 0, V: 0, Score: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			wire := cuboidWire{NumUsers: tc.nu, NumIntervals: tc.nt, NumItems: tc.nv, Cells: tc.cells}
+			if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
+				t.Fatal(err)
+			}
+			if c, err := Read(&buf); err == nil {
+				t.Errorf("Read accepted it: %d×%d×%d, %d cells", c.NumUsers(), c.NumIntervals(), c.NumItems(), c.NNZ())
+			}
+		})
+	}
+	var buf bytes.Buffer
+	wire := cuboidWire{NumUsers: 1, NumIntervals: 1, NumItems: 1, Cells: cell(MaxScore)}
+	if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); err != nil {
+		t.Errorf("Read refused a cell scored MaxScore: %v", err)
+	}
+}
+
 func TestReadRejectsCorruptCells(t *testing.T) {
 	// Hand-craft a wire struct with an out-of-range cell via a legal
 	// cuboid then larger dims... simplest: encode wire directly.
@@ -285,11 +330,11 @@ func TestBuildCanonicalProperty(t *testing.T) {
 	}
 }
 
-// Property: the two CSR views partition the cell set. Walking UserSpan
-// for every user enumerates exactly Cells() in order (CSR index i is
-// Cells() index i), and walking IntervalSpan for every interval visits
-// each cell exactly once with matching coordinates — including cuboids
-// with empty users and empty intervals.
+// Property: the two orders partition the cell set. Walking UserSpan for
+// every user enumerates exactly Cells() in order, and walking
+// IntervalSpan over IntervalCells() for every interval visits each cell
+// exactly once, in ascending Cells() order within an interval —
+// including cuboids with empty users and empty intervals.
 func TestCSRMatchesCellsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -301,22 +346,20 @@ func TestCSRMatchesCellsProperty(t *testing.T) {
 			b.MustAdd(r.Intn(nu), r.Intn(nt), r.Intn(nv), 1+r.Float64())
 		}
 		c := b.Build()
-		cells := c.Cells()
-		ts, vs, scores := c.CSR()
-		if len(ts) != len(cells) || len(vs) != len(cells) || len(scores) != len(cells) {
+		cells, byInterval := c.Cells(), c.IntervalCells()
+		if len(byInterval) != len(cells) {
 			return false
 		}
-		// By-user view: spans are contiguous, cover [0, NNZ), and the
-		// columns reproduce every cell in Cells() order.
+		// By user: spans are contiguous, cover [0, NNZ), and hold only
+		// their user's cells.
 		next := 0
 		for u := 0; u < c.NumUsers(); u++ {
 			lo, hi := c.UserSpan(u)
 			if lo != next || hi < lo {
 				return false
 			}
-			for i := lo; i < hi; i++ {
-				cell := cells[i]
-				if int(cell.U) != u || ts[i] != cell.T || vs[i] != cell.V || scores[i] != cell.Score {
+			for _, cell := range cells[lo:hi] {
+				if int(cell.U) != u {
 					return false
 				}
 			}
@@ -325,10 +368,9 @@ func TestCSRMatchesCellsProperty(t *testing.T) {
 		if next != c.NNZ() {
 			return false
 		}
-		// By-interval view: spans partition the cells by T, each cell
-		// visited exactly once, in ascending global-cell order within an
+		// By interval: spans partition the cells by T, each cell
+		// visited exactly once, in ascending Cells() order within an
 		// interval.
-		us, tvs, tscores := c.IntervalCSR()
 		seen := make([]bool, c.NNZ())
 		next = 0
 		for tt := 0; tt < c.NumIntervals(); tt++ {
@@ -337,11 +379,11 @@ func TestCSRMatchesCellsProperty(t *testing.T) {
 				return false
 			}
 			prev := -1
-			for i := lo; i < hi; i++ {
-				// Locate the unique matching cell in the canonical slice.
+			for _, cell := range byInterval[lo:hi] {
+				// Locate the unique matching cell in the by-user order.
 				ci := -1
-				for j, cell := range cells {
-					if !seen[j] && cell.U == us[i] && int(cell.T) == tt && cell.V == tvs[i] && cell.Score == tscores[i] {
+				for j := range cells {
+					if !seen[j] && int(cell.T) == tt && cells[j] == cell {
 						ci = j
 						break
 					}
@@ -370,9 +412,9 @@ func TestCSRMatchesCellsProperty(t *testing.T) {
 }
 
 // Construction must stay count-then-fill: a handful of exact-size
-// allocations per cuboid, not O(nnz) append growth. The bound is loose
-// (a cuboid needs ~10 backing arrays plus the struct) so it only trips
-// on a regression back to incremental growth.
+// allocations per cuboid, not O(nnz) append growth. fromCells makes the
+// struct, two row pointers, the by-interval cells and its fill cursors;
+// Scaled adds its by-user cells.
 func TestBuildAllocationBound(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	b := NewBuilder(50, 8, 60)
@@ -383,13 +425,61 @@ func TestBuildAllocationBound(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		fromCells(base.numUsers, base.numIntervals, base.numItems, base.cells)
 	})
-	if allocs > 16 {
-		t.Errorf("fromCells allocates %v times per build, want <= 16 (count-then-fill regressed)", allocs)
+	if allocs > 5 {
+		t.Errorf("fromCells allocates %v times per build, want <= 5 (count-then-fill regressed)", allocs)
 	}
 	scaledAllocs := testing.AllocsPerRun(10, func() {
 		base.Scaled(func(Cell) float64 { return 2 })
 	})
-	if scaledAllocs > 20 {
-		t.Errorf("Scaled allocates %v times, want <= 20", scaledAllocs)
+	if scaledAllocs > 6 {
+		t.Errorf("Scaled allocates %v times, want <= 6", scaledAllocs)
 	}
+}
+
+// TestCuboidHoldsEachCellTwice: a cuboid is its two orders of the cells
+// and two row pointers. Built, extended by a delta or scaled, it retains
+// at most 1.05 × (48 B per cell + 4 B per row pointer entry) on the heap
+// — no column copy of any cell beside them.
+func TestCuboidHoldsEachCellTwice(t *testing.T) {
+	const nu, nt, nv = 2000, 12, 2000
+	r := rand.New(rand.NewSource(7))
+	b := NewBuilder(nu, nt, nv)
+	for i := 0; i < 80000; i++ {
+		b.MustAdd(r.Intn(nu), r.Intn(nt), r.Intn(nv), 1)
+	}
+	d := NewDelta(nu+10, nt+1, nv)
+	for i := 0; i < 2000; i++ {
+		d.MustAdd(r.Intn(nu+10), r.Intn(nt+1), r.Intn(nv), 1)
+	}
+	check := func(name string, build func() *Cuboid) *Cuboid {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := build()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		want := 48*c.NNZ() + 4*(c.NumUsers()+c.NumIntervals()+2)
+		if float64(held) > 1.05*float64(want) {
+			t.Errorf("%s: retains %d B for %d cells (%.1f B/cell), want ≤ 1.05 × %d B",
+				name, held, c.NNZ(), float64(held)/float64(c.NNZ()), want)
+		}
+		return c
+	}
+	// The receiver stays alive, so each later measurement is what the
+	// call adds.
+	built := check("Build", b.Build)
+	applied := check("ApplyDelta", func() *Cuboid {
+		c, err := built.ApplyDelta(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	})
+	check("Scaled", func() *Cuboid { return applied.Scaled(func(Cell) float64 { return 2 }) })
+	runtime.KeepAlive(b)
+	runtime.KeepAlive(d)
+	runtime.KeepAlive(built)
+	runtime.KeepAlive(applied)
 }

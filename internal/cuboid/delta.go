@@ -6,9 +6,9 @@ package cuboid
 // dimensions) without re-sorting the cells already there — the
 // streaming ingest loop — and applied to no cells it is Builder.Build.
 // ApplyDelta reduces to one two-way merge of already-sorted cell slices
-// — count first, then fill into exact-size allocations — so a rebuild
-// stays within fromCells' small-constant allocation budget and
-// preserves the CSR↔Cells index alignment every consumer relies on.
+// — count first, then fill into exact-size allocations — whose result
+// is the new cuboid's by-user order, so a rebuild stays within
+// fromCells' small-constant allocation budget.
 
 import "fmt"
 
@@ -87,8 +87,8 @@ func (d *Delta) freeze() {
 // cell, plus the delta's ratings of it in arrival order.
 //
 // Cost: one count pass and one fill pass over base.NNZ()+delta cells
-// into exact-size allocations, then the fromCells CSR build — ≤14
-// allocations, independent of cell count.
+// into one exact-size slice, then fromCells' by-interval regrouping —
+// six allocations, independent of cell count.
 func (c *Cuboid) ApplyDelta(d *Delta) (*Cuboid, error) {
 	if d.numUsers < c.numUsers || d.numIntervals < c.numIntervals || d.numItems < c.numItems {
 		return nil, fmt.Errorf("cuboid: delta dimensions %d×%d×%d shrink the cuboid's %d×%d×%d",

@@ -18,31 +18,15 @@ func buildRandom(t *testing.T, seed int64, nu, nt, nv, n int) *Cuboid {
 	return b.Build()
 }
 
-// assertSameCuboid checks full equality: dimensions, cells, both CSR
-// views and the CSR↔Cells alignment invariant.
+// assertSameCuboid checks full equality: dimensions and both orders of
+// the cells, bit for bit, with their row pointers.
 func assertSameCuboid(t *testing.T, got, want *Cuboid) {
 	t.Helper()
 	if got.NumUsers() != want.NumUsers() || got.NumIntervals() != want.NumIntervals() || got.NumItems() != want.NumItems() {
 		t.Fatalf("dims %d×%d×%d, want %d×%d×%d", got.NumUsers(), got.NumIntervals(), got.NumItems(),
 			want.NumUsers(), want.NumIntervals(), want.NumItems())
 	}
-	gc, wc := got.Cells(), want.Cells()
-	if len(gc) != len(wc) {
-		t.Fatalf("nnz %d, want %d", len(gc), len(wc))
-	}
-	for i := range wc {
-		if gc[i].U != wc[i].U || gc[i].T != wc[i].T || gc[i].V != wc[i].V ||
-			math.Float64bits(gc[i].Score) != math.Float64bits(wc[i].Score) {
-			t.Fatalf("cell %d = %+v, want %+v", i, gc[i], wc[i])
-		}
-	}
-	gts, gvs, gsc := got.CSR()
-	wts, wvs, wsc := want.CSR()
-	for i := range wts {
-		if gts[i] != wts[i] || gvs[i] != wvs[i] || math.Float64bits(gsc[i]) != math.Float64bits(wsc[i]) {
-			t.Fatalf("by-user CSR row %d differs", i)
-		}
-	}
+	assertSameCells(t, "cell", got.Cells(), want.Cells())
 	for u := 0; u < want.NumUsers(); u++ {
 		glo, ghi := got.UserSpan(u)
 		wlo, whi := want.UserSpan(u)
@@ -50,13 +34,7 @@ func assertSameCuboid(t *testing.T, got, want *Cuboid) {
 			t.Fatalf("UserSpan(%d) = [%d,%d), want [%d,%d)", u, glo, ghi, wlo, whi)
 		}
 	}
-	gus, gtvs, gtsc := got.IntervalCSR()
-	wus, wtvs, wtsc := want.IntervalCSR()
-	for i := range wus {
-		if gus[i] != wus[i] || gtvs[i] != wtvs[i] || math.Float64bits(gtsc[i]) != math.Float64bits(wtsc[i]) {
-			t.Fatalf("by-interval CSR row %d differs", i)
-		}
-	}
+	assertSameCells(t, "by-interval cell", got.IntervalCells(), want.IntervalCells())
 	for tt := 0; tt < want.NumIntervals(); tt++ {
 		glo, ghi := got.IntervalSpan(tt)
 		wlo, whi := want.IntervalSpan(tt)
@@ -66,8 +44,21 @@ func assertSameCuboid(t *testing.T, got, want *Cuboid) {
 	}
 }
 
+func assertSameCells(t *testing.T, what string, got, want []Cell) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d cells, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].U != want[i].U || got[i].T != want[i].T || got[i].V != want[i].V ||
+			math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
 // ApplyDelta must agree exactly with rebuilding from scratch over the
-// union of ratings — same cells, same CSR views, same score bits (all
+// union of ratings — same cells in both orders, same score bits (all
 // scores here are small integers, so addition grouping is exact).
 func TestApplyDeltaMatchesRebuild(t *testing.T) {
 	const nu, nt, nv = 30, 6, 40
@@ -238,7 +229,7 @@ func TestDeltaFrozenAfterApply(t *testing.T) {
 	}
 }
 
-// --- pathological deltas (satellite: Subset/CSR coverage) ---
+// --- pathological deltas ---
 
 // An empty delta that widens dimensions: all views must stay coherent,
 // with the new users/intervals present but empty.
@@ -293,11 +284,9 @@ func TestApplyDeltaNewIntervalOnly(t *testing.T) {
 	if hi-lo != nu {
 		t.Fatalf("new interval span has %d cells, want %d", hi-lo, nu)
 	}
-	us, vs, scores := got.IntervalCSR()
-	for i := lo; i < hi; i++ {
-		u := int(us[i])
-		if int(vs[i]) != u%nv || scores[i] != 2 {
-			t.Fatalf("new-interval cell %d = (u=%d v=%d s=%v)", i, u, vs[i], scores[i])
+	for i, cell := range got.IntervalCells()[lo:hi] {
+		if int(cell.V) != int(cell.U)%nv || cell.Score != 2 {
+			t.Fatalf("new-interval cell %d = %+v", lo+i, cell)
 		}
 	}
 	// Old intervals are untouched.
@@ -320,10 +309,10 @@ func TestApplyDeltaNewIntervalOnly(t *testing.T) {
 		if ghi-glo != whi-wlo+1 {
 			t.Fatalf("user %d span grew by %d, want 1", u, (ghi-glo)-(whi-wlo))
 		}
-		ts, _, _ := got.CSR()
+		cells := got.Cells()
 		for i := glo + 1; i < ghi; i++ {
-			if ts[i] < ts[i-1] {
-				t.Fatalf("user %d CSR rows unsorted at %d", u, i)
+			if cells[i].T < cells[i-1].T {
+				t.Fatalf("user %d cells unsorted at %d", u, i)
 			}
 		}
 	}
@@ -361,7 +350,7 @@ func TestApplyDeltaTouchesEveryUser(t *testing.T) {
 }
 
 // ApplyDelta must stay count-then-fill: a frozen delta application is
-// one exact-size cell merge plus the shared CSR build.
+// one exact-size cell merge plus fromCells' five allocations.
 func TestApplyDeltaAllocationBound(t *testing.T) {
 	c := buildRandom(t, 13, 50, 8, 60, 2000)
 	d := NewDelta(55, 9, 66)
@@ -375,7 +364,7 @@ func TestApplyDeltaAllocationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 14 {
-		t.Errorf("ApplyDelta allocates %v times, want <= 14 (count-then-fill regressed)", allocs)
+	if allocs > 6 {
+		t.Errorf("ApplyDelta allocates %v times, want <= 6 (count-then-fill regressed)", allocs)
 	}
 }

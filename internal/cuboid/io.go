@@ -32,14 +32,22 @@ func (c *Cuboid) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read deserializes a cuboid previously written with Write.
+// Read deserializes a cuboid previously written with Write. It refuses
+// what no Delta could have built: negative dimensions, a cell outside
+// them or with a score CheckScore refuses, and cells out of order.
 func Read(r io.Reader) (*Cuboid, error) {
 	dec := gob.NewDecoder(bufio.NewReader(r))
 	var wire cuboidWire
 	if err := dec.Decode(&wire); err != nil {
 		return nil, fmt.Errorf("cuboid: decode: %w", err)
 	}
+	if wire.NumUsers < 0 || wire.NumIntervals < 0 || wire.NumItems < 0 {
+		return nil, fmt.Errorf("cuboid: corrupt dimensions %dx%dx%d", wire.NumUsers, wire.NumIntervals, wire.NumItems)
+	}
 	for i, cell := range wire.Cells {
+		if err := CheckScore(cell.Score); err != nil {
+			return nil, fmt.Errorf("cuboid: corrupt cell %d: %w", i, err)
+		}
 		if int(cell.U) >= wire.NumUsers || int(cell.T) >= wire.NumIntervals ||
 			int(cell.V) >= wire.NumItems || cell.U < 0 || cell.T < 0 || cell.V < 0 {
 			return nil, fmt.Errorf("cuboid: corrupt cell (%d,%d,%d) outside %dx%dx%d",

@@ -33,22 +33,22 @@ func ComputeStats(c *Cuboid) *Stats {
 		IntervalUsers: make([]int, c.NumIntervals()),
 	}
 	itemSeen := make([]int32, c.NumItems()) // last user who touched item, +1
-	ts, vs, scores := c.CSR()
+	cells := c.Cells()
 	for u := 0; u < c.NumUsers(); u++ {
 		lo, hi := c.UserSpan(u)
 		if hi > lo {
 			s.RatedUsers++
 		}
 		lastT := int32(-1)
-		for i := lo; i < hi; i++ {
-			s.TotalScore += scores[i]
-			if itemSeen[vs[i]] != int32(u)+1 {
-				itemSeen[vs[i]] = int32(u) + 1
-				s.ItemUsers[vs[i]]++
+		for _, cell := range cells[lo:hi] {
+			s.TotalScore += cell.Score
+			if itemSeen[cell.V] != int32(u)+1 {
+				itemSeen[cell.V] = int32(u) + 1
+				s.ItemUsers[cell.V]++
 			}
-			if ts[i] != lastT {
-				s.IntervalUsers[ts[i]]++
-				lastT = ts[i]
+			if cell.T != lastT {
+				s.IntervalUsers[cell.T]++
+				lastT = cell.T
 			}
 		}
 	}
@@ -66,14 +66,14 @@ func ComputeStats(c *Cuboid) *Stats {
 func ItemIntervalUsers(c *Cuboid) []map[int32]int {
 	out := make([]map[int32]int, c.NumIntervals())
 	// Cells are deduplicated per (u, t, v), so each cell contributes
-	// exactly one distinct user to its (t, v) pair. The by-interval CSR
-	// view hands each interval its items as one contiguous column range.
-	_, tvs, _ := c.IntervalCSR()
+	// exactly one distinct user to its (t, v) pair. The by-interval
+	// order hands each interval its cells as one contiguous span.
+	cells := c.IntervalCells()
 	for t := range out {
 		lo, hi := c.IntervalSpan(t)
 		m := make(map[int32]int, hi-lo)
-		for i := lo; i < hi; i++ {
-			m[tvs[i]]++
+		for _, cell := range cells[lo:hi] {
+			m[cell.V]++
 		}
 		out[t] = m
 	}
@@ -85,10 +85,9 @@ func ItemIntervalUsers(c *Cuboid) []map[int32]int {
 // Figures 2 and 5 (temporal frequency curves).
 func ItemFrequencySeries(c *Cuboid, v int) []float64 {
 	series := make([]float64, c.NumIntervals())
-	ts, vs, _ := c.CSR()
-	for i, item := range vs {
-		if int(item) == v {
-			series[ts[i]]++
+	for _, cell := range c.Cells() {
+		if int(cell.V) == v {
+			series[cell.T]++
 		}
 	}
 	return series

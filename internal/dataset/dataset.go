@@ -87,7 +87,7 @@ type Interactions struct {
 func New() *Interactions { return &Interactions{} }
 
 // Add records an interaction by string identifiers. The event must pass
-// ingest.Record.Validate — non-empty names, a finite positive score —
+// ingest.Record.Validate — non-empty names, a score in (0, cuboid.MaxScore] —
 // the one rule the event log and the updater apply too, so whatever a
 // log holds can be saved, loaded back and trained on.
 func (d *Interactions) Add(userID, itemID string, time int64, score float64) error {
@@ -300,14 +300,14 @@ func splitByFlag(c *cuboid.Cuboid, inTest []bool) Split {
 
 // forEachGroup invokes fn once per (user, interval) group with the
 // group's cell-index range [lo, hi). Cells() is sorted by (U, T, V), so
-// every group is a contiguous run of the CSR row for its user.
+// every group is a contiguous run of its user's span.
 func forEachGroup(c *cuboid.Cuboid, fn func(lo, hi int)) {
-	ts, _, _ := c.CSR()
+	cells := c.Cells()
 	for u := 0; u < c.NumUsers(); u++ {
 		ulo, uhi := c.UserSpan(u)
 		start := ulo
 		for i := ulo + 1; i <= uhi; i++ {
-			if i == uhi || ts[i] != ts[start] {
+			if i == uhi || cells[i].T != cells[start].T {
 				fn(start, i)
 				start = i
 			}

@@ -134,7 +134,7 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 	contexts := make([][]float64, 0, grid.Num-m.NumIntervals())
 	refit := make([]bool, grid.Num) // stream-opened intervals whose θ′ row is not prev's
 	for t := m.NumIntervals(); t < grid.Num; t++ {
-		if prev != nil && t < prev.stream.NumIntervals() && sameIntervalCells(prev.stream, stream, t) {
+		if prev != nil && t < prev.stream.NumIntervals() && slices.Equal(intervalCells(prev.stream, t), intervalCells(stream, t)) {
 			// An item context comes back as a copy of prev's table column.
 			if row := prev.Bundle.Model.TemporalContext(t); len(row) == width {
 				contexts = append(contexts, row)
@@ -159,11 +159,10 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 	var kept []bool // by user; true takes (θu, λu) from before
 	if prev != nil {
 		kept = make([]bool, len(users))
-		ts, _, _ := stream.CSR()
 		for u := m.NumUsers(); u < before.NumUsers() && u < len(users); u++ {
-			lo, hi := stream.UserSpan(u)
-			kept[u] = sameUserCells(prev.stream, stream, u) &&
-				!slices.ContainsFunc(ts[lo:hi], func(t int32) bool { return refit[t] })
+			cells := userCells(stream, u)
+			kept[u] = slices.Equal(userCells(prev.stream, u), cells) &&
+				!slices.ContainsFunc(cells, func(c cuboid.Cell) bool { return refit[c.T] })
 			if kept[u] {
 				adv.UsersKept++
 			}
@@ -184,14 +183,12 @@ func (b *Bundle) AdvanceFrom(prev *Advanced, stream *cuboid.Cuboid, grid dataset
 
 // intervalRatings aggregates interval t's stream events into the
 // ascending (item, total score) columns FitNewInterval estimates a
-// context from. The by-interval CSR view makes this one contiguous
-// scan; an item's scores add up in cell order.
+// context from. The by-interval order makes this one contiguous scan;
+// an item's scores add up in cell order.
 func intervalRatings(c *cuboid.Cuboid, t int) (items []int, weights []float64) {
-	_, vs, scores := c.IntervalCSR()
-	lo, hi := c.IntervalSpan(t)
 	total := make([]float64, c.NumItems())
-	for i := lo; i < hi; i++ {
-		total[vs[i]] += scores[i]
+	for _, cell := range intervalCells(c, t) {
+		total[cell.V] += cell.Score
 	}
 	for v, w := range total {
 		if w > 0 {
@@ -202,25 +199,14 @@ func intervalRatings(c *cuboid.Cuboid, t int) (items []int, weights []float64) {
 	return items, weights
 }
 
-// sameIntervalCells reports whether interval t holds exactly the same
-// cells, in the same order, in a and in b.
-func sameIntervalCells(a, b *cuboid.Cuboid, t int) bool {
-	aus, avs, asc := a.IntervalCSR()
-	bus, bvs, bsc := b.IntervalCSR()
-	alo, ahi := a.IntervalSpan(t)
-	blo, bhi := b.IntervalSpan(t)
-	return sameColumns(aus[alo:ahi], bus[blo:bhi], avs[alo:ahi], bvs[blo:bhi], asc[alo:ahi], bsc[blo:bhi])
+// intervalCells returns interval t's span of c's by-interval cells.
+func intervalCells(c *cuboid.Cuboid, t int) []cuboid.Cell {
+	lo, hi := c.IntervalSpan(t)
+	return c.IntervalCells()[lo:hi]
 }
 
-// sameUserCells is sameIntervalCells for user u's cells.
-func sameUserCells(a, b *cuboid.Cuboid, u int) bool {
-	ats, avs, asc := a.CSR()
-	bts, bvs, bsc := b.CSR()
-	alo, ahi := a.UserSpan(u)
-	blo, bhi := b.UserSpan(u)
-	return sameColumns(ats[alo:ahi], bts[blo:bhi], avs[alo:ahi], bvs[blo:bhi], asc[alo:ahi], bsc[blo:bhi])
-}
-
-func sameColumns(ax, bx, av, bv []int32, as, bs []float64) bool {
-	return slices.Equal(ax, bx) && slices.Equal(av, bv) && slices.Equal(as, bs)
+// userCells returns user u's span of c's by-user cells.
+func userCells(c *cuboid.Cuboid, u int) []cuboid.Cell {
+	lo, hi := c.UserSpan(u)
+	return c.Cells()[lo:hi]
 }

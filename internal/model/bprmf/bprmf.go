@@ -102,11 +102,12 @@ func Train(data *cuboid.Cuboid, cfg Config) (*Model, model.TrainStats, error) {
 	type pair struct{ u, v int32 }
 	var positives []pair
 	posSet := make([]map[int32]bool, n)
-	_, itemCol, _ := data.CSR()
+	cells := data.Cells()
 	for u := 0; u < n; u++ {
 		posSet[u] = make(map[int32]bool)
 		lo, hi := data.UserSpan(u)
-		for _, v := range itemCol[lo:hi] {
+		for _, cell := range cells[lo:hi] {
+			v := cell.V
 			if !posSet[u][v] {
 				posSet[u][v] = true
 				positives = append(positives, pair{u: int32(u), v: v})

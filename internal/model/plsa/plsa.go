@@ -108,13 +108,11 @@ func prepare(data *cuboid.Cuboid, axis Axis, cfg Config) (*trainer, error) {
 	if err := cfg.validate(data); err != nil {
 		return nil, err
 	}
-	// The documents: item and score columns grouped by the axis, and
-	// the row range of each.
-	tr := &trainer{docs: data.NumUsers(), span: data.UserSpan}
-	_, tr.vs, tr.scores = data.CSR()
+	// The documents: the cells in the axis's order, and the span of
+	// each.
+	tr := &trainer{docs: data.NumUsers(), span: data.UserSpan, cells: data.Cells()}
 	if axis == Intervals {
-		tr.docs, tr.span = data.NumIntervals(), data.IntervalSpan
-		_, tr.vs, tr.scores = data.IntervalCSR()
+		tr.docs, tr.span, tr.cells = data.NumIntervals(), data.IntervalSpan, data.IntervalCells()
 	}
 	k, v := cfg.K, data.NumItems()
 	m := &Model{
@@ -145,11 +143,10 @@ func prepare(data *cuboid.Cuboid, axis Axis, cfg Config) (*trainer, error) {
 // accumulator slabs share its layout, so each cell reads and writes
 // contiguous K-length rows.
 type trainer struct {
-	m      *Model
-	docs   int
-	span   func(d int) (lo, hi int)
-	vs     []int32
-	scores []float64
+	m     *Model
+	docs  int
+	span  func(d int) (lo, hi int)
+	cells []cuboid.Cell
 
 	theta []float64 // D×K, an E-step over [lo, hi) owns rows [lo, hi)
 	phiT  []float64 // V×K: transpose of Model.phi
@@ -190,15 +187,15 @@ func (a *accum) Merge(src train.Accum) {
 func (tr *trainer) EStep(acc train.Accum, first, last int) {
 	a := acc.(*accum)
 	m, k := tr.m, tr.m.k
-	vs, scores, phiT, pz := tr.vs, tr.scores, tr.phiT, a.pz
+	cells, phiT, pz := tr.cells, tr.phiT, a.pz
 	train.Zero(tr.theta[first*k : last*k])
 	var ll float64
 	for d := first; d < last; d++ {
 		thetaRow := m.theta[d*k : (d+1)*k]
 		thetaAcc := tr.theta[d*k : (d+1)*k]
 		lo, hi := tr.span(d)
-		for i := lo; i < hi; i++ {
-			v, w := int(vs[i]), scores[i]
+		for _, cell := range cells[lo:hi] {
+			v, w := int(cell.V), cell.Score
 			pd := train.DotInto(pz, thetaRow, phiT[v*k:(v+1)*k])
 			denom := LambdaB*m.background[v] + (1-LambdaB)*pd
 			if denom <= 0 {

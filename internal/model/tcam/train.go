@@ -229,8 +229,8 @@ func (tr *trainer) EStep(acc train.Accum, lo, hi int) {
 // All scratch is pre-sized in the accumulator so the per-iteration
 // inner loop never touches the allocator.
 //
-// The scan is a linear walk of the cuboid's CSR columns — no index
-// indirection — and every slab the K1/K2 inner loops touch (θ and θ'
+// The scan is a linear walk of each user's span of the cuboid's cells —
+// no index indirection — and every slab the K1/K2 inner loops touch (θ and θ'
 // rows, their accumulator rows, the item's table row and its
 // accumulator rows, posterior scratch) is one contiguous K-length
 // block, so the whole per-cell working set stays cache-resident. They
@@ -247,7 +247,7 @@ func (tr *trainer) eStepItems(a *accum, first, last int) {
 	m := tr.m
 	k1, k := m.k1, m.NumTopics() // no background: every column is fitted
 	data := tr.data
-	ts, vs, scores := data.CSR()
+	cells := data.Cells()
 	table := m.table
 	frozen := tr.frozen
 	pz := a.pz
@@ -257,8 +257,8 @@ func (tr *trainer) eStepItems(a *accum, first, last int) {
 		thetaRow := m.theta[u*k1 : (u+1)*k1]
 		thetaAcc := tr.theta[u*k1 : (u+1)*k1]
 		lo, hi := data.UserSpan(u)
-		for i := lo; i < hi; i++ {
-			v, t, w := int(vs[i]), int(ts[i]), scores[i]
+		for _, cell := range cells[lo:hi] {
+			v, t, w := int(cell.V), int(cell.T), cell.Score
 
 			row := table[v*k : v*k+k]
 			pu := train.DotInto(pz, thetaRow, row[:k1])
@@ -298,7 +298,7 @@ func (tr *trainer) eStepTopics(a *accum, first, last int) {
 	k1, k2 := m.k1, m.k2
 	k, kf := m.NumTopics(), k1+k2 // table and statistics row lengths
 	data := tr.data
-	ts, vs, scores := data.CSR()
+	cells := data.Cells()
 	table := m.table
 	frozen := tr.frozen
 	bw := m.backgroundW
@@ -310,8 +310,8 @@ func (tr *trainer) eStepTopics(a *accum, first, last int) {
 		thetaRow := m.theta[u*k1 : (u+1)*k1]
 		thetaAcc := tr.theta[u*k1 : (u+1)*k1]
 		lo, hi := data.UserSpan(u)
-		for i := lo; i < hi; i++ {
-			v, t, w := int(vs[i]), int(ts[i]), scores[i]
+		for _, cell := range cells[lo:hi] {
+			v, t, w := int(cell.V), int(cell.T), cell.Score
 
 			row := table[v*k : v*k+k]
 			pu := train.DotInto(pz, thetaRow, row[:k1])

@@ -48,7 +48,12 @@
 #      42.1 MB — 52.4 MB/op while every freshly sorted list gathered its
 #      weights into a new V-float slice, 42.0 since each worker reuses
 #      one gather buffer across its groups; the bound is pinned to a CPU
-#      count because each worker holds one buffer.
+#      count because each worker holds one buffer;
+#  12. a cuboid build over 80k ratings must stay at most 8 allocs/op and
+#      7.8 MB/op — 13 and 8.39 MB/op while the cuboid kept by-user and
+#      by-interval column copies of every cell beside its []Cell; a
+#      cuboid is its cells in two orders and two row pointers now
+#      (DESIGN.md §11).
 #
 # Usage: scripts/bench_smoke.sh
 set -eu
@@ -120,6 +125,15 @@ if ! echo "$build_out" | awk '
     /^BenchmarkBuildIndex-2/ { bytes = $(NF-3) }
     END { exit !(bytes > 0 && bytes <= 42100000) }'; then
     echo "bench_smoke.sh: BenchmarkBuildIndex allocates more than 42.1 MB/op at GOMAXPROCS 2 (or did not run)" >&2
+    exit 1
+fi
+
+cuboid_out=$(scripts/bench.sh run 5x ./internal/cuboid/ 'BenchmarkCuboidBuild$')
+echo "$cuboid_out"
+if ! echo "$cuboid_out" | awk '
+    /^BenchmarkCuboidBuild/ { bytes = $(NF-3); allocs = $(NF-1) }
+    END { exit !(bytes > 0 && bytes <= 7800000 && allocs > 0 && allocs <= 8) }'; then
+    echo "bench_smoke.sh: BenchmarkCuboidBuild allocates more than 8 times or 7.8 MB per op (or did not run)" >&2
     exit 1
 fi
 

@@ -40,10 +40,11 @@ import (
 // Dataset is an interaction log with interned string identifiers. It is
 // an alias of the internal dataset type so facade users and internal
 // tooling interoperate. Its Add(userID, itemID, time, score) takes an
-// event only if both names are non-empty and the score is finite and
-// positive — the one rule the event log and the streaming updater apply
-// too (the updater skips a logged record that breaks it) — so a Dataset
-// never trains on a NaN score, and whatever SaveJSONLFile writes,
+// event only if both names are non-empty and the score is positive and
+// at most 2^512 — the one rule the event log and the streaming updater
+// apply too (the updater skips a logged record that breaks it) — so a
+// Dataset never trains on a NaN score or one whose sums overflow, and
+// whatever SaveJSONLFile writes,
 // LoadDataset reads back.
 type Dataset = dataset.Interactions
 

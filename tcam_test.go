@@ -6,6 +6,8 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"tcam/internal/cuboid"
 )
 
 // newsLog builds a small news-like log: ten trend-followers chase one
@@ -349,6 +351,35 @@ func TestFacadeTrainBytes(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("%s: Bundle.Write sha256 %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestLargestScoreTrainsFinite: a dataset holding the largest score
+// cuboid.CheckScore admits trains, weighted and unweighted, into a model
+// that serves only finite scores — no sum over its cells overflows.
+func TestLargestScoreTrainsFinite(t *testing.T) {
+	for _, weighted := range []bool{true, false} {
+		log := newsLog(t)
+		if err := log.Add(userName("loyal", 2), "feed-a", 3, cuboid.MaxScore); err != nil {
+			t.Fatal(err)
+		}
+		opts := fastOptions()
+		opts.Weighted = weighted
+		rec, err := Train(log, opts)
+		if err != nil {
+			t.Fatalf("weighted=%v: %v", weighted, err)
+		}
+		for _, u := range []string{userName("loyal", 2), userName("follower", 3)} {
+			recs, err := rec.Recommend(u, 3, 10)
+			if err != nil || len(recs) == 0 {
+				t.Fatalf("weighted=%v: Recommend(%s) = %d recommendations, %v", weighted, u, len(recs), err)
+			}
+			for _, r := range recs {
+				if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+					t.Errorf("weighted=%v: %s gets %s scored %v", weighted, u, r.ItemID, r.Score)
+				}
+			}
 		}
 	}
 }
